@@ -5,8 +5,8 @@ from .electrostatics import (KinkMatrix, config_energy, coulomb_pair,
                              kink_energy_pair, kink_matrix)
 from .engines import (BistableParams, CoherenceParams, SimulationTrace,
                       bistable_relax, clock_gamma, local_field,
-                      simulate_coherence, steady_state_polarization,
-                      truth_table_check)
+                      simulate_coherence, simulate_coherence_batch,
+                      steady_state_polarization, truth_table_check)
 from .geometry import (Cell, ElectronConfiguration, Layout, builtin_layout,
                        displace_cell, dot_positions, parse_layout,
                        serialize_layout)
@@ -22,7 +22,8 @@ __all__ = [
     "displace_cell", "KinkMatrix", "coulomb_pair", "config_energy",
     "kink_energy_pair", "kink_matrix", "BistableParams", "CoherenceParams",
     "SimulationTrace", "clock_gamma", "local_field", "bistable_relax",
-    "steady_state_polarization", "simulate_coherence", "truth_table_check",
+    "steady_state_polarization", "simulate_coherence",
+    "simulate_coherence_batch", "truth_table_check",
     "SweepResult", "ReferenceTable", "sweep_temperature", "sweep_gap",
     "compare_to_reference", "emit_csv", "load_reference_table",
     "__version__",

@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, fields, replace
 from typing import Callable, Mapping, Optional, Sequence, Union
 
 import numpy as np
@@ -38,7 +38,20 @@ class ConvergenceError(EngineError):
 
 
 class IntegrationError(EngineError):
-    """The coherence vector left the unit ball; the time step is too large."""
+    """The coherence vector left the unit ball; the time step is too large.
+
+    `point` is the index of the failing point in a batched run."""
+
+    def __init__(self, message: str, point: int = 0) -> None:
+        super().__init__(message)
+        self.point = point
+
+
+def _require_finite(params) -> None:
+    for f in fields(params):
+        value = getattr(params, f.name)
+        if not math.isfinite(value):
+            raise ValueError(f"{f.name} must be finite, got {value}")
 
 
 @dataclass(frozen=True)
@@ -56,6 +69,7 @@ class CoherenceParams:
     clock_periods: int = 1
 
     def __post_init__(self) -> None:
+        _require_finite(self)
         if self.relaxation_time <= 0 or self.time_step <= 0 or self.total_time <= 0:
             raise ValueError("all times must be strictly positive")
         if self.time_step >= self.relaxation_time:
@@ -82,6 +96,7 @@ class BistableParams:
     radius_of_effect: float = DEFAULT_RADIUS_OF_EFFECT  # nm
 
     def __post_init__(self) -> None:
+        _require_finite(self)
         if self.gamma <= 0:
             raise ValueError("gamma must be strictly positive")
         if self.convergence_tolerance <= 0:
@@ -202,6 +217,86 @@ def steady_state_polarization(E: float, gamma: float, T: float,
     return (E / omega) * th
 
 
+def dense_kink(kink: KinkMatrix, cell_ids: Sequence[str]) -> np.ndarray:
+    """The kink energies as an n x n array in `cell_ids` order, zero on the
+    diagonal."""
+    n = len(cell_ids)
+    dense = np.zeros((n, n))
+    for i, a in enumerate(cell_ids):
+        for j, b in enumerate(cell_ids):
+            if i != j:
+                dense[i, j] = kink.get(a, b)
+    return dense
+
+
+def simulate_coherence_batch(
+        layout: Layout,
+        points: Sequence[tuple[KinkMatrix, CoherenceParams,
+                               Optional[Mapping[str, float]]]],
+        constants: Optional[PhysicalConstants] = None,
+        record_stride: int = 100) -> list[SimulationTrace]:
+    """Run the coherence-vector integrator for several points in lockstep.
+
+    Each point is (kink, params, inputs) on the cells of `layout`: the
+    points share the cell order, roles and clock zones, and their params
+    must agree in everything but the temperature, so that they share the
+    clock and the time grid. Each point's trace is what
+    `simulate_coherence` returns for it alone, bit for bit. Raises
+    IntegrationError for the first point, in order, whose coherence vector
+    leaves the unit ball; its `point` attribute is that point's index.
+    """
+    constants = constants or PhysicalConstants.paper()
+    if record_stride < 1:
+        raise ValueError("record_stride must be at least 1")
+    if not points:
+        return []
+    params = points[0][1]
+    if any(replace(p, temperature=params.temperature) != params
+           for _, p, _ in points):
+        raise ValueError("batched points may differ only in temperature")
+    cell_ids = tuple(c.id for c in layout.cells)
+    if not cell_ids:
+        return [SimulationTrace(times=np.zeros((0,)), clocks=np.zeros((0, 4)),
+                                polarizations=np.zeros((0, 0)), cell_ids=(),
+                                final={}, record_stride=record_stride)
+                for _ in points]
+    # every point drives the same cells: resolve_drives keys are the roles
+    drives = [resolve_drives(layout, inputs) for _, _, inputs in points]
+    kinks = np.stack([dense_kink(kink, cell_ids) for kink, _, _ in points])
+    zones = np.array([c.clock_zone for c in layout.cells], dtype=np.int64)
+    driven = np.array([cid in drives[0] for cid in cell_ids], dtype=np.bool_)
+    drive_values = np.array([[d.get(cid, 0.0) for cid in cell_ids] for d in drives])
+    temperatures = np.array([p.temperature for _, p, _ in points])
+
+    n_steps = int(round(params.total_time / params.time_step))
+    if n_steps < 1:
+        raise ValueError("total_time shorter than one time_step")
+    n_rec = n_steps // record_stride + 1
+    rec_times = np.zeros(n_rec)
+    rec_clocks = np.zeros((n_rec, 4))
+    rec_pols = np.zeros((len(points), n_rec, len(cell_ids)))
+
+    final_pol, ok, bad_step = kernels.coherence_euler(
+        kinks, zones, driven, drive_values, n_steps, params.time_step,
+        params.total_time, float(params.clock_periods), params.clock_shift,
+        params.clock_amplitude, params.clock_low, params.clock_high,
+        params.relaxation_time, temperatures, constants.boltzmann_k,
+        constants.hbar, record_stride, rec_times, rec_clocks, rec_pols)
+    if not ok.all():
+        first = int(np.flatnonzero(~ok)[0])
+        step = int(bad_step[first])
+        raise IntegrationError(
+            f"coherence vector left the unit ball at step {step} "
+            f"(t = {step * params.time_step:.3e} s); use a smaller time_step",
+            point=first)
+    return [SimulationTrace(times=rec_times, clocks=rec_clocks,
+                            polarizations=rec_pols[b], cell_ids=cell_ids,
+                            final={cid: float(final_pol[b, i])
+                                   for i, cid in enumerate(cell_ids)},
+                            record_stride=record_stride)
+            for b in range(len(points))]
+
+
 def simulate_coherence(layout: Layout, kink: KinkMatrix, params: CoherenceParams,
                        inputs: Optional[Mapping[str, float]] = None,
                        constants: Optional[PhysicalConstants] = None,
@@ -212,51 +307,11 @@ def simulate_coherence(layout: Layout, kink: KinkMatrix, params: CoherenceParams
     starts at zero and is advanced with explicit Euler at `time_step`,
     with the local field recomputed from the previous step's polarizations
     at every step. The trace records the clock values and all cell
-    polarizations every `record_stride` steps.
+    polarizations every `record_stride` steps. This is the one-point case
+    of `simulate_coherence_batch`.
     """
-    constants = constants or PhysicalConstants.paper()
-    if record_stride < 1:
-        raise ValueError("record_stride must be at least 1")
-    cell_ids = tuple(c.id for c in layout.cells)
-    n = len(cell_ids)
-    if n == 0:
-        empty = np.zeros((0,))
-        return SimulationTrace(times=empty, clocks=np.zeros((0, 4)),
-                               polarizations=np.zeros((0, 0)), cell_ids=(),
-                               final={}, record_stride=record_stride)
-    drives = resolve_drives(layout, inputs)
-
-    dense = np.zeros((n, n))
-    for i, a in enumerate(cell_ids):
-        for j, b in enumerate(cell_ids):
-            if i != j:
-                dense[i, j] = kink.get(a, b)
-    zones = np.array([c.clock_zone for c in layout.cells], dtype=np.int64)
-    driven = np.array([cid in drives for cid in cell_ids], dtype=np.bool_)
-    drive_values = np.array([drives.get(cid, 0.0) for cid in cell_ids])
-
-    n_steps = int(round(params.total_time / params.time_step))
-    if n_steps < 1:
-        raise ValueError("total_time shorter than one time_step")
-    n_rec = n_steps // record_stride + 1
-    rec_times = np.zeros(n_rec)
-    rec_clocks = np.zeros((n_rec, 4))
-    rec_pols = np.zeros((n_rec, n))
-
-    final_pol, ok, bad_step = kernels.coherence_euler(
-        dense, zones, driven, drive_values, n_steps, params.time_step,
-        params.total_time, float(params.clock_periods), params.clock_shift,
-        params.clock_amplitude, params.clock_low, params.clock_high,
-        params.relaxation_time, params.temperature, constants.boltzmann_k,
-        constants.hbar, record_stride, rec_times, rec_clocks, rec_pols)
-    if not ok:
-        raise IntegrationError(
-            f"coherence vector left the unit ball at step {bad_step} "
-            f"(t = {bad_step * params.time_step:.3e} s); use a smaller time_step")
-    final = {cid: float(final_pol[i]) for i, cid in enumerate(cell_ids)}
-    return SimulationTrace(times=rec_times, clocks=rec_clocks,
-                           polarizations=rec_pols, cell_ids=cell_ids,
-                           final=final, record_stride=record_stride)
+    return simulate_coherence_batch(layout, [(kink, params, inputs)], constants,
+                                    record_stride)[0]
 
 
 # --------------------------------------------------------------------------
@@ -330,15 +385,19 @@ def truth_table_check(layout: Layout, engine: str,
         raise EngineError("layout has no drivable cell")
     out_id = layout.output_cell().id
 
+    combos = list(itertools.product((0, 1), repeat=len(driver_ids)))
+    drive_rows = [{cid: (1.0 if bit else -1.0) for cid, bit in zip(driver_ids, bits)}
+                  for bits in combos]
+    if engine == "bistable":
+        out_pols = [bistable_relax(layout, kink, params, drives)[out_id]
+                    for drives in drive_rows]
+    else:
+        traces = simulate_coherence_batch(
+            layout, [(kink, params, drives) for drives in drive_rows], constants)
+        out_pols = [trace.final[out_id] for trace in traces]
+
     rows = []
-    for bits in itertools.product((0, 1), repeat=len(driver_ids)):
-        drives = {cid: (1.0 if bit else -1.0) for cid, bit in zip(driver_ids, bits)}
-        if engine == "bistable":
-            pols = bistable_relax(layout, kink, params, drives)
-            out_pol = pols[out_id]
-        else:
-            trace = simulate_coherence(layout, kink, params, drives, constants)
-            out_pol = trace.final[out_id]
+    for bits, out_pol in zip(combos, out_pols):
         magnitude = abs(out_pol)
         want = expected_fn(bits)
         if magnitude < INDETERMINATE_THRESHOLD:

@@ -1,14 +1,37 @@
 """Hot numeric kernels for the coherence-vector integrator.
 
-The inner loop runs one explicit Euler step per time step (typically 7e5
-steps per simulation), so it is JIT-compiled with numba by default. Set
-the environment variable ``QCASIM_NO_NUMBA=1`` to force the pure-Python/
-numpy fallback (same code object, just not compiled); results are
-bit-identical between the two paths because the arithmetic and summation
-order are identical. If numba cannot be imported (not installed, or an
-installed numba that fails to import), the same uncompiled fallback runs
-and ``NUMBA_ENABLED`` is False, exactly as with ``QCASIM_NO_NUMBA=1``.
-``benchmarks/bench_coherence.py`` times both.
+The integrator entry point ``coherence_euler`` is batched: B points that
+share the cell order, clock zones, driven cells, time grid and clock
+advance in lockstep, each with its own kink matrix ``kink[b]`` (n x n),
+drive values ``drive_values[b]`` (n,) and temperature ``temperature[b]``.
+The recorded times and clock values are shared by the batch; the recorded
+polarizations are per point, ``rec_pols[b]``. A single run is the B=1 case.
+
+Which implementation runs depends on whether numba imports, and without
+numba on the problem size, never on a user option:
+
+* with numba, ``coherence_euler`` runs the njit-compiled loop kernel
+  ``_coherence_euler`` once per batch element (``per_point``);
+* without numba, it runs ``coherence_euler_numpy``, one numpy kernel
+  vectorised over (batch x free cells), unless the batch is so small that
+  the uncompiled loop kernel once per point is faster (``uncompiled_kernel``:
+  a single run of a two- or three-cell inverter, say).
+
+Set the environment variable ``QCASIM_NO_NUMBA=1`` to treat numba as
+absent. If numba cannot be imported (not installed, or an installed numba
+that fails to import), ``NUMBA_ENABLED`` is False, exactly as with
+``QCASIM_NO_NUMBA=1``.
+
+All paths are bit-identical to the uncompiled loop kernel run once per
+point (``coherence_euler_loop``), which is kept as the reference: every ``+``,
+``*``, ``/`` and ``sqrt`` is the same IEEE operation in the same order,
+the local field is summed over ascending j as an explicit per-column loop
+(zero and self columns included), and the transcendental functions stay
+on libm. The four clock values per step are ``math.cos`` scalars shared
+by the batch, and the thermal tanh is ``math.tanh`` mapped over the
+elements, because ``np.tanh`` differs from libm in the last bit on about
+a fifth of its arguments. ``benchmarks/bench_coherence.py`` times the
+kernels against each other.
 """
 
 from __future__ import annotations
@@ -33,6 +56,8 @@ except ImportError:
             return args[0]
         return lambda func: func
 
+UNIT_BALL_LIMIT_SQ = (1.0 + 1e-6) ** 2
+
 
 def _clock_value(t: float, zone: int, periods: float, total_time: float,
                  shift: float, amplitude: float, low: float, high: float) -> float:
@@ -49,14 +74,16 @@ def _coherence_euler(kink, zones, driven, drive_values, n_steps, dt, total_time,
                      periods, clock_shift, clock_amplitude, clock_low, clock_high,
                      tau, temperature, boltzmann_k, hbar, stride,
                      rec_times, rec_clocks, rec_pols):
-    """Integrate d(lambda)/dt = Gamma x lambda - (lambda - lambda_ss)/tau.
+    """Integrate d(lambda)/dt = Gamma x lambda - (lambda - lambda_ss)/tau
+    for one point (kink (n, n), drive_values (n,), scalar temperature).
 
     Gamma = (-2*gamma_z(t), 0, E_i(t))/hbar per cell; lambda_ss is the
-    thermal steady state tanh(hbar*|Gamma|/(2 kB T)) * Gamma/|Gamma|; the
-    polarization is lambda_z. Driven cells hold their drive value. Updates
-    are synchronous: all local fields are evaluated from the previous
-    step's polarizations. Returns (final_pol, ok, bad_step); ok=False
-    means |lambda| exceeded 1 + 1e-6 at step bad_step.
+    thermal steady state tanh(hbar*|Gamma|/(2 kB T)) * Gamma/|Gamma|, and
+    0 when |Gamma| = 0; the polarization is lambda_z. Driven cells hold
+    their drive value. Updates are synchronous: all local fields are
+    evaluated from the previous step's polarizations. Returns
+    (final_pol, ok, bad_step); ok=False means |lambda| exceeded 1 + 1e-6
+    (or became NaN) at step bad_step.
 
     Recording arrays are filled every `stride` steps (step 0 included).
     """
@@ -68,7 +95,7 @@ def _coherence_euler(kink, zones, driven, drive_values, n_steps, dt, total_time,
     for i in range(n):
         if driven[i]:
             pol[i] = drive_values[i]
-    limit_sq = (1.0 + 1e-6) ** 2
+    limit_sq = UNIT_BALL_LIMIT_SQ
     rec = 0
     for step in range(n_steps + 1):
         t = step * dt
@@ -102,8 +129,12 @@ def _coherence_euler(kink, zones, driven, drive_values, n_steps, dt, total_time,
                 th = math.tanh(hbar * mag / (2.0 * boltzmann_k * temperature))
             else:
                 th = 1.0
-            ss_x = th * gx / mag
-            ss_z = th * gz / mag
+            if mag == 0.0:
+                ss_x = 0.0
+                ss_z = 0.0
+            else:
+                ss_x = th * gx / mag
+                ss_z = th * gz / mag
             lx = lam[i, 0]
             ly = lam[i, 1]
             lz = lam[i, 2]
@@ -111,25 +142,165 @@ def _coherence_euler(kink, zones, driven, drive_values, n_steps, dt, total_time,
             dx = -gz * ly - (lx - ss_x) / tau
             dy = gz * lx - gx * lz - ly / tau
             dz = gx * ly - (lz - ss_z) / tau
-            lam[i, 0] = lx + dt * dx
-            lam[i, 1] = ly + dt * dy
-            lam[i, 2] = lz + dt * dz
-            pol[i] = lam[i, 2]
-            norm_sq = lam[i, 0] ** 2 + lam[i, 1] ** 2 + lam[i, 2] ** 2
-            if norm_sq > limit_sq:
+            nx = lx + dt * dx
+            ny = ly + dt * dy
+            nz = lz + dt * dz
+            lam[i, 0] = nx
+            lam[i, 1] = ny
+            lam[i, 2] = nz
+            pol[i] = nz
+            norm_sq = nx * nx + ny * ny + nz * nz
+            if not norm_sq <= limit_sq:
                 return pol, False, step
     return pol, True, -1
 
 
+def coherence_euler_numpy(kink, zones, driven, drive_values, n_steps, dt,
+                          total_time, periods, clock_shift, clock_amplitude,
+                          clock_low, clock_high, tau, temperature, boltzmann_k,
+                          hbar, stride, rec_times, rec_clocks, rec_pols):
+    """Batched ``_coherence_euler``, vectorised over (batch x free cells).
+
+    kink (B, n, n), drive_values (B, n), temperature (B,), rec_pols
+    (B, n_rec, n); zones and driven (n,) and everything else are shared.
+    Returns (final_pol (B, n), ok (B,), bad_step (B,)). An element that
+    leaves the unit ball keeps its own first bad step; the loop stops once
+    every element has failed.
+    """
+    batch, n = drive_values.shape
+    free = np.flatnonzero(~driven)
+    width = free.size
+    pol = np.where(driven, drive_values, 0.0)
+    # lam[c] is component c of every free cell's coherence vector; it is
+    # only updated in place, so lx, ly, lz and the views below stay live
+    lam = np.zeros((3, batch, width))
+    lx, ly, lz = lam
+    steady = np.zeros_like(lam)      # lambda_ss; its y component stays 0
+    ss_x, _, ss_z = steady
+    deriv = np.empty_like(lam)       # Gamma x lambda, then d(lambda)/dt
+    dx, dy, dz = deriv
+    sq = np.empty_like(lam)
+    sq_x, sq_y, sq_z = sq
+    norm_sq = np.empty((batch, width))
+    # column j of the field sum: kink[:, free, j] times P_j, where P_j is a
+    # drive value or a view of lambda_z
+    kink_cols = [np.ascontiguousarray(kink[:, free, j]) for j in range(n)]
+    slot = {int(i): k for k, i in enumerate(free)}
+    pol_cols = [lz[:, slot[j]:slot[j] + 1] if j in slot else pol[:, j:j + 1]
+                for j in range(n)]
+    field = np.zeros((batch, width))
+    free_zones = [int(zones[i]) for i in free]
+    one_zone = len(set(free_zones)) == 1
+    # 2 kB T per row; rows with T = 0 take th = 1.0 (their slices of the
+    # flat tanh list), so their placeholder 1.0 is never used
+    cold = temperature <= 0.0
+    thermal = np.where(cold, 1.0, 2.0 * boltzmann_k * temperature)[:, None]
+    cold_slices = [slice(b * width, (b + 1) * width) for b in np.flatnonzero(cold)]
+    cold_th = [1.0] * width
+    tanh = math.tanh
+    ok = np.ones(batch, dtype=np.bool_)
+    bad_step = np.full(batch, -1, dtype=np.int64)
+    rec = 0
+    with np.errstate(all="ignore"):  # failed elements may overflow
+        for step in range(n_steps + 1):
+            t = step * dt
+            gammas = [_clock_value(t, z, periods, total_time, clock_shift,
+                                   clock_amplitude, clock_low, clock_high)
+                      for z in range(4)]
+            if step % stride == 0 and rec < rec_times.shape[0]:
+                rec_times[rec] = t
+                rec_clocks[rec] = gammas
+                pol[:, free] = lz
+                rec_pols[:, rec] = pol
+                rec += 1
+            if step == n_steps:
+                break
+            field.fill(0.0)
+            for kink_col, pol_col in zip(kink_cols, pol_cols):
+                field += kink_col * pol_col
+            gx_zone = [-2.0 * g / hbar for g in gammas]
+            gx = (gx_zone[free_zones[0]] if one_zone
+                  else np.array([gx_zone[z] for z in free_zones]))
+            gz = field / hbar
+            mag = np.sqrt(gx * gx + gz * gz)
+            arg = (hbar * mag / thermal).ravel().tolist()
+            th = list(map(tanh, arg))
+            for cold_slice in cold_slices:
+                th[cold_slice] = cold_th
+            th = np.array(th).reshape(mag.shape)
+            np.divide(np.multiply(th, gx, out=ss_x), mag, out=ss_x)
+            np.divide(np.multiply(th, gz, out=ss_z), mag, out=ss_z)
+            if 0.0 in arg:  # hbar * |Gamma| is 0 here: lambda_ss = 0 where |Gamma| = 0
+                zero = mag == 0.0
+                ss_x[zero] = 0.0
+                ss_z[zero] = 0.0
+            # d(lambda)/dt = Gamma x lambda - (lambda - lambda_ss)/tau, the
+            # y row of (lambda - lambda_ss) being ly - 0.0 = ly exactly
+            np.multiply(-gz, ly, out=dx)
+            np.subtract(gz * lx, gx * lz, out=dy)
+            np.multiply(gx, ly, out=dz)
+            deriv -= (lam - steady) / tau
+            lam += dt * deriv
+            np.multiply(lam, lam, out=sq)
+            np.add(np.add(sq_x, sq_y, out=norm_sq), sq_z, out=norm_sq)
+            if not norm_sq.max(initial=0.0) <= UNIT_BALL_LIMIT_SQ:  # NaN fails too
+                failed = ok & ~(norm_sq <= UNIT_BALL_LIMIT_SQ).all(axis=1)
+                bad_step[failed] = step
+                ok[failed] = False
+                if not ok.any():
+                    break
+    pol[:, free] = lz
+    return pol, ok, bad_step
+
+
+def per_point(kernel):
+    """The batched signature over a single-point kernel such as
+    ``_coherence_euler``: run it once per batch element."""
+    def batched(kink, zones, driven, drive_values, n_steps, dt, total_time,
+                periods, clock_shift, clock_amplitude, clock_low, clock_high,
+                tau, temperature, boltzmann_k, hbar, stride,
+                rec_times, rec_clocks, rec_pols):
+        batch = drive_values.shape[0]
+        final = np.zeros(drive_values.shape)
+        ok = np.ones(batch, dtype=np.bool_)
+        bad_step = np.full(batch, -1, dtype=np.int64)
+        for b in range(batch):
+            final[b], ok[b], bad_step[b] = kernel(
+                kink[b], zones, driven, drive_values[b], n_steps, dt,
+                total_time, periods, clock_shift, clock_amplitude, clock_low,
+                clock_high, tau, float(temperature[b]), boltzmann_k, hbar,
+                stride, rec_times, rec_clocks, rec_pols[b])
+        return final, ok, bad_step
+    return batched
+
+
+def uncompiled_kernel(batch: int, n: int, width: int):
+    """The faster uncompiled batched kernel for `batch` points of n cells,
+    `width` of them free. Both give identical bits, so only speed decides:
+    the numpy kernel costs about 25 + 2n us per step at any batch size, the
+    loop kernel about 3 + width * (3 + 0.8n) us per point and step
+    (CPython 3.11, numpy 2.4, 2-vCPU x86 VM), so small single runs stay on
+    the loop."""
+    loop_us = batch * (3.0 + width * (3.0 + 0.8 * n))
+    numpy_us = 25.0 + 2.0 * n
+    return coherence_euler_loop if loop_us < numpy_us else coherence_euler_numpy
+
+
+def _coherence_euler_uncompiled(kink, zones, driven, drive_values, *args):
+    batch, n = drive_values.shape
+    width = n - int(np.count_nonzero(driven))
+    kernel = uncompiled_kernel(batch, n, width)
+    return kernel(kink, zones, driven, drive_values, *args)
+
+
+# The uncompiled loop kernel once per point: the reference the other
+# kernels are compared with (tests) and benchmarked against.
+coherence_euler_loop = per_point(_coherence_euler)
+
 if NUMBA_ENABLED:
     _clock_value = njit(cache=True)(_clock_value)
-    coherence_euler = njit(cache=True)(_coherence_euler)
+    coherence_euler = per_point(njit(cache=True)(_coherence_euler))
 else:
-    coherence_euler = _coherence_euler
-
-# Uncompiled path, kept callable regardless of the env flag so the two can
-# be compared (tests) and benchmarked against each other.
-coherence_euler_py = _coherence_euler
+    coherence_euler = _coherence_euler_uncompiled
 
 clock_value = _clock_value
-

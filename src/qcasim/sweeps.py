@@ -18,8 +18,8 @@ from typing import Mapping, Optional, Sequence, TextIO, Union
 
 from .constants import PhysicalConstants
 from .electrostatics import kink_matrix
-from .engines import (BistableParams, CoherenceParams, bistable_relax,
-                      simulate_coherence)
+from .engines import (BistableParams, CoherenceParams, IntegrationError,
+                      bistable_relax, simulate_coherence_batch)
 from .geometry import Layout, displace_cell, displacement_axis, previous_neighbor
 
 TABLE1_TEMPERATURES = (0.0, 1.0, 2.0, 3.0, 4.0, 5.0, 6.0, 7.0, 8.0, 9.0,
@@ -94,28 +94,35 @@ def _bistable_snapshot(params: BistableParams) -> dict:
     }
 
 
+def _failed_point(exc: Exception) -> int:
+    """Index of the batch point an engine error belongs to (a failure that is
+    not an integration failure is common to all points: the first)."""
+    return exc.point if isinstance(exc, IntegrationError) else 0
+
+
 def sweep_temperature(layout: Layout, temperatures: Sequence[float],
                       params: CoherenceParams, constants: PhysicalConstants,
                       inputs: Optional[Mapping[str, float]] = None) -> SweepResult:
-    """Coherence-engine |P| of the output cell at each temperature."""
+    """Coherence-engine |P| of the output cell at each temperature, all
+    temperatures run as one batch."""
     temps = list(temperatures)
     if not temps:
         raise SweepError("temperature grid is empty")
+    if not all(math.isfinite(t) for t in temps):
+        raise SweepError("temperatures must be finite")
     if any(t < 0 for t in temps):
         raise SweepError("temperatures must be non-negative")
     if any(b <= a for a, b in zip(temps, temps[1:])):
         raise SweepError("temperature grid must be strictly increasing")
     out_id = layout.output_cell().id
     kink = kink_matrix(layout, params.radius_of_effect, constants)
-    rows = []
-    for T in temps:
-        try:
-            trace = simulate_coherence(layout, kink, replace(params, temperature=T),
-                                       inputs, constants)
-        except Exception as exc:
-            raise SweepError(f"at temperature {T} K: {exc}") from exc
-        rows.append(SweepRow(value=T, cell_id=out_id,
-                             polarization=abs(trace.final[out_id])))
+    points = [(kink, replace(params, temperature=T), inputs) for T in temps]
+    try:
+        traces = simulate_coherence_batch(layout, points, constants)
+    except Exception as exc:
+        raise SweepError(f"at temperature {temps[_failed_point(exc)]} K: {exc}") from exc
+    rows = [SweepRow(value=T, cell_id=out_id, polarization=abs(trace.final[out_id]))
+            for T, trace in zip(temps, traces)]
     snapshot = _coherence_snapshot(params)
     del snapshot["temperature_K"]  # swept
     snapshot.update(layout=layout.name, engine="coherence",
@@ -134,11 +141,15 @@ def sweep_gap(layout: Layout, output_id: str, gaps: Sequence[float], engine: str
 
     The displacement direction is derived from the current geometry (an
     in-line cell slides along its line, a diagonal cell along the
-    diagonal), so the layout keeps its shape.
+    diagonal), so the layout keeps its shape. The coherence engine runs
+    every gap's kink matrix as one batch; an error is reported at the
+    first gap, in grid order, that fails.
     """
     gaps = list(gaps)
     if not gaps:
         raise SweepError("gap grid is empty")
+    if not all(math.isfinite(g) for g in gaps):
+        raise SweepError("gaps must be finite")
     if any(g <= 0 for g in gaps):
         raise SweepError("gaps must be strictly positive")
     if any(b <= a for a, b in zip(gaps, gaps[1:])):
@@ -146,22 +157,34 @@ def sweep_gap(layout: Layout, output_id: str, gaps: Sequence[float], engine: str
     if engine not in ("bistable", "coherence"):
         raise SweepError(f"unknown engine {engine!r}")
     axis = displacement_axis(layout, output_id)
-    rows = []
+    kinks, energies, pols = [], [], []
+    failure = None  # (gap, error) of the first gap that fails before the batch
     for gap in gaps:
         try:
             displaced = displace_cell(layout, output_id, gap, axis)
             kink = kink_matrix(displaced, params.radius_of_effect, constants)
             if engine == "bistable":
-                pol = bistable_relax(displaced, kink, params, inputs)[output_id]
-            else:
-                pol = simulate_coherence(displaced, kink, params, inputs,
-                                         constants).final[output_id]
+                pols.append(bistable_relax(displaced, kink, params, inputs)[output_id])
             prev = previous_neighbor(displaced, output_id)
-            energy = kink.get(output_id, prev.id)
+            energies.append(kink.get(output_id, prev.id))
         except Exception as exc:
-            raise SweepError(f"at gap {gap} nm: {exc}") from exc
-        rows.append(SweepRow(value=gap, cell_id=output_id,
-                             polarization=abs(pol), kink_energy=energy))
+            failure = (gap, exc)
+            break
+        kinks.append(kink)
+    if engine == "coherence":
+        # displacement keeps the cell order, roles and zones of `layout`
+        try:
+            traces = simulate_coherence_batch(
+                layout, [(kink, params, inputs) for kink in kinks], constants)
+        except Exception as exc:
+            raise SweepError(f"at gap {gaps[_failed_point(exc)]} nm: {exc}") from exc
+        pols = [trace.final[output_id] for trace in traces]
+    if failure is not None:
+        gap, exc = failure
+        raise SweepError(f"at gap {gap} nm: {exc}") from exc
+    rows = [SweepRow(value=gap, cell_id=output_id, polarization=abs(pol),
+                     kink_energy=energy)
+            for gap, pol, energy in zip(gaps, pols, energies)]
     snapshot = (_bistable_snapshot(params) if engine == "bistable"
                 else _coherence_snapshot(params))
     snapshot.update(layout=layout.name, engine=engine, constants=constants.mode,

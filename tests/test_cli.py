@@ -1,4 +1,5 @@
 import io
+import math
 
 import pytest
 
@@ -150,6 +151,41 @@ class TestExitCodes:
 
     def test_missing_required_layout(self):
         assert run(["kink"])[0] == 2
+
+
+class TestNonFiniteInputs:
+    """Each fails with the one-line exit-1 diagnostic, never a traceback or a
+    NaN row."""
+
+    def test_total_time_inf(self):
+        code, out, err = run(["simulate", "--engine", "coherence", "--layout",
+                              "builtin:inv2", "--total-time", "inf"])
+        assert (code, out) == (1, "")
+        assert err == "error: total_time must be finite, got inf\n"
+
+    def test_temperature_nan(self):
+        code, out, err = run(["simulate", "--engine", "coherence", "--layout",
+                              "builtin:inv2", "--temperature", "nan", *FAST])
+        assert (code, out) == (1, "")
+        assert err == "error: temperature must be finite, got nan\n"
+
+    def test_grid_nan(self):
+        code, out, err = run(["sweep-temp", "--layout", "builtin:inv2",
+                              "--grid", "nan", *FAST])
+        assert (code, out) == (1, "")
+        assert err == "error: temperatures must be finite\n"
+
+    def test_zero_clock_and_zero_field_rows_are_finite(self):
+        code, out, err = run(["simulate", "--engine", "coherence", "--layout",
+                              "builtin:wire(2)", "--radius", "1",
+                              "--clock-high", "0", "--clock-low", "0",
+                              "--total-time", "1e-14"])
+        assert code == 0 and err == ""
+        rows = [l for l in out.splitlines() if not l.startswith("#")][1:]
+        assert rows
+        values = [float(v) for row in rows for v in row.split(",")]
+        assert all(math.isfinite(v) for v in values)
+        assert rows[-1].endswith(",1.00000e+00,0.00000e+00")
 
 
 class TestFilesAndDeterminism:

@@ -5,10 +5,11 @@ import numpy as np
 import pytest
 
 from qcasim.constants import PhysicalConstants
-from qcasim.electrostatics import kink_matrix
+from qcasim.electrostatics import KinkMatrix, kink_matrix
 from qcasim.engines import (BistableParams, CoherenceParams, ConvergenceError,
-                            EngineError, bistable_relax, clock_gamma,
-                            local_field, resolve_drives, simulate_coherence,
+                            EngineError, IntegrationError, bistable_relax,
+                            clock_gamma, local_field, resolve_drives,
+                            simulate_coherence, simulate_coherence_batch,
                             steady_state_polarization, truth_table_check)
 from qcasim.geometry import Layout, builtin_layout
 
@@ -53,6 +54,18 @@ class TestCoherenceParams:
     def test_clock_order(self):
         with pytest.raises(ValueError):
             CoherenceParams(clock_low=1e-21, clock_high=1e-22)
+
+    @pytest.mark.parametrize("name", ["temperature", "total_time", "clock_high",
+                                      "clock_shift", "radius_of_effect"])
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+    def test_non_finite_rejected(self, name, value):
+        with pytest.raises(ValueError, match=f"{name} must be finite"):
+            CoherenceParams(**{name: value})
+
+    def test_bistable_non_finite_rejected(self):
+        for name in ("gamma", "convergence_tolerance", "radius_of_effect"):
+            with pytest.raises(ValueError, match=f"{name} must be finite"):
+                BistableParams(**{name: math.nan})
 
 
 class TestClockGamma:
@@ -277,6 +290,44 @@ class TestSimulateCoherence:
         assert trace.clocks.shape[1] == 4
 
 
+class TestSimulateCoherenceBatch:
+    def test_points_match_single_runs(self, constants):
+        layout = builtin_layout("inv3")
+        kink = kink_matrix(layout, RADIUS, constants)
+        far = kink_matrix(layout, 25.0, constants)  # drops the in-out pair
+        points = [(kink, replace(FAST, temperature=0.0), {"in": 1.0}),
+                  (far, replace(FAST, temperature=3.0), {"in": -1.0}),
+                  (kink, FAST, None)]
+        traces = simulate_coherence_batch(layout, points, constants, 7)
+        for trace, (k, params, inputs) in zip(traces, points):
+            alone = simulate_coherence(layout, k, params, inputs, constants, 7)
+            assert trace.final == alone.final
+            for name in ("times", "clocks", "polarizations"):
+                assert (getattr(trace, name).tobytes()
+                        == getattr(alone, name).tobytes())
+
+    def test_points_may_differ_only_in_temperature(self, constants):
+        layout = builtin_layout("inv2")
+        kink = kink_matrix(layout, RADIUS, constants)
+        points = [(kink, FAST, None),
+                  (kink, replace(FAST, clock_high=5e-22), None)]
+        with pytest.raises(ValueError, match="only in temperature"):
+            simulate_coherence_batch(layout, points, constants)
+
+    def test_no_points(self, constants):
+        assert simulate_coherence_batch(builtin_layout("inv2"), [], constants) == []
+
+    def test_first_failing_point_is_reported(self, constants):
+        layout = builtin_layout("inv3")
+        kink = kink_matrix(layout, RADIUS, constants)
+        strong = KinkMatrix(pairs={key: 3e3 * e for key, e in kink.pairs.items()},
+                            radius_of_effect=RADIUS)
+        points = [(kink, FAST, None), (strong, FAST, None), (strong, FAST, None)]
+        with pytest.raises(IntegrationError, match="left the unit ball") as info:
+            simulate_coherence_batch(layout, points, constants)
+        assert info.value.point == 1
+
+
 class TestTruthTable:
     def test_inv2_inverter(self, constants):
         layout = builtin_layout("inv2")
@@ -321,6 +372,18 @@ class TestTruthTable:
         report = truth_table_check(layout, "coherence", FAST, "inverter", kink,
                                    constants)
         assert report.all_passed
+
+    def test_coherence_rows_match_single_runs(self, constants):
+        layout = builtin_layout("majority")
+        kink = kink_matrix(layout, RADIUS, constants)
+        report = truth_table_check(layout, "coherence", FAST, "majority", kink,
+                                   constants)
+        assert len(report.rows) == 8
+        for row in report.rows:
+            drives = {cid: (1.0 if bit else -1.0)
+                      for cid, bit in zip(report.driver_ids, row.inputs)}
+            alone = simulate_coherence(layout, kink, FAST, drives, constants)
+            assert row.magnitude == abs(alone.final["out"])
 
     def test_wrong_function_fails(self, constants):
         layout = builtin_layout("inv2")

@@ -1,5 +1,6 @@
 import io
 import math
+from dataclasses import replace
 
 import pytest
 
@@ -42,13 +43,28 @@ class TestSweepTemperature:
         assert all(0.0 <= r.polarization <= 1.0 for r in result.rows)
 
     def test_singleton_matches_direct_run(self, constants):
+        """Every point of the batched table-1 sweep equals its own run."""
         layout = builtin_layout("inv2")
-        result = sweep_temperature(layout, (4.0,), FAST, constants)
+        result = sweep_temperature(layout, TABLE1_TEMPERATURES, FAST, constants)
         kink = kink_matrix(layout, FAST.radius_of_effect, constants)
-        from dataclasses import replace
-        trace = simulate_coherence(layout, kink, replace(FAST, temperature=4.0),
-                                   constants=constants)
-        assert result.rows[0].polarization == abs(trace.final["out"])
+        assert result.values() == list(TABLE1_TEMPERATURES)
+        for row in result.rows:
+            trace = simulate_coherence(layout, kink,
+                                       replace(FAST, temperature=row.value),
+                                       constants=constants)
+            assert row.polarization == abs(trace.final["out"])
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf])
+    def test_non_finite_temperature(self, constants, bad):
+        with pytest.raises(SweepError, match="finite"):
+            sweep_temperature(builtin_layout("inv2"), (1.0, bad), FAST, constants)
+
+    def test_integration_error_names_the_temperature(self, constants):
+        unstable = replace(FAST, time_step=9.9e-16, relaxation_time=1e-15,
+                           clock_high=1e-19, clock_low=1e-19, total_time=1e-13)
+        with pytest.raises(SweepError, match="at temperature 0.0 K: coherence"):
+            sweep_temperature(builtin_layout("inv3"), (0.0, 1.0), unstable,
+                              constants)
 
     def test_empty_grid(self, constants):
         with pytest.raises(SweepError, match="empty"):
@@ -93,6 +109,23 @@ class TestSweepGap:
                            "bistable", BistableParams(), constants)
         e1, e2 = (r.kink_energy for r in result.rows)
         assert abs(e1) > abs(e2)
+
+    def test_coherence_points_match_direct_runs(self, constants):
+        layout = builtin_layout("inv3")
+        gaps = (1.0, 2.0, 3.0)
+        result = sweep_gap(layout, "out", gaps, "coherence", FAST, constants)
+        axis = displacement_axis(layout, "out")
+        for gap, row in zip(gaps, result.rows):
+            displaced = displace_cell(layout, "out", gap, axis)
+            kink = kink_matrix(displaced, FAST.radius_of_effect, constants)
+            trace = simulate_coherence(displaced, kink, FAST, constants=constants)
+            assert row.polarization == abs(trace.final["out"])
+            assert row.kink_energy == kink.get("out", "mid")
+
+    def test_non_finite_gap(self, constants):
+        with pytest.raises(SweepError, match="finite"):
+            sweep_gap(builtin_layout("inv2"), "out", (1.0, math.nan), "bistable",
+                      BistableParams(), constants)
 
     def test_coherence_engine(self, constants):
         result = sweep_gap(builtin_layout("inv2"), "out", (2.0,),
