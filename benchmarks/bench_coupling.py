@@ -1,0 +1,87 @@
+"""Benchmark the coupling core: layout build, kink matrix and bistable relax.
+
+Times three stages on layouts of growing size:
+
+* build: constructing the validated `Layout` (the cell-overlap check);
+* kink: `kink_matrix` at the default 80 nm radius of effect;
+* bistable: `bistable_relax` at the default parameters.
+
+The layouts are `builtin:wire(n)` for n = 100, 200, 400 and square 2-D
+grids of 18 nm cells at a 20 nm pitch with side 10, 32, 70 and 100 (100 to
+10,000 cells), driven by a fixed left column at P = +1. Reports the best
+wall time of the repeats for each stage, so the rows form a scaling curve.
+
+Usage:
+    python benchmarks/bench_coupling.py [--max-cells 10000] [--repeats 1]
+"""
+
+import argparse
+import time
+
+from qcasim.constants import PhysicalConstants
+from qcasim.electrostatics import kink_matrix
+from qcasim.engines import BistableParams, bistable_relax
+from qcasim.geometry import Cell, Layout, builtin_layout
+
+WIRES = (100, 200, 400)
+GRID_SIDES = (10, 32, 70, 100)
+PITCH = 20.0
+
+
+def grid_cells(side):
+    cells = []
+    for row in range(side):
+        for col in range(side):
+            fixed = col == 0
+            cells.append(Cell(id=f"r{row}c{col}", center_x=col * PITCH,
+                              center_y=row * PITCH,
+                              role="fixed" if fixed else "normal",
+                              fixed_polarization=1.0 if fixed else None))
+    return tuple(cells)
+
+
+def problems(max_cells):
+    """(label, cell count, function building the layout) by size."""
+    for n in WIRES:
+        if n <= max_cells:
+            yield f"wire({n})", n, lambda n=n: builtin_layout(f"wire({n})")
+    for side in GRID_SIDES:
+        if side * side <= max_cells:
+            cells = grid_cells(side)
+            yield (f"grid({side}x{side})", side * side,
+                   lambda cells=cells: Layout(name="grid", cells=cells))
+
+
+def best_time(fn, repeats):
+    best, result = float("inf"), None
+    for _ in range(repeats):
+        start = time.perf_counter()
+        result = fn()
+        best = min(best, time.perf_counter() - start)
+    return best, result
+
+
+def main():
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser.add_argument("--max-cells", type=int, default=10_000,
+                        help="skip layouts with more cells (default: 10000)")
+    parser.add_argument("--repeats", type=int, default=1,
+                        help="timed repetitions per stage (default: 1)")
+    args = parser.parse_args()
+
+    constants = PhysicalConstants.paper()
+    params = BistableParams()
+    print("layout,cells,pairs,build_s,kink_s,bistable_s")
+    for label, n_cells, build in problems(args.max_cells):
+        build_s, layout = best_time(build, args.repeats)
+        kink_s, kink = best_time(
+            lambda: kink_matrix(layout, params.radius_of_effect, constants),
+            args.repeats)
+        bistable_s, _ = best_time(lambda: bistable_relax(layout, kink, params),
+                                  args.repeats)
+        print(f"{label},{n_cells},{len(kink)},{build_s:.4f},{kink_s:.4f},"
+              f"{bistable_s:.4f}", flush=True)
+
+
+if __name__ == "__main__":
+    main()

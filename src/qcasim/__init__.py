@@ -7,9 +7,8 @@ from .engines import (BistableParams, CoherenceParams, SimulationTrace,
                       bistable_relax, clock_gamma, local_field,
                       simulate_coherence, simulate_coherence_batch,
                       steady_state_polarization, truth_table_check)
-from .geometry import (Cell, ElectronConfiguration, Layout, builtin_layout,
-                       displace_cell, dot_positions, parse_layout,
-                       serialize_layout)
+from .geometry import (Cell, Layout, builtin_layout, displace_cell,
+                       dot_positions, parse_layout, serialize_layout)
 from .sweeps import (ReferenceTable, SweepResult, compare_to_reference,
                      emit_csv, load_reference_table, sweep_gap,
                      sweep_temperature)
@@ -17,7 +16,7 @@ from .sweeps import (ReferenceTable, SweepResult, compare_to_reference,
 __version__ = "0.1.0"
 
 __all__ = [
-    "PhysicalConstants", "Cell", "Layout", "ElectronConfiguration",
+    "PhysicalConstants", "Cell", "Layout",
     "dot_positions", "parse_layout", "serialize_layout", "builtin_layout",
     "displace_cell", "KinkMatrix", "coulomb_pair", "config_energy",
     "kink_energy_pair", "kink_matrix", "BistableParams", "CoherenceParams",

@@ -131,17 +131,22 @@ def clock_gamma(zone: int, t: float, params: CoherenceParams) -> float:
                                params.clock_high)
 
 
+def _field(row: Sequence[tuple], polarizations) -> float:
+    """sum(E_kink * P_j) over a neighbor row of (key, energy), in row order;
+    `polarizations[key]` is the neighbor's polarization."""
+    total = 0.0
+    for key, energy in row:
+        total += energy * polarizations[key]
+    return total
+
+
 def local_field(cell_id: str, polarizations: Mapping[str, float],
                 kink: KinkMatrix) -> float:
-    """Weighted neighborhood field sum(E_kink(i,j) * P_j), ascending cell id."""
-    total = 0.0
-    for other in sorted(polarizations):
-        if other == cell_id:
-            continue
-        energy = kink.get(cell_id, other)
-        if energy != 0.0:
-            total += energy * polarizations[other]
-    return total
+    """Weighted neighborhood field sum(E_kink(i,j) * P_j), ascending cell id.
+
+    Only neighbors with an entry in `polarizations` contribute."""
+    return _field([(other, energy) for other, energy in kink.row(cell_id)
+                   if other in polarizations], polarizations)
 
 
 def resolve_drives(layout: Layout, inputs: Optional[Mapping[str, float]] = None
@@ -175,27 +180,31 @@ def bistable_relax(layout: Layout, kink: KinkMatrix, params: BistableParams,
 
     Free cells are swept Gauss-Seidel in layout order with
     P_i <- f(E_i / (2 gamma)) until the largest change drops below the
-    convergence tolerance. Deterministic; raises ConvergenceError (naming
-    the worst cell) if max_iterations is exhausted.
+    convergence tolerance; each field is summed over the kink matrix's
+    neighbor list, ascending neighbor id. Deterministic; raises
+    ConvergenceError (naming the worst cell) if max_iterations is
+    exhausted.
     """
     drives = resolve_drives(layout, inputs)
-    pols: dict[str, float] = {c.id: 0.0 for c in layout.cells}
-    pols.update(drives)
-    free = [c.id for c in layout.cells if c.id not in drives]
+    ids = [c.id for c in layout.cells]
+    rows = kink.rows(ids)
+    pols = [drives.get(cid, 0.0) for cid in ids]
+    free = [k for k, cid in enumerate(ids) if cid not in drives]
     two_gamma = 2.0 * params.gamma
-    worst_id = None
+    worst_k = None
     for _ in range(params.max_iterations):
         worst = 0.0
-        worst_id = None
-        for cid in free:
-            new = _saturate(local_field(cid, pols, kink) / two_gamma)
-            change = abs(new - pols[cid])
+        worst_k = None
+        for k in free:
+            new = _saturate(_field(rows[k], pols) / two_gamma)
+            change = abs(new - pols[k])
             if change > worst:
                 worst = change
-                worst_id = cid
-            pols[cid] = new
+                worst_k = k
+            pols[k] = new
         if worst < params.convergence_tolerance:
-            return pols
+            return dict(zip(ids, pols))
+    worst_id = None if worst_k is None else ids[worst_k]
     raise ConvergenceError(
         f"bistable iteration did not converge in {params.max_iterations} sweeps; "
         f"worst cell {worst_id!r}")
@@ -219,13 +228,12 @@ def steady_state_polarization(E: float, gamma: float, T: float,
 
 def dense_kink(kink: KinkMatrix, cell_ids: Sequence[str]) -> np.ndarray:
     """The kink energies as an n x n array in `cell_ids` order, zero on the
-    diagonal."""
+    diagonal; filled from the neighbor list."""
     n = len(cell_ids)
     dense = np.zeros((n, n))
-    for i, a in enumerate(cell_ids):
-        for j, b in enumerate(cell_ids):
-            if i != j:
-                dense[i, j] = kink.get(a, b)
+    for i, row in enumerate(kink.rows(cell_ids)):
+        for j, energy in row:
+            dense[i, j] = energy
     return dense
 
 

@@ -11,8 +11,9 @@ from __future__ import annotations
 
 import math
 import re
-from dataclasses import dataclass, field, replace
-from typing import Iterable, Mapping, Optional, Sequence
+from collections import defaultdict
+from dataclasses import dataclass, replace
+from typing import Optional, Sequence
 
 ROLES = ("normal", "input", "output", "fixed")
 
@@ -48,10 +49,14 @@ class Cell:
     def __post_init__(self) -> None:
         if not self.id or re.search(r"\s|=", self.id):
             raise LayoutError(f"invalid cell id {self.id!r}")
-        if self.size <= 0:
-            raise LayoutError(f"cell {self.id}: size must be > 0")
         if self.dot_offset is None:
             object.__setattr__(self, "dot_offset", self.size / 4)
+        for name in ("center_x", "center_y", "size", "dot_offset"):
+            value = getattr(self, name)
+            if not math.isfinite(value):
+                raise LayoutError(f"cell {self.id}: {name} must be finite, got {value}")
+        if self.size <= 0:
+            raise LayoutError(f"cell {self.id}: size must be > 0")
         if not (0 < self.dot_offset <= self.size / 2):
             raise LayoutError(f"cell {self.id}: dot_offset must be in (0, size/2]")
         if self.rotation not in (0, 45):
@@ -73,14 +78,17 @@ class Cell:
         return (self.center_x, self.center_y)
 
 
-def dot_positions(cell: Cell) -> list[tuple[float, float]]:
-    """Return the four dot centers in fixed numbering order (dot 1 first)."""
+def dot_offsets(cell: Cell) -> tuple[tuple[float, float], ...]:
+    """The four dot positions relative to the cell center, dot 1 first."""
     d = cell.dot_offset
     if cell.rotation == 0:
-        rel = ((d, d), (-d, d), (-d, -d), (d, -d))
-    else:
-        rel = ((d, 0.0), (0.0, d), (-d, 0.0), (0.0, -d))
-    return [(cell.center_x + rx, cell.center_y + ry) for rx, ry in rel]
+        return ((d, d), (-d, d), (-d, -d), (d, -d))
+    return ((d, 0.0), (0.0, d), (-d, 0.0), (0.0, -d))
+
+
+def dot_positions(cell: Cell) -> list[tuple[float, float]]:
+    """Return the four dot centers in fixed numbering order (dot 1 first)."""
+    return [(cell.center_x + rx, cell.center_y + ry) for rx, ry in dot_offsets(cell)]
 
 
 def electron_dots(polarization_sign: float) -> tuple[int, int]:
@@ -88,20 +96,6 @@ def electron_dots(polarization_sign: float) -> tuple[int, int]:
     if polarization_sign == 0:
         raise ValueError("polarization sign must be nonzero")
     return DOTS_POSITIVE if polarization_sign > 0 else DOTS_NEGATIVE
-
-
-@dataclass(frozen=True)
-class ElectronConfiguration:
-    cell_id: str
-    dots: tuple[int, int]  # 0-based, a diagonal pair
-
-    def __post_init__(self) -> None:
-        if tuple(sorted(self.dots)) not in (DOTS_POSITIVE, DOTS_NEGATIVE):
-            raise LayoutError(f"cell {self.cell_id}: dots {self.dots} are not a diagonal pair")
-
-    @classmethod
-    def from_polarization(cls, cell: Cell, sign: float) -> "ElectronConfiguration":
-        return cls(cell_id=cell.id, dots=electron_dots(sign))
 
 
 def edge_gaps(a: Cell, b: Cell) -> tuple[float, float]:
@@ -114,6 +108,38 @@ def edge_gaps(a: Cell, b: Cell) -> tuple[float, float]:
 def cells_overlap(a: Cell, b: Cell) -> bool:
     gx, gy = edge_gaps(a, b)
     return max(gx, gy) <= 0
+
+
+def near_pairs(cells: Sequence[Cell], reach: float) -> list[tuple[int, int]]:
+    """Sorted index pairs (i, j), i < j, of cells whose centers may lie
+    within `reach` of each other along both axes.
+
+    Every pair with |x_i - x_j| <= reach and |y_i - y_j| <= reach (as
+    computed in floating point) is returned; some farther pairs may be too,
+    so callers apply their exact test to each candidate. Centers are binned
+    on a uniform grid and only neighboring bins are paired. The bin pitch
+    exceeds `reach` by a margin far above the rounding error of the bin
+    arithmetic, so a pair at exactly the reach always lands in neighboring
+    bins.
+    """
+    if not cells:
+        return []
+    extent = max(max(abs(c.center_x), abs(c.center_y)) for c in cells)
+    pitch = reach + (reach + extent) * 2.0 ** -40
+    bins: dict[tuple[int, int], list[int]] = defaultdict(list)
+    for i, c in enumerate(cells):
+        bins[(math.floor(c.center_x / pitch), math.floor(c.center_y / pitch))].append(i)
+    pairs = []
+    for (bx, by), members in bins.items():
+        for k, i in enumerate(members):
+            pairs.extend((i, j) for j in members[k + 1:])
+        # four of the eight neighboring bins; each of the other four pairs
+        # with this one from its own side
+        for key in ((bx + 1, by - 1), (bx + 1, by), (bx + 1, by + 1), (bx, by + 1)):
+            for j in bins.get(key, ()):
+                pairs.extend((i, j) if i < j else (j, i) for i in members)
+    pairs.sort()
+    return pairs
 
 
 @dataclass(frozen=True)
@@ -131,10 +157,11 @@ class Layout:
             seen.add(cell.id)
         if self.constants_mode not in (None, "paper", "codata"):
             raise LayoutError(f"unknown constants mode {self.constants_mode!r}")
-        for i, a in enumerate(self.cells):
-            for b in self.cells[i + 1:]:
-                if cells_overlap(a, b):
-                    raise LayoutError(f"cells {a.id!r} and {b.id!r} overlap")
+        reach = max((c.size for c in self.cells), default=0.0)
+        for i, j in near_pairs(self.cells, reach):
+            a, b = self.cells[i], self.cells[j]
+            if cells_overlap(a, b):
+                raise LayoutError(f"cells {a.id!r} and {b.id!r} overlap")
         has_driven = any(c.role in ("normal", "output") for c in self.cells)
         has_driver = any(c.role in ("input", "fixed") for c in self.cells)
         if has_driven and not has_driver:

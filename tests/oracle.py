@@ -1,11 +1,18 @@
-"""Independent brute-force electrostatics oracle.
+"""Independent brute-force references.
 
 Recomputes configuration and kink energies from first principles (explicit
 dot enumeration, double loop over dot pairs) without touching any of the
 package's electrostatics code paths. Used to cross-check kink_matrix.
+
+`reference_bistable_relax` is the bistable engine written against the
+kink matrix's pair dict alone: every field sums over all other cells in
+sorted id order, reading each energy with `KinkMatrix.get`. The engine's
+neighbor-list sweeps must match it bit for bit.
 """
 
 import math
+
+from qcasim.engines import ConvergenceError, resolve_drives
 
 NM = 1e-9
 
@@ -54,3 +61,39 @@ def brute_kink_matrix(layout, radius, k, e, model):
                 key = tuple(sorted((a.id, b.id)))
                 pairs[key] = brute_kink(a, b, k, e, model)
     return pairs
+
+
+def reference_local_field(cell_id, polarizations, kink):
+    total = 0.0
+    for other in sorted(polarizations):
+        if other == cell_id:
+            continue
+        energy = kink.get(cell_id, other)
+        if energy != 0.0:
+            total += energy * polarizations[other]
+    return total
+
+
+def reference_bistable_relax(layout, kink, params, inputs=None):
+    drives = resolve_drives(layout, inputs)
+    pols = {c.id: 0.0 for c in layout.cells}
+    pols.update(drives)
+    free = [c.id for c in layout.cells if c.id not in drives]
+    two_gamma = 2.0 * params.gamma
+    worst_id = None
+    for _ in range(params.max_iterations):
+        worst = 0.0
+        worst_id = None
+        for cid in free:
+            x = reference_local_field(cid, pols, kink) / two_gamma
+            new = x / math.sqrt(1.0 + x * x)
+            change = abs(new - pols[cid])
+            if change > worst:
+                worst = change
+                worst_id = cid
+            pols[cid] = new
+        if worst < params.convergence_tolerance:
+            return pols
+    raise ConvergenceError(
+        f"bistable iteration did not converge in {params.max_iterations} sweeps; "
+        f"worst cell {worst_id!r}")

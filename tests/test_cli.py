@@ -187,6 +187,25 @@ class TestNonFiniteInputs:
         assert all(math.isfinite(v) for v in values)
         assert rows[-1].endswith(",1.00000e+00,0.00000e+00")
 
+    @pytest.mark.parametrize("fields, message", [
+        ("x=nan y=0", "center_x must be finite, got nan"),
+        ("x=40 y=inf", "center_y must be finite, got inf"),
+        ("x=40 y=0 size=inf", "size must be finite, got inf"),
+    ])
+    def test_layout_field_not_finite(self, tmp_path, fields, message):
+        path = tmp_path / "bad.qcl"
+        path.write_text("qcl 1\ncell id=in x=0 y=0 role=fixed pol=1\n"
+                        f"cell id=out {fields} role=output\n")
+        code, out, err = run(["simulate", "--layout", str(path)])
+        assert (code, out) == (1, "")
+        assert err == f"error: line 3: cell out: {message}\n"
+
+    @pytest.mark.parametrize("radius", ["nan", "inf"])
+    def test_kink_radius_not_finite(self, radius):
+        code, out, err = run(["kink", "--layout", "builtin:inv3", "--radius", radius])
+        assert (code, out) == (1, "")
+        assert err == "error: radius_of_effect must be finite and strictly positive\n"
+
 
 class TestFilesAndDeterminism:
     def test_out_flag_writes_file(self, tmp_path):

@@ -1,0 +1,277 @@
+"""The index-based coupling core: candidate pairs from grid bins, kink
+energies cached by relative geometry, and the neighbor list the engines
+read.
+
+Property tests compare each against an all-pairs reference; the bistable
+engine is compared bit for bit with the pair-dict reference in oracle.py.
+"""
+
+import math
+import random
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from oracle import brute_kink_matrix, reference_bistable_relax
+
+from qcasim.constants import PhysicalConstants
+from qcasim.electrostatics import KinkMatrix, kink_energy_pair, kink_matrix
+from qcasim.engines import (BistableParams, ConvergenceError, bistable_relax,
+                            dense_kink, local_field)
+from qcasim.geometry import (Cell, Layout, LayoutError, builtin_layout,
+                             cells_overlap, near_pairs)
+
+PAPER = PhysicalConstants.paper()
+PROPERTY = settings(max_examples=150, deadline=None)
+
+
+def fixed_cell(cid, x, y, size=18.0, rotation=0):
+    return Cell(id=cid, center_x=x, center_y=y, size=size, rotation=rotation,
+                role="fixed", fixed_polarization=1.0)
+
+
+@st.composite
+def lattice_layouts(draw, max_cells=24):
+    """Non-overlapping layouts: distinct points of a square lattice whose
+    pitch exceeds every cell size, at a random (negative, non-integer)
+    origin, with mixed sizes and rotations and shuffled ids."""
+    pitch = draw(st.floats(18.25, 40.0))
+    origin = draw(st.tuples(st.floats(-500.0, 500.0), st.floats(-500.0, 500.0)))
+    spots = draw(st.lists(st.tuples(st.integers(-5, 5), st.integers(-5, 5)),
+                          min_size=1, max_size=max_cells, unique=True))
+    ids = draw(st.permutations(range(len(spots))))
+    cells = []
+    for k, (i, j) in enumerate(spots):
+        size = draw(st.sampled_from((10.0, 14.0, 18.0)))
+        cells.append(fixed_cell(f"c{ids[k]}", origin[0] + i * pitch,
+                                origin[1] + j * pitch, size=size,
+                                rotation=draw(st.sampled_from((0, 45)))))
+    return Layout(name="lattice", cells=tuple(cells))
+
+
+@st.composite
+def layouts_and_radius(draw):
+    """A lattice layout and a radius that is either arbitrary or exactly the
+    center distance of one of its pairs."""
+    layout = draw(lattice_layouts())
+    cells = layout.cells
+    if len(cells) > 1 and draw(st.booleans()):
+        i, j = draw(st.lists(st.integers(0, len(cells) - 1), min_size=2,
+                             max_size=2, unique=True))
+        radius = math.dist(cells[i].center, cells[j].center)
+    else:
+        radius = draw(st.floats(15.0, 150.0))
+    return layout, radius
+
+
+class TestNearPairs:
+    @PROPERTY
+    @given(st.lists(st.tuples(st.integers(-40, 40), st.integers(-40, 40)),
+                    min_size=1, max_size=30),
+           st.sampled_from((0.1, 0.5, 1.0, 3.7)), st.data())
+    def test_every_pair_within_reach_is_a_candidate(self, points, step, data):
+        cells = [fixed_cell(f"c{k}", x * step, y * step)
+                 for k, (x, y) in enumerate(points)]
+        pick = data.draw(st.integers(0, len(cells) - 1))
+        # a reach equal to some per-axis difference puts pairs at exactly it
+        reach = data.draw(st.one_of(
+            st.floats(0.05, 20.0),
+            st.just(abs(cells[pick].center_x - cells[0].center_x) or 1.0)))
+        candidates = near_pairs(cells, reach)
+        assert candidates == sorted(set(candidates))
+        assert all(i < j for i, j in candidates)
+        for i in range(len(cells)):
+            for j in range(i + 1, len(cells)):
+                a, b = cells[i], cells[j]
+                if (abs(a.center_x - b.center_x) <= reach
+                        and abs(a.center_y - b.center_y) <= reach):
+                    assert (i, j) in candidates
+
+    def test_exact_reach_across_a_bin_edge(self):
+        # 80 - (-1e-300) rounds to 80, but at a pitch of exactly 80 the two
+        # centers would fall in bins -1 and 1
+        cells = (fixed_cell("a", -1e-300, 0.0), fixed_cell("b", 80.0, 0.0))
+        assert near_pairs(cells, 80.0) == [(0, 1)]
+        assert list(kink_matrix(Layout(name="edge", cells=cells), 80.0, PAPER).pairs) == [
+            ("a", "b")]
+
+
+class TestOverlapCheck:
+    @PROPERTY
+    @given(st.lists(st.tuples(st.integers(-12, 12), st.integers(-12, 12),
+                              st.sampled_from((1.0, 2.0, 3.0, 4.0))),
+                    min_size=1, max_size=14),
+           st.sampled_from((0.5, 1.0, 0.1)))
+    def test_agrees_with_all_pairs(self, specs, step):
+        # half-unit coordinates and sizes make touching cells common
+        cells = tuple(fixed_cell(f"c{k}", x * step, y * step, size=size)
+                      for k, (x, y, size) in enumerate(specs))
+        first = next(((a, b) for i, a in enumerate(cells) for b in cells[i + 1:]
+                      if cells_overlap(a, b)), None)
+        if first is None:
+            Layout(name="l", cells=cells)
+        else:
+            with pytest.raises(LayoutError) as info:
+                Layout(name="l", cells=cells)
+            assert str(info.value) == f"cells {first[0].id!r} and {first[1].id!r} overlap"
+
+    def test_touching_cells_overlap(self):
+        with pytest.raises(LayoutError, match="overlap"):
+            Layout(name="l", cells=(fixed_cell("a", 0.0, 0.0, size=10.0),
+                                    fixed_cell("b", 14.0, 14.0, size=18.0)))
+
+
+class TestKinkMatrixBinned:
+    @PROPERTY
+    @given(layouts_and_radius())
+    def test_matches_brute_force(self, problem):
+        layout, radius = problem
+        matrix = kink_matrix(layout, radius, PAPER)
+        expected = brute_kink_matrix(layout, radius, PAPER.coulomb_k,
+                                     PAPER.electron_charge, "neutralized")
+        assert set(matrix.pairs) == set(expected)
+        assert list(matrix.pairs) == sorted(matrix.pairs)
+        for key, value in expected.items():
+            assert matrix.pairs[key] == pytest.approx(value, rel=1e-12)
+
+    @PROPERTY
+    @given(lattice_layouts(max_cells=16), st.sampled_from((40.0, 80.0)))
+    def test_cached_energy_is_the_direct_one(self, layout, radius):
+        matrix = kink_matrix(layout, radius, PAPER)
+        by_id = {c.id: c for c in layout.cells}
+        for (i, j), energy in matrix.pairs.items():
+            assert energy == kink_energy_pair(by_id[i], by_id[j], PAPER)
+            assert energy == kink_energy_pair(by_id[j], by_id[i], PAPER)
+
+    @PROPERTY
+    @given(st.integers(2, 30), st.floats(18.5, 40.0),
+           st.floats(-300.0, 300.0), st.floats(-300.0, 300.0))
+    def test_translated_copies_at_non_integer_pitch(self, n, pitch, x0, y0):
+        cells = tuple(fixed_cell(f"c{k:02d}", x0 + k * pitch, y0 + (k % 2) * pitch,
+                                 rotation=45 * (k % 3 == 0))
+                      for k in range(n))
+        matrix = kink_matrix(Layout(name="copies", cells=cells), 80.0, PAPER)
+        for (i, j), energy in matrix.pairs.items():
+            a, b = cells[int(i[1:])], cells[int(j[1:])]
+            assert matrix.get(i, j) == energy == kink_energy_pair(a, b, PAPER)
+
+    def test_one_evaluation_per_geometry(self, monkeypatch):
+        from qcasim import electrostatics
+
+        calls = []
+        original = electrostatics.kink_energy_pair
+        monkeypatch.setattr(electrostatics, "kink_energy_pair",
+                            lambda *args: calls.append(args) or original(*args))
+        matrix = kink_matrix(builtin_layout("wire(50)"), 80.0, PAPER)
+        # neighbors at 1..4 pitches; in id order ("c10" < "c2") the lower-id
+        # cell sits on either side, so there are 8 relative geometries
+        assert len(matrix) == 49 + 48 + 47 + 46
+        assert len(calls) <= 8
+
+    def test_radius_must_be_finite(self):
+        for radius in (math.nan, math.inf, -1.0):
+            with pytest.raises(ValueError, match="finite and strictly positive"):
+                kink_matrix(builtin_layout("inv2"), radius, PAPER)
+
+
+class TestNeighborList:
+    @PROPERTY
+    @given(lattice_layouts(max_cells=16))
+    def test_rows_follow_pairs(self, layout):
+        matrix = kink_matrix(layout, 60.0, PAPER)
+        ids, index, offsets, indices, energies = matrix.neighbors
+        assert list(ids) == sorted(ids)
+        assert offsets[-1] == len(indices) == len(energies)
+        for i, cid in enumerate(ids):
+            row = indices[offsets[i]:offsets[i + 1]]
+            assert row == sorted(row) and i not in row
+            assert [ids[j] for j in row] == [other for other, _ in matrix.row(cid)]
+            for j, k in zip(row, range(offsets[i], offsets[i + 1])):
+                assert energies[k] == matrix.get(cid, ids[j]) != 0.0
+        nonzero = sum(e != 0.0 for e in matrix.pairs.values())
+        assert len(indices) == 2 * nonzero
+
+    @PROPERTY
+    @given(lattice_layouts(max_cells=16), st.randoms(use_true_random=False))
+    def test_dense_kink_matches_pair_lookup(self, layout, rnd):
+        matrix = kink_matrix(layout, 60.0, PAPER)
+        cell_ids = [c.id for c in layout.cells]
+        rnd.shuffle(cell_ids)
+        expected = np.array([[matrix.get(a, b) if a != b else 0.0 for b in cell_ids]
+                             for a in cell_ids])
+        assert np.array_equal(dense_kink(matrix, cell_ids), expected)
+
+    def test_zero_energy_dropped_and_unknown_ids_empty(self):
+        matrix = KinkMatrix(pairs={("a", "b"): 2.0, ("a", "c"): 0.0}, radius_of_effect=1.0)
+        assert matrix.row("a") == [("b", 2.0)]
+        assert matrix.row("c") == [] and matrix.row("zz") == []
+        assert matrix.rows(["b", "zz", "a"]) == [[(2, 2.0)], [], [(0, 2.0)]]
+        assert local_field("a", {"b": 0.5, "c": 1.0}, matrix) == 1.0
+        assert local_field("a", {"c": 1.0}, matrix) == 0.0
+
+
+def block_layout(seed, rows=9, cols=11, vacancies=6):
+    """A 2-D block driven by a fixed left column of one seeded sign, with
+    seeded vacancies among the free cells."""
+    rnd = random.Random(seed)
+    sign = rnd.choice((-1.0, 1.0))
+    free = [(r, c) for r in range(rows) for c in range(1, cols)]
+    holes = set(rnd.sample(free, vacancies))
+    cells = [Cell(id=f"r{r}c{c}", center_x=c * 20.0, center_y=r * 20.0,
+                  role="fixed" if c == 0 else "normal",
+                  fixed_polarization=sign if c == 0 else None)
+             for r in range(rows) for c in range(cols) if (r, c) not in holes]
+    return Layout(name="block", cells=tuple(cells))
+
+
+def assert_same_relax(layout, params, inputs=None, kink=None):
+    if kink is None:
+        kink = kink_matrix(layout, params.radius_of_effect, PAPER)
+    try:
+        expected = reference_bistable_relax(layout, kink, params, inputs)
+    except ConvergenceError as exc:
+        with pytest.raises(ConvergenceError) as info:
+            bistable_relax(layout, kink, params, inputs)
+        assert str(info.value) == str(exc)
+        return
+    got = bistable_relax(layout, kink, params, inputs)
+    assert list(got) == list(expected)
+    assert [v.hex() for v in got.values()] == [v.hex() for v in expected.values()]
+
+
+class TestBistableMatchesReference:
+    @pytest.mark.parametrize("n", [2, 3, 14, 40, 101])
+    def test_wire(self, n):
+        assert_same_relax(builtin_layout(f"wire({n})"), BistableParams())
+
+    @pytest.mark.parametrize("seed", [1, 2, 7])
+    @pytest.mark.parametrize("gamma", [9.8e-22, 6e-21])
+    def test_block_with_vacancies(self, seed, gamma):
+        assert_same_relax(block_layout(seed), BistableParams(gamma=gamma))
+
+    def test_majority_rows(self):
+        layout = builtin_layout("majority")
+        for bits in range(8):
+            inputs = {cid: 1.0 if bits >> k & 1 else -1.0
+                      for k, cid in enumerate(("a", "b", "c"))}
+            assert_same_relax(layout, BistableParams(), inputs)
+
+    @pytest.mark.parametrize("seed", [1, 7])
+    def test_same_convergence_error(self, seed):
+        params = BistableParams(gamma=6e-21, max_iterations=3)
+        layout = block_layout(seed)
+        kink = kink_matrix(layout, params.radius_of_effect, PAPER)
+        with pytest.raises(ConvergenceError):
+            bistable_relax(layout, kink, params)
+        assert_same_relax(layout, params)
+
+    def test_kink_from_another_cell_set(self):
+        # cells the layout lacks never contribute; cells the kink matrix
+        # lacks relax with no neighbors
+        layout = builtin_layout("wire(6)")
+        kink = kink_matrix(builtin_layout("wire(9)"), 80.0, PAPER)
+        assert_same_relax(layout, BistableParams(), kink=kink)
+        partial = KinkMatrix(pairs={k: v for k, v in kink.pairs.items() if "c2" not in k},
+                             radius_of_effect=80.0)
+        assert_same_relax(layout, BistableParams(), kink=partial)

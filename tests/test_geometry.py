@@ -2,9 +2,9 @@ import math
 
 import pytest
 
-from qcasim.geometry import (Cell, ElectronConfiguration, Layout, LayoutError,
-                             ParseError, builtin_layout, displace_cell,
-                             displacement_axis, dot_positions, parse_layout,
+from qcasim.geometry import (Cell, Layout, LayoutError, ParseError,
+                             builtin_layout, displace_cell, displacement_axis,
+                             dot_positions, electron_dots, parse_layout,
                              previous_neighbor, serialize_layout)
 
 
@@ -64,18 +64,16 @@ class TestCellValidation:
         assert make_cell(size=20.0).dot_offset == 5.0
 
 
-class TestElectronConfiguration:
+class TestElectronDots:
     def test_positive_polarization_occupies_dots_1_and_3(self):
-        config = ElectronConfiguration.from_polarization(make_cell(), +1)
-        assert config.dots == (0, 2)
+        assert electron_dots(+1) == (0, 2)
 
     def test_negative_polarization_occupies_dots_2_and_4(self):
-        config = ElectronConfiguration.from_polarization(make_cell(), -1)
-        assert config.dots == (1, 3)
+        assert electron_dots(-1) == (1, 3)
 
-    def test_rejects_non_diagonal_pair(self):
-        with pytest.raises(LayoutError):
-            ElectronConfiguration(cell_id="c", dots=(0, 1))
+    def test_zero_sign_rejected(self):
+        with pytest.raises(ValueError, match="nonzero"):
+            electron_dots(0)
 
 
 class TestLayoutValidation:
