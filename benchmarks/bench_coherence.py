@@ -42,7 +42,7 @@ def build_problem(total_time, temperatures, stride=1000):
     zones = np.array([c.clock_zone for c in layout.cells], dtype=np.int64)
     driven = np.array([c.role == "fixed" for c in layout.cells])
     drive_values = np.array([c.fixed_polarization or 0.0 for c in layout.cells])
-    n_steps = int(round(params.total_time / params.time_step))
+    n_steps = params.n_steps
     n_rec = n_steps // stride + 1
 
     def args():

@@ -10,9 +10,10 @@ from __future__ import annotations
 
 import argparse
 import sys
-from dataclasses import replace
 from pathlib import Path
-from typing import Optional, Sequence, TextIO
+from typing import Optional, Sequence, TextIO, Union
+
+import numpy as np
 
 from .constants import PhysicalConstants
 from .electrostatics import kink_matrix
@@ -21,14 +22,11 @@ from .engines import (BistableParams, CoherenceParams, EngineError,
 from .geometry import (BUILTIN_NAMES, Layout, LayoutError, builtin_layout,
                        parse_layout)
 from .sweeps import (TABLE1_TEMPERATURES, TABLE23_GAPS, SweepError, emit_csv,
-                     sweep_gap, sweep_temperature)
+                     params_snapshot, sci, sweep_gap, sweep_temperature,
+                     write_csv)
 
 _DEFAULTS = CoherenceParams()
 _BDEFAULTS = BistableParams()
-
-
-def _sci(value: float) -> str:
-    return f"{value:.6e}"
 
 
 class _CliError(Exception):
@@ -50,36 +48,32 @@ def _add_common_args(parser: argparse.ArgumentParser) -> None:
                         help="write output to PATH instead of stdout")
     group = parser.add_argument_group("physical parameter overrides")
     group.add_argument("--temperature", type=float, default=_DEFAULTS.temperature,
-                       help=f"temperature in K (default: {_sci(_DEFAULTS.temperature)})")
+                       help=f"temperature in K (default: {sci(_DEFAULTS.temperature)})")
     group.add_argument("--relaxation-time", type=float,
                        default=_DEFAULTS.relaxation_time,
                        help="relaxation time in s "
-                            f"(default: {_sci(_DEFAULTS.relaxation_time)})")
+                            f"(default: {sci(_DEFAULTS.relaxation_time)})")
     group.add_argument("--time-step", type=float, default=_DEFAULTS.time_step,
-                       help=f"time step in s (default: {_sci(_DEFAULTS.time_step)})")
+                       help=f"time step in s (default: {sci(_DEFAULTS.time_step)})")
     group.add_argument("--total-time", type=float, default=_DEFAULTS.total_time,
                        help="total simulation time in s "
-                            f"(default: {_sci(_DEFAULTS.total_time)})")
+                            f"(default: {sci(_DEFAULTS.total_time)})")
     group.add_argument("--clock-high", type=float, default=_DEFAULTS.clock_high,
-                       help=f"clock high in J (default: {_sci(_DEFAULTS.clock_high)})")
+                       help=f"clock high in J (default: {sci(_DEFAULTS.clock_high)})")
     group.add_argument("--clock-low", type=float, default=_DEFAULTS.clock_low,
-                       help=f"clock low in J (default: {_sci(_DEFAULTS.clock_low)})")
+                       help=f"clock low in J (default: {sci(_DEFAULTS.clock_low)})")
     group.add_argument("--clock-shift", type=float, default=_DEFAULTS.clock_shift,
-                       help=f"clock shift in J (default: {_sci(_DEFAULTS.clock_shift)})")
+                       help=f"clock shift in J (default: {sci(_DEFAULTS.clock_shift)})")
     group.add_argument("--amplitude-factor", type=float,
                        default=_DEFAULTS.clock_amplitude_factor,
                        help="clock amplitude factor "
-                            f"(default: {_sci(_DEFAULTS.clock_amplitude_factor)})")
+                            f"(default: {sci(_DEFAULTS.clock_amplitude_factor)})")
     group.add_argument("--radius", type=float, default=_DEFAULTS.radius_of_effect,
                        help="radius of effect in nm "
-                            f"(default: {_sci(_DEFAULTS.radius_of_effect)})")
-    group.add_argument("--layer-separation", type=float,
-                       default=_DEFAULTS.layer_separation,
-                       help="layer separation in nm, stored but unused "
-                            f"(default: {_sci(_DEFAULTS.layer_separation)})")
+                            f"(default: {sci(_DEFAULTS.radius_of_effect)})")
     group.add_argument("--gamma", type=float, default=_BDEFAULTS.gamma,
                        help="bistable tunneling energy in J "
-                            f"(default: {_sci(_BDEFAULTS.gamma)})")
+                            f"(default: {sci(_BDEFAULTS.gamma)})")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -144,12 +138,17 @@ def _coherence_params(args: argparse.Namespace) -> CoherenceParams:
         clock_shift=args.clock_shift,
         clock_amplitude_factor=args.amplitude_factor,
         radius_of_effect=args.radius,
-        layer_separation=args.layer_separation,
     )
 
 
 def _bistable_params(args: argparse.Namespace) -> BistableParams:
     return BistableParams(gamma=args.gamma, radius_of_effect=args.radius)
+
+
+def _engine_params(args: argparse.Namespace
+                   ) -> Union[BistableParams, CoherenceParams]:
+    return (_bistable_params(args) if args.engine == "bistable"
+            else _coherence_params(args))
 
 
 def _constants(args: argparse.Namespace, layout: Optional[Layout]) -> PhysicalConstants:
@@ -171,86 +170,57 @@ def _parse_grid(text: str, kind: str) -> Sequence[float]:
                         "comma-separated numbers") from None
 
 
-def _snapshot_header(pairs: dict) -> list[str]:
-    lines = []
-    for key in sorted(pairs):
-        value = pairs[key]
-        text = _sci(value) if isinstance(value, float) else str(value)
-        lines.append(f"# {key}={text}")
-    return lines
-
-
 def _cmd_kink(args: argparse.Namespace, out: TextIO) -> int:
     layout = _load_layout(args.layout)
     constants = _constants(args, layout)
     matrix = kink_matrix(layout, args.radius, constants)
-    lines = _snapshot_header({"layout": layout.name, "constants": constants.mode,
-                              "radius_of_effect_nm": args.radius})
-    lines.append("cell_i,cell_j,kink_energy_J")
-    for i, j, energy in matrix.sorted_pairs():
-        lines.append(f"{i},{j},{energy:.5e}")
-    out.write("\n".join(lines) + "\n")
+    write_csv(out, {"layout": layout.name, "constants": constants.mode,
+                    "radius_of_effect_nm": args.radius},
+              ("cell_i", "cell_j", "kink_energy_J"), matrix.sorted_pairs())
     return 0
 
 
 def _cmd_simulate(args: argparse.Namespace, out: TextIO) -> int:
     layout = _load_layout(args.layout)
     constants = _constants(args, layout)
-    header = {"layout": layout.name, "constants": constants.mode,
-              "engine": args.engine}
-    if args.engine == "bistable":
-        params = _bistable_params(args)
-        matrix = kink_matrix(layout, params.radius_of_effect, constants)
-        pols = bistable_relax(layout, matrix, params)
-        lines = _snapshot_header({**header, "gamma_J": params.gamma,
-                                  "radius_of_effect_nm": params.radius_of_effect})
-        lines.append("cell_id,polarization")
-        for cell in layout.cells:
-            lines.append(f"{cell.id},{pols[cell.id]:.5e}")
-        out.write("\n".join(lines) + "\n")
-        return 0
-    params = _coherence_params(args)
+    params = _engine_params(args)
     matrix = kink_matrix(layout, params.radius_of_effect, constants)
+    snapshot = {**params_snapshot(params), "layout": layout.name,
+                "constants": constants.mode, "engine": args.engine}
+    if args.engine == "bistable":
+        pols = bistable_relax(layout, matrix, params)
+        write_csv(out, snapshot, ("cell_id", "polarization"),
+                  [(cell.id, pols[cell.id]) for cell in layout.cells])
+        return 0
     trace = simulate_coherence(layout, matrix, params, constants=constants,
                                record_stride=args.stride)
-    lines = _snapshot_header({**header, "temperature_K": params.temperature,
-                              "time_step_s": params.time_step,
-                              "total_time_s": params.total_time,
-                              "record_stride": args.stride})
+    snapshot["record_stride"] = args.stride
     columns = ["time_s", "clock0_J", "clock1_J", "clock2_J", "clock3_J"]
     columns += [f"{cid}_P" for cid in trace.cell_ids]
-    lines.append(",".join(columns))
-    for k in range(trace.times.shape[0]):
-        fields = [f"{trace.times[k]:.5e}"]
-        fields += [f"{trace.clocks[k, z]:.5e}" for z in range(4)]
-        fields += [f"{trace.polarizations[k, i]:.5e}"
-                   for i in range(len(trace.cell_ids))]
-        lines.append(",".join(fields))
-    out.write("\n".join(lines) + "\n")
+    rows = np.column_stack((trace.times, trace.clocks,
+                            trace.polarizations)).tolist()
+    write_csv(out, snapshot, columns, rows)
     return 0
 
 
 def _cmd_truth(args: argparse.Namespace, out: TextIO) -> int:
     layout = _load_layout(args.layout)
     constants = _constants(args, layout)
-    params = (_bistable_params(args) if args.engine == "bistable"
-              else _coherence_params(args))
+    params = _engine_params(args)
     matrix = kink_matrix(layout, params.radius_of_effect, constants)
     report = truth_table_check(layout, args.engine, params, args.function,
                                matrix, constants)
-    lines = _snapshot_header({"layout": layout.name, "constants": constants.mode,
-                              "engine": args.engine, "function": args.function,
-                              "drivers": "+".join(report.driver_ids)})
-    lines.append("inputs,expected,observed,magnitude,result")
-    for row in report.rows:
-        bits = "".join(str(b) for b in row.inputs)
-        observed = "indeterminate" if row.observed is None else str(row.observed)
-        result = "pass" if row.passed else "fail"
-        lines.append(f"{bits},{row.expected},{observed},{row.magnitude:.5e},{result}")
-    total = len(report.rows)
+    snapshot = {**params_snapshot(params), "layout": layout.name,
+                "constants": constants.mode, "engine": args.engine,
+                "function": args.function,
+                "drivers": "+".join(report.driver_ids)}
+    rows = [("".join(str(b) for b in row.inputs), row.expected,
+             "indeterminate" if row.observed is None else row.observed,
+             row.magnitude, "pass" if row.passed else "fail")
+            for row in report.rows]
     passed = sum(r.passed for r in report.rows)
-    lines.append(f"# summary: {passed}/{total} rows pass")
-    out.write("\n".join(lines) + "\n")
+    write_csv(out, snapshot, ("inputs", "expected", "observed", "magnitude", "result"),
+              rows, trailer=(f"summary: {passed}/{len(rows)} rows pass",))
     return 0
 
 
@@ -268,9 +238,8 @@ def _cmd_sweep_gap(args: argparse.Namespace, out: TextIO) -> int:
     constants = _constants(args, layout)
     grid = _parse_grid(args.grid, "gap")
     cell_id = args.cell or layout.output_cell().id
-    params = (_bistable_params(args) if args.engine == "bistable"
-              else _coherence_params(args))
-    result = sweep_gap(layout, cell_id, grid, args.engine, params, constants)
+    result = sweep_gap(layout, cell_id, grid, args.engine, _engine_params(args),
+                       constants)
     emit_csv(result, out)
     return 0
 

@@ -27,6 +27,7 @@ from .geometry import Cell, Layout
 DEFAULT_RADIUS_OF_EFFECT = 80.0  # nm
 DEFAULT_CLOCK_HIGH = 9.8e-22     # J
 DEFAULT_CLOCK_LOW = 3.8e-23      # J
+MAX_STEPS = 10**8                # Euler steps in one coherence run
 
 
 class EngineError(RuntimeError):
@@ -65,7 +66,6 @@ class CoherenceParams:
     clock_shift: float = 0.0                 # J
     clock_amplitude_factor: float = 2.0
     radius_of_effect: float = DEFAULT_RADIUS_OF_EFFECT  # nm
-    layer_separation: float = 11.5           # nm (stored, unused: single layer)
     clock_periods: int = 1
 
     def __post_init__(self) -> None:
@@ -74,6 +74,10 @@ class CoherenceParams:
             raise ValueError("all times must be strictly positive")
         if self.time_step >= self.relaxation_time:
             raise ValueError("time_step must be smaller than relaxation_time")
+        steps = self.total_time / self.time_step
+        if not (math.isfinite(steps) and 1 <= self.n_steps <= MAX_STEPS):
+            raise ValueError(f"total_time / time_step must round to 1..{MAX_STEPS} "
+                             f"Euler steps, got {steps:.6g}")
         if self.clock_low > self.clock_high:
             raise ValueError("clock_low must not exceed clock_high")
         if self.temperature < 0:
@@ -82,6 +86,11 @@ class CoherenceParams:
             raise ValueError("radius_of_effect must be strictly positive")
         if self.clock_periods < 1:
             raise ValueError("clock_periods must be at least 1")
+
+    @property
+    def n_steps(self) -> int:
+        """Euler steps in one run: total_time / time_step, rounded."""
+        return round(self.total_time / self.time_step)
 
     @property
     def clock_amplitude(self) -> float:
@@ -276,9 +285,7 @@ def simulate_coherence_batch(
     drive_values = np.array([[d.get(cid, 0.0) for cid in cell_ids] for d in drives])
     temperatures = np.array([p.temperature for _, p, _ in points])
 
-    n_steps = int(round(params.total_time / params.time_step))
-    if n_steps < 1:
-        raise ValueError("total_time shorter than one time_step")
+    n_steps = params.n_steps
     n_rec = n_steps // record_stride + 1
     rec_times = np.zeros(n_rec)
     rec_clocks = np.zeros((n_rec, 4))

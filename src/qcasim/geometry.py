@@ -179,9 +179,6 @@ class Layout:
             raise LayoutError(f"layout {self.name!r} has {len(outs)} output cells, expected 1")
         return outs[0]
 
-    def driver_ids(self) -> list[str]:
-        return [c.id for c in self.cells if c.role in ("input", "fixed")]
-
 
 # --------------------------------------------------------------------------
 # .qcl serialization

@@ -37,9 +37,13 @@ class SweepError(ValueError):
     pass
 
 
-def _sci(value: float) -> str:
-    """Scientific notation with 6 significant digits."""
-    return f"{value:.5e}"
+_FLOAT = "%.5e"  # the CSV number format: six significant digits
+
+
+def sci(value: float) -> str:
+    """A number in the CSV number format: scientific notation with six
+    significant digits."""
+    return _FLOAT % value
 
 
 @dataclass(frozen=True)
@@ -69,7 +73,15 @@ class SweepResult:
         return [r.kink_energy for r in self.rows]
 
 
-def _coherence_snapshot(params: CoherenceParams) -> dict:
+def params_snapshot(params: Union[BistableParams, CoherenceParams]) -> dict:
+    """The parameters a CSV header records, keyed by name and unit."""
+    if isinstance(params, BistableParams):
+        return {
+            "gamma_J": params.gamma,
+            "convergence_tolerance": params.convergence_tolerance,
+            "max_iterations": params.max_iterations,
+            "radius_of_effect_nm": params.radius_of_effect,
+        }
     return {
         "temperature_K": params.temperature,
         "relaxation_time_s": params.relaxation_time,
@@ -80,17 +92,7 @@ def _coherence_snapshot(params: CoherenceParams) -> dict:
         "clock_shift_J": params.clock_shift,
         "clock_amplitude_factor": params.clock_amplitude_factor,
         "radius_of_effect_nm": params.radius_of_effect,
-        "layer_separation_nm": params.layer_separation,
         "clock_periods": params.clock_periods,
-    }
-
-
-def _bistable_snapshot(params: BistableParams) -> dict:
-    return {
-        "gamma_J": params.gamma,
-        "convergence_tolerance": params.convergence_tolerance,
-        "max_iterations": params.max_iterations,
-        "radius_of_effect_nm": params.radius_of_effect,
     }
 
 
@@ -123,7 +125,7 @@ def sweep_temperature(layout: Layout, temperatures: Sequence[float],
         raise SweepError(f"at temperature {temps[_failed_point(exc)]} K: {exc}") from exc
     rows = [SweepRow(value=T, cell_id=out_id, polarization=abs(trace.final[out_id]))
             for T, trace in zip(temps, traces)]
-    snapshot = _coherence_snapshot(params)
+    snapshot = params_snapshot(params)
     del snapshot["temperature_K"]  # swept
     snapshot.update(layout=layout.name, engine="coherence",
                     constants=constants.mode)
@@ -185,8 +187,7 @@ def sweep_gap(layout: Layout, output_id: str, gaps: Sequence[float], engine: str
     rows = [SweepRow(value=gap, cell_id=output_id, polarization=abs(pol),
                      kink_energy=energy)
             for gap, pol, energy in zip(gaps, pols, energies)]
-    snapshot = (_bistable_snapshot(params) if engine == "bistable"
-                else _coherence_snapshot(params))
+    snapshot = params_snapshot(params)
     snapshot.update(layout=layout.name, engine=engine, constants=constants.mode,
                     displaced_cell=output_id)
     return SweepResult(variable="gap", unit="nm", rows=tuple(rows),
@@ -235,7 +236,7 @@ def _stable_ranks(values: Sequence[float]) -> list[int]:
     # precision first, remaining ties broken by row order. This makes two
     # series that are both (weakly) monotone in the same direction rank
     # identically, which is the behavior the trend checks rely on.
-    rounded = [float(_sci(v)) for v in values]
+    rounded = [float(sci(v)) for v in values]
     order = sorted(range(len(rounded)), key=lambda i: (-rounded[i], i))
     ranks = [0] * len(rounded)
     for rank, idx in enumerate(order):
@@ -300,32 +301,38 @@ def compare_to_reference(result: SweepResult, ref: ReferenceTable,
 # --------------------------------------------------------------------------
 # CSV emission
 
-def _snapshot_lines(snapshot: Mapping) -> list[str]:
-    lines = []
-    for key in sorted(snapshot):
-        value = snapshot[key]
-        text = _sci(value) if isinstance(value, float) else str(value)
-        lines.append(f"# {key}={text}")
-    return lines
+def write_csv(destination: TextIO, snapshot: Mapping, columns: Sequence[str],
+              rows: Sequence[Sequence], trailer: Sequence[str] = ()) -> None:
+    """Write one table in the CSV format every command prints.
+
+    The format: one `# key=value` line per snapshot entry, sorted by key;
+    the column row; the data rows; then one `# ` line per trailer entry.
+    Floats print in scientific notation with six significant digits
+    (`sci`), anything else as `str` does; a column prints as floats when its
+    value in the first row is a float. Lines end in LF, the last one too, so
+    identical inputs give identical bytes.
+    """
+    lines = [f"# {key}={sci(value) if isinstance(value, float) else value}"
+             for key, value in sorted(snapshot.items())]
+    lines.append(",".join(columns))
+    if rows:
+        template = ",".join(_FLOAT if isinstance(value, float) else "%s"
+                            for value in rows[0])
+        lines += [template % tuple(row) for row in rows]
+    lines.extend(f"# {text}" for text in trailer)
+    destination.write("\n".join(lines) + "\n")
 
 
 def emit_csv(result: SweepResult, destination: TextIO) -> None:
-    """Write a sweep as CSV: snapshot comment header, then one row per point.
-
-    Byte-identical across runs for identical inputs: fixed field order,
-    sorted snapshot keys, 6-significant-digit scientific notation, LF line
-    endings.
-    """
-    lines = _snapshot_lines(result.snapshot)
+    """Write a sweep with `write_csv`: its snapshot, then one row per point
+    (the swept value as a float, also when the grid held integers)."""
     if result.variable == "temperature":
-        lines.append("temperature_K,cell_id,polarization")
-        for r in result.rows:
-            lines.append(f"{_sci(r.value)},{r.cell_id},{_sci(r.polarization)}")
+        columns = ("temperature_K", "cell_id", "polarization")
+        rows = [(float(r.value), r.cell_id, r.polarization) for r in result.rows]
     elif result.variable == "gap":
-        lines.append("gap_nm,cell_id,polarization,kink_energy_J")
-        for r in result.rows:
-            lines.append(f"{_sci(r.value)},{r.cell_id},{_sci(r.polarization)},"
-                         f"{_sci(r.kink_energy)}")
+        columns = ("gap_nm", "cell_id", "polarization", "kink_energy_J")
+        rows = [(float(r.value), r.cell_id, r.polarization, r.kink_energy)
+                for r in result.rows]
     else:
         raise SweepError(f"unknown sweep variable {result.variable!r}")
-    destination.write("\n".join(lines) + "\n")
+    write_csv(destination, result.snapshot, columns, rows)

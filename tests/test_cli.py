@@ -1,11 +1,15 @@
 import io
 import math
+import re
 
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from qcasim.cli import run_cli
-from qcasim.engines import BistableParams, CoherenceParams
+from qcasim.engines import MAX_STEPS, BistableParams, CoherenceParams
 from qcasim.geometry import builtin_layout, serialize_layout
+from qcasim.sweeps import sci
 
 FAST = ["--total-time", "7e-13"]
 
@@ -206,6 +210,22 @@ class TestNonFiniteInputs:
         assert (code, out) == (1, "")
         assert err == "error: radius_of_effect must be finite and strictly positive\n"
 
+    @pytest.mark.parametrize("argv", [
+        ["simulate", "--engine", "coherence", "--total-time", "1e300"],
+        ["truth", "--engine", "coherence", "--function", "inverter",
+         "--total-time", "1e300"],
+        ["sweep-temp", "--total-time", "1e300"],
+        ["sweep-gap", "--engine", "coherence", "--total-time", "1e300"],
+        ["simulate", "--engine", "coherence", "--time-step", "1e-300"],
+        ["simulate", "--engine", "coherence", "--total-time", "1e-17"],
+    ])
+    def test_step_count_out_of_range(self, argv):
+        code, out, err = run([*argv, "--layout", "builtin:inv2"])
+        assert (code, out) == (1, "")
+        assert err.startswith(
+            f"error: total_time / time_step must round to 1..{MAX_STEPS} Euler steps, got ")
+        assert err.count("\n") == 1
+
 
 class TestFilesAndDeterminism:
     def test_out_flag_writes_file(self, tmp_path):
@@ -251,9 +271,8 @@ class TestHelpText:
         for value in (defaults.temperature, defaults.relaxation_time,
                       defaults.time_step, defaults.total_time,
                       defaults.clock_high, defaults.clock_low,
-                      defaults.radius_of_effect, defaults.layer_separation,
-                      BistableParams().gamma):
-            assert f"{value:.6e}" in text
+                      defaults.radius_of_effect, BistableParams().gamma):
+            assert sci(value) in text
 
     def test_top_level_help_lists_subcommands(self, capsys):
         code = run_cli(["--help"])
@@ -262,3 +281,116 @@ class TestHelpText:
         for name in ("kink", "simulate", "truth", "sweep-temp", "sweep-gap",
                      "layouts"):
             assert name in text
+
+
+SNAPSHOT_LINE = re.compile(r"# ([A-Za-z_0-9]+)=(.+)")
+SCI = re.compile(r"-?[0-9]\.[0-9]{5}e[+-][0-9]{2,3}")
+INTEGER = re.compile(r"-?[0-9]+")
+
+
+def assert_sci_if_float(field):
+    """A field that reads as a float and is not an integer is in `sci` form."""
+    try:
+        float(field)
+    except ValueError:
+        return
+    assert INTEGER.fullmatch(field) or SCI.fullmatch(field), field
+
+
+class TestOutputFormat:
+    """Every command writes the one CSV format: sorted `# key=value` snapshot
+    lines, the column row, data rows, optional trailing `#` lines; floats in
+    scientific notation with six significant digits; LF line endings."""
+
+    @pytest.mark.parametrize("argv", [
+        ["kink", "--layout", "builtin:inv3", "--radius", "25"],
+        ["simulate", "--layout", "builtin:wire(3)"],
+        ["simulate", "--layout", "builtin:inv2", "--engine", "coherence", *FAST,
+         "--stride", "500"],
+        ["truth", "--layout", "builtin:majority", "--function", "majority"],
+        ["truth", "--layout", "builtin:inv2", "--function", "inverter",
+         "--engine", "coherence", *FAST],
+        ["sweep-temp", "--layout", "builtin:inv2", "--grid", "1,5", *FAST],
+        ["sweep-gap", "--layout", "builtin:inv3", "--grid", "1.0,2.0"],
+        ["sweep-gap", "--layout", "builtin:inv2", "--grid", "1.0,2.0",
+         "--engine", "coherence", *FAST],
+    ])
+    def test_one_format(self, argv):
+        code, out, err = run(argv)
+        assert (code, err) == (0, "")
+        assert out.endswith("\n") and not out.endswith("\n\n")
+        assert "\r" not in out
+        lines = out.splitlines()
+        n_head = next(k for k, line in enumerate(lines) if not line.startswith("#"))
+        snapshot = [SNAPSHOT_LINE.fullmatch(line) for line in lines[:n_head]]
+        assert all(snapshot), lines[:n_head]
+        keys = [m.group(1) for m in snapshot]
+        assert keys == sorted(set(keys))
+        for m in snapshot:
+            assert_sci_if_float(m.group(2))
+        body = lines[n_head + 1:]
+        data = [line for line in body if not line.startswith("#")]
+        assert body[:len(data)] == data  # `#` lines after the data only
+        assert data
+        for line in data:
+            for field in line.split(","):
+                assert_sci_if_float(field)
+
+    @pytest.mark.parametrize("argv, line", [
+        (["simulate", "--engine", "coherence", "--layout", "builtin:inv2", *FAST,
+          "--clock-high", "5e-22"], "# clock_high_J=5.00000e-22"),
+        (["truth", "--layout", "builtin:inv2", "--function", "inverter",
+          "--gamma", "5e-22"], "# gamma_J=5.00000e-22"),
+    ])
+    def test_snapshot_records_the_params(self, argv, line):
+        code, out, _ = run(argv)
+        assert code == 0
+        assert line in out.splitlines()
+
+
+EXTREME = st.sampled_from([math.nan, math.inf, -math.inf, 0.0, -0.0, -1.0,
+                           1.0, 1e300, -1e300, 1e-300, 5e-324, 2.2e-308])
+NUMBER = st.one_of(EXTREME, st.floats())
+# total_time is drawn freely or as a multiple of time_step; examples between
+# 300 Euler steps and the cap are skipped, as they would only take long
+STEPS = st.one_of(st.sampled_from([math.nan, math.inf, -math.inf, 0.0, -1.0,
+                                   10.0 * MAX_STEPS, 1e300]),
+                  st.floats(min_value=0.0, max_value=300.0))
+PHYSICAL_FLAGS = ("--temperature", "--relaxation-time", "--clock-high",
+                  "--clock-low", "--clock-shift", "--amplitude-factor",
+                  "--radius", "--gamma")
+
+
+@st.composite
+def numeric_argv(draw):
+    command = draw(st.sampled_from([["kink"], ["simulate"],
+                                    ["simulate", "--engine", "coherence"],
+                                    ["sweep-temp"]]))
+    layout = draw(st.sampled_from(["builtin:inv2", "builtin:inv3",
+                                   "builtin:wire(3)"]))
+    argv = [*command, "--layout", layout]
+    if "coherence" in command:
+        argv.append(f"--stride={draw(st.integers(-2, 10**12))}")
+    if command == ["sweep-temp"]:
+        grid = draw(st.one_of(st.just("table1"), st.lists(NUMBER, min_size=1, max_size=3)
+                              .map(lambda ts: ",".join(repr(t) for t in ts))))
+        argv.append(f"--grid={grid}")
+    for flag in draw(st.lists(st.sampled_from(PHYSICAL_FLAGS), unique=True,
+                              max_size=3)):
+        argv.append(f"{flag}={draw(NUMBER)!r}")
+    time_step = draw(st.one_of(NUMBER, st.just(1e-16)))
+    total_time = draw(st.one_of(NUMBER, STEPS.map(lambda n: n * time_step)))
+    steps = total_time / time_step if time_step else math.inf
+    assume(not 300 < steps <= MAX_STEPS)
+    argv += [f"--time-step={time_step!r}", f"--total-time={total_time!r}"]
+    return argv
+
+
+class TestNeverTracebacks:
+    @settings(max_examples=200, deadline=None)
+    @given(numeric_argv())
+    def test_exit_code_and_one_line_diagnostic(self, argv):
+        code, _, err = run(argv)
+        assert code in (0, 1, 2), argv
+        assert err.count("\n") <= 1, (argv, err)
+        assert "Traceback" not in err

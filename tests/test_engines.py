@@ -7,7 +7,8 @@ import pytest
 from qcasim.constants import PhysicalConstants
 from qcasim.electrostatics import KinkMatrix, kink_matrix
 from qcasim.engines import (BistableParams, CoherenceParams, ConvergenceError,
-                            EngineError, IntegrationError, bistable_relax,
+                            EngineError, IntegrationError, MAX_STEPS,
+                            bistable_relax,
                             clock_gamma, local_field, resolve_drives,
                             simulate_coherence, simulate_coherence_batch,
                             steady_state_polarization, truth_table_check)
@@ -40,8 +41,22 @@ class TestCoherenceParams:
         assert p.clock_shift == 0.0
         assert p.clock_amplitude_factor == 2.0
         assert p.radius_of_effect == 80.0
-        assert p.layer_separation == 11.5
         assert p.clock_periods == 1
+        assert p.n_steps == 700_000
+
+    @pytest.mark.parametrize("total_time, time_step", [
+        (1e300, 1e-16),             # inf steps
+        (7e-11, 1e-300),            # ~7e289 steps
+        (1.1e-16 * MAX_STEPS, 1e-16),
+        (1e-17, 1e-16),             # rounds to 0 steps
+    ])
+    def test_step_count_bounded(self, total_time, time_step):
+        with pytest.raises(ValueError, match=f"must round to 1..{MAX_STEPS} Euler steps"):
+            CoherenceParams(total_time=total_time, time_step=time_step)
+
+    def test_step_count_at_the_bounds(self):
+        assert CoherenceParams(total_time=1e-16 * MAX_STEPS).n_steps == MAX_STEPS
+        assert CoherenceParams(total_time=0.6e-16).n_steps == 1
 
     def test_time_step_must_be_below_relaxation_time(self):
         with pytest.raises(ValueError):

@@ -259,6 +259,16 @@ class TestEmitCsv:
         assert fields[1] == "out"
         assert not math.isnan(float(fields[3]))
 
+    def test_integer_grid_prints_as_floats(self, constants):
+        result = sweep_gap(builtin_layout("inv3"), "out", (1, 2), "bistable",
+                           BistableParams(), constants)
+        buffer = io.StringIO()
+        emit_csv(result, buffer)
+        data = [l for l in buffer.getvalue().splitlines()
+                if not l.startswith("#")]
+        assert [row.split(",")[0] for row in data[1:]] == ["1.00000e+00",
+                                                           "2.00000e+00"]
+
     def test_byte_identical_across_runs(self, constants):
         def render():
             result = sweep_gap(builtin_layout("inv3"), "out", TABLE23_GAPS,
