@@ -3,12 +3,9 @@
 Runs the three-cell inverter through each kernel at B=1 (T = 1 K) and at
 B=15 (the table-1 temperature grid, 0-30 K):
 
-* loop: the uncompiled single-point loop kernel, once per point (the
-  reference);
-* numpy: the vectorised batched kernel, the default when numba is absent
-  (a batch as small as B=1 here runs the loop kernel instead);
-* compiled: the numba-compiled loop kernel once per point, the default when
-  numba is enabled (skipped, with the reason, otherwise).
+* loop: the single-point loop kernel, once per point (the reference);
+* numpy: the vectorised batched kernel (``coherence_euler`` runs the loop
+  kernel instead for a batch as small as B=1 here).
 
 Reports the best wall time of the repeats and point-steps/s (B x Euler
 steps per second), and checks that every kernel's finals and recordings are
@@ -76,18 +73,13 @@ def main():
 
     kernel_rows = [("loop", kernels.coherence_euler_loop),
                    ("numpy", kernels.coherence_euler_numpy)]
-    if kernels.NUMBA_ENABLED:
-        kernel_rows.append(("compiled", kernels.coherence_euler))
 
     problems = {1: build_problem(args.total_time, [1.0]),
                 15: build_problem(args.total_time, TABLE1_TEMPERATURES)}
     n_steps = problems[1][0]
-    print(f"three-cell inverter, {n_steps} Euler steps per point, "
-          f"numba enabled: {kernels.NUMBA_ENABLED}")
+    print(f"three-cell inverter, {n_steps} Euler steps per point")
     print(f"{'kernel':>8} {'B':>3} {'best ms':>10} {'point-steps/s':>14}  "
           "bit-identical to loop")
-    if kernels.NUMBA_ENABLED:
-        run_once(kernels.coherence_euler, problems[1][1])  # warm up the JIT
 
     for batch, (_, problem) in problems.items():
         reference = None
@@ -101,10 +93,6 @@ def main():
                        for a, b in zip(outputs[0], reference))
             print(f"{label:>8} {batch:>3} {best * 1e3:10.1f} "
                   f"{batch * n_steps / best:14,.0f}  {same}")
-    if not kernels.NUMBA_ENABLED:
-        cause = ("QCASIM_NO_NUMBA is set" if kernels._DISABLE
-                 else "numba not importable")
-        print(f"compiled: skipped ({cause})")
 
 
 if __name__ == "__main__":

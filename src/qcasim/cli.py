@@ -9,7 +9,9 @@ identical argv produces identical bytes.
 from __future__ import annotations
 
 import argparse
+import re
 import sys
+from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
 from typing import Optional, Sequence, TextIO, Union
 
@@ -31,6 +33,16 @@ _BDEFAULTS = BistableParams()
 
 class _CliError(Exception):
     pass
+
+
+class _Parser(argparse.ArgumentParser):
+    """argparse reads '-1e-22' as an option name, since its negative-number
+    pattern has no exponent. No qcasim option name starts with '-' and a
+    digit, so every such argument is a value."""
+
+    def __init__(self, *args, **kwargs) -> None:
+        super().__init__(*args, **kwargs)
+        self._negative_number_matcher = re.compile(r"-\.?\d")
 
 
 def _add_layout_arg(parser: argparse.ArgumentParser) -> None:
@@ -77,7 +89,7 @@ def _add_common_args(parser: argparse.ArgumentParser) -> None:
 
 
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="qcasim",
         description="QCA layout simulator: kink energies, polarization engines, sweeps.")
     sub = parser.add_subparsers(dest="command", required=True)
@@ -271,7 +283,8 @@ def run_cli(argv: Optional[Sequence[str]] = None,
     stderr = stderr if stderr is not None else sys.stderr
     parser = build_parser()
     try:
-        args = parser.parse_args(list(argv) if argv is not None else None)
+        with redirect_stdout(stdout), redirect_stderr(stderr):
+            args = parser.parse_args(list(argv) if argv is not None else None)
     except SystemExit as exc:
         return 0 if exc.code in (0, None) else 2
     command = _COMMANDS[args.command]

@@ -163,7 +163,8 @@ def resolve_drives(layout: Layout, inputs: Optional[Mapping[str, float]] = None
     """Drive value for every input/fixed cell.
 
     Input cells must appear in `inputs`; fixed cells default to their own
-    fixed polarization but may be overridden.
+    fixed polarization but may be overridden. Every drive value must be a
+    polarization, finite and in [-1, 1].
     """
     inputs = dict(inputs or {})
     drives: dict[str, float] = {}
@@ -176,11 +177,18 @@ def resolve_drives(layout: Layout, inputs: Optional[Mapping[str, float]] = None
             drives[cell.id] = float(inputs.pop(cell.id, cell.fixed_polarization))
     if inputs:
         raise EngineError(f"drive values for unknown/undrivable cells: {sorted(inputs)}")
+    for cid, value in drives.items():
+        if not -1.0 <= value <= 1.0:  # NaN fails too
+            raise EngineError(f"drive value of cell {cid!r} must be in [-1, 1], "
+                              f"got {value}")
     return drives
 
 
 def _saturate(x: float) -> float:
-    return x / math.sqrt(1.0 + x * x)
+    square = x * x
+    if square == math.inf:  # |x| > ~1.3e154 overflows; the true value rounds to +-1
+        return math.copysign(1.0, x)
+    return x / math.sqrt(1.0 + square)
 
 
 def bistable_relax(layout: Layout, kink: KinkMatrix, params: BistableParams,

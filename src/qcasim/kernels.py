@@ -7,23 +7,14 @@ drive values ``drive_values[b]`` (n,) and temperature ``temperature[b]``.
 The recorded times and clock values are shared by the batch; the recorded
 polarizations are per point, ``rec_pols[b]``. A single run is the B=1 case.
 
-Which implementation runs depends on whether numba imports, and without
-numba on the problem size, never on a user option:
+Which kernel runs depends on the problem size only, never on a user
+option: ``coherence_euler`` runs ``coherence_euler_numpy``, one numpy
+kernel vectorised over (batch x free cells), unless the batch is so small
+that the loop kernel once per point is faster (``uncompiled_kernel``: a
+single run of a two- or three-cell inverter, say).
 
-* with numba, ``coherence_euler`` runs the njit-compiled loop kernel
-  ``_coherence_euler`` once per batch element (``per_point``);
-* without numba, it runs ``coherence_euler_numpy``, one numpy kernel
-  vectorised over (batch x free cells), unless the batch is so small that
-  the uncompiled loop kernel once per point is faster (``uncompiled_kernel``:
-  a single run of a two- or three-cell inverter, say).
-
-Set the environment variable ``QCASIM_NO_NUMBA=1`` to treat numba as
-absent. If numba cannot be imported (not installed, or an installed numba
-that fails to import), ``NUMBA_ENABLED`` is False, exactly as with
-``QCASIM_NO_NUMBA=1``.
-
-All paths are bit-identical to the uncompiled loop kernel run once per
-point (``coherence_euler_loop``), which is kept as the reference: every ``+``,
+The numpy kernel is bit-identical to the loop kernel run once per point
+(``coherence_euler_loop``), which is kept as the reference: every ``+``,
 ``*``, ``/`` and ``sqrt`` is the same IEEE operation in the same order,
 the local field is summed over ascending j as an explicit per-column loop
 (zero and self columns included), and the transcendental functions stay
@@ -37,30 +28,18 @@ kernels against each other.
 from __future__ import annotations
 
 import math
-import os
 
 import numpy as np
 
-_DISABLE = os.environ.get("QCASIM_NO_NUMBA", "").strip() not in ("", "0")
-
-try:
-    if _DISABLE:
-        raise ImportError("numba disabled via QCASIM_NO_NUMBA")
-    from numba import njit
-    NUMBA_ENABLED = True
-except ImportError:
-    NUMBA_ENABLED = False
-
-    def njit(*args, **kwargs):
-        if args and callable(args[0]):
-            return args[0]
-        return lambda func: func
+# No compiled kernel exists; perfbench/run.py reports this in its
+# environment line.
+NUMBA_ENABLED = False
 
 UNIT_BALL_LIMIT_SQ = (1.0 + 1e-6) ** 2
 
 
-def _clock_value(t: float, zone: int, periods: float, total_time: float,
-                 shift: float, amplitude: float, low: float, high: float) -> float:
+def clock_value(t: float, zone: int, periods: float, total_time: float,
+                shift: float, amplitude: float, low: float, high: float) -> float:
     value = shift + amplitude * math.cos(
         2.0 * math.pi * periods * t / total_time - zone * math.pi / 2.0)
     if value < low:
@@ -100,8 +79,8 @@ def _coherence_euler(kink, zones, driven, drive_values, n_steps, dt, total_time,
     for step in range(n_steps + 1):
         t = step * dt
         for z in range(4):
-            gammas[z] = _clock_value(t, z, periods, total_time, clock_shift,
-                                     clock_amplitude, clock_low, clock_high)
+            gammas[z] = clock_value(t, z, periods, total_time, clock_shift,
+                                    clock_amplitude, clock_low, clock_high)
         if step % stride == 0 and rec < rec_times.shape[0]:
             rec_times[rec] = t
             for z in range(4):
@@ -204,8 +183,8 @@ def coherence_euler_numpy(kink, zones, driven, drive_values, n_steps, dt,
     with np.errstate(all="ignore"):  # failed elements may overflow
         for step in range(n_steps + 1):
             t = step * dt
-            gammas = [_clock_value(t, z, periods, total_time, clock_shift,
-                                   clock_amplitude, clock_low, clock_high)
+            gammas = [clock_value(t, z, periods, total_time, clock_shift,
+                                  clock_amplitude, clock_low, clock_high)
                       for z in range(4)]
             if step % stride == 0 and rec < rec_times.shape[0]:
                 rec_times[rec] = t
@@ -253,54 +232,42 @@ def coherence_euler_numpy(kink, zones, driven, drive_values, n_steps, dt,
     return pol, ok, bad_step
 
 
-def per_point(kernel):
-    """The batched signature over a single-point kernel such as
-    ``_coherence_euler``: run it once per batch element."""
-    def batched(kink, zones, driven, drive_values, n_steps, dt, total_time,
-                periods, clock_shift, clock_amplitude, clock_low, clock_high,
-                tau, temperature, boltzmann_k, hbar, stride,
-                rec_times, rec_clocks, rec_pols):
-        batch = drive_values.shape[0]
-        final = np.zeros(drive_values.shape)
-        ok = np.ones(batch, dtype=np.bool_)
-        bad_step = np.full(batch, -1, dtype=np.int64)
-        for b in range(batch):
-            final[b], ok[b], bad_step[b] = kernel(
-                kink[b], zones, driven, drive_values[b], n_steps, dt,
-                total_time, periods, clock_shift, clock_amplitude, clock_low,
-                clock_high, tau, float(temperature[b]), boltzmann_k, hbar,
-                stride, rec_times, rec_clocks, rec_pols[b])
-        return final, ok, bad_step
-    return batched
+def coherence_euler_loop(kink, zones, driven, drive_values, n_steps, dt,
+                         total_time, periods, clock_shift, clock_amplitude,
+                         clock_low, clock_high, tau, temperature, boltzmann_k,
+                         hbar, stride, rec_times, rec_clocks, rec_pols):
+    """The batched signature over ``_coherence_euler``: the loop kernel run
+    once per batch element, the reference the numpy kernel is compared with
+    (tests) and benchmarked against."""
+    batch = drive_values.shape[0]
+    final = np.zeros(drive_values.shape)
+    ok = np.ones(batch, dtype=np.bool_)
+    bad_step = np.full(batch, -1, dtype=np.int64)
+    for b in range(batch):
+        final[b], ok[b], bad_step[b] = _coherence_euler(
+            kink[b], zones, driven, drive_values[b], n_steps, dt, total_time,
+            periods, clock_shift, clock_amplitude, clock_low, clock_high, tau,
+            float(temperature[b]), boltzmann_k, hbar, stride, rec_times,
+            rec_clocks, rec_pols[b])
+    return final, ok, bad_step
 
 
 def uncompiled_kernel(batch: int, n: int, width: int):
-    """The faster uncompiled batched kernel for `batch` points of n cells,
-    `width` of them free. Both give identical bits, so only speed decides:
-    the numpy kernel costs about 25 + 2n us per step at any batch size, the
-    loop kernel about 3 + width * (3 + 0.8n) us per point and step
-    (CPython 3.11, numpy 2.4, 2-vCPU x86 VM), so small single runs stay on
-    the loop."""
+    """The faster batched kernel for `batch` points of n cells, `width` of
+    them free. Both give identical bits, so only speed decides: the numpy
+    kernel costs about 25 + 2n us per step at any batch size, the loop
+    kernel about 3 + width * (3 + 0.8n) us per point and step (CPython
+    3.11, numpy 2.4, 2-vCPU x86 VM), so small single runs stay on the
+    loop."""
     loop_us = batch * (3.0 + width * (3.0 + 0.8 * n))
     numpy_us = 25.0 + 2.0 * n
     return coherence_euler_loop if loop_us < numpy_us else coherence_euler_numpy
 
 
-def _coherence_euler_uncompiled(kink, zones, driven, drive_values, *args):
+def coherence_euler(kink, zones, driven, drive_values, *args):
+    """The batched integrator: ``uncompiled_kernel``'s choice for this
+    size, called with the arguments of ``coherence_euler_numpy``."""
     batch, n = drive_values.shape
     width = n - int(np.count_nonzero(driven))
     kernel = uncompiled_kernel(batch, n, width)
     return kernel(kink, zones, driven, drive_values, *args)
-
-
-# The uncompiled loop kernel once per point: the reference the other
-# kernels are compared with (tests) and benchmarked against.
-coherence_euler_loop = per_point(_coherence_euler)
-
-if NUMBA_ENABLED:
-    _clock_value = njit(cache=True)(_clock_value)
-    coherence_euler = per_point(njit(cache=True)(_coherence_euler))
-else:
-    coherence_euler = _coherence_euler_uncompiled
-
-clock_value = _clock_value

@@ -19,18 +19,6 @@ def rng():
     return np.random.default_rng(20260824)
 
 
-def pytest_report_header(config):
-    from qcasim import kernels
-
-    if kernels.NUMBA_ENABLED:
-        return ("qcasim: numba enabled; the compiled per-point kernel and the "
-                "batched numpy kernel are each checked against the uncompiled "
-                "loop kernel")
-    return ("qcasim: numba not enabled; the batched numpy kernel is checked "
-            "against the uncompiled loop kernel, the compiled path is NOT "
-            "exercised in this run")
-
-
 def pytest_terminal_summary(terminalreporter, exitstatus, config):
     try:
         from test_acceptance import VERDICTS

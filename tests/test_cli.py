@@ -67,6 +67,24 @@ class TestSimulateCommand:
         assert len(data) == 1 + 7000 // 500 + 1
         assert data[1].split(",")[0] == "0.00000e+00"
 
+    def test_tiny_gamma_saturates(self):
+        # E / (2 gamma) ~ 1e279: its square overflows, the answer is +-1
+        code, out, err = run(["simulate", "--layout", "builtin:inv3",
+                              "--gamma", "1e-300"])
+        assert code == 0 and err == ""
+        data = [l for l in out.splitlines() if not l.startswith("#")]
+        assert data[1:] == ["in,1.00000e+00", "mid,1.00000e+00",
+                            "out,-1.00000e+00"]
+
+    def test_negative_exponent_value_after_a_space(self):
+        argv = ["simulate", "--layout", "builtin:inv3", "--engine", "coherence",
+                "--total-time", "1e-14"]
+        spaced = run(argv + ["--clock-shift", "-1e-22"])
+        joined = run(argv + ["--clock-shift=-1e-22"])
+        assert spaced[0] == 0
+        assert spaced == joined
+        assert "# clock_shift_J=-1.00000e-22" in spaced[1].splitlines()
+
 
 class TestTruthCommand:
     def test_inverter_passes(self):
@@ -155,6 +173,19 @@ class TestExitCodes:
 
     def test_missing_required_layout(self):
         assert run(["kink"])[0] == 2
+
+    def test_usage_error_goes_to_the_given_stderr(self, capsys):
+        code, out, err = run(["simulate", "--bogus"])
+        assert code == 2 and out == ""
+        assert err.startswith("usage: qcasim simulate")
+        assert err.endswith("error: the following arguments are required: --layout\n")
+        assert capsys.readouterr() == ("", "")
+
+    def test_help_goes_to_the_given_stdout(self, capsys):
+        code, out, err = run(["simulate", "--help"])
+        assert code == 0 and err == ""
+        assert out.startswith("usage: qcasim simulate")
+        assert capsys.readouterr() == ("", "")
 
 
 class TestNonFiniteInputs:

@@ -152,6 +152,22 @@ class TestResolveDrives:
         with pytest.raises(EngineError, match="unknown"):
             resolve_drives(layout, {"in": 1.0, "bogus": 1.0})
 
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf, 5.0, -1.5])
+    def test_drive_outside_unit_interval_rejected(self, value):
+        with pytest.raises(EngineError, match=r"must be in \[-1, 1\]"):
+            resolve_drives(builtin_layout("inv2"), {"in": value})
+
+    @pytest.mark.parametrize("value", [math.nan, 5.0])
+    def test_both_engines_reject_bad_drives(self, constants, value):
+        layout = builtin_layout("majority")
+        kink = kink_matrix(layout, RADIUS, constants)
+        drives = {"a": value, "b": 1.0, "c": -1.0}
+        with pytest.raises(EngineError, match=r"cell 'a' must be in \[-1, 1\]"):
+            bistable_relax(layout, kink, BistableParams(), drives)
+        # the drive check, not the integrator's unit-ball guard
+        with pytest.raises(EngineError, match=r"cell 'a' must be in \[-1, 1\]"):
+            simulate_coherence(layout, kink, FAST, drives, constants)
+
 
 class TestBistable:
     def test_wire_propagates_sign(self, constants):

@@ -1,8 +1,4 @@
 import itertools
-import json
-import os
-import subprocess
-import sys
 from dataclasses import replace
 
 import numpy as np
@@ -11,8 +7,7 @@ import pytest
 from qcasim import kernels
 from qcasim.constants import PhysicalConstants
 from qcasim.electrostatics import kink_matrix
-from qcasim.engines import (CoherenceParams, dense_kink, resolve_drives,
-                            simulate_coherence)
+from qcasim.engines import CoherenceParams, dense_kink, resolve_drives
 from qcasim.geometry import Layout, builtin_layout
 from qcasim.sweeps import TABLE1_TEMPERATURES
 
@@ -77,14 +72,13 @@ def assert_batches_identical(args):
 
 
 class TestKernelParity:
-    def test_compiled_and_python_paths_bit_identical(self):
-        """The entry point (whichever path runs here) at B=1 against the
-        uncompiled loop kernel."""
+    def test_entry_point_matches_loop_kernel(self):
+        """The entry point at B=1 against the loop kernel."""
         args = batch_problem(builtin_layout("inv3"), [1.0])
-        compiled = run(kernels.coherence_euler, args)
-        python = run(LOOP, args)
-        assert compiled[1].all() and python[1].all()
-        for x, y in zip(compiled, python):
+        entry = run(kernels.coherence_euler, args)
+        loop = run(LOOP, args)
+        assert entry[1].all() and loop[1].all()
+        for x, y in zip(entry, loop):
             assert_same_bits(np.asarray(x), np.asarray(y))
 
     def test_clock_value_matches_engine_wrapper(self):
@@ -172,52 +166,9 @@ class TestBatchedParity:
         assert batched[2][1] == 0
 
 
-class TestEnvFlagFallback:
-    def test_flag_reflects_environment(self):
-        """Numba is enabled iff it imports and QCASIM_NO_NUMBA is not set."""
-        disabled = os.environ.get("QCASIM_NO_NUMBA", "").strip() not in ("", "0")
-        # an actual import, not find_spec: kernels also falls back when an
-        # installed numba fails to import (e.g. against an unsupported NumPy)
-        try:
-            import numba  # noqa: F401
-            numba_importable = True
-        except ImportError:
-            numba_importable = False
-        assert kernels.NUMBA_ENABLED == (numba_importable and not disabled)
-
+class TestKernelChoice:
     def test_uncompiled_kernel_choice(self):
         # table-1 grid on inv3, one 14-cell wire: numpy; one inv2 run: loop
         assert kernels.uncompiled_kernel(15, 3, 2) is kernels.coherence_euler_numpy
         assert kernels.uncompiled_kernel(1, 14, 13) is kernels.coherence_euler_numpy
         assert kernels.uncompiled_kernel(1, 2, 1) is kernels.coherence_euler_loop
-
-    def test_fallback_process_matches_this_process(self):
-        """A subprocess with QCASIM_NO_NUMBA=1 produces identical finals."""
-        constants = PhysicalConstants.paper()
-        params = CoherenceParams(total_time=2.0e-13)
-        layout = builtin_layout("inv2")
-        kink = kink_matrix(layout, 80.0, constants)
-        here = simulate_coherence(layout, kink, params, constants=constants)
-
-        script = (
-            "import json\n"
-            "from qcasim import kernels\n"
-            "from qcasim.constants import PhysicalConstants\n"
-            "from qcasim.electrostatics import kink_matrix\n"
-            "from qcasim.engines import CoherenceParams, simulate_coherence\n"
-            "from qcasim.geometry import builtin_layout\n"
-            "assert not kernels.NUMBA_ENABLED\n"
-            "constants = PhysicalConstants.paper()\n"
-            "params = CoherenceParams(total_time=2.0e-13)\n"
-            "layout = builtin_layout('inv2')\n"
-            "kink = kink_matrix(layout, 80.0, constants)\n"
-            "trace = simulate_coherence(layout, kink, params, constants=constants)\n"
-            "print(json.dumps({k: v.hex() for k, v in trace.final.items()}))\n"
-        )
-        env = dict(os.environ, QCASIM_NO_NUMBA="1")
-        result = subprocess.run([sys.executable, "-c", script], env=env,
-                                capture_output=True, text=True, check=True)
-        remote = json.loads(result.stdout)
-        assert set(remote) == set(here.final)
-        for cid, value in here.final.items():
-            assert remote[cid] == value.hex()
