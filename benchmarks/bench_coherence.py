@@ -4,8 +4,11 @@ Runs the three-cell inverter through each kernel at B=1 (T = 1 K) and at
 B=15 (the table-1 temperature grid, 0-30 K):
 
 * loop: the single-point loop kernel, once per point (the reference);
-* numpy: the vectorised batched kernel (``coherence_euler`` runs the loop
-  kernel instead for a batch as small as B=1 here).
+* numpy: the vectorised batched kernel (without a C compiler,
+  ``coherence_euler`` runs the loop kernel instead for a batch as small as
+  B=1 here);
+* c: the compiled kernel, the one ``coherence_euler`` runs at every batch
+  size when the library builds (left out, with a note, when it does not).
 
 Reports the best wall time of the repeats and point-steps/s (B x Euler
 steps per second), and checks that every kernel's finals and recordings are
@@ -73,6 +76,10 @@ def main():
 
     kernel_rows = [("loop", kernels.coherence_euler_loop),
                    ("numpy", kernels.coherence_euler_numpy)]
+    if kernels.kernel_path(1, 3, 2) == "c":
+        kernel_rows.append(("c", kernels.coherence_euler_c))
+    else:
+        print("no c row: the compiled kernel did not build (is $CC present?)")
 
     problems = {1: build_problem(args.total_time, [1.0]),
                 15: build_problem(args.total_time, TABLE1_TEMPERATURES)}

@@ -157,10 +157,17 @@ def _bistable_params(args: argparse.Namespace) -> BistableParams:
     return BistableParams(gamma=args.gamma, radius_of_effect=args.radius)
 
 
+def _all_params(args: argparse.Namespace
+                ) -> tuple[BistableParams, CoherenceParams]:
+    """Both engines' params. Every engine command builds both, so a bad
+    value of a flag that the chosen engine ignores still fails (exit 1)."""
+    return _bistable_params(args), _coherence_params(args)
+
+
 def _engine_params(args: argparse.Namespace
                    ) -> Union[BistableParams, CoherenceParams]:
-    return (_bistable_params(args) if args.engine == "bistable"
-            else _coherence_params(args))
+    bistable, coherence = _all_params(args)
+    return bistable if args.engine == "bistable" else coherence
 
 
 def _constants(args: argparse.Namespace, layout: Optional[Layout]) -> PhysicalConstants:
@@ -240,7 +247,8 @@ def _cmd_sweep_temp(args: argparse.Namespace, out: TextIO) -> int:
     layout = _load_layout(args.layout)
     constants = _constants(args, layout)
     grid = _parse_grid(args.grid, "temperature")
-    result = sweep_temperature(layout, grid, _coherence_params(args), constants)
+    _, params = _all_params(args)
+    result = sweep_temperature(layout, grid, params, constants)
     emit_csv(result, out)
     return 0
 

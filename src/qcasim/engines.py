@@ -28,6 +28,11 @@ DEFAULT_RADIUS_OF_EFFECT = 80.0  # nm
 DEFAULT_CLOCK_HIGH = 9.8e-22     # J
 DEFAULT_CLOCK_LOW = 3.8e-23      # J
 MAX_STEPS = 10**8                # Euler steps in one coherence run
+# Bytes of recorded polarizations in one coherence batch (n_rec x n x B
+# doubles). The largest recording of the tests, acceptance criteria and
+# perfbench workloads is about 2.5 MB (the table-1 grid on inv3 at 7e5
+# steps, stride 100); one run of inv3 at stride 1 and 7e5 steps takes 17 MB.
+MAX_RECORD_BYTES = 2**28         # 256 MiB
 
 
 class EngineError(RuntimeError):
@@ -267,6 +272,8 @@ def simulate_coherence_batch(
     must agree in everything but the temperature, so that they share the
     clock and the time grid. Each point's trace is what
     `simulate_coherence` returns for it alone, bit for bit. Raises
+    EngineError before integrating if the recorded polarizations would
+    take more than MAX_RECORD_BYTES. Raises
     IntegrationError for the first point, in order, whose coherence vector
     leaves the unit ball; its `point` attribute is that point's index.
     """
@@ -287,14 +294,20 @@ def simulate_coherence_batch(
                 for _ in points]
     # every point drives the same cells: resolve_drives keys are the roles
     drives = [resolve_drives(layout, inputs) for _, _, inputs in points]
+    n_steps = params.n_steps
+    n_rec = n_steps // record_stride + 1
+    record_bytes = n_rec * len(cell_ids) * len(points) * 8
+    if record_bytes > MAX_RECORD_BYTES:
+        raise EngineError(
+            f"recording {n_rec} steps of {len(cell_ids)} cells x {len(points)} "
+            f"points takes {record_bytes:.3e} bytes, over the limit of "
+            f"{MAX_RECORD_BYTES:.3e}; use a larger --stride")
     kinks = np.stack([dense_kink(kink, cell_ids) for kink, _, _ in points])
     zones = np.array([c.clock_zone for c in layout.cells], dtype=np.int64)
     driven = np.array([cid in drives[0] for cid in cell_ids], dtype=np.bool_)
     drive_values = np.array([[d.get(cid, 0.0) for cid in cell_ids] for d in drives])
     temperatures = np.array([p.temperature for _, p, _ in points])
 
-    n_steps = params.n_steps
-    n_rec = n_steps // record_stride + 1
     rec_times = np.zeros(n_rec)
     rec_clocks = np.zeros((n_rec, 4))
     rec_pols = np.zeros((len(points), n_rec, len(cell_ids)))
@@ -415,8 +428,10 @@ def truth_table_check(layout: Layout, engine: str,
         out_pols = [bistable_relax(layout, kink, params, drives)[out_id]
                     for drives in drive_rows]
     else:
+        # only the final state is read: record the first and last steps
         traces = simulate_coherence_batch(
-            layout, [(kink, params, drives) for drives in drive_rows], constants)
+            layout, [(kink, params, drives) for drives in drive_rows], constants,
+            record_stride=params.n_steps)
         out_pols = [trace.final[out_id] for trace in traces]
 
     rows = []

@@ -120,7 +120,9 @@ def sweep_temperature(layout: Layout, temperatures: Sequence[float],
     kink = kink_matrix(layout, params.radius_of_effect, constants)
     points = [(kink, replace(params, temperature=T), inputs) for T in temps]
     try:
-        traces = simulate_coherence_batch(layout, points, constants)
+        # only the final state is read: record the first and last steps
+        traces = simulate_coherence_batch(layout, points, constants,
+                                          record_stride=params.n_steps)
     except Exception as exc:
         raise SweepError(f"at temperature {temps[_failed_point(exc)]} K: {exc}") from exc
     rows = [SweepRow(value=T, cell_id=out_id, polarization=abs(trace.final[out_id]))
@@ -177,7 +179,8 @@ def sweep_gap(layout: Layout, output_id: str, gaps: Sequence[float], engine: str
         # displacement keeps the cell order, roles and zones of `layout`
         try:
             traces = simulate_coherence_batch(
-                layout, [(kink, params, inputs) for kink in kinks], constants)
+                layout, [(kink, params, inputs) for kink in kinks], constants,
+                record_stride=params.n_steps)
         except Exception as exc:
             raise SweepError(f"at gap {gaps[_failed_point(exc)]} nm: {exc}") from exc
         pols = [trace.final[output_id] for trace in traces]

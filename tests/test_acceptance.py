@@ -146,21 +146,24 @@ def test_criterion_6_coherence_steady_state():
     assert abs(halved.final["out"] - trace.final["out"]) < 1e-4
 
 
+CRITERION_7_ARGV = [
+    ["kink", "--layout", "builtin:inv3"],
+    ["simulate", "--layout", "builtin:wire(3)"],
+    ["simulate", "--layout", "builtin:inv2", "--engine", "coherence",
+     "--total-time", "7e-13"],
+    ["truth", "--layout", "builtin:majority", "--function", "majority"],
+    ["sweep-temp", "--layout", "builtin:inv2", "--grid", "1,5,10",
+     "--total-time", "7e-13"],
+    ["sweep-gap", "--layout", "builtin:inv3", "--grid", "1.0,2.0,3.0"],
+    ["layouts"],
+]
+
+
 @reported(7, "every CLI subcommand is byte-identical across runs and processes")
 def test_criterion_7_cli_determinism():
     from qcasim.cli import run_cli
 
-    commands = [
-        ["kink", "--layout", "builtin:inv3"],
-        ["simulate", "--layout", "builtin:wire(3)"],
-        ["simulate", "--layout", "builtin:inv2", "--engine", "coherence",
-         "--total-time", "7e-13"],
-        ["truth", "--layout", "builtin:majority", "--function", "majority"],
-        ["sweep-temp", "--layout", "builtin:inv2", "--grid", "1,5,10",
-         "--total-time", "7e-13"],
-        ["sweep-gap", "--layout", "builtin:inv3", "--grid", "1.0,2.0,3.0"],
-        ["layouts"],
-    ]
+    commands = CRITERION_7_ARGV
 
     def run(argv):
         out = io.StringIO()

@@ -258,6 +258,73 @@ class TestNonFiniteInputs:
         assert err.count("\n") == 1
 
 
+class TestUnusedFlagsValidated:
+    """Every engine command validates both engines' parameters, so a bad
+    value of a flag that the chosen engine ignores fails too."""
+
+    @pytest.mark.parametrize("command", [
+        ["simulate", "--layout", "builtin:inv3"],
+        ["truth", "--layout", "builtin:inv3", "--function", "inverter"],
+        ["sweep-gap", "--layout", "builtin:inv3", "--grid", "1,2"],
+    ])
+    @pytest.mark.parametrize("flag, message", [
+        ("--temperature=nan", "temperature must be finite, got nan"),
+        ("--time-step=-1", "all times must be strictly positive"),
+        ("--relaxation-time=nan", "relaxation_time must be finite, got nan"),
+        ("--temperature=-1", "temperature must be non-negative"),
+    ])
+    def test_bistable_rejects_bad_coherence_flags(self, command, flag, message):
+        code, out, err = run([*command, flag])
+        assert (code, out) == (1, "")
+        assert err == f"error: {message}\n"
+
+    @pytest.mark.parametrize("command", [
+        ["simulate", "--engine", "coherence", "--layout", "builtin:inv2", *FAST],
+        ["sweep-temp", "--layout", "builtin:inv2", "--grid", "1", *FAST],
+    ])
+    def test_coherence_rejects_a_bad_gamma(self, command):
+        code, out, err = run([*command, "--gamma=nan"])
+        assert (code, out) == (1, "")
+        assert err == "error: gamma must be finite, got nan\n"
+
+    def test_default_bistable_run_unchanged(self):
+        code, out, err = run(["simulate", "--layout", "builtin:inv3"])
+        assert (code, err) == (0, "")
+        assert out.splitlines()[-4:] == ["cell_id,polarization", "in,1.00000e+00",
+                                         "mid,8.56650e-01", "out,-2.88890e-01"]
+
+
+class TestRecordingCap:
+    def test_stride_one_at_the_step_cap(self):
+        # 1e8 steps x 3 cells x 8 B = 2.4 GB of recording: refused up front
+        code, out, err = run(["simulate", "--engine", "coherence", "--layout",
+                              "builtin:inv3", "--total-time", "1e-8",
+                              "--stride", "1"])
+        assert (code, out) == (1, "")
+        assert err == ("error: recording 100000001 steps of 3 cells x 1 points "
+                       "takes 2.400e+09 bytes, over the limit of 2.684e+08; "
+                       "use a larger --stride\n")
+
+    def test_sweeps_and_truth_record_only_the_ends(self, monkeypatch):
+        # they read only the final state, so no grid or step count trips the cap
+        monkeypatch.setattr("qcasim.engines.MAX_RECORD_BYTES", 1000)
+        code, _, err = run(["simulate", "--engine", "coherence", "--layout",
+                            "builtin:inv2", *FAST])
+        assert code == 1 and "over the limit of 1.000e+03" in err
+        for argv in (["sweep-temp", "--grid", "1,5,10"],
+                     ["sweep-gap", "--engine", "coherence"],
+                     ["truth", "--engine", "coherence", "--function", "inverter"]):
+            code, _, err = run([*argv, "--layout", "builtin:inv2", *FAST])
+            assert (code, err) == (0, ""), argv
+
+    def test_larger_stride_fits(self):
+        code, out, err = run(["simulate", "--engine", "coherence", "--layout",
+                              "builtin:inv2", "--total-time", "1e-13",
+                              "--stride", "1"])
+        assert (code, err) == (0, "")
+        assert len(out.splitlines()) > 1000
+
+
 class TestFilesAndDeterminism:
     def test_out_flag_writes_file(self, tmp_path):
         target = tmp_path / "kink.csv"

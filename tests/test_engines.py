@@ -219,6 +219,28 @@ class TestBistable:
             bistable_relax(layout, kink, BistableParams(max_iterations=2))
 
 
+class TestBistableFixedPoint:
+    def test_residual_on_random_layouts(self, constants):
+        """The relaxed state is a fixed point of P_i = f(E_i / (2 gamma)),
+        with E_i recomputed pair by pair from kink_matrix, not from the
+        neighbor rows bistable_relax reads."""
+        from conftest import random_layout
+        rng = np.random.default_rng(4242)
+        for _ in range(60):
+            layout = random_layout(rng, max_cells=12)
+            params = BistableParams(gamma=float(rng.choice([2e-22, 9.8e-22, 5e-21])))
+            kink = kink_matrix(layout, RADIUS, constants)
+            pols = bistable_relax(layout, kink, params)
+            ids = [c.id for c in layout.cells]
+            for cell in layout.cells:
+                if cell.role == "fixed":
+                    continue
+                field = sum(kink.get(cell.id, other) * pols[other]
+                            for other in ids if other != cell.id)
+                x = field / (2.0 * params.gamma)
+                assert abs(pols[cell.id] - x / math.sqrt(1.0 + x * x)) <= 1e-5
+
+
 class TestSteadyState:
     def test_zero_field_is_unpolarized(self, constants):
         assert steady_state_polarization(0.0, 1e-21, 5.0, constants) == 0.0

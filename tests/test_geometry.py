@@ -1,11 +1,55 @@
 import math
+import re
 
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
-from qcasim.geometry import (Cell, Layout, LayoutError, ParseError,
+from qcasim.geometry import (ROLES, Cell, Layout, LayoutError, ParseError,
                              builtin_layout, displace_cell, displacement_axis,
                              dot_positions, electron_dots, parse_layout,
                              previous_neighbor, serialize_layout)
+
+
+def micro(lo, hi):
+    """Reals in [lo, hi] with at most six decimals, the precision that
+    serialize_layout writes; returned in millionths."""
+    return st.integers(round(lo * 10**6), round(hi * 10**6))
+
+
+CELL_IDS = st.text(st.characters(blacklist_categories=("Cs",)), min_size=1,
+                   max_size=6).filter(lambda s: not re.search(r"\s|=", s))
+
+
+@st.composite
+def layouts(draw):
+    """Layouts that pass Layout's checks: cells near the points of a 25 nm
+    grid, of mixed size, rotation, role and clock zone, any id."""
+    spots = draw(st.lists(st.tuples(st.integers(0, 4), st.integers(0, 4)),
+                          min_size=1, max_size=8, unique=True))
+    ids = draw(st.lists(CELL_IDS, min_size=len(spots), max_size=len(spots),
+                        unique=True))
+    cells = []
+    for (gx, gy), cid in zip(spots, ids):
+        size = draw(micro(5, 22))
+        role = draw(st.sampled_from(ROLES))
+        cells.append(Cell(
+            id=cid,
+            center_x=(gx * 25 * 10**6 + draw(micro(-3, 3))) / 10**6,
+            center_y=(gy * 25 * 10**6 + draw(micro(-3, 3))) / 10**6,
+            size=size / 10**6,
+            dot_offset=draw(st.integers(1, size // 2)) / 10**6,
+            rotation=draw(st.sampled_from((0, 45))),
+            role=role,
+            clock_zone=draw(st.integers(0, 3)),
+            fixed_polarization=(draw(micro(-1, 1)) / 10**6 if role == "fixed"
+                                else None)))
+    try:
+        return Layout(name=draw(st.sampled_from(("random", "g"))),
+                      cells=tuple(cells),
+                      constants_mode=draw(st.sampled_from((None, "paper", "codata"))))
+    except LayoutError:  # overlapping cells, or no input or fixed cell
+        assume(False)
 
 
 def make_cell(**kwargs):
@@ -127,6 +171,12 @@ class TestParseLayout:
             layout = random_layout(rng)
             again = parse_layout(serialize_layout(layout), name="random")
             assert again.cells == layout.cells
+
+    @settings(max_examples=150, deadline=None)
+    @given(st.data())
+    def test_roundtrip_generated_layouts(self, data):
+        layout = data.draw(layouts())
+        assert parse_layout(serialize_layout(layout), name=layout.name) == layout
 
     def test_clock_out_of_range(self):
         with pytest.raises(ParseError, match="clock"):

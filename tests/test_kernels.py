@@ -1,4 +1,12 @@
+import io
 import itertools
+import json
+import os
+import shlex
+import shutil
+import subprocess
+import sys
+import tempfile
 from dataclasses import replace
 
 import numpy as np
@@ -13,6 +21,8 @@ from qcasim.sweeps import TABLE1_TEMPERATURES
 
 PAPER = PhysicalConstants.paper()
 LOOP = kernels.coherence_euler_loop
+HAS_CC = shutil.which((shlex.split(os.environ.get("CC") or "cc") or ["cc"])[0]) is not None
+needs_cc = pytest.mark.skipif(not HAS_CC, reason="no C compiler")
 
 
 def batch_problem(layout, temperatures, drive_rows=None, n_steps=2000,
@@ -56,30 +66,58 @@ def assert_same_bits(a, b):
     assert a.tobytes() == b.tobytes()  # signed zeros and NaNs included
 
 
+def paths():
+    """Every batched kernel that can run here, by path name: numpy always,
+    C where the compiled library loads."""
+    found = {"numpy": kernels.coherence_euler_numpy}
+    if kernels.kernel_path(1, 1, 1) == "c":
+        found["c"] = kernels.coherence_euler_c
+    return found
+
+
 def assert_batches_identical(args):
-    """Flags, bad steps, recorded times and clocks of the whole batch, and
-    finals and recorded polarizations of the points that stayed inside the
-    unit ball (a failed point's state after its bad step is unspecified)."""
-    batched = run(kernels.coherence_euler_numpy, args)
+    """Every available kernel against the loop kernel. The C kernel keeps
+    the loop kernel's failure semantics, so everything must match. The
+    numpy kernel must match in flags, bad steps, recorded times and clocks
+    of the whole batch, and in finals and recorded polarizations of the
+    points that stayed inside the unit ball (it finishes a failed point's
+    sweep before it stops it). Returns the loop kernel's results."""
     loop = run(LOOP, args)
     ok = loop[1]
-    assert_same_bits(batched[1], ok)
-    for k in (2, 3, 4):
-        assert_same_bits(batched[k], loop[k])
-    for k in (0, 5):
-        assert_same_bits(batched[k][ok], loop[k][ok])
-    return batched
+    for name, kernel in paths().items():
+        batched = run(kernel, args)
+        if name == "c":
+            for x, y in zip(batched, loop):
+                assert_same_bits(x, y)
+            continue
+        assert_same_bits(batched[1], ok)
+        for k in (2, 3, 4):
+            assert_same_bits(batched[k], loop[k])
+        for k in (0, 5):
+            assert_same_bits(batched[k][ok], loop[k][ok])
+    return loop
+
+
+def zoned_wire():
+    wire = builtin_layout("wire(6)")
+    cells = tuple(replace(c, clock_zone=k % 4) for k, c in enumerate(wire.cells))
+    return Layout(name="zones", cells=cells)
+
+
+# no neighbor in range and a zero clock: |Gamma| = 0 everywhere
+ZERO_FIELD = CoherenceParams(radius_of_effect=1.0, clock_high=0.0, clock_low=0.0)
 
 
 class TestKernelParity:
     def test_entry_point_matches_loop_kernel(self):
-        """The entry point at B=1 against the loop kernel."""
+        """The entry point and every available kernel at B=1 against the
+        loop kernel."""
         args = batch_problem(builtin_layout("inv3"), [1.0])
-        entry = run(kernels.coherence_euler, args)
         loop = run(LOOP, args)
-        assert entry[1].all() and loop[1].all()
-        for x, y in zip(entry, loop):
-            assert_same_bits(np.asarray(x), np.asarray(y))
+        assert loop[1].all()
+        for kernel in (kernels.coherence_euler, *paths().values()):
+            for x, y in zip(run(kernel, args), loop):
+                assert_same_bits(np.asarray(x), np.asarray(y))
 
     def test_clock_value_matches_engine_wrapper(self):
         from qcasim.engines import clock_gamma
@@ -95,15 +133,17 @@ class TestKernelParity:
         # a time step far beyond the relaxation time blows up the Euler update
         args = batch_problem(builtin_layout("inv3"), [1.0], n_steps=200,
                              time_step=1.0e-13)
-        for kernel in (kernels.coherence_euler, LOOP):
+        for kernel in (kernels.coherence_euler, LOOP, *paths().values()):
             _, ok, bad, *_ = run(kernel, args)
             assert not ok[0]
             assert bad[0] >= 0
+        assert_batches_identical(args)
 
 
 class TestBatchedParity:
-    """The vectorised batched kernel against the uncompiled loop kernel run
-    once per point: finals, flags, bad steps and recordings, bit for bit."""
+    """Every available batched kernel (numpy, C) against the loop kernel
+    run once per point: finals, flags, bad steps and recordings, bit for
+    bit."""
 
     @pytest.mark.parametrize("name", ["inv2", "inv3"])
     def test_table1_grid(self, name):
@@ -124,10 +164,7 @@ class TestBatchedParity:
             builtin_layout("majority"), [1.0] * 8, drive_rows=rows))
 
     def test_mixed_clock_zones(self):
-        wire = builtin_layout("wire(6)")
-        cells = tuple(replace(c, clock_zone=k % 4) for k, c in enumerate(wire.cells))
-        assert_batches_identical(batch_problem(
-            Layout(name="zones", cells=cells), [0.0, 2.0, 7.0]))
+        assert_batches_identical(batch_problem(zoned_wire(), [0.0, 2.0, 7.0]))
 
     def test_only_some_elements_leave_the_unit_ball(self):
         # a strong field turns the coherence vector by more than the Euler
@@ -148,11 +185,9 @@ class TestBatchedParity:
         assert not batched[1].any()
 
     def test_zero_field_has_zero_steady_state(self):
-        # no neighbor in range and a zero clock: |Gamma| = 0 everywhere
-        params = CoherenceParams(radius_of_effect=1.0, clock_high=0.0,
-                                 clock_low=0.0)
         batched = assert_batches_identical(batch_problem(
-            builtin_layout("wire(2)"), [0.0, 1.0], n_steps=100, params=params))
+            builtin_layout("wire(2)"), [0.0, 1.0], n_steps=100,
+            params=ZERO_FIELD))
         final, ok = batched[0], batched[1]
         assert ok.all()
         assert np.isfinite(batched[-1]).all()
@@ -166,9 +201,135 @@ class TestBatchedParity:
         assert batched[2][1] == 0
 
 
+class TestSinglePointParity:
+    """B=1, the size of one simulate run: every available kernel against
+    the loop kernel on the degenerate cases."""
+
+    @pytest.mark.parametrize("problem", [
+        lambda: batch_problem(builtin_layout("inv3"), [1.0], n_steps=400,
+                              kink_scales=[3e4]),
+        lambda: batch_problem(builtin_layout("inv2"), [1.0], n_steps=50,
+                              kink_scales=[float("nan")]),
+        lambda: batch_problem(builtin_layout("wire(2)"), [0.0], n_steps=100,
+                              params=ZERO_FIELD),
+        lambda: batch_problem(zoned_wire(), [2.0]),
+        lambda: batch_problem(builtin_layout("wire(14)"), [0.0], n_steps=300,
+                              stride=7),
+    ], ids=["fails", "nan", "zero-field", "mixed-zones", "wire14-cold"])
+    def test_single_point(self, problem):
+        assert_batches_identical(problem())
+
+
+@pytest.fixture
+def own_cache(monkeypatch, tmp_path):
+    """A library lookup with its own cache and temporary directories."""
+    (tmp_path / "tmp").mkdir()
+    monkeypatch.setenv("XDG_CACHE_HOME", str(tmp_path / "cache"))
+    monkeypatch.setattr(tempfile, "tempdir", str(tmp_path / "tmp"))
+    kernels._library.cache_clear()
+    yield tmp_path
+    kernels._library.cache_clear()
+
+
+def libraries(directory):
+    return sorted(p.name for p in directory.glob("euler-*.so"))
+
+
 class TestKernelChoice:
     def test_uncompiled_kernel_choice(self):
         # table-1 grid on inv3, one 14-cell wire: numpy; one inv2 run: loop
         assert kernels.uncompiled_kernel(15, 3, 2) is kernels.coherence_euler_numpy
         assert kernels.uncompiled_kernel(1, 14, 13) is kernels.coherence_euler_numpy
         assert kernels.uncompiled_kernel(1, 2, 1) is kernels.coherence_euler_loop
+
+    @needs_cc
+    def test_compiled_path_in_use_when_a_compiler_is_present(self):
+        # a silent fallback to the uncompiled kernels fails here
+        for size in ((1, 2, 1), (1, 14, 13), (15, 3, 2)):
+            assert kernels.kernel_path(*size) == "c"
+
+    def test_no_compiler_keeps_the_uncompiled_choice(self, own_cache, monkeypatch):
+        monkeypatch.setenv("CC", str(own_cache / "nonexistent"))
+        assert kernels._library() is None
+        assert kernels.kernel_path(15, 3, 2) == "numpy"
+        assert kernels.kernel_path(1, 2, 1) == "loop"
+        assert not (own_cache / "cache").exists()
+
+    @needs_cc
+    def test_library_built_once_in_the_user_cache(self, own_cache):
+        cache = own_cache / "cache" / "qcasim"
+        assert kernels._library() is not None
+        (name,) = libraries(cache)
+        assert os.stat(cache).st_mode & 0o777 == 0o700
+        assert os.listdir(cache) == [name]  # no partial build left behind
+        built = os.stat(cache / name).st_mtime_ns
+        kernels._library.cache_clear()
+        assert kernels._library() is not None
+        assert os.stat(cache / name).st_mtime_ns == built
+
+    @needs_cc
+    def test_cache_writable_by_others_is_not_used(self, own_cache):
+        cache = own_cache / "cache" / "qcasim"
+        cache.mkdir(parents=True)
+        os.chmod(cache, 0o777)
+        shared = own_cache / "tmp" / f"qcasim-{os.getuid()}"
+        assert kernels._library() is not None
+        assert libraries(cache) == [] and len(libraries(shared)) == 1
+        # neither directory usable: a fresh temporary one, removed after loading
+        os.chmod(shared, 0o777)
+        for path in shared.iterdir():
+            path.unlink()
+        kernels._library.cache_clear()
+        assert kernels._library() is not None
+        assert libraries(cache) == libraries(shared) == []
+        assert os.listdir(own_cache / "tmp") == [shared.name]
+
+    @needs_cc
+    def test_arrays_checked_before_pointers_pass(self):
+        assert kernels.kernel_path(1, 1, 1) == "c"
+        good = batch_problem(builtin_layout("inv2"), [1.0], n_steps=10, stride=1)
+        kernels.coherence_euler_c(*good())
+        bad = {
+            17: lambda a: a[::2],                       # rec_times too short
+            18: lambda a: a.astype(np.float32),         # rec_clocks dtype
+            19: lambda a: np.repeat(a, 2, axis=2)[:, :, ::2],  # not C-contiguous
+            0: lambda a: a[:, :, :1],                    # kink shape
+            1: lambda a: a.astype(np.int32),             # zones dtype
+        }
+        for index, spoil in bad.items():
+            args = list(good())
+            args[index] = spoil(args[index])
+            with pytest.raises(ValueError):
+                kernels.coherence_euler_c(*args)
+        args = list(good())
+        args[1] = args[1] + 4  # clock zone out of 0..3
+        with pytest.raises(ValueError):
+            kernels.coherence_euler_c(*args)
+
+    def test_no_compiler_process_gives_the_same_bytes(self):
+        """A process whose CC does not exist runs an uncompiled kernel and
+        prints the bytes of this process on every criterion-7 argv."""
+        from test_acceptance import CRITERION_7_ARGV
+        from qcasim.cli import run_cli
+        script = (
+            "import io, json, sys\n"
+            "from qcasim import kernels\n"
+            "from qcasim.cli import run_cli\n"
+            "outputs = []\n"
+            "for argv in json.loads(sys.argv[1]):\n"
+            "    out = io.StringIO()\n"
+            "    assert run_cli(argv, stdout=out, stderr=io.StringIO()) == 0\n"
+            "    outputs.append(out.getvalue())\n"
+            "print(json.dumps({'path': kernels.kernel_path(1, 2, 1), "
+            "'outputs': outputs}))\n")
+        env = dict(os.environ, CC="/nonexistent")
+        proc = subprocess.run([sys.executable, "-c", script,
+                               json.dumps(CRITERION_7_ARGV)],
+                              capture_output=True, text=True, env=env)
+        assert proc.returncode == 0, proc.stderr
+        result = json.loads(proc.stdout)
+        assert result["path"] == "loop"
+        for argv, printed in zip(CRITERION_7_ARGV, result["outputs"], strict=True):
+            out = io.StringIO()
+            assert run_cli(argv, stdout=out, stderr=io.StringIO()) == 0
+            assert printed == out.getvalue(), argv
