@@ -1,19 +1,21 @@
 /* Batched coherence-vector Euler integrator, a transcription of
- * qcasim.kernels._coherence_euler run once per point, with the points of
- * a batch advancing in lockstep.
+ * qcasim.kernels.coherence_euler_loop: the points of a batch advance in
+ * lockstep.
  *
  * Every floating-point operation is the loop kernel's, in its order, so
  * the results are bit-identical to it. Build with -ffp-contract=off and
  * never with -ffast-math: a fused multiply-add would change the bits.
  * cos and tanh are libm's, as math.cos and math.tanh are.
  *
- * The local field of free cell i of point b is summed over the CSR row
- * b * n + i: columns cols[offsets[r]:offsets[r + 1]] in ascending order
- * with their kink energies vals[...]. The rows leave out exact-zero
- * energies. That leaves each sum unchanged: it starts at +0.0, never
- * becomes -0.0, and adding +-0.0 (a zero energy times a finite
- * polarization) leaves any other value as it is. Every polarization of a
- * point is finite until the unit-ball guard stops that point.
+ * The local field of free cell i of point b is summed over row i of the
+ * neighbor list the points share: columns cols[offsets[i]:offsets[i + 1]]
+ * in ascending order, with point b's kink energies
+ * energies[b * nnz + k] at the same positions k. A pair that point b
+ * lacks has energy 0.0 and leaves the sum as a sum over b's own neighbors
+ * (or over every cell) would be: the sum starts at +0.0, never becomes
+ * -0.0, and adding +-0.0 (a zero energy times a finite polarization)
+ * leaves any other value as it is. Every polarization of a point is
+ * finite until the unit-ball guard stops that point.
  *
  * A point whose coherence vector leaves the unit ball (or becomes NaN)
  * stops at that cell, mid-sweep: ok[b] = 0, bad_step[b] = the step, its
@@ -44,7 +46,7 @@ static double clock_value(double t, int64_t zone, double periods,
 
 void qcasim_coherence_euler(
     int64_t batch, int64_t n,
-    const int64_t *offsets, const int64_t *cols, const double *vals,
+    const int64_t *offsets, const int64_t *cols, const double *energies,
     const int64_t *zones, const uint8_t *driven, const double *drive_values,
     int64_t n_steps, double dt, double total_time, double periods,
     double clock_shift, double clock_amplitude, double clock_low,
@@ -55,6 +57,7 @@ void qcasim_coherence_euler(
     double *lam, double *fields)
 {
     double gammas[4], gx_zone[4];
+    int64_t nnz = offsets[n];
     int64_t alive = batch;
     int64_t rec = 0;
 
@@ -86,6 +89,7 @@ void qcasim_coherence_euler(
             if (!ok[b])
                 continue;
             double *p = pol + b * n;
+            const double *e = energies + b * nnz;
             if (record)
                 for (int64_t i = 0; i < n; i++)
                     rec_pols[(b * n_rec + rec) * n + i] = p[i];
@@ -96,8 +100,8 @@ void qcasim_coherence_euler(
                 if (driven[i])
                     continue;
                 double acc = 0.0;
-                for (int64_t k = offsets[b * n + i]; k < offsets[b * n + i + 1]; k++)
-                    acc += vals[k] * p[cols[k]];
+                for (int64_t k = offsets[i]; k < offsets[i + 1]; k++)
+                    acc += e[k] * p[cols[k]];
                 fields[i] = acc;
             }
             double temp = temperature[b];

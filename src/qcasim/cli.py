@@ -51,9 +51,10 @@ def _add_layout_arg(parser: argparse.ArgumentParser) -> None:
                              f"(builtins: {', '.join(BUILTIN_NAMES)})")
 
 
-def _add_common_args(parser: argparse.ArgumentParser) -> None:
+def _add_common_args(parser: argparse.ArgumentParser,
+                     engine: str = "bistable") -> None:
     parser.add_argument("--engine", choices=("bistable", "coherence"),
-                        default="bistable", help="simulation engine (default: bistable)")
+                        default=engine, help=f"simulation engine (default: {engine})")
     parser.add_argument("--constants", choices=("paper", "codata"), default=None,
                         help="physical constants mode (default: layout's, else paper)")
     parser.add_argument("--out", metavar="PATH", default=None,
@@ -113,7 +114,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("sweep-temp", help="output polarization vs temperature")
     _add_layout_arg(p)
-    _add_common_args(p)
+    _add_common_args(p, engine="coherence")
     p.add_argument("--grid", default="table1",
                    help="'table1' or comma-separated temperatures in K "
                         "(default: table1)")
@@ -193,6 +194,8 @@ def _cmd_kink(args: argparse.Namespace, out: TextIO) -> int:
     layout = _load_layout(args.layout)
     constants = _constants(args, layout)
     matrix = kink_matrix(layout, args.radius, constants)
+    # after kink_matrix, whose --radius diagnostic stays the one reported
+    _all_params(args)
     write_csv(out, {"layout": layout.name, "constants": constants.mode,
                     "radius_of_effect_nm": args.radius},
               ("cell_i", "cell_j", "kink_energy_J"), matrix.sorted_pairs())
@@ -247,6 +250,8 @@ def _cmd_sweep_temp(args: argparse.Namespace, out: TextIO) -> int:
     layout = _load_layout(args.layout)
     constants = _constants(args, layout)
     grid = _parse_grid(args.grid, "temperature")
+    if args.engine != "coherence":
+        raise _CliError("sweep-temp runs the coherence engine only")
     _, params = _all_params(args)
     result = sweep_temperature(layout, grid, params, constants)
     emit_csv(result, out)

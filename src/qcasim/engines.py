@@ -248,15 +248,25 @@ def steady_state_polarization(E: float, gamma: float, T: float,
     return (E / omega) * th
 
 
-def dense_kink(kink: KinkMatrix, cell_ids: Sequence[str]) -> np.ndarray:
-    """The kink energies as an n x n array in `cell_ids` order, zero on the
-    diagonal; filled from the neighbor list."""
-    n = len(cell_ids)
-    dense = np.zeros((n, n))
-    for i, row in enumerate(kink.rows(cell_ids)):
-        for j, energy in row:
-            dense[i, j] = energy
-    return dense
+def coupling(kinks: Sequence[KinkMatrix], cell_ids: Sequence[str]
+             ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The kink energies of several points over one shared neighbor list,
+    as the integrator kernels read them: (energies (B, nnz), offsets
+    (n + 1,), cols (nnz,)). Row i, cols[offsets[i]:offsets[i + 1]], holds
+    in ascending position in `cell_ids` every cell that is a neighbor of
+    cell_ids[i] in some point; energies[b] gives point b's energy to each,
+    0.0 where point b lacks the pair."""
+    points = [[dict(row) for row in kink.rows(cell_ids)] for kink in kinks]
+    pattern = [sorted(set().union(*(rows[i] for rows in points)))
+               for i in range(len(cell_ids))]
+    offsets = np.array([0, *itertools.accumulate(len(row) for row in pattern)],
+                       dtype=np.int64)
+    cols = np.array([j for row in pattern for j in row], dtype=np.int64)
+    energies = np.array([[rows[i].get(j, 0.0) for i, row in enumerate(pattern)
+                          for j in row]
+                         for rows in points],
+                        dtype=np.float64).reshape(len(kinks), cols.size)
+    return energies, offsets, cols
 
 
 def simulate_coherence_batch(
@@ -302,7 +312,7 @@ def simulate_coherence_batch(
             f"recording {n_rec} steps of {len(cell_ids)} cells x {len(points)} "
             f"points takes {record_bytes:.3e} bytes, over the limit of "
             f"{MAX_RECORD_BYTES:.3e}; use a larger --stride")
-    kinks = np.stack([dense_kink(kink, cell_ids) for kink, _, _ in points])
+    energies, offsets, cols = coupling([kink for kink, _, _ in points], cell_ids)
     zones = np.array([c.clock_zone for c in layout.cells], dtype=np.int64)
     driven = np.array([cid in drives[0] for cid in cell_ids], dtype=np.bool_)
     drive_values = np.array([[d.get(cid, 0.0) for cid in cell_ids] for d in drives])
@@ -313,11 +323,12 @@ def simulate_coherence_batch(
     rec_pols = np.zeros((len(points), n_rec, len(cell_ids)))
 
     final_pol, ok, bad_step = kernels.coherence_euler(
-        kinks, zones, driven, drive_values, n_steps, params.time_step,
+        energies, zones, driven, drive_values, n_steps, params.time_step,
         params.total_time, float(params.clock_periods), params.clock_shift,
         params.clock_amplitude, params.clock_low, params.clock_high,
         params.relaxation_time, temperatures, constants.boltzmann_k,
-        constants.hbar, record_stride, rec_times, rec_clocks, rec_pols)
+        constants.hbar, record_stride, rec_times, rec_clocks, rec_pols,
+        offsets, cols)
     if not ok.all():
         first = int(np.flatnonzero(~ok)[0])
         step = int(bad_step[first])

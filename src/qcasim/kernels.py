@@ -2,12 +2,19 @@
 
 The integrator entry point ``coherence_euler`` is batched: B points that
 share the cell order, clock zones, driven cells, time grid and clock
-advance in lockstep, each with its own kink matrix ``kink[b]`` (n x n),
+advance in lockstep, each with its own kink energies ``energies[b]``,
 drive values ``drive_values[b]`` (n,) and temperature ``temperature[b]``.
 The recorded times and clock values are shared by the batch; the recorded
 polarizations are per point, ``rec_pols[b]``. A single run is the B=1 case.
 
-Three kernels give bit-identical results, so the output never depends on
+The coupling is a neighbor list shared by the points: with
+``k = slice(offsets[i], offsets[i + 1])``, the neighbors of cell i are
+``cols[k]``, in ascending position, and point b's kink energies to them
+are ``energies[b, k]`` (0.0 where that point lacks the pair).
+``engines.coupling`` builds it from the kink matrices. A step costs
+O(nnz): the local field of a cell is summed over its row only.
+
+Two kernels give bit-identical results, so the output never depends on
 which one ran; ``kernel_path`` names the one ``coherence_euler`` runs:
 
 * ``c``: ``coherence_euler_c``, a C transcription of the loop kernel
@@ -16,32 +23,17 @@ which one ran; ``kernel_path`` names the one ``coherence_euler`` runs:
   ``cc``) into ``${XDG_CACHE_HOME:-~/.cache}/qcasim/``, or, where that
   directory cannot be used, into ``qcasim-<uid>`` under the temporary
   directory, and failing that into a fresh temporary directory; later
-  processes load the cached library. The library name
-  carries a sha256 of the source, the flags and ``$CC --version``. When it
-  loads, every batch size runs in C, and a step costs O(nnz): the local
-  field is summed over the nonzero kink energies only.
-* ``numpy``: ``coherence_euler_numpy``, one numpy kernel vectorised over
-  (batch x free cells);
-* ``loop``: ``coherence_euler_loop``, the plain Python loop kernel once
-  per point, kept as the reference.
+  processes load the cached library. The library name carries a sha256 of
+  the source, the flags and ``$CC --version``.
+* ``loop``: ``coherence_euler_loop``, the same integrator over Python
+  lists: the reference the C kernel is tested against, and the kernel
+  that runs where no compiler works (``CC=/nonexistent``, say).
 
-Without a working compiler (``CC=/nonexistent``, say) the choice depends
-on the problem size only: the numpy kernel, unless the batch is so small
-that the loop kernel is faster (``uncompiled_kernel``: a single run of a
-two- or three-cell inverter, say).
-
-The numpy and C kernels are bit-identical to the loop kernel: every
-``+``, ``*``, ``/`` and ``sqrt`` is the same IEEE operation in the same
-order, and the transcendental functions stay on libm. The numpy kernel
-sums the local field over ascending j as an explicit per-column loop
-(zero and self columns included); the C kernel skips exact-zero kink
-energies, which leaves every finite sum unchanged. In the numpy kernel
-the four clock values per step are ``math.cos`` scalars shared by the
-batch, and the thermal tanh is ``math.tanh`` mapped over the elements,
-because ``np.tanh`` differs from libm in the last bit on about a fifth of
-its arguments. The C kernel is built with ``-ffp-contract=off`` and never
-with ``-ffast-math``, since a fused multiply-add would change the bits.
-``benchmarks/bench_coherence.py`` times the kernels against each other.
+Every ``+``, ``*``, ``/`` and ``sqrt`` is the same IEEE operation in the
+same order in both, and ``cos`` and ``tanh`` are libm's, as ``math.cos``
+and ``math.tanh`` are. The C kernel is built with ``-ffp-contract=off``
+and never with ``-ffast-math``, since a fused multiply-add would change
+the bits. ``benchmarks/bench_coherence.py`` times the two kernels.
 """
 
 from __future__ import annotations
@@ -74,207 +66,111 @@ def clock_value(t: float, zone: int, periods: float, total_time: float,
     return value
 
 
-def _coherence_euler(kink, zones, driven, drive_values, n_steps, dt, total_time,
-                     periods, clock_shift, clock_amplitude, clock_low, clock_high,
-                     tau, temperature, boltzmann_k, hbar, stride,
-                     rec_times, rec_clocks, rec_pols):
+def coherence_euler_loop(energies, zones, driven, drive_values, n_steps, dt,
+                         total_time, periods, clock_shift, clock_amplitude,
+                         clock_low, clock_high, tau, temperature, boltzmann_k,
+                         hbar, stride, rec_times, rec_clocks, rec_pols,
+                         offsets, cols):
     """Integrate d(lambda)/dt = Gamma x lambda - (lambda - lambda_ss)/tau
-    for one point (kink (n, n), drive_values (n,), scalar temperature).
+    for B points in lockstep: energies (B, nnz) over the neighbor list
+    (offsets (n + 1,), cols (nnz,)), drive_values (B, n), temperature (B,),
+    rec_pols (B, n_rec, n); zones and driven (n,) and the rest are shared.
 
     Gamma = (-2*gamma_z(t), 0, E_i(t))/hbar per cell; lambda_ss is the
     thermal steady state tanh(hbar*|Gamma|/(2 kB T)) * Gamma/|Gamma|, and
     0 when |Gamma| = 0; the polarization is lambda_z. Driven cells hold
     their drive value. Updates are synchronous: all local fields are
     evaluated from the previous step's polarizations. Returns
-    (final_pol, ok, bad_step); ok=False means |lambda| exceeded 1 + 1e-6
-    (or became NaN) at step bad_step.
+    (final_pol (B, n), ok (B,), bad_step (B,)).
 
-    Recording arrays are filled every `stride` steps (step 0 included).
+    A point whose |lambda| exceeds 1 + 1e-6 (or becomes NaN) stops at that
+    cell, mid-sweep: ok[b] = False, bad_step[b] = the step, its
+    polarizations stay as they are and it is no longer recorded. The batch
+    ends once every point has failed. Recording arrays are filled every
+    `stride` steps (step 0 included) while some point is still running.
     """
-    n = kink.shape[0]
-    pol = np.zeros(n)
-    lam = np.zeros((n, 3))
-    fields = np.zeros(n)
-    gammas = np.zeros(4)
-    for i in range(n):
-        if driven[i]:
-            pol[i] = drive_values[i]
+    batch, n = drive_values.shape
+    offsets = offsets.tolist()
+    cols = cols.tolist()
+    free = [i for i in range(n) if not driven[i]]
+    zone_of = zones.tolist()
+    pols = np.where(driven, drive_values, 0.0).tolist()
+    ok = np.ones(batch, dtype=np.bool_)
+    bad_step = np.full(batch, -1, dtype=np.int64)
+    # per point: index, polarizations, coherence vectors of the free cells,
+    # (cell, zone, neighbor row of (col, energy)) per free cell, and 2 kB T,
+    # 0.0 where T <= 0 (or 2 kB T underflows), which takes th = 1.0 as the
+    # C kernel's tanh(inf) does
+    points = []
+    for b in range(batch):
+        row_energies = energies[b].tolist()
+        cells = [(i, zone_of[i],
+                  list(zip(cols[offsets[i]:offsets[i + 1]],
+                           row_energies[offsets[i]:offsets[i + 1]])))
+                 for i in free]
+        temp = float(temperature[b])
+        thermal = 2.0 * boltzmann_k * temp if temp > 0.0 else 0.0
+        points.append((b, pols[b], [(0.0, 0.0, 0.0)] * len(free), cells,
+                       thermal))
+    sqrt, tanh = math.sqrt, math.tanh
     limit_sq = UNIT_BALL_LIMIT_SQ
+    n_rec = rec_times.shape[0]
     rec = 0
     for step in range(n_steps + 1):
         t = step * dt
-        for z in range(4):
-            gammas[z] = clock_value(t, z, periods, total_time, clock_shift,
-                                    clock_amplitude, clock_low, clock_high)
-        if step % stride == 0 and rec < rec_times.shape[0]:
+        gammas = [clock_value(t, z, periods, total_time, clock_shift,
+                              clock_amplitude, clock_low, clock_high)
+                  for z in range(4)]
+        record = step % stride == 0 and rec < n_rec
+        if record:
             rec_times[rec] = t
-            for z in range(4):
-                rec_clocks[rec, z] = gammas[z]
-            for i in range(n):
-                rec_pols[rec, i] = pol[i]
+            rec_clocks[rec] = gammas
+            for b, pol, _, _, _ in points:
+                rec_pols[b, rec] = pol
             rec += 1
         if step == n_steps:
             break
-        # local fields from the previous step's polarizations, ascending id
-        for i in range(n):
-            if driven[i]:
-                continue
-            acc = 0.0
-            for j in range(n):
-                acc += kink[i, j] * pol[j]
-            fields[i] = acc
-        for i in range(n):
-            if driven[i]:
-                continue
-            gx = -2.0 * gammas[zones[i]] / hbar
-            gz = fields[i] / hbar
-            mag = math.sqrt(gx * gx + gz * gz)
-            if temperature > 0.0:
-                th = math.tanh(hbar * mag / (2.0 * boltzmann_k * temperature))
-            else:
-                th = 1.0
-            if mag == 0.0:
-                ss_x = 0.0
-                ss_z = 0.0
-            else:
-                ss_x = th * gx / mag
-                ss_z = th * gz / mag
-            lx = lam[i, 0]
-            ly = lam[i, 1]
-            lz = lam[i, 2]
-            # Gamma x lambda with Gamma = (gx, 0, gz)
-            dx = -gz * ly - (lx - ss_x) / tau
-            dy = gz * lx - gx * lz - ly / tau
-            dz = gx * ly - (lz - ss_z) / tau
-            nx = lx + dt * dx
-            ny = ly + dt * dy
-            nz = lz + dt * dz
-            lam[i, 0] = nx
-            lam[i, 1] = ny
-            lam[i, 2] = nz
-            pol[i] = nz
-            norm_sq = nx * nx + ny * ny + nz * nz
-            if not norm_sq <= limit_sq:
-                return pol, False, step
-    return pol, True, -1
-
-
-def coherence_euler_numpy(kink, zones, driven, drive_values, n_steps, dt,
-                          total_time, periods, clock_shift, clock_amplitude,
-                          clock_low, clock_high, tau, temperature, boltzmann_k,
-                          hbar, stride, rec_times, rec_clocks, rec_pols):
-    """Batched ``_coherence_euler``, vectorised over (batch x free cells).
-
-    kink (B, n, n), drive_values (B, n), temperature (B,), rec_pols
-    (B, n_rec, n); zones and driven (n,) and everything else are shared.
-    Returns (final_pol (B, n), ok (B,), bad_step (B,)). An element that
-    leaves the unit ball keeps its own first bad step; the loop stops once
-    every element has failed.
-    """
-    batch, n = drive_values.shape
-    free = np.flatnonzero(~driven)
-    width = free.size
-    pol = np.where(driven, drive_values, 0.0)
-    # lam[c] is component c of every free cell's coherence vector; it is
-    # only updated in place, so lx, ly, lz and the views below stay live
-    lam = np.zeros((3, batch, width))
-    lx, ly, lz = lam
-    steady = np.zeros_like(lam)      # lambda_ss; its y component stays 0
-    ss_x, _, ss_z = steady
-    deriv = np.empty_like(lam)       # Gamma x lambda, then d(lambda)/dt
-    dx, dy, dz = deriv
-    sq = np.empty_like(lam)
-    sq_x, sq_y, sq_z = sq
-    norm_sq = np.empty((batch, width))
-    # column j of the field sum: kink[:, free, j] times P_j, where P_j is a
-    # drive value or a view of lambda_z
-    kink_cols = [np.ascontiguousarray(kink[:, free, j]) for j in range(n)]
-    slot = {int(i): k for k, i in enumerate(free)}
-    pol_cols = [lz[:, slot[j]:slot[j] + 1] if j in slot else pol[:, j:j + 1]
-                for j in range(n)]
-    field = np.zeros((batch, width))
-    free_zones = [int(zones[i]) for i in free]
-    one_zone = len(set(free_zones)) == 1
-    # 2 kB T per row; rows with T = 0 take th = 1.0 (their slices of the
-    # flat tanh list), so their placeholder 1.0 is never used
-    cold = temperature <= 0.0
-    thermal = np.where(cold, 1.0, 2.0 * boltzmann_k * temperature)[:, None]
-    cold_slices = [slice(b * width, (b + 1) * width) for b in np.flatnonzero(cold)]
-    cold_th = [1.0] * width
-    tanh = math.tanh
-    ok = np.ones(batch, dtype=np.bool_)
-    bad_step = np.full(batch, -1, dtype=np.int64)
-    rec = 0
-    with np.errstate(all="ignore"):  # failed elements may overflow
-        for step in range(n_steps + 1):
-            t = step * dt
-            gammas = [clock_value(t, z, periods, total_time, clock_shift,
-                                  clock_amplitude, clock_low, clock_high)
-                      for z in range(4)]
-            if step % stride == 0 and rec < rec_times.shape[0]:
-                rec_times[rec] = t
-                rec_clocks[rec] = gammas
-                pol[:, free] = lz
-                rec_pols[:, rec] = pol
-                rec += 1
-            if step == n_steps:
-                break
-            field.fill(0.0)
-            for kink_col, pol_col in zip(kink_cols, pol_cols):
-                field += kink_col * pol_col
-            gx_zone = [-2.0 * g / hbar for g in gammas]
-            gx = (gx_zone[free_zones[0]] if one_zone
-                  else np.array([gx_zone[z] for z in free_zones]))
-            gz = field / hbar
-            mag = np.sqrt(gx * gx + gz * gz)
-            arg = (hbar * mag / thermal).ravel().tolist()
-            th = list(map(tanh, arg))
-            for cold_slice in cold_slices:
-                th[cold_slice] = cold_th
-            th = np.array(th).reshape(mag.shape)
-            np.divide(np.multiply(th, gx, out=ss_x), mag, out=ss_x)
-            np.divide(np.multiply(th, gz, out=ss_z), mag, out=ss_z)
-            if 0.0 in arg:  # hbar * |Gamma| is 0 here: lambda_ss = 0 where |Gamma| = 0
-                zero = mag == 0.0
-                ss_x[zero] = 0.0
-                ss_z[zero] = 0.0
-            # d(lambda)/dt = Gamma x lambda - (lambda - lambda_ss)/tau, the
-            # y row of (lambda - lambda_ss) being ly - 0.0 = ly exactly
-            np.multiply(-gz, ly, out=dx)
-            np.subtract(gz * lx, gx * lz, out=dy)
-            np.multiply(gx, ly, out=dz)
-            deriv -= (lam - steady) / tau
-            lam += dt * deriv
-            np.multiply(lam, lam, out=sq)
-            np.add(np.add(sq_x, sq_y, out=norm_sq), sq_z, out=norm_sq)
-            if not norm_sq.max(initial=0.0) <= UNIT_BALL_LIMIT_SQ:  # NaN fails too
-                failed = ok & ~(norm_sq <= UNIT_BALL_LIMIT_SQ).all(axis=1)
-                bad_step[failed] = step
-                ok[failed] = False
-                if not ok.any():
+        gx_zone = [-2.0 * g / hbar for g in gammas]
+        failed = False
+        for b, pol, lam, cells, thermal in points:
+            # local fields from the previous step's polarizations
+            fields = []
+            for _, _, row in cells:
+                acc = 0.0
+                for j, energy in row:
+                    acc += energy * pol[j]
+                fields.append(acc)
+            for k, (i, zone, _) in enumerate(cells):
+                gx = gx_zone[zone]
+                gz = fields[k] / hbar
+                mag = sqrt(gx * gx + gz * gz)
+                th = tanh(hbar * mag / thermal) if thermal else 1.0
+                if mag == 0.0:
+                    ss_x = 0.0
+                    ss_z = 0.0
+                else:
+                    ss_x = th * gx / mag
+                    ss_z = th * gz / mag
+                lx, ly, lz = lam[k]
+                # Gamma x lambda with Gamma = (gx, 0, gz)
+                dx = -gz * ly - (lx - ss_x) / tau
+                dy = gz * lx - gx * lz - ly / tau
+                dz = gx * ly - (lz - ss_z) / tau
+                nx = lx + dt * dx
+                ny = ly + dt * dy
+                nz = lz + dt * dz
+                lam[k] = (nx, ny, nz)
+                pol[i] = nz
+                if not nx * nx + ny * ny + nz * nz <= limit_sq:
+                    ok[b] = False
+                    bad_step[b] = step
+                    failed = True
                     break
-    pol[:, free] = lz
-    return pol, ok, bad_step
-
-
-def coherence_euler_loop(kink, zones, driven, drive_values, n_steps, dt,
-                         total_time, periods, clock_shift, clock_amplitude,
-                         clock_low, clock_high, tau, temperature, boltzmann_k,
-                         hbar, stride, rec_times, rec_clocks, rec_pols):
-    """The batched signature over ``_coherence_euler``: the loop kernel run
-    once per batch element, the reference the numpy and C kernels are
-    compared with (tests) and benchmarked against."""
-    batch = drive_values.shape[0]
-    final = np.zeros(drive_values.shape)
-    ok = np.ones(batch, dtype=np.bool_)
-    bad_step = np.full(batch, -1, dtype=np.int64)
-    for b in range(batch):
-        final[b], ok[b], bad_step[b] = _coherence_euler(
-            kink[b], zones, driven, drive_values[b], n_steps, dt, total_time,
-            periods, clock_shift, clock_amplitude, clock_low, clock_high, tau,
-            float(temperature[b]), boltzmann_k, hbar, stride, rec_times,
-            rec_clocks, rec_pols[b])
-    return final, ok, bad_step
+        if failed:
+            points = [point for point in points if ok[point[0]]]
+            if not points:
+                break
+    return np.array(pols).reshape(batch, n), ok, bad_step
 
 
 def _cache_dirs():
@@ -380,22 +276,29 @@ def _check(name: str, array, dtype, shape: tuple, output: bool = False) -> None:
                          f"array of shape {shape}")
 
 
-def coherence_euler_c(kink, zones, driven, drive_values, n_steps, dt,
+def coherence_euler_c(energies, zones, driven, drive_values, n_steps, dt,
                       total_time, periods, clock_shift, clock_amplitude,
                       clock_low, clock_high, tau, temperature, boltzmann_k,
-                      hbar, stride, rec_times, rec_clocks, rec_pols):
-    """The batched integrator in C, with the arguments and results of
-    ``coherence_euler_numpy`` and the failure semantics of the loop kernel
-    run once per point: a point that leaves the unit ball stops at that
-    cell, mid-sweep, and is no longer recorded. Every array is checked for
-    dtype, C-contiguity and shape before its pointer is passed."""
+                      hbar, stride, rec_times, rec_clocks, rec_pols,
+                      offsets, cols):
+    """The batched integrator in C, with the arguments, results and
+    failure semantics of ``coherence_euler_loop``. Every array is checked
+    for dtype, C-contiguity and shape, and the neighbor list for
+    consistency, before its pointer is passed."""
     kernel = _library()
     if kernel is None:
         raise RuntimeError("the compiled coherence kernel is not available")
     batch, n = np.shape(drive_values)
+    _check("offsets", offsets, np.int64, (n + 1,))
+    if offsets[0] != 0 or (offsets[1:] < offsets[:-1]).any():
+        raise ValueError("offsets must start at 0 and never decrease")
+    nnz = int(offsets[-1])
+    _check("cols", cols, np.int64, (nnz,))
+    if nnz and not 0 <= cols.min() <= cols.max() < n:
+        raise ValueError(f"cols must be cell positions 0..{n - 1}")
     n_rec = np.shape(rec_times)[0] if np.ndim(rec_times) == 1 else -1
     for spec in (
-        ("kink", kink, np.float64, (batch, n, n)),
+        ("energies", energies, np.float64, (batch, nnz)),
         ("zones", zones, np.int64, (n,)),
         ("driven", driven, np.bool_, (n,)),
         ("drive_values", drive_values, np.float64, (batch, n)),
@@ -411,18 +314,12 @@ def coherence_euler_c(kink, zones, driven, drive_values, n_steps, dt,
     # a stride beyond n_steps records step 0 only, as n_steps + 1 does; the
     # smaller value fits the C int64
     stride = min(int(stride), int(n_steps) + 1)
-    # CSR over the rows (b, i): nonzero entries, ascending column per row
-    rows, cols = np.nonzero(kink.reshape(batch * n, n))
-    offsets = np.zeros(batch * n + 1, dtype=np.int64)
-    np.cumsum(np.bincount(rows, minlength=batch * n), out=offsets[1:])
-    cols = np.ascontiguousarray(cols, dtype=np.int64)  # nonzero gives strided views
-    vals = kink.reshape(batch * n, n)[rows, cols]
     final = np.empty((batch, n))
     ok = np.empty(batch, dtype=np.bool_)
     bad_step = np.empty(batch, dtype=np.int64)
     lam = np.empty(batch * n * 3)
     fields = np.empty(n)
-    kernel(batch, n, offsets.ctypes.data, cols.ctypes.data, vals.ctypes.data,
+    kernel(batch, n, offsets.ctypes.data, cols.ctypes.data, energies.ctypes.data,
            zones.ctypes.data, driven.ctypes.data, drive_values.ctypes.data,
            int(n_steps), dt, total_time, periods, clock_shift, clock_amplitude,
            clock_low, clock_high, tau, temperature.ctypes.data, boltzmann_k,
@@ -433,37 +330,14 @@ def coherence_euler_c(kink, zones, driven, drive_values, n_steps, dt,
     return final, ok, bad_step
 
 
-def uncompiled_kernel(batch: int, n: int, width: int):
-    """The faster batched kernel for `batch` points of n cells, `width` of
-    them free. Both give identical bits, so only speed decides: the numpy
-    kernel costs about 25 + 2n us per step at any batch size, the loop
-    kernel about 3 + width * (3 + 0.8n) us per point and step (CPython
-    3.11, numpy 2.4, 2-vCPU x86 VM), so small single runs stay on the
-    loop."""
-    loop_us = batch * (3.0 + width * (3.0 + 0.8 * n))
-    numpy_us = 25.0 + 2.0 * n
-    return coherence_euler_loop if loop_us < numpy_us else coherence_euler_numpy
+def kernel_path() -> str:
+    """The kernel ``coherence_euler`` runs: "c" whenever the compiled
+    library loads, else "loop"."""
+    return "c" if _library() is not None else "loop"
 
 
-def kernel_path(batch: int, n: int, width: int) -> str:
-    """The kernel ``coherence_euler`` runs for `batch` points of n cells,
-    `width` of them free: "c" whenever the compiled library loads, else
-    ``uncompiled_kernel``'s choice, "numpy" or "loop"."""
-    if _library() is not None:
-        return "c"
-    if uncompiled_kernel(batch, n, width) is coherence_euler_loop:
-        return "loop"
-    return "numpy"
-
-
-KERNELS = {"c": coherence_euler_c, "numpy": coherence_euler_numpy,
-           "loop": coherence_euler_loop}
-
-
-def coherence_euler(kink, zones, driven, drive_values, *args):
-    """The batched integrator: the kernel ``kernel_path`` names for this
-    size, called with the arguments of ``coherence_euler_numpy``."""
-    batch, n = drive_values.shape
-    width = n - int(np.count_nonzero(driven))
-    kernel = KERNELS[kernel_path(batch, n, width)]
-    return kernel(kink, zones, driven, drive_values, *args)
+def coherence_euler(*args):
+    """The batched integrator: the kernel ``kernel_path`` names, called
+    with the arguments of ``coherence_euler_loop``."""
+    kernel = coherence_euler_c if _library() is not None else coherence_euler_loop
+    return kernel(*args)

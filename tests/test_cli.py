@@ -3,7 +3,7 @@ import math
 import re
 
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from qcasim.cli import run_cli
@@ -266,6 +266,7 @@ class TestUnusedFlagsValidated:
         ["simulate", "--layout", "builtin:inv3"],
         ["truth", "--layout", "builtin:inv3", "--function", "inverter"],
         ["sweep-gap", "--layout", "builtin:inv3", "--grid", "1,2"],
+        ["kink", "--layout", "builtin:inv3"],
     ])
     @pytest.mark.parametrize("flag, message", [
         ("--temperature=nan", "temperature must be finite, got nan"),
@@ -286,6 +287,26 @@ class TestUnusedFlagsValidated:
         code, out, err = run([*command, "--gamma=nan"])
         assert (code, out) == (1, "")
         assert err == "error: gamma must be finite, got nan\n"
+
+    @pytest.mark.parametrize("flags, message", [
+        (["--temperature=nan", "--gamma=-1"], "gamma must be strictly positive"),
+        (["--gamma=nan"], "gamma must be finite, got nan"),
+        (["--total-time=1e-17"], "total_time / time_step must round to "
+                                 f"1..{MAX_STEPS} Euler steps, got 0.1"),
+    ])
+    def test_kink_rejects_bad_engine_flags(self, flags, message):
+        code, out, err = run(["kink", "--layout", "builtin:inv3", *flags])
+        assert (code, out) == (1, "")
+        assert err == f"error: {message}\n"
+
+    def test_sweep_temp_rejects_the_bistable_engine(self):
+        code, out, err = run(["sweep-temp", "--layout", "builtin:inv2", "--engine",
+                              "bistable", "--grid", "1", "--total-time", "1e-14"])
+        assert (code, out) == (1, "")
+        assert err == "error: sweep-temp runs the coherence engine only\n"
+        code, out, err = run(["sweep-temp", "--layout", "builtin:inv2", "--engine",
+                              "coherence", "--grid", "1", "--total-time", "1e-14"])
+        assert (code, err) == (0, "") and "# engine=coherence\n" in out
 
     def test_default_bistable_run_unchanged(self):
         code, out, err = run(["simulate", "--layout", "builtin:inv3"])
@@ -463,13 +484,14 @@ PHYSICAL_FLAGS = ("--temperature", "--relaxation-time", "--clock-high",
 def numeric_argv(draw):
     command = draw(st.sampled_from([["kink"], ["simulate"],
                                     ["simulate", "--engine", "coherence"],
-                                    ["sweep-temp"]]))
+                                    ["sweep-temp"],
+                                    ["sweep-temp", "--engine", "bistable"]]))
     layout = draw(st.sampled_from(["builtin:inv2", "builtin:inv3",
                                    "builtin:wire(3)"]))
     argv = [*command, "--layout", layout]
     if "coherence" in command:
         argv.append(f"--stride={draw(st.integers(-2, 10**12))}")
-    if command == ["sweep-temp"]:
+    if command[0] == "sweep-temp":
         grid = draw(st.one_of(st.just("table1"), st.lists(NUMBER, min_size=1, max_size=3)
                               .map(lambda ts: ",".join(repr(t) for t in ts))))
         argv.append(f"--grid={grid}")
@@ -487,6 +509,8 @@ def numeric_argv(draw):
 class TestNeverTracebacks:
     @settings(max_examples=200, deadline=None)
     @given(numeric_argv())
+    @example(["sweep-temp", "--layout", "builtin:inv2", "--engine", "bistable",
+              "--grid", "1", "--total-time", "1e-14"])
     def test_exit_code_and_one_line_diagnostic(self, argv):
         code, _, err = run(argv)
         assert code in (0, 1, 2), argv

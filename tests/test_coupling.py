@@ -18,7 +18,7 @@ from oracle import brute_kink_matrix, reference_bistable_relax
 from qcasim.constants import PhysicalConstants
 from qcasim.electrostatics import KinkMatrix, kink_energy_pair, kink_matrix
 from qcasim.engines import (BistableParams, ConvergenceError, bistable_relax,
-                            dense_kink, local_field)
+                            coupling, local_field)
 from qcasim.geometry import (Cell, Layout, LayoutError, builtin_layout,
                              cells_overlap, near_pairs)
 
@@ -194,13 +194,36 @@ class TestNeighborList:
 
     @PROPERTY
     @given(lattice_layouts(max_cells=16), st.randoms(use_true_random=False))
-    def test_dense_kink_matches_pair_lookup(self, layout, rnd):
+    def test_coupling_matches_pair_lookup(self, layout, rnd):
         matrix = kink_matrix(layout, 60.0, PAPER)
         cell_ids = [c.id for c in layout.cells]
         rnd.shuffle(cell_ids)
-        expected = np.array([[matrix.get(a, b) if a != b else 0.0 for b in cell_ids]
-                             for a in cell_ids])
-        assert np.array_equal(dense_kink(matrix, cell_ids), expected)
+        energies, offsets, cols = coupling([matrix, matrix], cell_ids)
+        assert offsets[0] == 0 and offsets[-1] == cols.size
+        assert energies.shape == (2, cols.size)
+        assert energies[0].tobytes() == energies[1].tobytes()
+        entries = set()
+        for i, a in enumerate(cell_ids):
+            row = cols[offsets[i]:offsets[i + 1]].tolist()
+            assert row == sorted(set(row)) and i not in row  # ascending position
+            for k, j in enumerate(row, offsets[i]):
+                assert energies[0, k] == matrix.get(a, cell_ids[j])
+                entries.add((a, cell_ids[j]))
+        nonzero = {key for key, energy in matrix.pairs.items() if energy != 0.0}
+        assert entries == nonzero | {(b, a) for a, b in nonzero}
+
+    def test_coupling_of_differing_points_shares_one_pattern(self):
+        first = KinkMatrix(pairs={("a", "b"): 2.0, ("b", "c"): 0.0}, radius_of_effect=1.0)
+        second = KinkMatrix(pairs={("a", "c"): 3.0, ("b", "c"): 5.0}, radius_of_effect=1.0)
+        energies, offsets, cols = coupling([first, second, first], ["c", "b", "a"])
+        # rows of c, b, a over the union of the pairs, ascending position
+        assert offsets.tolist() == [0, 2, 4, 6]
+        assert cols.tolist() == [1, 2, 0, 2, 0, 1]
+        assert energies.tolist() == [[0.0, 0.0, 0.0, 2.0, 0.0, 2.0],
+                                     [5.0, 3.0, 5.0, 0.0, 3.0, 0.0],
+                                     [0.0, 0.0, 0.0, 2.0, 0.0, 2.0]]
+        assert [a.dtype for a in (energies, offsets, cols)] == [
+            np.float64, np.int64, np.int64]
 
     def test_zero_energy_dropped_and_unknown_ids_empty(self):
         matrix = KinkMatrix(pairs={("a", "b"): 2.0, ("a", "c"): 0.0}, radius_of_effect=1.0)

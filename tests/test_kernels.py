@@ -15,7 +15,7 @@ import pytest
 from qcasim import kernels
 from qcasim.constants import PhysicalConstants
 from qcasim.electrostatics import kink_matrix
-from qcasim.engines import CoherenceParams, dense_kink, resolve_drives
+from qcasim.engines import CoherenceParams, coupling, resolve_drives
 from qcasim.geometry import Layout, builtin_layout
 from qcasim.sweeps import TABLE1_TEMPERATURES
 
@@ -35,12 +35,13 @@ def batch_problem(layout, temperatures, drive_rows=None, n_steps=2000,
     drive_rows = drive_rows or [None] * batch
     kink_scales = kink_scales or [1.0] * batch
     ids = [c.id for c in layout.cells]
-    dense = dense_kink(kink_matrix(layout, params.radius_of_effect, PAPER), ids)
+    energies, offsets, cols = coupling(
+        [kink_matrix(layout, params.radius_of_effect, PAPER)], ids)
     drives = [resolve_drives(layout, row) for row in drive_rows]
     n_rec = n_steps // stride + 1
 
     def args():
-        return (np.stack([dense * s for s in kink_scales]),
+        return (np.concatenate([energies * s for s in kink_scales]),
                 np.array([c.clock_zone for c in layout.cells], dtype=np.int64),
                 np.array([cid in drives[0] for cid in ids]),
                 np.array([[d.get(cid, 0.0) for cid in ids] for d in drives]),
@@ -50,7 +51,7 @@ def batch_problem(layout, temperatures, drive_rows=None, n_steps=2000,
                 params.relaxation_time, np.array(temperatures, dtype=float),
                 PAPER.boltzmann_k, PAPER.hbar, stride,
                 np.zeros(n_rec), np.zeros((n_rec, 4)),
-                np.zeros((batch, n_rec, len(ids))))
+                np.zeros((batch, n_rec, len(ids))), offsets.copy(), cols.copy())
     return args
 
 
@@ -58,7 +59,7 @@ def run(kernel, args):
     """(final, ok, bad_step, rec_times, rec_clocks, rec_pols) of one call."""
     call = args()
     final, ok, bad_step = kernel(*call)
-    return (final, ok, bad_step) + call[-3:]
+    return (final, ok, bad_step) + call[17:20]
 
 
 def assert_same_bits(a, b):
@@ -66,35 +67,19 @@ def assert_same_bits(a, b):
     assert a.tobytes() == b.tobytes()  # signed zeros and NaNs included
 
 
-def paths():
-    """Every batched kernel that can run here, by path name: numpy always,
-    C where the compiled library loads."""
-    found = {"numpy": kernels.coherence_euler_numpy}
-    if kernels.kernel_path(1, 1, 1) == "c":
-        found["c"] = kernels.coherence_euler_c
-    return found
+def compiled():
+    """The C kernel where the compiled library loads, else nothing."""
+    return [kernels.coherence_euler_c] if kernels.kernel_path() == "c" else []
 
 
 def assert_batches_identical(args):
-    """Every available kernel against the loop kernel. The C kernel keeps
-    the loop kernel's failure semantics, so everything must match. The
-    numpy kernel must match in flags, bad steps, recorded times and clocks
-    of the whole batch, and in finals and recorded polarizations of the
-    points that stayed inside the unit ball (it finishes a failed point's
-    sweep before it stops it). Returns the loop kernel's results."""
+    """The C kernel, where it loads, against the loop kernel: finals,
+    flags, bad steps and all three recordings, bit for bit, failed points
+    included. Returns the loop kernel's results."""
     loop = run(LOOP, args)
-    ok = loop[1]
-    for name, kernel in paths().items():
-        batched = run(kernel, args)
-        if name == "c":
-            for x, y in zip(batched, loop):
-                assert_same_bits(x, y)
-            continue
-        assert_same_bits(batched[1], ok)
-        for k in (2, 3, 4):
-            assert_same_bits(batched[k], loop[k])
-        for k in (0, 5):
-            assert_same_bits(batched[k][ok], loop[k][ok])
+    for kernel in compiled():
+        for x, y in zip(run(kernel, args), loop):
+            assert_same_bits(x, y)
     return loop
 
 
@@ -110,12 +95,12 @@ ZERO_FIELD = CoherenceParams(radius_of_effect=1.0, clock_high=0.0, clock_low=0.0
 
 class TestKernelParity:
     def test_entry_point_matches_loop_kernel(self):
-        """The entry point and every available kernel at B=1 against the
-        loop kernel."""
+        """The entry point and the C kernel at B=1 against the loop
+        kernel."""
         args = batch_problem(builtin_layout("inv3"), [1.0])
         loop = run(LOOP, args)
         assert loop[1].all()
-        for kernel in (kernels.coherence_euler, *paths().values()):
+        for kernel in (kernels.coherence_euler, *compiled()):
             for x, y in zip(run(kernel, args), loop):
                 assert_same_bits(np.asarray(x), np.asarray(y))
 
@@ -133,7 +118,7 @@ class TestKernelParity:
         # a time step far beyond the relaxation time blows up the Euler update
         args = batch_problem(builtin_layout("inv3"), [1.0], n_steps=200,
                              time_step=1.0e-13)
-        for kernel in (kernels.coherence_euler, LOOP, *paths().values()):
+        for kernel in (kernels.coherence_euler, LOOP, *compiled()):
             _, ok, bad, *_ = run(kernel, args)
             assert not ok[0]
             assert bad[0] >= 0
@@ -141,9 +126,8 @@ class TestKernelParity:
 
 
 class TestBatchedParity:
-    """Every available batched kernel (numpy, C) against the loop kernel
-    run once per point: finals, flags, bad steps and recordings, bit for
-    bit."""
+    """The C kernel against the loop kernel: finals, flags, bad steps and
+    recordings, bit for bit."""
 
     @pytest.mark.parametrize("name", ["inv2", "inv3"])
     def test_table1_grid(self, name):
@@ -202,8 +186,8 @@ class TestBatchedParity:
 
 
 class TestSinglePointParity:
-    """B=1, the size of one simulate run: every available kernel against
-    the loop kernel on the degenerate cases."""
+    """B=1, the size of one simulate run: the C kernel against the loop
+    kernel on the degenerate cases."""
 
     @pytest.mark.parametrize("problem", [
         lambda: batch_problem(builtin_layout("inv3"), [1.0], n_steps=400,
@@ -215,7 +199,10 @@ class TestSinglePointParity:
         lambda: batch_problem(zoned_wire(), [2.0]),
         lambda: batch_problem(builtin_layout("wire(14)"), [0.0], n_steps=300,
                               stride=7),
-    ], ids=["fails", "nan", "zero-field", "mixed-zones", "wire14-cold"])
+        # 2 kB T underflows to 0.0: th = 1.0, as at T = 0
+        lambda: batch_problem(builtin_layout("inv3"), [5e-324], n_steps=100),
+    ], ids=["fails", "nan", "zero-field", "mixed-zones", "wire14-cold",
+            "underflowing-T"])
     def test_single_point(self, problem):
         assert_batches_identical(problem())
 
@@ -236,23 +223,18 @@ def libraries(directory):
 
 
 class TestKernelChoice:
-    def test_uncompiled_kernel_choice(self):
-        # table-1 grid on inv3, one 14-cell wire: numpy; one inv2 run: loop
-        assert kernels.uncompiled_kernel(15, 3, 2) is kernels.coherence_euler_numpy
-        assert kernels.uncompiled_kernel(1, 14, 13) is kernels.coherence_euler_numpy
-        assert kernels.uncompiled_kernel(1, 2, 1) is kernels.coherence_euler_loop
-
     @needs_cc
     def test_compiled_path_in_use_when_a_compiler_is_present(self):
-        # a silent fallback to the uncompiled kernels fails here
-        for size in ((1, 2, 1), (1, 14, 13), (15, 3, 2)):
-            assert kernels.kernel_path(*size) == "c"
+        # a silent fallback to the loop kernel fails here
+        assert kernels.kernel_path() == "c"
 
     def test_no_compiler_keeps_the_uncompiled_choice(self, own_cache, monkeypatch):
         monkeypatch.setenv("CC", str(own_cache / "nonexistent"))
         assert kernels._library() is None
-        assert kernels.kernel_path(15, 3, 2) == "numpy"
-        assert kernels.kernel_path(1, 2, 1) == "loop"
+        assert kernels.kernel_path() == "loop"
+        args = batch_problem(builtin_layout("inv3"), [0.0, 1.0], n_steps=50)
+        for x, y in zip(run(kernels.coherence_euler, args), run(LOOP, args)):
+            assert_same_bits(x, y)
         assert not (own_cache / "cache").exists()
 
     @needs_cc
@@ -286,28 +268,40 @@ class TestKernelChoice:
 
     @needs_cc
     def test_arrays_checked_before_pointers_pass(self):
-        assert kernels.kernel_path(1, 1, 1) == "c"
+        assert kernels.kernel_path() == "c"
+        # inv2: two cells, each the other's only neighbor
         good = batch_problem(builtin_layout("inv2"), [1.0], n_steps=10, stride=1)
+        assert good()[20].tolist() == [0, 1, 2] and good()[21].tolist() == [1, 0]
         kernels.coherence_euler_c(*good())
-        bad = {
-            17: lambda a: a[::2],                       # rec_times too short
-            18: lambda a: a.astype(np.float32),         # rec_clocks dtype
-            19: lambda a: np.repeat(a, 2, axis=2)[:, :, ::2],  # not C-contiguous
-            0: lambda a: a[:, :, :1],                    # kink shape
-            1: lambda a: a.astype(np.int32),             # zones dtype
-        }
-        for index, spoil in bad.items():
+        bad = [
+            (17, lambda a: a[::2], "rec_times"),              # too short
+            (18, lambda a: a.astype(np.float32), "rec_clocks"),
+            (19, lambda a: np.repeat(a, 2, axis=2)[:, :, ::2], "rec_pols"),
+            (0, lambda a: a[:, :1], "energies"),              # shape
+            (0, lambda a: a.astype(np.float32), "energies"),
+            (0, lambda a: np.repeat(a, 2, axis=1)[:, ::2], "energies"),
+            (1, lambda a: a.astype(np.int32), "zones"),
+            (1, lambda a: a + 4, "clock zones"),              # out of 0..3
+            (20, lambda a: a[:-1], "offsets"),                # shape
+            (20, lambda a: a.astype(np.int32), "offsets"),
+            (20, lambda a: np.repeat(a, 2)[::2], "offsets"),  # not C-contiguous
+            (20, lambda a: a + 1, "offsets must start at 0"),
+            (20, lambda a: np.array([0, 2, 1]), "never decrease"),
+            (20, lambda a: a + [0, 0, 1], "cols"),            # ends past nnz
+            (20, lambda a: a - [0, 0, 1], "cols"),            # ends before nnz
+            (21, lambda a: a + 1, "cols must be cell positions"),  # 2 >= n
+            (21, lambda a: a - 1, "cols must be cell positions"),  # -1 < 0
+            (21, lambda a: a.astype(np.float64), "cols"),
+            (21, lambda a: np.repeat(a, 2)[::2], "cols"),
+        ]
+        for index, spoil, message in bad:
             args = list(good())
             args[index] = spoil(args[index])
-            with pytest.raises(ValueError):
+            with pytest.raises(ValueError, match=message):
                 kernels.coherence_euler_c(*args)
-        args = list(good())
-        args[1] = args[1] + 4  # clock zone out of 0..3
-        with pytest.raises(ValueError):
-            kernels.coherence_euler_c(*args)
 
     def test_no_compiler_process_gives_the_same_bytes(self):
-        """A process whose CC does not exist runs an uncompiled kernel and
+        """A process whose CC does not exist runs the loop kernel and
         prints the bytes of this process on every criterion-7 argv."""
         from test_acceptance import CRITERION_7_ARGV
         from qcasim.cli import run_cli
@@ -320,7 +314,7 @@ class TestKernelChoice:
             "    out = io.StringIO()\n"
             "    assert run_cli(argv, stdout=out, stderr=io.StringIO()) == 0\n"
             "    outputs.append(out.getvalue())\n"
-            "print(json.dumps({'path': kernels.kernel_path(1, 2, 1), "
+            "print(json.dumps({'path': kernels.kernel_path(), "
             "'outputs': outputs}))\n")
         env = dict(os.environ, CC="/nonexistent")
         proc = subprocess.run([sys.executable, "-c", script,
@@ -333,3 +327,30 @@ class TestKernelChoice:
             out = io.StringIO()
             assert run_cli(argv, stdout=out, stderr=io.StringIO()) == 0
             assert printed == out.getvalue(), argv
+
+
+class TestTracerContract:
+    """perfbench/tracing.py reads the batch size B from the first argument
+    of ``kernels.coherence_euler`` (``args[0].shape[0]``) and the step
+    count from the fifth (``args[4]``)."""
+
+    @pytest.fixture
+    def calls(self, monkeypatch):
+        seen = []
+        entry = kernels.coherence_euler
+
+        def spy(*args):
+            seen.append(args)
+            return entry(*args)
+        monkeypatch.setattr(kernels, "coherence_euler", spy)
+        return seen
+
+    def test_sweep_and_single_run(self, calls):
+        from qcasim.engines import simulate_coherence
+        from qcasim.sweeps import sweep_temperature
+        layout = builtin_layout("inv2")
+        params = CoherenceParams(total_time=3.0e-14)
+        sweep_temperature(layout, [1.0, 2.0, 5.0], params, PAPER)
+        simulate_coherence(layout, kink_matrix(layout, 80.0, PAPER), params,
+                           constants=PAPER, record_stride=7)
+        assert [(args[0].shape[0], args[4]) for args in calls] == [(3, 300), (1, 300)]
