@@ -1,9 +1,11 @@
-"""Benchmark the coupling core: layout build, kink matrix and bistable relax.
+"""Benchmark the coupling core: layout build, kink matrix, its CSV and bistable relax.
 
-Times three stages on layouts of growing size:
+Times four stages on layouts of growing size:
 
 * build: constructing the validated `Layout` (the cell-overlap check);
 * kink: `kink_matrix` at the default 80 nm radius of effect;
+* emit: `KinkMatrix.sorted_pairs` and `write_csv` into memory, what the
+  `kink` command does after `kink_matrix`;
 * bistable: `bistable_relax` at the default parameters.
 
 The layouts are `builtin:wire(n)` for n = 100, 200, 400 and square 2-D
@@ -16,12 +18,14 @@ Usage:
 """
 
 import argparse
+import io
 import time
 
 from qcasim.constants import PhysicalConstants
 from qcasim.electrostatics import kink_matrix
 from qcasim.engines import BistableParams, bistable_relax
 from qcasim.geometry import Cell, Layout, builtin_layout
+from qcasim.sweeps import write_csv
 
 WIRES = (100, 200, 400)
 GRID_SIDES = (10, 32, 70, 100)
@@ -61,6 +65,14 @@ def best_time(fn, repeats):
     return best, result
 
 
+def emit(kink):
+    """The `kink` command's output for a kink matrix, written to memory."""
+    out = io.StringIO()
+    write_csv(out, {"radius_of_effect_nm": kink.radius_of_effect},
+              ("cell_i", "cell_j", "kink_energy_J"), kink.sorted_pairs())
+    return out
+
+
 def main():
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--max-cells", type=int, default=10_000,
@@ -71,16 +83,17 @@ def main():
 
     constants = PhysicalConstants.paper()
     params = BistableParams()
-    print("layout,cells,pairs,build_s,kink_s,bistable_s")
+    print("layout,cells,pairs,build_s,kink_s,emit_s,bistable_s")
     for label, n_cells, build in problems(args.max_cells):
         build_s, layout = best_time(build, args.repeats)
         kink_s, kink = best_time(
             lambda: kink_matrix(layout, params.radius_of_effect, constants),
             args.repeats)
+        emit_s, _ = best_time(lambda: emit(kink), args.repeats)
         bistable_s, _ = best_time(lambda: bistable_relax(layout, kink, params),
                                   args.repeats)
         print(f"{label},{n_cells},{len(kink)},{build_s:.4f},{kink_s:.4f},"
-              f"{bistable_s:.4f}", flush=True)
+              f"{emit_s:.4f},{bistable_s:.4f}", flush=True)
 
 
 if __name__ == "__main__":

@@ -19,7 +19,9 @@
  *
  * A point whose coherence vector leaves the unit ball (or becomes NaN)
  * stops at that cell, mid-sweep: ok[b] = 0, bad_step[b] = the step, its
- * polarizations stay as they are and it is no longer recorded. The batch
+ * polarizations stay as they are and it is no longer recorded. A point
+ * where |Gamma|^2 overflows to inf fails the same way, at that cell and
+ * before its update. The batch
  * ends once every point has failed. The shared times and clock values are
  * recorded at every recording step that some point is still alive at.
  */
@@ -111,6 +113,13 @@ void qcasim_coherence_euler(
                 double gx = gx_zone[zones[i]];
                 double gz = fields[i] / hbar;
                 double mag = sqrt(gx * gx + gz * gz);
+                if (isinf(mag)) {
+                    /* |Gamma|^2 overflows: lambda_ss would be 0 */
+                    ok[b] = 0;
+                    bad_step[b] = step;
+                    alive--;
+                    break;
+                }
                 double th;
                 if (temp > 0.0)
                     th = tanh(hbar * mag / (2.0 * boltzmann_k * temp));

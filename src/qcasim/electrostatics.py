@@ -30,9 +30,10 @@ All energies are in joules; distances between dots are taken in meters.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from functools import cached_property
-from typing import NamedTuple, Sequence
+from typing import Mapping, NamedTuple, Sequence
+
+import numpy as np
 
 from .constants import PhysicalConstants
 from .geometry import Cell, Layout, cells_overlap, dot_offsets, electron_dots, near_pairs
@@ -120,26 +121,79 @@ class NeighborList(NamedTuple):
     """CSR-style neighbor list: the neighbors of cell `ids[i]` are
     `indices[offsets[i]:offsets[i + 1]]` (positions in `ids`), in ascending
     id order, with their kink energies at the same positions of
-    `energies`."""
+    `energies`. The three arrays are int64, int64 and float64."""
 
     ids: tuple      # ascending cell ids
     index: dict     # cell id -> position in ids
-    offsets: list
-    indices: list
-    energies: list
+    offsets: np.ndarray
+    indices: np.ndarray
+    energies: np.ndarray
 
 
-@dataclass(frozen=True)
+def _frozen(array: np.ndarray) -> np.ndarray:
+    array.flags.writeable = False
+    return array
+
+
 class KinkMatrix:
     """Sparse symmetric map of pairwise kink energies within a cutoff radius.
 
-    `pairs` is the source of truth. `neighbors` derives from it, once, a
-    `NeighborList` over the cell ids that appear in `pairs`; zero energies
-    are left out of it.
+    Stored as arrays over `ids`, the cell ids in ascending order: pair k
+    couples `ids[first[k]]` and `ids[second[k]]`, first[k] < second[k],
+    with kink energy `energies[k]` in J, pairs in lexicographic (first,
+    second) order, that is in id order. `pairs` (a dict) and `neighbors`
+    (a `NeighborList` without the zero energies) derive from the arrays,
+    each once, when first read.
     """
 
-    pairs: dict  # (id_i, id_j) with id_i < id_j -> energy in J
-    radius_of_effect: float  # nm
+    def __init__(self, pairs: Mapping[tuple[str, str], float],
+                 radius_of_effect: float) -> None:
+        """From a dict of (id_i, id_j) with id_i < id_j -> energy in J."""
+        for a, b in pairs:
+            if not a < b:
+                raise ElectrostaticsError(
+                    f"pair key ({a!r}, {b!r}) must list the lower id first")
+        ids = sorted({cid for key in pairs for cid in key})
+        index = {cid: k for k, cid in enumerate(ids)}
+        first = np.fromiter((index[a] for a, _ in pairs), np.int64, len(pairs))
+        second = np.fromiter((index[b] for _, b in pairs), np.int64, len(pairs))
+        energies = np.fromiter(pairs.values(), np.float64, len(pairs))
+        order = np.lexsort((second, first))
+        self._store(tuple(ids), first[order], second[order], energies[order],
+                    radius_of_effect)
+
+    @classmethod
+    def from_arrays(cls, ids: Sequence[str], first: np.ndarray,
+                    second: np.ndarray, energies: np.ndarray,
+                    radius_of_effect: float) -> "KinkMatrix":
+        """From the stored form itself; `ids` ascending, pairs in
+        lexicographic (first, second) order with first < second."""
+        matrix = cls.__new__(cls)
+        matrix._store(tuple(ids), first, second, energies, radius_of_effect)
+        return matrix
+
+    def _store(self, ids, first, second, energies, radius_of_effect) -> None:
+        self.ids = ids
+        self.first = _frozen(np.asarray(first, dtype=np.int64))
+        self.second = _frozen(np.asarray(second, dtype=np.int64))
+        self.energies = _frozen(np.asarray(energies, dtype=np.float64))
+        self.radius_of_effect = radius_of_effect  # nm
+
+    @cached_property
+    def index(self) -> dict:
+        """cell id -> position in `ids`."""
+        return {cid: k for k, cid in enumerate(self.ids)}
+
+    @cached_property
+    def pairs(self) -> dict:
+        """(id_i, id_j) with id_i < id_j -> energy in J, in id order."""
+        lower, higher = self._pair_ids()
+        return dict(zip(zip(lower, higher), self.energies.tolist()))
+
+    def _pair_ids(self) -> tuple[list, list]:
+        """The lower and the higher id of every pair, in pair order."""
+        ids = np.array(self.ids, dtype=object)
+        return ids[self.first].tolist(), ids[self.second].tolist()
 
     def get(self, cell_i: str, cell_j: str) -> float:
         """Kink energy of a pair, 0.0 if beyond the radius of effect."""
@@ -147,28 +201,24 @@ class KinkMatrix:
         return self.pairs.get(key, 0.0)
 
     def sorted_pairs(self) -> list[tuple[str, str, float]]:
-        return [(i, j, self.pairs[(i, j)]) for i, j in sorted(self.pairs)]
+        """(id_i, id_j, energy) of every pair, in id order."""
+        return list(zip(*self._pair_ids(), self.energies.tolist()))
 
     def __len__(self) -> int:
-        return len(self.pairs)
+        return len(self.energies)
 
     @cached_property
     def neighbors(self) -> NeighborList:
-        ids = tuple(sorted({cid for key in self.pairs for cid in key}))
-        index = {cid: i for i, cid in enumerate(ids)}
-        rows: list[list[tuple[int, float]]] = [[] for _ in ids]
-        for (a, b), energy in self.pairs.items():
-            if a < b and energy != 0.0:
-                i, j = index[a], index[b]
-                rows[i].append((j, energy))
-                rows[j].append((i, energy))
-        offsets, indices, energies = [0], [], []
-        for row in rows:
-            row.sort()
-            indices.extend(j for j, _ in row)
-            energies.extend(e for _, e in row)
-            offsets.append(len(indices))
-        return NeighborList(ids, index, offsets, indices, energies)
+        nonzero = self.energies != 0.0
+        first, second = self.first[nonzero], self.second[nonzero]
+        rows = np.concatenate((first, second))
+        cols = np.concatenate((second, first))
+        energies = np.concatenate((self.energies[nonzero],) * 2)
+        order = np.lexsort((cols, rows))
+        offsets = np.zeros(len(self.ids) + 1, dtype=np.int64)
+        np.cumsum(np.bincount(rows, minlength=len(self.ids)), out=offsets[1:])
+        return NeighborList(self.ids, self.index, offsets, cols[order],
+                            energies[order])
 
     def row(self, cell_id: str) -> list[tuple[str, float]]:
         """(neighbor id, energy) of a cell's neighbors, ascending id."""
@@ -177,16 +227,59 @@ class KinkMatrix:
         if i is None:
             return []
         start, end = offsets[i], offsets[i + 1]
-        return [(ids[j], energies[k]) for k, j in enumerate(indices[start:end], start)]
+        return list(zip([ids[j] for j in indices[start:end].tolist()],
+                        energies[start:end].tolist()))
 
     def rows(self, cell_ids: Sequence[str]) -> list[list[tuple[int, float]]]:
         """The neighbor list re-indexed to `cell_ids`: row k holds
         (position in `cell_ids`, energy) for each neighbor of `cell_ids[k]`
         that is itself in `cell_ids`, in ascending id order."""
-        position = {cid: k for k, cid in enumerate(cell_ids)}
-        return [[(position[other], energy) for other, energy in self.row(cid)
-                 if other in position]
-                for cid in cell_ids]
+        ids, index, offsets, indices, energies = self.neighbors
+        n = len(ids)
+        # row n of the neighbor list, empty, stands for ids it lacks
+        at = np.fromiter((index.get(cid, n) for cid in cell_ids), np.int64,
+                         len(cell_ids))
+        position = np.full(n + 1, -1, dtype=np.int64)
+        position[at] = np.arange(len(cell_ids))
+        position[n] = -1
+        cols = position[indices]
+        kept = cols >= 0
+        # where each row starts among the kept entries (row n: at the end)
+        kept_before = np.concatenate(([0], np.cumsum(kept)))
+        bounds = kept_before[np.append(offsets, offsets[-1])]
+        starts, ends = bounds[at].tolist(), bounds[at + 1].tolist()
+        cols, energies = cols[kept].tolist(), energies[kept].tolist()
+        return [list(zip(cols[a:b], energies[a:b])) for a, b in zip(starts, ends)]
+
+
+def _within(dx: np.ndarray, dy: np.ndarray, radius: float) -> np.ndarray:
+    """math.dist(a.center, b.center) <= radius for each pair (a, b) whose
+    centers differ by (dx, dy): math.dist takes the absolute differences,
+    so it reads math.hypot(dx, dy).
+
+    The squares decide where r**2 lies between 2**-900 and 2**900 and a
+    pair's squared distance differs from it by more than 2**-40 of it: that
+    margin dwarfs their rounding error (a few ulp, plus at most 2**-1074
+    lost to underflow), and a square that overflows is far outside. The
+    other pairs, all of them when r**2 leaves that range, are decided by
+    math.hypot, once per distinct (|dx|, |dy|).
+    """
+    d2 = dx * dx + dy * dy
+    r2 = radius * radius
+    within = d2 <= r2
+    if 2.0 ** -900 <= r2 <= 2.0 ** 900:
+        unsure = np.abs(d2 - r2) <= r2 * 2.0 ** -40
+    else:
+        unsure = np.ones(len(d2), dtype=bool)
+    if unsure.any():
+        # (|dx|, |dy|) as one complex number (set part by part: 1j * inf
+        # has a nan real part)
+        absolute = np.empty(np.count_nonzero(unsure), dtype=complex)
+        absolute.real, absolute.imag = np.abs(dx[unsure]), np.abs(dy[unsure])
+        distinct, inverse = np.unique(absolute, return_inverse=True)
+        decided = [math.hypot(z.real, z.imag) <= radius for z in distinct.tolist()]
+        within[unsure] = np.array(decided)[inverse]
+    return within
 
 
 def kink_matrix(layout: Layout, radius_of_effect: float,
@@ -194,26 +287,45 @@ def kink_matrix(layout: Layout, radius_of_effect: float,
                 charge_model: str = DEFAULT_CHARGE_MODEL) -> KinkMatrix:
     """Kink energies for every unordered pair within the radius of effect.
 
-    The radius cutoff applies to center-to-center distance in nm. Candidate
-    pairs come from `near_pairs`, and pairs are stored in sorted id order,
-    so the result is deterministic. `kink_energy_pair` runs once per
-    distinct relative geometry (center difference, then size, dot offset
-    and rotation of the lower-id and of the higher-id cell); it depends on
-    nothing else, so a cached energy is the one a direct call returns.
+    The radius cutoff applies to center-to-center distance in nm, as
+    `math.dist` computes it. Candidate pairs come from `near_pairs` over
+    the cells in id order, so the result is deterministic. `kink_energy_pair`
+    runs once per distinct relative geometry (center difference, then size,
+    dot offset and rotation of the lower-id and of the higher-id cell), in
+    the order of each geometry's first pair; it depends on nothing else,
+    so a shared energy is the one a direct call returns.
     """
     if not (math.isfinite(radius_of_effect) and radius_of_effect > 0):
         raise ElectrostaticsError("radius_of_effect must be finite and strictly positive")
     cells = sorted(layout.cells, key=lambda c: c.id)
-    pairs: dict[tuple[str, str], float] = {}
-    cache: dict[tuple, float] = {}
-    for i, j in near_pairs(cells, radius_of_effect):
-        a, b = cells[i], cells[j]
-        if math.dist(a.center, b.center) <= radius_of_effect:
-            key = (b.center_x - a.center_x, b.center_y - a.center_y,
-                   a.size, a.dot_offset, a.rotation,
-                   b.size, b.dot_offset, b.rotation)
-            energy = cache.get(key)
-            if energy is None:
-                energy = cache[key] = kink_energy_pair(a, b, constants, charge_model)
-            pairs[(a.id, b.id)] = energy
-    return KinkMatrix(pairs=pairs, radius_of_effect=radius_of_effect)
+    n = len(cells)
+    first, second = near_pairs(cells, radius_of_effect)
+    x = np.fromiter((c.center_x for c in cells), np.float64, n)
+    y = np.fromiter((c.center_y for c in cells), np.float64, n)
+    with np.errstate(over="ignore"):  # as Python floats, overflow gives inf
+        dx, dy = x[second] - x[first], y[second] - y[first]
+        within = _within(dx, dy, radius_of_effect)
+    first, second, dx, dy = first[within], second[within], dx[within], dy[within]
+    kinds: dict[tuple, int] = {}
+    kind = np.fromiter((kinds.setdefault((c.size, c.dot_offset, c.rotation),
+                                         len(kinds)) for c in cells), np.int64, n)
+    # group the pairs by geometry: sort on the key, which is stable, and
+    # start a group wherever a part of it changes (!= holds -0.0 and 0.0
+    # equal, as dict keys do)
+    key = (kind[second], kind[first], dy, dx)
+    order = np.lexsort(key)
+    fresh = np.zeros(len(order), dtype=bool)
+    fresh[:1] = True
+    for part in key:
+        part = part[order]
+        fresh[1:] |= part[1:] != part[:-1]
+    geometry = np.empty(len(order), dtype=np.int64)
+    geometry[order] = np.cumsum(fresh) - 1
+    representative = order[fresh]  # the first pair of each geometry
+    energy = np.empty(len(representative))
+    for g in np.argsort(representative).tolist():
+        k = representative[g]
+        energy[g] = kink_energy_pair(cells[first[k]], cells[second[k]],
+                                     constants, charge_model)
+    return KinkMatrix.from_arrays([c.id for c in cells], first, second,
+                                  energy[geometry], radius_of_effect)

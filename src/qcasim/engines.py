@@ -44,7 +44,8 @@ class ConvergenceError(EngineError):
 
 
 class IntegrationError(EngineError):
-    """The coherence vector left the unit ball; the time step is too large.
+    """The coherence vector left the unit ball (the time step is too large)
+    or |Gamma|^2 overflowed (the kink energies are too large).
 
     `point` is the index of the failing point in a batched run."""
 
@@ -256,15 +257,20 @@ def coupling(kinks: Sequence[KinkMatrix], cell_ids: Sequence[str]
     in ascending position in `cell_ids` every cell that is a neighbor of
     cell_ids[i] in some point; energies[b] gives point b's energy to each,
     0.0 where point b lacks the pair."""
-    points = [[dict(row) for row in kink.rows(cell_ids)] for kink in kinks]
-    pattern = [sorted(set().union(*(rows[i] for rows in points)))
+    # points that share a kink matrix, as a temperature sweep's do, share
+    # its rows
+    distinct = {id(kink): kink for kink in kinks}
+    matrices = {key: [dict(row) for row in kink.rows(cell_ids)]
+                for key, kink in distinct.items()}
+    pattern = [sorted(set().union(*(rows[i] for rows in matrices.values())))
                for i in range(len(cell_ids))]
     offsets = np.array([0, *itertools.accumulate(len(row) for row in pattern)],
                        dtype=np.int64)
     cols = np.array([j for row in pattern for j in row], dtype=np.int64)
-    energies = np.array([[rows[i].get(j, 0.0) for i, row in enumerate(pattern)
-                          for j in row]
-                         for rows in points],
+    laid_out = {key: [rows[i].get(j, 0.0) for i, row in enumerate(pattern)
+                      for j in row]
+                for key, rows in matrices.items()}
+    energies = np.array([laid_out[id(kink)] for kink in kinks],
                         dtype=np.float64).reshape(len(kinks), cols.size)
     return energies, offsets, cols
 
@@ -285,7 +291,8 @@ def simulate_coherence_batch(
     EngineError before integrating if the recorded polarizations would
     take more than MAX_RECORD_BYTES. Raises
     IntegrationError for the first point, in order, whose coherence vector
-    leaves the unit ball; its `point` attribute is that point's index.
+    leaves the unit ball or whose |Gamma|^2 overflows; its `point`
+    attribute is that point's index.
     """
     constants = constants or PhysicalConstants.paper()
     if record_stride < 1:
@@ -333,9 +340,10 @@ def simulate_coherence_batch(
         first = int(np.flatnonzero(~ok)[0])
         step = int(bad_step[first])
         raise IntegrationError(
-            f"coherence vector left the unit ball at step {step} "
-            f"(t = {step * params.time_step:.3e} s); use a smaller time_step",
-            point=first)
+            f"coherence integration failed at step {step} "
+            f"(t = {step * params.time_step:.3e} s): the coherence vector left "
+            f"the unit ball (use a smaller time_step) or |Gamma|^2 overflowed "
+            f"(kink energies too large)", point=first)
     return [SimulationTrace(times=rec_times, clocks=rec_clocks,
                             polarizations=rec_pols[b], cell_ids=cell_ids,
                             final={cid: float(final_pol[b, i])

@@ -11,9 +11,10 @@ from __future__ import annotations
 
 import math
 import re
-from collections import defaultdict
 from dataclasses import dataclass, replace
 from typing import Optional, Sequence
+
+import numpy as np
 
 ROLES = ("normal", "input", "output", "fixed")
 
@@ -110,9 +111,16 @@ def cells_overlap(a: Cell, b: Cell) -> bool:
     return max(gx, gy) <= 0
 
 
-def near_pairs(cells: Sequence[Cell], reach: float) -> list[tuple[int, int]]:
-    """Sorted index pairs (i, j), i < j, of cells whose centers may lie
-    within `reach` of each other along both axes.
+# A bin as a complex number, column + 1j * row: the offsets of a cell's own
+# bin and of four of its eight neighboring bins. Each of the other four
+# pairs with this one from its own side.
+_FORWARD = np.array([0, 1 - 1j, 1, 1 + 1j, 1j])[:, None]
+
+
+def near_pairs(cells: Sequence[Cell], reach: float) -> tuple[np.ndarray, np.ndarray]:
+    """Index pairs (i, j), i < j, of cells whose centers may lie within
+    `reach` of each other along both axes, as two int64 arrays in
+    lexicographic (i, j) order.
 
     Every pair with |x_i - x_j| <= reach and |y_i - y_j| <= reach (as
     computed in floating point) is returned; some farther pairs may be too,
@@ -120,26 +128,52 @@ def near_pairs(cells: Sequence[Cell], reach: float) -> list[tuple[int, int]]:
     on a uniform grid and only neighboring bins are paired. The bin pitch
     exceeds `reach` by a margin far above the rounding error of the bin
     arithmetic, so a pair at exactly the reach always lands in neighboring
-    bins.
+    bins. The same margin keeps every bin index within 2**41 in magnitude
+    (subnormal pitches included), so a float holds it and its neighbors
+    exactly. Bins are complex numbers, which numpy orders lexicographically.
     """
-    if not cells:
-        return []
-    extent = max(max(abs(c.center_x), abs(c.center_y)) for c in cells)
+    n = len(cells)
+    if n < 2:
+        return np.zeros(0, dtype=np.int64), np.zeros(0, dtype=np.int64)
+    centers = np.array([[c.center_x for c in cells], [c.center_y for c in cells]])
+    extent = float(np.abs(centers).max())
     pitch = reach + (reach + extent) * 2.0 ** -40
-    bins: dict[tuple[int, int], list[int]] = defaultdict(list)
-    for i, c in enumerate(cells):
-        bins[(math.floor(c.center_x / pitch), math.floor(c.center_y / pitch))].append(i)
-    pairs = []
-    for (bx, by), members in bins.items():
-        for k, i in enumerate(members):
-            pairs.extend((i, j) for j in members[k + 1:])
-        # four of the eight neighboring bins; each of the other four pairs
-        # with this one from its own side
-        for key in ((bx + 1, by - 1), (bx + 1, by), (bx + 1, by + 1), (bx, by + 1)):
-            for j in bins.get(key, ()):
-                pairs.extend((i, j) if i < j else (j, i) for i in members)
-    pairs.sort()
-    return pairs
+    column, row = np.floor(centers / pitch)
+    key = column + 1j * row
+    order = np.argsort(key, kind="stable")
+    sorted_key = key[order]
+    target = key + _FORWARD
+    starts = np.searchsorted(sorted_key, target, "left")
+    # in its own bin a cell pairs only with the members after it
+    starts[0, order] = np.arange(1, n + 1)
+    counts = (np.searchsorted(sorted_key, target, "right") - starts).ravel()
+    first = np.repeat(np.arange(5 * n) % n, counts)
+    # run k of partners is sorted positions starts[k], starts[k] + 1, ...
+    shift = np.repeat(starts.ravel() + counts - np.cumsum(counts), counts)
+    second = order[shift + np.arange(len(first))]
+    pair_key = np.minimum(first, second) * n + np.maximum(first, second)
+    # stable: the default sort maps another 0.25 MB of numpy code into memory
+    pair_key.sort(kind="stable")
+    return np.divmod(pair_key, n)
+
+
+def _first_overlap(cells: Sequence[Cell]) -> Optional[tuple[Cell, Cell]]:
+    """The first pair (a, b), in index order, for which `cells_overlap`
+    holds, or None. The test is `cells_overlap`'s, on arrays."""
+    reach = max((c.size for c in cells), default=0.0)
+    i, j = near_pairs(cells, reach)
+    if not i.size:
+        return None
+    n = len(cells)
+    x = np.fromiter((c.center_x for c in cells), np.float64, n)
+    y = np.fromiter((c.center_y for c in cells), np.float64, n)
+    size = np.fromiter((c.size for c in cells), np.float64, n)
+    with np.errstate(over="ignore"):  # as Python floats, overflow gives inf
+        half = (size[i] + size[j]) / 2
+        overlap = np.maximum(np.abs(x[i] - x[j]) - half,
+                             np.abs(y[i] - y[j]) - half) <= 0
+    k = int(overlap.argmax())
+    return (cells[i[k]], cells[j[k]]) if overlap[k] else None
 
 
 @dataclass(frozen=True)
@@ -157,11 +191,10 @@ class Layout:
             seen.add(cell.id)
         if self.constants_mode not in (None, "paper", "codata"):
             raise LayoutError(f"unknown constants mode {self.constants_mode!r}")
-        reach = max((c.size for c in self.cells), default=0.0)
-        for i, j in near_pairs(self.cells, reach):
-            a, b = self.cells[i], self.cells[j]
-            if cells_overlap(a, b):
-                raise LayoutError(f"cells {a.id!r} and {b.id!r} overlap")
+        first = _first_overlap(self.cells)
+        if first is not None:
+            a, b = first
+            raise LayoutError(f"cells {a.id!r} and {b.id!r} overlap")
         has_driven = any(c.role in ("normal", "output") for c in self.cells)
         has_driver = any(c.role in ("input", "fixed") for c in self.cells)
         if has_driven and not has_driver:

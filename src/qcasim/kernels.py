@@ -85,7 +85,9 @@ def coherence_euler_loop(energies, zones, driven, drive_values, n_steps, dt,
 
     A point whose |lambda| exceeds 1 + 1e-6 (or becomes NaN) stops at that
     cell, mid-sweep: ok[b] = False, bad_step[b] = the step, its
-    polarizations stay as they are and it is no longer recorded. The batch
+    polarizations stay as they are and it is no longer recorded. A point
+    where |Gamma|**2 overflows to inf fails the same way, at that cell and
+    before its update, since lambda_ss would silently read 0 there. The batch
     ends once every point has failed. Recording arrays are filled every
     `stride` steps (step 0 included) while some point is still running.
     """
@@ -112,7 +114,7 @@ def coherence_euler_loop(energies, zones, driven, drive_values, n_steps, dt,
         thermal = 2.0 * boltzmann_k * temp if temp > 0.0 else 0.0
         points.append((b, pols[b], [(0.0, 0.0, 0.0)] * len(free), cells,
                        thermal))
-    sqrt, tanh = math.sqrt, math.tanh
+    sqrt, tanh, inf = math.sqrt, math.tanh, math.inf
     limit_sq = UNIT_BALL_LIMIT_SQ
     n_rec = rec_times.shape[0]
     rec = 0
@@ -144,6 +146,11 @@ def coherence_euler_loop(energies, zones, driven, drive_values, n_steps, dt,
                 gx = gx_zone[zone]
                 gz = fields[k] / hbar
                 mag = sqrt(gx * gx + gz * gz)
+                if mag == inf:  # |Gamma|**2 overflows: lambda_ss would be 0
+                    ok[b] = False
+                    bad_step[b] = step
+                    failed = True
+                    break
                 th = tanh(hbar * mag / thermal) if thermal else 1.0
                 if mag == 0.0:
                     ss_x = 0.0

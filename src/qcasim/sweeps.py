@@ -323,7 +323,8 @@ def write_csv(destination: TextIO, snapshot: Mapping, columns: Sequence[str],
                             for value in rows[0])
         lines += [template % tuple(row) for row in rows]
     lines.extend(f"# {text}" for text in trailer)
-    destination.write("\n".join(lines) + "\n")
+    lines.append("")  # the final LF, without copying the text to add it
+    destination.write("\n".join(lines))
 
 
 def emit_csv(result: SweepResult, destination: TextIO) -> None:

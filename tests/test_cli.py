@@ -235,6 +235,21 @@ class TestNonFiniteInputs:
         assert (code, out) == (1, "")
         assert err == f"error: line 3: cell out: {message}\n"
 
+    def test_overflowing_gamma_fails_the_coherence_run(self, tmp_path):
+        # the kink energy (~3e179 J) is finite but |Gamma|^2 is not; the
+        # coherence engine reported P = 0 for b on every row, with exit 0
+        path = tmp_path / "tiny.qcl"
+        path.write_text("qcl 1\n"
+                        "cell id=a x=0 y=0 role=fixed pol=1 size=1e-200\n"
+                        "cell id=b x=2e-200 y=0 role=output size=1e-200\n")
+        code, out, err = run(["simulate", "--engine", "coherence", "--layout",
+                              str(path), "--total-time", "1e-14"])
+        assert (code, out) == (1, "")
+        assert err.startswith("error: coherence integration failed at step 0 ")
+        assert "|Gamma|^2 overflowed" in err and err.count("\n") == 1
+        code, out, err = run(["simulate", "--layout", str(path)])
+        assert code == 0 and out.endswith("\nb,1.00000e+00\n")
+
     @pytest.mark.parametrize("radius", ["nan", "inf"])
     def test_kink_radius_not_finite(self, radius):
         code, out, err = run(["kink", "--layout", "builtin:inv3", "--radius", radius])

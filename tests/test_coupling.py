@@ -6,8 +6,10 @@ Property tests compare each against an all-pairs reference; the bistable
 engine is compared bit for bit with the pair-dict reference in oracle.py.
 """
 
+import itertools
 import math
 import random
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -65,6 +67,42 @@ def layouts_and_radius(draw):
     return layout, radius
 
 
+def assert_brute_force_energies(matrix, layout, radius):
+    """The in-radius pairs and energies of `brute_kink_matrix`. Each energy
+    is a difference of sums of Coulomb terms that may cancel to rounding
+    noise, so it is compared to within 1e-12 of one term of its pair, at
+    any length scale (pytest.approx's default absolute 1e-12 would accept
+    any two energies in J)."""
+    expected = brute_kink_matrix(layout, radius, PAPER.coulomb_k,
+                                 PAPER.electron_charge, "neutralized")
+    assert set(matrix.pairs) == set(expected)
+    by_id = {c.id: c for c in layout.cells}
+    for (a, b), value in expected.items():
+        term = PAPER.coulomb_k * PAPER.electron_charge ** 2 / (
+            math.dist(by_id[a].center, by_id[b].center) * 1e-9)
+        assert abs(matrix.pairs[(a, b)] - value) <= 1e-12 * term
+
+
+@st.composite
+def scaled_layouts_and_radius(draw):
+    """`layouts_and_radius` with every length scaled by a power of ten at
+    which r**2 leaves the range where squares decide (1e150, 1e-150) or the
+    squares themselves overflow or underflow (1e155, 1e-160). A radius
+    taken from a pair is that pair's distance after scaling."""
+    layout = draw(lattice_layouts(max_cells=16))
+    scale = draw(st.sampled_from((1e150, 1e-150, 1e155, 1e-160)))
+    cells = [replace(c, center_x=c.center_x * scale, center_y=c.center_y * scale,
+                     size=c.size * scale, dot_offset=None)
+             for c in layout.cells]
+    if len(cells) > 1 and draw(st.booleans()):
+        i, j = draw(st.lists(st.integers(0, len(cells) - 1), min_size=2,
+                             max_size=2, unique=True))
+        radius = math.dist(cells[i].center, cells[j].center)
+    else:
+        radius = draw(st.floats(15.0, 150.0)) * scale
+    return Layout(name="scaled", cells=tuple(cells)), radius
+
+
 class TestNearPairs:
     @PROPERTY
     @given(st.lists(st.tuples(st.integers(-40, 40), st.integers(-40, 40)),
@@ -78,9 +116,17 @@ class TestNearPairs:
         reach = data.draw(st.one_of(
             st.floats(0.05, 20.0),
             st.just(abs(cells[pick].center_x - cells[0].center_x) or 1.0)))
-        candidates = near_pairs(cells, reach)
-        assert candidates == sorted(set(candidates))
-        assert all(i < j for i, j in candidates)
+        first, second = near_pairs(cells, reach)
+        assert first.dtype == second.dtype == np.int64
+        candidates = list(zip(first.tolist(), second.tolist()))
+        # exactly the pairs in the same or neighboring bins of the grid
+        extent = max(max(abs(c.center_x), abs(c.center_y)) for c in cells)
+        pitch = reach + (reach + extent) * 2.0 ** -40
+        bins = [(math.floor(c.center_x / pitch), math.floor(c.center_y / pitch))
+                for c in cells]
+        assert candidates == [
+            (i, j) for i, j in itertools.combinations(range(len(cells)), 2)
+            if abs(bins[i][0] - bins[j][0]) <= 1 and abs(bins[i][1] - bins[j][1]) <= 1]
         for i in range(len(cells)):
             for j in range(i + 1, len(cells)):
                 a, b = cells[i], cells[j]
@@ -92,7 +138,7 @@ class TestNearPairs:
         # 80 - (-1e-300) rounds to 80, but at a pitch of exactly 80 the two
         # centers would fall in bins -1 and 1
         cells = (fixed_cell("a", -1e-300, 0.0), fixed_cell("b", 80.0, 0.0))
-        assert near_pairs(cells, 80.0) == [(0, 1)]
+        assert [a.tolist() for a in near_pairs(cells, 80.0)] == [[0], [1]]
         assert list(kink_matrix(Layout(name="edge", cells=cells), 80.0, PAPER).pairs) == [
             ("a", "b")]
 
@@ -128,12 +174,56 @@ class TestKinkMatrixBinned:
     def test_matches_brute_force(self, problem):
         layout, radius = problem
         matrix = kink_matrix(layout, radius, PAPER)
-        expected = brute_kink_matrix(layout, radius, PAPER.coulomb_k,
-                                     PAPER.electron_charge, "neutralized")
-        assert set(matrix.pairs) == set(expected)
+        assert_brute_force_energies(matrix, layout, radius)
         assert list(matrix.pairs) == sorted(matrix.pairs)
-        for key, value in expected.items():
-            assert matrix.pairs[key] == pytest.approx(value, rel=1e-12)
+
+    @PROPERTY
+    @given(scaled_layouts_and_radius())
+    def test_prefilter_exact_where_squares_fail(self, problem):
+        layout, radius = problem
+        assert_brute_force_energies(kink_matrix(layout, radius, PAPER),
+                                    layout, radius)
+
+    @pytest.mark.parametrize("scale", [1.0, 1e150, 1e-150, 1e155, 1e-160])
+    def test_radius_at_a_pair_distance(self, scale):
+        # the pair at exactly the radius is in, and every pair agrees with
+        # the brute force, at scales where squares decide and where they
+        # cannot
+        cells = tuple(fixed_cell(f"c{k}", (k * 21.3 - 7.1) * scale,
+                                 (k * k * 3.7) * scale, size=18.0 * scale)
+                      for k in range(6))
+        layout = Layout(name="line", cells=cells)
+        for i, j in itertools.combinations(range(6), 2):
+            radius = math.dist(cells[i].center, cells[j].center)
+            matrix = kink_matrix(layout, radius, PAPER)
+            assert (f"c{i}", f"c{j}") in matrix.pairs
+            assert_brute_force_energies(matrix, layout, radius)
+
+    def test_center_differences_that_overflow(self):
+        cells = (fixed_cell("a", -1e308, 0.0, size=1e307),
+                 fixed_cell("b", 1e308, 0.0, size=1e307),
+                 fixed_cell("c", 1e308, 1.5e307, size=1e307))
+        layout = Layout(name="huge", cells=cells)
+        for radius in (1.5e307, 1e308, 1.7e308):
+            matrix = kink_matrix(layout, radius, PAPER)
+            assert list(matrix.pairs) == [("b", "c")]
+            assert_brute_force_energies(matrix, layout, radius)
+
+    def test_negative_zero_shares_a_geometry(self, monkeypatch):
+        from qcasim import electrostatics
+
+        calls = []
+        original = electrostatics.kink_energy_pair
+        monkeypatch.setattr(electrostatics, "kink_energy_pair",
+                            lambda *args: calls.append(args) or original(*args))
+        # a-b has dx = -0.0 - 0.0 = -0.0, b-c has dx = 0.0 - -0.0 = 0.0
+        cells = (fixed_cell("a", 0.0, 0.0), fixed_cell("b", -0.0, 20.0),
+                 fixed_cell("c", 0.0, 40.0))
+        matrix = kink_matrix(Layout(name="col", cells=cells), 30.0, PAPER)
+        assert list(matrix.pairs) == [("a", "b"), ("b", "c")]
+        assert len(calls) == 1
+        assert matrix.get("a", "b") == matrix.get("b", "c") == original(
+            cells[1], cells[2], PAPER)
 
     @PROPERTY
     @given(lattice_layouts(max_cells=16), st.sampled_from((40.0, 80.0)))
@@ -184,7 +274,7 @@ class TestNeighborList:
         assert list(ids) == sorted(ids)
         assert offsets[-1] == len(indices) == len(energies)
         for i, cid in enumerate(ids):
-            row = indices[offsets[i]:offsets[i + 1]]
+            row = indices[offsets[i]:offsets[i + 1]].tolist()
             assert row == sorted(row) and i not in row
             assert [ids[j] for j in row] == [other for other, _ in matrix.row(cid)]
             for j, k in zip(row, range(offsets[i], offsets[i + 1])):
@@ -232,6 +322,53 @@ class TestNeighborList:
         assert matrix.rows(["b", "zz", "a"]) == [[(2, 2.0)], [], [(0, 2.0)]]
         assert local_field("a", {"b": 0.5, "c": 1.0}, matrix) == 1.0
         assert local_field("a", {"c": 1.0}, matrix) == 0.0
+
+
+# Ids whose order numpy string arrays would get wrong: "a\x00" reads as
+# "a" in a numpy "U" array, a non-BMP character sorts after every BMP one,
+# and "10" sorts before "9".
+ODD_IDS = ("9", "a\x00", "\U0001F600", "10", "a", "z\U00010000", "B", "b")
+
+
+class TestIdOrder:
+    def odd_layout(self):
+        return Layout(name="odd", cells=tuple(
+            fixed_cell(cid, (k % 3) * 20.0, (k // 3) * 20.0, rotation=45 * (k % 2))
+            for k, cid in enumerate(ODD_IDS)))
+
+    def test_pairs_and_sorted_pairs_in_id_order(self):
+        matrix = kink_matrix(self.odd_layout(), 80.0, PAPER)
+        assert len(matrix) == len(ODD_IDS) * (len(ODD_IDS) - 1) // 2
+        assert list(matrix.pairs) == sorted(matrix.pairs)
+        assert all(a < b for a, b in matrix.pairs)
+        assert matrix.sorted_pairs() == [(a, b, e) for (a, b), e
+                                         in sorted(matrix.pairs.items())]
+        assert [type(v) for v in matrix.pairs.values()] == [float] * len(matrix)
+        rebuilt = KinkMatrix(pairs=dict(reversed(matrix.pairs.items())),
+                             radius_of_effect=80.0)
+        assert rebuilt.sorted_pairs() == matrix.sorted_pairs()
+
+    def test_rows_and_neighbors_agree_with_get(self):
+        matrix = kink_matrix(self.odd_layout(), 80.0, PAPER)
+        ids, index, offsets, indices, energies = matrix.neighbors
+        assert ids == tuple(sorted(ODD_IDS))
+        for cid in ODD_IDS:
+            expected = [(other, matrix.get(cid, other)) for other in sorted(ODD_IDS)
+                        if other != cid and matrix.get(cid, other) != 0.0]
+            assert matrix.row(cid) == expected
+            i = index[cid]
+            assert [(ids[j], e) for j, e in zip(indices[offsets[i]:offsets[i + 1]],
+                                                 energies[offsets[i]:offsets[i + 1]])
+                    ] == expected
+        order = list(reversed(ODD_IDS))
+        for k, row in enumerate(matrix.rows(order)):
+            assert row == [(order.index(other), energy)
+                           for other, energy in matrix.row(order[k])]
+
+    def test_pair_keys_list_the_lower_id_first(self):
+        with pytest.raises(ValueError, match="lower id first"):
+            KinkMatrix(pairs={("a", "a\x00"): 1.0, ("b", "a"): 2.0},
+                       radius_of_effect=1.0)
 
 
 def block_layout(seed, rows=9, cols=11, vacancies=6):

@@ -177,6 +177,18 @@ class TestBatchedParity:
         assert np.isfinite(batched[-1]).all()
         assert final[:, 1].tolist() == [0.0, 0.0]
 
+    def test_overflowing_gamma_fails_the_point(self):
+        # |Gamma| ~ 1e213 is finite, but its square overflows: lambda_ss
+        # would read 0 and leave the output cell silently decoupled
+        batched = assert_batches_identical(batch_problem(
+            builtin_layout("inv2"), [1.0, 1.0, 1.0], n_steps=50,
+            kink_scales=[1.0, 1e200, 1.0]))
+        final, ok, bad_step = batched[:3]
+        assert ok.tolist() == [True, False, True]
+        assert bad_step.tolist() == [-1, 0, -1]
+        assert final[1].tolist() == [1.0, 0.0]  # stopped before the update
+        assert final[0].tobytes() == final[2].tobytes()
+
     def test_nan_fails_the_unit_ball_guard(self):
         batched = assert_batches_identical(batch_problem(
             builtin_layout("inv2"), [1.0, 1.0], n_steps=50,
@@ -201,8 +213,10 @@ class TestSinglePointParity:
                               stride=7),
         # 2 kB T underflows to 0.0: th = 1.0, as at T = 0
         lambda: batch_problem(builtin_layout("inv3"), [5e-324], n_steps=100),
+        lambda: batch_problem(builtin_layout("inv3"), [1.0], n_steps=50,
+                              kink_scales=[1e200]),
     ], ids=["fails", "nan", "zero-field", "mixed-zones", "wire14-cold",
-            "underflowing-T"])
+            "underflowing-T", "overflowing-gamma"])
     def test_single_point(self, problem):
         assert_batches_identical(problem())
 
