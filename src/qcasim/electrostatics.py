@@ -31,7 +31,7 @@ from __future__ import annotations
 
 import math
 from functools import cached_property
-from typing import Mapping, NamedTuple, Sequence
+from typing import Mapping, Sequence
 
 import numpy as np
 
@@ -117,19 +117,6 @@ def kink_energy_pair(cell_a: Cell, cell_b: Cell, constants: PhysicalConstants,
     return opposite - same
 
 
-class NeighborList(NamedTuple):
-    """CSR-style neighbor list: the neighbors of cell `ids[i]` are
-    `indices[offsets[i]:offsets[i + 1]]` (positions in `ids`), in ascending
-    id order, with their kink energies at the same positions of
-    `energies`. The three arrays are int64, int64 and float64."""
-
-    ids: tuple      # ascending cell ids
-    index: dict     # cell id -> position in ids
-    offsets: np.ndarray
-    indices: np.ndarray
-    energies: np.ndarray
-
-
 def _frozen(array: np.ndarray) -> np.ndarray:
     array.flags.writeable = False
     return array
@@ -141,9 +128,9 @@ class KinkMatrix:
     Stored as arrays over `ids`, the cell ids in ascending order: pair k
     couples `ids[first[k]]` and `ids[second[k]]`, first[k] < second[k],
     with kink energy `energies[k]` in J, pairs in lexicographic (first,
-    second) order, that is in id order. `pairs` (a dict) and `neighbors`
-    (a `NeighborList` without the zero energies) derive from the arrays,
-    each once, when first read.
+    second) order, that is in id order. `index` and `pairs` (dicts) derive
+    from the arrays, each once, when first read; `engines.coupling` turns
+    the arrays into the neighbor list the engines read.
     """
 
     def __init__(self, pairs: Mapping[tuple[str, str], float],
@@ -206,50 +193,6 @@ class KinkMatrix:
 
     def __len__(self) -> int:
         return len(self.energies)
-
-    @cached_property
-    def neighbors(self) -> NeighborList:
-        nonzero = self.energies != 0.0
-        first, second = self.first[nonzero], self.second[nonzero]
-        rows = np.concatenate((first, second))
-        cols = np.concatenate((second, first))
-        energies = np.concatenate((self.energies[nonzero],) * 2)
-        order = np.lexsort((cols, rows))
-        offsets = np.zeros(len(self.ids) + 1, dtype=np.int64)
-        np.cumsum(np.bincount(rows, minlength=len(self.ids)), out=offsets[1:])
-        return NeighborList(self.ids, self.index, offsets, cols[order],
-                            energies[order])
-
-    def row(self, cell_id: str) -> list[tuple[str, float]]:
-        """(neighbor id, energy) of a cell's neighbors, ascending id."""
-        ids, index, offsets, indices, energies = self.neighbors
-        i = index.get(cell_id)
-        if i is None:
-            return []
-        start, end = offsets[i], offsets[i + 1]
-        return list(zip([ids[j] for j in indices[start:end].tolist()],
-                        energies[start:end].tolist()))
-
-    def rows(self, cell_ids: Sequence[str]) -> list[list[tuple[int, float]]]:
-        """The neighbor list re-indexed to `cell_ids`: row k holds
-        (position in `cell_ids`, energy) for each neighbor of `cell_ids[k]`
-        that is itself in `cell_ids`, in ascending id order."""
-        ids, index, offsets, indices, energies = self.neighbors
-        n = len(ids)
-        # row n of the neighbor list, empty, stands for ids it lacks
-        at = np.fromiter((index.get(cid, n) for cid in cell_ids), np.int64,
-                         len(cell_ids))
-        position = np.full(n + 1, -1, dtype=np.int64)
-        position[at] = np.arange(len(cell_ids))
-        position[n] = -1
-        cols = position[indices]
-        kept = cols >= 0
-        # where each row starts among the kept entries (row n: at the end)
-        kept_before = np.concatenate(([0], np.cumsum(kept)))
-        bounds = kept_before[np.append(offsets, offsets[-1])]
-        starts, ends = bounds[at].tolist(), bounds[at + 1].tolist()
-        cols, energies = cols[kept].tolist(), energies[kept].tolist()
-        return [list(zip(cols[a:b], energies[a:b])) for a, b in zip(starts, ends)]
 
 
 def _within(dx: np.ndarray, dy: np.ndarray, radius: float) -> np.ndarray:

@@ -146,22 +146,19 @@ def clock_gamma(zone: int, t: float, params: CoherenceParams) -> float:
                                params.clock_high)
 
 
-def _field(row: Sequence[tuple], polarizations) -> float:
-    """sum(E_kink * P_j) over a neighbor row of (key, energy), in row order;
-    `polarizations[key]` is the neighbor's polarization."""
-    total = 0.0
-    for key, energy in row:
-        total += energy * polarizations[key]
-    return total
-
-
 def local_field(cell_id: str, polarizations: Mapping[str, float],
                 kink: KinkMatrix) -> float:
     """Weighted neighborhood field sum(E_kink(i,j) * P_j), ascending cell id.
 
     Only neighbors with an entry in `polarizations` contribute."""
-    return _field([(other, energy) for other, energy in kink.row(cell_id)
-                   if other in polarizations], polarizations)
+    ids = sorted({cell_id, *polarizations})
+    energies, offsets, cols = coupling([kink], ids)
+    i = ids.index(cell_id)
+    row = slice(offsets[i], offsets[i + 1])
+    total = 0.0
+    for j, energy in zip(cols[row].tolist(), energies[0, row].tolist()):
+        total += energy * polarizations[ids[j]]
+    return total
 
 
 def resolve_drives(layout: Layout, inputs: Optional[Mapping[str, float]] = None
@@ -203,31 +200,42 @@ def bistable_relax(layout: Layout, kink: KinkMatrix, params: BistableParams,
 
     Free cells are swept Gauss-Seidel in layout order with
     P_i <- f(E_i / (2 gamma)) until the largest change drops below the
-    convergence tolerance; each field is summed over the kink matrix's
-    neighbor list, ascending neighbor id. Deterministic; raises
+    convergence tolerance; each field is summed over the `coupling`
+    neighbor list, in ascending neighbor id. Deterministic; raises
     ConvergenceError (naming the worst cell) if max_iterations is
     exhausted.
     """
     drives = resolve_drives(layout, inputs)
     ids = [c.id for c in layout.cells]
-    rows = kink.rows(ids)
-    pols = [drives.get(cid, 0.0) for cid in ids]
-    free = [k for k, cid in enumerate(ids) if cid not in drives]
+    # positions in id order, so that each row sums in ascending neighbor id
+    order = sorted(ids)
+    position = {cid: k for k, cid in enumerate(order)}
+    energies, offsets, cols = coupling([kink], order)
+    energies, offsets, cols = energies[0].tolist(), offsets.tolist(), cols.tolist()
+    pols = [drives.get(cid, 0.0) for cid in order]
+    # (position, neighbor row of (position, energy)) per free cell, in
+    # layout order
+    free = [(k, list(zip(cols[offsets[k]:offsets[k + 1]],
+                         energies[offsets[k]:offsets[k + 1]])))
+            for k in (position[cid] for cid in ids if cid not in drives)]
     two_gamma = 2.0 * params.gamma
     worst_k = None
     for _ in range(params.max_iterations):
         worst = 0.0
         worst_k = None
-        for k in free:
-            new = _saturate(_field(rows[k], pols) / two_gamma)
+        for k, row in free:
+            field = 0.0
+            for j, energy in row:
+                field += energy * pols[j]
+            new = _saturate(field / two_gamma)
             change = abs(new - pols[k])
             if change > worst:
                 worst = change
                 worst_k = k
             pols[k] = new
         if worst < params.convergence_tolerance:
-            return dict(zip(ids, pols))
-    worst_id = None if worst_k is None else ids[worst_k]
+            return {cid: pols[position[cid]] for cid in ids}
+    worst_id = None if worst_k is None else order[worst_k]
     raise ConvergenceError(
         f"bistable iteration did not converge in {params.max_iterations} sweeps; "
         f"worst cell {worst_id!r}")
@@ -252,27 +260,44 @@ def steady_state_polarization(E: float, gamma: float, T: float,
 def coupling(kinks: Sequence[KinkMatrix], cell_ids: Sequence[str]
              ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """The kink energies of several points over one shared neighbor list,
-    as the integrator kernels read them: (energies (B, nnz), offsets
-    (n + 1,), cols (nnz,)). Row i, cols[offsets[i]:offsets[i + 1]], holds
-    in ascending position in `cell_ids` every cell that is a neighbor of
+    as the engines read them: (energies (B, nnz), offsets (n + 1,), cols
+    (nnz,)). Row i, cols[offsets[i]:offsets[i + 1]], holds in ascending
+    position in `cell_ids` every cell of `cell_ids` that is a neighbor of
     cell_ids[i] in some point; energies[b] gives point b's energy to each,
-    0.0 where point b lacks the pair."""
+    0.0 where point b lacks the pair. Zero energies are left out."""
+    n = len(cell_ids)
     # points that share a kink matrix, as a temperature sweep's do, share
-    # its rows
+    # its energies
     distinct = {id(kink): kink for kink in kinks}
-    matrices = {key: [dict(row) for row in kink.rows(cell_ids)]
-                for key, kink in distinct.items()}
-    pattern = [sorted(set().union(*(rows[i] for rows in matrices.values())))
-               for i in range(len(cell_ids))]
-    offsets = np.array([0, *itertools.accumulate(len(row) for row in pattern)],
-                       dtype=np.int64)
-    cols = np.array([j for row in pattern for j in row], dtype=np.int64)
-    laid_out = {key: [rows[i].get(j, 0.0) for i, row in enumerate(pattern)
-                      for j in row]
-                for key, rows in matrices.items()}
-    energies = np.array([laid_out[id(kink)] for kink in kinks],
-                        dtype=np.float64).reshape(len(kinks), cols.size)
-    return energies, offsets, cols
+    rows, cols, owners, values = [], [], [], []
+    for m, kink in enumerate(distinct.values()):
+        at = np.fromiter((kink.index.get(cid, -1) for cid in cell_ids),
+                         np.int64, n)
+        known = at >= 0
+        position = np.full(len(kink.ids), -1, dtype=np.int64)
+        position[at[known]] = np.flatnonzero(known)
+        first, second = position[kink.first], position[kink.second]
+        kept = (kink.energies != 0.0) & (first >= 0) & (second >= 0)
+        first, second, energy = first[kept], second[kept], kink.energies[kept]
+        rows += (first, second)
+        cols += (second, first)
+        owners.append(np.full(2 * len(energy), m, dtype=np.int64))
+        values += (energy, energy)
+    rows, cols = np.concatenate(rows), np.concatenate(cols)
+    owners, values = np.concatenate(owners), np.concatenate(values)
+    order = np.lexsort((cols, rows))
+    rows, cols, owners, values = rows[order], cols[order], owners[order], values[order]
+    # an entry that several matrices hold sits in adjacent places
+    fresh = np.ones(len(rows), dtype=bool)
+    fresh[1:] = (rows[1:] != rows[:-1]) | (cols[1:] != cols[:-1])
+    entry = np.cumsum(fresh) - 1
+    table = np.zeros((len(distinct), np.count_nonzero(fresh)))
+    table[owners, entry] = values
+    offsets = np.zeros(n + 1, dtype=np.int64)
+    np.cumsum(np.bincount(rows[fresh], minlength=n), out=offsets[1:])
+    slot = {key: m for m, key in enumerate(distinct)}
+    energies = table[[slot[id(kink)] for kink in kinks]]
+    return energies, offsets, cols[fresh]
 
 
 def simulate_coherence_batch(

@@ -2,7 +2,8 @@
 
 Recomputes configuration and kink energies from first principles (explicit
 dot enumeration, double loop over dot pairs) without touching any of the
-package's electrostatics code paths. Used to cross-check kink_matrix.
+package's electrostatics code paths. Used to cross-check kink_matrix
+(`assert_brute_force_energies`).
 
 `reference_bistable_relax` is the bistable engine written against the
 kink matrix's pair dict alone: every field sums over all other cells in
@@ -61,6 +62,22 @@ def brute_kink_matrix(layout, radius, k, e, model):
                 key = tuple(sorted((a.id, b.id)))
                 pairs[key] = brute_kink(a, b, k, e, model)
     return pairs
+
+
+def assert_brute_force_energies(matrix, layout, radius, constants):
+    """The in-radius pairs and energies of `brute_kink_matrix`. Each energy
+    is a difference of sums of Coulomb terms that may cancel to rounding
+    noise, so it is compared to within 1e-12 of one term of its pair, at
+    any length scale (pytest.approx's default absolute 1e-12 would accept
+    any two energies in J)."""
+    expected = brute_kink_matrix(layout, radius, constants.coulomb_k,
+                                 constants.electron_charge, "neutralized")
+    assert set(matrix.pairs) == set(expected)
+    by_id = {c.id: c for c in layout.cells}
+    for (a, b), value in expected.items():
+        term = constants.coulomb_k * constants.electron_charge ** 2 / (
+            math.dist(by_id[a].center, by_id[b].center) * 1e-9)
+        assert abs(matrix.pairs[(a, b)] - value) <= 1e-12 * term
 
 
 def reference_local_field(cell_id, polarizations, kink):

@@ -16,7 +16,7 @@ import numpy as np
 import pytest
 
 from conftest import random_layout
-from oracle import brute_kink_matrix
+from oracle import assert_brute_force_energies
 from qcasim.constants import PhysicalConstants
 from qcasim.electrostatics import coulomb_pair, kink_matrix
 from qcasim.engines import (BistableParams, CoherenceParams, bistable_relax,
@@ -55,7 +55,7 @@ def test_criterion_1_energy_distance_constant():
     for r_nm in (0.5, 1.0, 2.0, 3.0):
         r = r_nm * NM
         product = coulomb_pair(e, e, r, PAPER) * r
-        assert product == pytest.approx(23.04e-29, rel=1e-12)
+        assert product == pytest.approx(23.04e-29, rel=1e-12, abs=0)
 
 
 @reported(2, "kink matrix matches brute-force oracle on 100 random layouts")
@@ -64,11 +64,7 @@ def test_criterion_2_kink_oracle_equivalence():
     for _ in range(100):
         layout = random_layout(rng, max_cells=6)
         matrix = kink_matrix(layout, 80.0, PAPER)
-        expected = brute_kink_matrix(layout, 80.0, PAPER.coulomb_k,
-                                     PAPER.electron_charge, "neutralized")
-        assert set(matrix.pairs) == set(expected)
-        for key, value in expected.items():
-            assert matrix.pairs[key] == pytest.approx(value, rel=1e-12)
+        assert_brute_force_energies(matrix, layout, 80.0, PAPER)
 
 
 @reported(3, "inverters invert under both engines; majority/AND/OR 8/8")

@@ -15,7 +15,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from oracle import brute_kink_matrix, reference_bistable_relax
+from oracle import assert_brute_force_energies, reference_bistable_relax
 
 from qcasim.constants import PhysicalConstants
 from qcasim.electrostatics import KinkMatrix, kink_energy_pair, kink_matrix
@@ -65,22 +65,6 @@ def layouts_and_radius(draw):
     else:
         radius = draw(st.floats(15.0, 150.0))
     return layout, radius
-
-
-def assert_brute_force_energies(matrix, layout, radius):
-    """The in-radius pairs and energies of `brute_kink_matrix`. Each energy
-    is a difference of sums of Coulomb terms that may cancel to rounding
-    noise, so it is compared to within 1e-12 of one term of its pair, at
-    any length scale (pytest.approx's default absolute 1e-12 would accept
-    any two energies in J)."""
-    expected = brute_kink_matrix(layout, radius, PAPER.coulomb_k,
-                                 PAPER.electron_charge, "neutralized")
-    assert set(matrix.pairs) == set(expected)
-    by_id = {c.id: c for c in layout.cells}
-    for (a, b), value in expected.items():
-        term = PAPER.coulomb_k * PAPER.electron_charge ** 2 / (
-            math.dist(by_id[a].center, by_id[b].center) * 1e-9)
-        assert abs(matrix.pairs[(a, b)] - value) <= 1e-12 * term
 
 
 @st.composite
@@ -174,7 +158,7 @@ class TestKinkMatrixBinned:
     def test_matches_brute_force(self, problem):
         layout, radius = problem
         matrix = kink_matrix(layout, radius, PAPER)
-        assert_brute_force_energies(matrix, layout, radius)
+        assert_brute_force_energies(matrix, layout, radius, PAPER)
         assert list(matrix.pairs) == sorted(matrix.pairs)
 
     @PROPERTY
@@ -182,7 +166,7 @@ class TestKinkMatrixBinned:
     def test_prefilter_exact_where_squares_fail(self, problem):
         layout, radius = problem
         assert_brute_force_energies(kink_matrix(layout, radius, PAPER),
-                                    layout, radius)
+                                    layout, radius, PAPER)
 
     @pytest.mark.parametrize("scale", [1.0, 1e150, 1e-150, 1e155, 1e-160])
     def test_radius_at_a_pair_distance(self, scale):
@@ -197,7 +181,7 @@ class TestKinkMatrixBinned:
             radius = math.dist(cells[i].center, cells[j].center)
             matrix = kink_matrix(layout, radius, PAPER)
             assert (f"c{i}", f"c{j}") in matrix.pairs
-            assert_brute_force_energies(matrix, layout, radius)
+            assert_brute_force_energies(matrix, layout, radius, PAPER)
 
     def test_center_differences_that_overflow(self):
         cells = (fixed_cell("a", -1e308, 0.0, size=1e307),
@@ -207,7 +191,7 @@ class TestKinkMatrixBinned:
         for radius in (1.5e307, 1e308, 1.7e308):
             matrix = kink_matrix(layout, radius, PAPER)
             assert list(matrix.pairs) == [("b", "c")]
-            assert_brute_force_energies(matrix, layout, radius)
+            assert_brute_force_energies(matrix, layout, radius, PAPER)
 
     def test_negative_zero_shares_a_geometry(self, monkeypatch):
         from qcasim import electrostatics
@@ -265,22 +249,23 @@ class TestKinkMatrixBinned:
                 kink_matrix(builtin_layout("inv2"), radius, PAPER)
 
 
-class TestNeighborList:
+class TestCoupling:
     @PROPERTY
     @given(lattice_layouts(max_cells=16))
     def test_rows_follow_pairs(self, layout):
         matrix = kink_matrix(layout, 60.0, PAPER)
-        ids, index, offsets, indices, energies = matrix.neighbors
-        assert list(ids) == sorted(ids)
-        assert offsets[-1] == len(indices) == len(energies)
+        ids = sorted(c.id for c in layout.cells)
+        energies, offsets, cols = coupling([matrix], ids)
+        assert offsets[0] == 0 and offsets[-1] == len(cols) == energies.shape[1]
         for i, cid in enumerate(ids):
-            row = indices[offsets[i]:offsets[i + 1]].tolist()
-            assert row == sorted(row) and i not in row
-            assert [ids[j] for j in row] == [other for other, _ in matrix.row(cid)]
+            row = cols[offsets[i]:offsets[i + 1]].tolist()
+            assert row == sorted(set(row)) and i not in row  # ascending id
+            assert row == [j for j, other in enumerate(ids)
+                           if other != cid and matrix.get(cid, other) != 0.0]
             for j, k in zip(row, range(offsets[i], offsets[i + 1])):
-                assert energies[k] == matrix.get(cid, ids[j]) != 0.0
+                assert energies[0, k] == matrix.get(cid, ids[j]) != 0.0
         nonzero = sum(e != 0.0 for e in matrix.pairs.values())
-        assert len(indices) == 2 * nonzero
+        assert len(cols) == 2 * nonzero
 
     @PROPERTY
     @given(lattice_layouts(max_cells=16), st.randoms(use_true_random=False))
@@ -317,11 +302,39 @@ class TestNeighborList:
 
     def test_zero_energy_dropped_and_unknown_ids_empty(self):
         matrix = KinkMatrix(pairs={("a", "b"): 2.0, ("a", "c"): 0.0}, radius_of_effect=1.0)
-        assert matrix.row("a") == [("b", 2.0)]
-        assert matrix.row("c") == [] and matrix.row("zz") == []
-        assert matrix.rows(["b", "zz", "a"]) == [[(2, 2.0)], [], [(0, 2.0)]]
+        energies, offsets, cols = coupling([matrix], ["b", "zz", "a", "c"])
+        # rows of b, zz, a and c: zz is unknown, a-c has zero energy
+        assert offsets.tolist() == [0, 1, 1, 2, 2]
+        assert cols.tolist() == [2, 0]
+        assert energies.tolist() == [[2.0, 2.0]]
         assert local_field("a", {"b": 0.5, "c": 1.0}, matrix) == 1.0
         assert local_field("a", {"c": 1.0}, matrix) == 0.0
+        assert local_field("zz", {"a": 1.0, "b": 1.0}, matrix) == 0.0
+
+    def test_coupling_without_entries(self):
+        # isolated cells, and energies that are all zero (-0.0 included)
+        far = kink_matrix(Layout(name="far", cells=(
+            fixed_cell("a", 0.0, 0.0), fixed_cell("b", 200.0, 0.0))), 80.0, PAPER)
+        zero = KinkMatrix(pairs={("a", "b"): 0.0, ("b", "c"): -0.0}, radius_of_effect=1.0)
+        for kinks in ([far], [zero], [zero, far, zero]):
+            energies, offsets, cols = coupling(kinks, ["c", "b", "a"])
+            assert energies.shape == (len(kinks), 0)
+            assert offsets.tolist() == [0, 0, 0, 0]
+            assert cols.shape == (0,)
+            assert [a.dtype for a in (energies, offsets, cols)] == [
+                np.float64, np.int64, np.int64]
+
+    def test_coupling_of_ids_no_matrix_has(self):
+        first = KinkMatrix(pairs={("a", "b"): 2.0}, radius_of_effect=1.0)
+        second = KinkMatrix(pairs={("b", "c"): 3.0}, radius_of_effect=1.0)
+        # x and y are in neither matrix; c, second's neighbor of b, is not
+        # among the cells
+        energies, offsets, cols = coupling([first, second], ["x", "b", "y", "a"])
+        assert offsets.tolist() == [0, 0, 1, 1, 2]
+        assert cols.tolist() == [3, 1]
+        assert energies.tolist() == [[2.0, 2.0], [0.0, 0.0]]
+        energies, offsets, cols = coupling([first, second], ["x", "y"])
+        assert (energies.shape, offsets.tolist(), cols.shape) == ((2, 0), [0, 0, 0], (0,))
 
 
 # Ids whose order numpy string arrays would get wrong: "a\x00" reads as
@@ -350,20 +363,15 @@ class TestIdOrder:
 
     def test_rows_and_neighbors_agree_with_get(self):
         matrix = kink_matrix(self.odd_layout(), 80.0, PAPER)
-        ids, index, offsets, indices, energies = matrix.neighbors
-        assert ids == tuple(sorted(ODD_IDS))
-        for cid in ODD_IDS:
-            expected = [(other, matrix.get(cid, other)) for other in sorted(ODD_IDS)
-                        if other != cid and matrix.get(cid, other) != 0.0]
-            assert matrix.row(cid) == expected
-            i = index[cid]
-            assert [(ids[j], e) for j, e in zip(indices[offsets[i]:offsets[i + 1]],
-                                                 energies[offsets[i]:offsets[i + 1]])
-                    ] == expected
-        order = list(reversed(ODD_IDS))
-        for k, row in enumerate(matrix.rows(order)):
-            assert row == [(order.index(other), energy)
-                           for other, energy in matrix.row(order[k])]
+        assert matrix.ids == tuple(sorted(ODD_IDS))
+        # in id order, and re-indexed to another order
+        for order in (sorted(ODD_IDS), list(reversed(ODD_IDS))):
+            energies, offsets, cols = coupling([matrix], order)
+            for i, cid in enumerate(order):
+                expected = [(j, matrix.get(cid, other)) for j, other in enumerate(order)
+                            if other != cid and matrix.get(cid, other) != 0.0]
+                k = slice(offsets[i], offsets[i + 1])
+                assert list(zip(cols[k].tolist(), energies[0, k].tolist())) == expected
 
     def test_pair_keys_list_the_lower_id_first(self):
         with pytest.raises(ValueError, match="lower id first"):
@@ -425,6 +433,18 @@ class TestBistableMatchesReference:
         with pytest.raises(ConvergenceError):
             bistable_relax(layout, kink, params)
         assert_same_relax(layout, params)
+
+    @pytest.mark.parametrize("order", [ODD_IDS, ODD_IDS[::-1]])
+    @pytest.mark.parametrize("gamma", [9.8e-22, 6e-21])
+    def test_free_cells_out_of_id_order(self, order, gamma):
+        # layout order is not id order: each field sums in ascending
+        # neighbor id, and the free cells are swept in layout order
+        driver = Cell(id="0", center_x=-20.0, center_y=0.0, role="fixed",
+                      fixed_polarization=-1.0)
+        cells = (driver, *(Cell(id=cid, center_x=(k % 4) * 20.0,
+                                center_y=(k // 4) * 20.0)
+                           for k, cid in enumerate(order)))
+        assert_same_relax(Layout(name="odd", cells=cells), BistableParams(gamma=gamma))
 
     def test_kink_from_another_cell_set(self):
         # cells the layout lacks never contribute; cells the kink matrix

@@ -87,7 +87,7 @@ class TestClockGamma:
     def test_unclamped_peak(self):
         # amplitude = 2 * (9.8e-22 - 3.8e-23) / 2 = 9.42e-22, below clock_high
         value = clock_gamma(0, 0.0, CoherenceParams())
-        assert value == pytest.approx(9.42e-22, rel=1e-12)
+        assert value == pytest.approx(9.42e-22, rel=1e-12, abs=0)
 
     def test_clamped_trough(self):
         p = CoherenceParams()
@@ -105,7 +105,7 @@ class TestClockGamma:
         quarter = p.total_time / 4
         for t in np.linspace(quarter, p.total_time, 50):
             assert clock_gamma(1, float(t), p) == pytest.approx(
-                clock_gamma(0, float(t) - quarter, p), rel=1e-9)
+                clock_gamma(0, float(t) - quarter, p), rel=1e-9, abs=0)
 
     def test_zone_out_of_range(self):
         with pytest.raises(ValueError):
@@ -117,7 +117,7 @@ class TestLocalField:
         layout = builtin_layout("wire(2)")
         kink = kink_matrix(layout, RADIUS, constants)
         field = local_field("out", {"in": 1.0, "out": 0.0}, kink)
-        assert field == pytest.approx(kink.get("in", "out"), rel=1e-15)
+        assert field == pytest.approx(kink.get("in", "out"), rel=1e-15, abs=0)
 
     def test_zero_neighbors(self, constants):
         layout = builtin_layout("wire(3)")
@@ -130,7 +130,7 @@ class TestLocalField:
         pols = {"a": 1.0, "b": -0.5, "c": 0.25, "m": 0.7, "out": 0.0}
         flipped = {k: -v for k, v in pols.items()}
         assert local_field("out", flipped, kink) == pytest.approx(
-            -local_field("out", pols, kink), rel=1e-12)
+            -local_field("out", pols, kink), rel=1e-12, abs=0)
 
 
 class TestResolveDrives:

@@ -177,6 +177,17 @@ class TestBatchedParity:
         assert np.isfinite(batched[-1]).all()
         assert final[:, 1].tolist() == [0.0, 0.0]
 
+    def test_no_neighbor_list_entries(self):
+        # nnz = 0 under a running clock: every field is 0, lambda_z stays 0
+        args = batch_problem(builtin_layout("inv3"), [0.0, 1.0, 5.0],
+                             n_steps=200, params=CoherenceParams(radius_of_effect=1.0))
+        energies, offsets, cols = (args()[k] for k in (0, 20, 21))
+        assert energies.shape == (3, 0) and cols.shape == (0,)
+        assert offsets.tolist() == [0, 0, 0, 0]
+        final, ok = assert_batches_identical(args)[:2]
+        assert ok.all()
+        assert final[:, 1:].tolist() == [[0.0, 0.0]] * 3
+
     def test_overflowing_gamma_fails_the_point(self):
         # |Gamma| ~ 1e213 is finite, but its square overflows: lambda_ss
         # would read 0 and leave the output cell silently decoupled
