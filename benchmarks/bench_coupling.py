@@ -6,12 +6,18 @@ Times four stages on layouts of growing size:
 * kink: `kink_matrix` at the default 80 nm radius of effect;
 * emit: `KinkMatrix.sorted_pairs` and `write_csv` into memory, what the
   `kink` command does after `kink_matrix`;
-* bistable: `bistable_relax` at the default parameters.
+* bistable: `bistable_relax` at the default parameters, on the sweep
+  kernel that `kernels.kernel_path()` names (printed first);
+* bistable_loop: the same with the loop sweep kernel, the one that runs
+  without a C compiler.
 
 The layouts are `builtin:wire(n)` for n = 100, 200, 400 and square 2-D
 grids of 18 nm cells at a 20 nm pitch with side 10, 32, 70 and 100 (100 to
 10,000 cells), driven by a fixed left column at P = +1. Reports the best
 wall time of the repeats for each stage, so the rows form a scaling curve.
+Where the compiled library loads, checks that its sweep kernel's
+polarizations are bit-identical to the loop kernel's on every layout;
+exits 1 if one is not.
 
 Usage:
     python benchmarks/bench_coupling.py [--max-cells 10000] [--repeats 1]
@@ -19,8 +25,10 @@ Usage:
 
 import argparse
 import io
+import sys
 import time
 
+from qcasim import kernels
 from qcasim.constants import PhysicalConstants
 from qcasim.electrostatics import kink_matrix
 from qcasim.engines import BistableParams, bistable_relax
@@ -73,6 +81,16 @@ def emit(kink):
     return out
 
 
+def relax_with(kernel, layout, kink, params):
+    """`bistable_relax` with its sweep run by `kernel`."""
+    default = kernels.bistable_sweep
+    kernels.bistable_sweep = kernel
+    try:
+        return bistable_relax(layout, kink, params)
+    finally:
+        kernels.bistable_sweep = default
+
+
 def main():
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--max-cells", type=int, default=10_000,
@@ -83,18 +101,31 @@ def main():
 
     constants = PhysicalConstants.paper()
     params = BistableParams()
-    print("layout,cells,pairs,build_s,kink_s,emit_s,bistable_s")
+    path = kernels.kernel_path()
+    print(f"kernel path: {path}")
+    if path != "c":
+        print("no c check: the compiled kernel did not build (is $CC present?)")
+    print("layout,cells,pairs,build_s,kink_s,emit_s,bistable_s,bistable_loop_s")
+    all_same = True
     for label, n_cells, build in problems(args.max_cells):
         build_s, layout = best_time(build, args.repeats)
         kink_s, kink = best_time(
             lambda: kink_matrix(layout, params.radius_of_effect, constants),
             args.repeats)
         emit_s, _ = best_time(lambda: emit(kink), args.repeats)
-        bistable_s, _ = best_time(lambda: bistable_relax(layout, kink, params),
-                                  args.repeats)
+        bistable_s, relaxed = best_time(
+            lambda: bistable_relax(layout, kink, params), args.repeats)
+        loop_s, looped = best_time(
+            lambda: relax_with(kernels.bistable_sweep_loop, layout, kink, params),
+            args.repeats)
+        if path == "c" and ([v.hex() for v in relaxed.values()]
+                            != [v.hex() for v in looped.values()]):
+            print(f"{label}: the c sweep kernel differs from the loop kernel")
+            all_same = False
         print(f"{label},{n_cells},{len(kink)},{build_s:.4f},{kink_s:.4f},"
-              f"{emit_s:.4f},{bistable_s:.4f}", flush=True)
-
+              f"{emit_s:.4f},{bistable_s:.4f},{loop_s:.4f}", flush=True)
+    if not all_same:
+        sys.exit("the c sweep kernel's results differ from the loop kernel's")
 
 if __name__ == "__main__":
     main()

@@ -1,15 +1,21 @@
-/* Batched coherence-vector Euler integrator, a transcription of
- * qcasim.kernels.coherence_euler_loop: the points of a batch advance in
- * lockstep.
+/* The compiled kernels of qcasim, one library with two entry points:
+ *
+ * qcasim_coherence_euler, the batched coherence-vector Euler integrator,
+ * a transcription of qcasim.kernels.coherence_euler_loop: the points of a
+ * batch advance in lockstep.
+ *
+ * qcasim_bistable_sweep, the bistable Gauss-Seidel sweep, a transcription
+ * of qcasim.kernels.bistable_sweep_loop.
  *
  * Every floating-point operation is the loop kernel's, in its order, so
  * the results are bit-identical to it. Build with -ffp-contract=off and
  * never with -ffast-math: a fused multiply-add would change the bits.
- * cos and tanh are libm's, as math.cos and math.tanh are.
+ * cos, tanh and sqrt are libm's, as math.cos, math.tanh and math.sqrt are.
  *
- * The local field of free cell i of point b is summed over row i of the
- * neighbor list the points share: columns cols[offsets[i]:offsets[i + 1]]
- * in ascending order, with point b's kink energies
+ * In the integrator, the local field of free cell i of point b is summed
+ * over row i of the neighbor list the points share: columns
+ * cols[offsets[i]:offsets[i + 1]] in ascending order, with point b's kink
+ * energies
  * energies[b * nnz + k] at the same positions k. A pair that point b
  * lacks has energy 0.0 and leaves the sum as a sum over b's own neighbors
  * (or over every cell) would be: the sum starts at +0.0, never becomes
@@ -158,4 +164,54 @@ void qcasim_coherence_euler(
         if (record)
             rec++;
     }
+}
+
+/* The bistable update f(x) = x / sqrt(1 + x^2). Where x * x overflows
+ * (|x| > ~1.3e154) the true value rounds to +-1. */
+static double saturate(double x)
+{
+    double square = x * x;
+    if (square == INFINITY)
+        return copysign(1.0, x);
+    return x / sqrt(1.0 + square);
+}
+
+/* Sweep the free cells, at positions free_at[0..n_free), Gauss-Seidel in
+ * that order: pols[k] <- saturate(field_k / two_gamma), each field summed
+ * from +0.0 over row k of the neighbor list in ascending column, until the
+ * largest change of a sweep is below tolerance or max_iterations sweeps
+ * have run. pols is updated in place. Returns 1 if the last sweep
+ * converged, else 0; *sweeps is the number of sweeps run and *worst_at
+ * the position whose change was the largest in the last sweep (the first
+ * such, -1 if no change was above 0). */
+int64_t qcasim_bistable_sweep(
+    int64_t n_free, const int64_t *free_at,
+    const int64_t *offsets, const int64_t *cols, const double *energies,
+    double *pols, double two_gamma, double tolerance, int64_t max_iterations,
+    int64_t *sweeps, int64_t *worst_at)
+{
+    *sweeps = 0;
+    *worst_at = -1;
+    for (int64_t sweep = 0; sweep < max_iterations; sweep++) {
+        double worst = 0.0;
+        int64_t worst_k = -1;
+        for (int64_t f = 0; f < n_free; f++) {
+            int64_t k = free_at[f];
+            double field = 0.0;
+            for (int64_t e = offsets[k]; e < offsets[k + 1]; e++)
+                field += energies[e] * pols[cols[e]];
+            double value = saturate(field / two_gamma);
+            double change = fabs(value - pols[k]);
+            if (change > worst) {
+                worst = change;
+                worst_k = k;
+            }
+            pols[k] = value;
+        }
+        *sweeps = sweep + 1;
+        *worst_at = worst_k;
+        if (worst < tolerance)
+            return 1;
+    }
+    return 0;
 }

@@ -111,6 +111,10 @@ class BistableParams:
     radius_of_effect: float = DEFAULT_RADIUS_OF_EFFECT  # nm
 
     def __post_init__(self) -> None:
+        if (not isinstance(self.max_iterations, int)
+                or isinstance(self.max_iterations, bool)):
+            raise ValueError(f"max_iterations must be an integer, got "
+                             f"{self.max_iterations!r}")
         _require_finite(self)
         if self.gamma <= 0:
             raise ValueError("gamma must be strictly positive")
@@ -187,13 +191,6 @@ def resolve_drives(layout: Layout, inputs: Optional[Mapping[str, float]] = None
     return drives
 
 
-def _saturate(x: float) -> float:
-    square = x * x
-    if square == math.inf:  # |x| > ~1.3e154 overflows; the true value rounds to +-1
-        return math.copysign(1.0, x)
-    return x / math.sqrt(1.0 + square)
-
-
 def bistable_relax(layout: Layout, kink: KinkMatrix, params: BistableParams,
                    inputs: Optional[Mapping[str, float]] = None) -> dict[str, float]:
     """Converged polarizations of the bistable fixed-point model.
@@ -201,8 +198,9 @@ def bistable_relax(layout: Layout, kink: KinkMatrix, params: BistableParams,
     Free cells are swept Gauss-Seidel in layout order with
     P_i <- f(E_i / (2 gamma)) until the largest change drops below the
     convergence tolerance; each field is summed over the `coupling`
-    neighbor list, in ascending neighbor id. Deterministic; raises
-    ConvergenceError (naming the worst cell) if max_iterations is
+    neighbor list, in ascending neighbor id. The sweep runs in
+    `kernels.bistable_sweep`. Deterministic; raises ConvergenceError
+    (naming the worst cell of the last sweep) if max_iterations is
     exhausted.
     """
     drives = resolve_drives(layout, inputs)
@@ -211,31 +209,17 @@ def bistable_relax(layout: Layout, kink: KinkMatrix, params: BistableParams,
     order = sorted(ids)
     position = {cid: k for k, cid in enumerate(order)}
     energies, offsets, cols = coupling([kink], order)
-    energies, offsets, cols = energies[0].tolist(), offsets.tolist(), cols.tolist()
-    pols = [drives.get(cid, 0.0) for cid in order]
-    # (position, neighbor row of (position, energy)) per free cell, in
-    # layout order
-    free = [(k, list(zip(cols[offsets[k]:offsets[k + 1]],
-                         energies[offsets[k]:offsets[k + 1]])))
-            for k in (position[cid] for cid in ids if cid not in drives)]
-    two_gamma = 2.0 * params.gamma
-    worst_k = None
-    for _ in range(params.max_iterations):
-        worst = 0.0
-        worst_k = None
-        for k, row in free:
-            field = 0.0
-            for j, energy in row:
-                field += energy * pols[j]
-            new = _saturate(field / two_gamma)
-            change = abs(new - pols[k])
-            if change > worst:
-                worst = change
-                worst_k = k
-            pols[k] = new
-        if worst < params.convergence_tolerance:
-            return {cid: pols[position[cid]] for cid in ids}
-    worst_id = None if worst_k is None else order[worst_k]
+    pols = np.array([drives.get(cid, 0.0) for cid in order], dtype=np.float64)
+    # the free cells in layout order
+    free = np.array([position[cid] for cid in ids if cid not in drives],
+                    dtype=np.int64)
+    converged, _, worst = kernels.bistable_sweep(
+        energies[0], offsets, cols, pols, free, 2.0 * params.gamma,
+        params.convergence_tolerance, params.max_iterations)
+    if converged:
+        pols = pols.tolist()
+        return {cid: pols[position[cid]] for cid in ids}
+    worst_id = None if worst < 0 else order[worst]
     raise ConvergenceError(
         f"bistable iteration did not converge in {params.max_iterations} sweeps; "
         f"worst cell {worst_id!r}")

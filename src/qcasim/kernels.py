@@ -1,4 +1,5 @@
-"""Hot numeric kernels for the coherence-vector integrator.
+"""Hot numeric kernels of the two engines: the coherence-vector
+integrator and the bistable Gauss-Seidel sweep.
 
 The integrator entry point ``coherence_euler`` is batched: B points that
 share the cell order, clock zones, driven cells, time grid and clock
@@ -7,33 +8,45 @@ drive values ``drive_values[b]`` (n,) and temperature ``temperature[b]``.
 The recorded times and clock values are shared by the batch; the recorded
 polarizations are per point, ``rec_pols[b]``. A single run is the B=1 case.
 
-The coupling is a neighbor list shared by the points: with
+The sweep entry point ``bistable_sweep`` relaxes one point: each free cell,
+in the order given, takes P <- f(field / (2 gamma)) with
+f(x) = x / sqrt(1 + x^2), until the largest change of a sweep is below
+the tolerance.
+
+Both read the coupling as a neighbor list: with
 ``k = slice(offsets[i], offsets[i + 1])``, the neighbors of cell i are
-``cols[k]``, in ascending position, and point b's kink energies to them
-are ``energies[b, k]`` (0.0 where that point lacks the pair).
-``engines.coupling`` builds it from the kink matrices. A step costs
-O(nnz): the local field of a cell is summed over its row only.
+``cols[k]``, in ascending position, and the kink energies to them are
+``energies[k]`` (``energies[b, k]`` for point b of a batch, 0.0 where
+that point lacks the pair). ``engines.coupling`` builds it from the kink
+matrices. A step or a sweep costs O(nnz): the local field of a cell is
+summed over its row only.
 
-Two kernels give bit-identical results, so the output never depends on
-which one ran; ``kernel_path`` names the one ``coherence_euler`` runs:
+Each engine has two kernels that give bit-identical results, so the
+output never depends on which one ran:
 
-* ``c``: ``coherence_euler_c``, a C transcription of the loop kernel
-  (``_euler.c``, shipped with the package) loaded through ``ctypes``. The
-  first coherence call in a process compiles it with ``$CC`` (default
-  ``cc``) into ``${XDG_CACHE_HOME:-~/.cache}/qcasim/``, or, where that
-  directory cannot be used, into ``qcasim-<uid>`` under the temporary
-  directory, and failing that into a fresh temporary directory; later
-  processes load the cached library. The library name carries a sha256 of
-  the source, the flags and ``$CC --version``.
-* ``loop``: ``coherence_euler_loop``, the same integrator over Python
-  lists: the reference the C kernel is tested against, and the kernel
-  that runs where no compiler works (``CC=/nonexistent``, say).
+* ``c``: ``coherence_euler_c`` and ``bistable_sweep_c``, C transcriptions
+  of the loop kernels: two entry points of one library, built from
+  ``_kernels.c`` (shipped with the package) and loaded through
+  ``ctypes``. The first kernel call in a process compiles it with ``$CC``
+  (default ``cc``) into ``${XDG_CACHE_HOME:-~/.cache}/qcasim/``, or,
+  where that directory cannot be used, into ``qcasim-<uid>`` under the
+  temporary directory, and failing that into a fresh temporary directory;
+  later processes load the cached library. The library name carries a
+  sha256 of the source, the flags and ``$CC --version``.
+* ``loop``: ``coherence_euler_loop`` and ``bistable_sweep_loop``, the same
+  kernels over Python lists: the references the C kernels are tested
+  against, and the kernels that run where no compiler works
+  (``CC=/nonexistent``, say).
+
+``kernel_path`` names the path that both ``coherence_euler`` and
+``bistable_sweep`` run: "c" whenever the library loads, else "loop".
 
 Every ``+``, ``*``, ``/`` and ``sqrt`` is the same IEEE operation in the
 same order in both, and ``cos`` and ``tanh`` are libm's, as ``math.cos``
-and ``math.tanh`` are. The C kernel is built with ``-ffp-contract=off``
+and ``math.tanh`` are. The library is built with ``-ffp-contract=off``
 and never with ``-ffast-math``, since a fused multiply-add would change
-the bits. ``benchmarks/bench_coherence.py`` times the two kernels.
+the bits. ``benchmarks/bench_coherence.py`` times the two coherence
+kernels and ``benchmarks/bench_coupling.py`` the bistable relaxation.
 """
 
 from __future__ import annotations
@@ -48,7 +61,7 @@ import numpy as np
 # perfbench/run.py reads this name; there is no numba kernel.
 NUMBA_ENABLED = False
 
-SOURCE = Path(__file__).with_name("_euler.c")
+SOURCE = Path(__file__).with_name("_kernels.c")
 COMPILE_FLAGS = ("-O2", "-fPIC", "-ffp-contract=off", "-shared")
 LINK_FLAGS = ("-lm",)
 
@@ -180,6 +193,62 @@ def coherence_euler_loop(energies, zones, driven, drive_values, n_steps, dt,
     return np.array(pols).reshape(batch, n), ok, bad_step
 
 
+def _saturate(x: float) -> float:
+    """The bistable update f(x) = x / sqrt(1 + x^2)."""
+    square = x * x
+    if square == math.inf:  # |x| > ~1.3e154 overflows; the true value rounds to +-1
+        return math.copysign(1.0, x)
+    return x / math.sqrt(1.0 + square)
+
+
+def bistable_sweep_loop(energies, offsets, cols, pols, free, two_gamma,
+                        tolerance, max_iterations):
+    """Relax the free cells of one point Gauss-Seidel: energies (nnz,) over
+    the neighbor list (offsets (n + 1,), cols (nnz,)), pols (n,) the
+    starting polarizations (the drive values at driven cells), free (m,)
+    the positions of the free cells in sweep order.
+
+    Each sweep sets pols[k] <- f(field_k / two_gamma) for each free
+    position k in turn, the field summed from +0.0 over row k in ascending
+    column; it stops once the largest change of a sweep is below
+    `tolerance`, or after `max_iterations` sweeps. pols is updated in
+    place. Returns (converged, sweeps run, the position whose change was
+    the largest in the last sweep, the first such, or -1 where no change
+    was above 0).
+    """
+    energies = energies.tolist()
+    offsets = offsets.tolist()
+    cols = cols.tolist()
+    values = pols.tolist()
+    # (position, neighbor row of (position, energy)) per free cell, in
+    # sweep order
+    rows = [(k, list(zip(cols[offsets[k]:offsets[k + 1]],
+                         energies[offsets[k]:offsets[k + 1]])))
+            for k in free.tolist()]
+    sweeps = 0
+    worst_k = -1
+    converged = False
+    for _ in range(max_iterations):
+        sweeps += 1
+        worst = 0.0
+        worst_k = -1
+        for k, row in rows:
+            field = 0.0
+            for j, energy in row:
+                field += energy * values[j]
+            new = _saturate(field / two_gamma)
+            change = abs(new - values[k])
+            if change > worst:
+                worst = change
+                worst_k = k
+            values[k] = new
+        if worst < tolerance:
+            converged = True
+            break
+    pols[:] = values
+    return converged, sweeps, worst_k
+
+
 def _cache_dirs():
     """The user cache directory, then the per-user temporary one (only
     looked up when the first does not serve)."""
@@ -221,22 +290,27 @@ def _compile(cc: list, target: Path) -> bool:
 
 
 def _bind(path: Path):
-    """The kernel function of the library at `path`, typed."""
+    """The library at `path`, its two entry points typed."""
     import ctypes
-    fn = ctypes.CDLL(str(path)).qcasim_coherence_euler
+    library = ctypes.CDLL(str(path))
     i64, f64, ptr = ctypes.c_int64, ctypes.c_double, ctypes.c_void_p
-    fn.argtypes = ([i64, i64] + [ptr] * 6 + [i64] + [f64] * 8 + [ptr]
-                   + [f64] * 3 + [i64, i64] + [ptr] * 8)
-    fn.restype = None
-    return fn
+    euler = library.qcasim_coherence_euler
+    euler.argtypes = ([i64, i64] + [ptr] * 6 + [i64] + [f64] * 8 + [ptr]
+                      + [f64] * 3 + [i64, i64] + [ptr] * 8)
+    euler.restype = None
+    sweep = library.qcasim_bistable_sweep
+    sweep.argtypes = [i64] + [ptr] * 5 + [f64, f64, i64, ptr, ptr]
+    sweep.restype = i64
+    return library
 
 
 @functools.lru_cache(maxsize=None)
 def _library():
-    """The compiled kernel, built on first use; None where there is no
-    working compiler. Loads a cached library only from a directory that
-    the current user owns and no one else can write; if neither cache
-    directory qualifies, builds into a fresh temporary directory."""
+    """The compiled library of both engines' kernels, built on first use;
+    None where there is no working compiler. Loads a cached library only
+    from a directory that the current user owns and no one else can write;
+    if neither cache directory qualifies, builds into a fresh temporary
+    directory."""
     if os.name != "posix":
         return None
     import hashlib
@@ -252,7 +326,7 @@ def _library():
         return None
     key = hashlib.sha256(b"\0".join(
         [source, " ".join(COMPILE_FLAGS + LINK_FLAGS).encode(), version]))
-    name = f"euler-{key.hexdigest()[:20]}.so"
+    name = f"kernels-{key.hexdigest()[:20]}.so"
     try:
         for directory in _cache_dirs():
             try:
@@ -283,6 +357,19 @@ def _check(name: str, array, dtype, shape: tuple, output: bool = False) -> None:
                          f"array of shape {shape}")
 
 
+def _check_neighbors(offsets, cols, n: int) -> int:
+    """Check a neighbor list of n cells, as both C entry points read it;
+    returns nnz."""
+    _check("offsets", offsets, np.int64, (n + 1,))
+    if offsets[0] != 0 or (offsets[1:] < offsets[:-1]).any():
+        raise ValueError("offsets must start at 0 and never decrease")
+    nnz = int(offsets[-1])
+    _check("cols", cols, np.int64, (nnz,))
+    if nnz and not 0 <= cols.min() <= cols.max() < n:
+        raise ValueError(f"cols must be cell positions 0..{n - 1}")
+    return nnz
+
+
 def coherence_euler_c(energies, zones, driven, drive_values, n_steps, dt,
                       total_time, periods, clock_shift, clock_amplitude,
                       clock_low, clock_high, tau, temperature, boltzmann_k,
@@ -292,17 +379,11 @@ def coherence_euler_c(energies, zones, driven, drive_values, n_steps, dt,
     failure semantics of ``coherence_euler_loop``. Every array is checked
     for dtype, C-contiguity and shape, and the neighbor list for
     consistency, before its pointer is passed."""
-    kernel = _library()
-    if kernel is None:
-        raise RuntimeError("the compiled coherence kernel is not available")
+    library = _library()
+    if library is None:
+        raise RuntimeError("the compiled kernels are not available")
     batch, n = np.shape(drive_values)
-    _check("offsets", offsets, np.int64, (n + 1,))
-    if offsets[0] != 0 or (offsets[1:] < offsets[:-1]).any():
-        raise ValueError("offsets must start at 0 and never decrease")
-    nnz = int(offsets[-1])
-    _check("cols", cols, np.int64, (nnz,))
-    if nnz and not 0 <= cols.min() <= cols.max() < n:
-        raise ValueError(f"cols must be cell positions 0..{n - 1}")
+    nnz = _check_neighbors(offsets, cols, n)
     n_rec = np.shape(rec_times)[0] if np.ndim(rec_times) == 1 else -1
     for spec in (
         ("energies", energies, np.float64, (batch, nnz)),
@@ -326,20 +407,51 @@ def coherence_euler_c(energies, zones, driven, drive_values, n_steps, dt,
     bad_step = np.empty(batch, dtype=np.int64)
     lam = np.empty(batch * n * 3)
     fields = np.empty(n)
-    kernel(batch, n, offsets.ctypes.data, cols.ctypes.data, energies.ctypes.data,
-           zones.ctypes.data, driven.ctypes.data, drive_values.ctypes.data,
-           int(n_steps), dt, total_time, periods, clock_shift, clock_amplitude,
-           clock_low, clock_high, tau, temperature.ctypes.data, boltzmann_k,
-           hbar, UNIT_BALL_LIMIT_SQ, stride, n_rec, rec_times.ctypes.data,
-           rec_clocks.ctypes.data, rec_pols.ctypes.data, final.ctypes.data,
-           ok.ctypes.data, bad_step.ctypes.data, lam.ctypes.data,
-           fields.ctypes.data)
+    library.qcasim_coherence_euler(
+        batch, n, offsets.ctypes.data, cols.ctypes.data, energies.ctypes.data,
+        zones.ctypes.data, driven.ctypes.data, drive_values.ctypes.data,
+        int(n_steps), dt, total_time, periods, clock_shift, clock_amplitude,
+        clock_low, clock_high, tau, temperature.ctypes.data, boltzmann_k,
+        hbar, UNIT_BALL_LIMIT_SQ, stride, n_rec, rec_times.ctypes.data,
+        rec_clocks.ctypes.data, rec_pols.ctypes.data, final.ctypes.data,
+        ok.ctypes.data, bad_step.ctypes.data, lam.ctypes.data,
+        fields.ctypes.data)
     return final, ok, bad_step
 
 
+def bistable_sweep_c(energies, offsets, cols, pols, free, two_gamma,
+                     tolerance, max_iterations):
+    """The bistable sweep in C, with the arguments and results of
+    ``bistable_sweep_loop``. Every array is checked for dtype,
+    C-contiguity and shape, the neighbor list for consistency and the free
+    positions for range, before its pointer is passed."""
+    library = _library()
+    if library is None:
+        raise RuntimeError("the compiled kernels are not available")
+    n = np.size(pols)
+    nnz = _check_neighbors(offsets, cols, n)
+    _check("energies", energies, np.float64, (nnz,))
+    _check("pols", pols, np.float64, (n,), output=True)
+    n_free = np.size(free)
+    _check("free", free, np.int64, (n_free,))
+    if n_free and not 0 <= free.min() <= free.max() < n:
+        raise ValueError(f"free must be cell positions 0..{n - 1}")
+    if max_iterations < 1:
+        raise ValueError("max_iterations must be >= 1")
+    # no run reaches 2**63 - 1 sweeps; the smaller value fits the C int64
+    max_iterations = min(int(max_iterations), 2**63 - 1)
+    sweeps = np.zeros(1, dtype=np.int64)
+    worst = np.zeros(1, dtype=np.int64)
+    converged = library.qcasim_bistable_sweep(
+        n_free, free.ctypes.data, offsets.ctypes.data, cols.ctypes.data,
+        energies.ctypes.data, pols.ctypes.data, two_gamma, tolerance,
+        max_iterations, sweeps.ctypes.data, worst.ctypes.data)
+    return bool(converged), int(sweeps[0]), int(worst[0])
+
+
 def kernel_path() -> str:
-    """The kernel ``coherence_euler`` runs: "c" whenever the compiled
-    library loads, else "loop"."""
+    """The kernels ``coherence_euler`` and ``bistable_sweep`` run: "c"
+    whenever the compiled library loads, else "loop"."""
     return "c" if _library() is not None else "loop"
 
 
@@ -347,4 +459,11 @@ def coherence_euler(*args):
     """The batched integrator: the kernel ``kernel_path`` names, called
     with the arguments of ``coherence_euler_loop``."""
     kernel = coherence_euler_c if _library() is not None else coherence_euler_loop
+    return kernel(*args)
+
+
+def bistable_sweep(*args):
+    """The bistable sweep: the kernel ``kernel_path`` names, called with
+    the arguments of ``bistable_sweep_loop``."""
+    kernel = bistable_sweep_c if _library() is not None else bistable_sweep_loop
     return kernel(*args)

@@ -103,7 +103,10 @@ def reference_bistable_relax(layout, kink, params, inputs=None):
         worst_id = None
         for cid in free:
             x = reference_local_field(cid, pols, kink) / two_gamma
-            new = x / math.sqrt(1.0 + x * x)
+            if x * x == math.inf:  # the true value rounds to +-1
+                new = math.copysign(1.0, x)
+            else:
+                new = x / math.sqrt(1.0 + x * x)
             change = abs(new - pols[cid])
             if change > worst:
                 worst = change

@@ -3,7 +3,8 @@ energies cached by relative geometry, and the neighbor list the engines
 read.
 
 Property tests compare each against an all-pairs reference; the bistable
-engine is compared bit for bit with the pair-dict reference in oracle.py.
+engine, on each sweep kernel, is compared bit for bit with the pair-dict
+reference in oracle.py.
 """
 
 import itertools
@@ -17,6 +18,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from oracle import assert_brute_force_energies, reference_bistable_relax
 
+from qcasim import kernels
 from qcasim.constants import PhysicalConstants
 from qcasim.electrostatics import KinkMatrix, kink_energy_pair, kink_matrix
 from qcasim.engines import (BistableParams, ConvergenceError, bistable_relax,
@@ -408,6 +410,19 @@ def assert_same_relax(layout, params, inputs=None, kink=None):
     assert [v.hex() for v in got.values()] == [v.hex() for v in expected.values()]
 
 
+# the loop kernel, and the C kernel where the compiled library loads
+SWEEP_KERNELS = {"loop": kernels.bistable_sweep_loop}
+if kernels.kernel_path() == "c":
+    SWEEP_KERNELS["c"] = kernels.bistable_sweep_c
+
+
+@pytest.fixture(params=list(SWEEP_KERNELS))
+def sweep_kernel(request, monkeypatch):
+    """bistable_relax with its sweep run by one kernel."""
+    monkeypatch.setattr(kernels, "bistable_sweep", SWEEP_KERNELS[request.param])
+
+
+@pytest.mark.usefixtures("sweep_kernel")
 class TestBistableMatchesReference:
     @pytest.mark.parametrize("n", [2, 3, 14, 40, 101])
     def test_wire(self, n):
@@ -455,3 +470,36 @@ class TestBistableMatchesReference:
         partial = KinkMatrix(pairs={k: v for k, v in kink.pairs.items() if "c2" not in k},
                              radius_of_effect=80.0)
         assert_same_relax(layout, BistableParams(), kink=partial)
+
+    def test_no_neighbor_list_entries(self):
+        # nnz = 0: every field is +0.0, every free cell relaxes to 0.0
+        layout = builtin_layout("wire(5)")
+        params = BistableParams(radius_of_effect=1.0)
+        kink = kink_matrix(layout, 1.0, PAPER)
+        assert len(kink) == 0
+        assert_same_relax(layout, params, kink=kink)
+        got = bistable_relax(layout, kink, params)
+        assert [v.hex() for v in got.values()][1:] == [(0.0).hex()] * 4
+
+    def test_no_free_cell(self):
+        layout = Layout(name="fixed", cells=(fixed_cell("b", 0.0, 0.0),
+                                             fixed_cell("a", 20.0, 0.0)))
+        assert_same_relax(layout, BistableParams())
+        assert_same_relax(layout, BistableParams(), inputs={"a": -0.5})
+        assert_same_relax(Layout(name="empty", cells=()), BistableParams())
+
+    @pytest.mark.parametrize("gamma", [1e-300, 5e-324])
+    def test_saturating_gamma(self, gamma):
+        # E / (2 gamma) squared overflows: the true value rounds to +-1
+        for name in ("inv3", "wire(14)", "majority"):
+            inputs = {"a": 1.0, "b": -1.0, "c": 1.0} if name == "majority" else None
+            assert_same_relax(builtin_layout(name), BistableParams(gamma=gamma),
+                              inputs)
+        got = bistable_relax(builtin_layout("inv3"),
+                             kink_matrix(builtin_layout("inv3"), 80.0, PAPER),
+                             BistableParams(gamma=gamma))
+        assert got == {"in": 1.0, "mid": 1.0, "out": -1.0}
+
+    def test_max_iterations_beyond_int64(self):
+        assert_same_relax(block_layout(1), BistableParams(gamma=6e-21,
+                                                          max_iterations=10**30))

@@ -1,4 +1,5 @@
 import math
+import re
 from dataclasses import replace
 
 import numpy as np
@@ -81,6 +82,14 @@ class TestCoherenceParams:
         for name in ("gamma", "convergence_tolerance", "radius_of_effect"):
             with pytest.raises(ValueError, match=f"{name} must be finite"):
                 BistableParams(**{name: math.nan})
+
+    @pytest.mark.parametrize("value", [2.5, 3.0, True, False, "3", None])
+    def test_bistable_max_iterations_must_be_an_integer(self, value):
+        # a sweep count is counted: range() takes no float, and a bool
+        # would print as "True sweeps"
+        message = f"max_iterations must be an integer, got {value!r}"
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            BistableParams(max_iterations=value)
 
 
 class TestClockGamma:

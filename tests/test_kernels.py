@@ -15,7 +15,8 @@ import pytest
 from qcasim import kernels
 from qcasim.constants import PhysicalConstants
 from qcasim.electrostatics import kink_matrix
-from qcasim.engines import CoherenceParams, coupling, resolve_drives
+from qcasim.engines import (BistableParams, CoherenceParams, coupling,
+                            resolve_drives)
 from qcasim.geometry import Layout, builtin_layout
 from qcasim.sweeps import TABLE1_TEMPERATURES
 
@@ -80,6 +81,43 @@ def assert_batches_identical(args):
     for kernel in compiled():
         for x, y in zip(run(kernel, args), loop):
             assert_same_bits(x, y)
+    return loop
+
+
+def sweep_problem(layout, params=BistableParams(), inputs=None, kink_scale=1.0):
+    """Bistable sweep arguments for one layout, as bistable_relax builds
+    them; the polarizations are fresh for every call."""
+    drives = resolve_drives(layout, inputs)
+    ids = [c.id for c in layout.cells]
+    order = sorted(ids)
+    energies, offsets, cols = coupling(
+        [kink_matrix(layout, params.radius_of_effect, PAPER)], order)
+    free = np.array([order.index(cid) for cid in ids if cid not in drives],
+                    dtype=np.int64)
+
+    def args():
+        return (energies[0] * kink_scale, offsets.copy(), cols.copy(),
+                np.array([drives.get(cid, 0.0) for cid in order]), free.copy(),
+                2.0 * params.gamma, params.convergence_tolerance,
+                params.max_iterations)
+    return args
+
+
+def sweep(kernel, args):
+    """(converged, sweeps, worst, pols) of one call."""
+    call = args()
+    return (*kernel(*call), call[3])
+
+
+def assert_sweeps_identical(args):
+    """The C sweep kernel, where it loads, against the loop kernel: flag,
+    sweep count, worst position and polarizations, bit for bit. Returns
+    the loop kernel's results."""
+    loop = sweep(kernels.bistable_sweep_loop, args)
+    if kernels.kernel_path() == "c":
+        got = sweep(kernels.bistable_sweep_c, args)
+        assert got[:3] == loop[:3]
+        assert_same_bits(got[3], loop[3])
     return loop
 
 
@@ -232,6 +270,39 @@ class TestSinglePointParity:
         assert_batches_identical(problem())
 
 
+class TestSweepParity:
+    """The C sweep kernel against the loop kernel where bistable_relax
+    cannot compare them: the polarizations of sweeps that did not
+    converge, degenerate energies and a tolerance met exactly."""
+
+    @pytest.mark.parametrize("max_iterations", [1, 3, 10_000])
+    def test_block_converged_or_not(self, max_iterations):
+        from test_coupling import block_layout
+        params = BistableParams(gamma=6e-21, max_iterations=max_iterations)
+        converged, sweeps, worst, _ = assert_sweeps_identical(
+            sweep_problem(block_layout(7), params))
+        if max_iterations == 10_000:
+            assert converged and 3 < sweeps < max_iterations
+        else:
+            assert not converged and sweeps == max_iterations
+        assert worst >= 0
+
+    @pytest.mark.parametrize("scale", [1e300, float("inf"), float("nan"), -0.0])
+    def test_degenerate_energies(self, scale):
+        assert_sweeps_identical(sweep_problem(
+            builtin_layout("majority"), BistableParams(max_iterations=5),
+            {"a": 1.0, "b": -1.0, "c": 1.0}, kink_scale=scale))
+
+    def test_convergence_needs_a_change_below_the_tolerance(self):
+        # inv2's free cell moves by |P| in the first sweep and by 0 in the
+        # second: a tolerance of exactly |P| stops after the second
+        first = assert_sweeps_identical(sweep_problem(
+            builtin_layout("inv2"), BistableParams(max_iterations=1)))[3]
+        params = BistableParams(convergence_tolerance=abs(first[1]))
+        assert assert_sweeps_identical(
+            sweep_problem(builtin_layout("inv2"), params))[:3] == (True, 2, -1)
+
+
 @pytest.fixture
 def own_cache(monkeypatch, tmp_path):
     """A library lookup with its own cache and temporary directories."""
@@ -244,7 +315,7 @@ def own_cache(monkeypatch, tmp_path):
 
 
 def libraries(directory):
-    return sorted(p.name for p in directory.glob("euler-*.so"))
+    return sorted(p.name for p in directory.glob("kernels-*.so"))
 
 
 class TestKernelChoice:
@@ -260,6 +331,9 @@ class TestKernelChoice:
         args = batch_problem(builtin_layout("inv3"), [0.0, 1.0], n_steps=50)
         for x, y in zip(run(kernels.coherence_euler, args), run(LOOP, args)):
             assert_same_bits(x, y)
+        args = sweep_problem(builtin_layout("inv3"))
+        assert_same_bits(sweep(kernels.bistable_sweep, args)[3],
+                         sweep(kernels.bistable_sweep_loop, args)[3])
         assert not (own_cache / "cache").exists()
 
     @needs_cc
@@ -324,6 +398,45 @@ class TestKernelChoice:
             args[index] = spoil(args[index])
             with pytest.raises(ValueError, match=message):
                 kernels.coherence_euler_c(*args)
+
+    @needs_cc
+    def test_sweep_arrays_checked_before_pointers_pass(self):
+        assert kernels.kernel_path() == "c"
+        # inv2: the fixed cell "in" at position 0, the free "out" at 1
+        good = sweep_problem(builtin_layout("inv2"))
+        assert good()[1].tolist() == [0, 1, 2] and good()[4].tolist() == [1]
+        kernels.bistable_sweep_c(*good())
+
+        def read_only(a):
+            a.setflags(write=False)
+            return a
+        bad = [
+            (4, lambda a: a + 1, "free must be cell positions"),   # 2 >= n
+            (4, lambda a: a - 2, "free must be cell positions"),   # -1 < 0
+            (4, lambda a: a.astype(np.int32), "free"),
+            (4, lambda a: a[None], "free"),                        # 2-D
+            (3, lambda a: a.astype(np.float32), "pols"),
+            (3, lambda a: a[None], "pols"),                        # shape
+            (3, lambda a: np.repeat(a, 2)[::2], "pols"),           # not C-contiguous
+            (3, read_only, "pols"),
+            (0, lambda a: a[:1], "energies"),
+            (0, lambda a: a.astype(np.float32), "energies"),
+            (1, lambda a: a[:-1], "offsets"),                      # shape
+            (1, lambda a: a.astype(np.int32), "offsets"),
+            (1, lambda a: np.repeat(a, 2)[::2], "offsets"),        # not C-contiguous
+            (1, lambda a: a + 1, "offsets must start at 0"),
+            (1, lambda a: np.array([0, 2, 1]), "never decrease"),
+            (1, lambda a: a + [0, 0, 1], "cols"),                  # ends past nnz
+            (2, lambda a: a + 1, "cols must be cell positions"),   # 2 >= n
+            (2, lambda a: a - 1, "cols must be cell positions"),   # -1 < 0
+            (2, lambda a: a.astype(np.float64), "cols"),
+            (7, lambda a: 0, "max_iterations"),
+        ]
+        for index, spoil, message in bad:
+            args = list(good())
+            args[index] = spoil(args[index])
+            with pytest.raises(ValueError, match=message):
+                kernels.bistable_sweep_c(*args)
 
     def test_no_compiler_process_gives_the_same_bytes(self):
         """A process whose CC does not exist runs the loop kernel and
