@@ -4,20 +4,23 @@ Times four stages on layouts of growing size:
 
 * build: constructing the validated `Layout` (the cell-overlap check);
 * kink: `kink_matrix` at the default 80 nm radius of effect;
-* emit: `KinkMatrix.sorted_pairs` and `write_csv` into memory, what the
-  `kink` command does after `kink_matrix`;
-* bistable: `bistable_relax` at the default parameters, on the sweep
-  kernel that `kernels.kernel_path()` names (printed first);
+* emit: `write_csv` of the matrix's id and energy columns into memory,
+  what the `kink` command does after `kink_matrix`;
+* bistable: `bistable_relax` on the sweep kernel that
+  `kernels.kernel_path()` names (printed first);
 * bistable_loop: the same with the loop sweep kernel, the one that runs
   without a C compiler.
 
 The layouts are `builtin:wire(n)` for n = 100, 200, 400 and square 2-D
 grids of 18 nm cells at a 20 nm pitch with side 10, 32, 70 and 100 (100 to
-10,000 cells), driven by a fixed left column at P = +1. Reports the best
-wall time of the repeats for each stage, so the rows form a scaling curve.
-Where the compiled library loads, checks that its sweep kernel's
-polarizations are bit-identical to the loop kernel's on every layout;
-exits 1 if one is not.
+10,000 cells), driven by a fixed left column at P = +1, all relaxed at the
+default parameters; then grid(10x10) again at gamma = 6e-21 J, where the
+free cells settle between 0 and 1 instead of saturating, so that a sweep
+that rounds differently changes their bits. Reports the best wall time of
+the repeats for each stage, so the rows form a scaling curve. Where the
+compiled library loads, checks on every layout that its sweep kernel's
+polarizations are bit-identical to the loop kernel's and that both return
+the same (converged, sweeps, worst position); exits 1 if one does not.
 
 Usage:
     python benchmarks/bench_coupling.py [--max-cells 10000] [--repeats 1]
@@ -38,6 +41,8 @@ from qcasim.sweeps import write_csv
 WIRES = (100, 200, 400)
 GRID_SIDES = (10, 32, 70, 100)
 PITCH = 20.0
+UNSATURATED_SIDE = 10
+UNSATURATED_GAMMA = 6e-21  # J
 
 
 def grid_cells(side):
@@ -53,15 +58,21 @@ def grid_cells(side):
 
 
 def problems(max_cells):
-    """(label, cell count, function building the layout) by size."""
+    """(label, cell count, function building the layout, bistable params)
+    by size, then the unsaturated grid."""
+    defaults = BistableParams()
     for n in WIRES:
         if n <= max_cells:
-            yield f"wire({n})", n, lambda n=n: builtin_layout(f"wire({n})")
-    for side in GRID_SIDES:
+            yield f"wire({n})", n, lambda n=n: builtin_layout(f"wire({n})"), defaults
+    grids = [(f"grid({side}x{side})", side, defaults) for side in GRID_SIDES]
+    grids.append((f"grid({UNSATURATED_SIDE}x{UNSATURATED_SIDE}) "
+                  f"gamma={UNSATURATED_GAMMA:g}", UNSATURATED_SIDE,
+                  BistableParams(gamma=UNSATURATED_GAMMA)))
+    for label, side, params in grids:
         if side * side <= max_cells:
             cells = grid_cells(side)
-            yield (f"grid({side}x{side})", side * side,
-                   lambda cells=cells: Layout(name="grid", cells=cells))
+            yield (label, side * side,
+                   lambda cells=cells: Layout(name="grid", cells=cells), params)
 
 
 def best_time(fn, repeats):
@@ -77,16 +88,24 @@ def emit(kink):
     """The `kink` command's output for a kink matrix, written to memory."""
     out = io.StringIO()
     write_csv(out, {"radius_of_effect_nm": kink.radius_of_effect},
-              ("cell_i", "cell_j", "kink_energy_J"), kink.sorted_pairs())
+              ("cell_i", "cell_j", "kink_energy_J"),
+              [*kink.pair_ids(), kink.energies])
     return out
 
 
 def relax_with(kernel, layout, kink, params):
-    """`bistable_relax` with its sweep run by `kernel`."""
+    """`bistable_relax` with its sweep run by `kernel`: the polarizations
+    and what the sweep returned, (converged, sweeps, worst position)."""
     default = kernels.bistable_sweep
-    kernels.bistable_sweep = kernel
+    returned = []
+
+    def sweep(*args):
+        returned.append(kernel(*args))
+        return returned[-1]
+
+    kernels.bistable_sweep = sweep
     try:
-        return bistable_relax(layout, kink, params)
+        return bistable_relax(layout, kink, params), returned[-1]
     finally:
         kernels.bistable_sweep = default
 
@@ -100,27 +119,32 @@ def main():
     args = parser.parse_args()
 
     constants = PhysicalConstants.paper()
-    params = BistableParams()
     path = kernels.kernel_path()
     print(f"kernel path: {path}")
     if path != "c":
         print("no c check: the compiled kernel did not build (is $CC present?)")
     print("layout,cells,pairs,build_s,kink_s,emit_s,bistable_s,bistable_loop_s")
     all_same = True
-    for label, n_cells, build in problems(args.max_cells):
+    for label, n_cells, build, params in problems(args.max_cells):
         build_s, layout = best_time(build, args.repeats)
         kink_s, kink = best_time(
             lambda: kink_matrix(layout, params.radius_of_effect, constants),
             args.repeats)
         emit_s, _ = best_time(lambda: emit(kink), args.repeats)
-        bistable_s, relaxed = best_time(
-            lambda: bistable_relax(layout, kink, params), args.repeats)
-        loop_s, looped = best_time(
+        bistable_s, (relaxed, swept) = best_time(
+            lambda: relax_with(kernels.bistable_sweep, layout, kink, params),
+            args.repeats)
+        loop_s, (looped, loop_swept) = best_time(
             lambda: relax_with(kernels.bistable_sweep_loop, layout, kink, params),
             args.repeats)
         if path == "c" and ([v.hex() for v in relaxed.values()]
                             != [v.hex() for v in looped.values()]):
-            print(f"{label}: the c sweep kernel differs from the loop kernel")
+            print(f"{label}: the c sweep kernel's polarizations differ from "
+                  "the loop kernel's")
+            all_same = False
+        if path == "c" and swept != loop_swept:
+            print(f"{label}: the c sweep kernel returned {swept}, the loop "
+                  f"kernel {loop_swept}")
             all_same = False
         print(f"{label},{n_cells},{len(kink)},{build_s:.4f},{kink_s:.4f},"
               f"{emit_s:.4f},{bistable_s:.4f},{loop_s:.4f}", flush=True)

@@ -198,7 +198,8 @@ def _cmd_kink(args: argparse.Namespace, out: TextIO) -> int:
     _all_params(args)
     write_csv(out, {"layout": layout.name, "constants": constants.mode,
                     "radius_of_effect_nm": args.radius},
-              ("cell_i", "cell_j", "kink_energy_J"), matrix.sorted_pairs())
+              ("cell_i", "cell_j", "kink_energy_J"),
+              [*matrix.pair_ids(), matrix.energies])
     return 0
 
 
@@ -211,17 +212,17 @@ def _cmd_simulate(args: argparse.Namespace, out: TextIO) -> int:
                 "constants": constants.mode, "engine": args.engine}
     if args.engine == "bistable":
         pols = bistable_relax(layout, matrix, params)
+        ids = [cell.id for cell in layout.cells]
         write_csv(out, snapshot, ("cell_id", "polarization"),
-                  [(cell.id, pols[cell.id]) for cell in layout.cells])
+                  [ids, np.array([pols[cid] for cid in ids], dtype=np.float64)])
         return 0
     trace = simulate_coherence(layout, matrix, params, constants=constants,
                                record_stride=args.stride)
     snapshot["record_stride"] = args.stride
-    columns = ["time_s", "clock0_J", "clock1_J", "clock2_J", "clock3_J"]
-    columns += [f"{cid}_P" for cid in trace.cell_ids]
-    rows = np.column_stack((trace.times, trace.clocks,
-                            trace.polarizations)).tolist()
-    write_csv(out, snapshot, columns, rows)
+    header = ["time_s", "clock0_J", "clock1_J", "clock2_J", "clock3_J"]
+    header += [f"{cid}_P" for cid in trace.cell_ids]
+    write_csv(out, snapshot, header,
+              [trace.times, *trace.clocks.T, *trace.polarizations.T])
     return 0
 
 
@@ -236,13 +237,16 @@ def _cmd_truth(args: argparse.Namespace, out: TextIO) -> int:
                 "constants": constants.mode, "engine": args.engine,
                 "function": args.function,
                 "drivers": "+".join(report.driver_ids)}
-    rows = [("".join(str(b) for b in row.inputs), row.expected,
-             "indeterminate" if row.observed is None else row.observed,
-             row.magnitude, "pass" if row.passed else "fail")
-            for row in report.rows]
-    passed = sum(r.passed for r in report.rows)
+    rows = report.rows
+    columns = [["".join(str(b) for b in row.inputs) for row in rows],
+               [row.expected for row in rows],
+               ["indeterminate" if row.observed is None else row.observed
+                for row in rows],
+               np.array([row.magnitude for row in rows], dtype=np.float64),
+               ["pass" if row.passed else "fail" for row in rows]]
+    passed = sum(row.passed for row in rows)
     write_csv(out, snapshot, ("inputs", "expected", "observed", "magnitude", "result"),
-              rows, trailer=(f"summary: {passed}/{len(rows)} rows pass",))
+              columns, trailer=(f"summary: {passed}/{len(rows)} rows pass",))
     return 0
 
 

@@ -174,10 +174,10 @@ class KinkMatrix:
     @cached_property
     def pairs(self) -> dict:
         """(id_i, id_j) with id_i < id_j -> energy in J, in id order."""
-        lower, higher = self._pair_ids()
+        lower, higher = self.pair_ids()
         return dict(zip(zip(lower, higher), self.energies.tolist()))
 
-    def _pair_ids(self) -> tuple[list, list]:
+    def pair_ids(self) -> tuple[list, list]:
         """The lower and the higher id of every pair, in pair order."""
         ids = np.array(self.ids, dtype=object)
         return ids[self.first].tolist(), ids[self.second].tolist()
@@ -186,10 +186,6 @@ class KinkMatrix:
         """Kink energy of a pair, 0.0 if beyond the radius of effect."""
         key = (cell_i, cell_j) if cell_i < cell_j else (cell_j, cell_i)
         return self.pairs.get(key, 0.0)
-
-    def sorted_pairs(self) -> list[tuple[str, str, float]]:
-        """(id_i, id_j, energy) of every pair, in id order."""
-        return list(zip(*self._pair_ids(), self.energies.tolist()))
 
     def __len__(self) -> int:
         return len(self.energies)

@@ -57,7 +57,13 @@ class IntegrationError(EngineError):
 def _require_finite(params) -> None:
     for f in fields(params):
         value = getattr(params, f.name)
-        if not math.isfinite(value):
+        try:
+            finite = math.isfinite(value)
+        except OverflowError:  # an int that no float can hold
+            raise ValueError(f"{f.name} must be finite, got an integer too "
+                             f"large for a float ({value.bit_length()} bits)"
+                             ) from None
+        if not finite:
             raise ValueError(f"{f.name} must be finite, got {value}")
 
 
@@ -132,22 +138,6 @@ class SimulationTrace:
     cell_ids: tuple
     final: dict                # cell id -> final polarization
     record_stride: int = 1
-
-
-def clock_gamma(zone: int, t: float, params: CoherenceParams) -> float:
-    """Clock tunneling energy for one zone at time t.
-
-    Cosine of one (or `clock_periods`) full periods over the total time,
-    successive zones lagging by pi/2, clamped to [clock_low, clock_high].
-    """
-    if zone not in (0, 1, 2, 3):
-        raise ValueError(f"clock zone must be 0..3, got {zone}")
-    if not 0 <= t <= params.total_time:
-        raise ValueError(f"t={t} outside [0, total_time]")
-    return kernels.clock_value(t, zone, float(params.clock_periods),
-                               params.total_time, params.clock_shift,
-                               params.clock_amplitude, params.clock_low,
-                               params.clock_high)
 
 
 def local_field(cell_id: str, polarizations: Mapping[str, float],

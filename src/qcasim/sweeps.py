@@ -16,6 +16,8 @@ from dataclasses import dataclass, replace
 from importlib import resources
 from typing import Mapping, Optional, Sequence, TextIO, Union
 
+import numpy as np
+
 from .constants import PhysicalConstants
 from .electrostatics import kink_matrix
 from .engines import (BistableParams, CoherenceParams, IntegrationError,
@@ -304,24 +306,37 @@ def compare_to_reference(result: SweepResult, ref: ReferenceTable,
 # --------------------------------------------------------------------------
 # CSV emission
 
-def write_csv(destination: TextIO, snapshot: Mapping, columns: Sequence[str],
-              rows: Sequence[Sequence], trailer: Sequence[str] = ()) -> None:
+def _texts(column) -> list[str]:
+    """One column's values as text. A float64 array prints in `sci`, each
+    distinct bit pattern formatted once: grouping by bits, not by `==`,
+    keeps -0.0, 0.0 and every NaN apart, so each value prints as `sci`
+    would print it alone. Anything else prints as `str` does."""
+    if isinstance(column, np.ndarray) and column.dtype == np.float64:
+        keys, inverse = np.unique(column.view(np.int64), return_inverse=True)
+        texts = np.array([sci(v) for v in keys.view(np.float64).tolist()],
+                         dtype=object)
+        return texts[inverse].tolist()
+    return list(map(str, column))
+
+
+def write_csv(destination: TextIO, snapshot: Mapping, header: Sequence[str],
+              columns: Sequence, trailer: Sequence[str] = ()) -> None:
     """Write one table in the CSV format every command prints.
 
     The format: one `# key=value` line per snapshot entry, sorted by key;
-    the column row; the data rows; then one `# ` line per trailer entry.
-    Floats print in scientific notation with six significant digits
-    (`sci`), anything else as `str` does; a column prints as floats when its
-    value in the first row is a float. Lines end in LF, the last one too, so
-    identical inputs give identical bytes.
+    the `header` row of column names; the data rows; then one `# ` line per
+    trailer entry. The data come column by column, one per name, all of
+    one length: a float64 ndarray prints in scientific notation with six
+    significant digits (`sci`), as does a float snapshot value; any other
+    column, a list of floats too, prints as `str` does. Lines end in LF,
+    the last one too, so identical inputs give identical bytes.
     """
+    if len(columns) != len(header):
+        raise ValueError(f"{len(header)} column names for {len(columns)} columns")
     lines = [f"# {key}={sci(value) if isinstance(value, float) else value}"
              for key, value in sorted(snapshot.items())]
-    lines.append(",".join(columns))
-    if rows:
-        template = ",".join(_FLOAT if isinstance(value, float) else "%s"
-                            for value in rows[0])
-        lines += [template % tuple(row) for row in rows]
+    lines.append(",".join(header))
+    lines += map(",".join, zip(*map(_texts, columns), strict=True))
     lines.extend(f"# {text}" for text in trailer)
     lines.append("")  # the final LF, without copying the text to add it
     destination.write("\n".join(lines))
@@ -330,13 +345,14 @@ def write_csv(destination: TextIO, snapshot: Mapping, columns: Sequence[str],
 def emit_csv(result: SweepResult, destination: TextIO) -> None:
     """Write a sweep with `write_csv`: its snapshot, then one row per point
     (the swept value as a float, also when the grid held integers)."""
+    columns = [np.array(result.values(), dtype=np.float64),
+               [r.cell_id for r in result.rows],
+               np.array(result.polarizations(), dtype=np.float64)]
     if result.variable == "temperature":
-        columns = ("temperature_K", "cell_id", "polarization")
-        rows = [(float(r.value), r.cell_id, r.polarization) for r in result.rows]
+        header = ("temperature_K", "cell_id", "polarization")
     elif result.variable == "gap":
-        columns = ("gap_nm", "cell_id", "polarization", "kink_energy_J")
-        rows = [(float(r.value), r.cell_id, r.polarization, r.kink_energy)
-                for r in result.rows]
+        header = ("gap_nm", "cell_id", "polarization", "kink_energy_J")
+        columns.append(np.array(result.kink_energies(), dtype=np.float64))
     else:
         raise SweepError(f"unknown sweep variable {result.variable!r}")
-    write_csv(destination, result.snapshot, columns, rows)
+    write_csv(destination, result.snapshot, header, columns)

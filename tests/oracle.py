@@ -9,11 +9,17 @@ package's electrostatics code paths. Used to cross-check kink_matrix
 kink matrix's pair dict alone: every field sums over all other cells in
 sorted id order, reading each energy with `KinkMatrix.get`. The engine's
 neighbor-list sweeps must match it bit for bit.
+
+`clock_gamma` and `write_csv_rows` are test conveniences: the clock of one
+zone as the engines compute it, and the row-template CSV writer that the
+column-wise `sweeps.write_csv` must match byte for byte.
 """
 
 import math
 
+from qcasim import kernels
 from qcasim.engines import ConvergenceError, resolve_drives
+from qcasim.sweeps import sci
 
 NM = 1e-9
 
@@ -117,3 +123,28 @@ def reference_bistable_relax(layout, kink, params, inputs=None):
     raise ConvergenceError(
         f"bistable iteration did not converge in {params.max_iterations} sweeps; "
         f"worst cell {worst_id!r}")
+
+
+def clock_gamma(zone, t, params):
+    """The clock tunneling energy of one zone at time t under `params`, as
+    the engines compute it (`kernels.clock_value`)."""
+    return kernels.clock_value(t, zone, float(params.clock_periods),
+                               params.total_time, params.clock_shift,
+                               params.clock_amplitude, params.clock_low,
+                               params.clock_high)
+
+
+def write_csv_rows(destination, snapshot, header, rows, trailer=()):
+    """The CSV format written row by row with one `%` template: a column
+    prints as `%.5e` when its value in the first row is a float, else as
+    `%s`."""
+    lines = [f"# {key}={sci(value) if isinstance(value, float) else value}"
+             for key, value in sorted(snapshot.items())]
+    lines.append(",".join(header))
+    if rows:
+        template = ",".join("%.5e" if isinstance(value, float) else "%s"
+                            for value in rows[0])
+        lines += [template % tuple(row) for row in rows]
+    lines.extend(f"# {text}" for text in trailer)
+    lines.append("")
+    destination.write("\n".join(lines))

@@ -351,17 +351,21 @@ class TestIdOrder:
             fixed_cell(cid, (k % 3) * 20.0, (k // 3) * 20.0, rotation=45 * (k % 2))
             for k, cid in enumerate(ODD_IDS)))
 
-    def test_pairs_and_sorted_pairs_in_id_order(self):
+    def test_pairs_and_pair_ids_in_id_order(self):
         matrix = kink_matrix(self.odd_layout(), 80.0, PAPER)
         assert len(matrix) == len(ODD_IDS) * (len(ODD_IDS) - 1) // 2
         assert list(matrix.pairs) == sorted(matrix.pairs)
         assert all(a < b for a, b in matrix.pairs)
-        assert matrix.sorted_pairs() == [(a, b, e) for (a, b), e
-                                         in sorted(matrix.pairs.items())]
+
+        def listed(m):
+            return list(zip(*m.pair_ids(), m.energies.tolist()))
+
+        assert listed(matrix) == [(a, b, e) for (a, b), e
+                                  in sorted(matrix.pairs.items())]
         assert [type(v) for v in matrix.pairs.values()] == [float] * len(matrix)
         rebuilt = KinkMatrix(pairs=dict(reversed(matrix.pairs.items())),
                              radius_of_effect=80.0)
-        assert rebuilt.sorted_pairs() == matrix.sorted_pairs()
+        assert listed(rebuilt) == listed(matrix)
 
     def test_rows_and_neighbors_agree_with_get(self):
         matrix = kink_matrix(self.odd_layout(), 80.0, PAPER)

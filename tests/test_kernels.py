@@ -142,15 +142,21 @@ class TestKernelParity:
             for x, y in zip(run(kernel, args), loop):
                 assert_same_bits(np.asarray(x), np.asarray(y))
 
-    def test_clock_value_matches_engine_wrapper(self):
-        from qcasim.engines import clock_gamma
+    def test_recorded_clocks_are_clock_value(self):
+        """Every kernel records, at each recorded time, what `clock_value`
+        gives for each zone, over a whole clock period."""
         params = CoherenceParams()
-        for zone in range(4):
-            for t in np.linspace(0.0, params.total_time, 37):
-                direct = kernels.clock_value(
-                    float(t), zone, 1.0, params.total_time, params.clock_shift,
-                    params.clock_amplitude, params.clock_low, params.clock_high)
-                assert direct == clock_gamma(zone, float(t), params)
+        n_steps = 2000
+        args = batch_problem(builtin_layout("inv3"), [1.0], n_steps=n_steps,
+                             stride=50)
+        for kernel in (LOOP, *compiled()):
+            _, ok, _, times, clocks, _ = run(kernel, args)
+            assert ok.all()
+            expected = [[kernels.clock_value(
+                t, zone, float(params.clock_periods), n_steps * params.time_step,
+                params.clock_shift, params.clock_amplitude, params.clock_low,
+                params.clock_high) for zone in range(4)] for t in times.tolist()]
+            assert clocks.tolist() == expected
 
     def test_instability_reported_not_raised(self):
         # a time step far beyond the relaxation time blows up the Euler update

@@ -2,7 +2,10 @@ import io
 import math
 from dataclasses import replace
 
+import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from qcasim.constants import PhysicalConstants
 from qcasim.electrostatics import kink_matrix
@@ -11,7 +14,10 @@ from qcasim.engines import (BistableParams, CoherenceParams, bistable_relax,
 from qcasim.geometry import builtin_layout, displace_cell, displacement_axis
 from qcasim.sweeps import (TABLE1_TEMPERATURES, TABLE23_GAPS, SweepError,
                            compare_to_reference, emit_csv, load_reference_table,
-                           rank_correlation, sweep_gap, sweep_temperature)
+                           rank_correlation, sweep_gap, sweep_temperature,
+                           write_csv)
+
+from oracle import write_csv_rows
 
 FAST = CoherenceParams(total_time=7.0e-13)
 
@@ -281,3 +287,96 @@ class TestEmitCsv:
         assert first == second
         assert first.endswith("\n")
         assert "\r" not in first
+
+
+# Doubles whose text a sloppy grouping would mix up: signed zeros, the
+# infinities, the smallest and largest subnormals, the smallest normal, and
+# NaNs with another sign or payload (given by their bits).
+SPECIAL_FLOATS = (0.0, -0.0, math.inf, -math.inf, 5e-324, -5e-324,
+                  2.225073858507201e-308, 2.2250738585072014e-308, 1e-310)
+NAN_BITS = (0x7FF8000000000000, 0xFFF8000000000000, 0x7FF0000000000001,
+            0x7FF4000000000123)
+
+
+def bits_to_float(bits):
+    return np.array([bits], dtype=np.uint64).view(np.float64)[0].item()
+
+
+float_values = st.one_of(st.floats(), st.sampled_from(SPECIAL_FLOATS),
+                         st.sampled_from(NAN_BITS).map(bits_to_float))
+text_values = st.text(st.characters(blacklist_categories=("Cs",),
+                                    blacklist_characters=",\n\r"), max_size=6)
+
+
+@st.composite
+def csv_tables(draw):
+    """(header, columns as `write_csv` takes them, the same data as rows):
+    float64 array columns drawn from a small pool, so values repeat, and
+    str, int, bool and mixed int/str list columns."""
+    n_rows = draw(st.integers(0, 40))
+    kinds = draw(st.lists(st.sampled_from(("float", "str", "int", "bool", "mixed")),
+                          min_size=1, max_size=5))
+    columns, values = [], []
+    for kind in kinds:
+        if kind == "float":
+            pool = draw(st.lists(float_values, min_size=1, max_size=4))
+            column = draw(st.lists(st.sampled_from(pool), min_size=n_rows,
+                                   max_size=n_rows))
+            columns.append(np.array(column, dtype=np.float64))
+        else:
+            element = {"str": text_values, "int": st.integers(),
+                       "bool": st.booleans(),
+                       "mixed": st.one_of(st.integers(-1, 2),
+                                          st.just("indeterminate"))}[kind]
+            column = draw(st.lists(element, min_size=n_rows, max_size=n_rows))
+            columns.append(column)
+        values.append(column)
+    header = [f"c{k}" for k in range(len(kinds))]
+    return header, columns, list(zip(*values))
+
+
+def render(writer, *args, **kwargs):
+    buffer = io.StringIO()
+    writer(buffer, *args, **kwargs)
+    return buffer.getvalue()
+
+
+SNAPSHOT = {"layout": "inv2", "gamma_J": 9.8e-22, "max_iterations": 10_000,
+            "temperature_K": -0.0}
+
+
+class TestWriteCsv:
+    @settings(max_examples=300, deadline=None)
+    @given(csv_tables(), st.lists(text_values, max_size=2))
+    @example((["x"], [np.array([0.0, -0.0, 0.0, -0.0, 5e-324, math.inf])],
+              [(0.0,), (-0.0,), (0.0,), (-0.0,), (5e-324,), (math.inf,)]), [])
+    @example((["x", "y"], [np.zeros(0), []], []), ["summary: 0/0 rows pass"])
+    def test_matches_row_template_writer(self, table, trailer):
+        header, columns, rows = table
+        expected = render(write_csv_rows, SNAPSHOT, header, rows, trailer)
+        assert render(write_csv, SNAPSHOT, header, columns, trailer) == expected
+
+    def test_each_bit_pattern_prints_as_itself(self):
+        column = np.array([0.0, -0.0, bits_to_float(NAN_BITS[1]), 1.5, -0.0])
+        text = render(write_csv, {}, ("x",), [column])
+        assert text == "x\n0.00000e+00\n-0.00000e+00\nnan\n1.50000e+00\n-0.00000e+00\n"
+
+    def test_strided_views_print_like_their_copies(self):
+        # the coherence trace passes the columns of 2-D arrays
+        table = np.arange(12.0).reshape(3, 4) / 7.0
+        views = render(write_csv, {}, "abcd", list(table.T))
+        copies = render(write_csv, {}, "abcd", [c.copy() for c in table.T])
+        assert views == copies
+        assert views.splitlines()[1] == "0.00000e+00,1.42857e-01,2.85714e-01,4.28571e-01"
+
+    def test_zero_rows_print_the_header_only(self):
+        text = render(write_csv, {"b": 1.0, "a": "x"}, ("p", "q"), [np.zeros(0), []])
+        assert text == "# a=x\n# b=1.00000e+00\np,q\n"
+
+    def test_columns_of_unequal_length_rejected(self):
+        with pytest.raises(ValueError):
+            render(write_csv, {}, ("p", "q"), [np.zeros(2), ["a"]])
+
+    def test_one_name_per_column(self):
+        with pytest.raises(ValueError, match="2 column names for 1 columns"):
+            render(write_csv, {}, ("p", "q"), [np.zeros(2)])
