@@ -16,7 +16,11 @@ grids of 18 nm cells at a 20 nm pitch with side 10, 32, 70 and 100 (100 to
 10,000 cells), driven by a fixed left column at P = +1, all relaxed at the
 default parameters; then grid(10x10) again at gamma = 6e-21 J, where the
 free cells settle between 0 and 1 instead of saturating, so that a sweep
-that rounds differently changes their bits. Reports the best wall time of
+that rounds differently changes their bits; then two identical 20-cell
+wires, each driven at its left end at P = +1, 200 nm apart (beyond the
+radius of effect), where the two copies of each cell change by the same
+amount in every sweep, so that the worst cell of the last sweep is a tie
+that the first copy must win. Reports the best wall time of
 the repeats for each stage, so the rows form a scaling curve. Where the
 compiled library loads, checks on every layout that its sweep kernel's
 polarizations are bit-identical to the loop kernel's and that both return
@@ -43,6 +47,8 @@ GRID_SIDES = (10, 32, 70, 100)
 PITCH = 20.0
 UNSATURATED_SIDE = 10
 UNSATURATED_GAMMA = 6e-21  # J
+TWIN_CELLS = 20
+TWIN_SPACING = 200.0  # nm, beyond the 80 nm radius of effect
 
 
 def grid_cells(side):
@@ -57,9 +63,20 @@ def grid_cells(side):
     return tuple(cells)
 
 
+def twin_wire_cells(n):
+    """Two n-cell wires with ids a00.. and b00.., in that order, each
+    driven by its first cell: each copy of a cell sees the same fields,
+    summed in the same order, as the other."""
+    return tuple(Cell(id=f"{wire}{k:02d}", center_x=k * PITCH,
+                      center_y=row * TWIN_SPACING,
+                      role="fixed" if k == 0 else "normal",
+                      fixed_polarization=1.0 if k == 0 else None)
+                 for row, wire in enumerate("ab") for k in range(n))
+
+
 def problems(max_cells):
     """(label, cell count, function building the layout, bistable params)
-    by size, then the unsaturated grid."""
+    by size, then the unsaturated grid and the twin wires."""
     defaults = BistableParams()
     for n in WIRES:
         if n <= max_cells:
@@ -73,6 +90,10 @@ def problems(max_cells):
             cells = grid_cells(side)
             yield (label, side * side,
                    lambda cells=cells: Layout(name="grid", cells=cells), params)
+    twins = twin_wire_cells(TWIN_CELLS)
+    if len(twins) <= max_cells:
+        yield (f"twin wire({TWIN_CELLS})", len(twins),
+               lambda: Layout(name="twins", cells=twins), defaults)
 
 
 def best_time(fn, repeats):

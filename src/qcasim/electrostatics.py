@@ -182,11 +182,6 @@ class KinkMatrix:
         ids = np.array(self.ids, dtype=object)
         return ids[self.first].tolist(), ids[self.second].tolist()
 
-    def get(self, cell_i: str, cell_j: str) -> float:
-        """Kink energy of a pair, 0.0 if beyond the radius of effect."""
-        key = (cell_i, cell_j) if cell_i < cell_j else (cell_j, cell_i)
-        return self.pairs.get(key, 0.0)
-
     def __len__(self) -> int:
         return len(self.energies)
 

@@ -47,6 +47,23 @@ and ``math.tanh`` are. The library is built with ``-ffp-contract=off``
 and never with ``-ffast-math``, since a fused multiply-add would change
 the bits. ``benchmarks/bench_coherence.py`` times the two coherence
 kernels and ``benchmarks/bench_coupling.py`` the bistable relaxation.
+
+The C integrator skips work whose result it already has. Per point and
+free cell it keeps, in the scratch that ``coherence_euler_c`` allocates
+per call (8 doubles per cell, no static or global state), the last
+steady state it computed, ``gz = field / hbar``, ``ss_x`` and ``ss_z``,
+with the bit patterns of the clock term ``gx`` and the local field they
+came from. Where a step's ``gx`` and field match those bits, it reuses
+the three values and skips the division, ``sqrt``, ``tanh`` and the
+|Gamma|^2 overflow check; otherwise it computes them and refreshes the
+entry. At step 0 every cell computes. This is exact: the three values
+are a pure function of ``gx``, the field, the point's fixed temperature,
+``hbar`` and kB, ``tanh`` is deterministic, and the stored values passed
+the overflow check when computed. Matching bits, not ``==``, keeps -0.0,
+0.0 and NaNs apart. About half the cell updates of the temperature sweep
+hit, where a zone's clock is clamped at ``clock_low`` or ``clock_high``
+and the fields have settled. The loop kernel stays the plain reference
+and recomputes at every step: in Python the reuse saved under 5%.
 """
 
 from __future__ import annotations
@@ -405,7 +422,9 @@ def coherence_euler_c(energies, zones, driven, drive_values, n_steps, dt,
     final = np.empty((batch, n))
     ok = np.empty(batch, dtype=np.bool_)
     bad_step = np.empty(batch, dtype=np.int64)
-    lam = np.empty(batch * n * 3)
+    # one struct cell_state per (point, cell): the coherence vector and the
+    # reused steady state
+    state = np.empty(batch * n * 8)
     fields = np.empty(n)
     library.qcasim_coherence_euler(
         batch, n, offsets.ctypes.data, cols.ctypes.data, energies.ctypes.data,
@@ -414,7 +433,7 @@ def coherence_euler_c(energies, zones, driven, drive_values, n_steps, dt,
         clock_low, clock_high, tau, temperature.ctypes.data, boltzmann_k,
         hbar, UNIT_BALL_LIMIT_SQ, stride, n_rec, rec_times.ctypes.data,
         rec_clocks.ctypes.data, rec_pols.ctypes.data, final.ctypes.data,
-        ok.ctypes.data, bad_step.ctypes.data, lam.ctypes.data,
+        ok.ctypes.data, bad_step.ctypes.data, state.ctypes.data,
         fields.ctypes.data)
     return final, ok, bad_step
 

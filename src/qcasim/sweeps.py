@@ -19,7 +19,7 @@ from typing import Mapping, Optional, Sequence, TextIO, Union
 import numpy as np
 
 from .constants import PhysicalConstants
-from .electrostatics import kink_matrix
+from .electrostatics import KinkMatrix, kink_matrix
 from .engines import (BistableParams, CoherenceParams, IntegrationError,
                       bistable_relax, simulate_coherence_batch)
 from .geometry import Layout, displace_cell, displacement_axis, previous_neighbor
@@ -138,6 +138,13 @@ def sweep_temperature(layout: Layout, temperatures: Sequence[float],
                        snapshot=snapshot)
 
 
+def _pair_energy(kink: KinkMatrix, cell_i: str, cell_j: str) -> float:
+    """Kink energy of a pair, 0.0 if beyond the radius of effect."""
+    i, j = sorted((kink.index[cell_i], kink.index[cell_j]))
+    found = np.flatnonzero((kink.first == i) & (kink.second == j))
+    return kink.energies[found[0]].item() if found.size else 0.0
+
+
 def sweep_gap(layout: Layout, output_id: str, gaps: Sequence[float], engine: str,
               params: Union[BistableParams, CoherenceParams],
               constants: PhysicalConstants,
@@ -172,7 +179,7 @@ def sweep_gap(layout: Layout, output_id: str, gaps: Sequence[float], engine: str
             if engine == "bistable":
                 pols.append(bistable_relax(displaced, kink, params, inputs)[output_id])
             prev = previous_neighbor(displaced, output_id)
-            energies.append(kink.get(output_id, prev.id))
+            energies.append(_pair_energy(kink, output_id, prev.id))
         except Exception as exc:
             failure = (gap, exc)
             break
@@ -306,16 +313,20 @@ def compare_to_reference(result: SweepResult, ref: ReferenceTable,
 # --------------------------------------------------------------------------
 # CSV emission
 
-def _texts(column) -> list[str]:
+def _texts(column) -> Sequence[str]:
     """One column's values as text. A float64 array prints in `sci`, each
     distinct bit pattern formatted once: grouping by bits, not by `==`,
     keeps -0.0, 0.0 and every NaN apart, so each value prints as `sci`
-    would print it alone. Anything else prints as `str` does."""
+    would print it alone. A column of `str` (the type itself, so that no
+    `__str__` is skipped) is its own text, used as it is. Anything else
+    prints as `str` does, an `int` or `bool` among strings too."""
     if isinstance(column, np.ndarray) and column.dtype == np.float64:
         keys, inverse = np.unique(column.view(np.int64), return_inverse=True)
         texts = np.array([sci(v) for v in keys.view(np.float64).tolist()],
                          dtype=object)
         return texts[inverse].tolist()
+    if set(map(type, column)) == {str}:
+        return column
     return list(map(str, column))
 
 

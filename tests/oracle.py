@@ -7,11 +7,12 @@ package's electrostatics code paths. Used to cross-check kink_matrix
 
 `reference_bistable_relax` is the bistable engine written against the
 kink matrix's pair dict alone: every field sums over all other cells in
-sorted id order, reading each energy with `KinkMatrix.get`. The engine's
+sorted id order, reading each energy with `kink_energy`. The engine's
 neighbor-list sweeps must match it bit for bit.
 
-`clock_gamma` and `write_csv_rows` are test conveniences: the clock of one
-zone as the engines compute it, and the row-template CSV writer that the
+`kink_energy`, `clock_gamma` and `write_csv_rows` are test conveniences:
+the energy of one pair read from `KinkMatrix.pairs`, the clock of one zone
+as the engines compute it, and the row-template CSV writer that the
 column-wise `sweeps.write_csv` must match byte for byte.
 """
 
@@ -91,7 +92,7 @@ def reference_local_field(cell_id, polarizations, kink):
     for other in sorted(polarizations):
         if other == cell_id:
             continue
-        energy = kink.get(cell_id, other)
+        energy = kink_energy(kink, cell_id, other)
         if energy != 0.0:
             total += energy * polarizations[other]
     return total
@@ -123,6 +124,12 @@ def reference_bistable_relax(layout, kink, params, inputs=None):
     raise ConvergenceError(
         f"bistable iteration did not converge in {params.max_iterations} sweeps; "
         f"worst cell {worst_id!r}")
+
+
+def kink_energy(kink, cell_i, cell_j):
+    """Kink energy of a pair, 0.0 if beyond the radius of effect."""
+    key = (cell_i, cell_j) if cell_i < cell_j else (cell_j, cell_i)
+    return kink.pairs.get(key, 0.0)
 
 
 def clock_gamma(zone, t, params):

@@ -16,7 +16,7 @@ import numpy as np
 import pytest
 
 from conftest import random_layout
-from oracle import assert_brute_force_energies
+from oracle import assert_brute_force_energies, kink_energy
 from qcasim.constants import PhysicalConstants
 from qcasim.electrostatics import coulomb_pair, kink_matrix
 from qcasim.engines import (BistableParams, CoherenceParams, bistable_relax,
@@ -131,7 +131,7 @@ def test_criterion_6_coherence_steady_state():
     params = CoherenceParams(clock_high=gamma, clock_low=gamma,
                              total_time=1.0e-13)  # 100 relaxation times
     trace = simulate_coherence(layout, kink, params, constants=PAPER)
-    expected = steady_state_polarization(kink.get("in", "out"), gamma,
+    expected = steady_state_polarization(kink_energy(kink, "in", "out"), gamma,
                                          params.temperature, PAPER)
     assert abs(trace.final["out"] - expected) < 1e-6
     assert np.all(np.abs(trace.polarizations) <= 1.0 + 1e-6)

@@ -14,7 +14,7 @@ from qcasim.engines import (BistableParams, CoherenceParams, ConvergenceError,
                             steady_state_polarization, truth_table_check)
 from qcasim.geometry import Layout, builtin_layout
 
-from oracle import clock_gamma
+from oracle import clock_gamma, kink_energy
 
 RADIUS = 80.0
 
@@ -140,7 +140,7 @@ class TestLocalField:
         layout = builtin_layout("wire(2)")
         kink = kink_matrix(layout, RADIUS, constants)
         field = local_field("out", {"in": 1.0, "out": 0.0}, kink)
-        assert field == pytest.approx(kink.get("in", "out"), rel=1e-15, abs=0)
+        assert field == pytest.approx(kink_energy(kink, "in", "out"), rel=1e-15, abs=0)
 
     def test_zero_neighbors(self, constants):
         layout = builtin_layout("wire(3)")
@@ -258,7 +258,7 @@ class TestBistableFixedPoint:
             for cell in layout.cells:
                 if cell.role == "fixed":
                     continue
-                field = sum(kink.get(cell.id, other) * pols[other]
+                field = sum(kink_energy(kink, cell.id, other) * pols[other]
                             for other in ids if other != cell.id)
                 x = field / (2.0 * params.gamma)
                 assert abs(pols[cell.id] - x / math.sqrt(1.0 + x * x)) <= 1e-5
@@ -323,7 +323,7 @@ class TestSimulateCoherence:
         gamma = 9.8e-22
         trace = simulate_coherence(layout, kink, fixed_clock_params(gamma),
                                    constants=constants)
-        expected = steady_state_polarization(kink.get("in", "out"), gamma, 1.0,
+        expected = steady_state_polarization(kink_energy(kink, "in", "out"), gamma, 1.0,
                                              constants)
         assert trace.final["out"] == pytest.approx(expected, abs=1e-6)
 

@@ -131,6 +131,13 @@ def zoned_wire():
 ZERO_FIELD = CoherenceParams(radius_of_effect=1.0, clock_high=0.0, clock_low=0.0)
 
 
+def clamped(clocks, params):
+    """Per recorded row and zone: -1 at clock_low, 1 at clock_high, 0 in
+    between."""
+    return (np.where(clocks == params.clock_high, 1, 0)
+            - np.where(clocks == params.clock_low, 1, 0))
+
+
 class TestKernelParity:
     def test_entry_point_matches_loop_kernel(self):
         """The entry point and the C kernel at B=1 against the loop
@@ -250,6 +257,50 @@ class TestBatchedParity:
             kink_scales=[1.0, float("nan")]))
         assert batched[1].tolist() == [True, False]
         assert batched[2][1] == 0
+
+    # The C kernel reuses a cell's steady state while its clock term and
+    # local field repeat bit for bit; the loop kernel recomputes it at
+    # every step. These batches hold the clock clamped for many steps, each
+    # with a T = 0 point.
+    def test_clock_held_low_and_high(self):
+        # an amplitude factor above ~2.08 reaches clock_high
+        params = CoherenceParams(clock_amplitude_factor=3.0)
+        clocks = assert_batches_identical(batch_problem(
+            builtin_layout("inv3"), [0.0, 1.0, 5.0], stride=10,
+            params=params))[4]
+        zone0 = clamped(clocks, params)[:, 0].tolist()
+        assert zone0.count(1) > 10 and zone0.count(-1) > 10 and 0 in zone0
+
+    def test_one_zone_held_while_another_changes(self):
+        params = CoherenceParams(clock_amplitude_factor=3.0)
+        clocks = assert_batches_identical(batch_problem(
+            zoned_wire(), [0.0, 1.0, 7.0], stride=10, params=params))[4]
+        zones = clamped(clocks, params)
+        held = (zones != 0).any(axis=1) & (zones == 0).any(axis=1)
+        assert held.sum() > 20
+
+    def test_point_fails_after_many_reused_steps(self):
+        # a scale of 125 grows |lambda| slowly: the point leaves the unit
+        # ball at step 1300, deep in the ~1000 steps of the clock held at
+        # clock_low, while the other points run on
+        params = CoherenceParams()
+        _, ok, bad_step, _, clocks, pols = assert_batches_identical(
+            batch_problem(builtin_layout("inv3"), [1.0, 1.0, 0.0],
+                          kink_scales=[1.0, 125.0, 1.0], params=params))
+        assert ok.tolist() == [True, False, True]
+        assert bad_step.tolist() == [-1, 1300, -1]
+        assert clocks[6:13, 0].tolist() == [params.clock_low] * 7  # steps 600-1200
+        assert np.isfinite(pols[[0, 2]]).all() and (pols[1, 14:] == 0.0).all()
+
+    def test_signed_zero_clock(self):
+        # shift -0.0 plus 0.0 * cos gives -0.0 or 0.0, which no clamp
+        # changes: gx alternates between 0.0 and -0.0, equal under ==
+        params = CoherenceParams(clock_low=0.0, clock_high=0.0, clock_shift=-0.0)
+        clocks = assert_batches_identical(batch_problem(
+            builtin_layout("inv3"), [0.0, 1.0], stride=10, params=params))[4]
+        assert (clocks == 0.0).all()
+        signs = np.signbit(clocks[:, 0])
+        assert signs.any() and not signs.all()
 
 
 class TestSinglePointParity:

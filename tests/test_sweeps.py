@@ -13,11 +13,11 @@ from qcasim.engines import (BistableParams, CoherenceParams, bistable_relax,
                             simulate_coherence)
 from qcasim.geometry import builtin_layout, displace_cell, displacement_axis
 from qcasim.sweeps import (TABLE1_TEMPERATURES, TABLE23_GAPS, SweepError,
-                           compare_to_reference, emit_csv, load_reference_table,
-                           rank_correlation, sweep_gap, sweep_temperature,
-                           write_csv)
+                           _pair_energy, _texts, compare_to_reference, emit_csv,
+                           load_reference_table, rank_correlation, sweep_gap,
+                           sweep_temperature, write_csv)
 
-from oracle import write_csv_rows
+from oracle import kink_energy, write_csv_rows
 
 FAST = CoherenceParams(total_time=7.0e-13)
 
@@ -108,7 +108,18 @@ class TestSweepGap:
         kink = kink_matrix(displaced, params.radius_of_effect, constants)
         pols = bistable_relax(displaced, kink, params)
         assert result.rows[0].polarization == abs(pols["out"])
-        assert result.rows[0].kink_energy == kink.get("out", "mid")
+        assert result.rows[0].kink_energy == kink_energy(kink, "out", "mid")
+
+    @pytest.mark.parametrize("name,radius", [("inv3", 80.0), ("wire(3)", 25.0)])
+    def test_pair_energy_reads_the_arrays(self, constants, name, radius):
+        # wire(3) at 25 nm: in and out lie beyond the radius of effect
+        kink = kink_matrix(builtin_layout(name), radius, constants)
+        for a in kink.ids:
+            for b in kink.ids:
+                if a != b:
+                    assert _pair_energy(kink, a, b) == kink_energy(kink, a, b)
+        if name == "wire(3)":
+            assert _pair_energy(kink, "in", "out") == 0.0
 
     def test_kink_energy_recomputed_per_gap(self, constants):
         result = sweep_gap(builtin_layout("inv3"), "out", (1.0, 2.0),
@@ -126,7 +137,7 @@ class TestSweepGap:
             kink = kink_matrix(displaced, FAST.radius_of_effect, constants)
             trace = simulate_coherence(displaced, kink, FAST, constants=constants)
             assert row.polarization == abs(trace.final["out"])
-            assert row.kink_energy == kink.get("out", "mid")
+            assert row.kink_energy == kink_energy(kink, "out", "mid")
 
     def test_non_finite_gap(self, constants):
         with pytest.raises(SweepError, match="finite"):
@@ -308,13 +319,23 @@ text_values = st.text(st.characters(blacklist_categories=("Cs",),
                                     blacklist_characters=",\n\r"), max_size=6)
 
 
+class Shouted(str):
+    """A str whose `str` differs from its value."""
+
+    def __str__(self):
+        return self.upper() + "!"
+
+
 @st.composite
 def csv_tables(draw):
     """(header, columns as `write_csv` takes them, the same data as rows):
-    float64 array columns drawn from a small pool, so values repeat, and
-    str, int, bool and mixed int/str list columns."""
+    float64 array columns drawn from a small pool, so values repeat;
+    str, int, bool and mixed int/str list columns; str columns mixed with
+    bools, with str subclasses (np.str_, one with its own `__str__`) and
+    as tuples."""
     n_rows = draw(st.integers(0, 40))
-    kinds = draw(st.lists(st.sampled_from(("float", "str", "int", "bool", "mixed")),
+    kinds = draw(st.lists(st.sampled_from(("float", "str", "int", "bool", "mixed",
+                                           "str-bool", "str-subclass", "str-tuple")),
                           min_size=1, max_size=5))
     columns, values = [], []
     for kind in kinds:
@@ -324,11 +345,17 @@ def csv_tables(draw):
                                    max_size=n_rows))
             columns.append(np.array(column, dtype=np.float64))
         else:
-            element = {"str": text_values, "int": st.integers(),
-                       "bool": st.booleans(),
+            element = {"str": text_values, "str-tuple": text_values,
+                       "int": st.integers(), "bool": st.booleans(),
                        "mixed": st.one_of(st.integers(-1, 2),
-                                          st.just("indeterminate"))}[kind]
+                                          st.just("indeterminate")),
+                       "str-bool": st.one_of(text_values, st.booleans()),
+                       "str-subclass": st.one_of(text_values,
+                                                 text_values.map(np.str_),
+                                                 text_values.map(Shouted))}[kind]
             column = draw(st.lists(element, min_size=n_rows, max_size=n_rows))
+            if kind == "str-tuple":
+                column = tuple(column)
             columns.append(column)
         values.append(column)
     header = [f"c{k}" for k in range(len(kinds))]
@@ -355,6 +382,12 @@ class TestWriteCsv:
         header, columns, rows = table
         expected = render(write_csv_rows, SNAPSHOT, header, rows, trailer)
         assert render(write_csv, SNAPSHOT, header, columns, trailer) == expected
+
+    def test_str_columns_pass_through(self):
+        ids = ["c1", "c2", "c1"]
+        assert _texts(ids) is ids
+        assert _texts(["a", True, 0]) == ["a", "True", "0"]
+        assert _texts([Shouted("a"), "b"]) == ["A!", "b"]
 
     def test_each_bit_pattern_prints_as_itself(self):
         column = np.array([0.0, -0.0, bits_to_float(NAN_BITS[1]), 1.5, -0.0])
