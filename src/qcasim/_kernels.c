@@ -2,7 +2,9 @@
  *
  * qcasim_coherence_euler, the batched coherence-vector Euler integrator,
  * a transcription of qcasim.kernels.coherence_euler_loop: the points of a
- * batch advance in lockstep.
+ * batch advance in lockstep. One call runs the points b = first,
+ * first + every, ... < batch of a batch, so that calls on disjoint sets
+ * of points can run on threads of their own (see below).
  *
  * qcasim_bistable_sweep, the bistable Gauss-Seidel sweep, a transcription
  * of qcasim.kernels.bistable_sweep_loop.
@@ -43,16 +45,33 @@
  * clock_high (clock_low for about half of every period at the default
  * clock) and the fields repeat. The loop kernel stays the plain
  * reference and recomputes at every step: in Python the reuse saved
- * under 5%. There is no static or global state, so calls on disjoint
- * batches may run concurrently.
+ * under 5%.
+ *
+ * Threads. A call reads the batch's arrays (energies, drive_values,
+ * temperature) at the global point b and fills the caller's rec_pols,
+ * final, ok and bad_step in place at b, so a split batch is never
+ * gathered or copied. Everything it writes at every step is in its own
+ * scratch, indexed by its local point j (b = first + j * every): the
+ * working polarizations pols (n doubles per point), state (one struct
+ * cell_state per point and cell) and fields (n doubles). It copies pols
+ * to final once, at the end. The caller gives each concurrent call
+ * scratch that starts on a 64-byte line and spans whole lines, so no two
+ * threads write to one cache line at every step (a shared line would
+ * bounce between the cores). The shared arrays are written only at
+ * recording steps (rec_pols, whose rows of different points lie n_rec
+ * rows apart), at a failure (ok, bad_step) and once at the end (final).
+ * Only one call records the shared times and clocks: the others pass
+ * NULL rec_times and rec_clocks. Each call returns the number of rows it
+ * recorded, which is the number of recording steps that one of its
+ * points was alive at. There is no static or global state.
  *
  * A point whose coherence vector leaves the unit ball (or becomes NaN)
  * stops at that cell, mid-sweep: ok[b] = 0, bad_step[b] = the step, its
  * polarizations stay as they are and it is no longer recorded. A point
  * where |Gamma|^2 overflows to inf fails the same way, at that cell and
- * before its update. The batch
- * ends once every point has failed. The shared times and clock values are
- * recorded at every recording step that some point is still alive at.
+ * before its update. A call ends once every one of its points has
+ * failed. The shared times and clock values are recorded at every
+ * recording step that one of the call's points is still alive at.
  */
 
 #include <math.h>
@@ -93,8 +112,8 @@ static uint64_t bits_of(double x)
     return bits;
 }
 
-void qcasim_coherence_euler(
-    int64_t batch, int64_t n,
+int64_t qcasim_coherence_euler(
+    int64_t batch, int64_t first, int64_t every, int64_t n,
     const int64_t *offsets, const int64_t *cols, const double *energies,
     const int64_t *zones, const uint8_t *driven, const double *drive_values,
     int64_t n_steps, double dt, double total_time, double periods,
@@ -102,23 +121,25 @@ void qcasim_coherence_euler(
     double clock_high, double tau, const double *temperature,
     double boltzmann_k, double hbar, double limit_sq, int64_t stride,
     int64_t n_rec, double *rec_times, double *rec_clocks, double *rec_pols,
-    double *pol, uint8_t *ok, int64_t *bad_step,
-    struct cell_state *state, double *fields)
+    double *final, uint8_t *ok, int64_t *bad_step,
+    double *pols, struct cell_state *state, double *fields)
 {
     double gammas[4], gx_zone[4];
     int64_t nnz = offsets[n];
-    int64_t alive = batch;
+    int64_t alive = 0;
     int64_t rec = 0;
 
-    for (int64_t b = 0; b < batch; b++) {
+    /* point b of the batch is the call's local point j */
+    for (int64_t b = first, j = 0; b < batch; b += every, j++) {
         ok[b] = 1;
         bad_step[b] = -1;
         for (int64_t i = 0; i < n; i++) {
-            pol[b * n + i] = driven[i] ? drive_values[b * n + i] : 0.0;
-            state[b * n + i].lam[0] = 0.0;
-            state[b * n + i].lam[1] = 0.0;
-            state[b * n + i].lam[2] = 0.0;
+            pols[j * n + i] = driven[i] ? drive_values[b * n + i] : 0.0;
+            state[j * n + i].lam[0] = 0.0;
+            state[j * n + i].lam[1] = 0.0;
+            state[j * n + i].lam[2] = 0.0;
         }
+        alive++;
     }
 
     for (int64_t step = 0; step <= n_steps && alive > 0; step++) {
@@ -129,15 +150,15 @@ void qcasim_coherence_euler(
             gx_zone[z] = -2.0 * gammas[z] / hbar;
         }
         int record = step % stride == 0 && rec < n_rec;
-        if (record) {
+        if (record && rec_times != NULL) {
             rec_times[rec] = t;
             for (int z = 0; z < 4; z++)
                 rec_clocks[rec * 4 + z] = gammas[z];
         }
-        for (int64_t b = 0; b < batch; b++) {
+        for (int64_t b = first, j = 0; b < batch; b += every, j++) {
             if (!ok[b])
                 continue;
-            double *p = pol + b * n;
+            double *p = pols + j * n;
             const double *e = energies + b * nnz;
             if (record)
                 for (int64_t i = 0; i < n; i++)
@@ -157,7 +178,7 @@ void qcasim_coherence_euler(
             for (int64_t i = 0; i < n; i++) {
                 if (driven[i])
                     continue;
-                struct cell_state *s = state + b * n + i;
+                struct cell_state *s = state + j * n + i;
                 double gx = gx_zone[zones[i]];
                 uint64_t gx_bits = bits_of(gx), field_bits = bits_of(fields[i]);
                 if (step == 0 || gx_bits != s->gx_bits
@@ -213,6 +234,10 @@ void qcasim_coherence_euler(
         if (record)
             rec++;
     }
+
+    for (int64_t b = first, j = 0; b < batch; b += every, j++)
+        memcpy(final + b * n, pols + j * n, (size_t)n * sizeof(double));
+    return rec;
 }
 
 /* The bistable update f(x) = x / sqrt(1 + x^2). Where x * x overflows

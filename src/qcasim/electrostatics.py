@@ -31,7 +31,7 @@ from __future__ import annotations
 
 import math
 from functools import cached_property
-from typing import Mapping, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -133,38 +133,19 @@ class KinkMatrix:
     the arrays into the neighbor list the engines read.
     """
 
-    def __init__(self, pairs: Mapping[tuple[str, str], float],
-                 radius_of_effect: float) -> None:
-        """From a dict of (id_i, id_j) with id_i < id_j -> energy in J."""
-        for a, b in pairs:
-            if not a < b:
-                raise ElectrostaticsError(
-                    f"pair key ({a!r}, {b!r}) must list the lower id first")
-        ids = sorted({cid for key in pairs for cid in key})
-        index = {cid: k for k, cid in enumerate(ids)}
-        first = np.fromiter((index[a] for a, _ in pairs), np.int64, len(pairs))
-        second = np.fromiter((index[b] for _, b in pairs), np.int64, len(pairs))
-        energies = np.fromiter(pairs.values(), np.float64, len(pairs))
-        order = np.lexsort((second, first))
-        self._store(tuple(ids), first[order], second[order], energies[order],
-                    radius_of_effect)
-
     @classmethod
     def from_arrays(cls, ids: Sequence[str], first: np.ndarray,
                     second: np.ndarray, energies: np.ndarray,
                     radius_of_effect: float) -> "KinkMatrix":
         """From the stored form itself; `ids` ascending, pairs in
         lexicographic (first, second) order with first < second."""
-        matrix = cls.__new__(cls)
-        matrix._store(tuple(ids), first, second, energies, radius_of_effect)
+        matrix = cls()
+        matrix.ids = tuple(ids)
+        matrix.first = _frozen(np.asarray(first, dtype=np.int64))
+        matrix.second = _frozen(np.asarray(second, dtype=np.int64))
+        matrix.energies = _frozen(np.asarray(energies, dtype=np.float64))
+        matrix.radius_of_effect = radius_of_effect  # nm
         return matrix
-
-    def _store(self, ids, first, second, energies, radius_of_effect) -> None:
-        self.ids = ids
-        self.first = _frozen(np.asarray(first, dtype=np.int64))
-        self.second = _frozen(np.asarray(second, dtype=np.int64))
-        self.energies = _frozen(np.asarray(energies, dtype=np.float64))
-        self.radius_of_effect = radius_of_effect  # nm
 
     @cached_property
     def index(self) -> dict:

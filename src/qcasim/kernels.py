@@ -64,6 +64,26 @@ the overflow check when computed. Matching bits, not ``==``, keeps -0.0,
 hit, where a zone's clock is clamped at ``clock_low`` or ``clock_high``
 and the fields have settled. The loop kernel stays the plain reference
 and recomputes at every step: in Python the reuse saved under 5%.
+
+The C integrator splits a batch of B points into k = min(B, usable
+cores) chunks, the usable cores being ``len(os.sched_getaffinity(0))``,
+or ``os.cpu_count()`` where the platform has no affinity (macOS). Chunk
+j holds the points j, j + k, j + 2k, ...: interleaved, since the points
+of a sweep grow costlier along it (at 10,000 steps, the 8 points of the
+temperature sweep at 7-30 K take 7.8 ms, its 7 points at 0-6 K 5.4 ms).
+Chunk 0 runs on the calling thread and each other chunk on a
+``threading.Thread`` of its own; ctypes releases the GIL for the call,
+so the chunks run in parallel. Each chunk fills the caller's recorded
+polarizations, finals and flags in place, so nothing is gathered and
+the recording, up to ``engines.MAX_RECORD_BYTES``, is never copied. Its
+working arrays are its own, allocated before any thread starts and
+padded to whole 64-byte cache lines. Chunk 0 alone records the shared
+times and clocks; where its points all fail before another chunk's do,
+a run of one point without cells, which never fails, records the rows
+after. The results are those of one call, bit for bit, at any k. A
+single point (B = 1) and a one-core machine make one call and start no
+thread. There is no option, setting or size threshold for k. The loop
+kernel holds the GIL, so it runs its batch serially.
 """
 
 from __future__ import annotations
@@ -71,6 +91,7 @@ from __future__ import annotations
 import functools
 import math
 import os
+import threading
 from pathlib import Path
 
 import numpy as np
@@ -312,9 +333,9 @@ def _bind(path: Path):
     library = ctypes.CDLL(str(path))
     i64, f64, ptr = ctypes.c_int64, ctypes.c_double, ctypes.c_void_p
     euler = library.qcasim_coherence_euler
-    euler.argtypes = ([i64, i64] + [ptr] * 6 + [i64] + [f64] * 8 + [ptr]
-                      + [f64] * 3 + [i64, i64] + [ptr] * 8)
-    euler.restype = None
+    euler.argtypes = ([i64] * 4 + [ptr] * 6 + [i64] + [f64] * 8 + [ptr]
+                      + [f64] * 3 + [i64, i64] + [ptr] * 9)
+    euler.restype = i64
     sweep = library.qcasim_bistable_sweep
     sweep.argtypes = [i64] + [ptr] * 5 + [f64, f64, i64, ptr, ptr]
     sweep.restype = i64
@@ -387,15 +408,29 @@ def _check_neighbors(offsets, cols, n: int) -> int:
     return nnz
 
 
+def _usable_cores() -> int:
+    """The cores this process may run on: its CPU affinity where the
+    platform reports one (not on macOS), else the machine's count."""
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:
+        return os.cpu_count() or 1
+
+
 def coherence_euler_c(energies, zones, driven, drive_values, n_steps, dt,
                       total_time, periods, clock_shift, clock_amplitude,
                       clock_low, clock_high, tau, temperature, boltzmann_k,
                       hbar, stride, rec_times, rec_clocks, rec_pols,
-                      offsets, cols):
+                      offsets, cols, *, _chunks=None):
     """The batched integrator in C, with the arguments, results and
     failure semantics of ``coherence_euler_loop``. Every array is checked
     for dtype, C-contiguity and shape, and the neighbor list for
-    consistency, before its pointer is passed."""
+    consistency, before its pointer is passed.
+
+    The B points run as k = min(B, usable cores) interleaved chunks,
+    points j, j + k, j + 2k, ... in chunk j: chunk 0 on the calling
+    thread, each other on a thread of its own (ctypes releases the GIL for
+    the call). ``_chunks`` sets k, for the tests."""
     library = _library()
     if library is None:
         raise RuntimeError("the compiled kernels are not available")
@@ -419,22 +454,62 @@ def coherence_euler_c(energies, zones, driven, drive_values, n_steps, dt,
     # a stride beyond n_steps records step 0 only, as n_steps + 1 does; the
     # smaller value fits the C int64
     stride = min(int(stride), int(n_steps) + 1)
+    chunks = max(1, min(batch, _chunks or _usable_cores()))
     final = np.empty((batch, n))
     ok = np.empty(batch, dtype=np.bool_)
     bad_step = np.empty(batch, dtype=np.int64)
-    # one struct cell_state per (point, cell): the coherence vector and the
-    # reused steady state
-    state = np.empty(batch * n * 8)
-    fields = np.empty(n)
-    library.qcasim_coherence_euler(
-        batch, n, offsets.ctypes.data, cols.ctypes.data, energies.ctypes.data,
-        zones.ctypes.data, driven.ctypes.data, drive_values.ctypes.data,
-        int(n_steps), dt, total_time, periods, clock_shift, clock_amplitude,
-        clock_low, clock_high, tau, temperature.ctypes.data, boltzmann_k,
-        hbar, UNIT_BALL_LIMIT_SQ, stride, n_rec, rec_times.ctypes.data,
-        rec_clocks.ctypes.data, rec_pols.ctypes.data, final.ctypes.data,
-        ok.ctypes.data, bad_step.ctypes.data, state.ctypes.data,
-        fields.ctypes.data)
+    # Each chunk's scratch, allocated here so that no thread allocates:
+    # the polarizations of its points, one struct cell_state (8 doubles)
+    # per point and cell, and the fields of one point. Each chunk starts
+    # on a 64-byte line and spans whole lines, so no two chunks write to
+    # one cache line.
+    points = [len(range(j, batch, chunks)) for j in range(chunks)]
+    spans = [-(-(9 * m * n + n) // 8) * 8 for m in points]
+    scratch = np.empty(sum(spans) + 7)
+    start = -scratch.ctypes.data % 64 // 8
+    shared = (
+        offsets.ctypes, cols.ctypes, energies.ctypes, zones.ctypes,
+        driven.ctypes, drive_values.ctypes, int(n_steps), dt, total_time,
+        periods, clock_shift, clock_amplitude, clock_low, clock_high, tau,
+        temperature.ctypes, boltzmann_k, hbar, UNIT_BALL_LIMIT_SQ, stride,
+        n_rec)
+    calls = []
+    for j, (m, span) in enumerate(zip(points, spans)):
+        own = scratch[start:start + span]
+        start += span
+        # only chunk 0 records the times and clocks
+        clock_rows = (rec_times.ctypes, rec_clocks.ctypes) if j == 0 else (None, None)
+        calls.append((batch, j, chunks, n, *shared, *clock_rows,
+                      rec_pols.ctypes, final.ctypes, ok.ctypes,
+                      bad_step.ctypes, own.ctypes, own[m * n:].ctypes,
+                      own[9 * m * n:].ctypes))
+    rows = [0] * chunks
+
+    def run(j):
+        rows[j] = library.qcasim_coherence_euler(*calls[j])
+
+    threads = [threading.Thread(target=run, args=(j,)) for j in range(1, chunks)]
+    try:
+        for thread in threads:
+            thread.start()
+        run(0)
+    finally:
+        for thread in threads:
+            if thread.is_alive():
+                thread.join()
+    most = max(rows)
+    if most > rows[0]:
+        # Chunk 0's points all failed while another chunk's ran on. The
+        # times and clocks of a row depend on its step alone, and a point
+        # without cells never fails: one run of it records the rows.
+        empty = np.empty(0, dtype=np.int64)
+        coherence_euler_c(
+            np.empty((1, 0)), empty, np.empty(0, dtype=np.bool_),
+            np.empty((1, 0)), (most - 1) * stride, dt, total_time, periods,
+            clock_shift, clock_amplitude, clock_low, clock_high, tau,
+            np.zeros(1), boltzmann_k, hbar, stride, rec_times[:most],
+            rec_clocks[:most], np.empty((1, most, 0)),
+            np.zeros(1, dtype=np.int64), empty)
     return final, ok, bad_step
 
 

@@ -10,15 +10,19 @@ kink matrix's pair dict alone: every field sums over all other cells in
 sorted id order, reading each energy with `kink_energy`. The engine's
 neighbor-list sweeps must match it bit for bit.
 
-`kink_energy`, `clock_gamma` and `write_csv_rows` are test conveniences:
-the energy of one pair read from `KinkMatrix.pairs`, the clock of one zone
-as the engines compute it, and the row-template CSV writer that the
-column-wise `sweeps.write_csv` must match byte for byte.
+`kink_energy`, `kink_matrix_from_pairs`, `clock_gamma` and
+`write_csv_rows` are test conveniences: the energy of one pair read from
+`KinkMatrix.pairs`, a `KinkMatrix` built from a dict like `pairs`, the
+clock of one zone as the engines compute it, and the row-template CSV
+writer that the column-wise `sweeps.write_csv` must match byte for byte.
 """
 
 import math
 
+import numpy as np
+
 from qcasim import kernels
+from qcasim.electrostatics import KinkMatrix
 from qcasim.engines import ConvergenceError, resolve_drives
 from qcasim.sweeps import sci
 
@@ -130,6 +134,21 @@ def kink_energy(kink, cell_i, cell_j):
     """Kink energy of a pair, 0.0 if beyond the radius of effect."""
     key = (cell_i, cell_j) if cell_i < cell_j else (cell_j, cell_i)
     return kink.pairs.get(key, 0.0)
+
+
+def kink_matrix_from_pairs(pairs, radius_of_effect):
+    """A `KinkMatrix` from a dict of (id_i, id_j) with id_i < id_j ->
+    energy in J, like `KinkMatrix.pairs`, its keys in any order."""
+    assert all(a < b for a, b in pairs), "pair keys list the lower id first"
+    ids = sorted({cid for key in pairs for cid in key})
+    index = {cid: k for k, cid in enumerate(ids)}
+    entries = sorted((index[a], index[b], energy)
+                     for (a, b), energy in pairs.items())
+    first, second, energies = zip(*entries) if entries else ((), (), ())
+    return KinkMatrix.from_arrays(ids, np.array(first, dtype=np.int64),
+                                  np.array(second, dtype=np.int64),
+                                  np.array(energies, dtype=np.float64),
+                                  radius_of_effect)
 
 
 def clock_gamma(zone, t, params):

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from qcasim.constants import PhysicalConstants
-from qcasim.electrostatics import KinkMatrix, kink_matrix
+from qcasim.electrostatics import kink_matrix
 from qcasim.engines import (BistableParams, CoherenceParams, ConvergenceError,
                             EngineError, IntegrationError, MAX_STEPS,
                             bistable_relax, local_field, resolve_drives,
@@ -14,7 +14,7 @@ from qcasim.engines import (BistableParams, CoherenceParams, ConvergenceError,
                             steady_state_polarization, truth_table_check)
 from qcasim.geometry import Layout, builtin_layout
 
-from oracle import clock_gamma, kink_energy
+from oracle import clock_gamma, kink_energy, kink_matrix_from_pairs
 
 RADIUS = 80.0
 
@@ -396,8 +396,8 @@ class TestSimulateCoherenceBatch:
     def test_first_failing_point_is_reported(self, constants):
         layout = builtin_layout("inv3")
         kink = kink_matrix(layout, RADIUS, constants)
-        strong = KinkMatrix(pairs={key: 3e3 * e for key, e in kink.pairs.items()},
-                            radius_of_effect=RADIUS)
+        strong = kink_matrix_from_pairs(
+            {key: 3e3 * e for key, e in kink.pairs.items()}, RADIUS)
         points = [(kink, FAST, None), (strong, FAST, None), (strong, FAST, None)]
         with pytest.raises(IntegrationError, match="left the unit ball") as info:
             simulate_coherence_batch(layout, points, constants)

@@ -1,3 +1,4 @@
+import functools
 import io
 import itertools
 import json
@@ -7,6 +8,8 @@ import shutil
 import subprocess
 import sys
 import tempfile
+import threading
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
@@ -14,9 +17,9 @@ import pytest
 
 from qcasim import kernels
 from qcasim.constants import PhysicalConstants
-from qcasim.electrostatics import kink_matrix
-from qcasim.engines import (BistableParams, CoherenceParams, coupling,
-                            resolve_drives)
+from qcasim.electrostatics import KinkMatrix, kink_matrix
+from qcasim.engines import (BistableParams, CoherenceParams, IntegrationError,
+                            coupling, resolve_drives, simulate_coherence_batch)
 from qcasim.geometry import Layout, builtin_layout
 from qcasim.sweeps import TABLE1_TEMPERATURES
 
@@ -73,12 +76,20 @@ def compiled():
     return [kernels.coherence_euler_c] if kernels.kernel_path() == "c" else []
 
 
+def chunked(batch):
+    """The C kernel split into each chunk count from 1 to B, where the
+    compiled library loads, else nothing."""
+    return [functools.partial(kernel, _chunks=k)
+            for kernel in compiled() for k in range(1, batch + 1)]
+
+
 def assert_batches_identical(args):
-    """The C kernel, where it loads, against the loop kernel: finals,
-    flags, bad steps and all three recordings, bit for bit, failed points
-    included. Returns the loop kernel's results."""
+    """The C kernel, where it loads, at every chunk count from 1 to B,
+    against the loop kernel: finals, flags, bad steps and all three
+    recordings, bit for bit, failed points included. Returns the loop
+    kernel's results."""
     loop = run(LOOP, args)
-    for kernel in compiled():
+    for kernel in chunked(len(loop[0])):
         for x, y in zip(run(kernel, args), loop):
             assert_same_bits(x, y)
     return loop
@@ -219,6 +230,19 @@ class TestBatchedParity:
             kink_scales=[3e3, 3e4]))
         assert not batched[1].any()
 
+    def test_first_points_fail_first(self):
+        # at 2 and 3 chunks, chunk 0 holds only points that fail within a
+        # few steps, while point 1 runs on: chunk 0 stops recording first,
+        # yet the times and clocks of every later row are recorded
+        _, ok, bad_step, times, clocks, _ = assert_batches_identical(
+            batch_problem(builtin_layout("inv3"), [0.0, 1.0, 2.0],
+                          n_steps=400, stride=1, kink_scales=[3e4, 1.0, 3e3]))
+        assert ok.tolist() == [False, True, False]
+        assert bad_step.tolist() == [4, -1, 7]
+        assert times.tolist() == [s * CoherenceParams().time_step
+                                  for s in range(401)]
+        assert (clocks[5:] != 0.0).any(axis=1).all()
+
     def test_zero_field_has_zero_steady_state(self):
         batched = assert_batches_identical(batch_problem(
             builtin_layout("wire(2)"), [0.0, 1.0], n_steps=100,
@@ -325,6 +349,84 @@ class TestSinglePointParity:
             "underflowing-T", "overflowing-gamma"])
     def test_single_point(self, problem):
         assert_batches_identical(problem())
+
+
+@needs_cc
+class TestChunkCount:
+    """Without ``_chunks`` the C kernel splits a batch into min(B, usable
+    cores) chunks, one thread for each chunk after the first."""
+
+    @pytest.fixture
+    def threads(self, monkeypatch):
+        """The threads constructed, one entry per thread."""
+        made = []
+
+        class Counted(threading.Thread):
+            def __init__(self, *args, **kwargs):
+                made.append(self)
+                super().__init__(*args, **kwargs)
+        monkeypatch.setattr(threading, "Thread", Counted)
+        return made
+
+    def cores(self, monkeypatch, count):
+        monkeypatch.setattr(os, "sched_getaffinity",
+                            lambda pid: set(range(count)), raising=False)
+
+    def test_one_core_starts_no_thread(self, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("a thread was constructed")
+        self.cores(monkeypatch, 1)
+        monkeypatch.setattr(threading, "Thread", refuse)
+        args = batch_problem(builtin_layout("inv3"), TABLE1_TEMPERATURES,
+                             n_steps=200)
+        for x, y in zip(run(kernels.coherence_euler, args), run(LOOP, args)):
+            assert_same_bits(x, y)
+
+    def test_chunks_capped_at_the_batch(self, monkeypatch, threads):
+        self.cores(monkeypatch, 4)
+        args = batch_problem(builtin_layout("inv3"), [0.0, 1.0], n_steps=200)
+        for x, y in zip(run(kernels.coherence_euler, args), run(LOOP, args)):
+            assert_same_bits(x, y)
+        assert len(threads) == 1
+
+    def test_cpu_count_without_sched_getaffinity(self, monkeypatch, threads):
+        monkeypatch.delattr(os, "sched_getaffinity", raising=False)
+        monkeypatch.setattr(os, "cpu_count", lambda: 3)
+        args = batch_problem(builtin_layout("inv3"), TABLE1_TEMPERATURES,
+                             n_steps=200)
+        for x, y in zip(run(kernels.coherence_euler, args), run(LOOP, args)):
+            assert_same_bits(x, y)
+        assert len(threads) == 2
+
+    def test_recording_is_not_copied(self):
+        # the chunks fill the caller's recordings in place: what a call
+        # allocates does not grow with the recorded rows
+        args = batch_problem(builtin_layout("inv2"), [0.0, 1.0],
+                             n_steps=20_000, stride=1)
+        kernels.coherence_euler_c(*args(), _chunks=2)  # loads the library
+        call = args()
+        tracemalloc.start()
+        try:
+            kernels.coherence_euler_c(*call, _chunks=2)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < sum(a.nbytes for a in call[17:20]) / 20
+
+    def test_error_names_the_lower_index(self, monkeypatch, threads):
+        # point 0 fails at step 7, point 1, in the other chunk, at step 4
+        self.cores(monkeypatch, 2)
+        layout = builtin_layout("inv3")
+        kink = kink_matrix(layout, 80.0, PAPER)
+        params = CoherenceParams(total_time=400 * CoherenceParams().time_step)
+        points = [(KinkMatrix.from_arrays(kink.ids, kink.first, kink.second,
+                                          scale * kink.energies, 80.0),
+                   replace(params, temperature=t), None)
+                  for scale, t in ((3e3, 1.0), (3e4, 0.0))]
+        with pytest.raises(IntegrationError, match="at step 7 ") as info:
+            simulate_coherence_batch(layout, points, PAPER)
+        assert info.value.point == 0
+        assert len(threads) == 1
 
 
 class TestSweepParity:
