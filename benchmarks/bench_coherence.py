@@ -11,7 +11,7 @@ B=15 (the table-1 temperature grid, 0-30 K):
 * c1: the compiled kernel on the calling thread alone, one chunk.
 
 Reports the best wall time of the repeats and point-steps/s (B x Euler
-steps per second), and checks that every kernel's finals, flags and
+steps per second), and checks that every kernel's finals, bad steps and
 recordings are bit-identical to the loop kernel's. Where the library
 builds, it then checks, untimed, the C kernel at every chunk count from 1
 to B against the loop kernel, bit for bit, recording every step, on the
@@ -82,9 +82,9 @@ def build_problem(params, temperatures, layout=None, stride=1000):
 def run_once(kernel, args, **options):
     call = args()
     start = time.perf_counter()
-    final, ok, bad_step = kernel(*call, **options)
+    final, bad_step = kernel(*call, **options)
     elapsed = time.perf_counter() - start
-    return elapsed, (final, ok, bad_step) + call[17:20]
+    return elapsed, (final, bad_step) + call[17:20]
 
 
 def same_bits(output, reference):
@@ -125,7 +125,7 @@ def main():
             best = min(times)
             if reference is None:
                 reference = outputs[0]
-                if not reference[1].all():
+                if (reference[1] >= 0).any():
                     sys.exit("integration went unstable")
             same = all(same_bits(output, reference) for output in outputs)
             all_same = all_same and same

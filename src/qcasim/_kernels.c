@@ -27,7 +27,7 @@
  * finite until the unit-ball guard stops that point.
  *
  * Each free cell of each point keeps a struct cell_state in the scratch
- * the caller allocates per call (8 doubles per cell): its coherence
+ * that each call allocates for itself and frees at its end: its coherence
  * vector and the thermal steady state last computed (gz = field / hbar,
  * ss_x and ss_z), with the bit patterns of the clock term gx = -2
  * gamma_z / hbar and of the local field it was computed from. Where a
@@ -49,33 +49,34 @@
  *
  * Threads. A call reads the batch's arrays (energies, drive_values,
  * temperature) at the global point b and fills the caller's rec_pols,
- * final, ok and bad_step in place at b, so a split batch is never
- * gathered or copied. Everything it writes at every step is in its own
- * scratch, indexed by its local point j (b = first + j * every): the
- * working polarizations pols (n doubles per point), state (one struct
- * cell_state per point and cell) and fields (n doubles). It copies pols
- * to final once, at the end. The caller gives each concurrent call
- * scratch that starts on a 64-byte line and spans whole lines, so no two
- * threads write to one cache line at every step (a shared line would
- * bounce between the cores). The shared arrays are written only at
- * recording steps (rec_pols, whose rows of different points lie n_rec
- * rows apart), at a failure (ok, bad_step) and once at the end (final).
- * Only one call records the shared times and clocks: the others pass
- * NULL rec_times and rec_clocks. Each call returns the number of rows it
- * recorded, which is the number of recording steps that one of its
- * points was alive at. There is no static or global state.
+ * final and bad_step in place at b, so a split batch is never gathered
+ * or copied. Everything it writes at every step is in its own scratch,
+ * indexed by its local point j (b = first + j * every): state (one
+ * struct cell_state per point and cell), the working polarizations pols
+ * (n doubles per point) and fields (n doubles). It copies pols to final
+ * once, at the end. The scratch starts on a 64-byte line and spans whole
+ * lines, so no two threads write to one cache line at every step (a
+ * shared line would bounce between the cores). The shared arrays are
+ * written only at recording steps (rec_pols, whose rows of different
+ * points lie n_rec rows apart), at a failure (bad_step) and once at the
+ * end (final). Only one call records the shared times and clocks: the
+ * others pass NULL rec_times and rec_clocks. A call returns 0, or -1
+ * when it cannot allocate its scratch, before it writes anything. There
+ * is no static or global state.
  *
  * A point whose coherence vector leaves the unit ball (or becomes NaN)
- * stops at that cell, mid-sweep: ok[b] = 0, bad_step[b] = the step, its
- * polarizations stay as they are and it is no longer recorded. A point
- * where |Gamma|^2 overflows to inf fails the same way, at that cell and
- * before its update. A call ends once every one of its points has
- * failed. The shared times and clock values are recorded at every
- * recording step that one of the call's points is still alive at.
+ * stops at that cell, mid-sweep: bad_step[b] = the step (-1 while it
+ * runs), its polarizations stay as they are and it is no longer
+ * recorded. A point where |Gamma|^2 overflows to inf fails the same way,
+ * at that cell and before its update. A call ends once every one of its
+ * points has failed. The call that records the times and clock values
+ * records every row, those after its last point failed included: a
+ * row's time and clocks depend on its step alone.
  */
 
 #include <math.h>
 #include <stdint.h>
+#include <stdlib.h>
 #include <string.h>
 
 #ifndef M_PI
@@ -102,9 +103,6 @@ struct cell_state {
     double gz, ss_x, ss_z;
 };
 
-_Static_assert(sizeof(struct cell_state) == 8 * sizeof(double),
-               "the caller allocates 8 doubles per cell");
-
 static uint64_t bits_of(double x)
 {
     uint64_t bits;
@@ -121,17 +119,25 @@ int64_t qcasim_coherence_euler(
     double clock_high, double tau, const double *temperature,
     double boltzmann_k, double hbar, double limit_sq, int64_t stride,
     int64_t n_rec, double *rec_times, double *rec_clocks, double *rec_pols,
-    double *final, uint8_t *ok, int64_t *bad_step,
-    double *pols, struct cell_state *state, double *fields)
+    double *final, int64_t *bad_step)
 {
     double gammas[4], gx_zone[4];
     int64_t nnz = offsets[n];
     int64_t alive = 0;
     int64_t rec = 0;
 
+    /* the scratch of the call's points, in whole 64-byte lines */
+    int64_t points = first < batch ? (batch - 1 - first) / every + 1 : 0;
+    size_t bytes = (size_t)(points * n) * sizeof(struct cell_state)
+                   + (size_t)(points * n + n) * sizeof(double);
+    struct cell_state *state = aligned_alloc(64, (bytes / 64 + 1) * 64);
+    if (state == NULL)
+        return -1;
+    double *pols = (double *)(state + points * n);
+    double *fields = pols + points * n;
+
     /* point b of the batch is the call's local point j */
     for (int64_t b = first, j = 0; b < batch; b += every, j++) {
-        ok[b] = 1;
         bad_step[b] = -1;
         for (int64_t i = 0; i < n; i++) {
             pols[j * n + i] = driven[i] ? drive_values[b * n + i] : 0.0;
@@ -156,7 +162,7 @@ int64_t qcasim_coherence_euler(
                 rec_clocks[rec * 4 + z] = gammas[z];
         }
         for (int64_t b = first, j = 0; b < batch; b += every, j++) {
-            if (!ok[b])
+            if (bad_step[b] >= 0)
                 continue;
             double *p = pols + j * n;
             const double *e = energies + b * nnz;
@@ -187,7 +193,6 @@ int64_t qcasim_coherence_euler(
                     double mag = sqrt(gx * gx + gz * gz);
                     if (isinf(mag)) {
                         /* |Gamma|^2 overflows: lambda_ss would be 0 */
-                        ok[b] = 0;
                         bad_step[b] = step;
                         alive--;
                         break;
@@ -224,7 +229,6 @@ int64_t qcasim_coherence_euler(
                 p[i] = nz;
                 double norm_sq = nx * nx + ny * ny + nz * nz;
                 if (!(norm_sq <= limit_sq)) {
-                    ok[b] = 0;
                     bad_step[b] = step;
                     alive--;
                     break;
@@ -235,9 +239,19 @@ int64_t qcasim_coherence_euler(
             rec++;
     }
 
+    /* the rows of the recording steps left after every point has failed */
+    for (; rec_times != NULL && rec < n_rec && rec <= n_steps / stride; rec++) {
+        double t = (double)(rec * stride) * dt;
+        rec_times[rec] = t;
+        for (int z = 0; z < 4; z++)
+            rec_clocks[rec * 4 + z] = clock_value(t, z, periods, total_time,
+                clock_shift, clock_amplitude, clock_low, clock_high);
+    }
+
     for (int64_t b = first, j = 0; b < batch; b += every, j++)
         memcpy(final + b * n, pols + j * n, (size_t)n * sizeof(double));
-    return rec;
+    free(state);
+    return 0;
 }
 
 /* The bistable update f(x) = x / sqrt(1 + x^2). Where x * x overflows

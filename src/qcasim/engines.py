@@ -28,10 +28,10 @@ DEFAULT_RADIUS_OF_EFFECT = 80.0  # nm
 DEFAULT_CLOCK_HIGH = 9.8e-22     # J
 DEFAULT_CLOCK_LOW = 3.8e-23      # J
 MAX_STEPS = 10**8                # Euler steps in one coherence run
-# Bytes of recorded polarizations in one coherence batch (n_rec x n x B
-# doubles). The largest recording of the tests, acceptance criteria and
-# perfbench workloads is about 2.5 MB (the table-1 grid on inv3 at 7e5
-# steps, stride 100); one run of inv3 at stride 1 and 7e5 steps takes 17 MB.
+# Bytes recorded in one coherence batch: n_rec x (n x B + 5) doubles, for
+# the polarizations, times and four clocks. The largest recording of the
+# tests, acceptance criteria and perfbench workloads is 2.8 MB (the table-1
+# grid on inv3 at 7e5 steps, stride 100); inv3 at stride 1 takes 45 MB.
 MAX_RECORD_BYTES = 2**28         # 256 MiB
 
 
@@ -287,8 +287,8 @@ def simulate_coherence_batch(
     must agree in everything but the temperature, so that they share the
     clock and the time grid. Each point's trace is what
     `simulate_coherence` returns for it alone, bit for bit. Raises
-    EngineError before integrating if the recorded polarizations would
-    take more than MAX_RECORD_BYTES. Raises
+    EngineError before integrating if the recording (polarizations, times
+    and clocks) would take more than MAX_RECORD_BYTES. Raises
     IntegrationError for the first point, in order, whose coherence vector
     leaves the unit ball or whose |Gamma|^2 overflows; its `point`
     attribute is that point's index.
@@ -312,31 +312,32 @@ def simulate_coherence_batch(
     drives = [resolve_drives(layout, inputs) for _, _, inputs in points]
     n_steps = params.n_steps
     n_rec = n_steps // record_stride + 1
-    record_bytes = n_rec * len(cell_ids) * len(points) * 8
+    record_bytes = n_rec * (len(cell_ids) * len(points) + 5) * 8
     if record_bytes > MAX_RECORD_BYTES:
         raise EngineError(
             f"recording {n_rec} steps of {len(cell_ids)} cells x {len(points)} "
-            f"points takes {record_bytes:.3e} bytes, over the limit of "
-            f"{MAX_RECORD_BYTES:.3e}; use a larger --stride")
+            f"points, times and clocks takes {record_bytes:.3e} bytes, over "
+            f"the limit of {MAX_RECORD_BYTES:.3e}; use a larger --stride")
     energies, offsets, cols = coupling([kink for kink, _, _ in points], cell_ids)
     zones = np.array([c.clock_zone for c in layout.cells], dtype=np.int64)
     driven = np.array([cid in drives[0] for cid in cell_ids], dtype=np.bool_)
     drive_values = np.array([[d.get(cid, 0.0) for cid in cell_ids] for d in drives])
-    temperatures = np.array([p.temperature for _, p, _ in points])
+    temperatures = np.array([p.temperature for _, p, _ in points], dtype=np.float64)
 
     rec_times = np.zeros(n_rec)
     rec_clocks = np.zeros((n_rec, 4))
     rec_pols = np.zeros((len(points), n_rec, len(cell_ids)))
 
-    final_pol, ok, bad_step = kernels.coherence_euler(
+    final_pol, bad_step = kernels.coherence_euler(
         energies, zones, driven, drive_values, n_steps, params.time_step,
         params.total_time, float(params.clock_periods), params.clock_shift,
         params.clock_amplitude, params.clock_low, params.clock_high,
         params.relaxation_time, temperatures, constants.boltzmann_k,
         constants.hbar, record_stride, rec_times, rec_clocks, rec_pols,
         offsets, cols)
-    if not ok.all():
-        first = int(np.flatnonzero(~ok)[0])
+    failed = np.flatnonzero(bad_step >= 0)
+    if failed.size:
+        first = int(failed[0])
         step = int(bad_step[first])
         raise IntegrationError(
             f"coherence integration failed at step {step} "

@@ -7,6 +7,10 @@ advance in lockstep, each with its own kink energies ``energies[b]``,
 drive values ``drive_values[b]`` (n,) and temperature ``temperature[b]``.
 The recorded times and clock values are shared by the batch; the recorded
 polarizations are per point, ``rec_pols[b]``. A single run is the B=1 case.
+It returns ``(final, bad_step)``: the final polarizations (B, n), and per
+point the step at which it failed, -1 for a point that ran to the end.
+The times and clocks are recorded at every recording step, those after
+every point has failed included.
 
 The sweep entry point ``bistable_sweep`` relaxes one point: each free cell,
 in the order given, takes P <- f(field / (2 gamma)) with
@@ -49,9 +53,8 @@ the bits. ``benchmarks/bench_coherence.py`` times the two coherence
 kernels and ``benchmarks/bench_coupling.py`` the bistable relaxation.
 
 The C integrator skips work whose result it already has. Per point and
-free cell it keeps, in the scratch that ``coherence_euler_c`` allocates
-per call (8 doubles per cell, no static or global state), the last
-steady state it computed, ``gz = field / hbar``, ``ss_x`` and ``ss_z``,
+free cell it keeps, in scratch that each C call allocates and frees, the
+last steady state it computed, ``gz = field / hbar``, ``ss_x`` and ``ss_z``,
 with the bit patterns of the clock term ``gx`` and the local field they
 came from. Where a step's ``gx`` and field match those bits, it reuses
 the three values and skips the division, ``sqrt``, ``tanh`` and the
@@ -74,16 +77,14 @@ temperature sweep at 7-30 K take 7.8 ms, its 7 points at 0-6 K 5.4 ms).
 Chunk 0 runs on the calling thread and each other chunk on a
 ``threading.Thread`` of its own; ctypes releases the GIL for the call,
 so the chunks run in parallel. Each chunk fills the caller's recorded
-polarizations, finals and flags in place, so nothing is gathered and
-the recording, up to ``engines.MAX_RECORD_BYTES``, is never copied. Its
-working arrays are its own, allocated before any thread starts and
-padded to whole 64-byte cache lines. Chunk 0 alone records the shared
-times and clocks; where its points all fail before another chunk's do,
-a run of one point without cells, which never fails, records the rows
-after. The results are those of one call, bit for bit, at any k. A
-single point (B = 1) and a one-core machine make one call and start no
-thread. There is no option, setting or size threshold for k. The loop
-kernel holds the GIL, so it runs its batch serially.
+polarizations, finals and bad steps in place, so nothing is gathered
+and the recording, up to ``engines.MAX_RECORD_BYTES``, is never copied.
+Its working memory is its own, allocated by the C call in whole 64-byte
+cache lines. Chunk 0 alone records the shared times and clocks. The
+results are those of one call, bit for bit, at any k. A single point
+(B = 1) and a one-core machine make one call and start no thread. There
+is no option, setting or size threshold for k. The loop kernel holds
+the GIL, so it runs its batch serially.
 """
 
 from __future__ import annotations
@@ -132,15 +133,18 @@ def coherence_euler_loop(energies, zones, driven, drive_values, n_steps, dt,
     0 when |Gamma| = 0; the polarization is lambda_z. Driven cells hold
     their drive value. Updates are synchronous: all local fields are
     evaluated from the previous step's polarizations. Returns
-    (final_pol (B, n), ok (B,), bad_step (B,)).
+    (final_pol (B, n), bad_step (B,)), bad_step[b] being -1 for a point
+    that ran to the end.
 
     A point whose |lambda| exceeds 1 + 1e-6 (or becomes NaN) stops at that
-    cell, mid-sweep: ok[b] = False, bad_step[b] = the step, its
-    polarizations stay as they are and it is no longer recorded. A point
-    where |Gamma|**2 overflows to inf fails the same way, at that cell and
-    before its update, since lambda_ss would silently read 0 there. The batch
-    ends once every point has failed. Recording arrays are filled every
-    `stride` steps (step 0 included) while some point is still running.
+    cell, mid-sweep: bad_step[b] = the step, its polarizations stay as
+    they are and it is no longer recorded. A point where |Gamma|**2
+    overflows to inf fails the same way, at that cell and before its
+    update, since lambda_ss would silently read 0 there. The batch ends
+    once every point has failed. The recordings are filled every `stride`
+    steps (step 0 included); each point's rows stop when it fails, while
+    the times and clocks are recorded at every such step up to n_steps,
+    those after every point has failed included.
     """
     batch, n = drive_values.shape
     offsets = offsets.tolist()
@@ -148,7 +152,6 @@ def coherence_euler_loop(energies, zones, driven, drive_values, n_steps, dt,
     free = [i for i in range(n) if not driven[i]]
     zone_of = zones.tolist()
     pols = np.where(driven, drive_values, 0.0).tolist()
-    ok = np.ones(batch, dtype=np.bool_)
     bad_step = np.full(batch, -1, dtype=np.int64)
     # per point: index, polarizations, coherence vectors of the free cells,
     # (cell, zone, neighbor row of (col, energy)) per free cell, and 2 kB T,
@@ -198,7 +201,6 @@ def coherence_euler_loop(energies, zones, driven, drive_values, n_steps, dt,
                 gz = fields[k] / hbar
                 mag = sqrt(gx * gx + gz * gz)
                 if mag == inf:  # |Gamma|**2 overflows: lambda_ss would be 0
-                    ok[b] = False
                     bad_step[b] = step
                     failed = True
                     break
@@ -220,15 +222,21 @@ def coherence_euler_loop(energies, zones, driven, drive_values, n_steps, dt,
                 lam[k] = (nx, ny, nz)
                 pol[i] = nz
                 if not nx * nx + ny * ny + nz * nz <= limit_sq:
-                    ok[b] = False
                     bad_step[b] = step
                     failed = True
                     break
         if failed:
-            points = [point for point in points if ok[point[0]]]
+            points = [point for point in points if bad_step[point[0]] < 0]
             if not points:
                 break
-    return np.array(pols).reshape(batch, n), ok, bad_step
+    # the rows of the recording steps left after every point has failed
+    for rec in range(rec, min(n_rec, n_steps // stride + 1)):
+        t = rec * stride * dt
+        rec_times[rec] = t
+        rec_clocks[rec] = [clock_value(t, z, periods, total_time, clock_shift,
+                                       clock_amplitude, clock_low, clock_high)
+                           for z in range(4)]
+    return np.array(pols).reshape(batch, n), bad_step
 
 
 def _saturate(x: float) -> float:
@@ -334,7 +342,7 @@ def _bind(path: Path):
     i64, f64, ptr = ctypes.c_int64, ctypes.c_double, ctypes.c_void_p
     euler = library.qcasim_coherence_euler
     euler.argtypes = ([i64] * 4 + [ptr] * 6 + [i64] + [f64] * 8 + [ptr]
-                      + [f64] * 3 + [i64, i64] + [ptr] * 9)
+                      + [f64] * 3 + [i64, i64] + [ptr] * 5)
     euler.restype = i64
     sweep = library.qcasim_bistable_sweep
     sweep.argtypes = [i64] + [ptr] * 5 + [f64, f64, i64, ptr, ptr]
@@ -430,7 +438,8 @@ def coherence_euler_c(energies, zones, driven, drive_values, n_steps, dt,
     The B points run as k = min(B, usable cores) interleaved chunks,
     points j, j + k, j + 2k, ... in chunk j: chunk 0 on the calling
     thread, each other on a thread of its own (ctypes releases the GIL for
-    the call). ``_chunks`` sets k, for the tests."""
+    the call). ``_chunks`` sets k, for the tests. Raises MemoryError if a
+    chunk cannot allocate its scratch."""
     library = _library()
     if library is None:
         raise RuntimeError("the compiled kernels are not available")
@@ -456,37 +465,22 @@ def coherence_euler_c(energies, zones, driven, drive_values, n_steps, dt,
     stride = min(int(stride), int(n_steps) + 1)
     chunks = max(1, min(batch, _chunks or _usable_cores()))
     final = np.empty((batch, n))
-    ok = np.empty(batch, dtype=np.bool_)
     bad_step = np.empty(batch, dtype=np.int64)
-    # Each chunk's scratch, allocated here so that no thread allocates:
-    # the polarizations of its points, one struct cell_state (8 doubles)
-    # per point and cell, and the fields of one point. Each chunk starts
-    # on a 64-byte line and spans whole lines, so no two chunks write to
-    # one cache line.
-    points = [len(range(j, batch, chunks)) for j in range(chunks)]
-    spans = [-(-(9 * m * n + n) // 8) * 8 for m in points]
-    scratch = np.empty(sum(spans) + 7)
-    start = -scratch.ctypes.data % 64 // 8
     shared = (
-        offsets.ctypes, cols.ctypes, energies.ctypes, zones.ctypes,
+        n, offsets.ctypes, cols.ctypes, energies.ctypes, zones.ctypes,
         driven.ctypes, drive_values.ctypes, int(n_steps), dt, total_time,
         periods, clock_shift, clock_amplitude, clock_low, clock_high, tau,
         temperature.ctypes, boltzmann_k, hbar, UNIT_BALL_LIMIT_SQ, stride,
         n_rec)
-    calls = []
-    for j, (m, span) in enumerate(zip(points, spans)):
-        own = scratch[start:start + span]
-        start += span
-        # only chunk 0 records the times and clocks
-        clock_rows = (rec_times.ctypes, rec_clocks.ctypes) if j == 0 else (None, None)
-        calls.append((batch, j, chunks, n, *shared, *clock_rows,
-                      rec_pols.ctypes, final.ctypes, ok.ctypes,
-                      bad_step.ctypes, own.ctypes, own[m * n:].ctypes,
-                      own[9 * m * n:].ctypes))
-    rows = [0] * chunks
+    # only chunk 0 records the times and clocks
+    calls = [(batch, j, chunks, *shared,
+              *((rec_times.ctypes, rec_clocks.ctypes) if j == 0 else (None, None)),
+              rec_pols.ctypes, final.ctypes, bad_step.ctypes)
+             for j in range(chunks)]
+    status = [0] * chunks
 
     def run(j):
-        rows[j] = library.qcasim_coherence_euler(*calls[j])
+        status[j] = library.qcasim_coherence_euler(*calls[j])
 
     threads = [threading.Thread(target=run, args=(j,)) for j in range(1, chunks)]
     try:
@@ -497,20 +491,9 @@ def coherence_euler_c(energies, zones, driven, drive_values, n_steps, dt,
         for thread in threads:
             if thread.is_alive():
                 thread.join()
-    most = max(rows)
-    if most > rows[0]:
-        # Chunk 0's points all failed while another chunk's ran on. The
-        # times and clocks of a row depend on its step alone, and a point
-        # without cells never fails: one run of it records the rows.
-        empty = np.empty(0, dtype=np.int64)
-        coherence_euler_c(
-            np.empty((1, 0)), empty, np.empty(0, dtype=np.bool_),
-            np.empty((1, 0)), (most - 1) * stride, dt, total_time, periods,
-            clock_shift, clock_amplitude, clock_low, clock_high, tau,
-            np.zeros(1), boltzmann_k, hbar, stride, rec_times[:most],
-            rec_clocks[:most], np.empty((1, most, 0)),
-            np.zeros(1, dtype=np.int64), empty)
-    return final, ok, bad_step
+    if min(status) < 0:
+        raise MemoryError("the coherence kernel could not allocate its scratch")
+    return final, bad_step
 
 
 def bistable_sweep_c(energies, offsets, cols, pols, free, two_gamma,

@@ -332,14 +332,28 @@ class TestUnusedFlagsValidated:
 
 class TestRecordingCap:
     def test_stride_one_at_the_step_cap(self):
-        # 1e8 steps x 3 cells x 8 B = 2.4 GB of recording: refused up front
+        # 1e8 steps x (3 cells + a time + 4 clocks) x 8 B = 6.4 GB of
+        # recording: refused up front
         code, out, err = run(["simulate", "--engine", "coherence", "--layout",
                               "builtin:inv3", "--total-time", "1e-8",
                               "--stride", "1"])
         assert (code, out) == (1, "")
-        assert err == ("error: recording 100000001 steps of 3 cells x 1 points "
-                       "takes 2.400e+09 bytes, over the limit of 2.684e+08; "
-                       "use a larger --stride\n")
+        assert err == ("error: recording 100000001 steps of 3 cells x 1 points, "
+                       "times and clocks takes 6.400e+09 bytes, over the limit "
+                       "of 2.684e+08; use a larger --stride\n")
+
+    def test_times_and_clocks_count(self, monkeypatch):
+        # 1001 rows of inv2: the polarizations take 1001 x 2 x 8 B, the
+        # times and clocks another 1001 x 5 x 8 B
+        argv = ["simulate", "--engine", "coherence", "--layout", "builtin:inv2",
+                *FAST, "--stride", "7"]
+        monkeypatch.setattr("qcasim.engines.MAX_RECORD_BYTES", 1001 * 2 * 8)
+        code, out, err = run(argv)
+        assert (code, out) == (1, "")
+        assert "takes 5.606e+04 bytes, over the limit of 1.602e+04" in err
+        monkeypatch.setattr("qcasim.engines.MAX_RECORD_BYTES", 1001 * 7 * 8)
+        code, _, err = run(argv)
+        assert (code, err) == (0, "")
 
     def test_sweeps_and_truth_record_only_the_ends(self, monkeypatch):
         # they read only the final state, so no grid or step count trips the cap

@@ -5,6 +5,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
+from qcasim import kernels
 from qcasim.constants import PhysicalConstants
 from qcasim.electrostatics import kink_matrix
 from qcasim.engines import (BistableParams, CoherenceParams, ConvergenceError,
@@ -392,6 +393,28 @@ class TestSimulateCoherenceBatch:
 
     def test_no_points(self, constants):
         assert simulate_coherence_batch(builtin_layout("inv2"), [], constants) == []
+
+    @pytest.mark.parametrize("path", ["c", "loop"])
+    def test_integer_temperatures(self, constants, monkeypatch, path):
+        # params (and sweep grids) may hold ints: each kernel gives the
+        # bits of the equal floats
+        if path == "loop":
+            monkeypatch.setattr(kernels, "_library", lambda: None)
+        elif kernels.kernel_path() != "c":
+            pytest.skip("no C compiler")
+        layout = builtin_layout("inv3")
+        kink = kink_matrix(layout, RADIUS, constants)
+
+        def traces(temperatures):
+            return simulate_coherence_batch(
+                layout, [(kink, replace(FAST, temperature=t), None)
+                         for t in temperatures], constants, 7)
+        for trace, alone in zip(traces([0, 1, 2]), traces([0.0, 1.0, 2.0])):
+            assert trace.final == alone.final
+            assert trace.polarizations.tobytes() == alone.polarizations.tobytes()
+        single = simulate_coherence(layout, kink, replace(FAST, temperature=0),
+                                    constants=constants)
+        assert single.final == traces([0.0])[0].final
 
     def test_first_failing_point_is_reported(self, constants):
         layout = builtin_layout("inv3")

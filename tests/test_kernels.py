@@ -60,10 +60,11 @@ def batch_problem(layout, temperatures, drive_rows=None, n_steps=2000,
 
 
 def run(kernel, args):
-    """(final, ok, bad_step, rec_times, rec_clocks, rec_pols) of one call."""
+    """(final, ok, bad_step, rec_times, rec_clocks, rec_pols) of one call,
+    ok being bad_step < 0."""
     call = args()
-    final, ok, bad_step = kernel(*call)
-    return (final, ok, bad_step) + call[17:20]
+    final, bad_step = kernel(*call)
+    return (final, bad_step < 0, bad_step) + call[17:20]
 
 
 def assert_same_bits(a, b):
@@ -225,10 +226,24 @@ class TestBatchedParity:
         assert bad_step[[0, 2, 4]].tolist() == [-1, -1, -1]
 
     def test_every_element_fails(self):
-        batched = assert_batches_identical(batch_problem(
-            builtin_layout("inv3"), [0.0, 1.0], n_steps=400,
-            kink_scales=[3e3, 3e4]))
-        assert not batched[1].any()
+        args = batch_problem(builtin_layout("inv3"), [0.0, 1.0], n_steps=400,
+                             stride=1, kink_scales=[3e3, 3e4])
+        _, ok, bad_step, *_ = assert_batches_identical(args)
+        assert not ok.any()
+        # the times and clocks of the rows after both points have failed
+        # are recorded all the same, by every kernel at every chunk count
+        call = args()
+        dt, total_time, stride = call[5], call[6], call[16]
+        clock = call[7:12]  # periods, shift, amplitude, low, high
+        after = range(int(bad_step.max()) + 1, 401)
+        assert len(after) > 300
+        for kernel in (LOOP, *chunked(2)):
+            _, _, _, times, clocks, _ = run(kernel, args)
+            for r in after:
+                assert times[r] == (r * stride) * dt
+                assert clocks[r].tolist() == [
+                    kernels.clock_value(times[r], zone, clock[0], total_time,
+                                        *clock[1:]) for zone in range(4)]
 
     def test_first_points_fail_first(self):
         # at 2 and 3 chunks, chunk 0 holds only points that fail within a

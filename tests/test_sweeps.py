@@ -60,6 +60,13 @@ class TestSweepTemperature:
                                        constants=constants)
             assert row.polarization == abs(trace.final["out"])
 
+    def test_integer_grid(self, constants):
+        layout = builtin_layout("inv3")
+        ints = sweep_temperature(layout, [0, 1, 2], FAST, constants)
+        floats = sweep_temperature(layout, [0.0, 1.0, 2.0], FAST, constants)
+        assert ([r.polarization for r in ints.rows]
+                == [r.polarization for r in floats.rows])
+
     @pytest.mark.parametrize("bad", [math.nan, math.inf])
     def test_non_finite_temperature(self, constants, bad):
         with pytest.raises(SweepError, match="finite"):
