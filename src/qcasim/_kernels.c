@@ -1,4 +1,4 @@
-/* The compiled kernels of qcasim, one library with two entry points:
+/* The compiled kernels of qcasim, one library with three entry points:
  *
  * qcasim_coherence_euler, the batched coherence-vector Euler integrator,
  * a transcription of qcasim.kernels.coherence_euler_loop: the points of a
@@ -9,11 +9,17 @@
  * qcasim_bistable_sweep, the bistable Gauss-Seidel sweep, a transcription
  * of qcasim.kernels.bistable_sweep_loop.
  *
- * Every floating-point operation is the loop kernel's, in its order, so
- * the results are bit-identical to it (the integrator skips some, whose
- * results it reuses; see below). Build with -ffp-contract=off and
- * never with -ffast-math: a fused multiply-add would change the bits.
- * cos, tanh and sqrt are libm's, as math.cos, math.tanh and math.sqrt are.
+ * qcasim_format_sci, the CSV number text "%.5e" of an array of doubles,
+ * written only where its rounding is proven correct; every other value is
+ * handed back, to be formatted by Python's '%' (see its comment for the
+ * proof). Its bytes are those of the loop path's '%' throughout.
+ *
+ * In the two engine kernels, every floating-point operation is the loop
+ * kernel's, in its order, so the results are bit-identical to it (the
+ * integrator skips some, whose results it reuses; see below). Build
+ * with -ffp-contract=off and never with -ffast-math: a fused
+ * multiply-add would change the bits. cos, tanh and sqrt are libm's, as
+ * math.cos, math.tanh and math.sqrt are.
  *
  * In the integrator, the local field of free cell i of point b is summed
  * over row i of the neighbor list the points share: columns
@@ -302,4 +308,103 @@ int64_t qcasim_bistable_sweep(
             return 1;
     }
     return 0;
+}
+
+/* a * 10^k for 0 <= |k| <= 44, in at most two correctly rounded
+ * multiplications or divisions by the exact doubles 1e0 ... 1e22. */
+static double scale_by_power_of_ten(double a, int64_t k)
+{
+    static const double powers[23] = {
+        1e0, 1e1, 1e2, 1e3, 1e4, 1e5, 1e6, 1e7, 1e8, 1e9, 1e10, 1e11, 1e12,
+        1e13, 1e14, 1e15, 1e16, 1e17, 1e18, 1e19, 1e20, 1e21, 1e22};
+    if (k >= 0) {
+        if (k > 22) {
+            a *= 1e22;
+            k -= 22;
+        }
+        return a * powers[k];
+    }
+    k = -k;
+    if (k > 22) {
+        a /= 1e22;
+        k -= 22;
+    }
+    return a / powers[k];
+}
+
+/* Write the "%.5e" text of values[0..n) into text, each followed by '\n',
+ * and set *text_length to the bytes used (at most 14 per value). A value
+ * whose rounding this cannot prove gets an empty line: its index goes to
+ * rejected, in ascending order, and the return value is their count.
+ *
+ * The proof. For a = |v| in [1e-38, 1e38] and the decimal exponent e10,
+ * the mantissa digits are the integer nearest to S = a * 10^(5 - e10),
+ * which lies in [1e5, 1e6); e10 starts at floor(log10(a)) and steps by
+ * one while the computed s falls outside [1e5, 1e6), up to 3 tries.
+ * |5 - e10| <= 44, so s takes at most two correctly rounded operations,
+ * each with relative error at most 2^-53: |s - S| <= (2^-52 + 2^-106) S
+ * < 2.3e-10 for S < 1e6. A value is written only when s lies at least
+ * 1e-7 (over 400 times that bound) from the nearest half-integer; then
+ * S lies on the same side of it as s, and rounding s to nearest gives
+ * the correctly rounded mantissa r. r = 1000000 carries into 100000 with
+ * e10 + 1. Near that carry, and near 1e5, s and S may fall on different
+ * sides of a power of ten, but both round to the same text. Everything
+ * else is rejected: exact ties and near-ties (Python's '%' rounds a tie
+ * half to even), +-0, subnormals, values outside the range, inf and NaN.
+ * The margin test and the rounding compare s with exact values only:
+ * s - floor(s) is exact. Build without -ffast-math, which would void the
+ * error bound. */
+int64_t qcasim_format_sci(int64_t n, const double *values, char *text,
+                          int64_t *text_length, int64_t *rejected)
+{
+    int64_t n_rejected = 0;
+    char *p = text;
+    for (int64_t i = 0; i < n; i++) {
+        double a = fabs(values[i]);
+        double s = 0.0;
+        int64_t e10 = 0;
+        if (a >= 1e-38 && a <= 1e38) { /* false for NaN */
+            e10 = (int64_t)floor(log10(a));
+            /* the bounds on e10 keep |5 - e10| <= 44 whatever log10 gives */
+            for (int tries = 0; tries < 3 && e10 >= -39 && e10 <= 49; tries++) {
+                s = scale_by_power_of_ten(a, 5 - e10);
+                if (s < 1e5)
+                    e10--;
+                else if (s >= 1e6)
+                    e10++;
+                else
+                    break;
+            }
+        }
+        double whole = floor(s);
+        double fraction = s - whole;
+        if (!(s >= 1e5 && s < 1e6) || fabs(fraction - 0.5) < 1e-7) {
+            rejected[n_rejected++] = i;
+            *p++ = '\n';
+            continue;
+        }
+        int64_t r = (int64_t)whole + (fraction > 0.5);
+        if (r == 1000000) {
+            r = 100000;
+            e10++;
+        }
+        if (signbit(values[i]))
+            *p++ = '-';
+        *p++ = (char)('0' + r / 100000);
+        *p++ = '.';
+        for (int64_t unit = 10000; unit > 0; unit /= 10)
+            *p++ = (char)('0' + r / unit % 10);
+        *p++ = 'e';
+        *p++ = e10 < 0 ? '-' : '+';
+        int64_t m = e10 < 0 ? -e10 : e10;
+        if (m >= 100) {
+            *p++ = (char)('0' + m / 100);
+            m %= 100;
+        }
+        *p++ = (char)('0' + m / 10);
+        *p++ = (char)('0' + m % 10);
+        *p++ = '\n';
+    }
+    *text_length = p - text;
+    return n_rejected;
 }

@@ -278,6 +278,26 @@ def _cmd_layouts(args: argparse.Namespace, out: TextIO) -> int:
     return 0
 
 
+class _DeferredFile:
+    """The `--out` file, opened for writing (created or truncated) at the
+    first write. Every command writes its output once it has computed it,
+    so a command that fails leaves an existing file as it was and creates
+    none."""
+
+    def __init__(self, path: str) -> None:
+        self.path = path
+        self.handle: Optional[TextIO] = None
+
+    def write(self, text: str) -> int:
+        if self.handle is None:
+            self.handle = open(self.path, "w", encoding="utf-8", newline="\n")
+        return self.handle.write(text)
+
+    def close(self) -> None:
+        if self.handle is not None:
+            self.handle.close()
+
+
 _COMMANDS = {
     "kink": _cmd_kink,
     "simulate": _cmd_simulate,
@@ -307,8 +327,11 @@ def run_cli(argv: Optional[Sequence[str]] = None,
     command = _COMMANDS[args.command]
     try:
         if getattr(args, "out", None):
-            with open(args.out, "w", encoding="utf-8", newline="\n") as handle:
-                return command(args, handle)
+            out = _DeferredFile(args.out)
+            try:
+                return command(args, out)
+            finally:
+                out.close()
         return command(args, stdout)
     except (_CliError, LayoutError, EngineError, SweepError, ValueError) as exc:
         stderr.write(f"error: {exc}\n")

@@ -1,5 +1,5 @@
-"""Hot numeric kernels of the two engines: the coherence-vector
-integrator and the bistable Gauss-Seidel sweep.
+"""Hot numeric kernels: the coherence-vector integrator and the bistable
+Gauss-Seidel sweep of the two engines, and the CSV number formatter.
 
 The integrator entry point ``coherence_euler`` is batched: B points that
 share the cell order, clock zones, driven cells, time grid and clock
@@ -17,7 +17,11 @@ in the order given, takes P <- f(field / (2 gamma)) with
 f(x) = x / sqrt(1 + x^2), until the largest change of a sweep is below
 the tolerance.
 
-Both read the coupling as a neighbor list: with
+The formatter entry point ``format_sci`` writes the "%.5e" text of each
+value of a float64 array (six significant digits, ``sweeps.sci``), with
+the bytes of Python's `%`.
+
+The two engine kernels read the coupling as a neighbor list: with
 ``k = slice(offsets[i], offsets[i + 1])``, the neighbors of cell i are
 ``cols[k]``, in ascending position, and the kink energies to them are
 ``energies[k]`` (``energies[b, k]`` for point b of a batch, 0.0 where
@@ -25,11 +29,11 @@ that point lacks the pair). ``engines.coupling`` builds it from the kink
 matrices. A step or a sweep costs O(nnz): the local field of a cell is
 summed over its row only.
 
-Each engine has two kernels that give bit-identical results, so the
+Each entry point has two kernels that give bit-identical results, so the
 output never depends on which one ran:
 
-* ``c``: ``coherence_euler_c`` and ``bistable_sweep_c``, C transcriptions
-  of the loop kernels: two entry points of one library, built from
+* ``c``: ``coherence_euler_c``, ``bistable_sweep_c`` and
+  ``format_sci_c``: three entry points of one library, built from
   ``_kernels.c`` (shipped with the package) and loaded through
   ``ctypes``. The first kernel call in a process compiles it with ``$CC``
   (default ``cc``) into ``${XDG_CACHE_HOME:-~/.cache}/qcasim/``, or,
@@ -37,20 +41,24 @@ output never depends on which one ran:
   temporary directory, and failing that into a fresh temporary directory;
   later processes load the cached library. The library name carries a
   sha256 of the source, the flags and ``$CC --version``.
-* ``loop``: ``coherence_euler_loop`` and ``bistable_sweep_loop``, the same
-  kernels over Python lists: the references the C kernels are tested
-  against, and the kernels that run where no compiler works
-  (``CC=/nonexistent``, say).
+* ``loop``: ``coherence_euler_loop`` and ``bistable_sweep_loop``, the
+  engine kernels over Python lists, and ``format_sci_loop``, Python's
+  `%`: the references the C kernels are tested against, and the kernels
+  that run where no compiler works (``CC=/nonexistent``, say).
 
-``kernel_path`` names the path that both ``coherence_euler`` and
-``bistable_sweep`` run: "c" whenever the library loads, else "loop".
+``kernel_path`` names the path that ``coherence_euler``,
+``bistable_sweep`` and ``format_sci`` run: "c" whenever the library
+loads, else "loop". ``format_sci`` loads it too, so ``kink``, which
+runs no engine, loads it to print its energies.
 
-Every ``+``, ``*``, ``/`` and ``sqrt`` is the same IEEE operation in the
-same order in both, and ``cos`` and ``tanh`` are libm's, as ``math.cos``
-and ``math.tanh`` are. The library is built with ``-ffp-contract=off``
-and never with ``-ffast-math``, since a fused multiply-add would change
-the bits. ``benchmarks/bench_coherence.py`` times the two coherence
-kernels and ``benchmarks/bench_coupling.py`` the bistable relaxation.
+In the engine kernels every ``+``, ``*``, ``/`` and ``sqrt`` is the same
+IEEE operation in the same order in both, and ``cos`` and ``tanh`` are
+libm's, as ``math.cos`` and ``math.tanh`` are. The library is built with
+``-ffp-contract=off`` and never with ``-ffast-math``, since a fused
+multiply-add would change the bits, and the formatter's error bound
+assumes correctly rounded operations. ``benchmarks/bench_coherence.py``
+times the two coherence kernels and ``benchmarks/bench_coupling.py`` the
+bistable relaxation.
 
 The C integrator skips work whose result it already has. Per point and
 free cell it keeps, in scratch that each C call allocates and frees, the
@@ -85,6 +93,24 @@ results are those of one call, bit for bit, at any k. A single point
 (B = 1) and a one-core machine make one call and start no thread. There
 is no option, setting or size threshold for k. The loop kernel holds
 the GIL, so it runs its batch serially.
+
+The C formatter writes a value only where it can prove the rounding, and
+hands every other value back to `%`, which rounds correctly (Gay,
+"Correctly Rounded Binary-Decimal and Decimal-Binary Conversions",
+1990). For |v| in [1e-38, 1e38] with decimal exponent e10 (from
+``log10``, corrected by at most 3 rescalings), it scales s = |v| *
+10^(5 - e10) into [1e5, 1e6) with at most two correctly rounded
+multiplications or divisions by the exact powers 1e0 ... 1e22, so s lies
+within 2 roundings of the true S: |s - S| < 2.3e-10. It writes the value
+only where s lies at least 1e-7 from the nearest half-integer, over 400
+times that bound; there s and S round to the same six-digit mantissa (a
+mantissa of 1000000 carries into the exponent). Exact ties, which `%`
+rounds half to even, and near-ties fall back, as do +-0, subnormals,
+values outside the range, inf and NaN: about 2 values in 10 million of
+uniform physical-scale data, and every value out of the range. It
+returns one buffer of LF-terminated texts, an empty line for each value
+it left out, with the indices of those; ``format_sci`` decodes and
+splits the buffer once and fills those in with `%`.
 """
 
 from __future__ import annotations
@@ -105,6 +131,11 @@ COMPILE_FLAGS = ("-O2", "-fPIC", "-ffp-contract=off", "-shared")
 LINK_FLAGS = ("-lm",)
 
 UNIT_BALL_LIMIT_SQ = (1.0 + 1e-6) ** 2
+
+# The CSV number format, scientific notation with six significant digits
+# (`sweeps.sci`); qcasim_format_sci writes it too.
+SCI_FORMAT = "%.5e"
+_SCI_WIDTH = 14  # the most bytes qcasim_format_sci writes per value
 
 
 def clock_value(t: float, zone: int, periods: float, total_time: float,
@@ -336,7 +367,7 @@ def _compile(cc: list, target: Path) -> bool:
 
 
 def _bind(path: Path):
-    """The library at `path`, its two entry points typed."""
+    """The library at `path`, its three entry points typed."""
     import ctypes
     library = ctypes.CDLL(str(path))
     i64, f64, ptr = ctypes.c_int64, ctypes.c_double, ctypes.c_void_p
@@ -347,12 +378,15 @@ def _bind(path: Path):
     sweep = library.qcasim_bistable_sweep
     sweep.argtypes = [i64] + [ptr] * 5 + [f64, f64, i64, ptr, ptr]
     sweep.restype = i64
+    text = library.qcasim_format_sci
+    text.argtypes = [i64] + [ptr] * 4
+    text.restype = i64
     return library
 
 
 @functools.lru_cache(maxsize=None)
 def _library():
-    """The compiled library of both engines' kernels, built on first use;
+    """The compiled library of the kernels, built on first use;
     None where there is no working compiler. Loads a cached library only
     from a directory that the current user owns and no one else can write;
     if neither cache directory qualifies, builds into a fresh temporary
@@ -526,9 +560,47 @@ def bistable_sweep_c(energies, offsets, cols, pols, free, two_gamma,
     return bool(converged), int(sweeps[0]), int(worst[0])
 
 
+def format_sci_loop(values) -> list[str]:
+    """The "%.5e" text of each value of a float64 array: Python's `%`,
+    the reference the C formatter is tested against."""
+    return [SCI_FORMAT % value for value in values.tolist()]
+
+
+def format_sci_c(values) -> tuple[list[str], np.ndarray]:
+    """The "%.5e" texts of a C-contiguous float64 array (n,) as far as the
+    C formatter can certify them: returns (texts, rejected), with "" at
+    each index in `rejected` (int64, ascending), the values it left out."""
+    library = _library()
+    if library is None:
+        raise RuntimeError("the compiled kernels are not available")
+    n = np.size(values)
+    _check("values", values, np.float64, (n,))
+    text = np.empty(_SCI_WIDTH * n, dtype=np.uint8)
+    length = np.zeros(1, dtype=np.int64)
+    rejected = np.empty(n, dtype=np.int64)
+    count = library.qcasim_format_sci(n, values.ctypes.data, text.ctypes.data,
+                                      length.ctypes.data, rejected.ctypes.data)
+    texts = str(text[:length[0]], "ascii").split("\n")
+    texts.pop()  # what follows the last LF
+    return texts, rejected[:count]
+
+
+def format_sci(values) -> list[str]:
+    """The "%.5e" text of each value of a C-contiguous float64 array, as
+    Python's `%` writes it: in C where the library loads and the rounding
+    is certified, by `%` otherwise."""
+    if _library() is None:
+        return format_sci_loop(values)
+    texts, rejected = format_sci_c(values)
+    for i, text in zip(rejected.tolist(), format_sci_loop(values[rejected])):
+        texts[i] = text
+    return texts
+
+
 def kernel_path() -> str:
-    """The kernels ``coherence_euler`` and ``bistable_sweep`` run: "c"
-    whenever the compiled library loads, else "loop"."""
+    """The kernels ``coherence_euler``, ``bistable_sweep`` and
+    ``format_sci`` run: "c" whenever the compiled library loads, else
+    "loop"."""
     return "c" if _library() is not None else "loop"
 
 

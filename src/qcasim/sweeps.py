@@ -18,6 +18,7 @@ from typing import Mapping, Optional, Sequence, TextIO, Union
 
 import numpy as np
 
+from . import kernels
 from .constants import PhysicalConstants
 from .electrostatics import KinkMatrix, kink_matrix
 from .engines import (BistableParams, CoherenceParams, IntegrationError,
@@ -39,13 +40,10 @@ class SweepError(ValueError):
     pass
 
 
-_FLOAT = "%.5e"  # the CSV number format: six significant digits
-
-
 def sci(value: float) -> str:
-    """A number in the CSV number format: scientific notation with six
-    significant digits."""
-    return _FLOAT % value
+    """A number in the CSV number format (`kernels.SCI_FORMAT`):
+    scientific notation with six significant digits."""
+    return kernels.SCI_FORMAT % value
 
 
 @dataclass(frozen=True)
@@ -313,17 +311,23 @@ def compare_to_reference(result: SweepResult, ref: ReferenceTable,
 # --------------------------------------------------------------------------
 # CSV emission
 
+# Rows per block of `write_csv`: the text of one block at a time is alive,
+# so memory does not grow with the table. A coherence trace of the default
+# 1,201 rows is one block.
+BLOCK_ROWS = 4096
+
+
 def _texts(column) -> Sequence[str]:
     """One column's values as text. A float64 array prints in `sci`, each
-    distinct bit pattern formatted once: grouping by bits, not by `==`,
-    keeps -0.0, 0.0 and every NaN apart, so each value prints as `sci`
-    would print it alone. A column of `str` (the type itself, so that no
-    `__str__` is skipped) is its own text, used as it is. Anything else
-    prints as `str` does, an `int` or `bool` among strings too."""
+    distinct bit pattern formatted once, by `kernels.format_sci`: grouping
+    by bits, not by `==`, keeps -0.0, 0.0 and every NaN apart, so each
+    value prints as `sci` would print it alone. A column of `str` (the
+    type itself, so that no `__str__` is skipped) is its own text, used as
+    it is. Anything else prints as `str` does, an `int` or `bool` among
+    strings too."""
     if isinstance(column, np.ndarray) and column.dtype == np.float64:
         keys, inverse = np.unique(column.view(np.int64), return_inverse=True)
-        texts = np.array([sci(v) for v in keys.view(np.float64).tolist()],
-                         dtype=object)
+        texts = np.array(kernels.format_sci(keys.view(np.float64)), dtype=object)
         return texts[inverse].tolist()
     if set(map(type, column)) == {str}:
         return column
@@ -341,13 +345,29 @@ def write_csv(destination: TextIO, snapshot: Mapping, header: Sequence[str],
     significant digits (`sci`), as does a float snapshot value; any other
     column, a list of floats too, prints as `str` does. Lines end in LF,
     the last one too, so identical inputs give identical bytes.
+
+    The rows are formatted and written in blocks of `BLOCK_ROWS`, each
+    column grouped by bit pattern within its block; the lengths are
+    checked before anything is written.
     """
     if len(columns) != len(header):
         raise ValueError(f"{len(header)} column names for {len(columns)} columns")
+    lengths = {len(column) for column in columns}
+    if len(lengths) > 1:
+        raise ValueError(f"columns of unequal lengths {sorted(lengths)}")
     lines = [f"# {key}={sci(value) if isinstance(value, float) else value}"
              for key, value in sorted(snapshot.items())]
     lines.append(",".join(header))
-    lines += map(",".join, zip(*map(_texts, columns), strict=True))
+    n_rows = max(lengths, default=0)
+    for start in range(0, n_rows, BLOCK_ROWS):
+        block = [_texts(column[start:start + BLOCK_ROWS]) for column in columns]
+        lines += map(",".join, zip(*block))
+        if start + BLOCK_ROWS < n_rows:
+            lines.append("")  # the block's final LF
+            destination.write("\n".join(lines))
+            lines = []
+    # the last block goes with the trailer, so a table of one block takes
+    # one write (a second write to a StringIO copies the first)
     lines.extend(f"# {text}" for text in trailer)
     lines.append("")  # the final LF, without copying the text to add it
     destination.write("\n".join(lines))

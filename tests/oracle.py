@@ -15,6 +15,8 @@ neighbor-list sweeps must match it bit for bit.
 `KinkMatrix.pairs`, a `KinkMatrix` built from a dict like `pairs`, the
 clock of one zone as the engines compute it, and the row-template CSV
 writer that the column-wise `sweeps.write_csv` must match byte for byte.
+`SCI_EDGES` holds the doubles whose six-digit text is hardest to get
+right, for the tests of `kernels.format_sci` and `write_csv`.
 """
 
 import math
@@ -174,3 +176,45 @@ def write_csv_rows(destination, snapshot, header, rows, trailer=()):
     lines.extend(f"# {text}" for text in trailer)
     lines.append("")
     destination.write("\n".join(lines))
+
+
+def _neighbors(values, ulps):
+    """values and their neighbors up to `ulps` ulps away on either side
+    (the largest double's upward neighbor is inf)."""
+    out = [values]
+    with np.errstate(over="ignore"):
+        for direction in (math.inf, -math.inf):
+            step = values
+            for _ in range(ulps):
+                step = np.nextafter(step, direction)
+                out.append(step)
+    return np.concatenate(out)
+
+
+# NaNs with either sign and several payloads, by their bits.
+NAN_BITS = (0x7FF8000000000000, 0xFFF8000000000000, 0x7FF0000000000001,
+            0x7FF4000000000123, 0xFFFFFFFFFFFFFFFF)
+
+# Doubles whose six-digit text is hardest to get right, of both signs:
+# - the doubles nearest the ties 9.999995e<k> (whose rounding carries into
+#   the exponent), 1.234565e<k> and 1.234575e<k>, for k in -40..40, with
+#   their neighbors up to 2 ulps away;
+# - exact ties, which `%` rounds half to even: 7-digit integers ending in
+#   5, and half-, quarter- and eighth-integers with 7 digits, the carry at
+#   999999.5 among them;
+# - the ends of the normal range, subnormals, the ends of the range that
+#   qcasim_format_sci certifies (1e-38 and 1e38), +-0, +-inf and NaNs.
+SCI_EDGES = np.concatenate([
+    _neighbors(np.array([float(f"{digits}e{k}") for digits in
+                         ("9.999995", "1.234565", "1.234575")
+                         for k in range(-40, 41)]), 2),
+    np.array([1234565.0, 1234575.0, 9999995.0, 1000005.0, 12345650.0,
+              12345.25, 12345.75, 1234.125, 1234.375]),
+    np.arange(100000.5, 100100.0), np.arange(999900.5, 1000000.0),
+    _neighbors(np.array([2.2250738585072014e-308, 1.7976931348623157e308,
+                         5e-324, 2.225073858507201e-308, 1e-310,
+                         1e-38, 1e38]), 2),
+    np.array([0.0, math.inf]),
+    np.array(NAN_BITS, dtype=np.uint64).view(np.float64),
+])
+SCI_EDGES = np.concatenate([SCI_EDGES, -SCI_EDGES])

@@ -384,6 +384,22 @@ class TestFilesAndDeterminism:
         assert out == ""
         assert target.read_text().startswith("#")
 
+    @pytest.mark.parametrize("argv", [
+        ["simulate", "--layout", "nosuch.qcl"],
+        # every point leaves the unit ball: an integration failure
+        ["sweep-temp", "--layout", "builtin:inv3", "--total-time", "1e-11",
+         "--relaxation-time", "1e-12", "--time-step", "5e-14"]])
+    def test_failing_command_leaves_out_path_alone(self, tmp_path, argv):
+        expected = run(argv)
+        assert expected[0] == 1 and expected[2].count("\n") == 1
+        kept = tmp_path / "res.csv"
+        kept.write_bytes(b"time_s\n1.00000e+00\n")
+        assert run([*argv, "--out", str(kept)]) == expected
+        assert kept.read_bytes() == b"time_s\n1.00000e+00\n"
+        fresh = tmp_path / "fresh.csv"
+        assert run([*argv, "--out", str(fresh)]) == expected
+        assert not fresh.exists()
+
     def test_layout_file_roundtrip(self, tmp_path):
         path = tmp_path / "inv3.qcl"
         path.write_text(serialize_layout(builtin_layout("inv3")))

@@ -2,6 +2,7 @@ import functools
 import io
 import itertools
 import json
+import math
 import os
 import shlex
 import shutil
@@ -21,7 +22,9 @@ from qcasim.electrostatics import KinkMatrix, kink_matrix
 from qcasim.engines import (BistableParams, CoherenceParams, IntegrationError,
                             coupling, resolve_drives, simulate_coherence_batch)
 from qcasim.geometry import Layout, builtin_layout
-from qcasim.sweeps import TABLE1_TEMPERATURES
+from qcasim.sweeps import TABLE1_TEMPERATURES, sci
+
+from oracle import SCI_EDGES
 
 PAPER = PhysicalConstants.paper()
 LOOP = kernels.coherence_euler_loop
@@ -508,6 +511,7 @@ class TestKernelChoice:
         args = sweep_problem(builtin_layout("inv3"))
         assert_same_bits(sweep(kernels.bistable_sweep, args)[3],
                          sweep(kernels.bistable_sweep_loop, args)[3])
+        assert kernels.format_sci(SCI_EDGES) == kernels.format_sci_loop(SCI_EDGES)
         assert not (own_cache / "cache").exists()
 
     @needs_cc
@@ -639,6 +643,88 @@ class TestKernelChoice:
             out = io.StringIO()
             assert run_cli(argv, stdout=out, stderr=io.StringIO()) == 0
             assert printed == out.getvalue(), argv
+
+
+class TestFormatSci:
+    """``kernels.format_sci`` against ``sweeps.sci`` (Python's `%`), bit
+    for bit: the C formatter's certified texts, the values it hands back,
+    and the dispatch that fills those in."""
+
+    @staticmethod
+    def assert_matches_sci(values):
+        values = np.ascontiguousarray(values, dtype=np.float64)
+        expected = [sci(v) for v in values.tolist()]
+        assert kernels.format_sci(values) == expected
+        if kernels.kernel_path() == "c":
+            texts, rejected = kernels.format_sci_c(values)
+            assert (np.diff(rejected) > 0).all()
+            for i in rejected.tolist():
+                expected[i] = ""
+            assert texts == expected
+            return rejected
+        return None
+
+    def test_edges(self):
+        self.assert_matches_sci(SCI_EDGES)
+
+    @needs_cc
+    def test_ties_fall_back_and_still_match(self):
+        ties = np.array([1234565.0, 1234575.0, 123456.5, 999999.5, -12345.25])
+        texts, rejected = kernels.format_sci_c(ties)
+        assert rejected.tolist() == [0, 1, 2, 3, 4] and texts == [""] * 5
+        assert kernels.format_sci(ties) == [
+            "1.23456e+06", "1.23458e+06", "1.23456e+05", "1.00000e+06",
+            "-1.23452e+04"]
+        # the ends of the certified range are written in C; past them, `%`
+        ends = np.array([1e-38, -1e38, np.nextafter(1e-38, 0.0),
+                         np.nextafter(1e38, np.inf)])
+        assert self.assert_matches_sci(ends).tolist() == [2, 3]
+
+    @needs_cc
+    def test_random_bit_patterns(self):
+        rng = np.random.default_rng(20261019)
+        for chunk in range(8):
+            bits = rng.integers(0, 2**64, 250_000, dtype=np.uint64)
+            if chunk >= 2:
+                # exponents from 2**-126 to 2**126 (not included), within
+                # the certified range [1e-38, 1e38]
+                exponent = rng.integers(1023 - 126, 1023 + 126, 250_000,
+                                        dtype=np.uint64)
+                bits = ((bits & ~np.uint64(0x7FF0000000000000))
+                        | (exponent << np.uint64(52)))
+            rejected = self.assert_matches_sci(bits.view(np.float64))
+            if chunk >= 2:
+                assert len(rejected) < 250  # only near-ties fall back
+
+    @needs_cc
+    @pytest.mark.parametrize("scale", [1e-22, 1e-21, 1e-13, 1.0])
+    def test_physical_scales(self, scale):
+        rng = np.random.default_rng(int(-math.log10(scale)))
+        rejected = self.assert_matches_sci(rng.uniform(-scale, scale, 250_000))
+        assert len(rejected) < 25
+
+    @needs_cc
+    def test_integers_and_half_integers(self):
+        values = np.concatenate([
+            np.arange(-100_000.0, 100_000.0, 0.5), np.arange(99_000.0, 101_000.0, 0.5),
+            np.arange(999_000.0, 1_001_000.0, 0.5),
+            np.arange(1_299_000.0, 1_301_000.0, 0.5)])
+        values = np.concatenate([values, -values])
+        rejected = self.assert_matches_sci(values)
+        # only zero and the exact ties fall back: half-integers from 1e5
+        # to 1e6, and 7-digit integers ending in 5
+        size = np.abs(values)
+        ties = (((size >= 1e5) & (size < 1e6) & (size % 1 == 0.5))
+                | ((size >= 1e6) & (size < 1e7) & (size % 10 == 5)) | (size == 0))
+        assert rejected.tolist() == np.flatnonzero(ties).tolist()
+
+    @needs_cc
+    def test_empty_and_checked(self):
+        texts, rejected = kernels.format_sci_c(np.zeros(0))
+        assert texts == [] and rejected.tolist() == []
+        for bad in (np.zeros(4, dtype=np.float32), np.zeros(8)[::2], np.zeros((2, 2))):
+            with pytest.raises(ValueError, match="values"):
+                kernels.format_sci_c(bad)
 
 
 class TestTracerContract:

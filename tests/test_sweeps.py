@@ -1,12 +1,15 @@
 import io
 import math
+import tracemalloc
 from dataclasses import replace
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from qcasim import sweeps
 from qcasim.constants import PhysicalConstants
 from qcasim.electrostatics import kink_matrix
 from qcasim.engines import (BistableParams, CoherenceParams, bistable_relax,
@@ -17,7 +20,7 @@ from qcasim.sweeps import (TABLE1_TEMPERATURES, TABLE23_GAPS, SweepError,
                            load_reference_table, rank_correlation, sweep_gap,
                            sweep_temperature, write_csv)
 
-from oracle import kink_energy, write_csv_rows
+from oracle import NAN_BITS, SCI_EDGES, kink_energy, write_csv_rows
 
 FAST = CoherenceParams(total_time=7.0e-13)
 
@@ -312,16 +315,17 @@ class TestEmitCsv:
 # NaNs with another sign or payload (given by their bits).
 SPECIAL_FLOATS = (0.0, -0.0, math.inf, -math.inf, 5e-324, -5e-324,
                   2.225073858507201e-308, 2.2250738585072014e-308, 1e-310)
-NAN_BITS = (0x7FF8000000000000, 0xFFF8000000000000, 0x7FF0000000000001,
-            0x7FF4000000000123)
 
 
 def bits_to_float(bits):
     return np.array([bits], dtype=np.uint64).view(np.float64)[0].item()
 
 
+# the boundary values of the six-digit rounding too: near-ties, exact ties
+# and the ends of the range the C formatter certifies
 float_values = st.one_of(st.floats(), st.sampled_from(SPECIAL_FLOATS),
-                         st.sampled_from(NAN_BITS).map(bits_to_float))
+                         st.sampled_from(NAN_BITS).map(bits_to_float),
+                         st.sampled_from(SCI_EDGES.tolist()))
 text_values = st.text(st.characters(blacklist_categories=("Cs",),
                                     blacklist_characters=",\n\r"), max_size=6)
 
@@ -379,16 +383,62 @@ SNAPSHOT = {"layout": "inv2", "gamma_J": 9.8e-22, "max_iterations": 10_000,
             "temperature_K": -0.0}
 
 
+BLOCK = sweeps.BLOCK_ROWS
+
+
+class CountingSink:
+    """A destination that keeps only the count of characters written."""
+
+    def __init__(self):
+        self.size = 0
+
+    def write(self, text):
+        self.size += len(text)
+
+
 class TestWriteCsv:
     @settings(max_examples=300, deadline=None)
-    @given(csv_tables(), st.lists(text_values, max_size=2))
+    @given(csv_tables(), st.lists(text_values, max_size=2), st.integers(1, 8))
     @example((["x"], [np.array([0.0, -0.0, 0.0, -0.0, 5e-324, math.inf])],
-              [(0.0,), (-0.0,), (0.0,), (-0.0,), (5e-324,), (math.inf,)]), [])
-    @example((["x", "y"], [np.zeros(0), []], []), ["summary: 0/0 rows pass"])
-    def test_matches_row_template_writer(self, table, trailer):
+              [(0.0,), (-0.0,), (0.0,), (-0.0,), (5e-324,), (math.inf,)]), [], 4)
+    @example((["x", "y"], [np.zeros(0), []], []), ["summary: 0/0 rows pass"], 1)
+    def test_matches_row_template_writer(self, table, trailer, block_rows):
+        # small blocks put block boundaries at every row count drawn
         header, columns, rows = table
         expected = render(write_csv_rows, SNAPSHOT, header, rows, trailer)
-        assert render(write_csv, SNAPSHOT, header, columns, trailer) == expected
+        with mock.patch.object(sweeps, "BLOCK_ROWS", block_rows):
+            assert render(write_csv, SNAPSHOT, header, columns, trailer) == expected
+
+    @pytest.mark.parametrize("n_rows", [1, BLOCK - 1, BLOCK, BLOCK + 1, 2 * BLOCK + 1])
+    def test_block_boundaries(self, n_rows):
+        # values repeat within and across blocks
+        rng = np.random.default_rng(n_rows)
+        pool = np.concatenate([SCI_EDGES, rng.normal(size=50)])
+        columns = [rng.choice(pool, n_rows), [f"c{k % 7}" for k in range(n_rows)],
+                   rng.choice(pool, n_rows)]
+        rows = [(a, b, c) for a, b, c in zip(columns[0].tolist(), columns[1],
+                                              columns[2].tolist())]
+        text = render(write_csv, SNAPSHOT, "xyz", columns, ["end"])
+        assert text == render(write_csv_rows, SNAPSHOT, "xyz", rows, ["end"])
+        with mock.patch.object(sweeps, "BLOCK_ROWS", n_rows + 1):  # one block
+            assert render(write_csv, SNAPSHOT, "xyz", columns, ["end"]) == text
+
+    def test_memory_of_a_long_trace_is_one_block(self):
+        # a 100,000-row trace: the texts of all rows would take about 19 MB
+        n_rows = 100_000
+        rng = np.random.default_rng(5)
+        trace = np.empty((n_rows, 3))
+        trace[:, 0] = np.arange(n_rows) * 1e-16
+        trace[:, 1:] = np.tanh(rng.normal(size=(n_rows, 2)))
+        sink = CountingSink()
+        tracemalloc.start()
+        try:
+            write_csv(sink, SNAPSHOT, ("time_s", "a_P", "b_P"), list(trace.T))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert sink.size > 3_000_000
+        assert peak < 6 * 2**20
 
     def test_str_columns_pass_through(self):
         ids = ["c1", "c2", "c1"]
