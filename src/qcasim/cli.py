@@ -9,9 +9,11 @@ identical argv produces identical bytes.
 from __future__ import annotations
 
 import argparse
+import functools
 import re
 import sys
 from contextlib import redirect_stderr, redirect_stdout
+from dataclasses import fields
 from pathlib import Path
 from typing import Optional, Sequence, TextIO, Union
 
@@ -19,16 +21,31 @@ import numpy as np
 
 from .constants import PhysicalConstants
 from .electrostatics import kink_matrix
-from .engines import (BistableParams, CoherenceParams, EngineError,
-                      bistable_relax, simulate_coherence, truth_table_check)
+from .engines import (EXPECTED_FUNCTIONS, BistableParams, CoherenceParams,
+                      EngineError, bistable_relax, simulate_coherence,
+                      truth_table_check)
 from .geometry import (BUILTIN_NAMES, Layout, LayoutError, builtin_layout,
                        parse_layout)
 from .sweeps import (TABLE1_TEMPERATURES, TABLE23_GAPS, SweepError, emit_csv,
                      params_snapshot, sci, sweep_gap, sweep_temperature,
                      write_csv)
 
-_DEFAULTS = CoherenceParams()
-_BDEFAULTS = BistableParams()
+# The physical flags: params field -> (flag, help text). The flag's
+# default, and the unit its help names, are the field's; --radius sets
+# both engines' radius_of_effect.
+PARAM_FLAGS = {
+    "temperature": ("--temperature", "temperature"),
+    "relaxation_time": ("--relaxation-time", "relaxation time"),
+    "time_step": ("--time-step", "time step"),
+    "total_time": ("--total-time", "total simulation time"),
+    "clock_high": ("--clock-high", "clock high"),
+    "clock_low": ("--clock-low", "clock low"),
+    "clock_shift": ("--clock-shift", "clock shift"),
+    "clock_amplitude_factor": ("--amplitude-factor", "clock amplitude factor"),
+    "radius_of_effect": ("--radius", "radius of effect"),
+    "gamma": ("--gamma", "bistable tunneling energy"),
+}
+_ENGINE_PARAMS = {"bistable": BistableParams, "coherence": CoherenceParams}
 
 
 class _CliError(Exception):
@@ -53,40 +70,22 @@ def _add_layout_arg(parser: argparse.ArgumentParser) -> None:
 
 def _add_common_args(parser: argparse.ArgumentParser,
                      engine: str = "bistable") -> None:
-    parser.add_argument("--engine", choices=("bistable", "coherence"),
+    parser.add_argument("--engine", choices=tuple(_ENGINE_PARAMS),
                         default=engine, help=f"simulation engine (default: {engine})")
     parser.add_argument("--constants", choices=("paper", "codata"), default=None,
                         help="physical constants mode (default: layout's, else paper)")
     parser.add_argument("--out", metavar="PATH", default=None,
                         help="write output to PATH instead of stdout")
     group = parser.add_argument_group("physical parameter overrides")
-    group.add_argument("--temperature", type=float, default=_DEFAULTS.temperature,
-                       help=f"temperature in K (default: {sci(_DEFAULTS.temperature)})")
-    group.add_argument("--relaxation-time", type=float,
-                       default=_DEFAULTS.relaxation_time,
-                       help="relaxation time in s "
-                            f"(default: {sci(_DEFAULTS.relaxation_time)})")
-    group.add_argument("--time-step", type=float, default=_DEFAULTS.time_step,
-                       help=f"time step in s (default: {sci(_DEFAULTS.time_step)})")
-    group.add_argument("--total-time", type=float, default=_DEFAULTS.total_time,
-                       help="total simulation time in s "
-                            f"(default: {sci(_DEFAULTS.total_time)})")
-    group.add_argument("--clock-high", type=float, default=_DEFAULTS.clock_high,
-                       help=f"clock high in J (default: {sci(_DEFAULTS.clock_high)})")
-    group.add_argument("--clock-low", type=float, default=_DEFAULTS.clock_low,
-                       help=f"clock low in J (default: {sci(_DEFAULTS.clock_low)})")
-    group.add_argument("--clock-shift", type=float, default=_DEFAULTS.clock_shift,
-                       help=f"clock shift in J (default: {sci(_DEFAULTS.clock_shift)})")
-    group.add_argument("--amplitude-factor", type=float,
-                       default=_DEFAULTS.clock_amplitude_factor,
-                       help="clock amplitude factor "
-                            f"(default: {sci(_DEFAULTS.clock_amplitude_factor)})")
-    group.add_argument("--radius", type=float, default=_DEFAULTS.radius_of_effect,
-                       help="radius of effect in nm "
-                            f"(default: {sci(_DEFAULTS.radius_of_effect)})")
-    group.add_argument("--gamma", type=float, default=_BDEFAULTS.gamma,
-                       help="bistable tunneling energy in J "
-                            f"(default: {sci(_BDEFAULTS.gamma)})")
+    param_fields = {f.name: f for cls in _ENGINE_PARAMS.values() for f in fields(cls)}
+    for name, (flag, text) in PARAM_FLAGS.items():
+        default = param_fields[name].default
+        unit = param_fields[name].metadata.get("unit")
+        # the metavar argparse would give the flag, not the field
+        group.add_argument(flag, dest=name, metavar=flag[2:].replace("-", "_").upper(),
+                           type=float, default=default,
+                           help=f"{text}{f' in {unit}' if unit else ''} "
+                                f"(default: {sci(default)})")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -109,7 +108,7 @@ def build_parser() -> argparse.ArgumentParser:
     _add_layout_arg(p)
     _add_common_args(p)
     p.add_argument("--function", required=True,
-                   choices=("inverter", "buffer", "majority", "and", "or"),
+                   choices=tuple(EXPECTED_FUNCTIONS),
                    help="expected logic function of the layout")
 
     p = sub.add_parser("sweep-temp", help="output polarization vs temperature")
@@ -131,6 +130,13 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+@functools.lru_cache(maxsize=None)
+def _parser() -> argparse.ArgumentParser:
+    """The parser of every `run_cli` call in this process, built at the
+    first: parsing leaves it as it was."""
+    return build_parser()
+
+
 def _load_layout(source: str) -> Layout:
     if source.startswith("builtin:"):
         return builtin_layout(source[len("builtin:"):])
@@ -140,35 +146,15 @@ def _load_layout(source: str) -> Layout:
     return parse_layout(path.read_text(encoding="utf-8"), name=path.stem)
 
 
-def _coherence_params(args: argparse.Namespace) -> CoherenceParams:
-    return CoherenceParams(
-        temperature=args.temperature,
-        relaxation_time=args.relaxation_time,
-        time_step=args.time_step,
-        total_time=args.total_time,
-        clock_high=args.clock_high,
-        clock_low=args.clock_low,
-        clock_shift=args.clock_shift,
-        clock_amplitude_factor=args.amplitude_factor,
-        radius_of_effect=args.radius,
-    )
-
-
-def _bistable_params(args: argparse.Namespace) -> BistableParams:
-    return BistableParams(gamma=args.gamma, radius_of_effect=args.radius)
-
-
-def _all_params(args: argparse.Namespace
-                ) -> tuple[BistableParams, CoherenceParams]:
-    """Both engines' params. Every engine command builds both, so a bad
-    value of a flag that the chosen engine ignores still fails (exit 1)."""
-    return _bistable_params(args), _coherence_params(args)
-
-
-def _engine_params(args: argparse.Namespace
-                   ) -> Union[BistableParams, CoherenceParams]:
-    bistable, coherence = _all_params(args)
-    return bistable if args.engine == "bistable" else coherence
+def _params(args: argparse.Namespace) -> Union[BistableParams, CoherenceParams]:
+    """The params of the engine that `args` names, from the flags of
+    `PARAM_FLAGS`. Every engine command builds both engines' params,
+    bistable first, so a bad value of a flag that the chosen engine
+    ignores still fails (exit 1)."""
+    built = {engine: cls(**{f.name: getattr(args, f.name) for f in fields(cls)
+                            if f.name in PARAM_FLAGS})
+             for engine, cls in _ENGINE_PARAMS.items()}
+    return built[args.engine]
 
 
 def _constants(args: argparse.Namespace, layout: Optional[Layout]) -> PhysicalConstants:
@@ -193,11 +179,11 @@ def _parse_grid(text: str, kind: str) -> Sequence[float]:
 def _cmd_kink(args: argparse.Namespace, out: TextIO) -> int:
     layout = _load_layout(args.layout)
     constants = _constants(args, layout)
-    matrix = kink_matrix(layout, args.radius, constants)
+    matrix = kink_matrix(layout, args.radius_of_effect, constants)
     # after kink_matrix, whose --radius diagnostic stays the one reported
-    _all_params(args)
+    _params(args)
     write_csv(out, {"layout": layout.name, "constants": constants.mode,
-                    "radius_of_effect_nm": args.radius},
+                    "radius_of_effect_nm": args.radius_of_effect},
               ("cell_i", "cell_j", "kink_energy_J"),
               [*matrix.pair_ids(), matrix.energies])
     return 0
@@ -206,7 +192,9 @@ def _cmd_kink(args: argparse.Namespace, out: TextIO) -> int:
 def _cmd_simulate(args: argparse.Namespace, out: TextIO) -> int:
     layout = _load_layout(args.layout)
     constants = _constants(args, layout)
-    params = _engine_params(args)
+    params = _params(args)
+    if args.stride < 1:  # for both engines, as the params are checked
+        raise _CliError("record_stride must be at least 1")
     matrix = kink_matrix(layout, params.radius_of_effect, constants)
     snapshot = {**params_snapshot(params), "layout": layout.name,
                 "constants": constants.mode, "engine": args.engine}
@@ -229,7 +217,7 @@ def _cmd_simulate(args: argparse.Namespace, out: TextIO) -> int:
 def _cmd_truth(args: argparse.Namespace, out: TextIO) -> int:
     layout = _load_layout(args.layout)
     constants = _constants(args, layout)
-    params = _engine_params(args)
+    params = _params(args)
     matrix = kink_matrix(layout, params.radius_of_effect, constants)
     report = truth_table_check(layout, args.engine, params, args.function,
                                matrix, constants)
@@ -256,8 +244,7 @@ def _cmd_sweep_temp(args: argparse.Namespace, out: TextIO) -> int:
     grid = _parse_grid(args.grid, "temperature")
     if args.engine != "coherence":
         raise _CliError("sweep-temp runs the coherence engine only")
-    _, params = _all_params(args)
-    result = sweep_temperature(layout, grid, params, constants)
+    result = sweep_temperature(layout, grid, _params(args), constants)
     emit_csv(result, out)
     return 0
 
@@ -267,8 +254,7 @@ def _cmd_sweep_gap(args: argparse.Namespace, out: TextIO) -> int:
     constants = _constants(args, layout)
     grid = _parse_grid(args.grid, "gap")
     cell_id = args.cell or layout.output_cell().id
-    result = sweep_gap(layout, cell_id, grid, args.engine, _engine_params(args),
-                       constants)
+    result = sweep_gap(layout, cell_id, grid, args.engine, _params(args), constants)
     emit_csv(result, out)
     return 0
 
@@ -318,10 +304,9 @@ def run_cli(argv: Optional[Sequence[str]] = None,
     """
     stdout = stdout if stdout is not None else sys.stdout
     stderr = stderr if stderr is not None else sys.stderr
-    parser = build_parser()
     try:
         with redirect_stdout(stdout), redirect_stderr(stderr):
-            args = parser.parse_args(list(argv) if argv is not None else None)
+            args = _parser().parse_args(list(argv) if argv is not None else None)
     except SystemExit as exc:
         return 0 if exc.code in (0, None) else 2
     command = _COMMANDS[args.command]

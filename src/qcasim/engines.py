@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass, fields, replace
+from dataclasses import dataclass, field, fields
 from typing import Callable, Mapping, Optional, Sequence, Union
 
 import numpy as np
@@ -54,34 +54,45 @@ class IntegrationError(EngineError):
         self.point = point
 
 
-def _require_finite(params) -> None:
-    for f in fields(params):
-        value = getattr(params, f.name)
-        try:
-            finite = math.isfinite(value)
-        except OverflowError:  # an int that no float can hold
-            raise ValueError(f"{f.name} must be finite, got an integer too "
-                             f"large for a float ({value.bit_length()} bits)"
-                             ) from None
-        if not finite:
-            raise ValueError(f"{f.name} must be finite, got {value}")
+def _require_finite(name: str, value) -> None:
+    try:
+        finite = math.isfinite(value)
+    except OverflowError:  # an int that no float can hold
+        raise ValueError(f"{name} must be finite, got an integer too "
+                         f"large for a float ({value.bit_length()} bits)"
+                         ) from None
+    if not finite:
+        raise ValueError(f"{name} must be finite, got {value}")
+
+
+def _check_temperature(value) -> None:
+    _require_finite("temperature", value)
+    if value < 0:
+        raise ValueError("temperature must be non-negative")
+
+
+def _with_unit(default, unit: str):
+    """A params field in `unit`, which its CSV header key and its CLI help
+    name (`sweeps.params_snapshot`, `cli.PARAM_FLAGS`)."""
+    return field(default=default, metadata={"unit": unit})
 
 
 @dataclass(frozen=True)
 class CoherenceParams:
-    temperature: float = 1.0                 # K
-    relaxation_time: float = 1.0e-15         # s
-    time_step: float = 1.0e-16               # s
-    total_time: float = 7.0e-11              # s
-    clock_high: float = DEFAULT_CLOCK_HIGH   # J
-    clock_low: float = DEFAULT_CLOCK_LOW     # J
-    clock_shift: float = 0.0                 # J
+    temperature: float = _with_unit(1.0, "K")
+    relaxation_time: float = _with_unit(1.0e-15, "s")
+    time_step: float = _with_unit(1.0e-16, "s")
+    total_time: float = _with_unit(7.0e-11, "s")
+    clock_high: float = _with_unit(DEFAULT_CLOCK_HIGH, "J")
+    clock_low: float = _with_unit(DEFAULT_CLOCK_LOW, "J")
+    clock_shift: float = _with_unit(0.0, "J")
     clock_amplitude_factor: float = 2.0
-    radius_of_effect: float = DEFAULT_RADIUS_OF_EFFECT  # nm
+    radius_of_effect: float = _with_unit(DEFAULT_RADIUS_OF_EFFECT, "nm")
     clock_periods: int = 1
 
     def __post_init__(self) -> None:
-        _require_finite(self)
+        for f in fields(self):
+            _require_finite(f.name, getattr(self, f.name))
         if self.relaxation_time <= 0 or self.time_step <= 0 or self.total_time <= 0:
             raise ValueError("all times must be strictly positive")
         if self.time_step >= self.relaxation_time:
@@ -92,8 +103,7 @@ class CoherenceParams:
                              f"Euler steps, got {steps:.6g}")
         if self.clock_low > self.clock_high:
             raise ValueError("clock_low must not exceed clock_high")
-        if self.temperature < 0:
-            raise ValueError("temperature must be non-negative")
+        _check_temperature(self.temperature)
         if self.radius_of_effect <= 0:
             raise ValueError("radius_of_effect must be strictly positive")
         if self.clock_periods < 1:
@@ -111,17 +121,18 @@ class CoherenceParams:
 
 @dataclass(frozen=True)
 class BistableParams:
-    gamma: float = DEFAULT_CLOCK_HIGH        # J, tunneling energy
+    gamma: float = _with_unit(DEFAULT_CLOCK_HIGH, "J")  # tunneling energy
     convergence_tolerance: float = 1.0e-9
     max_iterations: int = 10_000
-    radius_of_effect: float = DEFAULT_RADIUS_OF_EFFECT  # nm
+    radius_of_effect: float = _with_unit(DEFAULT_RADIUS_OF_EFFECT, "nm")
 
     def __post_init__(self) -> None:
         if (not isinstance(self.max_iterations, int)
                 or isinstance(self.max_iterations, bool)):
             raise ValueError(f"max_iterations must be an integer, got "
                              f"{self.max_iterations!r}")
-        _require_finite(self)
+        for f in fields(self):
+            _require_finite(f.name, getattr(self, f.name))
         if self.gamma <= 0:
             raise ValueError("gamma must be strictly positive")
         if self.convergence_tolerance <= 0:
@@ -275,18 +286,18 @@ def coupling(kinks: Sequence[KinkMatrix], cell_ids: Sequence[str]
 
 
 def simulate_coherence_batch(
-        layout: Layout,
-        points: Sequence[tuple[KinkMatrix, CoherenceParams,
-                               Optional[Mapping[str, float]]]],
+        layout: Layout, params: CoherenceParams,
+        points: Sequence[tuple[KinkMatrix, float, Optional[Mapping[str, float]]]],
         constants: Optional[PhysicalConstants] = None,
         record_stride: int = 100) -> list[SimulationTrace]:
     """Run the coherence-vector integrator for several points in lockstep.
 
-    Each point is (kink, params, inputs) on the cells of `layout`: the
-    points share the cell order, roles and clock zones, and their params
-    must agree in everything but the temperature, so that they share the
-    clock and the time grid. Each point's trace is what
-    `simulate_coherence` returns for it alone, bit for bit. Raises
+    Each point is (kink, temperature, inputs) on the cells of `layout`:
+    the points share the cell order, roles and clock zones, and `params`
+    but for its temperature, so that they share the clock and the time
+    grid. Each temperature is checked as `CoherenceParams` checks its own.
+    Each point's trace is what `simulate_coherence` returns for it alone,
+    with `params` at that temperature, bit for bit. Raises
     EngineError before integrating if the recording (polarizations, times
     and clocks) would take more than MAX_RECORD_BYTES. Raises
     IntegrationError for the first point, in order, whose coherence vector
@@ -296,12 +307,10 @@ def simulate_coherence_batch(
     constants = constants or PhysicalConstants.paper()
     if record_stride < 1:
         raise ValueError("record_stride must be at least 1")
+    for _, temperature, _ in points:
+        _check_temperature(temperature)
     if not points:
         return []
-    params = points[0][1]
-    if any(replace(p, temperature=params.temperature) != params
-           for _, p, _ in points):
-        raise ValueError("batched points may differ only in temperature")
     cell_ids = tuple(c.id for c in layout.cells)
     if not cell_ids:
         return [SimulationTrace(times=np.zeros((0,)), clocks=np.zeros((0, 4)),
@@ -322,7 +331,7 @@ def simulate_coherence_batch(
     zones = np.array([c.clock_zone for c in layout.cells], dtype=np.int64)
     driven = np.array([cid in drives[0] for cid in cell_ids], dtype=np.bool_)
     drive_values = np.array([[d.get(cid, 0.0) for cid in cell_ids] for d in drives])
-    temperatures = np.array([p.temperature for _, p, _ in points], dtype=np.float64)
+    temperatures = np.array([t for _, t, _ in points], dtype=np.float64)
 
     rec_times = np.zeros(n_rec)
     rec_clocks = np.zeros((n_rec, 4))
@@ -365,8 +374,8 @@ def simulate_coherence(layout: Layout, kink: KinkMatrix, params: CoherenceParams
     polarizations every `record_stride` steps. This is the one-point case
     of `simulate_coherence_batch`.
     """
-    return simulate_coherence_batch(layout, [(kink, params, inputs)], constants,
-                                    record_stride)[0]
+    return simulate_coherence_batch(
+        layout, params, [(kink, params.temperature, inputs)], constants, record_stride)[0]
 
 
 # --------------------------------------------------------------------------
@@ -377,12 +386,13 @@ def _majority(bits: Sequence[int]) -> int:
     return (a & b) | (b & c) | (c & a)
 
 
-EXPECTED_FUNCTIONS: dict[str, Callable[[Sequence[int]], int]] = {
-    "inverter": lambda bits: 1 - bits[0],
-    "buffer": lambda bits: bits[0],
-    "majority": _majority,
-    "and": lambda bits: bits[0] & bits[1],
-    "or": lambda bits: bits[0] | bits[1],
+# name -> (the number of drivers it reads, the function)
+EXPECTED_FUNCTIONS: dict[str, tuple[int, Callable[[Sequence[int]], int]]] = {
+    "inverter": (1, lambda bits: 1 - bits[0]),
+    "buffer": (1, lambda bits: bits[0]),
+    "majority": (3, _majority),
+    "and": (2, lambda bits: bits[0] & bits[1]),
+    "or": (2, lambda bits: bits[0] | bits[1]),
 }
 
 INDETERMINATE_THRESHOLD = 1e-6
@@ -419,15 +429,18 @@ def truth_table_check(layout: Layout, engine: str,
     Enumerates the input-role cells (falling back to fixed cells when the
     layout has no input cells, as in the two-cell inverter) sorted by id;
     logic 1 drives +1, logic 0 drives -1. An output magnitude below 1e-6
-    is indeterminate and counts as a failing row.
+    is indeterminate and counts as a failing row. A named function must
+    read as many drivers as the layout has (EngineError otherwise); a
+    callable gets every driver's bit.
     """
     if engine not in ("bistable", "coherence"):
         raise ValueError(f"unknown engine {engine!r}")
     if params is None:
         params = BistableParams() if engine == "bistable" else CoherenceParams()
+    arity = None
     if isinstance(expected, str):
         try:
-            expected_fn = EXPECTED_FUNCTIONS[expected]
+            arity, expected_fn = EXPECTED_FUNCTIONS[expected]
         except KeyError:
             raise ValueError(f"unknown logic function {expected!r}") from None
     else:
@@ -438,6 +451,10 @@ def truth_table_check(layout: Layout, engine: str,
         driver_ids = sorted(c.id for c in layout.cells if c.role == "fixed")
     if not driver_ids:
         raise EngineError("layout has no drivable cell")
+    if arity not in (None, len(driver_ids)):
+        raise EngineError(
+            f"function {expected!r} reads {arity} driver{'s' * (arity > 1)}, "
+            f"layout {layout.name!r} has {len(driver_ids)}: {', '.join(driver_ids)}")
     out_id = layout.output_cell().id
 
     combos = list(itertools.product((0, 1), repeat=len(driver_ids)))
@@ -449,8 +466,8 @@ def truth_table_check(layout: Layout, engine: str,
     else:
         # only the final state is read: record the first and last steps
         traces = simulate_coherence_batch(
-            layout, [(kink, params, drives) for drives in drive_rows], constants,
-            record_stride=params.n_steps)
+            layout, params, [(kink, params.temperature, d) for d in drive_rows],
+            constants, record_stride=params.n_steps)
         out_pols = [trace.final[out_id] for trace in traces]
 
     rows = []

@@ -39,8 +39,9 @@ output never depends on which one ran:
   (default ``cc``) into ``${XDG_CACHE_HOME:-~/.cache}/qcasim/``, or,
   where that directory cannot be used, into ``qcasim-<uid>`` under the
   temporary directory, and failing that into a fresh temporary directory;
-  later processes load the cached library. The library name carries a
-  sha256 of the source, the flags and ``$CC --version``.
+  later processes load the cached library without running the compiler.
+  The library name carries a CRC-32 of the source, the flags and the
+  ``$CC`` argv.
 * ``loop``: ``coherence_euler_loop`` and ``bistable_sweep_loop``, the
   engine kernels over Python lists, and ``format_sci_loop``, Python's
   `%`: the references the C kernels are tested against, and the kernels
@@ -119,6 +120,7 @@ import functools
 import math
 import os
 import threading
+import zlib
 from pathlib import Path
 
 import numpy as np
@@ -387,26 +389,26 @@ def _bind(path: Path):
 @functools.lru_cache(maxsize=None)
 def _library():
     """The compiled library of the kernels, built on first use;
-    None where there is no working compiler. Loads a cached library only
-    from a directory that the current user owns and no one else can write;
-    if neither cache directory qualifies, builds into a fresh temporary
-    directory."""
+    None where there is no working compiler (``$CC`` not found, or the
+    build fails). Loads a cached library only from a directory that the
+    current user owns and no one else can write, so its name need only
+    tell builds apart: it carries a CRC-32 of the source, the flags and
+    the ``$CC`` argv, and a cache hit runs no compiler. If neither cache
+    directory qualifies, builds into a fresh temporary directory."""
     if os.name != "posix":
         return None
-    import hashlib
     import shlex
-    import subprocess
-    import tempfile
+    import shutil
     try:
         cc = shlex.split(os.environ.get("CC") or "cc")
-        version = subprocess.run([*cc, "--version"], capture_output=True,
-                                 timeout=60, check=True).stdout
         source = SOURCE.read_bytes()
-    except (OSError, ValueError, subprocess.SubprocessError):
+    except (OSError, ValueError):
         return None
-    key = hashlib.sha256(b"\0".join(
-        [source, " ".join(COMPILE_FLAGS + LINK_FLAGS).encode(), version]))
-    name = f"kernels-{key.hexdigest()[:20]}.so"
+    if not cc or shutil.which(cc[0]) is None:
+        return None
+    key = b"\0".join([source, " ".join(COMPILE_FLAGS + LINK_FLAGS).encode(),
+                      *map(os.fsencode, cc)])
+    name = f"kernels-{zlib.crc32(key):08x}.so"
     try:
         for directory in _cache_dirs():
             try:
@@ -422,6 +424,7 @@ def _library():
                 if not _compile(cc, library):
                     return None
             return _bind(library)
+        import tempfile
         with tempfile.TemporaryDirectory(prefix="qcasim-") as fresh:
             library = Path(fresh) / name
             return _bind(library) if _compile(cc, library) else None

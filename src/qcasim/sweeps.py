@@ -12,7 +12,7 @@ from __future__ import annotations
 import csv
 import io
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, fields
 from importlib import resources
 from typing import Mapping, Optional, Sequence, TextIO, Union
 
@@ -74,26 +74,10 @@ class SweepResult:
 
 
 def params_snapshot(params: Union[BistableParams, CoherenceParams]) -> dict:
-    """The parameters a CSV header records, keyed by name and unit."""
-    if isinstance(params, BistableParams):
-        return {
-            "gamma_J": params.gamma,
-            "convergence_tolerance": params.convergence_tolerance,
-            "max_iterations": params.max_iterations,
-            "radius_of_effect_nm": params.radius_of_effect,
-        }
-    return {
-        "temperature_K": params.temperature,
-        "relaxation_time_s": params.relaxation_time,
-        "time_step_s": params.time_step,
-        "total_time_s": params.total_time,
-        "clock_high_J": params.clock_high,
-        "clock_low_J": params.clock_low,
-        "clock_shift_J": params.clock_shift,
-        "clock_amplitude_factor": params.clock_amplitude_factor,
-        "radius_of_effect_nm": params.radius_of_effect,
-        "clock_periods": params.clock_periods,
-    }
+    """The parameters a CSV header records, each field keyed by its name
+    and its unit, if it has one (`temperature_K`, `max_iterations`)."""
+    return {"_".join(filter(None, (f.name, f.metadata.get("unit")))):
+            getattr(params, f.name) for f in fields(params)}
 
 
 def _failed_point(exc: Exception) -> int:
@@ -118,11 +102,11 @@ def sweep_temperature(layout: Layout, temperatures: Sequence[float],
         raise SweepError("temperature grid must be strictly increasing")
     out_id = layout.output_cell().id
     kink = kink_matrix(layout, params.radius_of_effect, constants)
-    points = [(kink, replace(params, temperature=T), inputs) for T in temps]
     try:
         # only the final state is read: record the first and last steps
-        traces = simulate_coherence_batch(layout, points, constants,
-                                          record_stride=params.n_steps)
+        traces = simulate_coherence_batch(
+            layout, params, [(kink, T, inputs) for T in temps], constants,
+            record_stride=params.n_steps)
     except Exception as exc:
         raise SweepError(f"at temperature {temps[_failed_point(exc)]} K: {exc}") from exc
     rows = [SweepRow(value=T, cell_id=out_id, polarization=abs(trace.final[out_id]))
@@ -186,8 +170,8 @@ def sweep_gap(layout: Layout, output_id: str, gaps: Sequence[float], engine: str
         # displacement keeps the cell order, roles and zones of `layout`
         try:
             traces = simulate_coherence_batch(
-                layout, [(kink, params, inputs) for kink in kinks], constants,
-                record_stride=params.n_steps)
+                layout, params, [(kink, params.temperature, inputs) for kink in kinks],
+                constants, record_stride=params.n_steps)
         except Exception as exc:
             raise SweepError(f"at gap {gaps[_failed_point(exc)]} nm: {exc}") from exc
         pols = [trace.final[output_id] for trace in traces]

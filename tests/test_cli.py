@@ -1,13 +1,16 @@
 import io
 import math
 import re
+from dataclasses import fields
 
 import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
+from qcasim import cli
 from qcasim.cli import run_cli
-from qcasim.engines import MAX_STEPS, BistableParams, CoherenceParams
+from qcasim.engines import (EXPECTED_FUNCTIONS, MAX_STEPS, BistableParams,
+                            CoherenceParams)
 from qcasim.geometry import builtin_layout, serialize_layout
 from qcasim.sweeps import sci
 
@@ -113,6 +116,20 @@ class TestTruthCommand:
         code, _, _ = run(["truth", "--layout", "builtin:inv2",
                           "--function", "xor"])
         assert code == 2
+
+    @pytest.mark.parametrize("layout, function, message", [
+        ("inv2", "and", "reads 2 drivers, layout 'inv2' has 1: in"),
+        ("inv2", "or", "reads 2 drivers, layout 'inv2' has 1: in"),
+        ("inv3", "majority", "reads 3 drivers, layout 'inv3' has 1: in"),
+        ("majority", "inverter", "reads 1 driver, layout 'majority' has 3: a, b, c"),
+    ])
+    @pytest.mark.parametrize("engine", ["bistable", "coherence"])
+    def test_function_must_read_every_driver(self, layout, function, message,
+                                             engine):
+        code, out, err = run(["truth", "--layout", f"builtin:{layout}",
+                              "--function", function, "--engine", engine, *FAST])
+        assert (code, out) == (1, "")
+        assert err == f"error: function {function!r} {message}\n"
 
 
 class TestSweepCommands:
@@ -323,6 +340,14 @@ class TestUnusedFlagsValidated:
                               "coherence", "--grid", "1", "--total-time", "1e-14"])
         assert (code, err) == (0, "") and "# engine=coherence\n" in out
 
+    @pytest.mark.parametrize("engine", ["bistable", "coherence"])
+    @pytest.mark.parametrize("stride", ["0", "-3"])
+    def test_stride_below_one(self, engine, stride):
+        code, out, err = run(["simulate", "--layout", "builtin:inv3", "--engine",
+                              engine, *FAST, "--stride", stride])
+        assert (code, out) == (1, "")
+        assert err == "error: record_stride must be at least 1\n"
+
     def test_default_bistable_run_unchanged(self):
         code, out, err = run(["simulate", "--layout", "builtin:inv3"])
         assert (code, err) == (0, "")
@@ -438,6 +463,18 @@ class TestHelpText:
                       defaults.radius_of_effect, BistableParams().gamma):
             assert sci(value) in text
 
+    def test_flag_defaults_are_the_params_defaults(self):
+        args = cli.build_parser().parse_args(["simulate", "--layout", "builtin:inv2"])
+        for params in (BistableParams(), CoherenceParams()):
+            flagged = [f.name for f in fields(params) if f.name in cli.PARAM_FLAGS]
+            assert flagged
+            for name in flagged:
+                assert getattr(args, name) == getattr(params, name), name
+        # --radius sets the radius of effect of both engines
+        assert (cli.PARAM_FLAGS["radius_of_effect"][0] == "--radius"
+                and args.radius_of_effect == BistableParams().radius_of_effect
+                == CoherenceParams().radius_of_effect)
+
     def test_top_level_help_lists_subcommands(self, capsys):
         code = run_cli(["--help"])
         assert code == 0
@@ -461,24 +498,27 @@ def assert_sci_if_float(field):
     assert INTEGER.fullmatch(field) or SCI.fullmatch(field), field
 
 
+OUTPUT_FORMAT_ARGV = [
+    ["kink", "--layout", "builtin:inv3", "--radius", "25"],
+    ["simulate", "--layout", "builtin:wire(3)"],
+    ["simulate", "--layout", "builtin:inv2", "--engine", "coherence", *FAST,
+     "--stride", "500"],
+    ["truth", "--layout", "builtin:majority", "--function", "majority"],
+    ["truth", "--layout", "builtin:inv2", "--function", "inverter",
+     "--engine", "coherence", *FAST],
+    ["sweep-temp", "--layout", "builtin:inv2", "--grid", "1,5", *FAST],
+    ["sweep-gap", "--layout", "builtin:inv3", "--grid", "1.0,2.0"],
+    ["sweep-gap", "--layout", "builtin:inv2", "--grid", "1.0,2.0",
+     "--engine", "coherence", *FAST],
+]
+
+
 class TestOutputFormat:
     """Every command writes the one CSV format: sorted `# key=value` snapshot
     lines, the column row, data rows, optional trailing `#` lines; floats in
     scientific notation with six significant digits; LF line endings."""
 
-    @pytest.mark.parametrize("argv", [
-        ["kink", "--layout", "builtin:inv3", "--radius", "25"],
-        ["simulate", "--layout", "builtin:wire(3)"],
-        ["simulate", "--layout", "builtin:inv2", "--engine", "coherence", *FAST,
-         "--stride", "500"],
-        ["truth", "--layout", "builtin:majority", "--function", "majority"],
-        ["truth", "--layout", "builtin:inv2", "--function", "inverter",
-         "--engine", "coherence", *FAST],
-        ["sweep-temp", "--layout", "builtin:inv2", "--grid", "1,5", *FAST],
-        ["sweep-gap", "--layout", "builtin:inv3", "--grid", "1.0,2.0"],
-        ["sweep-gap", "--layout", "builtin:inv2", "--grid", "1.0,2.0",
-         "--engine", "coherence", *FAST],
-    ])
+    @pytest.mark.parametrize("argv", OUTPUT_FORMAT_ARGV)
     def test_one_format(self, argv):
         code, out, err = run(argv)
         assert (code, err) == (0, "")
@@ -512,6 +552,40 @@ class TestOutputFormat:
         assert line in out.splitlines()
 
 
+class TestSharedParser:
+    """`run_cli` builds its parser once per process; a sequence of calls
+    on it prints what each call prints with a parser of its own."""
+
+    @pytest.fixture
+    def builds(self, monkeypatch):
+        count = []
+        build = cli.build_parser
+
+        def counting():
+            count.append(1)
+            return build()
+        monkeypatch.setattr(cli, "build_parser", counting)
+        cli._parser.cache_clear()
+        yield count
+        cli._parser.cache_clear()
+
+    def test_sequence_matches_single_runs(self, builds):
+        coherence = ["simulate", "--engine", "coherence", "--layout", "builtin:inv2",
+                     *FAST, "--stride", "500"]
+        sequence = [[*coherence, "--temperature", "5"], coherence, ["--help"],
+                    ["simulate", "--help"], ["simulate", "--bogus"],
+                    *OUTPUT_FORMAT_ARGV]
+        shared = [run(argv) for argv in sequence]
+        assert len(builds) == 1
+        assert "# temperature_K=5.00000e+00" in shared[0][1].splitlines()
+        assert "# temperature_K=1.00000e+00" in shared[1][1].splitlines()
+        assert shared[4][0] == 2
+        for argv, result in zip(sequence, shared):
+            cli._parser.cache_clear()
+            assert run(argv) == result, argv
+        assert len(builds) == 1 + len(sequence)
+
+
 EXTREME = st.sampled_from([math.nan, math.inf, -math.inf, 0.0, -0.0, -1.0,
                            1.0, 1e300, -1e300, 1e-300, 5e-324, 2.2e-308])
 NUMBER = st.one_of(EXTREME, st.floats())
@@ -527,14 +601,15 @@ PHYSICAL_FLAGS = ("--temperature", "--relaxation-time", "--clock-high",
 
 @st.composite
 def numeric_argv(draw):
-    command = draw(st.sampled_from([["kink"], ["simulate"],
-                                    ["simulate", "--engine", "coherence"],
-                                    ["sweep-temp"],
-                                    ["sweep-temp", "--engine", "bistable"]]))
+    command = draw(st.sampled_from([
+        ["kink"], ["simulate"], ["simulate", "--engine", "coherence"],
+        ["sweep-temp"], ["sweep-temp", "--engine", "bistable"],
+        *(["truth", "--function", function, "--engine", engine]
+          for function in EXPECTED_FUNCTIONS for engine in ("bistable", "coherence"))]))
     layout = draw(st.sampled_from(["builtin:inv2", "builtin:inv3",
-                                   "builtin:wire(3)"]))
+                                   "builtin:wire(3)", "builtin:majority"]))
     argv = [*command, "--layout", layout]
-    if "coherence" in command:
+    if command[0] == "simulate":
         argv.append(f"--stride={draw(st.integers(-2, 10**12))}")
     if command[0] == "sweep-temp":
         grid = draw(st.one_of(st.just("table1"), st.lists(NUMBER, min_size=1, max_size=3)
@@ -556,6 +631,9 @@ class TestNeverTracebacks:
     @given(numeric_argv())
     @example(["sweep-temp", "--layout", "builtin:inv2", "--engine", "bistable",
               "--grid", "1", "--total-time", "1e-14"])
+    @example(["truth", "--function", "and", "--engine", "bistable",
+              "--layout", "builtin:inv2"])
+    @example(["simulate", "--layout", "builtin:inv3", "--stride=0"])
     def test_exit_code_and_one_line_diagnostic(self, argv):
         code, _, err = run(argv)
         assert code in (0, 1, 2), argv

@@ -372,27 +372,38 @@ class TestSimulateCoherenceBatch:
         layout = builtin_layout("inv3")
         kink = kink_matrix(layout, RADIUS, constants)
         far = kink_matrix(layout, 25.0, constants)  # drops the in-out pair
-        points = [(kink, replace(FAST, temperature=0.0), {"in": 1.0}),
-                  (far, replace(FAST, temperature=3.0), {"in": -1.0}),
-                  (kink, FAST, None)]
-        traces = simulate_coherence_batch(layout, points, constants, 7)
-        for trace, (k, params, inputs) in zip(traces, points):
-            alone = simulate_coherence(layout, k, params, inputs, constants, 7)
+        points = [(kink, 0.0, {"in": 1.0}), (far, 3.0, {"in": -1.0}),
+                  (kink, FAST.temperature, None)]
+        traces = simulate_coherence_batch(layout, FAST, points, constants, 7)
+        for trace, (k, t, inputs) in zip(traces, points):
+            alone = simulate_coherence(layout, k, replace(FAST, temperature=t),
+                                       inputs, constants, 7)
             assert trace.final == alone.final
             for name in ("times", "clocks", "polarizations"):
                 assert (getattr(trace, name).tobytes()
                         == getattr(alone, name).tobytes())
 
-    def test_points_may_differ_only_in_temperature(self, constants):
+    @pytest.mark.parametrize("bad, message", [
+        (math.nan, "temperature must be finite, got nan"),
+        (-math.inf, "temperature must be finite, got -inf"),
+        (10**400, "temperature must be finite, got an integer too large"),
+        (-1e-300, "temperature must be non-negative"),
+    ], ids=["nan", "-inf", "huge-int", "negative"])
+    def test_each_temperature_is_checked(self, constants, bad, message):
+        # with the message of CoherenceParams, before anything runs
         layout = builtin_layout("inv2")
         kink = kink_matrix(layout, RADIUS, constants)
-        points = [(kink, FAST, None),
-                  (kink, replace(FAST, clock_high=5e-22), None)]
-        with pytest.raises(ValueError, match="only in temperature"):
-            simulate_coherence_batch(layout, points, constants)
+        with pytest.raises(ValueError) as info:
+            CoherenceParams(temperature=bad)
+        assert str(info.value).startswith(message)
+        with pytest.raises(ValueError) as batched:
+            simulate_coherence_batch(layout, FAST, [(kink, 1.0, None),
+                                                    (kink, bad, None)], constants)
+        assert str(batched.value) == str(info.value)
 
     def test_no_points(self, constants):
-        assert simulate_coherence_batch(builtin_layout("inv2"), [], constants) == []
+        assert simulate_coherence_batch(builtin_layout("inv2"), FAST, [],
+                                        constants) == []
 
     @pytest.mark.parametrize("path", ["c", "loop"])
     def test_integer_temperatures(self, constants, monkeypatch, path):
@@ -407,8 +418,7 @@ class TestSimulateCoherenceBatch:
 
         def traces(temperatures):
             return simulate_coherence_batch(
-                layout, [(kink, replace(FAST, temperature=t), None)
-                         for t in temperatures], constants, 7)
+                layout, FAST, [(kink, t, None) for t in temperatures], constants, 7)
         for trace, alone in zip(traces([0, 1, 2]), traces([0.0, 1.0, 2.0])):
             assert trace.final == alone.final
             assert trace.polarizations.tobytes() == alone.polarizations.tobytes()
@@ -421,9 +431,9 @@ class TestSimulateCoherenceBatch:
         kink = kink_matrix(layout, RADIUS, constants)
         strong = kink_matrix_from_pairs(
             {key: 3e3 * e for key, e in kink.pairs.items()}, RADIUS)
-        points = [(kink, FAST, None), (strong, FAST, None), (strong, FAST, None)]
+        points = [(kink, 1.0, None), (strong, 1.0, None), (strong, 1.0, None)]
         with pytest.raises(IntegrationError, match="left the unit ball") as info:
-            simulate_coherence_batch(layout, points, constants)
+            simulate_coherence_batch(layout, FAST, points, constants)
         assert info.value.point == 1
 
 
@@ -490,3 +500,19 @@ class TestTruthTable:
         report = truth_table_check(layout, "bistable", None, "buffer", kink,
                                    constants)
         assert not report.all_passed
+
+    @pytest.mark.parametrize("engine", ["bistable", "coherence"])
+    def test_named_function_must_read_every_driver(self, constants, engine):
+        layout = builtin_layout("majority")
+        kink = kink_matrix(layout, RADIUS, constants)
+        with pytest.raises(EngineError, match=re.escape(
+                "function 'and' reads 2 drivers, layout 'majority' has 3: a, b, c")):
+            truth_table_check(layout, engine, FAST if engine == "coherence" else None,
+                              "and", kink, constants)
+
+    def test_callable_is_not_checked(self, constants):
+        layout = builtin_layout("majority")
+        kink = kink_matrix(layout, RADIUS, constants)
+        report = truth_table_check(layout, "bistable", None, lambda bits: bits[0],
+                                   kink, constants)
+        assert len(report.rows) == 8

@@ -12,6 +12,7 @@ import tempfile
 import threading
 import tracemalloc
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -439,10 +440,10 @@ class TestChunkCount:
         params = CoherenceParams(total_time=400 * CoherenceParams().time_step)
         points = [(KinkMatrix.from_arrays(kink.ids, kink.first, kink.second,
                                           scale * kink.energies, 80.0),
-                   replace(params, temperature=t), None)
+                   t, None)
                   for scale, t in ((3e3, 1.0), (3e4, 0.0))]
         with pytest.raises(IntegrationError, match="at step 7 ") as info:
-            simulate_coherence_batch(layout, points, PAPER)
+            simulate_coherence_batch(layout, params, points, PAPER)
         assert info.value.point == 0
         assert len(threads) == 1
 
@@ -525,6 +526,22 @@ class TestKernelChoice:
         kernels._library.cache_clear()
         assert kernels._library() is not None
         assert os.stat(cache / name).st_mtime_ns == built
+
+    @needs_cc
+    def test_cache_hit_runs_no_compiler(self):
+        """A fresh process that finds the library in its cache loads it
+        without starting the compiler: it never imports subprocess."""
+        assert kernels.kernel_path() == "c"  # the cache is warm
+        script = ("import sys\n"
+                  "from qcasim import kernels\n"
+                  "print(kernels.kernel_path(), 'subprocess' in sys.modules)\n")
+        src = str(Path(kernels.__file__).parents[1])
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            filter(None, [src, os.environ.get("PYTHONPATH")])))
+        proc = subprocess.run([sys.executable, "-c", script], capture_output=True,
+                              text=True, env=env)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout == "c False\n"
 
     @needs_cc
     def test_cache_writable_by_others_is_not_used(self, own_cache):
