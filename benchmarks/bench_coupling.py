@@ -1,8 +1,10 @@
-"""Benchmark the coupling core: layout build, kink matrix, its CSV and bistable relax.
+"""Benchmark the coupling core: layout build and parse, kink matrix, its CSV and bistable relax.
 
-Times four stages on layouts of growing size:
+Times these stages on layouts of growing size:
 
 * build: constructing the validated `Layout` (the cell-overlap check);
+* parse: `parse_layout` of the layout's `serialize_layout` text, what
+  the CLI does with a `.qcl` file;
 * kink: `kink_matrix` at the default 80 nm radius of effect;
 * emit: `write_csv` of the matrix's id and energy columns into memory,
   what the `kink` command does after `kink_matrix`;
@@ -39,7 +41,8 @@ from qcasim import kernels
 from qcasim.constants import PhysicalConstants
 from qcasim.electrostatics import kink_matrix
 from qcasim.engines import BistableParams, bistable_relax
-from qcasim.geometry import Cell, Layout, builtin_layout
+from qcasim.geometry import (Cell, Layout, builtin_layout, parse_layout,
+                             serialize_layout)
 from qcasim.sweeps import write_csv
 
 WIRES = (100, 200, 400)
@@ -144,10 +147,12 @@ def main():
     print(f"kernel path: {path}")
     if path != "c":
         print("no c check: the compiled kernel did not build (is $CC present?)")
-    print("layout,cells,pairs,build_s,kink_s,emit_s,bistable_s,bistable_loop_s")
+    print("layout,cells,pairs,build_s,parse_s,kink_s,emit_s,bistable_s,bistable_loop_s")
     all_same = True
     for label, n_cells, build, params in problems(args.max_cells):
         build_s, layout = best_time(build, args.repeats)
+        text = serialize_layout(layout)
+        parse_s, _ = best_time(lambda: parse_layout(text), args.repeats)
         kink_s, kink = best_time(
             lambda: kink_matrix(layout, params.radius_of_effect, constants),
             args.repeats)
@@ -167,8 +172,8 @@ def main():
             print(f"{label}: the c sweep kernel returned {swept}, the loop "
                   f"kernel {loop_swept}")
             all_same = False
-        print(f"{label},{n_cells},{len(kink)},{build_s:.4f},{kink_s:.4f},"
-              f"{emit_s:.4f},{bistable_s:.4f},{loop_s:.4f}", flush=True)
+        print(f"{label},{n_cells},{len(kink)},{build_s:.4f},{parse_s:.4f},"
+              f"{kink_s:.4f},{emit_s:.4f},{bistable_s:.4f},{loop_s:.4f}", flush=True)
     if not all_same:
         sys.exit("the c sweep kernel's results differ from the loop kernel's")
 

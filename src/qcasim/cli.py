@@ -200,7 +200,7 @@ def _cmd_simulate(args: argparse.Namespace, out: TextIO) -> int:
                 "constants": constants.mode, "engine": args.engine}
     if args.engine == "bistable":
         pols = bistable_relax(layout, matrix, params)
-        ids = [cell.id for cell in layout.cells]
+        ids = layout.ids
         write_csv(out, snapshot, ("cell_id", "polarization"),
                   [ids, np.array([pols[cid] for cid in ids], dtype=np.float64)])
         return 0
@@ -253,7 +253,7 @@ def _cmd_sweep_gap(args: argparse.Namespace, out: TextIO) -> int:
     layout = _load_layout(args.layout)
     constants = _constants(args, layout)
     grid = _parse_grid(args.grid, "gap")
-    cell_id = args.cell or layout.output_cell().id
+    cell_id = args.cell or layout.output_id()
     result = sweep_gap(layout, cell_id, grid, args.engine, _params(args), constants)
     emit_csv(result, out)
     return 0

@@ -31,6 +31,7 @@ from __future__ import annotations
 
 import math
 from functools import cached_property
+from types import SimpleNamespace
 from typing import Sequence
 
 import numpy as np
@@ -197,6 +198,22 @@ def _within(dx: np.ndarray, dy: np.ndarray, radius: float) -> np.ndarray:
     return within
 
 
+def _groups(key: Sequence[np.ndarray]) -> tuple[np.ndarray, np.ndarray]:
+    """Group the elements that are equal in every part of `key` (as `!=`
+    tells, which holds -0.0 and 0.0 equal): each element's group, groups
+    numbered in `np.lexsort(key)` order, and the first element of each."""
+    # lexsort is stable: a group starts wherever a part changes
+    order = np.lexsort(key)
+    fresh = np.zeros(len(order), dtype=bool)
+    fresh[:1] = True
+    for part in key:
+        part = part[order]
+        fresh[1:] |= part[1:] != part[:-1]
+    group = np.empty(len(order), dtype=np.int64)
+    group[order] = np.cumsum(fresh) - 1
+    return group, order[fresh]
+
+
 def kink_matrix(layout: Layout, radius_of_effect: float,
                 constants: PhysicalConstants,
                 charge_model: str = DEFAULT_CHARGE_MODEL) -> KinkMatrix:
@@ -212,35 +229,32 @@ def kink_matrix(layout: Layout, radius_of_effect: float,
     """
     if not (math.isfinite(radius_of_effect) and radius_of_effect > 0):
         raise ElectrostaticsError("radius_of_effect must be finite and strictly positive")
-    cells = sorted(layout.cells, key=lambda c: c.id)
-    n = len(cells)
-    first, second = near_pairs(cells, radius_of_effect)
-    x = np.fromiter((c.center_x for c in cells), np.float64, n)
-    y = np.fromiter((c.center_y for c in cells), np.float64, n)
+    ids = layout.ids
+    by_id = np.array(sorted(range(len(ids)), key=ids.__getitem__), dtype=np.int64)
+    x, y = layout.x[by_id], layout.y[by_id]
+    first, second = near_pairs(x, y, radius_of_effect)
     with np.errstate(over="ignore"):  # as Python floats, overflow gives inf
         dx, dy = x[second] - x[first], y[second] - y[first]
         within = _within(dx, dy, radius_of_effect)
     first, second, dx, dy = first[within], second[within], dx[within], dy[within]
-    kinds: dict[tuple, int] = {}
-    kind = np.fromiter((kinds.setdefault((c.size, c.dot_offset, c.rotation),
-                                         len(kinds)) for c in cells), np.int64, n)
-    # group the pairs by geometry: sort on the key, which is stable, and
-    # start a group wherever a part of it changes (!= holds -0.0 and 0.0
-    # equal, as dict keys do)
-    key = (kind[second], kind[first], dy, dx)
-    order = np.lexsort(key)
-    fresh = np.zeros(len(order), dtype=bool)
-    fresh[:1] = True
-    for part in key:
-        part = part[order]
-        fresh[1:] |= part[1:] != part[:-1]
-    geometry = np.empty(len(order), dtype=np.int64)
-    geometry[order] = np.cumsum(fresh) - 1
-    representative = order[fresh]  # the first pair of each geometry
+    # a kind of cell: one size, dot offset and rotation
+    kind, _ = _groups([column[by_id] for column in
+                       (layout.rotation, layout.dot_offset, layout.size)])
+    geometry, representative = _groups((kind[second], kind[first], dy, dx))
     energy = np.empty(len(representative))
     for g in np.argsort(representative).tolist():
         k = representative[g]
-        energy[g] = kink_energy_pair(cells[first[k]], cells[second[k]],
+        energy[g] = kink_energy_pair(_site(layout, by_id[first[k]]),
+                                     _site(layout, by_id[second[k]]),
                                      constants, charge_model)
-    return KinkMatrix.from_arrays([c.id for c in cells], first, second,
+    return KinkMatrix.from_arrays([ids[k] for k in by_id.tolist()], first, second,
                                   energy[geometry], radius_of_effect)
+
+
+def _site(layout: Layout, k: int) -> SimpleNamespace:
+    """Cell k of `layout` with the attributes `kink_energy_pair` reads,
+    taken from the columns, so that no `Cell` is built."""
+    return SimpleNamespace(id=layout.ids[k], center_x=layout.x[k].item(),
+                           center_y=layout.y[k].item(), size=layout.size[k].item(),
+                           dot_offset=layout.dot_offset[k].item(),
+                           rotation=layout.rotation[k].item())

@@ -22,7 +22,7 @@ import numpy as np
 from . import kernels
 from .constants import PhysicalConstants
 from .electrostatics import KinkMatrix
-from .geometry import Cell, Layout
+from .geometry import FIXED, INPUT, Layout
 
 DEFAULT_RADIUS_OF_EFFECT = 80.0  # nm
 DEFAULT_CLOCK_HIGH = 9.8e-22     # J
@@ -172,17 +172,19 @@ def resolve_drives(layout: Layout, inputs: Optional[Mapping[str, float]] = None
 
     Input cells must appear in `inputs`; fixed cells default to their own
     fixed polarization but may be overridden. Every drive value must be a
-    polarization, finite and in [-1, 1].
+    polarization, finite and in [-1, 1]. The cells come in cell order.
     """
     inputs = dict(inputs or {})
     drives: dict[str, float] = {}
-    for cell in layout.cells:
-        if cell.role == "input":
-            if cell.id not in inputs:
-                raise EngineError(f"input cell {cell.id!r} has no drive value")
-            drives[cell.id] = float(inputs.pop(cell.id))
-        elif cell.role == "fixed":
-            drives[cell.id] = float(inputs.pop(cell.id, cell.fixed_polarization))
+    role, pol = layout.role.tolist(), layout.pol.tolist()
+    for k in np.flatnonzero(layout.driver_mask).tolist():
+        cid = layout.ids[k]
+        if role[k] == INPUT:
+            if cid not in inputs:
+                raise EngineError(f"input cell {cid!r} has no drive value")
+            drives[cid] = float(inputs.pop(cid))
+        else:
+            drives[cid] = float(inputs.pop(cid, pol[k]))
     if inputs:
         raise EngineError(f"drive values for unknown/undrivable cells: {sorted(inputs)}")
     for cid, value in drives.items():
@@ -205,22 +207,22 @@ def bistable_relax(layout: Layout, kink: KinkMatrix, params: BistableParams,
     exhausted.
     """
     drives = resolve_drives(layout, inputs)
-    ids = [c.id for c in layout.cells]
+    ids = layout.ids
     # positions in id order, so that each row sums in ascending neighbor id
-    order = sorted(ids)
-    position = {cid: k for k, cid in enumerate(order)}
-    energies, offsets, cols = coupling([kink], order)
-    pols = np.array([drives.get(cid, 0.0) for cid in order], dtype=np.float64)
-    # the free cells in layout order
-    free = np.array([position[cid] for cid in ids if cid not in drives],
-                    dtype=np.int64)
+    by_id = np.array(sorted(range(len(ids)), key=ids.__getitem__), dtype=np.int64)
+    position = np.empty(len(ids), dtype=np.int64)
+    position[by_id] = np.arange(len(ids))
+    energies, offsets, cols = coupling([kink], [ids[k] for k in by_id.tolist()])
+    driver = layout.driver_mask
+    pols = np.zeros(len(ids))
+    pols[position[driver]] = list(drives.values())
+    free = position[~driver]  # the free cells in layout order
     converged, _, worst = kernels.bistable_sweep(
         energies[0], offsets, cols, pols, free, 2.0 * params.gamma,
         params.convergence_tolerance, params.max_iterations)
     if converged:
-        pols = pols.tolist()
-        return {cid: pols[position[cid]] for cid in ids}
-    worst_id = None if worst < 0 else order[worst]
+        return dict(zip(ids, pols[position].tolist()))
+    worst_id = None if worst < 0 else ids[by_id[worst]]
     raise ConvergenceError(
         f"bistable iteration did not converge in {params.max_iterations} sweeps; "
         f"worst cell {worst_id!r}")
@@ -311,13 +313,14 @@ def simulate_coherence_batch(
         _check_temperature(temperature)
     if not points:
         return []
-    cell_ids = tuple(c.id for c in layout.cells)
+    cell_ids = layout.ids
     if not cell_ids:
         return [SimulationTrace(times=np.zeros((0,)), clocks=np.zeros((0, 4)),
                                 polarizations=np.zeros((0, 0)), cell_ids=(),
                                 final={}, record_stride=record_stride)
                 for _ in points]
-    # every point drives the same cells: resolve_drives keys are the roles
+    # every point drives the same cells, the input and fixed ones, in cell
+    # order
     drives = [resolve_drives(layout, inputs) for _, _, inputs in points]
     n_steps = params.n_steps
     n_rec = n_steps // record_stride + 1
@@ -328,9 +331,9 @@ def simulate_coherence_batch(
             f"points, times and clocks takes {record_bytes:.3e} bytes, over "
             f"the limit of {MAX_RECORD_BYTES:.3e}; use a larger --stride")
     energies, offsets, cols = coupling([kink for kink, _, _ in points], cell_ids)
-    zones = np.array([c.clock_zone for c in layout.cells], dtype=np.int64)
-    driven = np.array([cid in drives[0] for cid in cell_ids], dtype=np.bool_)
-    drive_values = np.array([[d.get(cid, 0.0) for cid in cell_ids] for d in drives])
+    driven = layout.driver_mask
+    drive_values = np.zeros((len(points), len(cell_ids)))
+    drive_values[:, driven] = [list(d.values()) for d in drives]
     temperatures = np.array([t for _, t, _ in points], dtype=np.float64)
 
     rec_times = np.zeros(n_rec)
@@ -338,7 +341,7 @@ def simulate_coherence_batch(
     rec_pols = np.zeros((len(points), n_rec, len(cell_ids)))
 
     final_pol, bad_step = kernels.coherence_euler(
-        energies, zones, driven, drive_values, n_steps, params.time_step,
+        energies, layout.zone, driven, drive_values, n_steps, params.time_step,
         params.total_time, float(params.clock_periods), params.clock_shift,
         params.clock_amplitude, params.clock_low, params.clock_high,
         params.relaxation_time, temperatures, constants.boltzmann_k,
@@ -355,8 +358,7 @@ def simulate_coherence_batch(
             f"(kink energies too large)", point=first)
     return [SimulationTrace(times=rec_times, clocks=rec_clocks,
                             polarizations=rec_pols[b], cell_ids=cell_ids,
-                            final={cid: float(final_pol[b, i])
-                                   for i, cid in enumerate(cell_ids)},
+                            final=dict(zip(cell_ids, final_pol[b].tolist())),
                             record_stride=record_stride)
             for b in range(len(points))]
 
@@ -446,16 +448,16 @@ def truth_table_check(layout: Layout, engine: str,
     else:
         expected_fn = expected
     constants = constants or PhysicalConstants.paper()
-    driver_ids = sorted(c.id for c in layout.cells if c.role == "input")
+    driver_ids = sorted(layout.ids[k] for k in np.flatnonzero(layout.role == INPUT))
     if not driver_ids:
-        driver_ids = sorted(c.id for c in layout.cells if c.role == "fixed")
+        driver_ids = sorted(layout.ids[k] for k in np.flatnonzero(layout.role == FIXED))
     if not driver_ids:
         raise EngineError("layout has no drivable cell")
     if arity not in (None, len(driver_ids)):
         raise EngineError(
             f"function {expected!r} reads {arity} driver{'s' * (arity > 1)}, "
             f"layout {layout.name!r} has {len(driver_ids)}: {', '.join(driver_ids)}")
-    out_id = layout.output_cell().id
+    out_id = layout.output_id()
 
     combos = list(itertools.product((0, 1), repeat=len(driver_ids)))
     drive_rows = [{cid: (1.0 if bit else -1.0) for cid, bit in zip(driver_ids, bits)}

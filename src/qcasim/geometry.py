@@ -5,18 +5,32 @@ rotation 0 the dots sit on the square's diagonals, for rotation 45 at the
 edge midpoints. Dot 1 is the dot with the greatest (x + y) (ties broken
 toward +x), then counterclockwise. Polarization +1 puts the two mobile
 electrons on dots 1 and 3, polarization -1 on dots 2 and 4.
+
+A `Layout` stores its cells as columns, in cell order: `ids` (a tuple of
+str); `x`, `y`, `size` and `dot_offset` (float64); `rotation`, `zone` and
+`role` (int64, a role being its index in ROLES); and `pol` (float64, a
+fixed cell's polarization, NaN elsewhere). The kink matrix, the engines,
+the sweeps and the CLI read the columns. `Layout.cells` gives the same
+cells as `Cell` objects, built when first read. `parse_layout` builds the
+columns in one pass over a document and checks them in bulk; a document
+that breaks any rule is parsed again line by line, and that parse alone
+raises the diagnostic (`line N: ...`, or the layout's own message).
 """
 
 from __future__ import annotations
 
 import math
 import re
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
+from functools import cached_property
 from typing import Optional, Sequence
 
 import numpy as np
 
 ROLES = ("normal", "input", "output", "fixed")
+NORMAL, INPUT, OUTPUT, FIXED = range(4)  # role codes: positions in ROLES
+_ROLE_CODE = {role: code for code, role in enumerate(ROLES)}
+_BAD_ID = re.compile(r"\s|=")
 
 # Dot index pairs (0-based) occupied at each polarization sign.
 DOTS_POSITIVE = (0, 2)
@@ -48,7 +62,7 @@ class Cell:
     fixed_polarization: Optional[float] = None
 
     def __post_init__(self) -> None:
-        if not self.id or re.search(r"\s|=", self.id):
+        if not self.id or _BAD_ID.search(self.id):
             raise LayoutError(f"invalid cell id {self.id!r}")
         if self.dot_offset is None:
             object.__setattr__(self, "dot_offset", self.size / 4)
@@ -117,10 +131,11 @@ def cells_overlap(a: Cell, b: Cell) -> bool:
 _FORWARD = np.array([0, 1 - 1j, 1, 1 + 1j, 1j])[:, None]
 
 
-def near_pairs(cells: Sequence[Cell], reach: float) -> tuple[np.ndarray, np.ndarray]:
-    """Index pairs (i, j), i < j, of cells whose centers may lie within
-    `reach` of each other along both axes, as two int64 arrays in
-    lexicographic (i, j) order.
+def near_pairs(x: np.ndarray, y: np.ndarray,
+               reach: float) -> tuple[np.ndarray, np.ndarray]:
+    """Index pairs (i, j), i < j, of cells centered at (x, y) whose centers
+    may lie within `reach` of each other along both axes, as two int64
+    arrays in lexicographic (i, j) order.
 
     Every pair with |x_i - x_j| <= reach and |y_i - y_j| <= reach (as
     computed in floating point) is returned; some farther pairs may be too,
@@ -132,10 +147,10 @@ def near_pairs(cells: Sequence[Cell], reach: float) -> tuple[np.ndarray, np.ndar
     (subnormal pitches included), so a float holds it and its neighbors
     exactly. Bins are complex numbers, which numpy orders lexicographically.
     """
-    n = len(cells)
+    n = len(x)
     if n < 2:
         return np.zeros(0, dtype=np.int64), np.zeros(0, dtype=np.int64)
-    centers = np.array([[c.center_x for c in cells], [c.center_y for c in cells]])
+    centers = np.array((x, y), dtype=np.float64)
     extent = float(np.abs(centers).max())
     pitch = reach + (reach + extent) * 2.0 ** -40
     column, row = np.floor(centers / pitch)
@@ -157,70 +172,140 @@ def near_pairs(cells: Sequence[Cell], reach: float) -> tuple[np.ndarray, np.ndar
     return np.divmod(pair_key, n)
 
 
-def _first_overlap(cells: Sequence[Cell]) -> Optional[tuple[Cell, Cell]]:
-    """The first pair (a, b), in index order, for which `cells_overlap`
-    holds, or None. The test is `cells_overlap`'s, on arrays."""
-    reach = max((c.size for c in cells), default=0.0)
-    i, j = near_pairs(cells, reach)
+def _first_overlap(x: np.ndarray, y: np.ndarray,
+                   size: np.ndarray) -> Optional[tuple[int, int]]:
+    """The first pair (i, j), in index order, of cells that overlap as
+    `cells_overlap` decides, or None."""
+    i, j = near_pairs(x, y, size.max(initial=0.0))
     if not i.size:
         return None
-    n = len(cells)
-    x = np.fromiter((c.center_x for c in cells), np.float64, n)
-    y = np.fromiter((c.center_y for c in cells), np.float64, n)
-    size = np.fromiter((c.size for c in cells), np.float64, n)
     with np.errstate(over="ignore"):  # as Python floats, overflow gives inf
         half = (size[i] + size[j]) / 2
         overlap = np.maximum(np.abs(x[i] - x[j]) - half,
                              np.abs(y[i] - y[j]) - half) <= 0
     k = int(overlap.argmax())
-    return (cells[i[k]], cells[j[k]]) if overlap[k] else None
+    return (int(i[k]), int(j[k])) if overlap[k] else None
 
 
-@dataclass(frozen=True)
 class Layout:
-    name: str
-    cells: tuple[Cell, ...]
-    constants_mode: Optional[str] = None
+    """A named, checked set of cells, stored as columns (see the module
+    docstring). `Layout(name, cells, constants_mode)` builds one from
+    `Cell` objects; `==` compares the name, the cells and the mode."""
 
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "cells", tuple(self.cells))
-        seen: set[str] = set()
-        for cell in self.cells:
-            if cell.id in seen:
-                raise LayoutError(f"duplicate cell id {cell.id!r}")
-            seen.add(cell.id)
+    def __init__(self, name: str, cells: Sequence[Cell],
+                 constants_mode: Optional[str] = None) -> None:
+        cells = tuple(cells)
+        self._store(name, constants_mode, [c.id for c in cells],
+                    [*zip(*[(c.center_x, c.center_y, c.size, c.dot_offset)
+                            for c in cells])],
+                    [*zip(*[(c.rotation, c.clock_zone, _ROLE_CODE[c.role])
+                            for c in cells])],
+                    [math.nan if c.fixed_polarization is None
+                     else c.fixed_polarization for c in cells])
+        self.cells = cells
+        self._check()
+
+    def _store(self, name, constants_mode, ids, reals, ints, pol) -> None:
+        self.name, self.constants_mode, self.ids = name, constants_mode, tuple(ids)
+        n = len(self.ids)
+        self._reals = np.array(reals, dtype=np.float64).reshape(4, n)
+        self._ints = np.array(ints, dtype=np.int64).reshape(3, n)
+        self.pol = np.array(pol, dtype=np.float64).reshape(n)
+        for array in (self._reals, self._ints, self.pol):
+            array.flags.writeable = False
+        self.x, self.y, self.size, self.dot_offset = self._reals
+        self.rotation, self.zone, self.role = self._ints
+
+    def _check(self) -> None:
+        """`Layout`'s own rules, in the order they are reported."""
+        if len(set(self.ids)) < len(self.ids):
+            cid = next(c for k, c in enumerate(self.ids) if self.ids.index(c) < k)
+            raise LayoutError(f"duplicate cell id {cid!r}")
         if self.constants_mode not in (None, "paper", "codata"):
             raise LayoutError(f"unknown constants mode {self.constants_mode!r}")
-        first = _first_overlap(self.cells)
+        first = _first_overlap(self.x, self.y, self.size)
         if first is not None:
-            a, b = first
-            raise LayoutError(f"cells {a.id!r} and {b.id!r} overlap")
-        has_driven = any(c.role in ("normal", "output") for c in self.cells)
-        has_driver = any(c.role in ("input", "fixed") for c in self.cells)
-        if has_driven and not has_driver:
+            i, j = first
+            raise LayoutError(f"cells {self.ids[i]!r} and {self.ids[j]!r} overlap")
+        driver = self.driver_mask
+        if not driver.all() and not driver.any():
             raise LayoutError("layout has undriven cells but no input or fixed cell")
 
-    def cell(self, cell_id: str) -> Cell:
-        for c in self.cells:
-            if c.id == cell_id:
-                return c
-        raise LayoutError(f"no cell with id {cell_id!r}")
+    @cached_property
+    def cells(self) -> tuple[Cell, ...]:
+        """The cells as `Cell` objects, built when first read."""
+        pol = [p if r == FIXED else None
+               for r, p in zip(self.role.tolist(), self.pol.tolist())]
+        return tuple(map(Cell, self.ids, *self._reals.tolist(),
+                         self.rotation.tolist(), [ROLES[r] for r in self.role.tolist()],
+                         self.zone.tolist(), pol))
 
-    def output_cell(self) -> Cell:
-        outs = [c for c in self.cells if c.role == "output"]
+    @property
+    def driver_mask(self) -> np.ndarray:
+        """True at the input and fixed cells, in cell order."""
+        return (self.role == INPUT) | (self.role == FIXED)
+
+    def __eq__(self, other) -> bool:
+        if not isinstance(other, Layout):
+            return NotImplemented
+        return ((self.name, self.cells, self.constants_mode)
+                == (other.name, other.cells, other.constants_mode))
+
+    def __repr__(self) -> str:
+        return (f"Layout(name={self.name!r}, cells={self.cells!r}, "
+                f"constants_mode={self.constants_mode!r})")
+
+    def index(self, cell_id: str) -> int:
+        """Position of the cell `cell_id`."""
+        try:
+            return self.ids.index(cell_id)
+        except ValueError:
+            raise LayoutError(f"no cell with id {cell_id!r}") from None
+
+    def cell(self, cell_id: str) -> Cell:
+        return self.cells[self.index(cell_id)]
+
+    def output_id(self) -> str:
+        """Id of the one output cell."""
+        outs = np.flatnonzero(self.role == OUTPUT)
         if len(outs) != 1:
             raise LayoutError(f"layout {self.name!r} has {len(outs)} output cells, expected 1")
-        return outs[0]
+        return self.ids[outs[0]]
+
+    def output_cell(self) -> Cell:
+        return self.cell(self.output_id())
+
+
+def _from_columns(name: str, constants_mode: Optional[str], ids, reals, ints,
+                  pol) -> Layout:
+    """A layout from columns (as `Layout._store` takes them) whose role
+    codes are valid and whose `pol` is NaN off fixed cells, checked in
+    bulk. Where a cell breaks a rule of `Cell`, the cells are built, and
+    the first that breaks one raises its message."""
+    layout = Layout.__new__(Layout)
+    layout._store(name, constants_mode, ids, reals, ints, pol)
+    size, offset, zone, rotation = layout.size, layout.dot_offset, layout.zone, layout.rotation
+    if not (all(ids) and not _BAD_ID.search("".join(ids))
+            and np.isfinite(layout._reals).all()
+            and ((offset > 0) & (offset <= size / 2)).all()  # so size > 0
+            and ((rotation == 0) | (rotation == 45)).all()
+            and ((zone >= 0) & (zone <= 3)).all()
+            and (np.abs(layout.pol[layout.role == FIXED]) <= 1).all()):
+        layout.cells  # building them raises
+    layout._check()
+    return layout
 
 
 # --------------------------------------------------------------------------
 # .qcl serialization
 
 def _format_real(value: float) -> str:
+    """Six decimals at most, trailing zeros cut, where that text reads back
+    as `value`; else `repr(value)`, which always does."""
     text = f"{value:.6f}".rstrip("0").rstrip(".")
     if text in ("-0", ""):
         text = "0"
-    return text
+    return text if float(text) == value else repr(value)
 
 
 def serialize_layout(layout: Layout) -> str:
@@ -249,6 +334,55 @@ _CELL_KEYS = {"id", "x", "y", "size", "offset", "rot", "role", "clock", "pol"}
 
 def parse_layout(text: str, name: str = "layout") -> Layout:
     """Parse a .qcl document into a validated Layout."""
+    layout = _parse_columns(text, name)
+    return layout if layout is not None else _parse_lines(text, name)
+
+
+def _parse_columns(text: str, name: str) -> Optional[Layout]:
+    """The layout of a document, from one pass that builds the columns and
+    one bulk check; None where the document breaks any rule. Numbers go
+    through Python's `float` and `int`, as in `_parse_lines`: numpy's
+    conversions accept other texts."""
+    header, constants_mode = False, None
+    ids, x, y, size, offset, rotation, zone, role, pol = ([] for _ in range(9))
+    try:
+        for raw in text.splitlines():
+            tokens = raw.split()
+            if not tokens or tokens[0][0] == "#":
+                continue
+            if header and tokens[0] == "cell":
+                fields = dict([token.split("=", 1) for token in tokens[1:]])
+                code = _ROLE_CODE[fields["role"]]
+                # no duplicate or unknown key; a polarization on fixed cells only
+                if (len(fields) != len(tokens) - 1 or not fields.keys() <= _CELL_KEYS
+                        or ("pol" in fields) != (code == FIXED)):
+                    return None
+                ids.append(fields["id"])
+                x.append(float(fields["x"]))
+                y.append(float(fields["y"]))
+                size.append(float(fields.get("size", "18")))
+                offset.append(float(fields["offset"]) if "offset" in fields
+                              else size[-1] / 4)
+                rotation.append(int(fields.get("rot", "0")))
+                zone.append(int(fields.get("clock", "0")))
+                role.append(code)
+                pol.append(float(fields.get("pol", "nan")))
+            elif not header and raw.strip() == "qcl 1":
+                header = True
+            elif header and len(tokens) == 2 and tokens[0] == "constants" \
+                    and tokens[1] in ("paper", "codata"):
+                constants_mode = tokens[1]
+            else:
+                return None
+        return _from_columns(name, constants_mode, ids, (x, y, size, offset),
+                             (rotation, zone, role), pol) if header else None
+    except (KeyError, ValueError, OverflowError):  # LayoutError is a ValueError
+        return None
+
+
+def _parse_lines(text: str, name: str) -> Layout:
+    """Parse a document line by line into cells: the parse that reports
+    the first rule broken, with its line number."""
     cells: list[Cell] = []
     constants_mode: Optional[str] = None
     saw_header = False
@@ -328,57 +462,51 @@ def builtin_layout(name: str, gap: float = 2.0) -> Layout:
         raise LayoutError("gap must be strictly positive")
     size = 18.0
     pitch = size + gap
-
-    def cell(cid: str, x: float, y: float, role: str = "normal",
-             pol: Optional[float] = None) -> Cell:
-        return Cell(id=cid, center_x=x, center_y=y, size=size,
-                    role=role, fixed_polarization=pol)
-
     match = _WIRE_RE.match(name)
     if match:
         n = int(match.group(1))
         if n < 2:
             raise LayoutError("wire needs at least 2 cells")
-        cells = [cell("in", 0.0, 0.0, role="fixed", pol=1.0)]
-        for i in range(1, n - 1):
-            cells.append(cell(f"c{i}", i * pitch, 0.0))
-        cells.append(cell("out", (n - 1) * pitch, 0.0, role="output"))
-        return Layout(name=f"wire({n})", cells=tuple(cells))
-    if name == "majority":
-        cells = (
-            cell("a", -pitch, 0.0, role="input"),
-            cell("b", 0.0, pitch, role="input"),
-            cell("c", 0.0, -pitch, role="input"),
-            cell("m", 0.0, 0.0),
-            cell("out", pitch, 0.0, role="output"),
-        )
-        return Layout(name="majority", cells=cells)
-    if name == "inv2":
-        cells = (
-            cell("in", 0.0, 0.0, role="fixed", pol=1.0),
-            cell("out", pitch, pitch, role="output"),
-        )
-        return Layout(name="inv2", cells=cells)
-    if name == "inv3":
-        cells = (
-            cell("in", 0.0, 0.0, role="fixed", pol=1.0),
-            cell("mid", pitch, 0.0),
-            cell("out", 2 * pitch, pitch, role="output"),
-        )
-        return Layout(name="inv3", cells=cells)
-    raise LayoutError(f"unknown builtin layout {name!r} (known: {', '.join(BUILTIN_NAMES)})")
+        name = f"wire({n})"
+        cells = [("in", 0.0, 0.0, FIXED),
+                 *((f"c{i}", i * pitch, 0.0, NORMAL) for i in range(1, n - 1)),
+                 ("out", (n - 1) * pitch, 0.0, OUTPUT)]
+    elif name == "majority":
+        cells = [("a", -pitch, 0.0, INPUT), ("b", 0.0, pitch, INPUT),
+                 ("c", 0.0, -pitch, INPUT), ("m", 0.0, 0.0, NORMAL),
+                 ("out", pitch, 0.0, OUTPUT)]
+    elif name == "inv2":
+        cells = [("in", 0.0, 0.0, FIXED), ("out", pitch, pitch, OUTPUT)]
+    elif name == "inv3":
+        cells = [("in", 0.0, 0.0, FIXED), ("mid", pitch, 0.0, NORMAL),
+                 ("out", 2 * pitch, pitch, OUTPUT)]
+    else:
+        raise LayoutError(f"unknown builtin layout {name!r} (known: {', '.join(BUILTIN_NAMES)})")
+    ids, x, y, role = zip(*cells)
+    n = len(ids)
+    return _from_columns(name, None, ids, (x, y, (size,) * n, (size / 4,) * n),
+                         ((0,) * n, (0,) * n, role),
+                         [1.0 if r == FIXED else math.nan for r in role])
 
 
 # --------------------------------------------------------------------------
 # Displacement
 
-def previous_neighbor(layout: Layout, cell_id: str) -> Cell:
-    """Nearest other cell by center distance; ties broken by lowest id."""
-    target = layout.cell(cell_id)
-    others = [c for c in layout.cells if c.id != cell_id]
+def _neighbors(layout: Layout, cell_id: str) -> tuple[int, int]:
+    """Positions of the cell `cell_id` and of its previous neighbor."""
+    k = layout.index(cell_id)
+    x, y = layout.x.tolist(), layout.y.tolist()
+    others = [j for j in range(len(x)) if j != k]
     if not others:
         raise LayoutError(f"cell {cell_id!r} has no neighbor")
-    return min(others, key=lambda c: (math.dist(c.center, target.center), c.id))
+    return k, min(others, key=lambda j: (math.dist((x[j], y[j]), (x[k], y[k])),
+                                         layout.ids[j]))
+
+
+def previous_neighbor(layout: Layout, cell_id: str) -> str:
+    """Id of the nearest other cell by center distance; ties broken by
+    lowest id."""
+    return layout.ids[_neighbors(layout, cell_id)[1]]
 
 
 def displacement_axis(layout: Layout, cell_id: str) -> tuple[float, float]:
@@ -388,12 +516,12 @@ def displacement_axis(layout: Layout, cell_id: str) -> tuple[float, float]:
     along that axis, so an in-line cell moves along its line and a diagonal
     cell moves along the diagonal.
     """
-    target = layout.cell(cell_id)
-    prev = previous_neighbor(layout, cell_id)
-    half = (target.size + prev.size) / 2
+    k, j = _neighbors(layout, cell_id)
+    x, y, size = layout.x.tolist(), layout.y.tolist(), layout.size.tolist()
+    half = (size[k] + size[j]) / 2
     ax = ay = 0.0
-    dx = target.center_x - prev.center_x
-    dy = target.center_y - prev.center_y
+    dx = x[k] - x[j]
+    dy = y[k] - y[j]
     if abs(dx) > half:
         ax = math.copysign(1.0, dx)
     if abs(dy) > half:
@@ -410,15 +538,14 @@ def displace_cell(layout: Layout, cell_id: str, new_gap: float,
     neighbor equals `new_gap`; every other cell is untouched."""
     if new_gap <= 0:
         raise LayoutError("gap must be strictly positive")
-    target = layout.cell(cell_id)
-    prev = previous_neighbor(layout, cell_id)
-    half = (target.size + prev.size) / 2
+    k, j = _neighbors(layout, cell_id)
+    reals = layout._reals.copy()
+    x, y, size = reals[0].tolist(), reals[1].tolist(), reals[2].tolist()
+    half = (size[k] + size[j]) / 2
     eps = 1e-12
-    new_x, new_y = target.center_x, target.center_y
     if abs(axis[0]) > eps:
-        new_x = prev.center_x + math.copysign(half + new_gap, axis[0])
+        reals[0, k] = x[j] + math.copysign(half + new_gap, axis[0])
     if abs(axis[1]) > eps:
-        new_y = prev.center_y + math.copysign(half + new_gap, axis[1])
-    moved = replace(target, center_x=new_x, center_y=new_y)
-    cells = tuple(moved if c.id == cell_id else c for c in layout.cells)
-    return Layout(name=layout.name, cells=cells, constants_mode=layout.constants_mode)
+        reals[1, k] = y[j] + math.copysign(half + new_gap, axis[1])
+    return _from_columns(layout.name, layout.constants_mode, layout.ids, reals,
+                         layout._ints, layout.pol)

@@ -393,8 +393,11 @@ def _library():
     build fails). Loads a cached library only from a directory that the
     current user owns and no one else can write, so its name need only
     tell builds apart: it carries a CRC-32 of the source, the flags and
-    the ``$CC`` argv, and a cache hit runs no compiler. If neither cache
-    directory qualifies, builds into a fresh temporary directory."""
+    the ``$CC`` argv, and a cache hit runs no compiler. A build into a
+    cache directory removes the other ``kernels-*.so`` and ``euler-*.so``
+    there, which earlier sources, flags or compilers left; a cache hit
+    removes nothing. If neither cache directory qualifies, builds into a
+    fresh temporary directory."""
     if os.name != "posix":
         return None
     import shlex
@@ -423,6 +426,13 @@ def _library():
                     continue
                 if not _compile(cc, library):
                     return None
+                for stale in [*directory.glob("kernels-*.so"),
+                              *directory.glob("euler-*.so")]:
+                    if stale.name != name:
+                        try:
+                            stale.unlink()
+                        except OSError:
+                            pass
             return _bind(library)
         import tempfile
         with tempfile.TemporaryDirectory(prefix="qcasim-") as fresh:

@@ -100,7 +100,7 @@ def sweep_temperature(layout: Layout, temperatures: Sequence[float],
         raise SweepError("temperatures must be non-negative")
     if any(b <= a for a, b in zip(temps, temps[1:])):
         raise SweepError("temperature grid must be strictly increasing")
-    out_id = layout.output_cell().id
+    out_id = layout.output_id()
     kink = kink_matrix(layout, params.radius_of_effect, constants)
     try:
         # only the final state is read: record the first and last steps
@@ -161,7 +161,7 @@ def sweep_gap(layout: Layout, output_id: str, gaps: Sequence[float], engine: str
             if engine == "bistable":
                 pols.append(bistable_relax(displaced, kink, params, inputs)[output_id])
             prev = previous_neighbor(displaced, output_id)
-            energies.append(_pair_energy(kink, output_id, prev.id))
+            energies.append(_pair_energy(kink, output_id, prev))
         except Exception as exc:
             failure = (gap, exc)
             break

@@ -11,7 +11,7 @@ from qcasim import cli
 from qcasim.cli import run_cli
 from qcasim.engines import (EXPECTED_FUNCTIONS, MAX_STEPS, BistableParams,
                             CoherenceParams)
-from qcasim.geometry import builtin_layout, serialize_layout
+from qcasim.geometry import Cell, builtin_layout, serialize_layout
 from qcasim.sweeps import sci
 
 FAST = ["--total-time", "7e-13"]
@@ -550,6 +550,21 @@ class TestOutputFormat:
         code, out, _ = run(argv)
         assert code == 0
         assert line in out.splitlines()
+
+
+class TestColumnsOnly:
+    def test_no_command_builds_a_cell(self, monkeypatch, tmp_path):
+        """The commands read the layout's columns, parsed or built in."""
+        path = tmp_path / "wire.qcl"
+        path.write_text(serialize_layout(builtin_layout("wire(6)")))
+        built = []
+        monkeypatch.setattr(Cell, "__post_init__", lambda cell: built.append(cell))
+        for argv in [*OUTPUT_FORMAT_ARGV, ["kink", "--layout", str(path)],
+                     ["simulate", "--layout", str(path)],
+                     ["simulate", "--layout", str(path), "--engine", "coherence", *FAST],
+                     ["sweep-gap", "--layout", str(path), "--grid", "1,2"]]:
+            assert run(argv)[0] == 0, argv
+        assert built == []
 
 
 class TestSharedParser:

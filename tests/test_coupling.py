@@ -103,7 +103,8 @@ class TestNearPairs:
         reach = data.draw(st.one_of(
             st.floats(0.05, 20.0),
             st.just(abs(cells[pick].center_x - cells[0].center_x) or 1.0)))
-        first, second = near_pairs(cells, reach)
+        first, second = near_pairs(np.array([c.center_x for c in cells]),
+                                   np.array([c.center_y for c in cells]), reach)
         assert first.dtype == second.dtype == np.int64
         candidates = list(zip(first.tolist(), second.tolist()))
         # exactly the pairs in the same or neighboring bins of the grid
@@ -125,7 +126,8 @@ class TestNearPairs:
         # 80 - (-1e-300) rounds to 80, but at a pitch of exactly 80 the two
         # centers would fall in bins -1 and 1
         cells = (fixed_cell("a", -1e-300, 0.0), fixed_cell("b", 80.0, 0.0))
-        assert [a.tolist() for a in near_pairs(cells, 80.0)] == [[0], [1]]
+        assert [a.tolist() for a in near_pairs(np.array([-1e-300, 80.0]),
+                                               np.zeros(2), 80.0)] == [[0], [1]]
         assert list(kink_matrix(Layout(name="edge", cells=cells), 80.0, PAPER).pairs) == [
             ("a", "b")]
 

@@ -1,20 +1,35 @@
 import math
 import re
+from dataclasses import astuple
 
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from qcasim.geometry import (ROLES, Cell, Layout, LayoutError, ParseError,
-                             builtin_layout, displace_cell, displacement_axis,
-                             dot_positions, electron_dots, parse_layout,
-                             previous_neighbor, serialize_layout)
+                             _parse_columns, _parse_lines, builtin_layout,
+                             displace_cell, displacement_axis, dot_positions,
+                             electron_dots, parse_layout, previous_neighbor,
+                             serialize_layout)
 
 
-def micro(lo, hi):
-    """Reals in [lo, hi] with at most six decimals, the precision that
-    serialize_layout writes; returned in millionths."""
-    return st.integers(round(lo * 10**6), round(hi * 10**6))
+def reals(lo, hi):
+    """Reals in [lo, hi]: with at most six decimals, which serialize_layout
+    writes as such, or any float, which it must write exactly too."""
+    return st.one_of(st.integers(round(lo * 10**6), round(hi * 10**6)).map(
+        lambda k: k / 10**6), st.floats(lo, hi))
+
+
+def bits(layout):
+    """Everything a layout holds, each float as its bit pattern, each cell
+    field with its type."""
+    def exact(value):
+        return type(value).__name__, value.hex() if isinstance(value, float) else value
+    columns = (layout.x, layout.y, layout.size, layout.dot_offset,
+               layout.rotation, layout.zone, layout.role, layout.pol)
+    return (layout.name, layout.constants_mode, layout.ids,
+            [(c.dtype.str, c.tobytes()) for c in columns],
+            [tuple(map(exact, astuple(c))) for c in layout.cells])
 
 
 CELL_IDS = st.text(st.characters(blacklist_categories=("Cs",)), min_size=1,
@@ -31,22 +46,21 @@ def layouts(draw):
                         unique=True))
     cells = []
     for (gx, gy), cid in zip(spots, ids):
-        size = draw(micro(5, 22))
+        size = draw(reals(5, 22))
         role = draw(st.sampled_from(ROLES))
-        cells.append(Cell(
+        cells.append(dict(
             id=cid,
-            center_x=(gx * 25 * 10**6 + draw(micro(-3, 3))) / 10**6,
-            center_y=(gy * 25 * 10**6 + draw(micro(-3, 3))) / 10**6,
-            size=size / 10**6,
-            dot_offset=draw(st.integers(1, size // 2)) / 10**6,
+            center_x=draw(reals(gx * 25 - 3, gx * 25 + 3)),
+            center_y=draw(reals(gy * 25 - 3, gy * 25 + 3)),
+            size=size,
+            dot_offset=draw(reals(0, size / 2).filter(lambda d: 0 < d <= size / 2)),
             rotation=draw(st.sampled_from((0, 45))),
             role=role,
             clock_zone=draw(st.integers(0, 3)),
-            fixed_polarization=(draw(micro(-1, 1)) / 10**6 if role == "fixed"
-                                else None)))
+            fixed_polarization=draw(reals(-1, 1)) if role == "fixed" else None))
     try:
         return Layout(name=draw(st.sampled_from(("random", "g"))),
-                      cells=tuple(cells),
+                      cells=tuple(Cell(**cell) for cell in cells),
                       constants_mode=draw(st.sampled_from((None, "paper", "codata"))))
     except LayoutError:  # overlapping cells, or no input or fixed cell
         assume(False)
@@ -164,6 +178,25 @@ class TestParseLayout:
         layout = builtin_layout(name)
         again = parse_layout(serialize_layout(layout), name=layout.name)
         assert again.cells == layout.cells
+        assert bits(again) == bits(layout)  # column for column
+
+    def test_reals_serialize_exactly(self):
+        """Six decimals would put b and a at 18 nm, which overlaps, and c
+        at x = 20."""
+        layout = Layout(name="l", cells=(
+            Cell(id="a", center_x=0.0, center_y=0.0, role="fixed", fixed_polarization=1.0),
+            Cell(id="b", center_x=18.0000001, center_y=0.0),
+            Cell(id="c", center_x=20.0000004, center_y=40.0, size=18.25)))
+        text = serialize_layout(layout)
+        assert "x=18.0000001 " in text and "x=20.0000004 " in text
+        assert "size=18.25 offset=4.5625 " in text
+        assert bits(parse_layout(text, name="l")) == bits(layout)
+
+    def test_texts_that_read_back_are_kept(self):
+        assert serialize_layout(builtin_layout("inv2", gap=2.5)) == (
+            "qcl 1\n"
+            "cell id=in x=0 y=0 size=18 offset=4.5 rot=0 role=fixed clock=0 pol=1\n"
+            "cell id=out x=20.5 y=20.5 size=18 offset=4.5 rot=0 role=output clock=0\n")
 
     def test_roundtrip_random_layouts(self, rng):
         from conftest import random_layout
@@ -207,6 +240,181 @@ class TestParseLayout:
     def test_fixed_without_pol_rejected(self):
         with pytest.raises(ParseError):
             parse_layout("qcl 1\ncell id=a x=0 y=0 role=fixed\n")
+
+
+ARABIC_DIGITS = str.maketrans("0123456789", "\u0660\u0661\u0662\u0663\u0664"
+                                             "\u0665\u0666\u0667\u0668\u0669")
+
+
+@st.composite
+def integer_texts(draw, k, real=True):
+    """A text that Python's `int` (`float` where `real`) reads as k, in one
+    of the forms numpy's conversions read otherwise or not at all."""
+    digits = str(abs(k))
+    form = draw(st.sampled_from(("plain", "underscore", "arabic")
+                                + (("exponent", "point") if real else ())))
+    if form == "underscore" and len(digits) > 1:
+        cut = draw(st.integers(1, len(digits) - 1))
+        digits = f"{digits[:cut]}_{digits[cut:]}"
+    elif form == "arabic":
+        digits = digits.translate(ARABIC_DIGITS)
+    elif form == "exponent":
+        digits = f"{digits}0e-1"
+    elif form == "point":
+        digits += ".0"
+    return ("-" if k < 0 else draw(st.sampled_from(("", "+")))) + digits
+
+
+def coordinate(spot):
+    return st.one_of(integer_texts(spot * 25),
+                     st.floats(spot * 25 - 1, spot * 25 + 1).map(repr))
+
+
+# Each error class, as a change to the document's lines: a line is a str or
+# a cell's list of [key, value] fields.
+def _cell_fields(lines):
+    return [line for line in lines if isinstance(line, list)]
+
+
+def _set(key, value, position=-1):
+    def corrupt(lines):
+        fields = _cell_fields(lines)[position]
+        for field in fields:
+            if field[0] == key:
+                field[1] = value
+                return
+        fields.append([key, value])
+    return corrupt
+
+
+def _undriven(lines):
+    for fields in _cell_fields(lines):
+        fields[:] = [f for f in fields if f[0] != "pol"]
+        for field in fields:
+            if field[0] == "role":
+                field[1] = "normal"
+
+
+def _copy_of_first(*keys):
+    def corrupt(lines):
+        first = _cell_fields(lines)[0]
+        for key in keys:
+            _set(key, dict(first)[key])(lines)
+    return corrupt
+
+
+CORRUPTIONS = {
+    "header": lambda lines: lines.__setitem__(0, "qcl 2"),
+    "directive": lambda lines: lines.append("wire id=w x=900 y=0 role=normal"),
+    "constants": lambda lines: lines.insert(1, "constants exotic"),
+    "constants arity": lambda lines: lines.insert(1, "constants paper codata"),
+    "token": lambda lines: _cell_fields(lines)[-1].append(["frob", None]),
+    "unknown key": _set("frob", "1"),
+    "duplicate key": lambda lines: _cell_fields(lines)[-1].append(["x", "900"]),
+    "missing key": lambda lines: _cell_fields(lines)[-1].remove(
+        next(f for f in _cell_fields(lines)[-1] if f[0] == "x")),
+    "numeric": _set("x", "1.2.3"),
+    "integer": _set("rot", "4.5e1"),
+    "id": _set("id", "a=b"),
+    "empty id": _set("id", ""),
+    "not finite": _set("y", "nan"),
+    "infinite size": _set("size", "inf"),
+    "size": _set("size", "-18"),
+    "offset": _set("offset", "0"),
+    "large offset": lambda lines: (_set("size", "18")(lines),
+                                   _set("offset", "9.5")(lines)),
+    "rotation": _set("rot", "90"),
+    "huge rotation": _set("rot", "9" * 25),
+    "role": _set("role", "bogus"),
+    "zone": _set("clock", "4"),
+    "huge zone": _set("clock", "-" + "9" * 25),
+    "fixed without pol": _set("role", "fixed", position=-1),
+    "pol on a free cell": _set("pol", "1", position=-1),
+    "pol range": _set("pol", "1.5", position=0),
+    "pol nan": _set("pol", "nan", position=0),
+    "duplicate id": _copy_of_first("id"),
+    "overlap": _copy_of_first("x", "y"),
+    "undriven": _undriven,
+}
+
+
+@st.composite
+def qcl_documents(draw, corruption=None):
+    """A .qcl document of 1-6 cells near the points of a 25 nm grid: any
+    ids, keys in any order, optional keys left out, numbers in every form
+    that Python reads, comments, blank lines, `constants` lines and any
+    whitespace; with the error class `corruption` put in."""
+    spots = draw(st.lists(st.tuples(st.integers(0, 4), st.integers(0, 4)),
+                          min_size=2, max_size=6, unique=True))
+    ids = draw(st.lists(CELL_IDS, min_size=len(spots), max_size=len(spots),
+                        unique=True))
+    lines = ["qcl 1"]
+    for k, ((gx, gy), cid) in enumerate(zip(spots, ids)):
+        role = "fixed" if k == 0 else draw(st.sampled_from(ROLES[:3]))
+        fields = [["id", cid], ["x", draw(coordinate(gx))],
+                  ["y", draw(coordinate(gy))], ["role", role]]
+        if draw(st.booleans()):
+            fields.append(["size", draw(integer_texts(draw(st.integers(10, 22))))])
+        if draw(st.booleans()):
+            fields.append(["offset", draw(integer_texts(draw(st.integers(1, 5))))])
+        if draw(st.booleans()):
+            fields.append(["rot", draw(integer_texts(draw(st.sampled_from((0, 45))),
+                                                     real=False))])
+        if draw(st.booleans()):
+            fields.append(["clock", draw(integer_texts(draw(st.integers(0, 3)),
+                                                       real=False))])
+        if role == "fixed":
+            fields.append(["pol", draw(st.sampled_from(
+                ("1", "-1", "+1", "0.5", "-0", "1e0", "1_0e-1", "-.25")))])
+        lines.append(draw(st.permutations(fields)))
+    for _ in range(draw(st.integers(0, 3))):
+        lines.insert(draw(st.integers(1, len(lines))), draw(st.sampled_from(
+            ("", "   ", "# a comment", "  #cell id=x", "constants paper",
+             "constants codata"))))
+    if corruption is not None:
+        CORRUPTIONS[corruption](lines)
+    space = st.sampled_from((" ", "  ", "\t", "\u3000"))
+    text = [draw(st.sampled_from(("", "# first\n", "\n")))]
+    for line in lines:
+        if isinstance(line, list):
+            tokens = ["cell"] + [key if value is None else f"{key}={value}"
+                                 for key, value in line]
+            line = draw(space).join(tokens) if draw(st.booleans()) else " ".join(tokens)
+        text.append(line + draw(st.sampled_from(("", " ", "\t"))))
+    return "".join(text[:1]) + draw(st.sampled_from(("\n", "\r\n"))).join(text[1:]) + "\n"
+
+
+class TestBulkParse:
+    """The bulk parse against the per-line parse, which it must equal bit
+    for bit, or, on a document that breaks a rule, leave the diagnostic
+    to."""
+
+    def check(self, text):
+        try:
+            expected = _parse_lines(text, "doc")
+        except LayoutError as exc:
+            assert _parse_columns(text, "doc") is None
+            with pytest.raises(LayoutError) as raised:
+                parse_layout(text, "doc")
+            assert type(raised.value) is type(exc)
+            assert str(raised.value) == str(exc)
+            return str(exc)
+        layout = _parse_columns(text, "doc")
+        assert layout is not None
+        assert bits(layout) == bits(expected)
+        assert bits(parse_layout(text, "doc")) == bits(expected)
+        return None
+
+    @settings(max_examples=100, deadline=None, derandomize=True)
+    @given(qcl_documents())
+    def test_valid_documents(self, text):
+        assert self.check(text) is None
+
+    @pytest.mark.parametrize("name", sorted(CORRUPTIONS))
+    @settings(max_examples=5, deadline=None, derandomize=True)
+    @given(st.data())
+    def test_documents_with_an_error(self, name, data):
+        assert self.check(data.draw(qcl_documents(name))) is not None
 
 
 class TestBuiltinLayouts:
@@ -287,4 +495,4 @@ class TestDisplaceCell:
             Cell(id="t", center_x=0.0, center_y=0.0),
         )
         layout = Layout(name="tie", cells=cells)
-        assert previous_neighbor(layout, "t").id == "a"
+        assert previous_neighbor(layout, "t") == "a"

@@ -514,6 +514,13 @@ class TestKernelChoice:
                          sweep(kernels.bistable_sweep_loop, args)[3])
         assert kernels.format_sci(SCI_EDGES) == kernels.format_sci_loop(SCI_EDGES)
         assert not (own_cache / "cache").exists()
+        # nor does it touch a cache that holds other builds
+        cache = own_cache / "cache" / "qcasim"
+        cache.mkdir(parents=True, mode=0o700)
+        (cache / "kernels-00000000.so").touch()
+        kernels._library.cache_clear()
+        assert kernels._library() is None
+        assert os.listdir(cache) == ["kernels-00000000.so"]
 
     @needs_cc
     def test_library_built_once_in_the_user_cache(self, own_cache):
@@ -526,6 +533,26 @@ class TestKernelChoice:
         kernels._library.cache_clear()
         assert kernels._library() is not None
         assert os.stat(cache / name).st_mtime_ns == built
+
+    @needs_cc
+    def test_build_removes_superseded_libraries(self, own_cache):
+        """A build removes the other libraries of the cache; a cache hit
+        removes nothing, and files of other names stay."""
+        cache = own_cache / "cache" / "qcasim"
+        cache.mkdir(parents=True, mode=0o700)
+        decoys = ("kernels-00000000.so", "kernels-0493b261ed9638578ead.so",
+                  "euler-db32b684d0ccfadb86a1.so")
+        kept = ("kernels-00000000.so.tmp", "notes.txt", "other-1.so", "kernels.so")
+        for name in decoys + kept:
+            (cache / name).touch()
+        assert kernels._library() is not None
+        (name,) = libraries(cache)
+        assert name not in decoys
+        assert sorted(os.listdir(cache)) == sorted((name, *kept))
+        (cache / decoys[0]).touch()
+        kernels._library.cache_clear()
+        assert kernels._library() is not None
+        assert sorted(os.listdir(cache)) == sorted((name, decoys[0], *kept))
 
     @needs_cc
     def test_cache_hit_runs_no_compiler(self):
