@@ -12,9 +12,9 @@ str); `x`, `y`, `size` and `dot_offset` (float64); `rotation`, `zone` and
 fixed cell's polarization, NaN elsewhere). The kink matrix, the engines,
 the sweeps and the CLI read the columns. `Layout.cells` gives the same
 cells as `Cell` objects, built when first read. `parse_layout` builds the
-columns in one pass over a document and checks them in bulk; a document
-that breaks any rule is parsed again line by line, and that parse alone
-raises the diagnostic (`line N: ...`, or the layout's own message).
+columns in one pass over a document, which stops at the first line it
+cannot read, and checks them in bulk. It raises the first rule broken in
+document order: `line N: ...`, or else the layout's own message.
 """
 
 from __future__ import annotations
@@ -30,7 +30,9 @@ import numpy as np
 ROLES = ("normal", "input", "output", "fixed")
 NORMAL, INPUT, OUTPUT, FIXED = range(4)  # role codes: positions in ROLES
 _ROLE_CODE = {role: code for code, role in enumerate(ROLES)}
-_BAD_ID = re.compile(r"\s|=")
+# What an id may not hold, as it would break a .qcl line or a CSV row; nor
+# may an id begin with `#`, which would turn its CSV row into a comment.
+_BAD_ID = re.compile(r'[\s=,"\x00-\x1f\x7f-\x9f]')
 
 # Dot index pairs (0-based) occupied at each polarization sign.
 DOTS_POSITIVE = (0, 2)
@@ -62,7 +64,7 @@ class Cell:
     fixed_polarization: Optional[float] = None
 
     def __post_init__(self) -> None:
-        if not self.id or _BAD_ID.search(self.id):
+        if not self.id or self.id[0] == "#" or _BAD_ID.search(self.id):
             raise LayoutError(f"invalid cell id {self.id!r}")
         if self.dot_offset is None:
             object.__setattr__(self, "dot_offset", self.size / 4)
@@ -176,7 +178,7 @@ def _first_overlap(x: np.ndarray, y: np.ndarray,
                    size: np.ndarray) -> Optional[tuple[int, int]]:
     """The first pair (i, j), in index order, of cells that overlap as
     `cells_overlap` decides, or None."""
-    i, j = near_pairs(x, y, size.max(initial=0.0))
+    i, j = near_pairs(x, y, float(size.max(initial=0.0)))
     if not i.size:
         return None
     with np.errstate(over="ignore"):  # as Python floats, overflow gives inf
@@ -234,11 +236,8 @@ class Layout:
     @cached_property
     def cells(self) -> tuple[Cell, ...]:
         """The cells as `Cell` objects, built when first read."""
-        pol = [p if r == FIXED else None
-               for r, p in zip(self.role.tolist(), self.pol.tolist())]
-        return tuple(map(Cell, self.ids, *self._reals.tolist(),
-                         self.rotation.tolist(), [ROLES[r] for r in self.role.tolist()],
-                         self.zone.tolist(), pol))
+        return tuple(_cells(self.ids, self._reals.tolist(), self._ints.tolist(),
+                            self.pol.tolist()))
 
     @property
     def driver_mask(self) -> np.ndarray:
@@ -276,22 +275,46 @@ class Layout:
         return self.cell(self.output_id())
 
 
+def _cells(ids, reals, ints, pol):
+    """The cells of columns as `Layout._store` takes them, built in order."""
+    rotation, zone, role = ints
+    return map(Cell, ids, *reals, rotation, [ROLES[r] for r in role], zone,
+               [p if r == FIXED else None for r, p in zip(role, pol)])
+
+
 def _from_columns(name: str, constants_mode: Optional[str], ids, reals, ints,
-                  pol) -> Layout:
+                  pol, lines: Optional[list[int]] = None,
+                  error: Optional[ParseError] = None) -> Layout:
     """A layout from columns (as `Layout._store` takes them) whose role
     codes are valid and whose `pol` is NaN off fixed cells, checked in
-    bulk. Where a cell breaks a rule of `Cell`, the cells are built, and
-    the first that breaks one raises its message."""
+    bulk. The first cell that breaks a rule of `Cell` raises its message,
+    as `line N: ...` with N from `lines` if given; then `error`, a later
+    line's diagnostic, if given; then `Layout`'s own rules."""
     layout = Layout.__new__(Layout)
-    layout._store(name, constants_mode, ids, reals, ints, pol)
-    size, offset, zone, rotation = layout.size, layout.dot_offset, layout.zone, layout.rotation
-    if not (all(ids) and not _BAD_ID.search("".join(ids))
-            and np.isfinite(layout._reals).all()
-            and ((offset > 0) & (offset <= size / 2)).all()  # so size > 0
-            and ((rotation == 0) | (rotation == 45)).all()
-            and ((zone >= 0) & (zone <= 3)).all()
-            and (np.abs(layout.pol[layout.role == FIXED]) <= 1).all()):
-        layout.cells  # building them raises
+    try:
+        layout._store(name, constants_mode, ids, reals, ints, pol)
+    except OverflowError:  # a rotation or zone beyond int64, which `Cell` rejects
+        valid = False
+    else:
+        size, offset, zone, rotation = layout.size, layout.dot_offset, layout.zone, layout.rotation
+        valid = (all(ids) and not _BAD_ID.search("".join(ids))
+                 and "#" not in [cid[0] for cid in ids]
+                 and np.isfinite(layout._reals).all()
+                 and ((offset > 0) & (offset <= size / 2)).all()  # so size > 0
+                 and ((rotation == 0) | (rotation == 45)).all()
+                 and ((zone >= 0) & (zone <= 3)).all()
+                 and (np.abs(layout.pol[layout.role == FIXED]) <= 1).all())
+    if not valid:
+        cells = _cells(ids, reals, ints, pol)
+        for line in lines or [None] * len(ids):
+            try:
+                next(cells)
+            except LayoutError as exc:
+                if line is None:
+                    raise
+                raise ParseError(str(exc), line) from exc
+    if error is not None:
+        raise error
     layout._check()
     return layout
 
@@ -333,110 +356,86 @@ _CELL_KEYS = {"id", "x", "y", "size", "offset", "rot", "role", "clock", "pol"}
 
 
 def parse_layout(text: str, name: str = "layout") -> Layout:
-    """Parse a .qcl document into a validated Layout."""
-    layout = _parse_columns(text, name)
-    return layout if layout is not None else _parse_lines(text, name)
-
-
-def _parse_columns(text: str, name: str) -> Optional[Layout]:
-    """The layout of a document, from one pass that builds the columns and
-    one bulk check; None where the document breaks any rule. Numbers go
-    through Python's `float` and `int`, as in `_parse_lines`: numpy's
-    conversions accept other texts."""
-    header, constants_mode = False, None
-    ids, x, y, size, offset, rotation, zone, role, pol = ([] for _ in range(9))
+    """Parse a .qcl document into a validated Layout: one pass builds the
+    columns and each cell's line number, and stops at the first line it
+    cannot read, whose diagnostic `_from_columns` raises unless a cell
+    before it breaks a rule. Numbers go through Python's `float` and
+    `int`: numpy's conversions accept other texts."""
+    header, constants_mode, error = False, None, None
+    ids, x, y, size, offset, rotation, zone, role, pol, lines = columns = [[] for _ in range(10)]
     try:
-        for raw in text.splitlines():
+        for lineno, raw in enumerate(text.splitlines(), 1):
             tokens = raw.split()
             if not tokens or tokens[0][0] == "#":
                 continue
             if header and tokens[0] == "cell":
-                fields = dict([token.split("=", 1) for token in tokens[1:]])
-                code = _ROLE_CODE[fields["role"]]
-                # no duplicate or unknown key; a polarization on fixed cells only
-                if (len(fields) != len(tokens) - 1 or not fields.keys() <= _CELL_KEYS
-                        or ("pol" in fields) != (code == FIXED)):
-                    return None
-                ids.append(fields["id"])
-                x.append(float(fields["x"]))
-                y.append(float(fields["y"]))
-                size.append(float(fields.get("size", "18")))
-                offset.append(float(fields["offset"]) if "offset" in fields
-                              else size[-1] / 4)
-                rotation.append(int(fields.get("rot", "0")))
-                zone.append(int(fields.get("clock", "0")))
-                role.append(code)
-                pol.append(float(fields.get("pol", "nan")))
-            elif not header and raw.strip() == "qcl 1":
+                try:
+                    fields = dict([token.split("=", 1) for token in tokens[1:]])
+                    code = _ROLE_CODE[fields["role"]]
+                    # no duplicate or unknown key; a polarization on fixed cells only
+                    if (len(fields) != len(tokens) - 1 or not fields.keys() <= _CELL_KEYS
+                            or ("pol" in fields) != (code == FIXED)):
+                        raise ValueError
+                    ids.append(fields["id"])
+                    x.append(float(fields["x"]))
+                    y.append(float(fields["y"]))
+                    size.append(float(fields.get("size", "18")))
+                    offset.append(float(fields["offset"]) if "offset" in fields
+                                  else size[-1] / 4)
+                    rotation.append(int(fields.get("rot", "0")))
+                    zone.append(int(fields.get("clock", "0")))
+                    role.append(code)
+                    pol.append(float(fields.get("pol", "nan")))
+                    lines.append(lineno)
+                except (KeyError, ValueError):
+                    for column in columns:  # drop the line's partial cell
+                        del column[len(lines):]
+                    raise _cell_error(tokens, lineno) from None
+            elif not header:
+                if raw.strip() != "qcl 1":
+                    raise ParseError(f"expected 'qcl 1' header, got {raw.strip()!r}", lineno)
                 header = True
-            elif header and len(tokens) == 2 and tokens[0] == "constants" \
-                    and tokens[1] in ("paper", "codata"):
+            elif tokens[0] != "constants":
+                raise ParseError(f"unknown directive {tokens[0]!r}", lineno)
+            elif len(tokens) == 2 and tokens[1] in ("paper", "codata"):
                 constants_mode = tokens[1]
             else:
-                return None
-        return _from_columns(name, constants_mode, ids, (x, y, size, offset),
-                             (rotation, zone, role), pol) if header else None
-    except (KeyError, ValueError, OverflowError):  # LayoutError is a ValueError
-        return None
-
-
-def _parse_lines(text: str, name: str) -> Layout:
-    """Parse a document line by line into cells: the parse that reports
-    the first rule broken, with its line number."""
-    cells: list[Cell] = []
-    constants_mode: Optional[str] = None
-    saw_header = False
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.strip()
-        if not line or line.startswith("#"):
-            continue
-        if not saw_header:
-            if line != "qcl 1":
-                raise ParseError(f"expected 'qcl 1' header, got {line!r}", lineno)
-            saw_header = True
-            continue
-        tokens = line.split()
-        if tokens[0] == "constants":
-            if len(tokens) != 2 or tokens[1] not in ("paper", "codata"):
                 raise ParseError("expected 'constants paper' or 'constants codata'", lineno)
-            constants_mode = tokens[1]
-            continue
-        if tokens[0] != "cell":
-            raise ParseError(f"unknown directive {tokens[0]!r}", lineno)
-        fields: dict[str, str] = {}
-        for token in tokens[1:]:
-            if "=" not in token:
-                raise ParseError(f"expected key=value, got {token!r}", lineno)
-            key, _, value = token.partition("=")
-            if key not in _CELL_KEYS:
-                raise ParseError(f"unknown key {key!r}", lineno)
-            if key in fields:
-                raise ParseError(f"duplicate key {key!r}", lineno)
-            fields[key] = value
-        for required in ("id", "x", "y", "role"):
-            if required not in fields:
-                raise ParseError(f"missing required key {required!r}", lineno)
-        try:
-            size = float(fields.get("size", "18"))
-            cell = Cell(
-                id=fields["id"],
-                center_x=float(fields["x"]),
-                center_y=float(fields["y"]),
-                size=size,
-                dot_offset=float(fields["offset"]) if "offset" in fields else None,
-                rotation=int(fields.get("rot", "0")),
-                role=fields["role"],
-                clock_zone=int(fields.get("clock", "0")),
-                fixed_polarization=float(fields["pol"]) if "pol" in fields else None,
-            )
-        except LayoutError as exc:
-            raise ParseError(str(exc), lineno) from exc
-        except ValueError as exc:
-            raise ParseError(f"bad numeric value ({exc})", lineno) from exc
-        cells.append(cell)
-    if not saw_header:
-        raise ParseError("empty document (missing 'qcl 1' header)", 1)
-    return Layout(name=name, cells=tuple(cells), constants_mode=constants_mode)
+        if not header:
+            raise ParseError("empty document (missing 'qcl 1' header)", 1)
+    except ParseError as exc:
+        error = exc
+    return _from_columns(name, constants_mode, ids, (x, y, size, offset),
+                         (rotation, zone, role), pol, lines, error)
+
+
+def _cell_error(tokens: list[str], lineno: int) -> ParseError:
+    """The diagnostic of a cell line that `parse_layout` cannot read: a
+    token that is not key=value or has an unknown or repeated key, a
+    missing key, a bad number or the message of `Cell`, the first found."""
+    fields: dict[str, str] = {}
+    for token in tokens[1:]:
+        key, equals, value = token.partition("=")
+        if not equals:
+            return ParseError(f"expected key=value, got {token!r}", lineno)
+        if key not in _CELL_KEYS:
+            return ParseError(f"unknown key {key!r}", lineno)
+        if key in fields:
+            return ParseError(f"duplicate key {key!r}", lineno)
+        fields[key] = value
+    for required in ("id", "x", "y", "role"):
+        if required not in fields:
+            return ParseError(f"missing required key {required!r}", lineno)
+    try:
+        size = float(fields.get("size", "18"))
+        Cell(fields["id"], float(fields["x"]), float(fields["y"]), size,
+             float(fields["offset"]) if "offset" in fields else None,
+             int(fields.get("rot", "0")), fields["role"], int(fields.get("clock", "0")),
+             float(fields["pol"]) if "pol" in fields else None)
+    except LayoutError as exc:
+        return ParseError(str(exc), lineno)
+    except ValueError as exc:
+        return ParseError(f"bad numeric value ({exc})", lineno)
 
 
 # --------------------------------------------------------------------------

@@ -17,15 +17,22 @@ clock of one zone as the engines compute it, and the row-template CSV
 writer that the column-wise `sweeps.write_csv` must match byte for byte.
 `SCI_EDGES` holds the doubles whose six-digit text is hardest to get
 right, for the tests of `kernels.format_sci` and `write_csv`.
+
+`reference_parse_layout` reads a .qcl document line by line, building a
+`Cell` per line and the `Layout` from them: `geometry.parse_layout` must
+return the same layout bit for bit, or raise the same exception type and
+text.
 """
 
 import math
+from typing import Optional
 
 import numpy as np
 
 from qcasim import kernels
 from qcasim.electrostatics import KinkMatrix
 from qcasim.engines import ConvergenceError, resolve_drives
+from qcasim.geometry import _CELL_KEYS, Cell, Layout, LayoutError, ParseError
 from qcasim.sweeps import sci
 
 NM = 1e-9
@@ -218,3 +225,62 @@ SCI_EDGES = np.concatenate([
     np.array(NAN_BITS, dtype=np.uint64).view(np.float64),
 ])
 SCI_EDGES = np.concatenate([SCI_EDGES, -SCI_EDGES])
+
+
+def reference_parse_layout(text: str, name: str) -> Layout:
+    """Parse a document line by line into cells: the parse that reports
+    the first rule broken, with its line number."""
+    cells: list[Cell] = []
+    constants_mode: Optional[str] = None
+    saw_header = False
+    for lineno, raw in enumerate(text.splitlines(), start=1):
+        line = raw.strip()
+        if not line or line.startswith("#"):
+            continue
+        if not saw_header:
+            if line != "qcl 1":
+                raise ParseError(f"expected 'qcl 1' header, got {line!r}", lineno)
+            saw_header = True
+            continue
+        tokens = line.split()
+        if tokens[0] == "constants":
+            if len(tokens) != 2 or tokens[1] not in ("paper", "codata"):
+                raise ParseError("expected 'constants paper' or 'constants codata'", lineno)
+            constants_mode = tokens[1]
+            continue
+        if tokens[0] != "cell":
+            raise ParseError(f"unknown directive {tokens[0]!r}", lineno)
+        fields: dict[str, str] = {}
+        for token in tokens[1:]:
+            if "=" not in token:
+                raise ParseError(f"expected key=value, got {token!r}", lineno)
+            key, _, value = token.partition("=")
+            if key not in _CELL_KEYS:
+                raise ParseError(f"unknown key {key!r}", lineno)
+            if key in fields:
+                raise ParseError(f"duplicate key {key!r}", lineno)
+            fields[key] = value
+        for required in ("id", "x", "y", "role"):
+            if required not in fields:
+                raise ParseError(f"missing required key {required!r}", lineno)
+        try:
+            size = float(fields.get("size", "18"))
+            cell = Cell(
+                id=fields["id"],
+                center_x=float(fields["x"]),
+                center_y=float(fields["y"]),
+                size=size,
+                dot_offset=float(fields["offset"]) if "offset" in fields else None,
+                rotation=int(fields.get("rot", "0")),
+                role=fields["role"],
+                clock_zone=int(fields.get("clock", "0")),
+                fixed_polarization=float(fields["pol"]) if "pol" in fields else None,
+            )
+        except LayoutError as exc:
+            raise ParseError(str(exc), lineno) from exc
+        except ValueError as exc:
+            raise ParseError(f"bad numeric value ({exc})", lineno) from exc
+        cells.append(cell)
+    if not saw_header:
+        raise ParseError("empty document (missing 'qcl 1' header)", 1)
+    return Layout(name=name, cells=tuple(cells), constants_mode=constants_mode)

@@ -182,6 +182,17 @@ class TestExitCodes:
         assert code == 1
         assert "unknown builtin" in err
 
+    @pytest.mark.filterwarnings("error")
+    def test_huge_cells_overlap_without_a_warning(self, tmp_path):
+        """The overlap check's bin pitch overflows to inf: numpy would warn
+        on stderr before the diagnostic."""
+        path = tmp_path / "huge.qcl"
+        path.write_text("qcl 1\n"
+                        "cell id=a x=0 y=0 role=fixed pol=1 size=1e308 offset=1e307\n"
+                        "cell id=b x=1e308 y=0 role=output size=1e308\n")
+        assert run(["kink", "--layout", str(path)]) == (
+            1, "", "error: cells 'a' and 'b' overlap\n")
+
     def test_no_arguments_is_usage_error(self):
         assert run([])[0] == 2
 

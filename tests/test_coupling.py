@@ -342,10 +342,10 @@ class TestCoupling:
         assert (energies.shape, offsets.tolist(), cols.shape) == ((2, 0), [0, 0, 0], (0,))
 
 
-# Ids whose order numpy string arrays would get wrong: "a\x00" reads as
-# "a" in a numpy "U" array, a non-BMP character sorts after every BMP one,
-# and "10" sorts before "9".
-ODD_IDS = ("9", "a\x00", "\U0001F600", "10", "a", "z\U00010000", "B", "b")
+# Ids whose order is easy to get wrong: a non-BMP character sorts after
+# every BMP one, "\uffff" included (UTF-16 would put it last), and "10"
+# sorts before "9".
+ODD_IDS = ("9", "\uffff", "\U0001F600", "10", "a", "z\U00010000", "B", "b")
 
 
 class TestIdOrder:

@@ -1,16 +1,15 @@
 import math
-import re
 from dataclasses import astuple
 
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from qcasim.geometry import (ROLES, Cell, Layout, LayoutError, ParseError,
-                             _parse_columns, _parse_lines, builtin_layout,
-                             displace_cell, displacement_axis, dot_positions,
-                             electron_dots, parse_layout, previous_neighbor,
-                             serialize_layout)
+from oracle import reference_parse_layout
+from qcasim.geometry import (_BAD_ID, ROLES, Cell, Layout, LayoutError,
+                             ParseError, builtin_layout, displace_cell,
+                             displacement_axis, dot_positions, electron_dots,
+                             parse_layout, previous_neighbor, serialize_layout)
 
 
 def reals(lo, hi):
@@ -33,7 +32,7 @@ def bits(layout):
 
 
 CELL_IDS = st.text(st.characters(blacklist_categories=("Cs",)), min_size=1,
-                   max_size=6).filter(lambda s: not re.search(r"\s|=", s))
+                   max_size=6).filter(lambda s: s[0] != "#" and not _BAD_ID.search(s))
 
 
 @st.composite
@@ -120,6 +119,16 @@ class TestCellValidation:
 
     def test_default_offset_is_quarter_size(self):
         assert make_cell(size=20.0).dot_offset == 5.0
+
+    @pytest.mark.parametrize("cid", ["", "a b", "a=b", "a,b", 'c"d', "#in", "a\x00b",
+                                     "\x1b", "a\x7f", "\x85", "\u3000"])
+    def test_ids_that_break_a_line_or_a_csv_row(self, cid):
+        with pytest.raises(LayoutError, match="invalid cell id"):
+            make_cell(id=cid)
+
+    @pytest.mark.parametrize("cid", ["a#", "in#1", "é", "a-b", "'q'", "a;b"])
+    def test_other_ids_kept(self, cid):
+        assert make_cell(id=cid).id == cid
 
 
 class TestElectronDots:
@@ -241,6 +250,13 @@ class TestParseLayout:
         with pytest.raises(ParseError):
             parse_layout("qcl 1\ncell id=a x=0 y=0 role=fixed\n")
 
+    @pytest.mark.parametrize("cid", ["a,b", 'c"d', "#in", "a\x00b", "\x7f"])
+    def test_ids_that_break_a_csv_row(self, cid):
+        text = f"qcl 1\ncell id=in x=0 y=0 role=fixed pol=1\ncell id={cid} x=20 y=0 role=normal\n"
+        with pytest.raises(ParseError) as raised:
+            parse_layout(text)
+        assert str(raised.value) == f"line 3: invalid cell id {cid!r}"
+
 
 ARABIC_DIGITS = str.maketrans("0123456789", "\u0660\u0661\u0662\u0663\u0664"
                                              "\u0665\u0666\u0667\u0668\u0669")
@@ -308,6 +324,8 @@ CORRUPTIONS = {
     "directive": lambda lines: lines.append("wire id=w x=900 y=0 role=normal"),
     "constants": lambda lines: lines.insert(1, "constants exotic"),
     "constants arity": lambda lines: lines.insert(1, "constants paper codata"),
+    "late constants": lambda lines: lines.append("constants exotic"),
+    "late header": lambda lines: lines.append("qcl 1"),
     "token": lambda lines: _cell_fields(lines)[-1].append(["frob", None]),
     "unknown key": _set("frob", "1"),
     "duplicate key": lambda lines: _cell_fields(lines)[-1].append(["x", "900"]),
@@ -338,12 +356,30 @@ CORRUPTIONS = {
 }
 
 
+# Pairs (earlier, later) of error classes for `qcl_documents`, where a cell
+# class changes the last cell (the first for "pol range").
+CELL_RULES = ("id", "not finite", "size", "offset", "rotation", "huge zone", "role")
+TOKEN_ERRORS = ("token", "unknown key", "duplicate key", "missing key", "numeric")
+LINE_ERRORS = ("header", "directive", "constants", "late constants", "late header")
+LAYOUT_RULES = ("duplicate id", "overlap", "undriven")
+TWO_ERRORS = [
+    *zip(CELL_RULES + ("pol range",), TOKEN_ERRORS * 2),
+    *zip(TOKEN_ERRORS * 2, CELL_RULES + ("fixed without pol",)),
+    *zip(CELL_RULES, LINE_ERRORS),
+    *zip(TOKEN_ERRORS, LINE_ERRORS),
+    *zip(TOKEN_ERRORS, LAYOUT_RULES),
+    *zip(LAYOUT_RULES, ("directive", "token", "late header")),
+]
+
+
 @st.composite
-def qcl_documents(draw, corruption=None):
-    """A .qcl document of 1-6 cells near the points of a 25 nm grid: any
+def qcl_documents(draw, corruption=None, earlier=None):
+    """A .qcl document of 2-6 cells near the points of a 25 nm grid: any
     ids, keys in any order, optional keys left out, numbers in every form
     that Python reads, comments, blank lines, `constants` lines and any
-    whitespace; with the error class `corruption` put in."""
+    whitespace; with the error class `earlier` put in the lines up to the
+    first cell (in the whole document for a layout rule), then the error
+    class `corruption` in the whole."""
     spots = draw(st.lists(st.tuples(st.integers(0, 4), st.integers(0, 4)),
                           min_size=2, max_size=6, unique=True))
     ids = draw(st.lists(CELL_IDS, min_size=len(spots), max_size=len(spots),
@@ -371,6 +407,12 @@ def qcl_documents(draw, corruption=None):
         lines.insert(draw(st.integers(1, len(lines))), draw(st.sampled_from(
             ("", "   ", "# a comment", "  #cell id=x", "constants paper",
              "constants codata"))))
+    if earlier is not None:
+        end = len(lines) if earlier in LAYOUT_RULES else next(
+            k for k, line in enumerate(lines) if isinstance(line, list)) + 1
+        head = lines[:end]
+        CORRUPTIONS[earlier](head)
+        lines[:end] = head
     if corruption is not None:
         CORRUPTIONS[corruption](lines)
     space = st.sampled_from((" ", "  ", "\t", "\u3000"))
@@ -384,24 +426,19 @@ def qcl_documents(draw, corruption=None):
     return "".join(text[:1]) + draw(st.sampled_from(("\n", "\r\n"))).join(text[1:]) + "\n"
 
 
-class TestBulkParse:
-    """The bulk parse against the per-line parse, which it must equal bit
-    for bit, or, on a document that breaks a rule, leave the diagnostic
-    to."""
+class TestAgainstReference:
+    """`parse_layout` against the line-by-line `reference_parse_layout`:
+    the same layout bit for bit, or the same exception type and text."""
 
     def check(self, text):
         try:
-            expected = _parse_lines(text, "doc")
+            expected = reference_parse_layout(text, "doc")
         except LayoutError as exc:
-            assert _parse_columns(text, "doc") is None
             with pytest.raises(LayoutError) as raised:
                 parse_layout(text, "doc")
             assert type(raised.value) is type(exc)
             assert str(raised.value) == str(exc)
             return str(exc)
-        layout = _parse_columns(text, "doc")
-        assert layout is not None
-        assert bits(layout) == bits(expected)
         assert bits(parse_layout(text, "doc")) == bits(expected)
         return None
 
@@ -415,6 +452,12 @@ class TestBulkParse:
     @given(st.data())
     def test_documents_with_an_error(self, name, data):
         assert self.check(data.draw(qcl_documents(name))) is not None
+
+    @pytest.mark.parametrize("earlier, later", TWO_ERRORS)
+    @settings(max_examples=5, deadline=None, derandomize=True)
+    @given(st.data())
+    def test_the_first_of_two_errors_wins(self, earlier, later, data):
+        assert self.check(data.draw(qcl_documents(later, earlier))) is not None
 
 
 class TestBuiltinLayouts:
