@@ -57,61 +57,21 @@ IEEE operation in the same order in both, and ``cos`` and ``tanh`` are
 libm's, as ``math.cos`` and ``math.tanh`` are. The library is built with
 ``-ffp-contract=off`` and never with ``-ffast-math``, since a fused
 multiply-add would change the bits, and the formatter's error bound
-assumes correctly rounded operations. ``benchmarks/bench_coherence.py``
-times the two coherence kernels and ``benchmarks/bench_coupling.py`` the
-bistable relaxation.
+assumes correctly rounded operations. The header of ``_kernels.c``
+explains how the C integrator reuses steady states and splits a batch
+over threads, and why the C formatter's texts are those of `%`.
+``tests/test_kernels.py`` compares each C kernel with its loop kernel, bit
+for bit; ``benchmarks/bench_coherence.py`` times the coherence kernels and
+``benchmarks/bench_coupling.py`` the bistable relaxation.
 
-The C integrator skips work whose result it already has. Per point and
-free cell it keeps, in scratch that each C call allocates and frees, the
-last steady state it computed, ``gz = field / hbar``, ``ss_x`` and ``ss_z``,
-with the bit patterns of the clock term ``gx`` and the local field they
-came from. Where a step's ``gx`` and field match those bits, it reuses
-the three values and skips the division, ``sqrt``, ``tanh`` and the
-|Gamma|^2 overflow check; otherwise it computes them and refreshes the
-entry. At step 0 every cell computes. This is exact: the three values
-are a pure function of ``gx``, the field, the point's fixed temperature,
-``hbar`` and kB, ``tanh`` is deterministic, and the stored values passed
-the overflow check when computed. Matching bits, not ``==``, keeps -0.0,
-0.0 and NaNs apart. About half the cell updates of the temperature sweep
-hit, where a zone's clock is clamped at ``clock_low`` or ``clock_high``
-and the fields have settled. The loop kernel stays the plain reference
-and recomputes at every step: in Python the reuse saved under 5%.
+The C integrator splits a batch over the usable cores (see
+``coherence_euler_c``); its results are those of one call, bit for bit,
+at any split. A single point (B = 1) and a one-core machine start no
+thread. The loop kernel holds the GIL, so it runs its batch serially.
 
-The C integrator splits a batch of B points into k = min(B, usable
-cores) chunks, the usable cores being ``len(os.sched_getaffinity(0))``,
-or ``os.cpu_count()`` where the platform has no affinity (macOS). Chunk
-j holds the points j, j + k, j + 2k, ...: interleaved, since the points
-of a sweep grow costlier along it (at 10,000 steps, the 8 points of the
-temperature sweep at 7-30 K take 7.8 ms, its 7 points at 0-6 K 5.4 ms).
-Chunk 0 runs on the calling thread and each other chunk on a
-``threading.Thread`` of its own; ctypes releases the GIL for the call,
-so the chunks run in parallel. Each chunk fills the caller's recorded
-polarizations, finals and bad steps in place, so nothing is gathered
-and the recording, up to ``engines.MAX_RECORD_BYTES``, is never copied.
-Its working memory is its own, allocated by the C call in whole 64-byte
-cache lines. Chunk 0 alone records the shared times and clocks. The
-results are those of one call, bit for bit, at any k. A single point
-(B = 1) and a one-core machine make one call and start no thread. There
-is no option, setting or size threshold for k. The loop kernel holds
-the GIL, so it runs its batch serially.
-
-The C formatter writes a value only where it can prove the rounding, and
-hands every other value back to `%`, which rounds correctly (Gay,
-"Correctly Rounded Binary-Decimal and Decimal-Binary Conversions",
-1990). For |v| in [1e-38, 1e38] with decimal exponent e10 (from
-``log10``, corrected by at most 3 rescalings), it scales s = |v| *
-10^(5 - e10) into [1e5, 1e6) with at most two correctly rounded
-multiplications or divisions by the exact powers 1e0 ... 1e22, so s lies
-within 2 roundings of the true S: |s - S| < 2.3e-10. It writes the value
-only where s lies at least 1e-7 from the nearest half-integer, over 400
-times that bound; there s and S round to the same six-digit mantissa (a
-mantissa of 1000000 carries into the exponent). Exact ties, which `%`
-rounds half to even, and near-ties fall back, as do +-0, subnormals,
-values outside the range, inf and NaN: about 2 values in 10 million of
-uniform physical-scale data, and every value out of the range. It
-returns one buffer of LF-terminated texts, an empty line for each value
-it left out, with the indices of those; ``format_sci`` decodes and
-splits the buffer once and fills those in with `%`.
+The C formatter writes a value only where it can prove the rounding and
+returns the indices of the others; ``format_sci`` fills those in with
+`%`.
 """
 
 from __future__ import annotations
@@ -476,7 +436,7 @@ def coherence_euler_c(energies, zones, driven, drive_values, n_steps, dt,
                       total_time, periods, clock_shift, clock_amplitude,
                       clock_low, clock_high, tau, temperature, boltzmann_k,
                       hbar, stride, rec_times, rec_clocks, rec_pols,
-                      offsets, cols, *, _chunks=None):
+                      offsets, cols):
     """The batched integrator in C, with the arguments, results and
     failure semantics of ``coherence_euler_loop``. Every array is checked
     for dtype, C-contiguity and shape, and the neighbor list for
@@ -485,8 +445,7 @@ def coherence_euler_c(energies, zones, driven, drive_values, n_steps, dt,
     The B points run as k = min(B, usable cores) interleaved chunks,
     points j, j + k, j + 2k, ... in chunk j: chunk 0 on the calling
     thread, each other on a thread of its own (ctypes releases the GIL for
-    the call). ``_chunks`` sets k, for the tests. Raises MemoryError if a
-    chunk cannot allocate its scratch."""
+    the call). Raises MemoryError if a chunk cannot allocate its scratch."""
     library = _library()
     if library is None:
         raise RuntimeError("the compiled kernels are not available")
@@ -510,7 +469,7 @@ def coherence_euler_c(energies, zones, driven, drive_values, n_steps, dt,
     # a stride beyond n_steps records step 0 only, as n_steps + 1 does; the
     # smaller value fits the C int64
     stride = min(int(stride), int(n_steps) + 1)
-    chunks = max(1, min(batch, _chunks or _usable_cores()))
+    chunks = max(1, min(batch, _usable_cores()))
     final = np.empty((batch, n))
     bad_step = np.empty(batch, dtype=np.int64)
     shared = (

@@ -12,6 +12,7 @@ from __future__ import annotations
 import csv
 import io
 import math
+import re
 from dataclasses import dataclass, fields
 from importlib import resources
 from typing import Mapping, Optional, Sequence, TextIO, Union
@@ -300,6 +301,11 @@ def compare_to_reference(result: SweepResult, ref: ReferenceTable,
 # 1,201 rows is one block.
 BLOCK_ROWS = 4096
 
+# What may not stand in a `#` line of `write_csv`: a C0 or C1 control
+# character (line feeds among them) or a Unicode line or paragraph
+# separator would end the line early, or read as a break to some readers.
+_LINE_BREAKING = re.compile("[\x00-\x1f\x7f-\x9f\u2028\u2029]")
+
 
 def _texts(column) -> Sequence[str]:
     """One column's values as text. A float64 array prints in `sci`, each
@@ -331,16 +337,23 @@ def write_csv(destination: TextIO, snapshot: Mapping, header: Sequence[str],
     the last one too, so identical inputs give identical bytes.
 
     The rows are formatted and written in blocks of `BLOCK_ROWS`, each
-    column grouped by bit pattern within its block; the lengths are
-    checked before anything is written.
+    column grouped by bit pattern within its block. The lengths are
+    checked before anything is written, and so is the text of every
+    snapshot entry and trailer line: one that holds a control character
+    (U+0000-U+001F, U+007F-U+009F), U+2028 or U+2029 raises ValueError.
     """
     if len(columns) != len(header):
         raise ValueError(f"{len(header)} column names for {len(columns)} columns")
     lengths = {len(column) for column in columns}
     if len(lengths) > 1:
         raise ValueError(f"columns of unequal lengths {sorted(lengths)}")
-    lines = [f"# {key}={sci(value) if isinstance(value, float) else value}"
-             for key, value in sorted(snapshot.items())]
+    comments = [f"{key}={sci(value) if isinstance(value, float) else value}"
+                for key, value in sorted(snapshot.items())]
+    for text in (*comments, *trailer):
+        if _LINE_BREAKING.search(text):
+            raise ValueError(f"comment text {text!r} holds a control "
+                             "character or line separator")
+    lines = [f"# {text}" for text in comments]
     lines.append(",".join(header))
     n_rows = max(lengths, default=0)
     for start in range(0, n_rows, BLOCK_ROWS):

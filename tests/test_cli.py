@@ -193,6 +193,15 @@ class TestExitCodes:
         assert run(["kink", "--layout", str(path)]) == (
             1, "", "error: cells 'a' and 'b' overlap\n")
 
+    def test_layout_name_that_breaks_a_line(self, tmp_path):
+        """A file named a<LF>b,c.qcl would print `# layout=a`, then a
+        data-looking `b,c` line."""
+        path = tmp_path / "a\nb,c.qcl"
+        path.write_text(serialize_layout(builtin_layout("inv2")))
+        assert run(["kink", "--layout", str(path)]) == (
+            1, "", "error: comment text 'layout=a\\nb,c' holds a control "
+            "character or line separator\n")
+
     def test_no_arguments_is_usage_error(self):
         assert run([])[0] == 2
 

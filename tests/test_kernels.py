@@ -1,4 +1,3 @@
-import functools
 import io
 import itertools
 import json
@@ -13,6 +12,7 @@ import threading
 import tracemalloc
 from dataclasses import replace
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -22,10 +22,11 @@ from qcasim.constants import PhysicalConstants
 from qcasim.electrostatics import KinkMatrix, kink_matrix
 from qcasim.engines import (BistableParams, CoherenceParams, IntegrationError,
                             coupling, resolve_drives, simulate_coherence_batch)
-from qcasim.geometry import Layout, builtin_layout
+from qcasim.geometry import Layout, builtin_layout, serialize_layout
 from qcasim.sweeps import TABLE1_TEMPERATURES, sci
 
 from oracle import SCI_EDGES
+from test_cli import run as cli
 
 PAPER = PhysicalConstants.paper()
 LOOP = kernels.coherence_euler_loop
@@ -82,10 +83,15 @@ def compiled():
 
 
 def chunked(batch):
-    """The C kernel split into each chunk count from 1 to B, where the
-    compiled library loads, else nothing."""
-    return [functools.partial(kernel, _chunks=k)
-            for kernel in compiled() for k in range(1, batch + 1)]
+    """The C kernel split into each chunk count from 1 to B, by patching
+    the usable cores to that count, where the compiled library loads,
+    else nothing."""
+    def split(k):
+        def kernel(*args):
+            with mock.patch.object(kernels, "_usable_cores", lambda: k):
+                return kernels.coherence_euler_c(*args)
+        return kernel
+    return [split(k) for k in range(1, batch + 1)] if compiled() else []
 
 
 def assert_batches_identical(args):
@@ -372,8 +378,8 @@ class TestSinglePointParity:
 
 @needs_cc
 class TestChunkCount:
-    """Without ``_chunks`` the C kernel splits a batch into min(B, usable
-    cores) chunks, one thread for each chunk after the first."""
+    """The C kernel splits a batch into min(B, usable cores) chunks, one
+    thread for each chunk after the first."""
 
     @pytest.fixture
     def threads(self, monkeypatch):
@@ -417,16 +423,17 @@ class TestChunkCount:
             assert_same_bits(x, y)
         assert len(threads) == 2
 
-    def test_recording_is_not_copied(self):
+    def test_recording_is_not_copied(self, monkeypatch):
         # the chunks fill the caller's recordings in place: what a call
         # allocates does not grow with the recorded rows
+        monkeypatch.setattr(kernels, "_usable_cores", lambda: 2)
         args = batch_problem(builtin_layout("inv2"), [0.0, 1.0],
                              n_steps=20_000, stride=1)
-        kernels.coherence_euler_c(*args(), _chunks=2)  # loads the library
+        kernels.coherence_euler_c(*args())  # loads the library
         call = args()
         tracemalloc.start()
         try:
-            kernels.coherence_euler_c(*call, _chunks=2)
+            kernels.coherence_euler_c(*call)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -446,6 +453,29 @@ class TestChunkCount:
             simulate_coherence_batch(layout, params, points, PAPER)
         assert info.value.point == 0
         assert len(threads) == 1
+
+    @pytest.mark.parametrize("argv, batch, code", [
+        ("sweep-temp --layout builtin:inv3 --total-time 1e-12", 15, 0),
+        ("truth --layout builtin:majority --function majority "
+         "--engine coherence", 8, 0),
+        # the one batch whose points carry different kink energies
+        ("sweep-gap --engine coherence --layout builtin:inv3 "
+         "--total-time 1e-12", 6, 0),
+        # every point fails: the same one-line error
+        ("sweep-temp --layout builtin:inv3 --total-time 1e-11 "
+         "--relaxation-time 1e-12 --time-step 5e-14", 15, 1),
+    ])
+    def test_output_independent_of_the_core_count(self, monkeypatch, threads,
+                                                  argv, batch, code):
+        """One chunk and one chunk per point print the same stdout and
+        stderr, with the same exit code."""
+        printed = []
+        for cores in (1, batch):
+            monkeypatch.setattr(kernels, "_usable_cores", lambda: cores)
+            printed.append(cli(argv.split()))
+        assert len(threads) == batch - 1  # one call, split into B chunks
+        assert printed[0] == printed[1]
+        assert printed[0][0] == code and printed[0][2].count("\n") == code
 
 
 class TestSweepParity:
@@ -660,33 +690,44 @@ class TestKernelChoice:
             with pytest.raises(ValueError, match=message):
                 kernels.bistable_sweep_c(*args)
 
-    def test_no_compiler_process_gives_the_same_bytes(self):
-        """A process whose CC does not exist runs the loop kernel and
-        prints the bytes of this process on every criterion-7 argv."""
+    def test_no_compiler_process_gives_the_same_bytes(self, tmp_path):
+        """A process whose CC does not exist runs the loop kernels and `%`,
+        and prints the stdout, stderr and exit code of this process: on
+        every criterion-7 argv and, where this process runs the compiled
+        kernels, on coherence runs that record every step or carry
+        different kink energies per point, and on `kink` and bistable
+        `simulate` of a 40-cell wire, built in and read from a file."""
         from test_acceptance import CRITERION_7_ARGV
-        from qcasim.cli import run_cli
+        argvs = list(CRITERION_7_ARGV)
+        if kernels.kernel_path() == "c":
+            qcl = tmp_path / "wire40.qcl"
+            qcl.write_text(serialize_layout(builtin_layout("wire(40)")))
+            coherence = ["--engine", "coherence", "--layout", "builtin:inv3",
+                         "--total-time", "1e-12"]
+            argvs += [["simulate", *coherence, "--stride", "1"],
+                      ["sweep-gap", *coherence],
+                      *([command, "--layout", layout]
+                        for layout in ("builtin:wire(40)", str(qcl))
+                        for command in ("kink", "simulate"))]
         script = (
             "import io, json, sys\n"
             "from qcasim import kernels\n"
             "from qcasim.cli import run_cli\n"
-            "outputs = []\n"
+            "printed = []\n"
             "for argv in json.loads(sys.argv[1]):\n"
-            "    out = io.StringIO()\n"
-            "    assert run_cli(argv, stdout=out, stderr=io.StringIO()) == 0\n"
-            "    outputs.append(out.getvalue())\n"
+            "    out, err = io.StringIO(), io.StringIO()\n"
+            "    code = run_cli(argv, stdout=out, stderr=err)\n"
+            "    printed.append([code, out.getvalue(), err.getvalue()])\n"
             "print(json.dumps({'path': kernels.kernel_path(), "
-            "'outputs': outputs}))\n")
+            "'printed': printed}))\n")
         env = dict(os.environ, CC="/nonexistent")
-        proc = subprocess.run([sys.executable, "-c", script,
-                               json.dumps(CRITERION_7_ARGV)],
+        proc = subprocess.run([sys.executable, "-c", script, json.dumps(argvs)],
                               capture_output=True, text=True, env=env)
         assert proc.returncode == 0, proc.stderr
         result = json.loads(proc.stdout)
         assert result["path"] == "loop"
-        for argv, printed in zip(CRITERION_7_ARGV, result["outputs"], strict=True):
-            out = io.StringIO()
-            assert run_cli(argv, stdout=out, stderr=io.StringIO()) == 0
-            assert printed == out.getvalue(), argv
+        for argv, printed in zip(argvs, result["printed"], strict=True):
+            assert tuple(printed) == cli(argv), argv
 
 
 class TestFormatSci:

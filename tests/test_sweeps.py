@@ -385,6 +385,10 @@ SNAPSHOT = {"layout": "inv2", "gamma_J": 9.8e-22, "max_iterations": 10_000,
 
 BLOCK = sweeps.BLOCK_ROWS
 
+# the characters that `write_csv` refuses in a snapshot or trailer text
+LINE_BREAKING = {*map(chr, range(0x20)), *map(chr, range(0x7f, 0xa0)),
+                 "\u2028", "\u2029"}
+
 
 class CountingSink:
     """A destination that keeps only the count of characters written."""
@@ -405,6 +409,12 @@ class TestWriteCsv:
     def test_matches_row_template_writer(self, table, trailer, block_rows):
         # small blocks put block boundaries at every row count drawn
         header, columns, rows = table
+        if any(ch in LINE_BREAKING for text in trailer for ch in text):
+            sink = CountingSink()
+            with pytest.raises(ValueError, match="control character"):
+                write_csv(sink, SNAPSHOT, header, columns, trailer)
+            assert sink.size == 0
+            return
         expected = render(write_csv_rows, SNAPSHOT, header, rows, trailer)
         with mock.patch.object(sweeps, "BLOCK_ROWS", block_rows):
             assert render(write_csv, SNAPSHOT, header, columns, trailer) == expected
@@ -470,3 +480,18 @@ class TestWriteCsv:
     def test_one_name_per_column(self):
         with pytest.raises(ValueError, match="2 column names for 1 columns"):
             render(write_csv, {}, ("p", "q"), [np.zeros(2)])
+
+    def test_line_breaking_comment_text_rejected(self):
+        """A snapshot value, a snapshot key or a trailer line that holds a
+        control character or line separator raises before anything is
+        written; the characters next to those ranges print."""
+        for char in sorted(LINE_BREAKING):
+            for snapshot, trailer in (({"layout": f"a{char}b"}, ()),
+                                      ({f"k{char}": 1}, ()),
+                                      ({}, (f"end{char}",))):
+                sink = io.StringIO()
+                with pytest.raises(ValueError, match="control character"):
+                    write_csv(sink, snapshot, ("p",), [np.zeros(2)], trailer)
+                assert sink.getvalue() == ""
+        assert render(write_csv, {"layout": "\x20~\xa0\u2027\u202a"}, ("p",),
+                      [[]], ["\xa0"]) == "# layout= ~\xa0\u2027\u202a\np\n# \xa0\n"
