@@ -24,11 +24,9 @@ from .electrostatics import kink_matrix
 from .engines import (EXPECTED_FUNCTIONS, BistableParams, CoherenceParams,
                       EngineError, bistable_relax, simulate_coherence,
                       truth_table_check)
-from .geometry import (BUILTIN_NAMES, Layout, LayoutError, builtin_layout,
-                       parse_layout)
-from .sweeps import (TABLE1_TEMPERATURES, TABLE23_GAPS, SweepError, emit_csv,
-                     params_snapshot, sci, sweep_gap, sweep_temperature,
-                     write_csv)
+from .geometry import BUILTIN_NAMES, Layout, builtin_layout, parse_layout
+from .sweeps import (TABLE1_TEMPERATURES, TABLE23_GAPS, emit_csv, params_snapshot,
+                     sci, sweep_gap, sweep_temperature, write_csv)
 
 # The physical flags: params field -> (flag, help text). The flag's
 # default, and the unit its help names, are the field's; --radius sets
@@ -45,7 +43,7 @@ PARAM_FLAGS = {
     "radius_of_effect": ("--radius", "radius of effect"),
     "gamma": ("--gamma", "bistable tunneling energy"),
 }
-_ENGINE_PARAMS = {"bistable": BistableParams, "coherence": CoherenceParams}
+_ENGINE_PARAMS = {cls.engine: cls for cls in (BistableParams, CoherenceParams)}
 
 
 class _CliError(Exception):
@@ -219,8 +217,7 @@ def _cmd_truth(args: argparse.Namespace, out: TextIO) -> int:
     constants = _constants(args, layout)
     params = _params(args)
     matrix = kink_matrix(layout, params.radius_of_effect, constants)
-    report = truth_table_check(layout, args.engine, params, args.function,
-                               matrix, constants)
+    report = truth_table_check(layout, params, args.function, matrix, constants)
     snapshot = {**params_snapshot(params), "layout": layout.name,
                 "constants": constants.mode, "engine": args.engine,
                 "function": args.function,
@@ -254,7 +251,7 @@ def _cmd_sweep_gap(args: argparse.Namespace, out: TextIO) -> int:
     constants = _constants(args, layout)
     grid = _parse_grid(args.grid, "gap")
     cell_id = args.cell or layout.output_id()
-    result = sweep_gap(layout, cell_id, grid, args.engine, _params(args), constants)
+    result = sweep_gap(layout, cell_id, grid, _params(args), constants)
     emit_csv(result, out)
     return 0
 
@@ -318,10 +315,8 @@ def run_cli(argv: Optional[Sequence[str]] = None,
             finally:
                 out.close()
         return command(args, stdout)
-    except (_CliError, LayoutError, EngineError, SweepError, ValueError) as exc:
-        stderr.write(f"error: {exc}\n")
-        return 1
-    except OSError as exc:
+    except (_CliError, EngineError, ValueError, OSError) as exc:
+        # LayoutError and SweepError are ValueErrors
         stderr.write(f"error: {exc}\n")
         return 1
 

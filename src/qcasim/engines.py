@@ -8,6 +8,9 @@ order until converged.
 The coherence engine integrates a damped three-component coherence vector
 per free cell with explicit fixed-step Euler; the z component is the
 polarization and the four-phase clock modulates the tunneling energy.
+
+The params pick the engine, whose name is their `engine`; the truth tables
+and the gap sweep run their points through `final_polarizations`.
 """
 
 from __future__ import annotations
@@ -15,7 +18,7 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass, field, fields
-from typing import Callable, Mapping, Optional, Sequence, Union
+from typing import Callable, ClassVar, Mapping, Optional, Sequence, Union
 
 import numpy as np
 
@@ -36,7 +39,12 @@ MAX_RECORD_BYTES = 2**28         # 256 MiB
 
 
 class EngineError(RuntimeError):
-    pass
+    """`point` is the index of the first failing point, in order, of a run
+    of several (`final_polarizations`, `simulate_coherence_batch`)."""
+
+    def __init__(self, message: str, point: int = 0) -> None:
+        super().__init__(message)
+        self.point = point
 
 
 class ConvergenceError(EngineError):
@@ -45,13 +53,20 @@ class ConvergenceError(EngineError):
 
 class IntegrationError(EngineError):
     """The coherence vector left the unit ball (the time step is too large)
-    or |Gamma|^2 overflowed (the kink energies are too large).
+    or |Gamma|^2 overflowed (the kink energies are too large)."""
 
-    `point` is the index of the failing point in a batched run."""
 
-    def __init__(self, message: str, point: int = 0) -> None:
-        super().__init__(message)
-        self.point = point
+def _per_point(points: Sequence, run: Callable) -> list:
+    """run(point) for each point, in order; an EngineError it raises
+    carries the index of its point."""
+    results = []
+    for b, point in enumerate(points):
+        try:
+            results.append(run(point))
+        except EngineError as exc:
+            exc.point = b
+            raise
+    return results
 
 
 def _require_finite(name: str, value) -> None:
@@ -79,6 +94,7 @@ def _with_unit(default, unit: str):
 
 @dataclass(frozen=True)
 class CoherenceParams:
+    engine: ClassVar[str] = "coherence"
     temperature: float = _with_unit(1.0, "K")
     relaxation_time: float = _with_unit(1.0e-15, "s")
     time_step: float = _with_unit(1.0e-16, "s")
@@ -121,6 +137,7 @@ class CoherenceParams:
 
 @dataclass(frozen=True)
 class BistableParams:
+    engine: ClassVar[str] = "bistable"
     gamma: float = _with_unit(DEFAULT_CLOCK_HIGH, "J")  # tunneling energy
     convergence_tolerance: float = 1.0e-9
     max_iterations: int = 10_000
@@ -302,9 +319,10 @@ def simulate_coherence_batch(
     with `params` at that temperature, bit for bit. Raises
     EngineError before integrating if the recording (polarizations, times
     and clocks) would take more than MAX_RECORD_BYTES. Raises
-    IntegrationError for the first point, in order, whose coherence vector
-    leaves the unit ball or whose |Gamma|^2 overflows; its `point`
-    attribute is that point's index.
+    EngineError for the first point, in order, with a bad drive value,
+    and IntegrationError for the first whose coherence vector leaves the
+    unit ball or whose |Gamma|^2 overflows; its `point` attribute is that
+    point's index.
     """
     constants = constants or PhysicalConstants.paper()
     if record_stride < 1:
@@ -321,7 +339,7 @@ def simulate_coherence_batch(
                 for _ in points]
     # every point drives the same cells, the input and fixed ones, in cell
     # order
-    drives = [resolve_drives(layout, inputs) for _, _, inputs in points]
+    drives = _per_point(points, lambda point: resolve_drives(layout, point[2]))
     n_steps = params.n_steps
     n_rec = n_steps // record_stride + 1
     record_bytes = n_rec * (len(cell_ids) * len(points) + 5) * 8
@@ -380,19 +398,34 @@ def simulate_coherence(layout: Layout, kink: KinkMatrix, params: CoherenceParams
         layout, params, [(kink, params.temperature, inputs)], constants, record_stride)[0]
 
 
+def final_polarizations(layout: Layout, params: Union[BistableParams, CoherenceParams],
+                        points: Sequence[tuple[KinkMatrix, Optional[Mapping[str, float]]]],
+                        constants: Optional[PhysicalConstants] = None
+                        ) -> list[dict[str, float]]:
+    """The final polarizations of each point, (kink, inputs) on the cells of
+    `layout`, on the engine of `params`: `bistable_relax` point by point,
+    or one `simulate_coherence_batch` at `params.temperature`. An
+    EngineError carries its point's index; other params raise TypeError."""
+    if isinstance(params, BistableParams):
+        return _per_point(points, lambda point: bistable_relax(
+            layout, point[0], params, point[1]))
+    if isinstance(params, CoherenceParams):
+        # only the final state is read: record the first and last steps
+        traces = simulate_coherence_batch(
+            layout, params, [(kink, params.temperature, inputs) for kink, inputs in points],
+            constants, record_stride=params.n_steps)
+        return [trace.final for trace in traces]
+    raise TypeError(f"no engine takes params of type {type(params).__name__}")
+
+
 # --------------------------------------------------------------------------
 # Truth tables
-
-def _majority(bits: Sequence[int]) -> int:
-    a, b, c = bits
-    return (a & b) | (b & c) | (c & a)
-
 
 # name -> (the number of drivers it reads, the function)
 EXPECTED_FUNCTIONS: dict[str, tuple[int, Callable[[Sequence[int]], int]]] = {
     "inverter": (1, lambda bits: 1 - bits[0]),
     "buffer": (1, lambda bits: bits[0]),
-    "majority": (3, _majority),
+    "majority": (3, lambda bits: int(sum(bits) >= 2)),
     "and": (2, lambda bits: bits[0] & bits[1]),
     "or": (2, lambda bits: bits[0] | bits[1]),
 }
@@ -421,39 +454,28 @@ class TruthTableReport:
         return all(r.passed for r in self.rows)
 
 
-def truth_table_check(layout: Layout, engine: str,
-                      params: Union[BistableParams, CoherenceParams, None],
-                      expected: Union[str, Callable[[Sequence[int]], int]],
-                      kink: KinkMatrix,
+def truth_table_check(layout: Layout, params: Union[BistableParams, CoherenceParams],
+                      expected: str, kink: KinkMatrix,
                       constants: Optional[PhysicalConstants] = None) -> TruthTableReport:
-    """Run every drive combination and compare output signs to a logic function.
+    """Run every drive combination on the engine of `params` and compare
+    output signs to the logic function `expected` names.
 
     Enumerates the input-role cells (falling back to fixed cells when the
     layout has no input cells, as in the two-cell inverter) sorted by id;
     logic 1 drives +1, logic 0 drives -1. An output magnitude below 1e-6
-    is indeterminate and counts as a failing row. A named function must
-    read as many drivers as the layout has (EngineError otherwise); a
-    callable gets every driver's bit.
+    is indeterminate and counts as a failing row. The function must read
+    as many drivers as the layout has (EngineError otherwise).
     """
-    if engine not in ("bistable", "coherence"):
-        raise ValueError(f"unknown engine {engine!r}")
-    if params is None:
-        params = BistableParams() if engine == "bistable" else CoherenceParams()
-    arity = None
-    if isinstance(expected, str):
-        try:
-            arity, expected_fn = EXPECTED_FUNCTIONS[expected]
-        except KeyError:
-            raise ValueError(f"unknown logic function {expected!r}") from None
-    else:
-        expected_fn = expected
-    constants = constants or PhysicalConstants.paper()
+    try:
+        arity, expected_fn = EXPECTED_FUNCTIONS[expected]
+    except KeyError:
+        raise ValueError(f"unknown logic function {expected!r}") from None
     driver_ids = sorted(layout.ids[k] for k in np.flatnonzero(layout.role == INPUT))
     if not driver_ids:
         driver_ids = sorted(layout.ids[k] for k in np.flatnonzero(layout.role == FIXED))
     if not driver_ids:
         raise EngineError("layout has no drivable cell")
-    if arity not in (None, len(driver_ids)):
+    if arity != len(driver_ids):
         raise EngineError(
             f"function {expected!r} reads {arity} driver{'s' * (arity > 1)}, "
             f"layout {layout.name!r} has {len(driver_ids)}: {', '.join(driver_ids)}")
@@ -462,24 +484,14 @@ def truth_table_check(layout: Layout, engine: str,
     combos = list(itertools.product((0, 1), repeat=len(driver_ids)))
     drive_rows = [{cid: (1.0 if bit else -1.0) for cid, bit in zip(driver_ids, bits)}
                   for bits in combos]
-    if engine == "bistable":
-        out_pols = [bistable_relax(layout, kink, params, drives)[out_id]
-                    for drives in drive_rows]
-    else:
-        # only the final state is read: record the first and last steps
-        traces = simulate_coherence_batch(
-            layout, params, [(kink, params.temperature, d) for d in drive_rows],
-            constants, record_stride=params.n_steps)
-        out_pols = [trace.final[out_id] for trace in traces]
+    finals = final_polarizations(layout, params, [(kink, d) for d in drive_rows],
+                                 constants)
 
     rows = []
-    for bits, out_pol in zip(combos, out_pols):
-        magnitude = abs(out_pol)
-        want = expected_fn(bits)
-        if magnitude < INDETERMINATE_THRESHOLD:
-            rows.append(TruthTableRow(bits, want, None, magnitude, False))
-        else:
-            got = 1 if out_pol > 0 else 0
-            rows.append(TruthTableRow(bits, want, got, magnitude, got == want))
-    return TruthTableReport(layout_name=layout.name, engine=engine,
+    for bits, final in zip(combos, finals):
+        out_pol, want = final[out_id], expected_fn(bits)
+        # None: indeterminate, a failing row
+        got = None if abs(out_pol) < INDETERMINATE_THRESHOLD else int(out_pol > 0)
+        rows.append(TruthTableRow(bits, want, got, abs(out_pol), got == want))
+    return TruthTableReport(layout_name=layout.name, engine=params.engine,
                            driver_ids=tuple(driver_ids), rows=tuple(rows))

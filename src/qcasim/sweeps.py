@@ -1,7 +1,9 @@
 """Parameter sweeps and comparison against the shipped reference tables.
 
 Three experiments: output polarization versus temperature, output
-polarization versus output-cell gap, and kink energy versus gap. Results
+polarization versus output-cell gap, and kink energy versus gap. The
+temperature sweep runs the coherence engine as one batch; the gap sweep
+runs the engine its params pick (`engines.final_polarizations`). Results
 are deterministic rows (sorted by the swept value) that serialize to
 byte-stable CSV; reference tables are shipped as data files and compared
 by per-row difference and rank correlation.
@@ -22,8 +24,8 @@ import numpy as np
 from . import kernels
 from .constants import PhysicalConstants
 from .electrostatics import KinkMatrix, kink_matrix
-from .engines import (BistableParams, CoherenceParams, IntegrationError,
-                      bistable_relax, simulate_coherence_batch)
+from .engines import (BistableParams, CoherenceParams, EngineError,
+                      final_polarizations, simulate_coherence_batch)
 from .geometry import Layout, displace_cell, displacement_axis, previous_neighbor
 
 TABLE1_TEMPERATURES = (0.0, 1.0, 2.0, 3.0, 4.0, 5.0, 6.0, 7.0, 8.0, 9.0,
@@ -81,10 +83,21 @@ def params_snapshot(params: Union[BistableParams, CoherenceParams]) -> dict:
             getattr(params, f.name) for f in fields(params)}
 
 
-def _failed_point(exc: Exception) -> int:
-    """Index of the batch point an engine error belongs to (a failure that is
-    not an integration failure is common to all points: the first)."""
-    return exc.point if isinstance(exc, IntegrationError) else 0
+def _grid(values: Sequence[float], noun: str, positive: bool) -> list[float]:
+    """A sweep grid as a list: not empty, finite, strictly increasing, and
+    positive (or, if not `positive`, non-negative). `noun` names a value
+    in the SweepError messages."""
+    grid = list(values)
+    if not grid:
+        raise SweepError(f"{noun} grid is empty")
+    if not all(math.isfinite(v) for v in grid):
+        raise SweepError(f"{noun}s must be finite")
+    if any(v <= 0 if positive else v < 0 for v in grid):
+        raise SweepError(f"{noun}s must be "
+                         f"{'strictly positive' if positive else 'non-negative'}")
+    if any(b <= a for a, b in zip(grid, grid[1:])):
+        raise SweepError(f"{noun} grid must be strictly increasing")
+    return grid
 
 
 def sweep_temperature(layout: Layout, temperatures: Sequence[float],
@@ -92,15 +105,7 @@ def sweep_temperature(layout: Layout, temperatures: Sequence[float],
                       inputs: Optional[Mapping[str, float]] = None) -> SweepResult:
     """Coherence-engine |P| of the output cell at each temperature, all
     temperatures run as one batch."""
-    temps = list(temperatures)
-    if not temps:
-        raise SweepError("temperature grid is empty")
-    if not all(math.isfinite(t) for t in temps):
-        raise SweepError("temperatures must be finite")
-    if any(t < 0 for t in temps):
-        raise SweepError("temperatures must be non-negative")
-    if any(b <= a for a, b in zip(temps, temps[1:])):
-        raise SweepError("temperature grid must be strictly increasing")
+    temps = _grid(temperatures, "temperature", positive=False)
     out_id = layout.output_id()
     kink = kink_matrix(layout, params.radius_of_effect, constants)
     try:
@@ -108,16 +113,16 @@ def sweep_temperature(layout: Layout, temperatures: Sequence[float],
         traces = simulate_coherence_batch(
             layout, params, [(kink, T, inputs) for T in temps], constants,
             record_stride=params.n_steps)
-    except Exception as exc:
-        raise SweepError(f"at temperature {temps[_failed_point(exc)]} K: {exc}") from exc
+    except EngineError as exc:
+        raise SweepError(f"at temperature {temps[exc.point]} K: {exc}") from exc
     rows = [SweepRow(value=T, cell_id=out_id, polarization=abs(trace.final[out_id]))
             for T, trace in zip(temps, traces)]
     snapshot = params_snapshot(params)
     del snapshot["temperature_K"]  # swept
-    snapshot.update(layout=layout.name, engine="coherence",
+    snapshot.update(layout=layout.name, engine=params.engine,
                     constants=constants.mode)
     return SweepResult(variable="temperature", unit="K", rows=tuple(rows),
-                       layout_name=layout.name, engine="coherence",
+                       layout_name=layout.name, engine=params.engine,
                        snapshot=snapshot)
 
 
@@ -128,54 +133,41 @@ def _pair_energy(kink: KinkMatrix, cell_i: str, cell_j: str) -> float:
     return kink.energies[found[0]].item() if found.size else 0.0
 
 
-def sweep_gap(layout: Layout, output_id: str, gaps: Sequence[float], engine: str,
+def sweep_gap(layout: Layout, output_id: str, gaps: Sequence[float],
               params: Union[BistableParams, CoherenceParams],
               constants: PhysicalConstants,
               inputs: Optional[Mapping[str, float]] = None) -> SweepResult:
     """|P| of the displaced cell and its kink energy to its previous
-    neighbor, at each per-axis edge gap.
+    neighbor, at each per-axis edge gap, on the engine of `params`.
 
     The displacement direction is derived from the current geometry (an
     in-line cell slides along its line, a diagonal cell along the
-    diagonal), so the layout keeps its shape. The coherence engine runs
-    every gap's kink matrix as one batch; an error is reported at the
-    first gap, in grid order, that fails.
+    diagonal), so the layout keeps its shape. Every gap's kink matrix is
+    built first, then all run through `final_polarizations`; an error is
+    reported at the first gap, in grid order, that fails.
     """
-    gaps = list(gaps)
-    if not gaps:
-        raise SweepError("gap grid is empty")
-    if not all(math.isfinite(g) for g in gaps):
-        raise SweepError("gaps must be finite")
-    if any(g <= 0 for g in gaps):
-        raise SweepError("gaps must be strictly positive")
-    if any(b <= a for a, b in zip(gaps, gaps[1:])):
-        raise SweepError("gap grid must be strictly increasing")
-    if engine not in ("bistable", "coherence"):
-        raise SweepError(f"unknown engine {engine!r}")
+    gaps = _grid(gaps, "gap", positive=True)
     axis = displacement_axis(layout, output_id)
-    kinks, energies, pols = [], [], []
-    failure = None  # (gap, error) of the first gap that fails before the batch
+    kinks, energies = [], []
+    failure = None  # (gap, error) of the first gap whose kink matrix fails
     for gap in gaps:
         try:
             displaced = displace_cell(layout, output_id, gap, axis)
             kink = kink_matrix(displaced, params.radius_of_effect, constants)
-            if engine == "bistable":
-                pols.append(bistable_relax(displaced, kink, params, inputs)[output_id])
             prev = previous_neighbor(displaced, output_id)
             energies.append(_pair_energy(kink, output_id, prev))
         except Exception as exc:
             failure = (gap, exc)
             break
         kinks.append(kink)
-    if engine == "coherence":
-        # displacement keeps the cell order, roles and zones of `layout`
-        try:
-            traces = simulate_coherence_batch(
-                layout, params, [(kink, params.temperature, inputs) for kink in kinks],
-                constants, record_stride=params.n_steps)
-        except Exception as exc:
-            raise SweepError(f"at gap {gaps[_failed_point(exc)]} nm: {exc}") from exc
-        pols = [trace.final[output_id] for trace in traces]
+    # displacement keeps the cell order, roles and zones of `layout`; an
+    # engine error at a gap before the failing one comes first
+    try:
+        finals = final_polarizations(layout, params,
+                                     [(kink, inputs) for kink in kinks], constants)
+    except EngineError as exc:
+        raise SweepError(f"at gap {gaps[exc.point]} nm: {exc}") from exc
+    pols = [final[output_id] for final in finals]
     if failure is not None:
         gap, exc = failure
         raise SweepError(f"at gap {gap} nm: {exc}") from exc
@@ -183,10 +175,10 @@ def sweep_gap(layout: Layout, output_id: str, gaps: Sequence[float], engine: str
                      kink_energy=energy)
             for gap, pol, energy in zip(gaps, pols, energies)]
     snapshot = params_snapshot(params)
-    snapshot.update(layout=layout.name, engine=engine, constants=constants.mode,
-                    displaced_cell=output_id)
+    snapshot.update(layout=layout.name, engine=params.engine,
+                    constants=constants.mode, displaced_cell=output_id)
     return SweepResult(variable="gap", unit="nm", rows=tuple(rows),
-                       layout_name=layout.name, engine=engine, snapshot=snapshot)
+                       layout_name=layout.name, engine=params.engine, snapshot=snapshot)
 
 
 # --------------------------------------------------------------------------

@@ -81,7 +81,7 @@ def test_criterion_3_logic_contracts():
 
     majority = builtin_layout("majority")
     kink = kink_matrix(majority, 80.0, PAPER)
-    report = truth_table_check(majority, "bistable", None, "majority", kink, PAPER)
+    report = truth_table_check(majority, BistableParams(), "majority", kink, PAPER)
     assert len(report.rows) == 8 and report.all_passed
 
     for fixed_pol, function in ((-1.0, "and"), (1.0, "or")):
@@ -89,7 +89,7 @@ def test_criterion_3_logic_contracts():
                       if c.id == "c" else c for c in majority.cells)
         gate = Layout(name=function, cells=cells)
         gate_kink = kink_matrix(gate, 80.0, PAPER)
-        gate_report = truth_table_check(gate, "bistable", None, function,
+        gate_report = truth_table_check(gate, BistableParams(), function,
                                         gate_kink, PAPER)
         assert gate_report.all_passed, function
 
@@ -111,7 +111,7 @@ def test_criterion_4_temperature_trend():
 
 @reported(5, "gap sweep strictly decreasing with rank correlation +1 vs tables 2-3")
 def test_criterion_5_displacement_trends():
-    result = sweep_gap(builtin_layout("inv3"), "out", TABLE23_GAPS, "bistable",
+    result = sweep_gap(builtin_layout("inv3"), "out", TABLE23_GAPS,
                        BistableParams(), PAPER)
     pols = result.polarizations()
     kinks = [abs(e) for e in result.kink_energies()]

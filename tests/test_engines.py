@@ -1,6 +1,6 @@
 import math
 import re
-from dataclasses import replace
+from dataclasses import fields, replace
 
 import numpy as np
 import pytest
@@ -10,7 +10,8 @@ from qcasim.constants import PhysicalConstants
 from qcasim.electrostatics import kink_matrix
 from qcasim.engines import (BistableParams, CoherenceParams, ConvergenceError,
                             EngineError, IntegrationError, MAX_STEPS,
-                            bistable_relax, local_field, resolve_drives,
+                            bistable_relax, final_polarizations, local_field,
+                            resolve_drives,
                             simulate_coherence, simulate_coherence_batch,
                             steady_state_polarization, truth_table_check)
 from qcasim.geometry import Layout, builtin_layout
@@ -436,12 +437,66 @@ class TestSimulateCoherenceBatch:
             simulate_coherence_batch(layout, FAST, points, constants)
         assert info.value.point == 1
 
+    def test_bad_drive_value_is_reported_at_its_point(self, constants):
+        layout = builtin_layout("majority")
+        kink = kink_matrix(layout, RADIUS, constants)
+        drives = {"a": 1.0, "b": -1.0, "c": 1.0}
+        points = [(kink, 1.0, drives), (kink, 1.0, drives),
+                  (kink, 1.0, {**drives, "c": 2.0})]
+        with pytest.raises(EngineError, match=re.escape(
+                "drive value of cell 'c' must be in [-1, 1], got 2.0")) as info:
+            simulate_coherence_batch(layout, FAST, points, constants)
+        assert info.value.point == 2
+
+
+class TestFinalPolarizations:
+    def test_params_name_their_engine_outside_the_fields(self):
+        assert (BistableParams.engine, CoherenceParams.engine) == ("bistable", "coherence")
+        for cls in (BistableParams, CoherenceParams):
+            assert "engine" not in {f.name for f in fields(cls)}
+
+    def test_each_engine_gives_its_own_runs(self, constants):
+        layout = builtin_layout("majority")
+        kink = kink_matrix(layout, RADIUS, constants)
+        rows = [{"a": 1.0, "b": -1.0, "c": c} for c in (1.0, -1.0)]
+        points = [(kink, drives) for drives in rows]
+        bistable = BistableParams()
+        assert final_polarizations(layout, bistable, points) == [
+            bistable_relax(layout, kink, bistable, drives) for drives in rows]
+        assert final_polarizations(layout, FAST, points, constants) == [
+            simulate_coherence(layout, kink, FAST, drives, constants).final
+            for drives in rows]
+
+    def test_bistable_error_names_its_point(self, constants):
+        layout = builtin_layout("inv3")
+        kink = kink_matrix(layout, RADIUS, constants)
+        zero = kink_matrix_from_pairs({key: 0.0 for key in kink.pairs}, RADIUS)
+        with pytest.raises(ConvergenceError, match="did not converge") as info:
+            final_polarizations(layout, BistableParams(max_iterations=1),
+                                [(zero, None), (kink, None)])
+        assert info.value.point == 1
+
+    def test_coherence_error_names_its_point(self, constants):
+        layout = builtin_layout("inv3")
+        kink = kink_matrix(layout, RADIUS, constants)
+        strong = kink_matrix_from_pairs(
+            {key: 3e3 * e for key, e in kink.pairs.items()}, RADIUS)
+        with pytest.raises(IntegrationError) as info:
+            final_polarizations(layout, FAST, [(kink, None), (strong, None)],
+                                constants)
+        assert info.value.point == 1
+
+    @pytest.mark.parametrize("params", [None, object(), "bistable"])
+    def test_params_of_no_engine(self, params):
+        with pytest.raises(TypeError, match="no engine takes params of type"):
+            final_polarizations(builtin_layout("inv2"), params, [])
+
 
 class TestTruthTable:
     def test_inv2_inverter(self, constants):
         layout = builtin_layout("inv2")
         kink = kink_matrix(layout, RADIUS, constants)
-        report = truth_table_check(layout, "bistable", None, "inverter", kink,
+        report = truth_table_check(layout, BistableParams(), "inverter", kink,
                                    constants)
         assert report.all_passed
         assert len(report.rows) == 2
@@ -449,7 +504,7 @@ class TestTruthTable:
     def test_majority_eight_rows(self, constants):
         layout = builtin_layout("majority")
         kink = kink_matrix(layout, RADIUS, constants)
-        report = truth_table_check(layout, "bistable", None, "majority", kink,
+        report = truth_table_check(layout, BistableParams(), "majority", kink,
                                    constants)
         assert len(report.rows) == 8
         assert report.all_passed
@@ -460,7 +515,7 @@ class TestTruthTable:
                       if c.id == "c" else c for c in layout.cells)
         and_layout = Layout(name="and", cells=cells)
         kink = kink_matrix(and_layout, RADIUS, constants)
-        report = truth_table_check(and_layout, "bistable", None, "and", kink,
+        report = truth_table_check(and_layout, BistableParams(), "and", kink,
                                    constants)
         assert report.driver_ids == ("a", "b")
         assert report.all_passed
@@ -471,22 +526,20 @@ class TestTruthTable:
                       if c.id == "c" else c for c in layout.cells)
         or_layout = Layout(name="or", cells=cells)
         kink = kink_matrix(or_layout, RADIUS, constants)
-        report = truth_table_check(or_layout, "bistable", None, "or", kink,
+        report = truth_table_check(or_layout, BistableParams(), "or", kink,
                                    constants)
         assert report.all_passed
 
     def test_inverter_under_coherence(self, constants):
         layout = builtin_layout("inv2")
         kink = kink_matrix(layout, RADIUS, constants)
-        report = truth_table_check(layout, "coherence", FAST, "inverter", kink,
-                                   constants)
+        report = truth_table_check(layout, FAST, "inverter", kink, constants)
         assert report.all_passed
 
     def test_coherence_rows_match_single_runs(self, constants):
         layout = builtin_layout("majority")
         kink = kink_matrix(layout, RADIUS, constants)
-        report = truth_table_check(layout, "coherence", FAST, "majority", kink,
-                                   constants)
+        report = truth_table_check(layout, FAST, "majority", kink, constants)
         assert len(report.rows) == 8
         for row in report.rows:
             drives = {cid: (1.0 if bit else -1.0)
@@ -497,7 +550,7 @@ class TestTruthTable:
     def test_wrong_function_fails(self, constants):
         layout = builtin_layout("inv2")
         kink = kink_matrix(layout, RADIUS, constants)
-        report = truth_table_check(layout, "bistable", None, "buffer", kink,
+        report = truth_table_check(layout, BistableParams(), "buffer", kink,
                                    constants)
         assert not report.all_passed
 
@@ -507,12 +560,5 @@ class TestTruthTable:
         kink = kink_matrix(layout, RADIUS, constants)
         with pytest.raises(EngineError, match=re.escape(
                 "function 'and' reads 2 drivers, layout 'majority' has 3: a, b, c")):
-            truth_table_check(layout, engine, FAST if engine == "coherence" else None,
+            truth_table_check(layout, FAST if engine == "coherence" else BistableParams(),
                               "and", kink, constants)
-
-    def test_callable_is_not_checked(self, constants):
-        layout = builtin_layout("majority")
-        kink = kink_matrix(layout, RADIUS, constants)
-        report = truth_table_check(layout, "bistable", None, lambda bits: bits[0],
-                                   kink, constants)
-        assert len(report.rows) == 8

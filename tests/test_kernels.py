@@ -3,6 +3,7 @@ import itertools
 import json
 import math
 import os
+import random
 import shlex
 import shutil
 import subprocess
@@ -16,6 +17,8 @@ from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from qcasim import kernels
 from qcasim.constants import PhysicalConstants
@@ -509,6 +512,60 @@ class TestSweepParity:
         params = BistableParams(convergence_tolerance=abs(first[1]))
         assert assert_sweeps_identical(
             sweep_problem(builtin_layout("inv2"), params))[:3] == (True, 2, -1)
+
+
+# Kink energies that are not a multiple of two_gamma: signed zeros,
+# subnormals, and values whose square, or whose field over two_gamma,
+# overflows
+SPECIAL_ENERGIES = (0.0, -0.0, 5e-324, -5e-324, 1e-310, 2.2250738585072014e-308,
+                    1.5e154, -1e200, 1e300, -1.7e308)
+# Starting polarizations that repeat, so that free cells tie for the
+# largest change, among them the 0.0 of a free cell in bistable_relax
+SPECIAL_POLS = (0.0, -0.0, 0.5, -0.5, 1.0, -1.0)
+
+
+@st.composite
+def sweep_problems(draw):
+    """Arguments of one bistable sweep over a random neighbor list of n
+    cells: each row a subset of the cells in ascending column, the free
+    positions a subset in any order. The bulk is drawn from a Random
+    seeded by hypothesis, which keeps each example cheap."""
+    n = draw(st.integers(1, 12))
+    two_gamma = draw(st.one_of(
+        st.floats(1e-30, 1e-18), st.sampled_from((5e-324, 1e-300, 1.0, 1e300))))
+    tolerance = draw(st.one_of(st.floats(1e-12, 1.0),
+                               st.sampled_from((5e-324, 1e-300, 0.5, 2.0))))
+    max_iterations = draw(st.integers(1, 30))
+    rnd = random.Random(draw(st.integers(0, 2**64 - 1)))
+    density = rnd.random()
+    offsets, cols, energies = [0], [], []
+    for _ in range(n):
+        row = [j for j in range(n) if rnd.random() < density]
+        cols += row
+        offsets.append(len(cols))
+        energies += [rnd.choice(SPECIAL_ENERGIES) if rnd.random() < 0.2
+                     else rnd.uniform(-40.0, 40.0) * two_gamma for _ in row]
+    pols = [rnd.choice(SPECIAL_POLS) if rnd.random() < 0.5 else rnd.uniform(-1.0, 1.0)
+            for _ in range(n)]
+    free = rnd.sample(range(n), rnd.randint(0, n))
+    return (np.array(energies, dtype=np.float64), np.array(offsets, dtype=np.int64),
+            np.array(cols, dtype=np.int64), np.array(pols), np.array(free, dtype=np.int64),
+            two_gamma, tolerance, max_iterations)
+
+
+class TestSweepDifferential:
+    """The C sweep kernel against the loop kernel on generated problems."""
+
+    @needs_cc
+    @settings(max_examples=500, deadline=None, derandomize=True)
+    @given(sweep_problems())
+    def test_random_neighbor_lists(self, problem):
+        args = lambda: tuple(a.copy() if isinstance(a, np.ndarray) else a
+                             for a in problem)
+        loop = sweep(kernels.bistable_sweep_loop, args)
+        got = sweep(kernels.bistable_sweep_c, args)
+        assert got[:3] == loop[:3]
+        assert_same_bits(got[3], loop[3])
 
 
 @pytest.fixture

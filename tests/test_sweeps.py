@@ -104,7 +104,7 @@ class TestSweepTemperature:
 class TestSweepGap:
     def test_bistable_row_shape(self, constants):
         result = sweep_gap(builtin_layout("inv3"), "out", (1.0, 2.0, 3.0),
-                           "bistable", BistableParams(), constants)
+                           BistableParams(), constants)
         assert result.variable == "gap"
         assert [r.value for r in result.rows] == [1.0, 2.0, 3.0]
         assert all(r.kink_energy is not None for r in result.rows)
@@ -112,7 +112,7 @@ class TestSweepGap:
     def test_singleton_matches_direct_run(self, constants):
         layout = builtin_layout("inv3")
         params = BistableParams()
-        result = sweep_gap(layout, "out", (1.5,), "bistable", params, constants)
+        result = sweep_gap(layout, "out", (1.5,), params, constants)
         displaced = displace_cell(layout, "out", 1.5,
                                   displacement_axis(layout, "out"))
         kink = kink_matrix(displaced, params.radius_of_effect, constants)
@@ -133,14 +133,14 @@ class TestSweepGap:
 
     def test_kink_energy_recomputed_per_gap(self, constants):
         result = sweep_gap(builtin_layout("inv3"), "out", (1.0, 2.0),
-                           "bistable", BistableParams(), constants)
+                           BistableParams(), constants)
         e1, e2 = (r.kink_energy for r in result.rows)
         assert abs(e1) > abs(e2)
 
     def test_coherence_points_match_direct_runs(self, constants):
         layout = builtin_layout("inv3")
         gaps = (1.0, 2.0, 3.0)
-        result = sweep_gap(layout, "out", gaps, "coherence", FAST, constants)
+        result = sweep_gap(layout, "out", gaps, FAST, constants)
         axis = displacement_axis(layout, "out")
         for gap, row in zip(gaps, result.rows):
             displaced = displace_cell(layout, "out", gap, axis)
@@ -151,23 +151,22 @@ class TestSweepGap:
 
     def test_non_finite_gap(self, constants):
         with pytest.raises(SweepError, match="finite"):
-            sweep_gap(builtin_layout("inv2"), "out", (1.0, math.nan), "bistable",
+            sweep_gap(builtin_layout("inv2"), "out", (1.0, math.nan),
                       BistableParams(), constants)
 
     def test_coherence_engine(self, constants):
-        result = sweep_gap(builtin_layout("inv2"), "out", (2.0,),
-                           "coherence", FAST, constants)
+        result = sweep_gap(builtin_layout("inv2"), "out", (2.0,), FAST, constants)
         assert result.engine == "coherence"
         assert 0.0 < result.rows[0].polarization < 1.0
 
-    def test_bad_engine(self, constants):
-        with pytest.raises(SweepError, match="engine"):
-            sweep_gap(builtin_layout("inv2"), "out", (1.0,), "magic",
-                      BistableParams(), constants)
+    @pytest.mark.parametrize("params", [None, object()])
+    def test_params_of_no_engine(self, constants, params):
+        with pytest.raises(TypeError, match="no engine takes params"):
+            sweep_gap(builtin_layout("inv2"), "out", (1.0,), params, constants)
 
     def test_non_positive_gap(self, constants):
         with pytest.raises(SweepError, match="positive"):
-            sweep_gap(builtin_layout("inv2"), "out", (0.0, 1.0), "bistable",
+            sweep_gap(builtin_layout("inv2"), "out", (0.0, 1.0),
                       BistableParams(), constants)
 
     def test_error_names_offending_gap(self, constants):
@@ -176,8 +175,7 @@ class TestSweepGap:
         # which is fine; instead force a failure with a tiny iteration cap
         params = BistableParams(max_iterations=1)
         with pytest.raises(SweepError, match="at gap 0.5 nm"):
-            sweep_gap(builtin_layout("inv3"), "out", (0.5,), "bistable",
-                      params, constants)
+            sweep_gap(builtin_layout("inv3"), "out", (0.5,), params, constants)
 
 
 class TestReferenceTables:
@@ -237,7 +235,7 @@ class TestRankCorrelation:
 class TestCompareToReference:
     def test_self_comparison_is_exact(self, constants):
         result = sweep_gap(builtin_layout("inv3"), "out", TABLE23_GAPS,
-                           "bistable", BistableParams(), constants)
+                           BistableParams(), constants)
         fake = load_reference_table("table2")
         report = compare_to_reference(result, fake, "inv3_P")
         assert [r.value for r in report.rows] == list(TABLE23_GAPS)
@@ -246,7 +244,7 @@ class TestCompareToReference:
 
     def test_kink_column_uses_magnitudes(self, constants):
         result = sweep_gap(builtin_layout("inv3"), "out", TABLE23_GAPS,
-                           "bistable", BistableParams(), constants)
+                           BistableParams(), constants)
         report = compare_to_reference(result, load_reference_table("table3"),
                                       "inv3_Ek_J")
         for row, sweep_row in zip(report.rows, result.rows):
@@ -254,7 +252,7 @@ class TestCompareToReference:
 
     def test_grid_mismatch_rejected(self, constants):
         result = sweep_gap(builtin_layout("inv3"), "out", (1.0, 2.0),
-                           "bistable", BistableParams(), constants)
+                           BistableParams(), constants)
         with pytest.raises(SweepError, match="does not match"):
             compare_to_reference(result, load_reference_table("table2"), "inv3_P")
 
@@ -274,7 +272,7 @@ class TestEmitCsv:
         assert data[1].startswith("1.00000e+00,out,")
 
     def test_gap_header(self, constants):
-        result = sweep_gap(builtin_layout("inv3"), "out", (1.0,), "bistable",
+        result = sweep_gap(builtin_layout("inv3"), "out", (1.0,),
                            BistableParams(), constants)
         buffer = io.StringIO()
         emit_csv(result, buffer)
@@ -287,7 +285,7 @@ class TestEmitCsv:
         assert not math.isnan(float(fields[3]))
 
     def test_integer_grid_prints_as_floats(self, constants):
-        result = sweep_gap(builtin_layout("inv3"), "out", (1, 2), "bistable",
+        result = sweep_gap(builtin_layout("inv3"), "out", (1, 2),
                            BistableParams(), constants)
         buffer = io.StringIO()
         emit_csv(result, buffer)
@@ -299,7 +297,7 @@ class TestEmitCsv:
     def test_byte_identical_across_runs(self, constants):
         def render():
             result = sweep_gap(builtin_layout("inv3"), "out", TABLE23_GAPS,
-                               "bistable", BistableParams(), constants)
+                               BistableParams(), constants)
             buffer = io.StringIO()
             emit_csv(result, buffer)
             return buffer.getvalue()
