@@ -6,8 +6,8 @@ Times these stages on layouts of growing size:
 * parse: `parse_layout` of the layout's `serialize_layout` text, what
   the CLI does with a `.qcl` file;
 * kink: `kink_matrix` at the default 80 nm radius of effect;
-* emit: `write_csv` of the matrix's id and energy columns into memory,
-  what the `kink` command does after `kink_matrix`;
+* emit: `write_csv` of the matrix's pairs into memory, its ids indexed
+  by the pair arrays, what the `kink` command does after `kink_matrix`;
 * bistable: `bistable_relax` on the sweep kernel that
   `kernels.kernel_path()` names (printed first);
 * bistable_loop: the same with the loop sweep kernel, the one that runs
@@ -35,7 +35,7 @@ from qcasim.electrostatics import kink_matrix
 from qcasim.engines import BistableParams, bistable_relax
 from qcasim.geometry import (Cell, Layout, builtin_layout, parse_layout,
                              serialize_layout)
-from qcasim.sweeps import write_csv
+from qcasim.sweeps import IndexedColumn, write_csv
 
 WIRES = (100, 200, 400)
 GRID_SIDES = (10, 32, 70, 100)
@@ -80,7 +80,8 @@ def emit(kink):
     out = io.StringIO()
     write_csv(out, {"radius_of_effect_nm": kink.radius_of_effect},
               ("cell_i", "cell_j", "kink_energy_J"),
-              [*kink.pair_ids(), kink.energies])
+              [IndexedColumn(kink.ids, kink.first),
+               IndexedColumn(kink.ids, kink.second), kink.energies])
     return out
 
 

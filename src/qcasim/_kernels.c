@@ -1,4 +1,4 @@
-/* The compiled kernels of qcasim, one library with three entry points:
+/* The compiled kernels of qcasim, one library with four entry points:
  *
  * qcasim_coherence_euler, the batched coherence-vector Euler integrator,
  * a transcription of qcasim.kernels.coherence_euler_loop: the points of a
@@ -13,6 +13,9 @@
  * written only where its rounding is proven correct; every other value is
  * handed back, to be formatted by Python's '%' (see its comment for the
  * proof). Its bytes are those of the loop path's '%' throughout.
+ *
+ * qcasim_write_rows, the rows of a block of CSV fields gathered from a
+ * text table, a transcription of qcasim.kernels.write_rows_loop.
  *
  * In the two engine kernels, every floating-point operation is the loop
  * kernel's, in its order, so the results are bit-identical to it (the
@@ -332,12 +335,14 @@ static double scale_by_power_of_ten(double a, int64_t k)
     return a / powers[k];
 }
 
-/* Write the "%.5e" text of values[0..n) into text, each followed by '\n',
- * and set *text_length to the bytes used (at most 14 per value). A value
- * whose rounding this cannot prove gets an empty line: its index goes to
- * rejected, in ascending order, and the return value is their count.
+/* Write the "%.5e" text of values[0..n) into text, back to back, and
+ * set ends[i] to the offset in text just past the text of values[i] (at
+ * most 13 bytes per value). A value whose rounding this cannot prove gets
+ * an empty text: its index goes to rejected, in ascending order, and the
+ * return value is their count.
  *
- * The proof. For a = |v| in [1e-38, 1e38] and the decimal exponent e10,
+ * The proof. +-0 is exact: "0.00000e+00", with its sign. For a = |v| in
+ * [1e-38, 1e38] and the decimal exponent e10,
  * the mantissa digits are the integer nearest to S = a * 10^(5 - e10),
  * which lies in [1e5, 1e6); e10 starts at floor(log10(a)) and steps by
  * one while the computed s falls outside [1e5, 1e6), up to 3 tries.
@@ -350,12 +355,12 @@ static double scale_by_power_of_ten(double a, int64_t k)
  * e10 + 1. Near that carry, and near 1e5, s and S may fall on different
  * sides of a power of ten, but both round to the same text. Everything
  * else is rejected: exact ties and near-ties (Python's '%' rounds a tie
- * half to even), +-0, subnormals, values outside the range, inf and NaN.
+ * half to even), subnormals, values outside the range, inf and NaN.
  * The margin test and the rounding compare s with exact values only:
  * s - floor(s) is exact. Build without -ffast-math, which would void the
  * error bound. */
 int64_t qcasim_format_sci(int64_t n, const double *values, char *text,
-                          int64_t *text_length, int64_t *rejected)
+                          int64_t *ends, int64_t *rejected)
 {
     int64_t n_rejected = 0;
     char *p = text;
@@ -363,6 +368,14 @@ int64_t qcasim_format_sci(int64_t n, const double *values, char *text,
         double a = fabs(values[i]);
         double s = 0.0;
         int64_t e10 = 0;
+        if (a == 0.0) {
+            if (signbit(values[i]))
+                *p++ = '-';
+            memcpy(p, "0.00000e+00", 11);
+            p += 11;
+            ends[i] = p - text;
+            continue;
+        }
         if (a >= 1e-38 && a <= 1e38) { /* false for NaN */
             e10 = (int64_t)floor(log10(a));
             /* the bounds on e10 keep |5 - e10| <= 44 whatever log10 gives */
@@ -380,7 +393,7 @@ int64_t qcasim_format_sci(int64_t n, const double *values, char *text,
         double fraction = s - whole;
         if (!(s >= 1e5 && s < 1e6) || fabs(fraction - 0.5) < 1e-7) {
             rejected[n_rejected++] = i;
-            *p++ = '\n';
+            ends[i] = p - text;
             continue;
         }
         int64_t r = (int64_t)whole + (fraction > 0.5);
@@ -403,8 +416,28 @@ int64_t qcasim_format_sci(int64_t n, const double *values, char *text,
         }
         *p++ = (char)('0' + m / 10);
         *p++ = (char)('0' + m % 10);
-        *p++ = '\n';
+        ends[i] = p - text;
     }
-    *text_length = p - text;
     return n_rejected;
+}
+
+/* Write n_rows rows of n_cols fields into out and return the bytes
+ * written: field (r, c) is entry indices[c * n_rows + r] of the text
+ * table, entry k being the bytes data[offsets[k]:offsets[k + 1]]. Every
+ * field but the last of a row ends in ',', the last in '\n'. out must
+ * hold the entries' bytes plus one byte per field. */
+int64_t qcasim_write_rows(int64_t n_rows, int64_t n_cols, const char *data,
+                          const int64_t *offsets, const int64_t *indices,
+                          char *out)
+{
+    char *p = out;
+    for (int64_t r = 0; r < n_rows; r++)
+        for (int64_t c = 0; c < n_cols; c++) {
+            int64_t k = indices[c * n_rows + r];
+            int64_t length = offsets[k + 1] - offsets[k];
+            memcpy(p, data + offsets[k], (size_t)length);
+            p += length;
+            *p++ = c + 1 < n_cols ? ',' : '\n';
+        }
+    return p - out;
 }

@@ -25,8 +25,8 @@ from .engines import (EXPECTED_FUNCTIONS, BistableParams, CoherenceParams,
                       EngineError, bistable_relax, simulate_coherence,
                       truth_table_check)
 from .geometry import BUILTIN_NAMES, Layout, builtin_layout, parse_layout
-from .sweeps import (TABLE1_TEMPERATURES, TABLE23_GAPS, emit_csv, params_snapshot,
-                     sci, sweep_gap, sweep_temperature, write_csv)
+from .sweeps import (TABLE1_TEMPERATURES, TABLE23_GAPS, IndexedColumn, emit_csv,
+                     params_snapshot, sci, sweep_gap, sweep_temperature, write_csv)
 
 # The physical flags: params field -> (flag, help text). The flag's
 # default, and the unit its help names, are the field's; --radius sets
@@ -183,7 +183,8 @@ def _cmd_kink(args: argparse.Namespace, out: TextIO) -> int:
     write_csv(out, {"layout": layout.name, "constants": constants.mode,
                     "radius_of_effect_nm": args.radius_of_effect},
               ("cell_i", "cell_j", "kink_energy_J"),
-              [*matrix.pair_ids(), matrix.energies])
+              [IndexedColumn(matrix.ids, matrix.first),
+               IndexedColumn(matrix.ids, matrix.second), matrix.energies])
     return 0
 
 

@@ -1,5 +1,6 @@
 """Hot numeric kernels: the coherence-vector integrator and the bistable
-Gauss-Seidel sweep of the two engines, and the CSV number formatter.
+Gauss-Seidel sweep of the two engines, the CSV number formatter and the
+CSV row writer.
 
 The integrator entry point ``coherence_euler`` is batched: B points that
 share the cell order, clock zones, driven cells, time grid and clock
@@ -19,7 +20,16 @@ the tolerance.
 
 The formatter entry point ``format_sci`` writes the "%.5e" text of each
 value of a float64 array (six significant digits, ``sweeps.sci``), with
-the bytes of Python's `%`.
+the bytes of Python's `%`, as a text table: ``(data, offsets)``, entry k
+being the UTF-8 bytes ``data[offsets[k]:offsets[k + 1]]`` (``text_table``
+builds one from strings, ``table_texts`` reads one back).
+
+The row writer entry point ``write_rows`` writes a block of CSV rows from
+one text table: field (r, c) is entry ``indices[c, r]``, every field ends
+in "," and the last of a row in LF. In C (``qcasim_write_rows``) it
+gathers the rows into one byte buffer; it returns the block's text,
+decoded from UTF-8 once. ``sweeps.write_csv`` makes one call per block of
+rows.
 
 The two engine kernels read the coupling as a neighbor list: with
 ``k = slice(offsets[i], offsets[i + 1])``, the neighbors of cell i are
@@ -32,8 +42,8 @@ summed over its row only.
 Each entry point has two kernels that give bit-identical results, so the
 output never depends on which one ran:
 
-* ``c``: ``coherence_euler_c``, ``bistable_sweep_c`` and
-  ``format_sci_c``: three entry points of one library, built from
+* ``c``: ``coherence_euler_c``, ``bistable_sweep_c``, ``format_sci_c``
+  and ``write_rows_c``: four entry points of one library, built from
   ``_kernels.c`` (shipped with the package) and loaded through
   ``ctypes``. The first kernel call in a process compiles it with ``$CC``
   (default ``cc``) into ``${XDG_CACHE_HOME:-~/.cache}/qcasim/``, or,
@@ -43,14 +53,15 @@ output never depends on which one ran:
   The library name carries a CRC-32 of the source, the flags and the
   ``$CC`` argv.
 * ``loop``: ``coherence_euler_loop`` and ``bistable_sweep_loop``, the
-  engine kernels over Python lists, and ``format_sci_loop``, Python's
-  `%`: the references the C kernels are tested against, and the kernels
-  that run where no compiler works (``CC=/nonexistent``, say).
+  engine kernels over Python lists, ``format_sci_loop``, Python's `%`,
+  and ``write_rows_loop``, ``",".join`` over the table's texts: the
+  references the C kernels are tested against, and the kernels that run
+  where no compiler works (``CC=/nonexistent``, say).
 
 ``kernel_path`` names the path that ``coherence_euler``,
-``bistable_sweep`` and ``format_sci`` run: "c" whenever the library
-loads, else "loop". ``format_sci`` loads it too, so ``kink``, which
-runs no engine, loads it to print its energies.
+``bistable_sweep``, ``format_sci`` and ``write_rows`` run: "c" whenever
+the library loads, else "loop". ``format_sci`` and ``write_rows`` load it
+too, so ``kink``, which runs no engine, loads it to print its rows.
 
 In the engine kernels every ``+``, ``*``, ``/`` and ``sqrt`` is the same
 IEEE operation in the same order in both, and ``cos`` and ``tanh`` are
@@ -61,8 +72,10 @@ assumes correctly rounded operations. The header of ``_kernels.c``
 explains how the C integrator reuses steady states and splits a batch
 over threads, and why the C formatter's texts are those of `%`.
 ``tests/test_kernels.py`` compares each C kernel with its loop kernel, bit
-for bit; ``benchmarks/bench_coherence.py`` times the coherence kernels and
-``benchmarks/bench_coupling.py`` the bistable relaxation.
+for bit, and ``tests/test_sweeps.py`` the row writers on drawn tables;
+``benchmarks/bench_coherence.py`` times the coherence kernels and
+``benchmarks/bench_coupling.py`` the bistable relaxation and the ``kink``
+output, which ``write_rows`` gathers.
 
 The C integrator splits a batch over the usable cores (see
 ``coherence_euler_c``); its results are those of one call, bit for bit,
@@ -77,11 +90,13 @@ returns the indices of the others; ``format_sci`` fills those in with
 from __future__ import annotations
 
 import functools
+import itertools
 import math
 import os
 import threading
 import zlib
 from pathlib import Path
+from typing import Sequence
 
 import numpy as np
 
@@ -97,7 +112,7 @@ UNIT_BALL_LIMIT_SQ = (1.0 + 1e-6) ** 2
 # The CSV number format, scientific notation with six significant digits
 # (`sweeps.sci`); qcasim_format_sci writes it too.
 SCI_FORMAT = "%.5e"
-_SCI_WIDTH = 14  # the most bytes qcasim_format_sci writes per value
+_SCI_WIDTH = 13  # the most bytes qcasim_format_sci writes per value
 
 
 def clock_value(t: float, zone: int, periods: float, total_time: float,
@@ -329,7 +344,7 @@ def _compile(cc: list, target: Path) -> bool:
 
 
 def _bind(path: Path):
-    """The library at `path`, its three entry points typed."""
+    """The library at `path`, its four entry points typed."""
     import ctypes
     library = ctypes.CDLL(str(path))
     i64, f64, ptr = ctypes.c_int64, ctypes.c_double, ctypes.c_void_p
@@ -343,6 +358,9 @@ def _bind(path: Path):
     text = library.qcasim_format_sci
     text.argtypes = [i64] + [ptr] * 4
     text.restype = i64
+    rows = library.qcasim_write_rows
+    rows.argtypes = [i64, i64] + [ptr] * 4
+    rows.restype = i64
     return library
 
 
@@ -532,46 +550,116 @@ def bistable_sweep_c(energies, offsets, cols, pols, free, two_gamma,
     return bool(converged), int(sweeps[0]), int(worst[0])
 
 
+def text_table(texts: Sequence[str]) -> tuple[np.ndarray, np.ndarray]:
+    """The text table of `texts`, each a `str`: (data, offsets), entry k
+    being the UTF-8 bytes data[offsets[k]:offsets[k + 1]] of texts[k]. A
+    lone surrogate passes as its own three bytes, so every str reads back
+    as itself."""
+    joined = "".join(texts)
+    data = joined.encode("utf-8", "surrogatepass")
+    if len(data) == len(joined):  # ASCII: a byte per character
+        lengths = map(len, texts)
+    else:
+        lengths = (len(text.encode("utf-8", "surrogatepass")) for text in texts)
+    offsets = np.fromiter(itertools.accumulate(lengths, initial=0), np.int64,
+                          len(texts) + 1)
+    return np.frombuffer(data, dtype=np.uint8), offsets
+
+
+def table_texts(table) -> list[str]:
+    """The texts of a text table, entry by entry."""
+    data, offsets = table
+    raw = data.tobytes()
+    bounds = offsets.tolist()
+    return [str(raw[a:b], "utf-8", "surrogatepass")
+            for a, b in zip(bounds, bounds[1:])]
+
+
 def format_sci_loop(values) -> list[str]:
     """The "%.5e" text of each value of a float64 array: Python's `%`,
     the reference the C formatter is tested against."""
     return [SCI_FORMAT % value for value in values.tolist()]
 
 
-def format_sci_c(values) -> tuple[list[str], np.ndarray]:
+def format_sci_c(values) -> tuple[tuple[np.ndarray, np.ndarray], np.ndarray]:
     """The "%.5e" texts of a C-contiguous float64 array (n,) as far as the
-    C formatter can certify them: returns (texts, rejected), with "" at
-    each index in `rejected` (int64, ascending), the values it left out."""
+    C formatter can certify them: returns (text table, rejected), with an
+    empty entry at each index in `rejected` (int64, ascending), the values
+    it left out."""
     library = _library()
     if library is None:
         raise RuntimeError("the compiled kernels are not available")
     n = np.size(values)
     _check("values", values, np.float64, (n,))
     text = np.empty(_SCI_WIDTH * n, dtype=np.uint8)
-    length = np.zeros(1, dtype=np.int64)
+    offsets = np.zeros(n + 1, dtype=np.int64)
     rejected = np.empty(n, dtype=np.int64)
     count = library.qcasim_format_sci(n, values.ctypes.data, text.ctypes.data,
-                                      length.ctypes.data, rejected.ctypes.data)
-    texts = str(text[:length[0]], "ascii").split("\n")
-    texts.pop()  # what follows the last LF
-    return texts, rejected[:count]
+                                      offsets[1:].ctypes.data, rejected.ctypes.data)
+    return (text[:offsets[-1]], offsets), rejected[:count]
 
 
-def format_sci(values) -> list[str]:
-    """The "%.5e" text of each value of a C-contiguous float64 array, as
-    Python's `%` writes it: in C where the library loads and the rounding
-    is certified, by `%` otherwise."""
+def format_sci(values) -> tuple[np.ndarray, np.ndarray]:
+    """The text table of the "%.5e" texts of a C-contiguous float64 array,
+    as Python's `%` writes them: in C where the library loads and the
+    rounding is certified, by `%` otherwise."""
     if _library() is None:
-        return format_sci_loop(values)
-    texts, rejected = format_sci_c(values)
-    for i, text in zip(rejected.tolist(), format_sci_loop(values[rejected])):
-        texts[i] = text
-    return texts
+        return text_table(format_sci_loop(values))
+    (data, offsets), rejected = format_sci_c(values)
+    if not rejected.size:
+        return data, offsets
+    # each fallback's bytes go where its empty entry starts
+    extra, extra_offsets = text_table(format_sci_loop(values[rejected]))
+    lengths = np.diff(offsets)
+    lengths[rejected] = np.diff(extra_offsets)
+    data = np.insert(data, np.repeat(offsets[rejected], lengths[rejected]), extra)
+    return data, np.concatenate(([0], np.cumsum(lengths)))
+
+
+def write_rows_loop(table, indices) -> str:
+    """The text of a block of CSV rows: field (r, c) is entry
+    indices[c, r] of the text table `table` (indices (columns, rows)),
+    every field ends in "," and the last of a row in LF. ``",".join``
+    over the table's texts: the reference the C row writer is tested
+    against."""
+    texts = table_texts(table)
+    block = [[texts[k] for k in column] for column in indices.tolist()]
+    return "".join(f"{row}\n" for row in map(",".join, zip(*block)))
+
+
+def write_rows_c(table, indices) -> str:
+    """The row writer in C, with the arguments and result of
+    ``write_rows_loop``: gathers the rows into one byte buffer, decoded
+    once. The table and the indices are checked for dtype, C-contiguity,
+    shape and range before their pointers are passed."""
+    library = _library()
+    if library is None:
+        raise RuntimeError("the compiled kernels are not available")
+    data, offsets = table
+    _check("data", data, np.uint8, (np.size(data),))
+    n_entries = np.size(offsets) - 1
+    _check("offsets", offsets, np.int64, (n_entries + 1,))
+    lengths = np.diff(offsets)
+    if n_entries < 0 or offsets[0] != 0 or (lengths < 0).any() or offsets[-1] > data.size:
+        raise ValueError("offsets must start at 0, never decrease and end "
+                         "within data")
+    if np.ndim(indices) != 2:
+        raise ValueError("indices must be a 2-D array (columns, rows)")
+    n_cols, n_rows = np.shape(indices)
+    _check("indices", indices, np.int64, (n_cols, n_rows))
+    if indices.size and not 0 <= indices.min() <= indices.max() < n_entries:
+        raise ValueError(f"indices must be table entries 0..{n_entries - 1}")
+    # the longest entry and its "," or LF, per field
+    out = np.empty((int(lengths.max(initial=0)) + 1) * indices.size, dtype=np.uint8)
+    size = library.qcasim_write_rows(n_rows, n_cols, data.ctypes.data,
+                                     offsets.ctypes.data, indices.ctypes.data,
+                                     out.ctypes.data)
+    return str(out[:size], "utf-8", "surrogatepass")
 
 
 def kernel_path() -> str:
-    """The kernels ``coherence_euler``, ``bistable_sweep`` and
-    ``format_sci`` run: "c" whenever the compiled library loads, else
+    """The kernels ``coherence_euler``, ``bistable_sweep``, ``format_sci``
+    and ``write_rows`` run: "c" whenever the compiled library loads, else
     "loop"."""
     return "c" if _library() is not None else "loop"
 
@@ -587,4 +675,11 @@ def bistable_sweep(*args):
     """The bistable sweep: the kernel ``kernel_path`` names, called with
     the arguments of ``bistable_sweep_loop``."""
     kernel = bistable_sweep_c if _library() is not None else bistable_sweep_loop
+    return kernel(*args)
+
+
+def write_rows(*args):
+    """The row writer: the kernel ``kernel_path`` names, called with the
+    arguments of ``write_rows_loop``."""
+    kernel = write_rows_c if _library() is not None else write_rows_loop
     return kernel(*args)

@@ -90,8 +90,14 @@ def _grid(values: Sequence[float], noun: str, positive: bool) -> list[float]:
     grid = list(values)
     if not grid:
         raise SweepError(f"{noun} grid is empty")
-    if not all(math.isfinite(v) for v in grid):
-        raise SweepError(f"{noun}s must be finite")
+    for value in grid:
+        try:
+            finite = math.isfinite(value)
+        except OverflowError:  # an int that no float can hold
+            raise SweepError(f"{noun}s must be finite, got an integer too large "
+                             f"for a float ({value.bit_length()} bits)") from None
+        if not finite:
+            raise SweepError(f"{noun}s must be finite")
     if any(v <= 0 if positive else v < 0 for v in grid):
         raise SweepError(f"{noun}s must be "
                          f"{'strictly positive' if positive else 'non-negative'}")
@@ -299,21 +305,70 @@ BLOCK_ROWS = 4096
 _LINE_BREAKING = re.compile("[\x00-\x1f\x7f-\x9f\u2028\u2029]")
 
 
-def _texts(column) -> Sequence[str]:
-    """One column's values as text. A float64 array prints in `sci`, each
-    distinct bit pattern formatted once, by `kernels.format_sci`: grouping
-    by bits, not by `==`, keeps -0.0, 0.0 and every NaN apart, so each
-    value prints as `sci` would print it alone. A column of `str` (the
-    type itself, so that no `__str__` is skipped) is its own text, used as
-    it is. Anything else prints as `str` does, an `int` or `bool` among
-    strings too."""
-    if isinstance(column, np.ndarray) and column.dtype == np.float64:
-        keys, inverse = np.unique(column.view(np.int64), return_inverse=True)
-        texts = np.array(kernels.format_sci(keys.view(np.float64)), dtype=object)
-        return texts[inverse].tolist()
-    if set(map(type, column)) == {str}:
-        return column
-    return list(map(str, column))
+@dataclass(frozen=True, eq=False)
+class IndexedColumn:
+    """A `write_csv` column whose row r prints texts[indices[r]]: each
+    text (a `str`) is stored once, however many rows print it. `kink`
+    prints the cell ids of its pairs this way."""
+    texts: Sequence[str]
+    indices: np.ndarray
+
+    def __post_init__(self) -> None:
+        indices = np.asarray(self.indices, dtype=np.int64)
+        if indices.ndim != 1 or indices.size and not (
+                0 <= indices.min() <= indices.max() < len(self.texts)):
+            raise ValueError(f"indices must be positions 0..{len(self.texts) - 1} "
+                             "of the texts")
+        object.__setattr__(self, "indices", indices)
+
+    def __len__(self) -> int:
+        return len(self.indices)
+
+
+def _block(columns, start: int, stop: int, tables: dict):
+    """Rows start..stop of `columns` as one text table and, per column and
+    row, the entry in it of that field (`kernels.write_rows` takes both).
+
+    The float64 arrays share one part of the table: each distinct bit
+    pattern among them is formatted once, by `kernels.format_sci`.
+    Grouping by bits, not by `==`, keeps -0.0, 0.0 and every NaN apart,
+    so each value prints as `sci` would print it alone. The other columns
+    but the IndexedColumns share another: their texts, row by row. A
+    column of `str` (the type itself, so that no `__str__` is skipped) is
+    its own text; anything else prints as `str` does, an `int` or `bool`
+    among strings too. An IndexedColumn's part is the text table of its
+    texts, from `tables` (by the texts' id)."""
+    parts = []  # (text table, entries of the fields, columns of the fields)
+    floats, others = [], []
+    for c, column in enumerate(columns):
+        if isinstance(column, IndexedColumn):
+            parts.append((tables[id(column.texts)], column.indices[start:stop], [c]))
+        elif isinstance(column, np.ndarray) and column.dtype == np.float64:
+            floats.append(c)
+        else:
+            others.append(c)
+    if floats:
+        values = np.stack([columns[c][start:stop] for c in floats])
+        keys, inverse = np.unique(values.view(np.int64), return_inverse=True)
+        parts.append((kernels.format_sci(keys.view(np.float64)),
+                      inverse.reshape(values.shape), floats))
+    if others:
+        texts = []
+        for c in others:
+            column = columns[c][start:stop]
+            texts += column if set(map(type, column)) == {str} else map(str, column)
+        parts.append((kernels.text_table(texts),
+                      np.arange(len(texts)).reshape(len(others), -1), others))
+    indices = np.empty((len(columns), stop - start), dtype=np.int64)
+    data, offsets = [], [np.zeros(1, dtype=np.int64)]
+    n_entries = n_bytes = 0
+    for (part_data, part_offsets), rows, at in parts:
+        indices[at] = np.add(rows, n_entries)
+        data.append(part_data)
+        offsets.append(part_offsets[1:] + n_bytes)
+        n_entries += len(part_offsets) - 1
+        n_bytes += len(part_data)
+    return (np.concatenate(data), np.concatenate(offsets)), indices
 
 
 def write_csv(destination: TextIO, snapshot: Mapping, header: Sequence[str],
@@ -324,15 +379,17 @@ def write_csv(destination: TextIO, snapshot: Mapping, header: Sequence[str],
     the `header` row of column names; the data rows; then one `# ` line per
     trailer entry. The data come column by column, one per name, all of
     one length: a float64 ndarray prints in scientific notation with six
-    significant digits (`sci`), as does a float snapshot value; any other
-    column, a list of floats too, prints as `str` does. Lines end in LF,
-    the last one too, so identical inputs give identical bytes.
+    significant digits (`sci`), as does a float snapshot value; an
+    IndexedColumn prints the text of each row's index; any other column,
+    a list of floats too, prints as `str` does. Lines end in LF, the last
+    one too, so identical inputs give identical bytes.
 
-    The rows are formatted and written in blocks of `BLOCK_ROWS`, each
-    column grouped by bit pattern within its block. The lengths are
-    checked before anything is written, and so is the text of every
-    snapshot entry and trailer line: one that holds a control character
-    (U+0000-U+001F, U+007F-U+009F), U+2028 or U+2029 raises ValueError.
+    The rows are formatted and written in blocks of `BLOCK_ROWS`, each by
+    one `kernels.write_rows` call over the block's text table (`_block`).
+    The lengths are checked before anything is written, and so is the
+    text of every snapshot entry and trailer line: one that holds a
+    control character (U+0000-U+001F, U+007F-U+009F), U+2028 or U+2029
+    raises ValueError.
     """
     if len(columns) != len(header):
         raise ValueError(f"{len(header)} column names for {len(columns)} columns")
@@ -345,21 +402,21 @@ def write_csv(destination: TextIO, snapshot: Mapping, header: Sequence[str],
         if _LINE_BREAKING.search(text):
             raise ValueError(f"comment text {text!r} holds a control "
                              "character or line separator")
-    lines = [f"# {text}" for text in comments]
-    lines.append(",".join(header))
+    tables = {id(column.texts): kernels.text_table(column.texts)
+              for column in columns if isinstance(column, IndexedColumn)}
+    pieces = [f"# {text}\n" for text in comments]
+    pieces.append(",".join(header) + "\n")
     n_rows = max(lengths, default=0)
     for start in range(0, n_rows, BLOCK_ROWS):
-        block = [_texts(column[start:start + BLOCK_ROWS]) for column in columns]
-        lines += map(",".join, zip(*block))
-        if start + BLOCK_ROWS < n_rows:
-            lines.append("")  # the block's final LF
-            destination.write("\n".join(lines))
-            lines = []
+        stop = min(start + BLOCK_ROWS, n_rows)
+        pieces.append(kernels.write_rows(*_block(columns, start, stop, tables)))
+        if stop < n_rows:
+            destination.write("".join(pieces))
+            pieces = []
     # the last block goes with the trailer, so a table of one block takes
     # one write (a second write to a StringIO copies the first)
-    lines.extend(f"# {text}" for text in trailer)
-    lines.append("")  # the final LF, without copying the text to add it
-    destination.write("\n".join(lines))
+    pieces.extend(f"# {text}\n" for text in trailer)
+    destination.write("".join(pieces))
 
 
 def emit_csv(result: SweepResult, destination: TextIO) -> None:

@@ -210,7 +210,8 @@ NAN_BITS = (0x7FF8000000000000, 0xFFF8000000000000, 0x7FF0000000000001,
 #   5, and half-, quarter- and eighth-integers with 7 digits, the carry at
 #   999999.5 among them;
 # - the ends of the normal range, subnormals, the ends of the range that
-#   qcasim_format_sci certifies (1e-38 and 1e38), +-0, +-inf and NaNs.
+#   qcasim_format_sci certifies (1e-38 and 1e38), +-inf and NaNs;
+# - +-0, which qcasim_format_sci writes as the exact case it is.
 SCI_EDGES = np.concatenate([
     _neighbors(np.array([float(f"{digits}e{k}") for digits in
                          ("9.999995", "1.234565", "1.234575")

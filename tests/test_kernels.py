@@ -599,7 +599,10 @@ class TestKernelChoice:
         args = sweep_problem(builtin_layout("inv3"))
         assert_same_bits(sweep(kernels.bistable_sweep, args)[3],
                          sweep(kernels.bistable_sweep_loop, args)[3])
-        assert kernels.format_sci(SCI_EDGES) == kernels.format_sci_loop(SCI_EDGES)
+        table = kernels.format_sci(SCI_EDGES)
+        assert kernels.table_texts(table) == kernels.format_sci_loop(SCI_EDGES)
+        indices = np.array([[0, 5, 0], [7, 7, 1]])
+        assert kernels.write_rows(table, indices) == kernels.write_rows_loop(table, indices)
         assert not (own_cache / "cache").exists()
         # nor does it touch a cache that holds other builds
         cache = own_cache / "cache" / "qcasim"
@@ -753,18 +756,25 @@ class TestKernelChoice:
         every criterion-7 argv and, where this process runs the compiled
         kernels, on coherence runs that record every step or carry
         different kink energies per point, and on `kink` and bistable
-        `simulate` of a 40-cell wire, built in and read from a file."""
+        `simulate` of a 40-cell wire, built in and read from a file, and
+        of a file whose cell ids are not ASCII."""
         from test_acceptance import CRITERION_7_ARGV
         argvs = list(CRITERION_7_ARGV)
         if kernels.kernel_path() == "c":
             qcl = tmp_path / "wire40.qcl"
             qcl.write_text(serialize_layout(builtin_layout("wire(40)")))
+            wire = builtin_layout("wire(5)")
+            ids = dict(zip(wire.ids, ("輸入", "zelle_ä", "ячейка", "café", "𝓍")))
+            cells = tuple(replace(cell, id=ids[cell.id]) for cell in wire.cells)
+            unicode = tmp_path / "unicode.qcl"
+            unicode.write_text(serialize_layout(Layout(name="unicode", cells=cells)),
+                               encoding="utf-8")
             coherence = ["--engine", "coherence", "--layout", "builtin:inv3",
                          "--total-time", "1e-12"]
             argvs += [["simulate", *coherence, "--stride", "1"],
                       ["sweep-gap", *coherence],
                       *([command, "--layout", layout]
-                        for layout in ("builtin:wire(40)", str(qcl))
+                        for layout in ("builtin:wire(40)", str(qcl), str(unicode))
                         for command in ("kink", "simulate"))]
         script = (
             "import io, json, sys\n"
@@ -796,13 +806,13 @@ class TestFormatSci:
     def assert_matches_sci(values):
         values = np.ascontiguousarray(values, dtype=np.float64)
         expected = [sci(v) for v in values.tolist()]
-        assert kernels.format_sci(values) == expected
+        assert kernels.table_texts(kernels.format_sci(values)) == expected
         if kernels.kernel_path() == "c":
-            texts, rejected = kernels.format_sci_c(values)
+            table, rejected = kernels.format_sci_c(values)
             assert (np.diff(rejected) > 0).all()
             for i in rejected.tolist():
                 expected[i] = ""
-            assert texts == expected
+            assert kernels.table_texts(table) == expected
             return rejected
         return None
 
@@ -812,9 +822,10 @@ class TestFormatSci:
     @needs_cc
     def test_ties_fall_back_and_still_match(self):
         ties = np.array([1234565.0, 1234575.0, 123456.5, 999999.5, -12345.25])
-        texts, rejected = kernels.format_sci_c(ties)
-        assert rejected.tolist() == [0, 1, 2, 3, 4] and texts == [""] * 5
-        assert kernels.format_sci(ties) == [
+        table, rejected = kernels.format_sci_c(ties)
+        assert rejected.tolist() == [0, 1, 2, 3, 4]
+        assert kernels.table_texts(table) == [""] * 5
+        assert kernels.table_texts(kernels.format_sci(ties)) == [
             "1.23456e+06", "1.23458e+06", "1.23456e+05", "1.00000e+06",
             "-1.23452e+04"]
         # the ends of the certified range are written in C; past them, `%`
@@ -853,20 +864,75 @@ class TestFormatSci:
             np.arange(1_299_000.0, 1_301_000.0, 0.5)])
         values = np.concatenate([values, -values])
         rejected = self.assert_matches_sci(values)
-        # only zero and the exact ties fall back: half-integers from 1e5
-        # to 1e6, and 7-digit integers ending in 5
+        # only the exact ties fall back: half-integers from 1e5 to 1e6,
+        # and 7-digit integers ending in 5
         size = np.abs(values)
         ties = (((size >= 1e5) & (size < 1e6) & (size % 1 == 0.5))
-                | ((size >= 1e6) & (size < 1e7) & (size % 10 == 5)) | (size == 0))
+                | ((size >= 1e6) & (size < 1e7) & (size % 10 == 5)))
         assert rejected.tolist() == np.flatnonzero(ties).tolist()
 
     @needs_cc
+    def test_signed_zeros_are_certified(self):
+        table, rejected = kernels.format_sci_c(np.array([0.0, -0.0, 1.0, -0.0]))
+        assert rejected.tolist() == []
+        assert kernels.table_texts(table) == ["0.00000e+00", "-0.00000e+00",
+                                              "1.00000e+00", "-0.00000e+00"]
+
+    @needs_cc
     def test_empty_and_checked(self):
-        texts, rejected = kernels.format_sci_c(np.zeros(0))
-        assert texts == [] and rejected.tolist() == []
+        table, rejected = kernels.format_sci_c(np.zeros(0))
+        assert kernels.table_texts(table) == [] and rejected.tolist() == []
         for bad in (np.zeros(4, dtype=np.float32), np.zeros(8)[::2], np.zeros((2, 2))):
             with pytest.raises(ValueError, match="values"):
                 kernels.format_sci_c(bad)
+
+
+class TestWriteRows:
+    """Text tables and both row writers; the differential test of
+    ``write_rows_c`` against ``write_rows_loop`` over drawn tables is
+    ``tests/test_sweeps.py::TestWriteCsv::test_c_row_writer_matches_loop``."""
+
+    def test_text_tables_read_back(self):
+        texts = ["", "a", "é€", "𝄞x", "\ud800", "a,b"]
+        data, offsets = kernels.text_table(texts)
+        assert data.dtype == np.uint8 and offsets.tolist() == [0, 0, 1, 6, 11, 14, 17]
+        assert kernels.table_texts((data, offsets)) == texts
+        assert kernels.table_texts(kernels.text_table([])) == []
+
+    def test_rows(self):
+        table = kernels.text_table(["x", "ÿ", ""])
+        indices = np.array([[0, 1, 2], [2, 2, 1]])
+        writers = [kernels.write_rows_loop]
+        if kernels.kernel_path() == "c":
+            writers.append(kernels.write_rows_c)
+        for write_rows in writers:
+            assert write_rows(table, indices) == "x,\nÿ,\n,ÿ\n"
+            assert write_rows(table, indices[:1]) == "x\nÿ\n\n"
+            assert write_rows(table, indices[:, :0]) == ""
+            assert write_rows(table, np.zeros((0, 3), np.int64)) == ""
+
+    @needs_cc
+    def test_arrays_checked_before_pointers_pass(self):
+        data, offsets = kernels.text_table(["ab", "c"])
+        indices = np.array([[0, 1]])
+        assert kernels.write_rows_c((data, offsets), indices) == "ab\nc\n"
+        bad = [
+            ((data.astype(np.int8), offsets), indices, "data"),
+            ((data[::2], offsets), indices, "data"),
+            ((data, offsets.astype(np.int32)), indices, "offsets"),
+            ((data, np.array([1, 2, 3])), indices, "offsets must start at 0"),
+            ((data, np.array([0, 2, 1])), indices, "never decrease"),
+            ((data, np.array([0, 2, 4])), indices, "end within data"),
+            ((data, np.zeros(0, np.int64)), indices, "offsets"),
+            ((data, offsets), indices[0], "2-D"),
+            ((data, offsets), indices.astype(np.int32), "indices"),
+            ((data, offsets), np.array([[0, 1, 1, 0]])[:, ::2], "indices"),
+            ((data, offsets), indices + 1, "table entries 0..1"),
+            ((data, offsets), indices - 1, "table entries 0..1"),
+        ]
+        for table, spoiled, message in bad:
+            with pytest.raises(ValueError, match=message):
+                kernels.write_rows_c(table, spoiled)
 
 
 class TestTracerContract:

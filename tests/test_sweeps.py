@@ -9,18 +9,19 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from qcasim import sweeps
+from qcasim import kernels, sweeps
 from qcasim.constants import PhysicalConstants
 from qcasim.electrostatics import kink_matrix
 from qcasim.engines import (BistableParams, CoherenceParams, bistable_relax,
                             simulate_coherence)
 from qcasim.geometry import builtin_layout, displace_cell, displacement_axis
-from qcasim.sweeps import (TABLE1_TEMPERATURES, TABLE23_GAPS, SweepError,
-                           _pair_energy, _texts, compare_to_reference, emit_csv,
-                           load_reference_table, rank_correlation, sweep_gap,
-                           sweep_temperature, write_csv)
+from qcasim.sweeps import (TABLE1_TEMPERATURES, TABLE23_GAPS, IndexedColumn,
+                           SweepError, _pair_energy, compare_to_reference,
+                           emit_csv, load_reference_table, rank_correlation,
+                           sweep_gap, sweep_temperature, write_csv)
 
 from oracle import NAN_BITS, SCI_EDGES, kink_energy, write_csv_rows
+from test_kernels import needs_cc
 
 FAST = CoherenceParams(total_time=7.0e-13)
 
@@ -85,6 +86,11 @@ class TestSweepTemperature:
     def test_empty_grid(self, constants):
         with pytest.raises(SweepError, match="empty"):
             sweep_temperature(builtin_layout("inv2"), (), FAST, constants)
+
+    def test_integer_too_large_for_a_float(self, constants):
+        with pytest.raises(SweepError, match=r"^temperatures must be finite, got "
+                           r"an integer too large for a float \(1329 bits\)$"):
+            sweep_temperature(builtin_layout("inv2"), [1, 10**400], FAST, constants)
 
     def test_unsorted_grid(self, constants):
         with pytest.raises(SweepError, match="strictly increasing"):
@@ -152,6 +158,12 @@ class TestSweepGap:
     def test_non_finite_gap(self, constants):
         with pytest.raises(SweepError, match="finite"):
             sweep_gap(builtin_layout("inv2"), "out", (1.0, math.nan),
+                      BistableParams(), constants)
+
+    def test_integer_too_large_for_a_float(self, constants):
+        with pytest.raises(SweepError, match=r"^gaps must be finite, got an "
+                           r"integer too large for a float \(1329 bits\)$"):
+            sweep_gap(builtin_layout("inv2"), "out", (10**400,),
                       BistableParams(), constants)
 
     def test_coherence_engine(self, constants):
@@ -341,18 +353,28 @@ def csv_tables(draw):
     float64 array columns drawn from a small pool, so values repeat;
     str, int, bool and mixed int/str list columns; str columns mixed with
     bools, with str subclasses (np.str_, one with its own `__str__`) and
-    as tuples."""
+    as tuples; IndexedColumns, of their own texts or of another's."""
     n_rows = draw(st.integers(0, 40))
     kinds = draw(st.lists(st.sampled_from(("float", "str", "int", "bool", "mixed",
-                                           "str-bool", "str-subclass", "str-tuple")),
+                                           "str-bool", "str-subclass", "str-tuple",
+                                           "indexed", "indexed-shared")),
                           min_size=1, max_size=5))
     columns, values = [], []
+    shared = None  # the texts of the first indexed column
     for kind in kinds:
         if kind == "float":
             pool = draw(st.lists(float_values, min_size=1, max_size=4))
             column = draw(st.lists(st.sampled_from(pool), min_size=n_rows,
                                    max_size=n_rows))
             columns.append(np.array(column, dtype=np.float64))
+        elif kind.startswith("indexed"):
+            texts = (shared if kind == "indexed-shared" and shared is not None
+                     else draw(st.lists(text_values, min_size=1, max_size=6)))
+            shared = shared or texts
+            rows = draw(st.lists(st.integers(0, len(texts) - 1), min_size=n_rows,
+                                 max_size=n_rows))
+            columns.append(IndexedColumn(texts, np.array(rows, dtype=np.int64)))
+            column = [texts[k] for k in rows]
         else:
             element = {"str": text_values, "str-tuple": text_values,
                        "int": st.integers(), "bool": st.booleans(),
@@ -388,6 +410,16 @@ LINE_BREAKING = {*map(chr, range(0x20)), *map(chr, range(0x7f, 0xa0)),
                  "\u2028", "\u2029"}
 
 
+# (columns, rows) of a table of ±0, ±inf, subnormals and a NaN, with
+# empty, non-ASCII and lone-surrogate texts
+_FLOATS = [0.0, -0.0, math.inf, -math.inf, 5e-324, -1e-310, math.nan]
+_TEXTS = ["", "ä€𝄞", "\ud800"]
+_INDICES = [0, 1, 2, 1, 0, 2, 1]
+_STRS = ["", "ß", "x", "", "ünï", "c", ""]
+EDGE_TABLE = ([np.array(_FLOATS), IndexedColumn(_TEXTS, _INDICES), _STRS],
+              list(zip(_FLOATS, [_TEXTS[k] for k in _INDICES], _STRS)))
+
+
 class CountingSink:
     """A destination that keeps only the count of characters written."""
 
@@ -416,6 +448,31 @@ class TestWriteCsv:
         expected = render(write_csv_rows, SNAPSHOT, header, rows, trailer)
         with mock.patch.object(sweeps, "BLOCK_ROWS", block_rows):
             assert render(write_csv, SNAPSHOT, header, columns, trailer) == expected
+
+    @needs_cc
+    @settings(max_examples=300, deadline=None)
+    @given(csv_tables(), st.integers(1, 8))
+    @example((["x", "i", "s"], *EDGE_TABLE), 3)
+    @example((["x", "i"], [np.zeros(0), IndexedColumn(["a"], [])], []), 1)
+    def test_c_row_writer_matches_loop(self, table, block_rows):
+        """`write_rows_c` gives the text of `write_rows_loop` on every block
+        that `write_csv` gathers, and on the same table with no rows."""
+        header, columns, rows = table
+        blocks = []
+
+        def both(table, indices):
+            text = kernels.write_rows_c(table, indices)
+            assert text == kernels.write_rows_loop(table, indices)
+            none = indices[:, :0]
+            assert kernels.write_rows_c(table, none) == "" == kernels.write_rows_loop(table, none)
+            blocks.append(text)
+            return text
+
+        with mock.patch.object(sweeps, "BLOCK_ROWS", block_rows), \
+                mock.patch.object(kernels, "write_rows", both):
+            text = render(write_csv, SNAPSHOT, header, columns)
+        assert text == render(write_csv_rows, SNAPSHOT, header, rows)
+        assert len(blocks) == -(-len(rows) // block_rows)
 
     @pytest.mark.parametrize("n_rows", [1, BLOCK - 1, BLOCK, BLOCK + 1, 2 * BLOCK + 1])
     def test_block_boundaries(self, n_rows):
@@ -449,10 +506,20 @@ class TestWriteCsv:
         assert peak < 6 * 2**20
 
     def test_str_columns_pass_through(self):
-        ids = ["c1", "c2", "c1"]
-        assert _texts(ids) is ids
-        assert _texts(["a", True, 0]) == ["a", "True", "0"]
-        assert _texts([Shouted("a"), "b"]) == ["A!", "b"]
+        # a str prints as itself; anything else, a str subclass too, as `str` does
+        text = render(write_csv, {}, "pqr", [["c1", "c2", "c1"], ["a", True, 0],
+                                            [Shouted("a"), "b", "a"]])
+        assert text == "p,q,r\nc1,a,A!\nc2,True,b\nc1,0,a\n"
+
+    def test_indexed_column(self):
+        ids = ("é1", "c2", "")
+        column = IndexedColumn(ids, [2, 0, 0, 1])
+        assert len(column) == 4 and column.indices.dtype == np.int64
+        text = render(write_csv, {}, "pq", [column, IndexedColumn(ids, [0, 1, 2, 2])])
+        assert text == "p,q\n,é1\né1,c2\né1,\nc2,\n"
+        for bad in ([3], [-1], [[0]]):
+            with pytest.raises(ValueError, match="positions 0..2 of the texts"):
+                IndexedColumn(ids, bad)
 
     def test_each_bit_pattern_prints_as_itself(self):
         column = np.array([0.0, -0.0, bits_to_float(NAN_BITS[1]), 1.5, -0.0])
