@@ -1,8 +1,10 @@
 """Benchmark the coherence kernels: steps/s by kernel and batch size.
 
 Times `engines.simulate_coherence_batch` on the three-cell inverter at
-B=1 (T = 1 K) and at B=15 (the table-1 temperature grid, 0-30 K), with
-`kernels.coherence_euler` swapped for each kernel:
+B=1 (T = 1 K) and at B=15 (the table-1 temperature grid, 0-30 K), and on
+the majority gate at B=8 (its eight drive rows, T = 1 K, the batch of a
+coherence truth table), with `kernels.coherence_euler` swapped for each
+kernel:
 
 * loop: the Python loop kernel, the one ``coherence_euler`` runs without
   a C compiler;
@@ -24,6 +26,7 @@ Usage:
 """
 
 import argparse
+import itertools
 import time
 
 from qcasim import kernels
@@ -74,19 +77,30 @@ def main():
 
     constants = PhysicalConstants.paper()
     params = CoherenceParams(total_time=args.total_time)
-    layout = builtin_layout("inv3")
-    kink = kink_matrix(layout, params.radius_of_effect, constants)
     n_steps = params.n_steps
-    print(f"three-cell inverter, {n_steps} Euler steps per point")
-    print(f"{'kernel':>8} {'B':>3} {'best ms':>10} {'point-steps/s':>14}")
-    for temperatures in ([1.0], TABLE1_TEMPERATURES):
-        points = [(kink, t, None) for t in temperatures]
-        batch = len(points)
-        for label, kernel in kernel_rows:
-            best = min(time_with(kernel, layout, params, points, constants)
-                       for _ in range(args.repeats))
-            print(f"{label:>8} {batch:>3} {best * 1e3:10.1f} "
-                  f"{batch * n_steps / best:14,.0f}")
+    inv3 = builtin_layout("inv3")
+    inv3_kink = kink_matrix(inv3, params.radius_of_effect, constants)
+    majority = builtin_layout("majority")
+    majority_kink = kink_matrix(majority, params.radius_of_effect, constants)
+    drive_rows = [dict(zip("abc", bits))
+                  for bits in itertools.product((-1.0, 1.0), repeat=3)]
+    sections = [
+        ("three-cell inverter", inv3,
+         [[(inv3_kink, t, None) for t in temperatures]
+          for temperatures in ([1.0], TABLE1_TEMPERATURES)]),
+        ("majority gate, one point per drive row", majority,
+         [[(majority_kink, 1.0, row) for row in drive_rows]]),
+    ]
+    for title, layout, batches in sections:
+        print(f"{title}, {n_steps} Euler steps per point")
+        print(f"{'kernel':>8} {'B':>3} {'best ms':>10} {'point-steps/s':>14}")
+        for points in batches:
+            batch = len(points)
+            for label, kernel in kernel_rows:
+                best = min(time_with(kernel, layout, params, points, constants)
+                           for _ in range(args.repeats))
+                print(f"{label:>8} {batch:>3} {best * 1e3:10.1f} "
+                      f"{batch * n_steps / best:14,.0f}")
 
 
 if __name__ == "__main__":

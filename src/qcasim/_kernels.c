@@ -19,7 +19,8 @@
  *
  * In the two engine kernels, every floating-point operation is the loop
  * kernel's, in its order, so the results are bit-identical to it (the
- * integrator skips some, whose results it reuses; see below). Build
+ * integrator skips the steps that would repeat the last one, and the
+ * steady states whose inputs repeat; see below). Build
  * with -ffp-contract=off and never with -ffast-math: a fused
  * multiply-add would change the bits. cos, tanh and sqrt are libm's, as
  * math.cos, math.tanh and math.sqrt are.
@@ -35,6 +36,30 @@
  * leaves any other value as it is. Every polarization of a point is
  * finite until the unit-ball guard stops that point.
  *
+ * A call skips every step that would repeat the last one. One step of a
+ * point is a pure function of its free cells' coherence vectors, its
+ * polarizations, the clock terms gx of the zones that hold a free cell,
+ * and inputs that do not change during a call (energies, drive values,
+ * temperature, dt, tau, hbar and kB). The call keeps one flag, quiet: set
+ * after a computed step in which no live point of the call changed the
+ * bit pattern of any component (x, y or z) of any free cell's vector and
+ * no point failed, and cleared after every other computed step. At a step
+ * where quiet holds and the gx of every zone that holds a free cell has
+ * the bits it had at the step before, the step would compute exactly what
+ * the step before did: the same vectors, and so the same polarizations,
+ * which are their z components. So the call skips all point work there
+ * (field sums, steady states and Euler updates), and its points only fill
+ * their recording rows from the unchanged polarizations; quiet stays set.
+ * The match is on bit patterns, never ==, so -0.0 and 0.0 (and NaNs) stay
+ * apart. To keep a skipped step cheap, the call evaluates the clock only
+ * for the zones that hold a free cell, plus all four zones at the
+ * recording steps of the call that records the clocks; the recorded
+ * clocks are those of the loop kernel. At the default clock, zone 0 is
+ * held at clock_low for 51% of each period, and the state settles there
+ * bit for bit: the temperature sweep's 15 points at 10,000 steps skip 45%
+ * of their steps. The loop kernel never skips: it is the reference that
+ * the tests compare the skipping kernel with.
+ *
  * Each free cell of each point keeps a struct cell_state in the scratch
  * that each call allocates for itself and frees at its end: its coherence
  * vector and the thermal steady state last computed (gz = field / hbar,
@@ -48,13 +73,17 @@
  * (libm's tanh is deterministic), and the stored ones passed the
  * overflow check when they were computed. The match is on bit patterns,
  * never ==, so -0.0 and 0.0 (and NaNs) stay apart. Every free cell of a
- * live point computes or matches its entry at every step, so from step 1
- * on the entry holds the previous step's values; at step 0 every cell
- * computes. Reuse pays while a zone's clock is clamped to clock_low or
- * clock_high (clock_low for about half of every period at the default
- * clock) and the fields repeat. The loop kernel stays the plain
- * reference and recomputes at every step: in Python the reuse saved
- * under 5%.
+ * live point computes or matches its entry at every computed step, so
+ * from step 1 on the entry holds the values of the last computed step,
+ * which a skipped step would have repeated; at step 0 every cell
+ * computes. Reuse hits only on the steps that the whole-step skip does
+ * not take: where a cell's clock term and field repeat bit for bit while
+ * some vector of the call still changes, as between the clock's clamping
+ * and the state's settling, or in a cell that has settled while another
+ * has not. There it still pays on the temperature sweep (2-3% of the
+ * kernel's time at 10,000 steps); it costs 1-2% on the 14-cell wire,
+ * whose steps it rarely hits. The loop kernel stays the plain reference
+ * and recomputes at every step: in Python the reuse saved under 5%.
  *
  * Threads. A call reads the batch's arrays (energies, drive_values,
  * temperature) at the global point b and fills the caller's rec_pols,
@@ -131,9 +160,18 @@ int64_t qcasim_coherence_euler(
     double *final, int64_t *bad_step)
 {
     double gammas[4], gx_zone[4];
+    uint64_t gx_bits_zone[4] = {0, 0, 0, 0};
+    int used[4] = {0, 0, 0, 0}; /* the zones that hold a free cell */
     int64_t nnz = offsets[n];
     int64_t alive = 0;
     int64_t rec = 0;
+    /* the last computed step changed no bit of any vector and failed no
+       point */
+    int quiet = 0;
+
+    for (int64_t i = 0; i < n; i++)
+        if (!driven[i])
+            used[zones[i]] = 1;
 
     /* the scratch of the call's points, in whole 64-byte lines */
     int64_t points = first < batch ? (batch - 1 - first) / every + 1 : 0;
@@ -159,17 +197,31 @@ int64_t qcasim_coherence_euler(
 
     for (int64_t step = 0; step <= n_steps && alive > 0; step++) {
         double t = (double)step * dt;
+        int record = step % stride == 0 && rec < n_rec;
+        int all_zones = record && rec_times != NULL;
+        int same_clock = 1;
         for (int z = 0; z < 4; z++) {
+            if (!used[z] && !all_zones)
+                continue;
             gammas[z] = clock_value(t, z, periods, total_time, clock_shift,
                                     clock_amplitude, clock_low, clock_high);
+            if (!used[z])
+                continue;
             gx_zone[z] = -2.0 * gammas[z] / hbar;
+            uint64_t gx_bits = bits_of(gx_zone[z]);
+            same_clock &= gx_bits == gx_bits_zone[z];
+            gx_bits_zone[z] = gx_bits;
         }
-        int record = step % stride == 0 && rec < n_rec;
-        if (record && rec_times != NULL) {
+        if (all_zones) {
             rec_times[rec] = t;
             for (int z = 0; z < 4; z++)
                 rec_clocks[rec * 4 + z] = gammas[z];
         }
+        /* a quiet step with the clock bits of the last one would repeat
+           it: its points only record */
+        int skip = quiet && same_clock;
+        uint64_t moved = 0;
+        int64_t was_alive = alive;
         for (int64_t b = first, j = 0; b < batch; b += every, j++) {
             if (bad_step[b] >= 0)
                 continue;
@@ -178,7 +230,7 @@ int64_t qcasim_coherence_euler(
             if (record)
                 for (int64_t i = 0; i < n; i++)
                     rec_pols[(b * n_rec + rec) * n + i] = p[i];
-            if (step == n_steps)
+            if (step == n_steps || skip)
                 continue;
             /* local fields from the previous step's polarizations */
             for (int64_t i = 0; i < n; i++) {
@@ -232,6 +284,8 @@ int64_t qcasim_coherence_euler(
                 double nx = lx + dt * dx;
                 double ny = ly + dt * dy;
                 double nz = lz + dt * dz;
+                moved |= (bits_of(nx) ^ bits_of(lx)) | (bits_of(ny) ^ bits_of(ly))
+                         | (bits_of(nz) ^ bits_of(lz));
                 l[0] = nx;
                 l[1] = ny;
                 l[2] = nz;
@@ -244,6 +298,8 @@ int64_t qcasim_coherence_euler(
                 }
             }
         }
+        if (!skip)
+            quiet = moved == 0 && alive == was_alive;
         if (record)
             rec++;
     }

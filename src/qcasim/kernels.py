@@ -68,9 +68,14 @@ IEEE operation in the same order in both, and ``cos`` and ``tanh`` are
 libm's, as ``math.cos`` and ``math.tanh`` are. The library is built with
 ``-ffp-contract=off`` and never with ``-ffast-math``, since a fused
 multiply-add would change the bits, and the formatter's error bound
-assumes correctly rounded operations. The header of ``_kernels.c``
-explains how the C integrator reuses steady states and splits a batch
-over threads, and why the C formatter's texts are those of `%`.
+assumes correctly rounded operations. The C integrator leaves out work
+whose result it already has, exactly: a step that would repeat the last
+one bit for bit (no vector changed a bit and the clock of every zone in
+use kept its bits) only records, and a cell whose clock term and local
+field repeat reuses its steady state. The loop kernel never skips. The
+header of ``_kernels.c`` gives both rules and why they are exact, how the
+C integrator splits a batch over threads, and why the C formatter's
+texts are those of `%`.
 ``tests/test_kernels.py`` compares each C kernel with its loop kernel, bit
 for bit, and ``tests/test_sweeps.py`` the row writers on drawn tables;
 ``benchmarks/bench_coherence.py`` times the coherence kernels and
@@ -463,7 +468,14 @@ def coherence_euler_c(energies, zones, driven, drive_values, n_steps, dt,
     The B points run as k = min(B, usable cores) interleaved chunks,
     points j, j + k, j + 2k, ... in chunk j: chunk 0 on the calling
     thread, each other on a thread of its own (ctypes releases the GIL for
-    the call). Raises MemoryError if a chunk cannot allocate its scratch."""
+    the call). Raises MemoryError if a chunk cannot allocate its scratch.
+
+    A chunk skips the point work of each step after one that changed no
+    bit of any of its vectors and failed no point, while the clock of
+    every zone that holds a free cell keeps its bits: such a step would
+    repeat the last one. Its points still fill their recording rows. The
+    clock is evaluated only for the zones that hold a free cell, and for
+    all four at the recording steps of chunk 0."""
     library = _library()
     if library is None:
         raise RuntimeError("the compiled kernels are not available")

@@ -146,10 +146,17 @@ def assert_sweeps_identical(args):
     return loop
 
 
+def with_zones(layout, zones):
+    cells = tuple(replace(c, clock_zone=z) for c, z in zip(layout.cells, zones))
+    return Layout(name=f"{layout.name}-zoned", cells=cells)
+
+
 def zoned_wire():
-    wire = builtin_layout("wire(6)")
-    cells = tuple(replace(c, clock_zone=k % 4) for k, c in enumerate(wire.cells))
-    return Layout(name="zones", cells=cells)
+    return with_zones(builtin_layout("wire(6)"), [k % 4 for k in range(6)])
+
+
+MAJORITY_ROWS = [dict(zip("abc", bits))
+                 for bits in itertools.product((-1.0, 1.0), repeat=3)]
 
 
 # no neighbor in range and a zero clock: |Gamma| = 0 everywhere
@@ -218,10 +225,8 @@ class TestBatchedParity:
             builtin_layout("wire(14)"), [1.0], n_steps=1200, stride=10))
 
     def test_majority_drive_rows(self):
-        rows = [dict(zip("abc", bits))
-                for bits in itertools.product((-1.0, 1.0), repeat=3)]
         assert_batches_identical(batch_problem(
-            builtin_layout("majority"), [1.0] * 8, drive_rows=rows))
+            builtin_layout("majority"), [1.0] * 8, drive_rows=MAJORITY_ROWS))
 
     def test_mixed_clock_zones(self):
         assert_batches_identical(batch_problem(zoned_wire(), [0.0, 2.0, 7.0]))
@@ -566,6 +571,174 @@ class TestSweepDifferential:
         got = sweep(kernels.bistable_sweep_c, args)
         assert got[:3] == loop[:3]
         assert_same_bits(got[3], loop[3])
+
+
+# Kink energies in J beside the physical ~1e-21: signed zeros, subnormals,
+# and fields near the |Gamma|**2 overflow (|field| / hbar ~ 1.3e154, a
+# field of ~1.4e120 J)
+SPECIAL_KINKS = (0.0, -0.0, 5e-324, -5e-324, 1e-310, 1.3e120, -1.4e120,
+                 1.5e120, 1e300)
+SPECIAL_TEMPERATURES = (0.0, 5e-324, 1e-300, 1e300)
+# At most B x n x n_steps cell-steps per generated problem: the loop kernel
+# takes about 1 us per cell-step
+CELL_STEPS = 12000
+
+
+@st.composite
+def coherence_problems(draw):
+    """Arguments of one batched coherence call over a random symmetric
+    neighbor list of n cells (each row in ascending column), with random
+    zones, driven cells, temperatures and clock. The clock either runs
+    (amplitude factors up to 3 clamp it at clock_low, clock_high or both)
+    or is clamped low, clamped high or held (clock_low == clock_high).
+
+    The clock and kink energies are physical, or scaled up so that a
+    coherence vector turns by up to about a radian per step instead of
+    about 1e-3: then what lambda_x and lambda_y do shows in lambda_z within
+    a few steps. A plain problem relaxes within a few dozen steps, so its
+    state mostly settles bit for bit while the clock is clamped, and moves
+    again once it unclamps; an exotic one also draws special energies and
+    temperatures, and slower relaxation. The bulk is drawn from a Random
+    seeded by hypothesis."""
+    n = draw(st.integers(1, 12))
+    batch = draw(st.integers(1, 6))
+    clock = draw(st.sampled_from(("running", "running", "low", "high", "held")))
+    exotic = draw(st.booleans())
+    rnd = random.Random(draw(st.integers(0, 2**64 - 1)))
+    longest = min(1000, CELL_STEPS // (batch * n))
+    n_steps = rnd.choice((0, 1, rnd.randint(0, longest), longest, longest))
+    stride = draw(st.integers(1, n_steps + 2))
+    dt = rnd.choice((1e-16, 3e-16))
+    tau = dt / rnd.uniform(0.02 if exotic else 0.05, 0.9)
+    high = 9.8e-22 * rnd.choice((1.0, 1.0, 10.0, 100.0))
+    low = high * rnd.choice((0.0, 0.04, 0.3))
+    amplitude = rnd.choice((0.5, 1.0, 2.0, 3.0)) * (high - low) / 2.0
+    shift = rnd.choice((0.0, -0.0, rnd.uniform(-0.3, 0.3) * high))
+    if clock == "low":
+        shift = -10.0 * high
+    elif clock == "high":
+        shift = 10.0 * high
+    elif clock == "held":
+        low = high = rnd.choice((0.0, -0.0, low, high))
+    zoning = rnd.choice(("one zone", "one zone", "one zone", "zones 1 and 3", "any"))
+    one = rnd.randrange(4)
+    zones = [one if zoning == "one zone" else rnd.choice((1, 3)) if zoning == "zones 1 and 3"
+             else rnd.randrange(4) for _ in range(n)]
+    driven = [rnd.random() < 0.3 for _ in range(n)]
+    density = rnd.random()
+    pairs = [(i, j) for i in range(n) for j in range(i + 1, n)
+             if rnd.random() < density]
+    offsets, cols = [0], []
+    for i in range(n):
+        cols += sorted(j for pair in pairs if i in pair for j in pair if j != i)
+        offsets.append(len(cols))
+    special = 0.05 if exotic else 0.0
+    kink_scale = rnd.choice((1.0, 1.0, 10.0, 100.0, 1000.0))
+    energies = []
+    for _ in range(batch):
+        kink = {pair: 0.0 if rnd.random() < 0.1 else rnd.uniform(-2e-21, 2e-21) * kink_scale
+                for pair in pairs}
+        energies.append([rnd.choice(SPECIAL_KINKS) if rnd.random() < special
+                         else kink[min(i, j), max(i, j)]
+                         for i in range(n) for j in cols[offsets[i]:offsets[i + 1]]])
+    # an undriven cell's drive value is never read
+    drives = [[rnd.choice((1.0, -1.0, 0.0, -0.0, rnd.uniform(-1.0, 1.0)))
+               if driven[i] else math.nan for i in range(n)] for _ in range(batch)]
+    temperatures = [rnd.choice(SPECIAL_TEMPERATURES) if rnd.random() < 6 * special
+                    else rnd.choice((0.0, float(rnd.randrange(31)),
+                                     rnd.uniform(0.0, 30.0) * kink_scale))
+                    for _ in range(batch)]
+    n_rec = n_steps // stride + 1
+    return (np.array(energies).reshape(batch, len(cols)),
+            np.array(zones, dtype=np.int64), np.array(driven), np.array(drives),
+            n_steps, dt, max(n_steps, 1) * dt, float(rnd.choice((1, 1, 2, 3))), shift,
+            amplitude, low, high, tau, np.array(temperatures), PAPER.boltzmann_k,
+            PAPER.hbar, stride, np.zeros(n_rec), np.zeros((n_rec, 4)),
+            np.zeros((batch, n_rec, n)), np.array(offsets, dtype=np.int64),
+            np.array(cols, dtype=np.int64))
+
+
+def still_steps(args, recording):
+    """The recorded rows r (stride 1) after which nothing moved: row r + 1
+    holds the polarizations of every point and the clocks of the zones
+    that hold a free cell of row r, bit for bit."""
+    zones, driven = args()[1:3]
+    _, _, _, _, clocks, pols = recording
+    clocks = clocks.view(np.uint64)[:, np.unique(zones[~driven])]
+    pols = pols.view(np.uint64)
+    return [r for r in range(len(clocks) - 1)
+            if (clocks[r] == clocks[r + 1]).all()
+            and (pols[:, r] == pols[:, r + 1]).all()]
+
+
+@needs_cc
+class TestCoherenceDifferential:
+    """The C coherence kernel, at every chunk count, against the loop
+    kernel on generated problems: finals, bad steps, times, clocks and
+    recordings, bit for bit. The C kernel skips the steps that would
+    repeat the last one (see _kernels.c); the loop kernel never skips."""
+
+    @settings(max_examples=150, deadline=None, derandomize=True)
+    @given(coherence_problems())
+    def test_random_problems(self, problem):
+        assert_batches_identical(lambda: tuple(
+            a.copy() if isinstance(a, np.ndarray) else a for a in problem))
+
+    # Each problem settles bit for bit while its clock is clamped, then
+    # unclamps: stride 1 shows the still rows, and rows that move after
+    # them. A relaxation time of 3 steps settles within the clamp.
+    @pytest.mark.parametrize("problem", [
+        # the clock clamps at clock_high, then at clock_low, twice
+        lambda: batch_problem(builtin_layout("inv3"), [0.0, 1.0, 30.0],
+                              n_steps=1200, stride=1, params=CoherenceParams(
+                                  relaxation_time=3e-16, clock_periods=2,
+                                  clock_amplitude_factor=3.0)),
+        # a clock 100 times the default turns the vectors by ~0.2 rad per
+        # step, and a kink energy 300 times the default by ~0.3 rad: a
+        # change in lambda_x or lambda_y alone shows in lambda_z
+        lambda: batch_problem(builtin_layout("majority"),
+                              [1.0, 1.0, 1.0, 30.0, 30.0, 0.0, 1.0, 1.0],
+                              drive_rows=MAJORITY_ROWS, n_steps=1500, stride=1,
+                              params=CoherenceParams(
+                                  relaxation_time=5e-16, clock_high=9.8e-20,
+                                  clock_low=2.94e-20, clock_amplitude_factor=3.0)),
+        lambda: batch_problem(builtin_layout("inv2"), [9000.0, 1.0, 0.0],
+                              n_steps=1000, stride=1, kink_scales=[300.0] * 3,
+                              params=CoherenceParams(
+                                  relaxation_time=3e-16, clock_low=3.92e-23,
+                                  clock_periods=2, clock_amplitude_factor=3.0)),
+        # free cells only in zones 1 and 3: zones 0 and 2 are evaluated at
+        # the recording steps alone
+        lambda: batch_problem(with_zones(builtin_layout("wire(6)"),
+                                         [0, 1, 3, 1, 3, 1]),
+                              [0.0, 2.0], n_steps=1000, stride=1,
+                              params=CoherenceParams(relaxation_time=3e-16,
+                                                     clock_amplitude_factor=3.0)),
+    ], ids=["inv3-clamped-high-and-low", "majority-strong-clock",
+            "inv2-strong-kinks", "zones-1-and-3"])
+    def test_settled_then_unclamped(self, problem):
+        args = problem()
+        loop = assert_batches_identical(args)
+        still = still_steps(args, loop)
+        moving = set(range(len(loop[3]) - 1)) - set(still)
+        assert len(still) > 300 and max(moving) > min(still)
+
+    def test_chunk_0_fails_first(self):
+        # at 2 and 3 chunks chunk 0 holds only points that fail within a
+        # few steps, so it records the times and clocks of the later rows
+        # from the clock alone, while point 1 settles, skips and resumes
+        args = batch_problem(builtin_layout("inv3"), [0.0, 1.0, 2.0],
+                             n_steps=1000, stride=1, kink_scales=[3e4, 1.0, 3e3],
+                             params=CoherenceParams(relaxation_time=3e-16))
+        loop = assert_batches_identical(args)
+        assert loop[2].tolist() == [3, -1, 5]
+        assert len(still_steps(args, loop)) > 300
+
+    def test_temp_sweep_size(self):
+        # the perfbench temp-sweep batch: 15 points, 10,000 steps
+        assert_batches_identical(batch_problem(
+            builtin_layout("inv3"), TABLE1_TEMPERATURES, n_steps=10_000,
+            stride=10_000))
 
 
 @pytest.fixture
