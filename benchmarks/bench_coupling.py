@@ -6,6 +6,8 @@ Times these stages on layouts of growing size:
 * parse: `parse_layout` of the layout's `serialize_layout` text, what
   the CLI does with a `.qcl` file;
 * kink: `kink_matrix` at the default 80 nm radius of effect;
+* kink_loop: the same with its pair search and grouping run by the numpy
+  reference kernels, the ones that run without a C compiler;
 * emit: `write_csv` of the matrix's pairs into memory, its ids indexed
   by the pair arrays, what the `kink` command does after `kink_matrix`;
 * bistable: `bistable_relax` on the sweep kernel that
@@ -18,8 +20,8 @@ grids of 18 nm cells at a 20 nm pitch with side 10, 32, 70 and 100 (100 to
 10,000 cells), driven by a fixed left column at P = +1, all relaxed at the
 default parameters. Reports the best wall time of the repeats for each
 stage, so the rows form a scaling curve. The script only times;
-tests/test_kernels.py and tests/test_coupling.py check that the C sweep
-kernel gives the loop kernel's bits.
+tests/test_kernels.py and tests/test_coupling.py check that the C sweep,
+pair search and grouping kernels give their references' bits.
 
 Usage:
     python benchmarks/bench_coupling.py [--max-cells 10000] [--repeats 1]
@@ -95,6 +97,17 @@ def relax_with(kernel, layout, kink, params):
         kernels.bistable_sweep = default
 
 
+def kink_with_references(layout, radius, constants):
+    """`kink_matrix` with its pair search and grouping run by the numpy
+    reference kernels."""
+    defaults = kernels.near_pairs, kernels.group_keys
+    kernels.near_pairs, kernels.group_keys = kernels.near_pairs_loop, kernels.group_keys_loop
+    try:
+        return kink_matrix(layout, radius, constants)
+    finally:
+        kernels.near_pairs, kernels.group_keys = defaults
+
+
 def main():
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--max-cells", type=int, default=10_000,
@@ -106,13 +119,17 @@ def main():
     constants = PhysicalConstants.paper()
     params = BistableParams()
     print(f"kernel path: {kernels.kernel_path()}")
-    print("layout,cells,pairs,build_s,parse_s,kink_s,emit_s,bistable_s,bistable_loop_s")
+    print("layout,cells,pairs,build_s,parse_s,kink_s,kink_loop_s,emit_s,bistable_s,"
+          "bistable_loop_s")
     for label, n_cells, build in problems(args.max_cells):
         build_s, layout = best_time(build, args.repeats)
         text = serialize_layout(layout)
         parse_s, _ = best_time(lambda: parse_layout(text), args.repeats)
         kink_s, kink = best_time(
             lambda: kink_matrix(layout, params.radius_of_effect, constants),
+            args.repeats)
+        kink_loop_s, _ = best_time(
+            lambda: kink_with_references(layout, params.radius_of_effect, constants),
             args.repeats)
         emit_s, _ = best_time(lambda: emit(kink), args.repeats)
         bistable_s, _ = best_time(
@@ -121,7 +138,7 @@ def main():
             lambda: relax_with(kernels.bistable_sweep_loop, layout, kink, params),
             args.repeats)
         print(f"{label},{n_cells},{len(kink)},{build_s:.4f},{parse_s:.4f},"
-              f"{kink_s:.4f},{emit_s:.4f},{bistable_s:.4f},{loop_s:.4f}", flush=True)
+              f"{kink_s:.4f},{kink_loop_s:.4f},{emit_s:.4f},{bistable_s:.4f},{loop_s:.4f}", flush=True)
 
 
 if __name__ == "__main__":

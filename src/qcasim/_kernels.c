@@ -1,4 +1,4 @@
-/* The compiled kernels of qcasim, one library with four entry points:
+/* The compiled kernels of qcasim, one library with six entry points:
  *
  * qcasim_coherence_euler, the batched coherence-vector Euler integrator,
  * a transcription of qcasim.kernels.coherence_euler_loop: the points of a
@@ -16,6 +16,19 @@
  *
  * qcasim_write_rows, the rows of a block of CSV fields gathered from a
  * text table, a transcription of qcasim.kernels.write_rows_loop.
+ *
+ * qcasim_near_pairs, the pairs of cells within a reach along both axes,
+ * found with a cell list, with the result of
+ * qcasim.kernels.near_pairs_loop. The pairs come out in (i, j) order from
+ * a two-pass stable counting sort, first by j, then by i, so no two pairs
+ * are ever compared (see its comment).
+ *
+ * qcasim_group_keys, the groups of equal rows of an int64 key array,
+ * found with a hash table, with the result of
+ * qcasim.kernels.group_keys_loop: groups numbered in the order of their
+ * first rows. Keys compare as integers, so a float goes in as the bit
+ * pattern of v + 0.0, which is that of +0.0 for -0.0 as for 0.0: the two
+ * fall in one group, as float == holds them equal.
  *
  * In the two engine kernels, every floating-point operation is the loop
  * kernel's, in its order, so the results are bit-identical to it (the
@@ -496,4 +509,256 @@ int64_t qcasim_write_rows(int64_t n_rows, int64_t n_cols, const char *data,
             *p++ = c + 1 < n_cols ? ',' : '\n';
         }
     return p - out;
+}
+
+/* Put order[0..n) in ascending key[order[k]], stably: a least significant
+ * digit radix sort, a byte per pass, over the bytes that top (the largest
+ * key) spans. tmp holds n entries. */
+static void radix_sort(int64_t n, const uint64_t *key, uint64_t top,
+                       int64_t *order, int64_t *tmp)
+{
+    for (int shift = 0; shift < 64 && top >> shift != 0; shift += 8) {
+        int64_t start[257] = {0};
+        for (int64_t k = 0; k < n; k++)
+            start[(key[order[k]] >> shift & 255) + 1]++;
+        for (int b = 0; b < 256; b++)
+            start[b + 1] += start[b];
+        for (int64_t k = 0; k < n; k++)
+            tmp[start[key[order[k]] >> shift & 255]++] = order[k];
+        memcpy(order, tmp, (size_t)n * sizeof *order);
+    }
+}
+
+/* Every pair of cells, one of bin b and one of a later neighbor bin
+ * (nbr[4 * b ...], -1 where there is none) or both of bin b, within reach
+ * along both axes: counted in count_i and count_j (by lower and higher
+ * index) where fill is NULL, else its lower index written at fill[at_j[j]++],
+ * j its higher index. Returns their number. */
+static int64_t scan_bins(int64_t m, const int64_t *start, const int64_t *nbr,
+                         const int64_t *order, const double *x,
+                         const double *y, double reach, int64_t *count_i,
+                         int64_t *count_j, int64_t *fill, int64_t *at_j)
+{
+    int64_t pairs = 0;
+    for (int64_t b = 0; b < m; b++)
+        for (int q = -1; q < 4; q++) {
+            int64_t other = q < 0 ? b : nbr[4 * b + q];
+            if (other < 0)
+                break;
+            for (int64_t s = start[b]; s < start[b + 1]; s++) {
+                int64_t i = order[s];
+                for (int64_t t = other == b ? s + 1 : start[other];
+                     t < start[other + 1]; t++) {
+                    int64_t j = order[t];
+                    if (!(fabs(x[i] - x[j]) <= reach && fabs(y[i] - y[j]) <= reach))
+                        continue;
+                    int64_t lo = i < j ? i : j, hi = i < j ? j : i;
+                    if (fill == NULL) {
+                        count_i[lo]++;
+                        count_j[hi]++;
+                    } else {
+                        fill[at_j[hi]++] = lo;
+                    }
+                    pairs++;
+                }
+            }
+        }
+    return pairs;
+}
+
+/* The pairs (i, j), i < j, of the n cells centered at (x[k], y[k]) with
+ * |x[i] - x[j]| <= reach and |y[i] - y[j]| <= reach, in lexicographic
+ * (i, j) order: returns their number P and, where P <= capacity, writes
+ * them to first[0..P) and second[0..P). Returns -2 where reach is not
+ * finite and > 0 or a coordinate is not finite (n >= 2), -1 where the
+ * scratch cannot be allocated.
+ *
+ * A cell list. Cells are binned by (floor(x / pitch), floor(y / pitch))
+ * with pitch = reach + (reach + extent) * 2^-40, extent the largest
+ * |coordinate|: the pitch exceeds reach by a margin far above the
+ * rounding error of the bin arithmetic, so a pair within reach lies in
+ * the same or neighboring bins, and every bin index stays within 2^41 in
+ * magnitude (subnormal pitches included). The cells are sorted once by
+ * bin, (column, row) lexicographic, with two radix sorts; each bin finds
+ * its four later neighbor bins once, (column, row + 1) next to it and
+ * (column + 1, row - 1 .. row + 1) with a pointer that only moves
+ * forward. Pairs within a bin and with those neighbors are tested
+ * exactly. Two scans: the first counts the pairs by lower and by higher
+ * index, the second puts each lower index in its bucket by higher index
+ * (the first pass of a stable counting sort, by j, written into first);
+ * the second pass, by i, reads the buckets in ascending j and writes each
+ * j to second at its i's next place, and first is then rewritten from
+ * the counts by i. So the pairs come out in (i, j) order with no
+ * comparison of pairs. */
+int64_t qcasim_near_pairs(int64_t n, const double *x, const double *y,
+                          double reach, int64_t capacity, int64_t *first,
+                          int64_t *second)
+{
+    if (n < 2)
+        return 0;
+    if (!(isfinite(reach) && reach > 0.0))
+        return -2;
+    double extent = 0.0;
+    for (int64_t k = 0; k < n; k++) {
+        if (!(isfinite(x[k]) && isfinite(y[k])))
+            return -2;
+        extent = fmax(extent, fmax(fabs(x[k]), fabs(y[k])));
+    }
+    double pitch = reach + (reach + extent) * 0x1p-40;
+    /* per cell: column, row, the sort keys, order and a radix buffer; per
+     * bin (at most n): start (n + 1), column, row and four neighbors; and
+     * the counts by i and by j (n + 1 each) */
+    int64_t *scratch = calloc((size_t)(14 * n + 3), sizeof *scratch);
+    if (scratch == NULL)
+        return -1;
+    int64_t *column = scratch, *row = column + n, *order = row + n;
+    int64_t *tmp = order + n, *start = tmp + n, *bin_column = start + n + 1;
+    int64_t *bin_row = bin_column + n, *nbr = bin_row + n;
+    int64_t *count_i = nbr + 4 * n, *count_j = count_i + n + 1;
+    uint64_t *key = (uint64_t *)(count_j + n + 1);
+    int64_t column_min = INT64_MAX, row_min = INT64_MAX;
+    for (int64_t k = 0; k < n; k++) {
+        column[k] = (int64_t)floor(x[k] / pitch);
+        row[k] = (int64_t)floor(y[k] / pitch);
+        column_min = column[k] < column_min ? column[k] : column_min;
+        row_min = row[k] < row_min ? row[k] : row_min;
+        order[k] = k;
+    }
+    uint64_t top = 0;
+    for (int64_t k = 0; k < n; k++) {
+        key[k] = (uint64_t)(row[k] - row_min);
+        top = key[k] > top ? key[k] : top;
+    }
+    radix_sort(n, key, top, order, tmp);
+    top = 0;
+    for (int64_t k = 0; k < n; k++) {
+        key[k] = (uint64_t)(column[k] - column_min);
+        top = key[k] > top ? key[k] : top;
+    }
+    radix_sort(n, key, top, order, tmp);
+    int64_t m = 0;
+    for (int64_t s = 0; s < n; s++) {
+        int64_t c = column[order[s]], r = row[order[s]];
+        if (m == 0 || c != bin_column[m - 1] || r != bin_row[m - 1]) {
+            bin_column[m] = c;
+            bin_row[m] = r;
+            start[m++] = s;
+        }
+    }
+    start[m] = n;
+    for (int64_t b = 0, p = 0; b < m; b++) {
+        int64_t c = bin_column[b], r = bin_row[b], *out = nbr + 4 * b;
+        if (b + 1 < m && bin_column[b + 1] == c && bin_row[b + 1] == r + 1)
+            *out++ = b + 1;
+        while (p < m && (bin_column[p] < c + 1
+                         || (bin_column[p] == c + 1 && bin_row[p] < r - 1)))
+            p++;
+        for (int64_t q = p; q < m && bin_column[q] == c + 1 && bin_row[q] <= r + 1; q++)
+            *out++ = q;
+        while (out < nbr + 4 * b + 4)
+            *out++ = -1;
+    }
+    int64_t pairs = scan_bins(m, start, nbr, order, x, y, reach, count_i,
+                              count_j, NULL, NULL);
+    if (pairs <= capacity) {
+        /* at_j[j]: the next place in bucket j; after the fill, the end of
+         * bucket j, which is where bucket j + 1 starts */
+        int64_t *at_j = tmp, *at_i = column;
+        for (int64_t k = 0, total_i = 0, total_j = 0; k < n; k++) {
+            at_i[k] = total_i;
+            at_j[k] = total_j;
+            total_i += count_i[k];
+            total_j += count_j[k];
+        }
+        scan_bins(m, start, nbr, order, x, y, reach, NULL, NULL, first, at_j);
+        for (int64_t j = 0, k = 0; j < n; j++)
+            for (; k < at_j[j]; k++)
+                second[at_i[first[k]]++] = j;
+        for (int64_t i = 0, k = 0; i < n; i++)
+            for (int64_t c = 0; c < count_i[i]; c++)
+                first[k++] = i;
+    }
+    free(scratch);
+    return pairs;
+}
+
+/* A mix of 64 bits (the finalizer of splitmix64). */
+static uint64_t mix(uint64_t h)
+{
+    h = (h ^ h >> 30) * 0xbf58476d1ce4e5b9u;
+    h = (h ^ h >> 27) * 0x94d049bb133111ebu;
+    return h ^ h >> 31;
+}
+
+/* One multiply per column, and a full mix of the result. */
+static uint64_t row_hash(const int64_t *row, int64_t n_cols)
+{
+    uint64_t h = 0;
+    for (int64_t c = 0; c < n_cols; c++)
+        h = (h << 29 | h >> 35) * 0x9e3779b97f4a7c15u ^ (uint64_t)row[c];
+    return mix(h);
+}
+
+/* The slot of table (size a power of two, -1 marking a free slot) that
+ * holds the group whose first row equals row, or else the free slot where
+ * it would go. */
+static int64_t probe(const int64_t *table, int64_t size, const int64_t *keys,
+                     int64_t n_cols, const int64_t *first, const int64_t *row)
+{
+    for (uint64_t slot = row_hash(row, n_cols) & (uint64_t)(size - 1);;
+         slot = (slot + 1) & (uint64_t)(size - 1)) {
+        int64_t g = table[slot];
+        if (g < 0)
+            return (int64_t)slot;
+        const int64_t *other = keys + first[g] * n_cols;
+        int64_t c = 0;
+        while (c < n_cols && other[c] == row[c])
+            c++;
+        if (c == n_cols)
+            return (int64_t)slot;
+    }
+}
+
+/* Group the rows of keys (n_rows x n_cols, row-major) that are equal in
+ * every column: group[r] is row r's group, groups numbered in the order
+ * of their first rows, and first[g] the first row of group g (ascending).
+ * Returns the number of groups, or -1 where the hash table cannot be
+ * allocated. Keys are compared as integers: a caller passes a float as
+ * the bit pattern of v + 0.0, which is +0.0 for -0.0 and 0.0 alike, so
+ * that the groups are those that float `==` tells apart (NaN aside,
+ * which the callers never pass). An open-addressing table of group
+ * numbers, at most half full, doubles as groups arrive; it stays as small
+ * as the number of groups, not of rows. */
+int64_t qcasim_group_keys(int64_t n_rows, int64_t n_cols, const int64_t *keys,
+                          int64_t *group, int64_t *first)
+{
+    int64_t size = 16, groups = 0;
+    int64_t *table = malloc((size_t)size * sizeof *table);
+    if (table == NULL)
+        return -1;
+    memset(table, -1, (size_t)size * sizeof *table);
+    for (int64_t r = 0; r < n_rows; r++) {
+        const int64_t *row = keys + r * n_cols;
+        int64_t slot = probe(table, size, keys, n_cols, first, row);
+        if (table[slot] >= 0) {
+            group[r] = table[slot];
+            continue;
+        }
+        table[slot] = groups;
+        first[groups] = r;
+        group[r] = groups++;
+        if (2 * groups > size) {
+            free(table);
+            size *= 2;
+            table = malloc((size_t)size * sizeof *table);
+            if (table == NULL)
+                return -1;
+            memset(table, -1, (size_t)size * sizeof *table);
+            for (int64_t g = 0; g < groups; g++)
+                table[probe(table, size, keys, n_cols, first,
+                            keys + first[g] * n_cols)] = g;
+        }
+    }
+    free(table);
+    return groups;
 }

@@ -36,8 +36,9 @@ from typing import Sequence
 
 import numpy as np
 
+from . import kernels
 from .constants import PhysicalConstants
-from .geometry import Cell, Layout, cells_overlap, dot_offsets, electron_dots, near_pairs
+from .geometry import Cell, Layout, cells_overlap, dot_offsets, electron_dots
 
 NM_TO_M = 1e-9
 
@@ -198,20 +199,10 @@ def _within(dx: np.ndarray, dy: np.ndarray, radius: float) -> np.ndarray:
     return within
 
 
-def _groups(key: Sequence[np.ndarray]) -> tuple[np.ndarray, np.ndarray]:
-    """Group the elements that are equal in every part of `key` (as `!=`
-    tells, which holds -0.0 and 0.0 equal): each element's group, groups
-    numbered in `np.lexsort(key)` order, and the first element of each."""
-    # lexsort is stable: a group starts wherever a part changes
-    order = np.lexsort(key)
-    fresh = np.zeros(len(order), dtype=bool)
-    fresh[:1] = True
-    for part in key:
-        part = part[order]
-        fresh[1:] |= part[1:] != part[:-1]
-    group = np.empty(len(order), dtype=np.int64)
-    group[order] = np.cumsum(fresh) - 1
-    return group, order[fresh]
+def _bits(values: np.ndarray) -> np.ndarray:
+    """The bit patterns of `values + 0.0`, as int64: equal where the values
+    are equal, -0.0 and 0.0 included (the values are never NaN)."""
+    return (values + 0.0).view(np.int64)
 
 
 def kink_matrix(layout: Layout, radius_of_effect: float,
@@ -220,30 +211,33 @@ def kink_matrix(layout: Layout, radius_of_effect: float,
     """Kink energies for every unordered pair within the radius of effect.
 
     The radius cutoff applies to center-to-center distance in nm, as
-    `math.dist` computes it. Candidate pairs come from `near_pairs` over
-    the cells in id order, so the result is deterministic. `kink_energy_pair`
-    runs once per distinct relative geometry (center difference, then size,
-    dot offset and rotation of the lower-id and of the higher-id cell), in
-    the order of each geometry's first pair; it depends on nothing else,
-    so a shared energy is the one a direct call returns.
+    `math.dist` computes it. The candidates, the pairs within the radius
+    along both axes, come from `kernels.near_pairs` over the cells in id
+    order, so the result is deterministic. `kink_energy_pair` runs once
+    per distinct relative geometry (center difference, then size, dot
+    offset and rotation of the lower-id and of the higher-id cell, grouped
+    by `kernels.group_keys`), in the order of each geometry's first pair;
+    it depends on nothing else, so a shared energy is the one a direct
+    call returns.
     """
     if not (math.isfinite(radius_of_effect) and radius_of_effect > 0):
         raise ElectrostaticsError("radius_of_effect must be finite and strictly positive")
     ids = layout.ids
     by_id = np.array(sorted(range(len(ids)), key=ids.__getitem__), dtype=np.int64)
     x, y = layout.x[by_id], layout.y[by_id]
-    first, second = near_pairs(x, y, radius_of_effect)
+    first, second = kernels.near_pairs(x, y, radius_of_effect)
     with np.errstate(over="ignore"):  # as Python floats, overflow gives inf
         dx, dy = x[second] - x[first], y[second] - y[first]
         within = _within(dx, dy, radius_of_effect)
     first, second, dx, dy = first[within], second[within], dx[within], dy[within]
     # a kind of cell: one size, dot offset and rotation
-    kind, _ = _groups([column[by_id] for column in
-                       (layout.rotation, layout.dot_offset, layout.size)])
-    geometry, representative = _groups((kind[second], kind[first], dy, dx))
+    kind, _ = kernels.group_keys(np.stack(
+        (layout.rotation[by_id], _bits(layout.dot_offset[by_id]),
+         _bits(layout.size[by_id])), axis=1))
+    geometry, representative = kernels.group_keys(np.stack(
+        (kind[second], kind[first], _bits(dy), _bits(dx)), axis=1))
     energy = np.empty(len(representative))
-    for g in np.argsort(representative).tolist():
-        k = representative[g]
+    for g, k in enumerate(representative.tolist()):
         energy[g] = kink_energy_pair(_site(layout, by_id[first[k]]),
                                      _site(layout, by_id[second[k]]),
                                      constants, charge_model)

@@ -27,6 +27,8 @@ from typing import Optional, Sequence
 
 import numpy as np
 
+from . import kernels
+
 ROLES = ("normal", "input", "output", "fixed")
 NORMAL, INPUT, OUTPUT, FIXED = range(4)  # role codes: positions in ROLES
 _ROLE_CODE = {role: code for code, role in enumerate(ROLES)}
@@ -127,58 +129,11 @@ def cells_overlap(a: Cell, b: Cell) -> bool:
     return max(gx, gy) <= 0
 
 
-# A bin as a complex number, column + 1j * row: the offsets of a cell's own
-# bin and of four of its eight neighboring bins. Each of the other four
-# pairs with this one from its own side.
-_FORWARD = np.array([0, 1 - 1j, 1, 1 + 1j, 1j])[:, None]
-
-
-def near_pairs(x: np.ndarray, y: np.ndarray,
-               reach: float) -> tuple[np.ndarray, np.ndarray]:
-    """Index pairs (i, j), i < j, of cells centered at (x, y) whose centers
-    may lie within `reach` of each other along both axes, as two int64
-    arrays in lexicographic (i, j) order.
-
-    Every pair with |x_i - x_j| <= reach and |y_i - y_j| <= reach (as
-    computed in floating point) is returned; some farther pairs may be too,
-    so callers apply their exact test to each candidate. Centers are binned
-    on a uniform grid and only neighboring bins are paired. The bin pitch
-    exceeds `reach` by a margin far above the rounding error of the bin
-    arithmetic, so a pair at exactly the reach always lands in neighboring
-    bins. The same margin keeps every bin index within 2**41 in magnitude
-    (subnormal pitches included), so a float holds it and its neighbors
-    exactly. Bins are complex numbers, which numpy orders lexicographically.
-    """
-    n = len(x)
-    if n < 2:
-        return np.zeros(0, dtype=np.int64), np.zeros(0, dtype=np.int64)
-    centers = np.array((x, y), dtype=np.float64)
-    extent = float(np.abs(centers).max())
-    pitch = reach + (reach + extent) * 2.0 ** -40
-    column, row = np.floor(centers / pitch)
-    key = column + 1j * row
-    order = np.argsort(key, kind="stable")
-    sorted_key = key[order]
-    target = key + _FORWARD
-    starts = np.searchsorted(sorted_key, target, "left")
-    # in its own bin a cell pairs only with the members after it
-    starts[0, order] = np.arange(1, n + 1)
-    counts = (np.searchsorted(sorted_key, target, "right") - starts).ravel()
-    first = np.repeat(np.arange(5 * n) % n, counts)
-    # run k of partners is sorted positions starts[k], starts[k] + 1, ...
-    shift = np.repeat(starts.ravel() + counts - np.cumsum(counts), counts)
-    second = order[shift + np.arange(len(first))]
-    pair_key = np.minimum(first, second) * n + np.maximum(first, second)
-    # stable: the default sort maps another 0.25 MB of numpy code into memory
-    pair_key.sort(kind="stable")
-    return np.divmod(pair_key, n)
-
-
 def _first_overlap(x: np.ndarray, y: np.ndarray,
                    size: np.ndarray) -> Optional[tuple[int, int]]:
     """The first pair (i, j), in index order, of cells that overlap as
     `cells_overlap` decides, or None."""
-    i, j = near_pairs(x, y, float(size.max(initial=0.0)))
+    i, j = kernels.near_pairs(x, y, float(size.max(initial=0.0)))
     if not i.size:
         return None
     with np.errstate(over="ignore"):  # as Python floats, overflow gives inf

@@ -1,6 +1,6 @@
 """Hot numeric kernels: the coherence-vector integrator and the bistable
-Gauss-Seidel sweep of the two engines, the CSV number formatter and the
-CSV row writer.
+Gauss-Seidel sweep of the two engines, the CSV number formatter, the CSV
+row writer, and the pair search and grouping of the kink matrix.
 
 The integrator entry point ``coherence_euler`` is batched: B points that
 share the cell order, clock zones, driven cells, time grid and clock
@@ -31,6 +31,14 @@ gathers the rows into one byte buffer; it returns the block's text,
 decoded from UTF-8 once. ``sweeps.write_csv`` makes one call per block of
 rows.
 
+The pair search entry point ``near_pairs`` returns exactly the index
+pairs (i, j), i < j, of cells within a reach of each other along both
+axes, in (i, j) order; the layout overlap check and ``kink_matrix`` run
+it. The grouping entry point ``group_keys`` numbers the distinct rows of
+an int64 key array in the order of their first rows (floats passed as the
+bit patterns of ``v + 0.0``); ``kink_matrix`` groups cell kinds and pair
+geometries with it, so that each geometry's energy is computed once.
+
 The two engine kernels read the coupling as a neighbor list: with
 ``k = slice(offsets[i], offsets[i + 1])``, the neighbors of cell i are
 ``cols[k]``, in ascending position, and the kink energies to them are
@@ -42,26 +50,28 @@ summed over its row only.
 Each entry point has two kernels that give bit-identical results, so the
 output never depends on which one ran:
 
-* ``c``: ``coherence_euler_c``, ``bistable_sweep_c``, ``format_sci_c``
-  and ``write_rows_c``: four entry points of one library, built from
-  ``_kernels.c`` (shipped with the package) and loaded through
-  ``ctypes``. The first kernel call in a process compiles it with ``$CC``
-  (default ``cc``) into ``${XDG_CACHE_HOME:-~/.cache}/qcasim/``, or,
-  where that directory cannot be used, into ``qcasim-<uid>`` under the
-  temporary directory, and failing that into a fresh temporary directory;
-  later processes load the cached library without running the compiler.
-  The library name carries a CRC-32 of the source, the flags and the
-  ``$CC`` argv.
+* ``c``: ``coherence_euler_c``, ``bistable_sweep_c``, ``format_sci_c``,
+  ``write_rows_c``, ``near_pairs_c`` and ``group_keys_c``: six entry
+  points of one library, built from ``_kernels.c`` (shipped with the
+  package) and loaded through ``ctypes``. The first kernel call in a
+  process compiles it with ``$CC`` (default ``cc``) into
+  ``${XDG_CACHE_HOME:-~/.cache}/qcasim/``, or, where that directory
+  cannot be used, into ``qcasim-<uid>`` under the temporary directory,
+  and failing that into a fresh temporary directory; later processes
+  load the cached library without running the compiler. The library
+  name carries a CRC-32 of the source, the flags and the ``$CC`` argv.
 * ``loop``: ``coherence_euler_loop`` and ``bistable_sweep_loop``, the
   engine kernels over Python lists, ``format_sci_loop``, Python's `%`,
-  and ``write_rows_loop``, ``",".join`` over the table's texts: the
-  references the C kernels are tested against, and the kernels that run
-  where no compiler works (``CC=/nonexistent``, say).
+  ``write_rows_loop``, ``",".join`` over the table's texts, and
+  ``near_pairs_loop`` and ``group_keys_loop``, in numpy: the references
+  the C kernels are tested against, and the kernels that run where no
+  compiler works (``CC=/nonexistent``, say).
 
 ``kernel_path`` names the path that ``coherence_euler``,
-``bistable_sweep``, ``format_sci`` and ``write_rows`` run: "c" whenever
-the library loads, else "loop". ``format_sci`` and ``write_rows`` load it
-too, so ``kink``, which runs no engine, loads it to print its rows.
+``bistable_sweep``, ``format_sci``, ``write_rows``, ``near_pairs`` and
+``group_keys`` run: "c" whenever the library loads, else "loop". Every
+``Layout`` built runs ``near_pairs`` in its overlap check, so any command
+loads the library.
 
 In the engine kernels every ``+``, ``*``, ``/`` and ``sqrt`` is the same
 IEEE operation in the same order in both, and ``cos`` and ``tanh`` are
@@ -74,13 +84,16 @@ one bit for bit (no vector changed a bit and the clock of every zone in
 use kept its bits) only records, and a cell whose clock term and local
 field repeat reuses its steady state. The loop kernel never skips. The
 header of ``_kernels.c`` gives both rules and why they are exact, how the
-C integrator splits a batch over threads, and why the C formatter's
-texts are those of `%`.
+C integrator splits a batch over threads, why the C formatter's texts
+are those of `%`, how the C pair search orders its pairs without
+comparing them, and how the C grouping numbers its groups.
 ``tests/test_kernels.py`` compares each C kernel with its loop kernel, bit
-for bit, and ``tests/test_sweeps.py`` the row writers on drawn tables;
+for bit, ``tests/test_sweeps.py`` the row writers on drawn tables and
+``tests/test_coupling.py`` the pair searches and groupings;
 ``benchmarks/bench_coherence.py`` times the coherence kernels and
-``benchmarks/bench_coupling.py`` the bistable relaxation and the ``kink``
-output, which ``write_rows`` gathers.
+``benchmarks/bench_coupling.py`` the kink matrix on both paths, the
+bistable relaxation and the ``kink`` output, which ``write_rows``
+gathers.
 
 The C integrator splits a batch over the usable cores (see
 ``coherence_euler_c``); its results are those of one call, bit for bit,
@@ -349,7 +362,7 @@ def _compile(cc: list, target: Path) -> bool:
 
 
 def _bind(path: Path):
-    """The library at `path`, its four entry points typed."""
+    """The library at `path`, its six entry points typed."""
     import ctypes
     library = ctypes.CDLL(str(path))
     i64, f64, ptr = ctypes.c_int64, ctypes.c_double, ctypes.c_void_p
@@ -366,6 +379,12 @@ def _bind(path: Path):
     rows = library.qcasim_write_rows
     rows.argtypes = [i64, i64] + [ptr] * 4
     rows.restype = i64
+    pairs = library.qcasim_near_pairs
+    pairs.argtypes = [i64, ptr, ptr, f64, i64, ptr, ptr]
+    pairs.restype = i64
+    groups = library.qcasim_group_keys
+    groups.argtypes = [i64, i64] + [ptr] * 3
+    groups.restype = i64
     return library
 
 
@@ -669,10 +688,133 @@ def write_rows_c(table, indices) -> str:
     return str(out[:size], "utf-8", "surrogatepass")
 
 
+# A bin as a complex number, column + 1j * row: the offsets of a cell's own
+# bin and of four of its eight neighboring bins. Each of the other four
+# pairs with this one from its own side.
+_FORWARD = np.array([0, 1 - 1j, 1, 1 + 1j, 1j])[:, None]
+
+_NEAR_PAIRS_DOMAIN = "near_pairs needs finite coordinates and a finite reach > 0"
+
+
+def near_pairs_loop(x, y, reach: float) -> tuple[np.ndarray, np.ndarray]:
+    """The pairs of ``near_pairs`` in numpy, the reference the C pair
+    search is tested against: centers binned on the grid of
+    ``qcasim_near_pairs`` (see its comment in ``_kernels.c``), and every
+    pair of neighboring bins found by sorted search. Bins are complex
+    numbers, which numpy orders lexicographically. The candidates are cut
+    to the exact box, then put in (i, j) order by one sort of their keys
+    i * n + j."""
+    n = len(x)
+    if n < 2:
+        return np.zeros(0, dtype=np.int64), np.zeros(0, dtype=np.int64)
+    centers = np.array((x, y), dtype=np.float64)
+    if not (math.isfinite(reach) and reach > 0 and np.isfinite(centers).all()):
+        raise ValueError(_NEAR_PAIRS_DOMAIN)
+    extent = float(np.abs(centers).max())
+    pitch = reach + (reach + extent) * 2.0 ** -40
+    column, row = np.floor(centers / pitch)
+    key = column + 1j * row
+    order = np.argsort(key, kind="stable")
+    sorted_key = key[order]
+    target = key + _FORWARD
+    starts = np.searchsorted(sorted_key, target, "left")
+    # in its own bin a cell pairs only with the members after it
+    starts[0, order] = np.arange(1, n + 1)
+    counts = (np.searchsorted(sorted_key, target, "right") - starts).ravel()
+    first = np.repeat(np.arange(5 * n) % n, counts)
+    # run k of partners is sorted positions starts[k], starts[k] + 1, ...
+    shift = np.repeat(starts.ravel() + counts - np.cumsum(counts), counts)
+    second = order[shift + np.arange(len(first))]
+    x, y = centers
+    with np.errstate(over="ignore"):  # a difference that overflows is out
+        box = ((np.abs(x[first] - x[second]) <= reach)
+               & (np.abs(y[first] - y[second]) <= reach))
+    first, second = first[box], second[box]
+    pair_key = np.minimum(first, second) * n + np.maximum(first, second)
+    # stable: the default sort maps another 0.25 MB of numpy code into memory
+    pair_key.sort(kind="stable")
+    return np.divmod(pair_key, n)
+
+
+def near_pairs_c(x, y, reach: float) -> tuple[np.ndarray, np.ndarray]:
+    """The pair search in C, with the arguments and results of
+    ``near_pairs_loop``; x and y are checked for dtype, C-contiguity and
+    shape before their pointers are passed. The pair count is known only
+    after the search: the first call offers room for 64 pairs per cell,
+    and a search that finds more runs once more with room for them all."""
+    library = _library()
+    if library is None:
+        raise RuntimeError("the compiled kernels are not available")
+    n = np.size(x)
+    _check("x", x, np.float64, (n,))
+    _check("y", y, np.float64, (n,))
+    capacity = min(n * (n - 1) // 2, 64 * n)
+    while True:
+        first = np.empty(capacity, dtype=np.int64)
+        second = np.empty(capacity, dtype=np.int64)
+        count = library.qcasim_near_pairs(n, x.ctypes.data, y.ctypes.data,
+                                          float(reach), capacity,
+                                          first.ctypes.data, second.ctypes.data)
+        if count == -2:
+            raise ValueError(_NEAR_PAIRS_DOMAIN)
+        if count < 0:
+            raise MemoryError("the pair search could not allocate its scratch")
+        if count <= capacity:
+            return first[:count], second[:count]
+        capacity = count
+
+
+def group_keys_loop(keys) -> tuple[np.ndarray, np.ndarray]:
+    """The groups of ``group_keys`` in numpy, the reference the C grouping
+    is tested against: a stable lexsort of the rows, a group starting
+    wherever a column changes, and the groups renumbered in the order of
+    their first rows."""
+    keys = _key_rows(keys)
+    order = np.lexsort(keys.T)
+    fresh = np.zeros(len(order), dtype=bool)
+    fresh[:1] = True
+    for part in keys.T:
+        part = part[order]
+        fresh[1:] |= part[1:] != part[:-1]
+    # lexsort is stable, so a group's first row in sorted order is its first
+    first = order[fresh]
+    rank = np.argsort(first)
+    renumber = np.empty(len(rank), dtype=np.int64)
+    renumber[rank] = np.arange(len(rank))
+    group = np.empty(len(order), dtype=np.int64)
+    group[order] = renumber[np.cumsum(fresh) - 1]
+    return group, first[rank]
+
+
+def group_keys_c(keys) -> tuple[np.ndarray, np.ndarray]:
+    """The grouping in C, a hash table of the groups, with the arguments
+    and results of ``group_keys_loop``; keys are checked for dtype,
+    C-contiguity and shape before their pointer is passed."""
+    library = _library()
+    if library is None:
+        raise RuntimeError("the compiled kernels are not available")
+    n_rows, n_cols = np.shape(_key_rows(keys))
+    _check("keys", keys, np.int64, (n_rows, n_cols))
+    group = np.empty(n_rows, dtype=np.int64)
+    first = np.empty(n_rows, dtype=np.int64)
+    count = library.qcasim_group_keys(n_rows, n_cols, keys.ctypes.data,
+                                      group.ctypes.data, first.ctypes.data)
+    if count < 0:
+        raise MemoryError("the grouping could not allocate its hash table")
+    return group, first[:count].copy()
+
+
+def _key_rows(keys):
+    """`keys` if it is a 2-D array of at least one column."""
+    if np.ndim(keys) != 2 or np.shape(keys)[1] < 1:
+        raise ValueError("keys must be a 2-D array (rows, columns) with a column")
+    return keys
+
+
 def kernel_path() -> str:
-    """The kernels ``coherence_euler``, ``bistable_sweep``, ``format_sci``
-    and ``write_rows`` run: "c" whenever the compiled library loads, else
-    "loop"."""
+    """The kernels ``coherence_euler``, ``bistable_sweep``, ``format_sci``,
+    ``write_rows``, ``near_pairs`` and ``group_keys`` run: "c" whenever the
+    compiled library loads, else "loop"."""
     return "c" if _library() is not None else "loop"
 
 
@@ -695,3 +837,29 @@ def write_rows(*args):
     arguments of ``write_rows_loop``."""
     kernel = write_rows_c if _library() is not None else write_rows_loop
     return kernel(*args)
+
+
+def near_pairs(x, y, reach: float) -> tuple[np.ndarray, np.ndarray]:
+    """The index pairs (i, j), i < j, of the cells centered at (x, y) with
+    |x[i] - x[j]| <= reach and |y[i] - y[j]| <= reach, each difference
+    computed in floating point (one that overflows is out), as two int64
+    arrays in lexicographic (i, j) order: exactly those, no farther pair.
+    Coordinates must be finite and the reach finite and > 0 (ValueError
+    otherwise), unless there are fewer than two cells. The kernel
+    ``kernel_path`` names: ``near_pairs_c`` or ``near_pairs_loop``, which
+    bin the centers on a grid to pair only neighboring bins; the bins do
+    not show in the result."""
+    kernel = near_pairs_c if _library() is not None else near_pairs_loop
+    return kernel(x, y, reach)
+
+
+def group_keys(keys) -> tuple[np.ndarray, np.ndarray]:
+    """Group the rows of `keys`, an int64 array (rows, columns) with at
+    least one column, that are equal in every column: returns each row's
+    group, the groups numbered in the order of their first rows, and the
+    first row of each group (ascending). Pass a float column as the bit
+    patterns of `v + 0.0`, which puts -0.0 and 0.0 in one group, as `==`
+    does. The kernel ``kernel_path`` names: ``group_keys_c`` or
+    ``group_keys_loop``."""
+    kernel = group_keys_c if _library() is not None else group_keys_loop
+    return kernel(keys)

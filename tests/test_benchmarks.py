@@ -17,7 +17,8 @@ BENCHMARKS = Path(__file__).parents[1] / "benchmarks"
     ("bench_coherence.py", ["--total-time", "1e-14", "--repeats", "1"],
      "  kernel   B    best ms  point-steps/s"),
     ("bench_coupling.py", ["--max-cells", "100"],
-     "layout,cells,pairs,build_s,parse_s,kink_s,emit_s,bistable_s,bistable_loop_s"),
+     "layout,cells,pairs,build_s,parse_s,kink_s,kink_loop_s,emit_s,bistable_s,"
+     "bistable_loop_s"),
 ])
 def test_script_runs(script, argv, header):
     src = str(Path(kernels.__file__).parents[1])

@@ -1,10 +1,11 @@
-"""The index-based coupling core: candidate pairs from grid bins, kink
+"""The index-based coupling core: the pairs within a per-axis reach, kink
 energies cached by relative geometry, and the neighbor list the engines
 read.
 
-Property tests compare each against an all-pairs reference; the bistable
-engine, on each sweep kernel, is compared bit for bit with the pair-dict
-reference in oracle.py.
+Property tests compare each against an all-pairs reference; the C pair
+search and grouping are compared bit for bit with their numpy
+references, and the bistable engine, on each sweep kernel, with the
+pair-dict reference in oracle.py.
 """
 
 import itertools
@@ -25,7 +26,7 @@ from qcasim.electrostatics import kink_energy_pair, kink_matrix
 from qcasim.engines import (BistableParams, ConvergenceError, bistable_relax,
                             coupling, local_field)
 from qcasim.geometry import (Cell, Layout, LayoutError, builtin_layout,
-                             cells_overlap, near_pairs)
+                             cells_overlap)
 
 PAPER = PhysicalConstants.paper()
 PROPERTY = settings(max_examples=150, deadline=None)
@@ -90,46 +91,174 @@ def scaled_layouts_and_radius(draw):
     return Layout(name="scaled", cells=tuple(cells)), radius
 
 
+# the numpy reference kernels, and the C kernels where the compiled library
+# loads
+COMPILED = kernels.kernel_path() == "c"
+needs_cc = pytest.mark.skipif(not COMPILED, reason="no C compiler")
+PAIR_KERNELS = [kernels.near_pairs, kernels.near_pairs_loop,
+                *([kernels.near_pairs_c] if COMPILED else [])]
+
+
+def brute_force_pairs(x, y, reach):
+    """The pairs (i, j), i < j, within `reach` along both axes, in (i, j)
+    order, from Python floats (a difference that overflows is inf)."""
+    x, y = x.tolist(), y.tolist()
+    return [(i, j) for i, j in itertools.combinations(range(len(x)), 2)
+            if abs(x[i] - x[j]) <= reach and abs(y[i] - y[j]) <= reach]
+
+
+def pair_list(pairs):
+    first, second = pairs
+    assert first.dtype == second.dtype == np.int64
+    return list(zip(first.tolist(), second.tolist()))
+
+
 class TestNearPairs:
     @PROPERTY
     @given(st.lists(st.tuples(st.integers(-40, 40), st.integers(-40, 40)),
                     min_size=1, max_size=30),
            st.sampled_from((0.1, 0.5, 1.0, 3.7)), st.data())
     def test_every_pair_within_reach_is_a_candidate(self, points, step, data):
-        cells = [fixed_cell(f"c{k}", x * step, y * step)
-                 for k, (x, y) in enumerate(points)]
-        pick = data.draw(st.integers(0, len(cells) - 1))
+        x = np.array([px * step for px, _ in points])
+        y = np.array([py * step for _, py in points])
+        pick = data.draw(st.integers(0, len(points) - 1))
         # a reach equal to some per-axis difference puts pairs at exactly it
         reach = data.draw(st.one_of(
-            st.floats(0.05, 20.0),
-            st.just(abs(cells[pick].center_x - cells[0].center_x) or 1.0)))
-        first, second = near_pairs(np.array([c.center_x for c in cells]),
-                                   np.array([c.center_y for c in cells]), reach)
-        assert first.dtype == second.dtype == np.int64
-        candidates = list(zip(first.tolist(), second.tolist()))
-        # exactly the pairs in the same or neighboring bins of the grid
-        extent = max(max(abs(c.center_x), abs(c.center_y)) for c in cells)
-        pitch = reach + (reach + extent) * 2.0 ** -40
-        bins = [(math.floor(c.center_x / pitch), math.floor(c.center_y / pitch))
-                for c in cells]
-        assert candidates == [
-            (i, j) for i, j in itertools.combinations(range(len(cells)), 2)
-            if abs(bins[i][0] - bins[j][0]) <= 1 and abs(bins[i][1] - bins[j][1]) <= 1]
-        for i in range(len(cells)):
-            for j in range(i + 1, len(cells)):
-                a, b = cells[i], cells[j]
-                if (abs(a.center_x - b.center_x) <= reach
-                        and abs(a.center_y - b.center_y) <= reach):
-                    assert (i, j) in candidates
+            st.floats(0.05, 20.0), st.just(abs(x[pick] - x[0]) or 1.0)))
+        # exactly the pairs within reach along both axes, no farther one
+        expected = brute_force_pairs(x, y, reach)
+        for kernel in PAIR_KERNELS:
+            assert pair_list(kernel(x, y, reach)) == expected
 
     def test_exact_reach_across_a_bin_edge(self):
         # 80 - (-1e-300) rounds to 80, but at a pitch of exactly 80 the two
         # centers would fall in bins -1 and 1
         cells = (fixed_cell("a", -1e-300, 0.0), fixed_cell("b", 80.0, 0.0))
-        assert [a.tolist() for a in near_pairs(np.array([-1e-300, 80.0]),
-                                               np.zeros(2), 80.0)] == [[0], [1]]
+        for kernel in PAIR_KERNELS:
+            assert pair_list(kernel(np.array([-1e-300, 80.0]), np.zeros(2),
+                                    80.0)) == [(0, 1)]
         assert list(kink_matrix(Layout(name="edge", cells=cells), 80.0, PAPER).pairs) == [
             ("a", "b")]
+
+    @pytest.mark.parametrize("reach", [0.0, -1.0, math.nan, math.inf])
+    def test_reach_must_be_finite_and_positive(self, reach):
+        for kernel in PAIR_KERNELS:
+            with pytest.raises(ValueError, match="finite"):
+                kernel(np.zeros(2), np.array([0.0, 1.0]), reach)
+            # fewer than two cells pair with nothing, whatever the reach
+            assert pair_list(kernel(np.zeros(1), np.zeros(1), reach)) == []
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_coordinates_must_be_finite(self, bad):
+        for kernel in PAIR_KERNELS:
+            with pytest.raises(ValueError, match="finite"):
+                kernel(np.array([0.0, bad]), np.zeros(2), 1.0)
+
+
+# Coordinates at the edges of the float range: signed zeros, huge and tiny
+# values, subnormals and the smallest normal
+EDGE_COORDINATES = (0.0, -0.0, 1e150, -1e150, 1e-160, -1e-160, 5e-324,
+                    -5e-324, 1.5e-323, 2.2250738585072014e-308, 1e308, -1e308)
+EDGE_SCALES = (1.0, 0.37, 1e150, 1e-160, 5e-324)
+
+
+@st.composite
+def pair_problems(draw):
+    """Centers on a scaled integer grid, some at edge values, and a reach
+    that is scaled, an edge value or a per-axis difference of two centers
+    (so that pairs lie at exactly the reach)."""
+    scale = draw(st.sampled_from(EDGE_SCALES))
+    coordinate = st.one_of(st.integers(-12, 12).map(lambda k: k * scale),
+                           st.sampled_from(EDGE_COORDINATES))
+    points = draw(st.lists(st.tuples(coordinate, coordinate), max_size=40))
+    x = np.array([p[0] for p in points], dtype=np.float64)
+    y = np.array([p[1] for p in points], dtype=np.float64)
+    reaches = [st.floats(0.5, 20.0).map(lambda r: r * scale or 5e-324),
+               st.sampled_from((5e-324, 1e-160, 1.0, 1e150, 1.7e308))]
+    if len(points) > 1:
+        i, j = draw(st.lists(st.integers(0, len(points) - 1), min_size=2,
+                             max_size=2, unique=True))
+        with np.errstate(over="ignore"):
+            difference = abs(float(draw(st.sampled_from((x, y)))[i]
+                                   - draw(st.sampled_from((x, y)))[j]))
+        if 0.0 < difference < math.inf:
+            reaches.append(st.just(difference))
+    return x, y, draw(st.one_of(*reaches))
+
+
+def assert_same_arrays(got, expected):
+    assert len(got) == len(expected)
+    for a, b in zip(got, expected):
+        assert a.dtype == b.dtype == np.int64
+        assert a.tobytes() == b.tobytes()
+
+
+@needs_cc
+class TestPairKernelsAgree:
+    """The C pair search and grouping against their numpy references, bit
+    for bit, on drawn and edge inputs."""
+
+    @PROPERTY
+    @given(pair_problems())
+    def test_near_pairs(self, problem):
+        x, y, reach = problem
+        got = kernels.near_pairs_c(x, y, reach)
+        assert_same_arrays(got, kernels.near_pairs_loop(x, y, reach))
+        assert pair_list(got) == brute_force_pairs(x, y, reach)
+
+    @pytest.mark.parametrize("n", [0, 1, 2])
+    @pytest.mark.parametrize("reach", [5e-324, 1.0, 1e150])
+    def test_near_pairs_of_few_cells(self, n, reach):
+        for x, y in itertools.product((np.zeros(n), np.full(n, -0.0),
+                                       np.arange(n) * 1e-160,
+                                       np.arange(n) * 5e-324), repeat=2):
+            assert_same_arrays(kernels.near_pairs_c(x, y, reach),
+                               kernels.near_pairs_loop(x, y, reach))
+
+    def test_near_pairs_beyond_the_first_offer(self):
+        # all 11,175 pairs of 150 close cells: more than 64 per cell
+        rnd = np.random.default_rng(5)
+        x, y = rnd.uniform(-1.0, 1.0, (2, 150))
+        got = kernels.near_pairs_c(x, y, 2.0)
+        assert len(got[0]) == 150 * 149 // 2
+        assert_same_arrays(got, kernels.near_pairs_loop(x, y, 2.0))
+
+    @PROPERTY
+    @given(st.integers(1, 4), st.data())
+    def test_group_keys(self, n_cols, data):
+        value = st.sampled_from((0.0, -0.0, 1.0, -1.0, 1e150, 1e-160, 5e-324,
+                                 -5e-324, 20.0))
+        rows = data.draw(st.lists(st.tuples(*[value] * n_cols), max_size=60))
+        floats = np.array(rows, dtype=np.float64).reshape(len(rows), n_cols)
+        # the raw bits keep -0.0 and 0.0 apart; those of v + 0.0 join them
+        for keys in (floats.view(np.int64), (floats + 0.0).view(np.int64)):
+            assert_same_arrays(kernels.group_keys_c(keys),
+                               kernels.group_keys_loop(keys))
+        # groups of the rows that == holds equal (a dict key does too),
+        # numbered in the order of their first rows
+        numbers, firsts = {}, []
+        for r, row in enumerate(rows):
+            if row not in numbers:
+                numbers[row] = len(firsts)
+                firsts.append(r)
+        group, first = kernels.group_keys_c((floats + 0.0).view(np.int64))
+        assert group.tolist() == [numbers[row] for row in rows]
+        assert first.tolist() == firsts
+
+    @pytest.mark.parametrize("n_rows", [0, 1, 2])
+    def test_group_keys_of_few_rows(self, n_rows):
+        for keys in (np.zeros((n_rows, 1), dtype=np.int64),
+                     np.arange(3 * n_rows, dtype=np.int64).reshape(n_rows, 3)):
+            assert_same_arrays(kernels.group_keys_c(keys),
+                               kernels.group_keys_loop(keys))
+
+    def test_group_keys_with_many_groups(self):
+        # enough groups to grow the hash table many times over
+        rnd = np.random.default_rng(9)
+        keys = rnd.integers(0, 3000, (20_000, 2))
+        group, first = kernels.group_keys_c(keys)
+        assert_same_arrays((group, first), kernels.group_keys_loop(keys))
+        assert len(first) == len(np.unique(keys, axis=0))
 
 
 class TestOverlapCheck:

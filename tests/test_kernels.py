@@ -776,6 +776,13 @@ class TestKernelChoice:
         assert kernels.table_texts(table) == kernels.format_sci_loop(SCI_EDGES)
         indices = np.array([[0, 5, 0], [7, 7, 1]])
         assert kernels.write_rows(table, indices) == kernels.write_rows_loop(table, indices)
+        x, y = np.array([0.0, 20.0, 40.0]), np.zeros(3)
+        for got, want in zip(kernels.near_pairs(x, y, 20.0),
+                             kernels.near_pairs_loop(x, y, 20.0)):
+            assert_same_bits(got, want)
+        keys = np.array([[1, 2], [3, 4], [1, 2]])
+        for got, want in zip(kernels.group_keys(keys), kernels.group_keys_loop(keys)):
+            assert_same_bits(got, want)
         assert not (own_cache / "cache").exists()
         # nor does it touch a cache that holds other builds
         cache = own_cache / "cache" / "qcasim"
