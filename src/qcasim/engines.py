@@ -270,20 +270,15 @@ def coupling(kinks: Sequence[KinkMatrix], cell_ids: Sequence[str]
     cell_ids[i] in some point; energies[b] gives point b's energy to each,
     0.0 where point b lacks the pair. Zero energies are left out."""
     n = len(cell_ids)
-    cell_ids = tuple(cell_ids)
-    where = None  # cell id -> position in cell_ids, built when first needed
+    where = {cid: k for k, cid in enumerate(cell_ids)}
     # points that share a kink matrix, as a temperature sweep's do, share
     # its energies
     distinct = {id(kink): kink for kink in kinks}
     rows, cols, owners, values = [], [], [], []
     for m, kink in enumerate(distinct.values()):
-        first, second = kink.first, kink.second
-        if kink.ids != cell_ids:  # else every position is the matrix's own
-            if where is None:
-                where = {cid: k for k, cid in enumerate(cell_ids)}
-            position = np.fromiter(map(where.get, kink.ids, itertools.repeat(-1)),
-                                   np.int64, len(kink.ids))
-            first, second = position[first], position[second]
+        position = np.fromiter(map(where.get, kink.ids, itertools.repeat(-1)),
+                               np.int64, len(kink.ids))
+        first, second = position[kink.first], position[kink.second]
         kept = (kink.energies != 0.0) & (first >= 0) & (second >= 0)
         first, second, energy = first[kept], second[kept], kink.energies[kept]
         rows += (first, second)
