@@ -11,16 +11,22 @@ str); `x`, `y`, `size` and `dot_offset` (float64); `rotation`, `zone` and
 `role` (int64, a role being its index in ROLES); and `pol` (float64, a
 fixed cell's polarization, NaN elsewhere). The kink matrix, the engines,
 the sweeps and the CLI read the columns. `Layout.cells` gives the same
-cells as `Cell` objects, built when first read. `parse_layout` builds the
-columns in one pass over a document, which stops at the first line it
-cannot read, and checks them in bulk. It raises the first rule broken in
-document order: `line N: ...`, or else the layout's own message.
+cells as `Cell` objects, built when first read.
+
+The rules of a cell are one ordered table, `_rules`, shared by `Cell`,
+which checks one cell's values, and by every layout builder, which checks
+its columns in bulk (`_from_columns`). `parse_layout` builds the columns
+in one pass over a document, which stops at the first line it cannot
+read. It raises the first rule broken in document order: `line N: ...`,
+or else the layout's own message.
 """
 
 from __future__ import annotations
 
+import inspect
 import math
 import re
+import sys
 from dataclasses import dataclass
 from functools import cached_property
 from typing import Optional, Sequence
@@ -35,6 +41,7 @@ _ROLE_CODE = {role: code for code, role in enumerate(ROLES)}
 # What an id may not hold, as it would break a .qcl line or a CSV row; nor
 # may an id begin with `#`, which would turn its CSV row into a comment.
 _BAD_ID = re.compile(r'[\s=,"\x00-\x1f\x7f-\x9f]')
+_MAX = sys.float_info.max  # |v| <= _MAX holds for every finite v
 
 # Dot index pairs (0-based) occupied at each polarization sign.
 DOTS_POSITIVE = (0, 2)
@@ -53,6 +60,65 @@ class ParseError(LayoutError):
         self.line = line
 
 
+def _valid_ids(ids):
+    """Whether an id may name a cell; for an array of ids, where each may,
+    or True if all may."""
+    if not isinstance(ids, np.ndarray):
+        return bool(ids) and ids[0] != "#" and not _BAD_ID.search(ids)
+    ids = ids.tolist()
+    if all(ids) and "#" not in [cid[0] for cid in ids] and not _BAD_ID.search("".join(ids)):
+        return True
+    return np.array([_valid_ids(cid) for cid in ids], dtype=bool)
+
+
+def _rules(id, center_x, center_y, size, dot_offset, rotation, clock_zone,
+           role, code, has_pol, pol) -> tuple:
+    """The rules of a cell, in the order they are checked, as a flat tuple
+    of pairs: whether the fields keep the rule, and the message, in the
+    fields, of a cell that breaks it. The tests hold on one cell's Python
+    scalars and on every cell's columns (`id` an object array) alike.
+    `code` is the role's (-1 if unknown); `has_pol`, whether the cell has a
+    polarization, is a fact apart from `pol`, which is NaN where not."""
+    free = code != FIXED
+    return (
+        _valid_ids(id), "invalid cell id {id!r}",
+        abs(center_x) <= _MAX, "cell {id}: center_x must be finite, got {center_x}",
+        abs(center_y) <= _MAX, "cell {id}: center_y must be finite, got {center_y}",
+        abs(size) <= _MAX, "cell {id}: size must be finite, got {size}",
+        abs(dot_offset) <= _MAX, "cell {id}: dot_offset must be finite, got {dot_offset}",
+        size > 0, "cell {id}: size must be > 0",
+        (0 < dot_offset) & (dot_offset <= size / 2),
+        "cell {id}: dot_offset must be in (0, size/2]",
+        (rotation == 0) | (rotation == 45), "cell {id}: rotation must be 0 or 45",
+        code >= 0, "cell {id}: unknown role {role!r}",
+        (clock_zone == 0) | (clock_zone == 1) | (clock_zone == 2) | (clock_zone == 3),
+        "cell {id}: clock zone must be 0..3",
+        has_pol | free, "cell {id}: fixed cell requires a polarization",
+        (abs(pol) <= 1) | free, "cell {id}: fixed polarization outside [-1, 1]",
+        has_pol <= (code == FIXED), "cell {id}: polarization only allowed on fixed cells",
+    )  # `<=` on bools is implication; `~` would negate no Python bool
+
+
+def _first_broken(fields: tuple) -> Optional[tuple[int, str]]:
+    """The position of the first cell that breaks a rule of `_rules`, and
+    the message of the first rule it breaks; or None. `fields` are the
+    arguments of `_rules`; one cell is at position 0."""
+    rules = _rules(*fields)
+    tests = rules[::2]
+    if not isinstance(fields[0], np.ndarray):
+        if all(tests):
+            return None
+        message = next(m for keeps, m in zip(tests, rules[1::2]) if not keeps)
+        return 0, message.format(**dict(zip(inspect.signature(_rules).parameters, fields)))
+    keep = np.ones(len(fields[0]), dtype=bool)
+    for keeps in tests:
+        keep &= keeps
+    if keep.all():
+        return None
+    k = int(keep.argmin())
+    return k, _first_broken(tuple(column[k] for column in fields))[1]
+
+
 @dataclass(frozen=True)
 class Cell:
     id: str
@@ -66,31 +132,16 @@ class Cell:
     fixed_polarization: Optional[float] = None
 
     def __post_init__(self) -> None:
-        if not self.id or self.id[0] == "#" or _BAD_ID.search(self.id):
-            raise LayoutError(f"invalid cell id {self.id!r}")
         if self.dot_offset is None:
             object.__setattr__(self, "dot_offset", self.size / 4)
-        for name in ("center_x", "center_y", "size", "dot_offset"):
-            value = getattr(self, name)
-            if not math.isfinite(value):
-                raise LayoutError(f"cell {self.id}: {name} must be finite, got {value}")
-        if self.size <= 0:
-            raise LayoutError(f"cell {self.id}: size must be > 0")
-        if not (0 < self.dot_offset <= self.size / 2):
-            raise LayoutError(f"cell {self.id}: dot_offset must be in (0, size/2]")
-        if self.rotation not in (0, 45):
-            raise LayoutError(f"cell {self.id}: rotation must be 0 or 45")
-        if self.role not in ROLES:
-            raise LayoutError(f"cell {self.id}: unknown role {self.role!r}")
-        if self.clock_zone not in (0, 1, 2, 3):
-            raise LayoutError(f"cell {self.id}: clock zone must be 0..3")
-        if self.role == "fixed":
-            if self.fixed_polarization is None:
-                raise LayoutError(f"cell {self.id}: fixed cell requires a polarization")
-            if not -1.0 <= self.fixed_polarization <= 1.0:
-                raise LayoutError(f"cell {self.id}: fixed polarization outside [-1, 1]")
-        elif self.fixed_polarization is not None:
-            raise LayoutError(f"cell {self.id}: polarization only allowed on fixed cells")
+        pol = self.fixed_polarization
+        broken = _first_broken((
+            self.id, self.center_x, self.center_y, self.size, self.dot_offset,
+            self.rotation, self.clock_zone, self.role,
+            ROLES.index(self.role) if self.role in ROLES else -1,
+            pol is not None, math.nan if pol is None else pol))
+        if broken is not None:
+            raise LayoutError(broken[1])
 
     @property
     def center(self) -> tuple[float, float]:
@@ -191,8 +242,10 @@ class Layout:
     @cached_property
     def cells(self) -> tuple[Cell, ...]:
         """The cells as `Cell` objects, built when first read."""
-        return tuple(_cells(self.ids, self._reals.tolist(), self._ints.tolist(),
-                            self.pol.tolist()))
+        rotation, zone, role = self._ints.tolist()
+        return tuple(map(Cell, self.ids, *self._reals.tolist(), rotation,
+                         [ROLES[r] for r in role], zone,
+                         [p if r == FIXED else None for r, p in zip(role, self.pol.tolist())]))
 
     @property
     def driver_mask(self) -> np.ndarray:
@@ -230,46 +283,32 @@ class Layout:
         return self.cell(self.output_id())
 
 
-def _cells(ids, reals, ints, pol):
-    """The cells of columns as `Layout._store` takes them, built in order."""
-    rotation, zone, role = ints
-    return map(Cell, ids, *reals, rotation, [ROLES[r] for r in role], zone,
-               [p if r == FIXED else None for r, p in zip(role, pol)])
-
-
 def _from_columns(name: str, constants_mode: Optional[str], ids, reals, ints,
-                  pol, lines: Optional[list[int]] = None,
+                  roles, has_pol, pol, lines: Optional[list[int]] = None,
                   error: Optional[ParseError] = None) -> Layout:
-    """A layout from columns (as `Layout._store` takes them) whose role
-    codes are valid and whose `pol` is NaN off fixed cells, checked in
-    bulk. The first cell that breaks a rule of `Cell` raises its message,
-    as `line N: ...` with N from `lines` if given; then `error`, a later
-    line's diagnostic, if given; then `Layout`'s own rules."""
-    layout = Layout.__new__(Layout)
+    """A layout from columns in cell order: `ids` and `roles` (str), `reals`
+    (x, y, size, dot_offset), `ints` (rotation, zone), `has_pol` and `pol`
+    (NaN where a cell has none). The first cell that breaks a rule of a
+    cell raises its message, as `line N: ...` with N from `lines` if given;
+    then `error`, a later line's diagnostic, if given; then `Layout`'s own
+    rules."""
+    n = len(ids)
+    reals = np.array(reals, dtype=np.float64).reshape(4, n)
     try:
-        layout._store(name, constants_mode, ids, reals, ints, pol)
-    except OverflowError:  # a rotation or zone beyond int64, which `Cell` rejects
-        valid = False
-    else:
-        size, offset, zone, rotation = layout.size, layout.dot_offset, layout.zone, layout.rotation
-        valid = (all(ids) and not _BAD_ID.search("".join(ids))
-                 and "#" not in [cid[0] for cid in ids]
-                 and np.isfinite(layout._reals).all()
-                 and ((offset > 0) & (offset <= size / 2)).all()  # so size > 0
-                 and ((rotation == 0) | (rotation == 45)).all()
-                 and ((zone >= 0) & (zone <= 3)).all()
-                 and (np.abs(layout.pol[layout.role == FIXED]) <= 1).all())
-    if not valid:
-        cells = _cells(ids, reals, ints, pol)
-        for line in lines or [None] * len(ids):
-            try:
-                next(cells)
-            except LayoutError as exc:
-                if line is None:
-                    raise
-                raise ParseError(str(exc), line) from exc
+        ints = np.array(ints, dtype=np.int64).reshape(2, n)
+    except OverflowError:  # a rotation or zone beyond int64, which breaks its rule
+        ints = np.array(ints, dtype=object).reshape(2, n)
+    codes = np.array([_ROLE_CODE.get(role, -1) for role in roles], dtype=np.int64)
+    pol = np.array(pol, dtype=np.float64).reshape(n)
+    broken = _first_broken((np.array(ids, dtype=object), *reals, *ints, roles, codes,
+                            np.array(has_pol, dtype=bool).reshape(n), pol))
+    if broken is not None:
+        k, message = broken
+        raise LayoutError(message) if lines is None else ParseError(message, lines[k])
     if error is not None:
         raise error
+    layout = Layout.__new__(Layout)
+    layout._store(name, constants_mode, ids, reals, (*ints, codes), pol)
     layout._check()
     return layout
 
@@ -317,7 +356,8 @@ def parse_layout(text: str, name: str = "layout") -> Layout:
     before it breaks a rule. Numbers go through Python's `float` and
     `int`: numpy's conversions accept other texts."""
     header, constants_mode, error = False, None, None
-    ids, x, y, size, offset, rotation, zone, role, pol, lines = columns = [[] for _ in range(10)]
+    ids, x, y, size, offset, rotation, zone, role, has_pol, pol, lines = columns = [
+        [] for _ in range(11)]
     try:
         for lineno, raw in enumerate(text.splitlines(), 1):
             tokens = raw.split()
@@ -326,10 +366,8 @@ def parse_layout(text: str, name: str = "layout") -> Layout:
             if header and tokens[0] == "cell":
                 try:
                     fields = dict([token.split("=", 1) for token in tokens[1:]])
-                    code = _ROLE_CODE[fields["role"]]
-                    # no duplicate or unknown key; a polarization on fixed cells only
-                    if (len(fields) != len(tokens) - 1 or not fields.keys() <= _CELL_KEYS
-                            or ("pol" in fields) != (code == FIXED)):
+                    # no duplicate or unknown key
+                    if len(fields) != len(tokens) - 1 or not fields.keys() <= _CELL_KEYS:
                         raise ValueError
                     ids.append(fields["id"])
                     x.append(float(fields["x"]))
@@ -339,7 +377,8 @@ def parse_layout(text: str, name: str = "layout") -> Layout:
                                   else size[-1] / 4)
                     rotation.append(int(fields.get("rot", "0")))
                     zone.append(int(fields.get("clock", "0")))
-                    role.append(code)
+                    role.append(fields["role"])
+                    has_pol.append("pol" in fields)
                     pol.append(float(fields.get("pol", "nan")))
                     lines.append(lineno)
                 except (KeyError, ValueError):
@@ -361,13 +400,13 @@ def parse_layout(text: str, name: str = "layout") -> Layout:
     except ParseError as exc:
         error = exc
     return _from_columns(name, constants_mode, ids, (x, y, size, offset),
-                         (rotation, zone, role), pol, lines, error)
+                         (rotation, zone), role, has_pol, pol, lines, error)
 
 
 def _cell_error(tokens: list[str], lineno: int) -> ParseError:
     """The diagnostic of a cell line that `parse_layout` cannot read: a
     token that is not key=value or has an unknown or repeated key, a
-    missing key, a bad number or the message of `Cell`, the first found."""
+    missing key or a bad number, the first found."""
     fields: dict[str, str] = {}
     for token in tokens[1:]:
         key, equals, value = token.partition("=")
@@ -381,14 +420,11 @@ def _cell_error(tokens: list[str], lineno: int) -> ParseError:
     for required in ("id", "x", "y", "role"):
         if required not in fields:
             return ParseError(f"missing required key {required!r}", lineno)
-    try:
-        size = float(fields.get("size", "18"))
-        Cell(fields["id"], float(fields["x"]), float(fields["y"]), size,
-             float(fields["offset"]) if "offset" in fields else None,
-             int(fields.get("rot", "0")), fields["role"], int(fields.get("clock", "0")),
-             float(fields["pol"]) if "pol" in fields else None)
-    except LayoutError as exc:
-        return ParseError(str(exc), lineno)
+    try:  # size first, then the rest in field order
+        for key, convert in (("size", float), ("x", float), ("y", float), ("offset", float),
+                             ("rot", int), ("clock", int), ("pol", float)):
+            if key in fields:
+                convert(fields[key])
     except ValueError as exc:
         return ParseError(f"bad numeric value ({exc})", lineno)
 
@@ -422,25 +458,26 @@ def builtin_layout(name: str, gap: float = 2.0) -> Layout:
         if n < 2:
             raise LayoutError("wire needs at least 2 cells")
         name = f"wire({n})"
-        cells = [("in", 0.0, 0.0, FIXED),
-                 *((f"c{i}", i * pitch, 0.0, NORMAL) for i in range(1, n - 1)),
-                 ("out", (n - 1) * pitch, 0.0, OUTPUT)]
+        cells = [("in", 0.0, 0.0, "fixed"),
+                 *((f"c{i}", i * pitch, 0.0, "normal") for i in range(1, n - 1)),
+                 ("out", (n - 1) * pitch, 0.0, "output")]
     elif name == "majority":
-        cells = [("a", -pitch, 0.0, INPUT), ("b", 0.0, pitch, INPUT),
-                 ("c", 0.0, -pitch, INPUT), ("m", 0.0, 0.0, NORMAL),
-                 ("out", pitch, 0.0, OUTPUT)]
+        cells = [("a", -pitch, 0.0, "input"), ("b", 0.0, pitch, "input"),
+                 ("c", 0.0, -pitch, "input"), ("m", 0.0, 0.0, "normal"),
+                 ("out", pitch, 0.0, "output")]
     elif name == "inv2":
-        cells = [("in", 0.0, 0.0, FIXED), ("out", pitch, pitch, OUTPUT)]
+        cells = [("in", 0.0, 0.0, "fixed"), ("out", pitch, pitch, "output")]
     elif name == "inv3":
-        cells = [("in", 0.0, 0.0, FIXED), ("mid", pitch, 0.0, NORMAL),
-                 ("out", 2 * pitch, pitch, OUTPUT)]
+        cells = [("in", 0.0, 0.0, "fixed"), ("mid", pitch, 0.0, "normal"),
+                 ("out", 2 * pitch, pitch, "output")]
     else:
         raise LayoutError(f"unknown builtin layout {name!r} (known: {', '.join(BUILTIN_NAMES)})")
-    ids, x, y, role = zip(*cells)
+    ids, x, y, roles = zip(*cells)
     n = len(ids)
+    fixed = [role == "fixed" for role in roles]
     return _from_columns(name, None, ids, (x, y, (size,) * n, (size / 4,) * n),
-                         ((0,) * n, (0,) * n, role),
-                         [1.0 if r == FIXED else math.nan for r in role])
+                         ((0,) * n, (0,) * n), roles, fixed,
+                         [1.0 if f else math.nan for f in fixed])
 
 
 # --------------------------------------------------------------------------
@@ -502,4 +539,5 @@ def displace_cell(layout: Layout, cell_id: str, new_gap: float,
     if abs(axis[1]) > eps:
         reals[1, k] = y[j] + math.copysign(half + new_gap, axis[1])
     return _from_columns(layout.name, layout.constants_mode, layout.ids, reals,
-                         layout._ints, layout.pol)
+                         layout._ints[:2], [ROLES[r] for r in layout.role.tolist()],
+                         layout.role == FIXED, layout.pol)

@@ -18,13 +18,16 @@ writer that the column-wise `sweeps.write_csv` must match byte for byte.
 `SCI_EDGES` holds the doubles whose six-digit text is hardest to get
 right, for the tests of `kernels.format_sci` and `write_csv`.
 
-`reference_parse_layout` reads a .qcl document line by line, building a
-`Cell` per line and the `Layout` from them: `geometry.parse_layout` must
-return the same layout bit for bit, or raise the same exception type and
-text.
+`reference_parse_layout` reads a .qcl document line by line, checking each
+cell line with `reference_cell_error`, its own copy of the rules of a cell,
+and builds the `Layout` from the cells: `geometry.parse_layout` must return
+the same layout bit for bit, or raise the same exception type and text.
+`Cell(...)` must raise what `reference_cell_error` returns, or accept the
+fields where it returns None.
 """
 
 import math
+import re
 from typing import Optional
 
 import numpy as np
@@ -228,6 +231,39 @@ SCI_EDGES = np.concatenate([
 SCI_EDGES = np.concatenate([SCI_EDGES, -SCI_EDGES])
 
 
+def reference_cell_error(id, center_x, center_y, size=18.0, dot_offset=None, rotation=0,
+                         role="normal", clock_zone=0,
+                         fixed_polarization=None) -> Optional[LayoutError]:
+    """The error `Cell(...)` raises on these fields, or None: the rules of
+    a cell checked one by one, in order, apart from the package's code."""
+    if not id or id[0] == "#" or re.search(r'[\s=,"\x00-\x1f\x7f-\x9f]', id):
+        return LayoutError(f"invalid cell id {id!r}")
+    if dot_offset is None:
+        dot_offset = size / 4
+    for name, value in (("center_x", center_x), ("center_y", center_y), ("size", size),
+                        ("dot_offset", dot_offset)):
+        if not math.isfinite(value):
+            return LayoutError(f"cell {id}: {name} must be finite, got {value}")
+    if size <= 0:
+        return LayoutError(f"cell {id}: size must be > 0")
+    if not (0 < dot_offset <= size / 2):
+        return LayoutError(f"cell {id}: dot_offset must be in (0, size/2]")
+    if rotation not in (0, 45):
+        return LayoutError(f"cell {id}: rotation must be 0 or 45")
+    if role not in ("normal", "input", "output", "fixed"):
+        return LayoutError(f"cell {id}: unknown role {role!r}")
+    if clock_zone not in (0, 1, 2, 3):
+        return LayoutError(f"cell {id}: clock zone must be 0..3")
+    if role == "fixed":
+        if fixed_polarization is None:
+            return LayoutError(f"cell {id}: fixed cell requires a polarization")
+        if not -1.0 <= fixed_polarization <= 1.0:
+            return LayoutError(f"cell {id}: fixed polarization outside [-1, 1]")
+    elif fixed_polarization is not None:
+        return LayoutError(f"cell {id}: polarization only allowed on fixed cells")
+    return None
+
+
 def reference_parse_layout(text: str, name: str) -> Layout:
     """Parse a document line by line into cells: the parse that reports
     the first rule broken, with its line number."""
@@ -266,7 +302,7 @@ def reference_parse_layout(text: str, name: str) -> Layout:
                 raise ParseError(f"missing required key {required!r}", lineno)
         try:
             size = float(fields.get("size", "18"))
-            cell = Cell(
+            cell = dict(
                 id=fields["id"],
                 center_x=float(fields["x"]),
                 center_y=float(fields["y"]),
@@ -277,11 +313,12 @@ def reference_parse_layout(text: str, name: str) -> Layout:
                 clock_zone=int(fields.get("clock", "0")),
                 fixed_polarization=float(fields["pol"]) if "pol" in fields else None,
             )
-        except LayoutError as exc:
-            raise ParseError(str(exc), lineno) from exc
         except ValueError as exc:
             raise ParseError(f"bad numeric value ({exc})", lineno) from exc
-        cells.append(cell)
+        error = reference_cell_error(**cell)
+        if error is not None:
+            raise ParseError(str(error), lineno) from error
+        cells.append(Cell(**cell))
     if not saw_header:
         raise ParseError("empty document (missing 'qcl 1' header)", 1)
     return Layout(name=name, cells=tuple(cells), constants_mode=constants_mode)

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from oracle import reference_parse_layout
+from oracle import reference_cell_error, reference_parse_layout
 from qcasim.geometry import (_BAD_ID, ROLES, Cell, Layout, LayoutError,
                              ParseError, builtin_layout, displace_cell,
                              displacement_axis, dot_positions, electron_dots,
@@ -129,6 +129,39 @@ class TestCellValidation:
     @pytest.mark.parametrize("cid", ["a#", "in#1", "é", "a-b", "'q'", "a;b"])
     def test_other_ids_kept(self, cid):
         assert make_cell(id=cid).id == cid
+
+    @settings(max_examples=500, deadline=None, derandomize=True)
+    @given(st.data())
+    def test_against_reference(self, data):
+        """`Cell(...)` raises the error of `reference_cell_error`, the same
+        type and text, or accepts the fields where it returns None: a valid
+        fixed cell with up to three fields drawn from their edge values."""
+        fields = dict(id="c", center_x=1.5, center_y=-2.0, size=18.0, dot_offset=None,
+                      rotation=0, role="fixed", clock_zone=1, fixed_polarization=0.5)
+        odd = (math.nan, math.inf, -math.inf, 0.0, -0.0)
+        spoilt = data.draw(st.sets(st.sampled_from(sorted(fields)), max_size=3))
+        for name in [name for name in fields if name in spoilt]:  # size before offset
+            size = fields["size"]
+            fields[name] = data.draw(st.sampled_from({
+                "id": ("é", "a#", "", "#a", "a b", "a=b", 'a"b', "a,b", "a\x00", "\x85"),
+                "center_x": odd, "center_y": odd,
+                "size": (5.5, 1e308, -18.0, *odd),
+                "dot_offset": (size / 2, math.nextafter(size / 2, math.inf), size / 4,
+                               -1.0, *odd),
+                "rotation": (45, 45.0, 90, -45, 0.5, 10**30, -10**30),
+                "role": ("normal", "input", "output", "bogus", "Fixed", ""),
+                "clock_zone": (0, 3, 2.0, 1.5, 4, -1, 10**30, -10**30),
+                "fixed_polarization": (None, math.nan, 1.0, -1.0, -0.0, 1.5, -1.5,
+                                       math.inf),
+            }[name]))
+        expected = reference_cell_error(**fields)
+        if expected is None:
+            Cell(**fields)
+            return
+        with pytest.raises(LayoutError) as raised:
+            Cell(**fields)
+        assert type(raised.value) is type(expected)
+        assert str(raised.value) == str(expected)
 
 
 class TestElectronDots:
