@@ -320,6 +320,9 @@ def run_cli(argv: Optional[Sequence[str]] = None,
         # LayoutError and SweepError are ValueErrors
         stderr.write(f"error: {exc}\n")
         return 1
+    except MemoryError as exc:  # one from the allocator may carry no text
+        stderr.write(f"error: {str(exc) or 'out of memory'}\n")
+        return 1
 
 
 def main() -> None:

@@ -222,8 +222,7 @@ def kink_matrix(layout: Layout, radius_of_effect: float,
     """
     if not (math.isfinite(radius_of_effect) and radius_of_effect > 0):
         raise ElectrostaticsError("radius_of_effect must be finite and strictly positive")
-    ids = layout.ids
-    by_id = np.array(sorted(range(len(ids)), key=ids.__getitem__), dtype=np.int64)
+    ids, by_id = layout.ids, layout.id_order
     x, y = layout.x[by_id], layout.y[by_id]
     first, second = kernels.near_pairs(x, y, radius_of_effect)
     with np.errstate(over="ignore"):  # as Python floats, overflow gives inf

@@ -224,9 +224,8 @@ def bistable_relax(layout: Layout, kink: KinkMatrix, params: BistableParams,
     exhausted.
     """
     drives = resolve_drives(layout, inputs)
-    ids = layout.ids
     # positions in id order, so that each row sums in ascending neighbor id
-    by_id = np.array(sorted(range(len(ids)), key=ids.__getitem__), dtype=np.int64)
+    ids, by_id = layout.ids, layout.id_order
     position = np.empty(len(ids), dtype=np.int64)
     position[by_id] = np.arange(len(ids))
     energies, offsets, cols = coupling([kink], [ids[k] for k in by_id.tolist()])
@@ -268,38 +267,35 @@ def coupling(kinks: Sequence[KinkMatrix], cell_ids: Sequence[str]
     (nnz,)). Row i, cols[offsets[i]:offsets[i + 1]], holds in ascending
     position in `cell_ids` every cell of `cell_ids` that is a neighbor of
     cell_ids[i] in some point; energies[b] gives point b's energy to each,
-    0.0 where point b lacks the pair. Zero energies are left out."""
+    0.0 where point b lacks the pair. Zero energies are left out.
+
+    Each entry is the int64 key row * n + col. One `np.unique` over the
+    keys of every matrix sorts the entries in (row, col) order, keeps an
+    entry that several matrices hold once and maps each value to its
+    entry."""
     n = len(cell_ids)
     where = {cid: k for k, cid in enumerate(cell_ids)}
     # points that share a kink matrix, as a temperature sweep's do, share
     # its energies
     distinct = {id(kink): kink for kink in kinks}
-    rows, cols, owners, values = [], [], [], []
+    keys, owners, values = [], [], []
     for m, kink in enumerate(distinct.values()):
         position = np.fromiter(map(where.get, kink.ids, itertools.repeat(-1)),
                                np.int64, len(kink.ids))
         first, second = position[kink.first], position[kink.second]
         kept = (kink.energies != 0.0) & (first >= 0) & (second >= 0)
         first, second, energy = first[kept], second[kept], kink.energies[kept]
-        rows += (first, second)
-        cols += (second, first)
+        keys += (first * n + second, second * n + first)
         owners.append(np.full(2 * len(energy), m, dtype=np.int64))
         values += (energy, energy)
-    rows, cols = np.concatenate(rows), np.concatenate(cols)
-    owners, values = np.concatenate(owners), np.concatenate(values)
-    order = np.lexsort((cols, rows))
-    rows, cols, owners, values = rows[order], cols[order], owners[order], values[order]
-    # an entry that several matrices hold sits in adjacent places
-    fresh = np.ones(len(rows), dtype=bool)
-    fresh[1:] = (rows[1:] != rows[:-1]) | (cols[1:] != cols[:-1])
-    entry = np.cumsum(fresh) - 1
-    table = np.zeros((len(distinct), np.count_nonzero(fresh)))
-    table[owners, entry] = values
+    entries, entry = np.unique(np.concatenate(keys), return_inverse=True)
+    table = np.zeros((len(distinct), len(entries)))
+    table[np.concatenate(owners), entry] = np.concatenate(values)
     offsets = np.zeros(n + 1, dtype=np.int64)
-    np.cumsum(np.bincount(rows[fresh], minlength=n), out=offsets[1:])
+    np.cumsum(np.bincount(entries // n, minlength=n), out=offsets[1:])
     slot = {key: m for m, key in enumerate(distinct)}
     energies = table[[slot[id(kink)] for kink in kinks]]
-    return energies, offsets, cols[fresh]
+    return energies, offsets, entries % n
 
 
 def simulate_coherence_batch(

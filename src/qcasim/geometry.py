@@ -10,8 +10,9 @@ A `Layout` stores its cells as columns, in cell order: `ids` (a tuple of
 str); `x`, `y`, `size` and `dot_offset` (float64); `rotation`, `zone` and
 `role` (int64, a role being its index in ROLES); and `pol` (float64, a
 fixed cell's polarization, NaN elsewhere). The kink matrix, the engines,
-the sweeps and the CLI read the columns. `Layout.cells` gives the same
-cells as `Cell` objects, built when first read.
+the sweeps and the CLI read the columns, and `Layout.id_order`, the
+positions in ascending id order, sorted once per layout. `Layout.cells`
+gives the same cells as `Cell` objects, built when first read.
 
 The rules of a cell are one ordered table, `_rules`, shared by `Cell`,
 which checks one cell's values, and by every layout builder, which checks
@@ -247,6 +248,14 @@ class Layout:
                          [ROLES[r] for r in role], zone,
                          [p if r == FIXED else None for r, p in zip(role, self.pol.tolist())]))
 
+    @cached_property
+    def id_order(self) -> np.ndarray:
+        """The cell positions in ascending id order (int64, read-only)."""
+        ids = self.ids
+        order = np.array(sorted(range(len(ids)), key=ids.__getitem__), dtype=np.int64)
+        order.flags.writeable = False
+        return order
+
     @property
     def driver_mask(self) -> np.ndarray:
         """True at the input and fixed cells, in cell order."""
@@ -435,6 +444,9 @@ def _cell_error(tokens: list[str], lineno: int) -> ParseError:
 _WIRE_RE = re.compile(r"^wire\((\d+)\)$")
 
 BUILTIN_NAMES = ("wire(n)", "majority", "inv2", "inv3")
+# The most cells `wire(n)` takes, checked before anything is allocated:
+# 100 times the largest layout of the tests and benchmarks (10,000 cells).
+MAX_WIRE_CELLS = 10**6
 
 
 def builtin_layout(name: str, gap: float = 2.0) -> Layout:
@@ -454,9 +466,14 @@ def builtin_layout(name: str, gap: float = 2.0) -> Layout:
     pitch = size + gap
     match = _WIRE_RE.match(name)
     if match:
-        n = int(match.group(1))
+        try:
+            n = int(match.group(1).lstrip("0") or 0)
+        except ValueError:  # more digits than int() reads: over the bound
+            n = MAX_WIRE_CELLS + 1
         if n < 2:
             raise LayoutError("wire needs at least 2 cells")
+        if n > MAX_WIRE_CELLS:
+            raise LayoutError(f"wire needs at most {MAX_WIRE_CELLS} cells")
         name = f"wire({n})"
         cells = [("in", 0.0, 0.0, "fixed"),
                  *((f"c{i}", i * pitch, 0.0, "normal") for i in range(1, n - 1)),

@@ -7,11 +7,12 @@ import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
-from qcasim import cli
+from qcasim import cli, kernels
 from qcasim.cli import run_cli
 from qcasim.engines import (EXPECTED_FUNCTIONS, MAX_STEPS, BistableParams,
                             CoherenceParams)
-from qcasim.geometry import Cell, builtin_layout, serialize_layout
+from qcasim.geometry import (MAX_WIRE_CELLS, Cell, builtin_layout,
+                             serialize_layout)
 from qcasim.sweeps import sci
 
 FAST = ["--total-time", "7e-13"]
@@ -201,6 +202,27 @@ class TestExitCodes:
         assert run(["kink", "--layout", str(path)]) == (
             1, "", "error: comment text 'layout=a\\nb,c' holds a control "
             "character or line separator\n")
+
+    @pytest.mark.parametrize("argv, kernel", [
+        (["kink", "--layout", "builtin:inv3"], "near_pairs"),
+        (["simulate", "--layout", "builtin:inv3"], "bistable_sweep"),
+        (["sweep-temp", "--layout", "builtin:inv3", *FAST], "coherence_euler"),
+    ])
+    @pytest.mark.parametrize("text, message", [
+        ("the pair search could not allocate its scratch",
+         "the pair search could not allocate its scratch"),
+        ("", "out of memory"),  # as the allocator raises it
+    ])
+    def test_memory_error_is_one_line(self, monkeypatch, argv, kernel, text, message):
+        def exhausted(*args):
+            raise MemoryError(text)
+        monkeypatch.setattr(kernels, kernel, exhausted)
+        assert run(argv) == (1, "", f"error: {message}\n")
+
+    def test_wire_beyond_the_bound(self):
+        n = MAX_WIRE_CELLS + 1
+        assert run(["simulate", "--layout", f"builtin:wire({n})"]) == (
+            1, "", f"error: wire needs at most {MAX_WIRE_CELLS} cells\n")
 
     def test_no_arguments_is_usage_error(self):
         assert run([])[0] == 2

@@ -383,6 +383,32 @@ class TestKinkMatrixBinned:
                 kink_matrix(builtin_layout("inv2"), radius, PAPER)
 
 
+@st.composite
+def coupling_problems(draw):
+    """Points over a layout's cells and the cell ids to list them on. The
+    points draw, with repeats, from several distinct kink matrices: the
+    layout's own, and pair dicts that share some of its pairs at other
+    energies, 0.0 and -0.0 among them. The cell ids are a permuted subset
+    of the layout's with ids that no matrix has, possibly none at all."""
+    layout = draw(lattice_layouts(max_cells=12))
+    own = kink_matrix(layout, 60.0, PAPER)
+    matrices = [own]
+    pairs = list(itertools.combinations(sorted(layout.ids), 2))
+    energies = st.one_of(st.sampled_from((0.0, -0.0, 1e-21, -2e-21)),
+                         st.floats(-1e-20, 1e-20))
+    for _ in range(draw(st.integers(1, 3)) if pairs else 0):
+        shared = draw(st.lists(st.sampled_from(list(own.pairs) or pairs), unique=True))
+        other = draw(st.lists(st.sampled_from(pairs), unique=True, max_size=8))
+        matrices.append(kink_matrix_from_pairs(
+            {key: draw(energies) for key in {*shared, *other}}, 60.0))
+    kinks = draw(st.permutations(
+        matrices + draw(st.lists(st.sampled_from(matrices), max_size=3))))
+    ids = draw(st.permutations(layout.ids))
+    ids = ids[:draw(st.integers(0, len(ids)))]
+    strangers = draw(st.lists(st.sampled_from(("x", "y", "zz")), unique=True))
+    return kinks, draw(st.permutations(ids + strangers))
+
+
 class TestCoupling:
     @PROPERTY
     @given(lattice_layouts(max_cells=16))
@@ -402,24 +428,31 @@ class TestCoupling:
         assert len(cols) == 2 * nonzero
 
     @PROPERTY
-    @given(lattice_layouts(max_cells=16), st.randoms(use_true_random=False))
-    def test_coupling_matches_pair_lookup(self, layout, rnd):
-        matrix = kink_matrix(layout, 60.0, PAPER)
-        cell_ids = [c.id for c in layout.cells]
-        rnd.shuffle(cell_ids)
-        energies, offsets, cols = coupling([matrix, matrix], cell_ids)
-        assert offsets[0] == 0 and offsets[-1] == cols.size
-        assert energies.shape == (2, cols.size)
-        assert energies[0].tobytes() == energies[1].tobytes()
-        entries = set()
-        for i, a in enumerate(cell_ids):
+    @given(coupling_problems())
+    def test_coupling_matches_pair_lookup(self, problem):
+        kinks, cell_ids = problem
+        energies, offsets, cols = coupling(kinks, cell_ids)
+        n = len(cell_ids)
+        assert [a.dtype for a in (energies, offsets, cols)] == [
+            np.float64, np.int64, np.int64]
+        assert offsets.shape == (n + 1,) and offsets[0] == 0
+        assert offsets[-1] == cols.size and energies.shape == (len(kinks), cols.size)
+        got = {}
+        for i in range(n):
             row = cols[offsets[i]:offsets[i + 1]].tolist()
             assert row == sorted(set(row)) and i not in row  # ascending position
             for k, j in enumerate(row, offsets[i]):
-                assert energies[0, k] == kink_energy(matrix, a, cell_ids[j])
-                entries.add((a, cell_ids[j]))
-        nonzero = {key for key, energy in matrix.pairs.items() if energy != 0.0}
-        assert entries == nonzero | {(b, a) for a, b in nonzero}
+                got[i, j] = energies[:, k].tolist()
+        # every ordered pair of cells that some point couples, in (row, col)
+        # order, with each point's energy; 0.0 where it lacks the pair
+        expected = {}
+        for i, j in itertools.permutations(range(n), 2):
+            row = [kink_energy(kink, cell_ids[i], cell_ids[j]) for kink in kinks]
+            if any(energy != 0.0 for energy in row):
+                expected[i, j] = [energy if energy != 0.0 else 0.0 for energy in row]
+        assert list(got) == sorted(expected)
+        assert (np.array(list(got.values())).tobytes()
+                == np.array([expected[key] for key in sorted(expected)]).tobytes())
 
     def test_coupling_of_differing_points_shares_one_pattern(self):
         first = kink_matrix_from_pairs({("a", "b"): 2.0, ("b", "c"): 0.0}, 1.0)
@@ -458,6 +491,7 @@ class TestCoupling:
             assert [a.dtype for a in (energies, offsets, cols)] == [
                 np.float64, np.int64, np.int64]
 
+    @pytest.mark.filterwarnings("error")
     def test_coupling_of_ids_no_matrix_has(self):
         first = kink_matrix_from_pairs({("a", "b"): 2.0}, 1.0)
         second = kink_matrix_from_pairs({("b", "c"): 3.0}, 1.0)
@@ -469,6 +503,11 @@ class TestCoupling:
         assert energies.tolist() == [[2.0, 2.0], [0.0, 0.0]]
         energies, offsets, cols = coupling([first, second], ["x", "y"])
         assert (energies.shape, offsets.tolist(), cols.shape) == ((2, 0), [0, 0, 0], (0,))
+        # no cells at all: the keys are divided by n = 0, without a warning
+        energies, offsets, cols = coupling([first, second, first], [])
+        assert (energies.shape, offsets.tolist(), cols.shape) == ((3, 0), [0], (0,))
+        assert [a.dtype for a in (energies, offsets, cols)] == [
+            np.float64, np.int64, np.int64]
 
 
 # Ids whose order is easy to get wrong: a non-BMP character sorts after
@@ -484,7 +523,12 @@ class TestIdOrder:
             for k, cid in enumerate(ODD_IDS)))
 
     def test_pairs_and_pair_ids_in_id_order(self):
-        matrix = kink_matrix(self.odd_layout(), 80.0, PAPER)
+        layout = self.odd_layout()
+        order = layout.id_order
+        assert [layout.ids[k] for k in order.tolist()] == sorted(ODD_IDS)
+        assert order.dtype == np.int64 and not order.flags.writeable
+        assert layout.id_order is order  # sorted once per layout
+        matrix = kink_matrix(layout, 80.0, PAPER)
         assert len(matrix) == len(ODD_IDS) * (len(ODD_IDS) - 1) // 2
         assert list(matrix.pairs) == sorted(matrix.pairs)
         assert all(a < b for a, b in matrix.pairs)

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 from dataclasses import astuple
 
 import pytest
@@ -6,8 +7,8 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from oracle import reference_cell_error, reference_parse_layout
-from qcasim.geometry import (_BAD_ID, ROLES, Cell, Layout, LayoutError,
-                             ParseError, builtin_layout, displace_cell,
+from qcasim.geometry import (_BAD_ID, MAX_WIRE_CELLS, ROLES, Cell, Layout,
+                             LayoutError, ParseError, builtin_layout, displace_cell,
                              displacement_axis, dot_positions, electron_dots,
                              parse_layout, previous_neighbor, serialize_layout)
 
@@ -528,6 +529,18 @@ class TestBuiltinLayouts:
     def test_wire_too_short(self):
         with pytest.raises(LayoutError):
             builtin_layout("wire(1)")
+
+    @pytest.mark.parametrize("n", [str(MAX_WIRE_CELLS + 1), "9" * 20, "9" * 5000])
+    def test_wire_too_long_is_rejected_before_allocating(self, n):
+        tracemalloc.start()
+        try:
+            with pytest.raises(LayoutError, match=f"^wire needs at most "
+                                                  f"{MAX_WIRE_CELLS} cells$"):
+                builtin_layout(f"wire({n})")
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2**16
 
 
 class TestDisplaceCell:
