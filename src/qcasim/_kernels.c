@@ -1,4 +1,4 @@
-/* The compiled kernels of qcasim, one library with six entry points:
+/* The compiled kernels of qcasim, one library with seven entry points:
  *
  * qcasim_coherence_euler, the batched coherence-vector Euler integrator,
  * a transcription of qcasim.kernels.coherence_euler_loop: the points of a
@@ -29,6 +29,15 @@
  * first rows. Keys compare as integers, so a float goes in as the bit
  * pattern of v + 0.0, which is that of +0.0 for -0.0 as for 0.0: the two
  * fall in one group, as float == holds them equal.
+ *
+ * qcasim_parse_cells, the cell lines of a .qcl document read into the
+ * layout columns, certified or handed back: it reads from the line after
+ * the header up to the first line it cannot certify, and
+ * qcasim.geometry.parse_cells_loop reads on from there. It certifies only
+ * lines that the loop reads into the same cells (its comment gives the
+ * grammar), and converts a number only on Clinger's exact fast path, one
+ * correctly rounded operation, so each real has the bits of Python's
+ * float. Every diagnostic comes from the loop.
  *
  * In the two engine kernels, every floating-point operation is the loop
  * kernel's, in its order, so the results are bit-identical to it (the
@@ -761,4 +770,239 @@ int64_t qcasim_group_keys(int64_t n_rows, int64_t n_cols, const int64_t *keys,
     }
     free(table);
     return groups;
+}
+
+/* The keys of a cell line, bit k of a line's key set standing for
+ * cell_keys[k], and the roles, a role's code being its index. */
+static const char *const cell_keys[] = {"id", "x", "y", "size", "offset", "rot",
+                                        "role", "clock", "pol"};
+enum { KEY_ID, KEY_X, KEY_Y, KEY_SIZE, KEY_OFFSET, KEY_ROT, KEY_ROLE, KEY_CLOCK,
+       KEY_POL, N_KEYS };
+static const char *const roles[] = {"normal", "input", "output", "fixed"};
+
+/* The index of the text p[0..n) in names[0..count), or -1. */
+static int lookup(const char *p, int64_t n, const char *const *names, int count)
+{
+    for (int k = 0; k < count; k++)
+        if ((int64_t)strlen(names[k]) == n && memcmp(p, names[k], (size_t)n) == 0)
+            return k;
+    return -1;
+}
+
+/* The value of the real p[0..n) where it matches
+ * [+-]?(\d+\.?\d*|\.\d+)([eE][+-]?\d+)? and lies on the exact fast path:
+ * sets *out and returns 1, else returns 0. See qcasim_parse_cells. */
+static int certify_real(const char *p, int64_t n, double *out)
+{
+    static const double powers[23] = {
+        1e0, 1e1, 1e2, 1e3, 1e4, 1e5, 1e6, 1e7, 1e8, 1e9, 1e10, 1e11, 1e12,
+        1e13, 1e14, 1e15, 1e16, 1e17, 1e18, 1e19, 1e20, 1e21, 1e22};
+    int64_t k = 0, digits = 0, fraction = 0, exponent = 0;
+    uint64_t mantissa = 0;
+    int negative = k < n && p[k] == '-';
+    if (k < n && (p[k] == '+' || p[k] == '-'))
+        k++;
+    for (int point = 0; k < n; k++) {
+        if (p[k] == '.' && !point) {
+            point = 1;
+            continue;
+        }
+        if (p[k] < '0' || p[k] > '9')
+            break;
+        mantissa = mantissa * 10 + (uint64_t)(p[k] - '0');
+        if (mantissa > (uint64_t)1 << 53)
+            return 0;
+        digits++;
+        fraction += point;
+    }
+    if (digits == 0)
+        return 0;
+    if (k < n && (p[k] == 'e' || p[k] == 'E')) {
+        int exponent_negative = ++k < n && p[k] == '-';
+        if (k < n && (p[k] == '+' || p[k] == '-'))
+            k++;
+        int64_t first = k;
+        for (; k < n && p[k] >= '0' && p[k] <= '9' && k - first < 9; k++)
+            exponent = exponent * 10 + (p[k] - '0');
+        if (k == first)
+            return 0;
+        if (exponent_negative)
+            exponent = -exponent;
+    }
+    if (k != n) /* another byte, or a tenth exponent digit */
+        return 0;
+    int64_t e10 = exponent - fraction;
+    if (e10 < -22 || e10 > 22)
+        return 0;
+    double value = (double)mantissa;
+    value = e10 >= 0 ? value * powers[e10] : value / powers[-e10];
+    *out = negative ? -value : value;
+    return 1;
+}
+
+/* The value of the integer p[0..n) where it matches [+-]?\d{1,18}: sets
+ * *out and returns 1, else returns 0. */
+static int certify_integer(const char *p, int64_t n, int64_t *out)
+{
+    int64_t k = n > 0 && (p[0] == '+' || p[0] == '-'), value = 0;
+    if (n - k < 1 || n - k > 18)
+        return 0;
+    for (int64_t j = k; j < n; j++) {
+        if (p[j] < '0' || p[j] > '9')
+            return 0;
+        value = value * 10 + (p[j] - '0');
+    }
+    *out = p[0] == '-' ? -value : value;
+    return 1;
+}
+
+/* The next token of text[*at..end), separated by spaces and tabs: sets
+ * *at past it and returns its start, or returns -1 where none is left. */
+static int64_t next_token(const char *text, int64_t *at, int64_t end)
+{
+    int64_t k = *at;
+    while (k < end && (text[k] == ' ' || text[k] == '\t'))
+        k++;
+    if (k == end)
+        return -1;
+    int64_t first = k;
+    while (k < end && text[k] != ' ' && text[k] != '\t')
+        k++;
+    *at = k;
+    return first;
+}
+
+/* Read the cell line text[at..end) (its bytes checked already) into cell
+ * `count` of the columns: returns 1, or 0 where it is not certified. */
+static int certify_cell(const char *text, int64_t at, int64_t end, int64_t count,
+                        int64_t capacity, double *reals, int64_t *ints,
+                        char *id_data, int64_t *id_ends)
+{
+    double real[N_KEYS];
+    int64_t integer[N_KEYS], id_first = 0, id_length = 0;
+    unsigned seen = 0;
+    for (int64_t first; (first = next_token(text, &at, end)) >= 0;) {
+        const char *equals = memchr(text + first, '=', (size_t)(at - first));
+        if (equals == NULL)
+            return 0;
+        int64_t value = equals + 1 - text, length = at - value;
+        int key = lookup(text + first, equals - (text + first), cell_keys, N_KEYS);
+        if (key < 0 || seen >> key & 1)
+            return 0;
+        seen |= 1u << key;
+        switch (key) {
+        case KEY_ID:
+            if (memchr(text + value, '=', (size_t)length) != NULL)
+                return 0;
+            id_first = value;
+            id_length = length;
+            break;
+        case KEY_ROLE:
+            integer[key] = lookup(text + value, length, roles, 4);
+            if (integer[key] < 0)
+                return 0;
+            break;
+        case KEY_ROT:
+        case KEY_CLOCK:
+            if (!certify_integer(text + value, length, &integer[key]))
+                return 0;
+            break;
+        default:
+            if (!certify_real(text + value, length, &real[key]))
+                return 0;
+        }
+    }
+    unsigned required = 1u << KEY_ID | 1u << KEY_X | 1u << KEY_Y | 1u << KEY_ROLE;
+    if ((seen & required) != required)
+        return 0;
+    /* the defaults of parse_cells_loop; NaN with the bits of float("nan") */
+    uint64_t nan_bits = 0x7ff8000000000000u;
+    if (!(seen >> KEY_SIZE & 1))
+        real[KEY_SIZE] = 18.0;
+    if (!(seen >> KEY_OFFSET & 1))
+        real[KEY_OFFSET] = real[KEY_SIZE] / 4;
+    if (!(seen >> KEY_POL & 1))
+        memcpy(&real[KEY_POL], &nan_bits, sizeof nan_bits);
+    if (!(seen >> KEY_ROT & 1))
+        integer[KEY_ROT] = 0;
+    if (!(seen >> KEY_CLOCK & 1))
+        integer[KEY_CLOCK] = 0;
+    const int real_keys[] = {KEY_X, KEY_Y, KEY_SIZE, KEY_OFFSET, KEY_POL};
+    for (int c = 0; c < 5; c++)
+        reals[c * capacity + count] = real[real_keys[c]];
+    ints[count] = integer[KEY_ROT];
+    ints[capacity + count] = integer[KEY_CLOCK];
+    ints[2 * capacity + count] = integer[KEY_ROLE];
+    ints[3 * capacity + count] = seen >> KEY_POL & 1;
+    int64_t id_at = count > 0 ? id_ends[count - 1] : 0;
+    memcpy(id_data + id_at, text + id_first, (size_t)id_length);
+    id_ends[count] = id_at + id_length;
+    return 1;
+}
+
+/* Read the lines of a .qcl document, its UTF-8 bytes text[0..length), from
+ * byte offset start, which begins line lineno and follows the header line,
+ * up to the first line it does not certify: returns the number of cells
+ * read, and sets stop[0] and stop[1] to the offset and the number of that
+ * line (length and one past the last line where it certifies them all).
+ * Cell k goes to column entry k: reals (5 x capacity, row-major) holds x,
+ * y, size, offset and pol, ints (5 x capacity) rot, clock, the role's code,
+ * whether pol is given, and the line number; the id is the bytes
+ * id_data[id_ends[k - 1]..id_ends[k]) (from 0 for k = 0). capacity must be
+ * at least the number of lines left, and id_data hold length - start
+ * bytes.
+ *
+ * What it certifies. A line of bytes 0x20-0x7e and tab only, ending in LF
+ * or at the end of the document (so no CR, form feed or other character
+ * that str.splitlines or str.split in Python would read as a line break
+ * or a separator differently), that is blank, a comment (its first token
+ * starts with '#'), or the token "cell" followed by key=value tokens,
+ * tokens split at spaces and tabs: keys from cell_keys, none repeated, id,
+ * x, y and role all given, the role one of roles, an id without '=', rot
+ * and clock integers of at most 18 digits [+-]?\d{1,18}, the other values
+ * reals on the fast path below. For such a line, qcasim.geometry's
+ * parse_cells_loop appends the same cell to its columns as this writes,
+ * the same defaults included (size 18, offset size / 4, pol NaN), or skips
+ * the line as this does; every other line is left to it, and with it every
+ * diagnostic.
+ *
+ * The fast path. A real matching [+-]?(\d+\.?\d*|\.\d+)([eE][+-]?\d+)? has
+ * the value M * 10^e, M the integer of its digits and e its exponent less
+ * its digits after the point. It is certified where M <= 2^53 and |e| <=
+ * 22 (Clinger's fast path): M and 10^|e| (5^22 < 2^53) are then exact
+ * doubles, so the one IEEE multiplication M * 10^e or division M / 10^-e,
+ * correctly rounded to nearest, gives the double nearest to M * 10^e, the
+ * double that Python's float, itself correctly rounded, reads from the
+ * text. The sign goes on last, so "-0" reads as -0.0, as it does in
+ * Python. No strtod: its result would depend on the locale, and on the C
+ * library's rounding. An exponent of ten or more digits, a mantissa with
+ * more digits than 2^53 holds (trailing zeros included), and every other
+ * text (underscores, inf, nan, hex, non-ASCII digits) go to Python. */
+int64_t qcasim_parse_cells(int64_t length, const char *text, int64_t start,
+                           int64_t lineno, int64_t capacity, double *reals,
+                           int64_t *ints, char *id_data, int64_t *id_ends,
+                           int64_t *stop)
+{
+    int64_t count = 0, at = start;
+    for (; at < length; lineno++) {
+        int64_t end = at;
+        for (unsigned char c; end < length && (c = (unsigned char)text[end]) != '\n'
+                              && ((c >= 0x20 && c < 0x7f) || c == '\t');)
+            end++;
+        if (end < length && text[end] != '\n')
+            break; /* a byte it does not certify */
+        int64_t token = at, first = next_token(text, &token, end);
+        if (first >= 0 && text[first] != '#') {
+            if (!(token - first == 4 && memcmp(text + first, "cell", 4) == 0
+                  && count < capacity
+                  && certify_cell(text, token, end, count, capacity, reals, ints,
+                                  id_data, id_ends)))
+                break;
+            ints[4 * capacity + count++] = lineno;
+        }
+        at = end < length ? end + 1 : end;
+    }
+    stop[0] = at;
+    stop[1] = lineno;
+    return count;
 }

@@ -12,14 +12,20 @@ str); `x`, `y`, `size` and `dot_offset` (float64); `rotation`, `zone` and
 fixed cell's polarization, NaN elsewhere). The kink matrix, the engines,
 the sweeps and the CLI read the columns, and `Layout.id_order`, the
 positions in ascending id order, sorted once per layout. `Layout.cells`
-gives the same cells as `Cell` objects, built when first read.
+gives the same cells as `Cell` objects, built when first read from the
+checked columns, without checking them again.
 
 The rules of a cell are one ordered table, `_rules`, shared by `Cell`,
 which checks one cell's values, and by every layout builder, which checks
 its columns in bulk (`_from_columns`). `parse_layout` builds the columns
 in one pass over a document, which stops at the first line it cannot
-read. It raises the first rule broken in document order: `line N: ...`,
-or else the layout's own message.
+read. The pass is split in two: the compiled library
+(`kernels.parse_cells`) reads the cell lines after a first line `qcl 1`
+as far as it can certify that the per-line parse, `parse_cells_loop`,
+would read them into the same cells, and the loop reads on from the first
+line it cannot, so every diagnostic comes from the loop. Where no library
+loads, the loop reads every line. The parse raises the first rule broken
+in document order: `line N: ...`, or else the layout's own message.
 """
 
 from __future__ import annotations
@@ -39,6 +45,7 @@ from . import kernels
 ROLES = ("normal", "input", "output", "fixed")
 NORMAL, INPUT, OUTPUT, FIXED = range(4)  # role codes: positions in ROLES
 _ROLE_CODE = {role: code for code, role in enumerate(ROLES)}
+_ROLE_NAMES = np.array(ROLES, dtype=object)
 # What an id may not hold, as it would break a .qcl line or a CSV row; nor
 # may an id begin with `#`, which would turn its CSV row into a comment.
 _BAD_ID = re.compile(r'[\s=,"\x00-\x1f\x7f-\x9f]')
@@ -149,6 +156,17 @@ class Cell:
         return (self.center_x, self.center_y)
 
 
+_CELL_FIELDS = tuple(Cell.__dataclass_fields__)
+
+
+def _checked_cell(*values) -> Cell:
+    """The `Cell` of `values`, its fields in order, which keep the rules of
+    a cell: built without checking them again."""
+    cell = object.__new__(Cell)
+    cell.__dict__.update(zip(_CELL_FIELDS, values))
+    return cell
+
+
 def dot_offsets(cell: Cell) -> tuple[tuple[float, float], ...]:
     """The four dot positions relative to the cell center, dot 1 first."""
     d = cell.dot_offset
@@ -242,9 +260,10 @@ class Layout:
 
     @cached_property
     def cells(self) -> tuple[Cell, ...]:
-        """The cells as `Cell` objects, built when first read."""
+        """The cells as `Cell` objects, built when first read from the
+        columns, which have kept the rules of a cell already."""
         rotation, zone, role = self._ints.tolist()
-        return tuple(map(Cell, self.ids, *self._reals.tolist(), rotation,
+        return tuple(map(_checked_cell, self.ids, *self._reals.tolist(), rotation,
                          [ROLES[r] for r in role], zone,
                          [p if r == FIXED else None for r, p in zip(role, self.pol.tolist())]))
 
@@ -293,31 +312,31 @@ class Layout:
 
 
 def _from_columns(name: str, constants_mode: Optional[str], ids, reals, ints,
-                  roles, has_pol, pol, lines: Optional[list[int]] = None,
+                  roles, has_pol, pol, lines=None,
                   error: Optional[ParseError] = None) -> Layout:
-    """A layout from columns in cell order: `ids` and `roles` (str), `reals`
-    (x, y, size, dot_offset), `ints` (rotation, zone), `has_pol` and `pol`
-    (NaN where a cell has none). The first cell that breaks a rule of a
-    cell raises its message, as `line N: ...` with N from `lines` if given;
-    then `error`, a later line's diagnostic, if given; then `Layout`'s own
+    """A layout from columns in cell order, lists or arrays: `ids` and
+    `roles` (str), `reals` (x, y, size, dot_offset), `ints` (rotation, zone
+    and the role's code, -1 where unknown), `has_pol` and `pol` (NaN where
+    a cell has none). The first cell that breaks a rule of a cell raises
+    its message, as `line N: ...` with N from `lines` if given; then
+    `error`, a later line's diagnostic, if given; then `Layout`'s own
     rules."""
     n = len(ids)
-    reals = np.array(reals, dtype=np.float64).reshape(4, n)
+    reals = np.asarray(reals, dtype=np.float64).reshape(4, n)
     try:
-        ints = np.array(ints, dtype=np.int64).reshape(2, n)
+        ints = np.asarray(ints, dtype=np.int64).reshape(3, n)
     except OverflowError:  # a rotation or zone beyond int64, which breaks its rule
-        ints = np.array(ints, dtype=object).reshape(2, n)
-    codes = np.array([_ROLE_CODE.get(role, -1) for role in roles], dtype=np.int64)
-    pol = np.array(pol, dtype=np.float64).reshape(n)
-    broken = _first_broken((np.array(ids, dtype=object), *reals, *ints, roles, codes,
-                            np.array(has_pol, dtype=bool).reshape(n), pol))
+        ints = np.array(ints, dtype=object).reshape(3, n)
+    pol = np.asarray(pol, dtype=np.float64).reshape(n)
+    broken = _first_broken((np.array(ids, dtype=object), *reals, *ints[:2], roles,
+                            ints[2], np.asarray(has_pol, dtype=bool).reshape(n), pol))
     if broken is not None:
         k, message = broken
-        raise LayoutError(message) if lines is None else ParseError(message, lines[k])
+        raise LayoutError(message) if lines is None else ParseError(message, int(lines[k]))
     if error is not None:
         raise error
     layout = Layout.__new__(Layout)
-    layout._store(name, constants_mode, ids, reals, (*ints, codes), pol)
+    layout._store(name, constants_mode, ids, reals, ints, pol)
     layout._check()
     return layout
 
@@ -359,16 +378,46 @@ _CELL_KEYS = {"id", "x", "y", "size", "offset", "rot", "role", "clock", "pol"}
 
 
 def parse_layout(text: str, name: str = "layout") -> Layout:
-    """Parse a .qcl document into a validated Layout: one pass builds the
-    columns and each cell's line number, and stops at the first line it
-    cannot read, whose diagnostic `_from_columns` raises unless a cell
-    before it breaks a rule. Numbers go through Python's `float` and
-    `int`: numpy's conversions accept other texts."""
-    header, constants_mode, error = False, None, None
-    ids, x, y, size, offset, rotation, zone, role, has_pol, pol, lines = columns = [
-        [] for _ in range(11)]
+    """Parse a .qcl document into a validated Layout: the C pass
+    (`kernels.parse_cells`) reads the cell lines after the header into
+    columns as far as it can certify them, `parse_cells_loop` reads on
+    from the first line it cannot, and `_from_columns` raises the
+    diagnostic of the line the loop stopped at unless a cell before it
+    breaks a rule."""
+    reals, ints, ids, start, lineno = kernels.parse_cells(text)
+    roles = _ROLE_NAMES[ints[2]]
+    # the C pass starts after the header line
+    rest, constants_mode, error = parse_cells_loop(text[start:], lineno, start > 0)
+    more_ids, more_roles, more_reals, more_ints = rest
+    if more_ids:  # the loop read cells too: join the columns as lists
+        ids, roles = ids + more_ids, roles.tolist() + more_roles
+        reals = [done.tolist() + more for done, more in zip(reals, more_reals)]
+        ints = [done.tolist() + more for done, more in zip(ints, more_ints)]
+    x, y, size, offset, pol = reals
+    rotation, zone, codes, has_pol, lines = ints
+    return _from_columns(name, constants_mode, ids, (x, y, size, offset),
+                         (rotation, zone, codes), roles, has_pol, pol, lines, error)
+
+
+def parse_cells_loop(text: str, lineno: int = 1, header: bool = False):
+    """The per-line parse of the lines of a .qcl document `text`, the first
+    being line `lineno` (`header`: whether the header line came before
+    them); the continuation of the C pass `kernels.parse_cells` from the
+    first line it does not certify, and the reference it is tested against.
+    It stops at the first line it cannot read. Returns (columns,
+    constants_mode, error): the columns of its cells as lists, (ids,
+    roles, reals, ints) with the rows of reals and ints as the C pass
+    orders them, x, y, size, offset and pol, and rot, clock, the role's
+    code (-1 where unknown), whether pol is given and the line; the last
+    `constants` mode read; and the diagnostic (a ParseError) of the line
+    it stopped at, or None. Numbers go through Python's `float` and `int`:
+    numpy's conversions accept other texts."""
+    constants_mode, error = None, None
+    ids, roles = [], []
+    x, y, size, offset, pol, rotation, zone, codes, has_pol, lines = numbers = [
+        [] for _ in range(10)]
     try:
-        for lineno, raw in enumerate(text.splitlines(), 1):
+        for lineno, raw in enumerate(text.splitlines(), lineno):
             tokens = raw.split()
             if not tokens or tokens[0][0] == "#":
                 continue
@@ -384,14 +433,15 @@ def parse_layout(text: str, name: str = "layout") -> Layout:
                     size.append(float(fields.get("size", "18")))
                     offset.append(float(fields["offset"]) if "offset" in fields
                                   else size[-1] / 4)
+                    pol.append(float(fields.get("pol", "nan")))
                     rotation.append(int(fields.get("rot", "0")))
                     zone.append(int(fields.get("clock", "0")))
-                    role.append(fields["role"])
+                    roles.append(fields["role"])
+                    codes.append(_ROLE_CODE.get(roles[-1], -1))
                     has_pol.append("pol" in fields)
-                    pol.append(float(fields.get("pol", "nan")))
                     lines.append(lineno)
                 except (KeyError, ValueError):
-                    for column in columns:  # drop the line's partial cell
+                    for column in (ids, roles, *numbers):  # drop the line's partial cell
                         del column[len(lines):]
                     raise _cell_error(tokens, lineno) from None
             elif not header:
@@ -408,8 +458,8 @@ def parse_layout(text: str, name: str = "layout") -> Layout:
             raise ParseError("empty document (missing 'qcl 1' header)", 1)
     except ParseError as exc:
         error = exc
-    return _from_columns(name, constants_mode, ids, (x, y, size, offset),
-                         (rotation, zone), role, has_pol, pol, lines, error)
+    return ((ids, roles, [x, y, size, offset, pol], [rotation, zone, codes, has_pol, lines]),
+            constants_mode, error)
 
 
 def _cell_error(tokens: list[str], lineno: int) -> ParseError:
@@ -493,8 +543,8 @@ def builtin_layout(name: str, gap: float = 2.0) -> Layout:
     n = len(ids)
     fixed = [role == "fixed" for role in roles]
     return _from_columns(name, None, ids, (x, y, (size,) * n, (size / 4,) * n),
-                         ((0,) * n, (0,) * n), roles, fixed,
-                         [1.0 if f else math.nan for f in fixed])
+                         ((0,) * n, (0,) * n, [_ROLE_CODE[role] for role in roles]),
+                         roles, fixed, [1.0 if f else math.nan for f in fixed])
 
 
 # --------------------------------------------------------------------------
@@ -556,5 +606,5 @@ def displace_cell(layout: Layout, cell_id: str, new_gap: float,
     if abs(axis[1]) > eps:
         reals[1, k] = y[j] + math.copysign(half + new_gap, axis[1])
     return _from_columns(layout.name, layout.constants_mode, layout.ids, reals,
-                         layout._ints[:2], [ROLES[r] for r in layout.role.tolist()],
+                         layout._ints, _ROLE_NAMES[layout.role],
                          layout.role == FIXED, layout.pol)

@@ -1,6 +1,7 @@
 """Hot numeric kernels: the coherence-vector integrator and the bistable
 Gauss-Seidel sweep of the two engines, the CSV number formatter, the CSV
-row writer, and the pair search and grouping of the kink matrix.
+row writer, the pair search and grouping of the kink matrix, and the
+certified pass over the cell lines of a .qcl document.
 
 The integrator entry point ``coherence_euler`` is batched: B points that
 share the cell order, clock zones, driven cells, time grid and clock
@@ -39,6 +40,14 @@ an int64 key array in the order of their first rows (floats passed as the
 bit patterns of ``v + 0.0``); ``kink_matrix`` groups cell kinds and pair
 geometries with it, so that each geometry's energy is computed once.
 
+The parse entry point ``parse_cells`` reads the cell lines of a .qcl
+document after a first line ``qcl 1`` into the layout columns, up to the
+first line it cannot certify, and returns where that line starts;
+``geometry.parse_cells_loop``, the per-line parse, reads on from there and
+gives every diagnostic. It certifies only lines that the loop reads into
+the same cells, bit for bit, and a number only where one correctly
+rounded operation converts it (see ``qcasim_parse_cells``).
+
 The two engine kernels read the coupling as a neighbor list: with
 ``k = slice(offsets[i], offsets[i + 1])``, the neighbors of cell i are
 ``cols[k]``, in ascending position, and the kink energies to them are
@@ -51,8 +60,8 @@ Each entry point has two kernels that give bit-identical results, so the
 output never depends on which one ran:
 
 * ``c``: ``coherence_euler_c``, ``bistable_sweep_c``, ``format_sci_c``,
-  ``write_rows_c``, ``near_pairs_c`` and ``group_keys_c``: six entry
-  points of one library, built from ``_kernels.c`` (shipped with the
+  ``write_rows_c``, ``near_pairs_c``, ``group_keys_c`` and
+  ``parse_cells_c``: seven entry points of one library, built from ``_kernels.c`` (shipped with the
   package) and loaded through ``ctypes``. The first kernel call in a
   process compiles it with ``$CC`` (default ``cc``) into
   ``${XDG_CACHE_HOME:-~/.cache}/qcasim/``, or, where that directory
@@ -63,13 +72,16 @@ output never depends on which one ran:
 * ``loop``: ``coherence_euler_loop`` and ``bistable_sweep_loop``, the
   engine kernels over Python lists, ``format_sci_loop``, Python's `%`,
   ``write_rows_loop``, ``",".join`` over the table's texts, and
-  ``near_pairs_loop`` and ``group_keys_loop``, in numpy: the references
-  the C kernels are tested against, and the kernels that run where no
-  compiler works (``CC=/nonexistent``, say).
+  ``near_pairs_loop`` and ``group_keys_loop``, in numpy, and
+  ``geometry.parse_cells_loop``, which reads every line of a document
+  where the C pass certifies none: the references the C kernels are
+  tested against, and the kernels that run where no compiler works
+  (``CC=/nonexistent``, say).
 
 ``kernel_path`` names the path that ``coherence_euler``,
-``bistable_sweep``, ``format_sci``, ``write_rows``, ``near_pairs`` and
-``group_keys`` run: "c" whenever the library loads, else "loop". Every
+``bistable_sweep``, ``format_sci``, ``write_rows``, ``near_pairs``,
+``group_keys`` and ``parse_cells`` run: "c" whenever the library loads,
+else "loop". Every
 ``Layout`` built runs ``near_pairs`` in its overlap check, so any command
 loads the library.
 
@@ -86,10 +98,12 @@ field repeat reuses its steady state. The loop kernel never skips. The
 header of ``_kernels.c`` gives both rules and why they are exact, how the
 C integrator splits a batch over threads, why the C formatter's texts
 are those of `%`, how the C pair search orders its pairs without
-comparing them, and how the C grouping numbers its groups.
+comparing them, how the C grouping numbers its groups, and what the C
+parse certifies and why its numbers are those of Python's `float`.
 ``tests/test_kernels.py`` compares each C kernel with its loop kernel, bit
-for bit, ``tests/test_sweeps.py`` the row writers on drawn tables and
-``tests/test_coupling.py`` the pair searches and groupings;
+for bit, ``tests/test_sweeps.py`` the row writers on drawn tables,
+``tests/test_coupling.py`` the pair searches and groupings and
+``tests/test_geometry.py`` the parse with the C pass and without;
 ``benchmarks/bench_coherence.py`` times the coherence kernels and
 ``benchmarks/bench_coupling.py`` the kink matrix on both paths, the
 bistable relaxation and the ``kink`` output, which ``write_rows``
@@ -170,13 +184,16 @@ def coherence_euler_loop(energies, zones, driven, drive_values, n_steps, dt,
     once every point has failed. The recordings are filled every `stride`
     steps (step 0 included); each point's rows stop when it fails, while
     the times and clocks are recorded at every such step up to n_steps,
-    those after every point has failed included.
+    those after every point has failed included. The clock is evaluated
+    only for the zones that hold a free cell, and for all four at the
+    recording steps.
     """
     batch, n = drive_values.shape
     offsets = offsets.tolist()
     cols = cols.tolist()
     free = [i for i in range(n) if not driven[i]]
     zone_of = zones.tolist()
+    used = [any(zone_of[i] == z for i in free) for z in range(4)]
     pols = np.where(driven, drive_values, 0.0).tolist()
     bad_step = np.full(batch, -1, dtype=np.int64)
     # per point: index, polarizations, coherence vectors of the free cells,
@@ -200,10 +217,12 @@ def coherence_euler_loop(energies, zones, driven, drive_values, n_steps, dt,
     rec = 0
     for step in range(n_steps + 1):
         t = step * dt
+        record = step % stride == 0 and rec < n_rec
+        # the clock of the zones that hold a free cell, and of all four where
+        # the step records
         gammas = [clock_value(t, z, periods, total_time, clock_shift,
                               clock_amplitude, clock_low, clock_high)
-                  for z in range(4)]
-        record = step % stride == 0 and rec < n_rec
+                  if record or used[z] else 0.0 for z in range(4)]
         if record:
             rec_times[rec] = t
             rec_clocks[rec] = gammas
@@ -362,7 +381,7 @@ def _compile(cc: list, target: Path) -> bool:
 
 
 def _bind(path: Path):
-    """The library at `path`, its six entry points typed."""
+    """The library at `path`, its seven entry points typed."""
     import ctypes
     library = ctypes.CDLL(str(path))
     i64, f64, ptr = ctypes.c_int64, ctypes.c_double, ctypes.c_void_p
@@ -385,6 +404,9 @@ def _bind(path: Path):
     groups = library.qcasim_group_keys
     groups.argtypes = [i64, i64] + [ptr] * 3
     groups.restype = i64
+    cells = library.qcasim_parse_cells
+    cells.argtypes = [i64, ctypes.c_char_p] + [i64] * 3 + [ptr] * 5
+    cells.restype = i64
     return library
 
 
@@ -598,10 +620,14 @@ def text_table(texts: Sequence[str]) -> tuple[np.ndarray, np.ndarray]:
 
 
 def table_texts(table) -> list[str]:
-    """The texts of a text table, entry by entry."""
+    """The texts of a text table, entry by entry: slices of one decoded
+    str where the table is ASCII, a byte per character."""
     data, offsets = table
     raw = data.tobytes()
     bounds = offsets.tolist()
+    if raw.isascii():
+        raw = raw.decode("ascii")
+        return [raw[a:b] for a, b in zip(bounds, bounds[1:])]
     return [str(raw[a:b], "utf-8", "surrogatepass")
             for a, b in zip(bounds, bounds[1:])]
 
@@ -811,10 +837,63 @@ def _key_rows(keys):
     return keys
 
 
+# The header line of a .qcl document, after which qcasim_parse_cells reads.
+QCL_HEADER = "qcl 1\n"
+
+
+def parse_cells_c(data: bytes, start: int, lineno: int):
+    """The C pass over the lines of a .qcl document, `data` its UTF-8
+    bytes, from byte offset `start`, which begins line `lineno` and follows
+    the header line: returns (reals, ints, ids, stop, stop_lineno). The
+    cells of the lines it certifies are columns: reals (5, k) float64 x, y,
+    size, offset and pol (NaN where not given); ints (5, k) int64 rot,
+    clock, the role's index in `geometry.ROLES`, 1 where pol is given else
+    0, and the line number; ids a text table. `stop` and `stop_lineno` are
+    the offset and number of the first line it does not certify, past the
+    end where it certifies them all. See ``qcasim_parse_cells`` for what it
+    certifies."""
+    library = _library()
+    if library is None:
+        raise RuntimeError("the compiled kernels are not available")
+    if not (isinstance(data, bytes) and 0 <= start <= len(data)):
+        raise ValueError("data must be bytes and start an offset in it")
+    # a cell per line at most, and an id of at most the bytes left
+    capacity = data.count(b"\n", start) + 1
+    reals = np.empty((5, capacity))
+    ints = np.empty((5, capacity), dtype=np.int64)
+    id_data = np.empty(len(data) - start, dtype=np.uint8)
+    id_offsets = np.zeros(capacity + 1, dtype=np.int64)
+    stop = np.empty(2, dtype=np.int64)
+    count = library.qcasim_parse_cells(
+        len(data), data, start, lineno, capacity, reals.ctypes.data,
+        ints.ctypes.data, id_data.ctypes.data, id_offsets[1:].ctypes.data,
+        stop.ctypes.data)
+    id_offsets = id_offsets[:count + 1]
+    return (reals[:, :count], ints[:, :count], (id_data[:id_offsets[-1]], id_offsets),
+            int(stop[0]), int(stop[1]))
+
+
+def parse_cells(text: str):
+    """The cells that the C pass certifies in the .qcl document `text`,
+    from the line after a first line that reads exactly ``qcl 1``: returns
+    (reals, ints, ids, start, lineno), the columns of ``parse_cells_c``
+    with the ids as a list of str, and the offset in `text` and the number
+    of the first line it leaves to ``geometry.parse_cells_loop``, the
+    per-line parse it is tested against. Every line before that offset is
+    ASCII, so the offset is that of its UTF-8 bytes too. Where the library
+    does not load or the document starts otherwise, it certifies nothing:
+    the loop reads the document from offset 0, line 1."""
+    if _library() is None or not text.startswith(QCL_HEADER):
+        return np.empty((5, 0)), np.empty((5, 0), dtype=np.int64), [], 0, 1
+    reals, ints, ids, stop, lineno = parse_cells_c(
+        text.encode("utf-8", "surrogatepass"), len(QCL_HEADER), 2)
+    return reals, ints, table_texts(ids), stop, lineno
+
+
 def kernel_path() -> str:
     """The kernels ``coherence_euler``, ``bistable_sweep``, ``format_sci``,
-    ``write_rows``, ``near_pairs`` and ``group_keys`` run: "c" whenever the
-    compiled library loads, else "loop"."""
+    ``write_rows``, ``near_pairs``, ``group_keys`` and ``parse_cells`` run:
+    "c" whenever the compiled library loads, else "loop"."""
     return "c" if _library() is not None else "loop"
 
 

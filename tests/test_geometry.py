@@ -1,16 +1,27 @@
+import importlib
 import math
+import os
+import shlex
+import shutil
 import tracemalloc
 from dataclasses import astuple
+from pathlib import Path
+from unittest import mock
 
+import numpy as np
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from oracle import reference_cell_error, reference_parse_layout
-from qcasim.geometry import (_BAD_ID, MAX_WIRE_CELLS, ROLES, Cell, Layout,
+from qcasim import kernels
+from qcasim.geometry import (_BAD_ID, FIXED, MAX_WIRE_CELLS, ROLES, Cell, Layout,
                              LayoutError, ParseError, builtin_layout, displace_cell,
                              displacement_axis, dot_positions, electron_dots,
                              parse_layout, previous_neighbor, serialize_layout)
+
+HAS_CC = shutil.which((shlex.split(os.environ.get("CC") or "cc") or ["cc"])[0]) is not None
+needs_cc = pytest.mark.skipif(not HAS_CC, reason="no C compiler")
 
 
 def reals(lo, hi):
@@ -20,16 +31,21 @@ def reals(lo, hi):
         lambda k: k / 10**6), st.floats(lo, hi))
 
 
+def cell_bits(cells):
+    """Each field of each cell with its type, each float as its bit
+    pattern."""
+    def exact(value):
+        return type(value).__name__, value.hex() if isinstance(value, float) else value
+    return [tuple(map(exact, astuple(c))) for c in cells]
+
+
 def bits(layout):
     """Everything a layout holds, each float as its bit pattern, each cell
     field with its type."""
-    def exact(value):
-        return type(value).__name__, value.hex() if isinstance(value, float) else value
     columns = (layout.x, layout.y, layout.size, layout.dot_offset,
                layout.rotation, layout.zone, layout.role, layout.pol)
     return (layout.name, layout.constants_mode, layout.ids,
-            [(c.dtype.str, c.tobytes()) for c in columns],
-            [tuple(map(exact, astuple(c))) for c in layout.cells])
+            [(c.dtype.str, c.tobytes()) for c in columns], cell_bits(layout.cells))
 
 
 CELL_IDS = st.text(st.characters(blacklist_categories=("Cs",)), min_size=1,
@@ -208,6 +224,21 @@ class TestParseLayout:
         assert layout.cells[0].role == "fixed"
         assert layout.cells[0].size == 18.0
         assert layout.cells[0].dot_offset == 4.5
+
+    @settings(max_examples=50, deadline=None, derandomize=True)
+    @given(layouts())
+    def test_cells_are_the_cells_cell_builds(self, layout):
+        """`Layout.cells` builds its cells from checked columns without the
+        rules: each is the `Cell` built from the same fields."""
+        layout = parse_layout(serialize_layout(layout))
+        rotation, zone, role = layout._ints.tolist()
+        expected = tuple(
+            Cell(*fields, ROLES[r], z, p if r == FIXED else None)
+            for *fields, r, z, p in zip(layout.ids, *layout._reals.tolist(), rotation,
+                                        role, zone, layout.pol.tolist()))
+        assert cell_bits(layout.cells) == cell_bits(expected)
+        assert layout.cells == expected
+        assert list(map(hash, layout.cells)) == list(map(hash, expected))
 
     def test_roundtrip_builtin_inv2(self):
         layout = builtin_layout("inv2")
@@ -492,6 +523,144 @@ class TestAgainstReference:
     @given(st.data())
     def test_the_first_of_two_errors_wins(self, earlier, later, data):
         assert self.check(data.draw(qcl_documents(later, earlier))) is not None
+
+
+def outcome(text, loop_only=False):
+    """What `parse_layout` gives for `text`: the layout's `bits`, or its
+    exception's type and text; with `loop_only`, as where no library loads,
+    which leaves every line to `parse_cells_loop`."""
+    try:
+        if loop_only:
+            with mock.patch.object(kernels, "_library", return_value=None):
+                return bits(parse_layout(text, "doc"))
+        return bits(parse_layout(text, "doc"))
+    except LayoutError as exc:
+        return type(exc), str(exc)
+
+
+def with_plain_header(text):
+    """`text` with LF line ends from its first `qcl 1` line on, that line
+    written exactly so, as the first: the C pass then reads on from it."""
+    lines = text.replace("\r\n", "\n").split("\n")
+    k = next((k for k, line in enumerate(lines) if line.strip() == "qcl 1"), None)
+    return text if k is None else "\n".join(["qcl 1", *lines[k + 1:]])
+
+
+def certified_lines(text):
+    """The number of lines before the first that the C pass leaves to the
+    loop."""
+    return kernels.parse_cells(text)[4] - 1
+
+
+DOCUMENT = ("qcl 1\n"
+            "cell id=a x=0 y=0 role=fixed pol=1\n"
+            "cell id=b x=20 y=0 role=output\n")
+
+
+class TestCertifiedPass:
+    """The C pass of `kernels.parse_cells`, which `parse_cells_loop`
+    continues, against the loop alone: `parse_layout`'s layout bit for bit,
+    or its exception type and text. Where no library loads, both sides run
+    the loop alone; the tests of what the pass certifies need a compiler."""
+
+    def check(self, text):
+        expected = outcome(text, loop_only=True)
+        assert outcome(text) == expected
+        return expected
+
+    @settings(max_examples=100, deadline=None, derandomize=True)
+    @given(qcl_documents())
+    def test_valid_documents(self, text):
+        assert isinstance(self.check(text), tuple)
+        self.check(with_plain_header(text))
+
+    @pytest.mark.parametrize("name", sorted(CORRUPTIONS))
+    @settings(max_examples=5, deadline=None, derandomize=True)
+    @given(st.data())
+    def test_documents_with_an_error(self, name, data):
+        text = data.draw(qcl_documents(name))
+        self.check(text)
+        self.check(with_plain_header(text))
+
+    # A value of the third cell, and whether the C pass certifies its line.
+    @pytest.mark.parametrize("key, value, certified", [
+        ("x", "9007199254740992", True),  # 2**53
+        ("x", "9007199254740993", False),
+        ("x", "-9007199254740992e-22", True),
+        ("x", "1e22", True),
+        ("x", "1e23", False),
+        ("x", "123456789012345678e-22", False),
+        ("x", "0.1000000000000000055511151231257827", False),
+        ("x", "5.", True),
+        ("x", ".5", True),
+        ("x", "-0", True),
+        ("x", "+0.0", True),
+        ("x", "1e-400", False),
+        ("x", "1E+000000002", True),
+        ("x", "1e0000000002", False),  # ten exponent digits
+        ("x", "1_0", False),
+        ("x", "inf", False),
+        ("x", "0x10", False),
+        ("x", "\u0661", False),  # ARABIC-INDIC DIGIT ONE
+        ("x", ".", False),
+        ("x", "1e", False),
+        ("size", "1.8e1", True),
+        ("rot", "000000000000000045", True),  # 18 digits
+        ("rot", "0000000000000000045", False),  # 19 digits
+        ("rot", "999999999999999999", True),
+        ("rot", "9999999999999999999", False),
+        ("clock", "-0", True),
+        ("clock", "+3", True),
+        ("clock", "3.0", False),
+        ("role", "fixed pol=-.5e0", True),
+        ("role", "output\tid=c", False),  # a repeated key
+        ("id", "c\tclock=2", True),
+        ("id", "c=d", False),
+        ("id", "\u00e7", False),
+        ("id", "c\r", False),
+        ("id", "c\x0c", False),
+        ("id", "c\x1f", False),
+    ])
+    def test_boundaries(self, key, value, certified):
+        fields = {"id": "c", "x": "40", "y": "40", "role": "normal", key: value}
+        line = "cell " + " ".join(f"{k}={v}" for k, v in fields.items())
+        for end in ("\n", ""):  # a last line without LF
+            text = DOCUMENT + line + end
+            result = self.check(text)
+            if HAS_CC:
+                assert certified_lines(text) == 3 + certified
+            if key in ("x", "size") and len(result) == 5:  # a layout
+                column = ("x", "y", "size").index(key)
+                assert result[3][column][1][16:] == np.float64(float(value)).tobytes()
+
+    @needs_cc
+    def test_stops_at_the_first_line_it_does_not_certify(self):
+        lines = ["qcl 1", "", "  # any comment: x=1_0", "\t ", DOCUMENT.split("\n")[1],
+                 "cell\tid=b x=20\t y=0   role=output  ", "constants paper",
+                 "cell id=c x=40 y=0 role=normal"]
+        text = "\n".join(lines) + "\n"
+        assert certified_lines(text) == 6
+        layout = parse_layout(text)
+        assert (layout.ids, layout.constants_mode) == (("a", "b", "c"), "paper")
+        self.check(text)
+        # with no header line first, or another, the loop reads it all
+        for other in ("\n" + text, "qcl 1 \n" + text[6:], "qcl 1\r\n" + text[6:]):
+            assert certified_lines(other) == 0
+            self.check(other)
+
+    @needs_cc
+    def test_certifies_the_benchmark_documents(self, tmp_path, monkeypatch):
+        """A block written as perfbench writes its layouts is certified to
+        its end, so the C pass, not the loop, reads it."""
+        monkeypatch.syspath_prepend(str(Path(__file__).parents[1] / "perfbench"))
+        workloads = importlib.import_module("workloads")
+        path = tmp_path / "block.qcl"
+        workloads._write_qcl(path, workloads.block_cells(7, 4, 5, 2))
+        text = path.read_text(encoding="utf-8")
+        reals, ints, ids, start, lineno = kernels.parse_cells(text)
+        assert (start, lineno) == (len(text), text.count("\n") + 1)
+        assert len(ids) == 18
+        self.check(text)
 
 
 class TestBuiltinLayouts:
