@@ -582,7 +582,8 @@ class TestCertifiedPass:
         self.check(text)
         self.check(with_plain_header(text))
 
-    # A value of the third cell, and whether the C pass certifies its line.
+    # A value of the third cell (None: the key left out), and whether the C
+    # pass certifies its line.
     @pytest.mark.parametrize("key, value, certified", [
         ("x", "9007199254740992", True),  # 2**53
         ("x", "9007199254740993", False),
@@ -620,16 +621,20 @@ class TestCertifiedPass:
         ("id", "c\r", False),
         ("id", "c\x0c", False),
         ("id", "c\x1f", False),
+        *((key, None, False) for key in ("id", "x", "y", "role")),
+        ("size", None, True),
     ])
     def test_boundaries(self, key, value, certified):
         fields = {"id": "c", "x": "40", "y": "40", "role": "normal", key: value}
+        if value is None:
+            del fields[key]
         line = "cell " + " ".join(f"{k}={v}" for k, v in fields.items())
         for end in ("\n", ""):  # a last line without LF
             text = DOCUMENT + line + end
             result = self.check(text)
             if HAS_CC:
                 assert certified_lines(text) == 3 + certified
-            if key in ("x", "size") and len(result) == 5:  # a layout
+            if key in ("x", "size") and value and len(result) == 5:  # a layout
                 column = ("x", "y", "size").index(key)
                 assert result[3][column][1][16:] == np.float64(float(value)).tobytes()
 
@@ -647,6 +652,13 @@ class TestCertifiedPass:
         for other in ("\n" + text, "qcl 1 \n" + text[6:], "qcl 1\r\n" + text[6:]):
             assert certified_lines(other) == 0
             self.check(other)
+
+    @needs_cc
+    def test_arguments_checked_before_the_pointer_passes(self):
+        for data, start in (("qcl 1\n", 6), (bytearray(b"qcl 1\n"), 6),
+                            (b"qcl 1\n", 7), (b"qcl 1\n", -1)):
+            with pytest.raises(ValueError, match="data must be bytes"):
+                kernels.parse_cells_c(data, start, 2)
 
     @needs_cc
     def test_certifies_the_benchmark_documents(self, tmp_path, monkeypatch):
