@@ -971,13 +971,15 @@ static int certify_cell(const char *text, int64_t at, int64_t end, int64_t count
  * its digits after the point. It is certified where M <= 2^53 and |e| <=
  * 22 (Clinger's fast path): M and 10^|e| (5^22 < 2^53) are then exact
  * doubles, so the one IEEE multiplication M * 10^e or division M / 10^-e,
- * correctly rounded to nearest, gives the double nearest to M * 10^e, the
- * double that Python's float, itself correctly rounded, reads from the
- * text. The sign goes on last, so "-0" reads as -0.0, as it does in
- * Python. No strtod: its result would depend on the locale, and on the C
- * library's rounding. An exponent of ten or more digits, a mantissa with
- * more digits than 2^53 holds (trailing zeros included), and every other
- * text (underscores, inf, nan, hex, non-ASCII digits) go to Python. */
+ * correctly rounded to nearest in double precision (the default rounding
+ * mode, and FLT_EVAL_METHOD 0 as on x86-64 and arm64), gives the double
+ * nearest to M * 10^e, the double that Python's float, itself correctly
+ * rounded, reads from the text. The sign goes on last, so "-0" reads as
+ * -0.0, as it does in Python. No strtod: its result would depend on the
+ * locale, and on the C library's rounding. An exponent of ten or more
+ * digits, digits whose integer exceeds 2^53 (trailing zeros count), and
+ * every other text (underscores, inf, nan, hex, non-ASCII digits) go to
+ * Python. */
 int64_t qcasim_parse_cells(int64_t length, const char *text, int64_t start,
                            int64_t lineno, int64_t capacity, double *reals,
                            int64_t *ints, char *id_data, int64_t *id_ends,

@@ -399,7 +399,7 @@ def parse_layout(text: str, name: str = "layout") -> Layout:
                          (rotation, zone, codes), roles, has_pol, pol, lines, error)
 
 
-def parse_cells_loop(text: str, lineno: int = 1, header: bool = False):
+def parse_cells_loop(text: str, lineno: int, header: bool):
     """The per-line parse of the lines of a .qcl document `text`, the first
     being line `lineno` (`header`: whether the header line came before
     them); the continuation of the C pass `kernels.parse_cells` from the

@@ -61,9 +61,10 @@ output never depends on which one ran:
 
 * ``c``: ``coherence_euler_c``, ``bistable_sweep_c``, ``format_sci_c``,
   ``write_rows_c``, ``near_pairs_c``, ``group_keys_c`` and
-  ``parse_cells_c``: seven entry points of one library, built from ``_kernels.c`` (shipped with the
-  package) and loaded through ``ctypes``. The first kernel call in a
-  process compiles it with ``$CC`` (default ``cc``) into
+  ``parse_cells_c``: seven entry points of one library, built from
+  ``_kernels.c`` (shipped with the package) and loaded through
+  ``ctypes``. The first kernel call in a process compiles it with
+  ``$CC`` (default ``cc``) into
   ``${XDG_CACHE_HOME:-~/.cache}/qcasim/``, or, where that directory
   cannot be used, into ``qcasim-<uid>`` under the temporary directory,
   and failing that into a fresh temporary directory; later processes
@@ -81,9 +82,8 @@ output never depends on which one ran:
 ``kernel_path`` names the path that ``coherence_euler``,
 ``bistable_sweep``, ``format_sci``, ``write_rows``, ``near_pairs``,
 ``group_keys`` and ``parse_cells`` run: "c" whenever the library loads,
-else "loop". Every
-``Layout`` built runs ``near_pairs`` in its overlap check, so any command
-loads the library.
+else "loop". Every ``Layout`` built runs ``near_pairs`` in its overlap
+check, so any command loads the library.
 
 In the engine kernels every ``+``, ``*``, ``/`` and ``sqrt`` is the same
 IEEE operation in the same order in both, and ``cos`` and ``tanh`` are
@@ -838,7 +838,7 @@ def _key_rows(keys):
 
 
 # The header line of a .qcl document, after which qcasim_parse_cells reads.
-QCL_HEADER = "qcl 1\n"
+_QCL_HEADER = "qcl 1\n"
 
 
 def parse_cells_c(data: bytes, start: int, lineno: int):
@@ -883,10 +883,10 @@ def parse_cells(text: str):
     ASCII, so the offset is that of its UTF-8 bytes too. Where the library
     does not load or the document starts otherwise, it certifies nothing:
     the loop reads the document from offset 0, line 1."""
-    if _library() is None or not text.startswith(QCL_HEADER):
+    if _library() is None or not text.startswith(_QCL_HEADER):
         return np.empty((5, 0)), np.empty((5, 0), dtype=np.int64), [], 0, 1
     reals, ints, ids, stop, lineno = parse_cells_c(
-        text.encode("utf-8", "surrogatepass"), len(QCL_HEADER), 2)
+        text.encode("utf-8", "surrogatepass"), len(_QCL_HEADER), 2)
     return reals, ints, table_texts(ids), stop, lineno
 
 

@@ -1,8 +1,5 @@
 import importlib
 import math
-import os
-import shlex
-import shutil
 import tracemalloc
 from dataclasses import astuple
 from pathlib import Path
@@ -14,14 +11,12 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from oracle import reference_cell_error, reference_parse_layout
+from test_kernels import HAS_CC, needs_cc
 from qcasim import kernels
 from qcasim.geometry import (_BAD_ID, FIXED, MAX_WIRE_CELLS, ROLES, Cell, Layout,
                              LayoutError, ParseError, builtin_layout, displace_cell,
                              displacement_axis, dot_positions, electron_dots,
                              parse_layout, previous_neighbor, serialize_layout)
-
-HAS_CC = shutil.which((shlex.split(os.environ.get("CC") or "cc") or ["cc"])[0]) is not None
-needs_cc = pytest.mark.skipif(not HAS_CC, reason="no C compiler")
 
 
 def reals(lo, hi):
@@ -227,7 +222,7 @@ class TestParseLayout:
 
     @settings(max_examples=50, deadline=None, derandomize=True)
     @given(layouts())
-    def test_cells_are_the_cells_cell_builds(self, layout):
+    def test_cells_equal_those_cell_builds(self, layout):
         """`Layout.cells` builds its cells from checked columns without the
         rules: each is the `Cell` built from the same fields."""
         layout = parse_layout(serialize_layout(layout))
@@ -635,8 +630,9 @@ class TestCertifiedPass:
             if HAS_CC:
                 assert certified_lines(text) == 3 + certified
             if key in ("x", "size") and value and len(result) == 5:  # a layout
-                column = ("x", "y", "size").index(key)
-                assert result[3][column][1][16:] == np.float64(float(value)).tobytes()
+                column = result[3][("x", "y", "size").index(key)][1]
+                # the third cell's value has the bits of Python's float
+                assert column[16:24] == np.float64(float(value)).tobytes()
 
     @needs_cc
     def test_stops_at_the_first_line_it_does_not_certify(self):
