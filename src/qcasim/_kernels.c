@@ -41,9 +41,8 @@
  *
  * In the two engine kernels, every floating-point operation is the loop
  * kernel's, in its order, so the results are bit-identical to it (the
- * integrator skips the steps that would repeat the last one, and the
- * steady states whose inputs repeat; see below). Build
- * with -ffp-contract=off and never with -ffast-math: a fused
+ * integrator skips the steps that would repeat the last one; see below).
+ * Build with -ffp-contract=off and never with -ffast-math: a fused
  * multiply-add would change the bits. cos, tanh and sqrt are libm's, as
  * math.cos, math.tanh and math.sqrt are.
  *
@@ -82,38 +81,13 @@
  * of their steps. The loop kernel never skips: it is the reference that
  * the tests compare the skipping kernel with.
  *
- * Each free cell of each point keeps a struct cell_state in the scratch
- * that each call allocates for itself and frees at its end: its coherence
- * vector and the thermal steady state last computed (gz = field / hbar,
- * ss_x and ss_z), with the bit patterns of the clock term gx = -2
- * gamma_z / hbar and of the local field it was computed from. Where a
- * step's gx and field have those same bit patterns, the cell reuses gz,
- * ss_x and ss_z and skips the division, sqrt, tanh and the |Gamma|^2
- * overflow check; otherwise it computes them as the loop kernel does and
- * refreshes the entry. This is exact: the three values are a pure
- * function of gx, the field, the point's fixed temperature, hbar and kB
- * (libm's tanh is deterministic), and the stored ones passed the
- * overflow check when they were computed. The match is on bit patterns,
- * never ==, so -0.0 and 0.0 (and NaNs) stay apart. Every free cell of a
- * live point computes or matches its entry at every computed step, so
- * from step 1 on the entry holds the values of the last computed step,
- * which a skipped step would have repeated; at step 0 every cell
- * computes. Reuse hits only on the steps that the whole-step skip does
- * not take: where a cell's clock term and field repeat bit for bit while
- * some vector of the call still changes, as between the clock's clamping
- * and the state's settling, or in a cell that has settled while another
- * has not. There it still pays on the temperature sweep (2-3% of the
- * kernel's time at 10,000 steps); it costs 1-2% on the 14-cell wire,
- * whose steps it rarely hits. The loop kernel stays the plain reference
- * and recomputes at every step: in Python the reuse saved under 5%.
- *
  * Threads. A call reads the batch's arrays (energies, drive_values,
  * temperature) at the global point b and fills the caller's rec_pols,
  * final and bad_step in place at b, so a split batch is never gathered
  * or copied. Everything it writes at every step is in its own scratch,
- * indexed by its local point j (b = first + j * every): state (one
- * struct cell_state per point and cell), the working polarizations pols
- * (n doubles per point) and fields (n doubles). It copies pols to final
+ * indexed by its local point j (b = first + j * every): the coherence
+ * vectors lam (3 doubles per point and cell), the working polarizations
+ * pols (n doubles per point) and fields (n doubles). It copies pols to final
  * once, at the end. The scratch starts on a 64-byte line and spans whole
  * lines, so no two threads write to one cache line at every step (a
  * shared line would bounce between the cores). The shared arrays are
@@ -156,13 +130,6 @@ static double clock_value(double t, int64_t zone, double periods,
     return value;
 }
 
-/* The per-call scratch of one cell of one point. */
-struct cell_state {
-    double lam[3];                /* the coherence vector */
-    uint64_t gx_bits, field_bits; /* what gz, ss_x and ss_z were computed from */
-    double gz, ss_x, ss_z;
-};
-
 static uint64_t bits_of(double x)
 {
     uint64_t bits;
@@ -197,22 +164,20 @@ int64_t qcasim_coherence_euler(
 
     /* the scratch of the call's points, in whole 64-byte lines */
     int64_t points = first < batch ? (batch - 1 - first) / every + 1 : 0;
-    size_t bytes = (size_t)(points * n) * sizeof(struct cell_state)
-                   + (size_t)(points * n + n) * sizeof(double);
-    struct cell_state *state = aligned_alloc(64, (bytes / 64 + 1) * 64);
-    if (state == NULL)
+    size_t bytes = (size_t)(4 * points * n + n) * sizeof(double);
+    double *lam = aligned_alloc(64, (bytes / 64 + 1) * 64);
+    if (lam == NULL)
         return -1;
-    double *pols = (double *)(state + points * n);
+    double *pols = lam + 3 * points * n;
     double *fields = pols + points * n;
 
     /* point b of the batch is the call's local point j */
     for (int64_t b = first, j = 0; b < batch; b += every, j++) {
         bad_step[b] = -1;
         for (int64_t i = 0; i < n; i++) {
+            double *l = lam + 3 * (j * n + i);
             pols[j * n + i] = driven[i] ? drive_values[b * n + i] : 0.0;
-            state[j * n + i].lam[0] = 0.0;
-            state[j * n + i].lam[1] = 0.0;
-            state[j * n + i].lam[2] = 0.0;
+            l[0] = l[1] = l[2] = 0.0;
         }
         alive++;
     }
@@ -267,37 +232,26 @@ int64_t qcasim_coherence_euler(
             for (int64_t i = 0; i < n; i++) {
                 if (driven[i])
                     continue;
-                struct cell_state *s = state + j * n + i;
                 double gx = gx_zone[zones[i]];
-                uint64_t gx_bits = bits_of(gx), field_bits = bits_of(fields[i]);
-                if (step == 0 || gx_bits != s->gx_bits
-                    || field_bits != s->field_bits) {
-                    double gz = fields[i] / hbar;
-                    double mag = sqrt(gx * gx + gz * gz);
-                    if (isinf(mag)) {
-                        /* |Gamma|^2 overflows: lambda_ss would be 0 */
-                        bad_step[b] = step;
-                        alive--;
-                        break;
-                    }
-                    double th;
-                    if (temp > 0.0)
-                        th = tanh(hbar * mag / (2.0 * boltzmann_k * temp));
-                    else
-                        th = 1.0;
-                    s->gx_bits = gx_bits;
-                    s->field_bits = field_bits;
-                    s->gz = gz;
-                    if (mag == 0.0) {
-                        s->ss_x = 0.0;
-                        s->ss_z = 0.0;
-                    } else {
-                        s->ss_x = th * gx / mag;
-                        s->ss_z = th * gz / mag;
-                    }
+                double gz = fields[i] / hbar;
+                double mag = sqrt(gx * gx + gz * gz);
+                if (isinf(mag)) {
+                    /* |Gamma|^2 overflows: lambda_ss would be 0 */
+                    bad_step[b] = step;
+                    alive--;
+                    break;
                 }
-                double gz = s->gz, ss_x = s->ss_x, ss_z = s->ss_z;
-                double *l = s->lam;
+                double th;
+                if (temp > 0.0)
+                    th = tanh(hbar * mag / (2.0 * boltzmann_k * temp));
+                else
+                    th = 1.0;
+                double ss_x = 0.0, ss_z = 0.0;
+                if (mag != 0.0) {
+                    ss_x = th * gx / mag;
+                    ss_z = th * gz / mag;
+                }
+                double *l = lam + 3 * (j * n + i);
                 double lx = l[0], ly = l[1], lz = l[2];
                 /* Gamma x lambda with Gamma = (gx, 0, gz) */
                 double dx = -gz * ly - (lx - ss_x) / tau;
@@ -337,7 +291,7 @@ int64_t qcasim_coherence_euler(
 
     for (int64_t b = first, j = 0; b < batch; b += every, j++)
         memcpy(final + b * n, pols + j * n, (size_t)n * sizeof(double));
-    free(state);
+    free(lam);
     return 0;
 }
 

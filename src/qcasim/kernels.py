@@ -11,13 +11,8 @@ The recorded times and clock values are shared by the batch; the recorded
 polarizations are per point, ``rec_pols[b]``. A single run is the B=1 case.
 It returns ``(final, bad_step)``: the final polarizations (B, n), and per
 point the step at which it failed, -1 for a point that ran to the end.
-The times and clocks are recorded at every recording step, those after
-every point has failed included.
 
-The sweep entry point ``bistable_sweep`` relaxes one point: each free cell,
-in the order given, takes P <- f(field / (2 gamma)) with
-f(x) = x / sqrt(1 + x^2), until the largest change of a sweep is below
-the tolerance.
+The sweep entry point ``bistable_sweep`` relaxes one point Gauss-Seidel.
 
 The formatter entry point ``format_sci`` writes the "%.5e" text of each
 value of a float64 array (six significant digits, ``sweeps.sci``), with
@@ -27,10 +22,8 @@ builds one from strings, ``table_texts`` reads one back).
 
 The row writer entry point ``write_rows`` writes a block of CSV rows from
 one text table: field (r, c) is entry ``indices[c, r]``, every field ends
-in "," and the last of a row in LF. In C (``qcasim_write_rows``) it
-gathers the rows into one byte buffer; it returns the block's text,
-decoded from UTF-8 once. ``sweeps.write_csv`` makes one call per block of
-rows.
+in "," and the last of a row in LF; ``sweeps.write_csv`` makes one call
+per block of rows.
 
 The pair search entry point ``near_pairs`` returns exactly the index
 pairs (i, j), i < j, of cells within a reach of each other along both
@@ -59,17 +52,12 @@ summed over its row only.
 Each entry point has two kernels that give bit-identical results, so the
 output never depends on which one ran:
 
-* ``c``: ``coherence_euler_c``, ``bistable_sweep_c``, ``format_sci_c``,
-  ``write_rows_c``, ``near_pairs_c``, ``group_keys_c`` and
-  ``parse_cells_c``: seven entry points of one library, built from
-  ``_kernels.c`` (shipped with the package) and loaded through
-  ``ctypes``. The first kernel call in a process compiles it with
-  ``$CC`` (default ``cc``) into
-  ``${XDG_CACHE_HOME:-~/.cache}/qcasim/``, or, where that directory
-  cannot be used, into ``qcasim-<uid>`` under the temporary directory,
-  and failing that into a fresh temporary directory; later processes
-  load the cached library without running the compiler. The library
-  name carries a CRC-32 of the source, the flags and the ``$CC`` argv.
+* ``c``: the seven ``*_c`` wrappers (``coherence_euler_c`` and so on) of
+  the seven entry points of one library, built from ``_kernels.c``
+  (shipped with the package) and loaded through ``ctypes``. The first
+  kernel call in a process compiles it with ``$CC`` (default ``cc``)
+  into a private cache directory (see ``_library``); later processes
+  load the cached library without running the compiler.
 * ``loop``: ``coherence_euler_loop`` and ``bistable_sweep_loop``, the
   engine kernels over Python lists, ``format_sci_loop``, Python's `%`,
   ``write_rows_loop``, ``",".join`` over the table's texts, and
@@ -79,48 +67,41 @@ output never depends on which one ran:
   tested against, and the kernels that run where no compiler works
   (``CC=/nonexistent``, say).
 
-``kernel_path`` names the path that ``coherence_euler``,
-``bistable_sweep``, ``format_sci``, ``write_rows``, ``near_pairs``,
-``group_keys`` and ``parse_cells`` run: "c" whenever the library loads,
-else "loop". Every ``Layout`` built runs ``near_pairs`` in its overlap
-check, so any command loads the library.
+``kernel_path`` names the path that every dispatcher runs: "c" whenever
+the library loads, else "loop". Every ``Layout`` built runs
+``near_pairs`` in its overlap check, so any command loads the library.
+
+The C boundary is declared once: ``_bind`` types each entry point from
+its row of one table, ``_SIGNATURES``, and every pointer passed to C is an
+address from one check, ``_pointer`` (dtype, shape, C order and, where C
+writes, writability; one ValueError text). ``format_sci``, ``write_rows``,
+``near_pairs`` and ``group_keys`` run those checks on the loop path too,
+so both paths reject the same inputs with the same ValueError.
 
 In the engine kernels every ``+``, ``*``, ``/`` and ``sqrt`` is the same
 IEEE operation in the same order in both, and ``cos`` and ``tanh`` are
 libm's, as ``math.cos`` and ``math.tanh`` are. The library is built with
 ``-ffp-contract=off`` and never with ``-ffast-math``, since a fused
 multiply-add would change the bits, and the formatter's error bound
-assumes correctly rounded operations. The C integrator leaves out work
-whose result it already has, exactly: a step that would repeat the last
-one bit for bit (no vector changed a bit and the clock of every zone in
-use kept its bits) only records, and a cell whose clock term and local
-field repeat reuses its steady state. The loop kernel never skips. The
-header of ``_kernels.c`` gives both rules and why they are exact, how the
-C integrator splits a batch over threads, why the C formatter's texts
-are those of `%`, how the C pair search orders its pairs without
-comparing them, how the C grouping numbers its groups, and what the C
-parse certifies and why its numbers are those of Python's `float`.
-``tests/test_kernels.py`` compares each C kernel with its loop kernel, bit
-for bit, ``tests/test_sweeps.py`` the row writers on drawn tables,
-``tests/test_coupling.py`` the pair searches and groupings and
-``tests/test_geometry.py`` the parse with the C pass and without;
-``benchmarks/bench_coherence.py`` times the coherence kernels and
-``benchmarks/bench_coupling.py`` the kink matrix on both paths, the
-bistable relaxation and the ``kink`` output, which ``write_rows``
-gathers.
-
-The C integrator splits a batch over the usable cores (see
-``coherence_euler_c``); its results are those of one call, bit for bit,
-at any split. A single point (B = 1) and a one-core machine start no
-thread. The loop kernel holds the GIL, so it runs its batch serially.
-
-The C formatter writes a value only where it can prove the rounding and
-returns the indices of the others; ``format_sci`` fills those in with
-`%`.
+assumes correctly rounded operations. The C integrator skips, exactly, a
+step that would repeat the last one bit for bit (no vector changed a bit
+and the clock of every zone in use kept its bits): it only records. The
+loop kernel never skips. The header of ``_kernels.c`` gives that rule
+and why it is exact, how the C integrator splits a batch over threads
+(its results are those of one call at any split; the loop kernel holds
+the GIL and runs its batch serially), why the C formatter's texts are
+those of `%` (it writes a value only where it can prove the rounding,
+and ``format_sci`` fills in the others with `%`), how the C pair search
+orders its pairs without comparing them, how the C grouping numbers its
+groups, and what the C parse certifies and why its numbers are those of
+Python's `float`. ``tests/test_kernels.py``, ``tests/test_sweeps.py``,
+``tests/test_coupling.py`` and ``tests/test_geometry.py`` compare each C
+kernel with its loop kernel, bit for bit; ``benchmarks/`` times both.
 """
 
 from __future__ import annotations
 
+import ctypes
 import functools
 import itertools
 import math
@@ -380,33 +361,28 @@ def _compile(cc: list, target: Path) -> bool:
             os.remove(partial)
 
 
+# The prototypes of the entry points of _kernels.c, a letter per argument
+# in C order: i an int64_t, d a double, p a pointer (an address from
+# `_pointer`, or None for NULL). Each returns an int64_t.
+_SIGNATURES = {
+    "qcasim_coherence_euler": "iiii pppppp i dddddddd p ddd ii ppppp",
+    "qcasim_bistable_sweep": "i ppppp ddi pp",
+    "qcasim_format_sci": "i pppp",
+    "qcasim_write_rows": "ii pppp",
+    "qcasim_near_pairs": "i pp di pp",
+    "qcasim_group_keys": "ii ppp",
+    "qcasim_parse_cells": "i p iii ppppp",
+}
+
+
 def _bind(path: Path):
-    """The library at `path`, its seven entry points typed."""
-    import ctypes
+    """The library at `path`, its entry points typed from _SIGNATURES."""
     library = ctypes.CDLL(str(path))
-    i64, f64, ptr = ctypes.c_int64, ctypes.c_double, ctypes.c_void_p
-    euler = library.qcasim_coherence_euler
-    euler.argtypes = ([i64] * 4 + [ptr] * 6 + [i64] + [f64] * 8 + [ptr]
-                      + [f64] * 3 + [i64, i64] + [ptr] * 5)
-    euler.restype = i64
-    sweep = library.qcasim_bistable_sweep
-    sweep.argtypes = [i64] + [ptr] * 5 + [f64, f64, i64, ptr, ptr]
-    sweep.restype = i64
-    text = library.qcasim_format_sci
-    text.argtypes = [i64] + [ptr] * 4
-    text.restype = i64
-    rows = library.qcasim_write_rows
-    rows.argtypes = [i64, i64] + [ptr] * 4
-    rows.restype = i64
-    pairs = library.qcasim_near_pairs
-    pairs.argtypes = [i64, ptr, ptr, f64, i64, ptr, ptr]
-    pairs.restype = i64
-    groups = library.qcasim_group_keys
-    groups.argtypes = [i64, i64] + [ptr] * 3
-    groups.restype = i64
-    cells = library.qcasim_parse_cells
-    cells.argtypes = [i64, ctypes.c_char_p] + [i64] * 3 + [ptr] * 5
-    cells.restype = i64
+    kinds = {"i": ctypes.c_int64, "d": ctypes.c_double, "p": ctypes.c_void_p}
+    for name, letters in _SIGNATURES.items():
+        entry = getattr(library, name)
+        entry.argtypes = [kinds[letter] for letter in letters.replace(" ", "")]
+        entry.restype = ctypes.c_int64
     return library
 
 
@@ -466,25 +442,54 @@ def _library():
         return None
 
 
-def _check(name: str, array, dtype, shape: tuple, output: bool = False) -> None:
+def _compiled():
+    """The compiled library; RuntimeError where it does not load."""
+    library = _library()
+    if library is None:
+        raise RuntimeError("the compiled kernels are not available")
+    return library
+
+
+_NO_BYTES = ctypes.c_char * 0  # over a buffer, its address is the buffer's
+
+
+def _pointer(name: str, array, dtype, shape: tuple, output: bool = False) -> int:
+    """The address of `array` for C, once it is checked: an ndarray of
+    `dtype` and `shape`, C-contiguous, and writable where C writes to it
+    (`output`); ValueError otherwise."""
     if not (isinstance(array, np.ndarray) and array.dtype == dtype
             and array.shape == shape and array.flags.c_contiguous
             and (array.flags.writeable or not output)):
         raise ValueError(f"{name} must be a C-contiguous {np.dtype(dtype)} "
                          f"array of shape {shape}")
+    # numpy's ctypes view costs twice as much, but only it takes a read-only array
+    return (ctypes.addressof(_NO_BYTES.from_buffer(array)) if array.flags.writeable
+            else array.ctypes.data)
 
 
-def _check_neighbors(offsets, cols, n: int) -> int:
+def _vector(name: str, array, dtype=np.float64) -> tuple[int, int]:
+    """The length n of a C-contiguous array (n,) of `dtype`, and its address."""
+    n = np.size(array)
+    return n, _pointer(name, array, dtype, (n,))
+
+
+def _output(name: str, shape: tuple, dtype=np.float64) -> tuple[np.ndarray, int]:
+    """A fresh array for C to fill, and its address."""
+    array = np.empty(shape, dtype)
+    return array, _pointer(name, array, dtype, shape, output=True)
+
+
+def _neighbors(offsets, cols, n: int) -> tuple[int, int, int]:
     """Check a neighbor list of n cells, as both C entry points read it;
-    returns nnz."""
-    _check("offsets", offsets, np.int64, (n + 1,))
+    returns nnz and the addresses of offsets and cols."""
+    offsets_at = _pointer("offsets", offsets, np.int64, (n + 1,))
     if offsets[0] != 0 or (offsets[1:] < offsets[:-1]).any():
         raise ValueError("offsets must start at 0 and never decrease")
     nnz = int(offsets[-1])
-    _check("cols", cols, np.int64, (nnz,))
+    cols_at = _pointer("cols", cols, np.int64, (nnz,))
     if nnz and not 0 <= cols.min() <= cols.max() < n:
         raise ValueError(f"cols must be cell positions 0..{n - 1}")
-    return nnz
+    return nnz, offsets_at, cols_at
 
 
 def _usable_cores() -> int:
@@ -502,9 +507,8 @@ def coherence_euler_c(energies, zones, driven, drive_values, n_steps, dt,
                       hbar, stride, rec_times, rec_clocks, rec_pols,
                       offsets, cols):
     """The batched integrator in C, with the arguments, results and
-    failure semantics of ``coherence_euler_loop``. Every array is checked
-    for dtype, C-contiguity and shape, and the neighbor list for
-    consistency, before its pointer is passed.
+    failure semantics of ``coherence_euler_loop``; the neighbor list and
+    the clock zones are checked for range too.
 
     The B points run as k = min(B, usable cores) interleaved chunks,
     points j, j + k, j + 2k, ... in chunk j: chunk 0 on the calling
@@ -517,22 +521,18 @@ def coherence_euler_c(energies, zones, driven, drive_values, n_steps, dt,
     repeat the last one. Its points still fill their recording rows. The
     clock is evaluated only for the zones that hold a free cell, and for
     all four at the recording steps of chunk 0."""
-    library = _library()
-    if library is None:
-        raise RuntimeError("the compiled kernels are not available")
+    library = _compiled()
     batch, n = np.shape(drive_values)
-    nnz = _check_neighbors(offsets, cols, n)
+    nnz, offsets_at, cols_at = _neighbors(offsets, cols, n)
     n_rec = np.shape(rec_times)[0] if np.ndim(rec_times) == 1 else -1
-    for spec in (
-        ("energies", energies, np.float64, (batch, nnz)),
-        ("zones", zones, np.int64, (n,)),
-        ("driven", driven, np.bool_, (n,)),
-        ("drive_values", drive_values, np.float64, (batch, n)),
-        ("temperature", temperature, np.float64, (batch,)),
-        ("rec_times", rec_times, np.float64, (n_rec,), True),
-        ("rec_clocks", rec_clocks, np.float64, (n_rec, 4), True),
-        ("rec_pols", rec_pols, np.float64, (batch, n_rec, n), True)):
-        _check(*spec)
+    energies_at = _pointer("energies", energies, np.float64, (batch, nnz))
+    zones_at = _pointer("zones", zones, np.int64, (n,))
+    driven_at = _pointer("driven", driven, np.bool_, (n,))
+    drive_at = _pointer("drive_values", drive_values, np.float64, (batch, n))
+    temperature_at = _pointer("temperature", temperature, np.float64, (batch,))
+    times_at = _pointer("rec_times", rec_times, np.float64, (n_rec,), True)
+    clocks_at = _pointer("rec_clocks", rec_clocks, np.float64, (n_rec, 4), True)
+    pols_at = _pointer("rec_pols", rec_pols, np.float64, (batch, n_rec, n), True)
     if n and not 0 <= zones.min() <= zones.max() <= 3:
         raise ValueError("clock zones must be 0..3")
     if n_steps < 0 or stride < 1:
@@ -541,18 +541,17 @@ def coherence_euler_c(energies, zones, driven, drive_values, n_steps, dt,
     # smaller value fits the C int64
     stride = min(int(stride), int(n_steps) + 1)
     chunks = max(1, min(batch, _usable_cores()))
-    final = np.empty((batch, n))
-    bad_step = np.empty(batch, dtype=np.int64)
+    final, final_at = _output("final", (batch, n))
+    bad_step, bad_step_at = _output("bad_step", (batch,), np.int64)
     shared = (
-        n, offsets.ctypes, cols.ctypes, energies.ctypes, zones.ctypes,
-        driven.ctypes, drive_values.ctypes, int(n_steps), dt, total_time,
-        periods, clock_shift, clock_amplitude, clock_low, clock_high, tau,
-        temperature.ctypes, boltzmann_k, hbar, UNIT_BALL_LIMIT_SQ, stride,
-        n_rec)
+        n, offsets_at, cols_at, energies_at, zones_at, driven_at, drive_at,
+        int(n_steps), dt, total_time, periods, clock_shift, clock_amplitude,
+        clock_low, clock_high, tau, temperature_at, boltzmann_k, hbar,
+        UNIT_BALL_LIMIT_SQ, stride, n_rec)
     # only chunk 0 records the times and clocks
     calls = [(batch, j, chunks, *shared,
-              *((rec_times.ctypes, rec_clocks.ctypes) if j == 0 else (None, None)),
-              rec_pols.ctypes, final.ctypes, bad_step.ctypes)
+              *((times_at, clocks_at) if j == 0 else (None, None)),
+              pols_at, final_at, bad_step_at)
              for j in range(chunks)]
     status = [0] * chunks
 
@@ -576,30 +575,25 @@ def coherence_euler_c(energies, zones, driven, drive_values, n_steps, dt,
 def bistable_sweep_c(energies, offsets, cols, pols, free, two_gamma,
                      tolerance, max_iterations):
     """The bistable sweep in C, with the arguments and results of
-    ``bistable_sweep_loop``. Every array is checked for dtype,
-    C-contiguity and shape, the neighbor list for consistency and the free
-    positions for range, before its pointer is passed."""
-    library = _library()
-    if library is None:
-        raise RuntimeError("the compiled kernels are not available")
+    ``bistable_sweep_loop``; the neighbor list and the free positions are
+    checked for range too."""
+    library = _compiled()
     n = np.size(pols)
-    nnz = _check_neighbors(offsets, cols, n)
-    _check("energies", energies, np.float64, (nnz,))
-    _check("pols", pols, np.float64, (n,), output=True)
-    n_free = np.size(free)
-    _check("free", free, np.int64, (n_free,))
+    nnz, offsets_at, cols_at = _neighbors(offsets, cols, n)
+    energies_at = _pointer("energies", energies, np.float64, (nnz,))
+    pols_at = _pointer("pols", pols, np.float64, (n,), output=True)
+    n_free, free_at = _vector("free", free, np.int64)
     if n_free and not 0 <= free.min() <= free.max() < n:
         raise ValueError(f"free must be cell positions 0..{n - 1}")
     if max_iterations < 1:
         raise ValueError("max_iterations must be >= 1")
     # no run reaches 2**63 - 1 sweeps; the smaller value fits the C int64
     max_iterations = min(int(max_iterations), 2**63 - 1)
-    sweeps = np.zeros(1, dtype=np.int64)
-    worst = np.zeros(1, dtype=np.int64)
+    sweeps, sweeps_at = _output("sweeps", (1,), np.int64)
+    worst, worst_at = _output("worst", (1,), np.int64)
     converged = library.qcasim_bistable_sweep(
-        n_free, free.ctypes.data, offsets.ctypes.data, cols.ctypes.data,
-        energies.ctypes.data, pols.ctypes.data, two_gamma, tolerance,
-        max_iterations, sweeps.ctypes.data, worst.ctypes.data)
+        n_free, free_at, offsets_at, cols_at, energies_at, pols_at, two_gamma,
+        tolerance, max_iterations, sweeps_at, worst_at)
     return bool(converged), int(sweeps[0]), int(worst[0])
 
 
@@ -643,16 +637,13 @@ def format_sci_c(values) -> tuple[tuple[np.ndarray, np.ndarray], np.ndarray]:
     C formatter can certify them: returns (text table, rejected), with an
     empty entry at each index in `rejected` (int64, ascending), the values
     it left out."""
-    library = _library()
-    if library is None:
-        raise RuntimeError("the compiled kernels are not available")
-    n = np.size(values)
-    _check("values", values, np.float64, (n,))
-    text = np.empty(_SCI_WIDTH * n, dtype=np.uint8)
+    library = _compiled()
+    n, values_at = _vector("values", values)
+    text, text_at = _output("text", (_SCI_WIDTH * n,), np.uint8)
     offsets = np.zeros(n + 1, dtype=np.int64)
-    rejected = np.empty(n, dtype=np.int64)
-    count = library.qcasim_format_sci(n, values.ctypes.data, text.ctypes.data,
-                                      offsets[1:].ctypes.data, rejected.ctypes.data)
+    rejected, rejected_at = _output("rejected", (n,), np.int64)
+    ends_at = _pointer("ends", offsets[1:], np.int64, (n,), True)
+    count = library.qcasim_format_sci(n, values_at, text_at, ends_at, rejected_at)
     return (text[:offsets[-1]], offsets), rejected[:count]
 
 
@@ -661,6 +652,7 @@ def format_sci(values) -> tuple[np.ndarray, np.ndarray]:
     as Python's `%` writes them: in C where the library loads and the
     rounding is certified, by `%` otherwise."""
     if _library() is None:
+        _vector("values", values)
         return text_table(format_sci_loop(values))
     (data, offsets), rejected = format_sci_c(values)
     if not rejected.size:
@@ -684,18 +676,14 @@ def write_rows_loop(table, indices) -> str:
     return "".join(f"{row}\n" for row in map(",".join, zip(*block)))
 
 
-def write_rows_c(table, indices) -> str:
-    """The row writer in C, with the arguments and result of
-    ``write_rows_loop``: gathers the rows into one byte buffer, decoded
-    once. The table and the indices are checked for dtype, C-contiguity,
-    shape and range before their pointers are passed."""
-    library = _library()
-    if library is None:
-        raise RuntimeError("the compiled kernels are not available")
+def _row_args(table, indices) -> tuple[int, tuple]:
+    """The length of the longest entry of a text table, and the C
+    arguments of a block of rows of it (n_rows, n_cols and the addresses
+    of data, offsets and indices), all checked."""
     data, offsets = table
-    _check("data", data, np.uint8, (np.size(data),))
-    n_entries = np.size(offsets) - 1
-    _check("offsets", offsets, np.int64, (n_entries + 1,))
+    _, data_at = _vector("data", data, np.uint8)
+    n_entries, offsets_at = _vector("offsets", offsets, np.int64)
+    n_entries -= 1
     lengths = np.diff(offsets)
     if n_entries < 0 or offsets[0] != 0 or (lengths < 0).any() or offsets[-1] > data.size:
         raise ValueError("offsets must start at 0, never decrease and end "
@@ -703,14 +691,21 @@ def write_rows_c(table, indices) -> str:
     if np.ndim(indices) != 2:
         raise ValueError("indices must be a 2-D array (columns, rows)")
     n_cols, n_rows = np.shape(indices)
-    _check("indices", indices, np.int64, (n_cols, n_rows))
+    indices_at = _pointer("indices", indices, np.int64, (n_cols, n_rows))
     if indices.size and not 0 <= indices.min() <= indices.max() < n_entries:
         raise ValueError(f"indices must be table entries 0..{n_entries - 1}")
+    return int(lengths.max(initial=0)), (n_rows, n_cols, data_at, offsets_at, indices_at)
+
+
+def write_rows_c(table, indices) -> str:
+    """The row writer in C, with the arguments and result of
+    ``write_rows_loop``: gathers the rows into one byte buffer, decoded
+    once."""
+    library = _compiled()
+    longest, args = _row_args(table, indices)
     # the longest entry and its "," or LF, per field
-    out = np.empty((int(lengths.max(initial=0)) + 1) * indices.size, dtype=np.uint8)
-    size = library.qcasim_write_rows(n_rows, n_cols, data.ctypes.data,
-                                     offsets.ctypes.data, indices.ctypes.data,
-                                     out.ctypes.data)
+    out, out_at = _output("out", ((longest + 1) * indices.size,), np.uint8)
+    size = library.qcasim_write_rows(*args, out_at)
     return str(out[:size], "utf-8", "surrogatepass")
 
 
@@ -762,25 +757,25 @@ def near_pairs_loop(x, y, reach: float) -> tuple[np.ndarray, np.ndarray]:
     return np.divmod(pair_key, n)
 
 
+def _pair_args(x, y) -> tuple[int, int, int]:
+    """n and the addresses of the centers x and y, float64 arrays (n,)."""
+    n, x_at = _vector("x", x)
+    return n, x_at, _pointer("y", y, np.float64, (n,))
+
+
 def near_pairs_c(x, y, reach: float) -> tuple[np.ndarray, np.ndarray]:
     """The pair search in C, with the arguments and results of
-    ``near_pairs_loop``; x and y are checked for dtype, C-contiguity and
-    shape before their pointers are passed. The pair count is known only
-    after the search: the first call offers room for 64 pairs per cell,
-    and a search that finds more runs once more with room for them all."""
-    library = _library()
-    if library is None:
-        raise RuntimeError("the compiled kernels are not available")
-    n = np.size(x)
-    _check("x", x, np.float64, (n,))
-    _check("y", y, np.float64, (n,))
+    ``near_pairs_loop``. The pair count is known only after the search:
+    the first call offers room for 64 pairs per cell, and a search that
+    finds more runs once more with room for them all."""
+    library = _compiled()
+    n, x_at, y_at = _pair_args(x, y)
     capacity = min(n * (n - 1) // 2, 64 * n)
     while True:
-        first = np.empty(capacity, dtype=np.int64)
-        second = np.empty(capacity, dtype=np.int64)
-        count = library.qcasim_near_pairs(n, x.ctypes.data, y.ctypes.data,
-                                          float(reach), capacity,
-                                          first.ctypes.data, second.ctypes.data)
+        first, first_at = _output("first", (capacity,), np.int64)
+        second, second_at = _output("second", (capacity,), np.int64)
+        count = library.qcasim_near_pairs(n, x_at, y_at, float(reach), capacity,
+                                          first_at, second_at)
         if count == -2:
             raise ValueError(_NEAR_PAIRS_DOMAIN)
         if count < 0:
@@ -814,17 +809,12 @@ def group_keys_loop(keys) -> tuple[np.ndarray, np.ndarray]:
 
 def group_keys_c(keys) -> tuple[np.ndarray, np.ndarray]:
     """The grouping in C, a hash table of the groups, with the arguments
-    and results of ``group_keys_loop``; keys are checked for dtype,
-    C-contiguity and shape before their pointer is passed."""
-    library = _library()
-    if library is None:
-        raise RuntimeError("the compiled kernels are not available")
-    n_rows, n_cols = np.shape(_key_rows(keys))
-    _check("keys", keys, np.int64, (n_rows, n_cols))
-    group = np.empty(n_rows, dtype=np.int64)
-    first = np.empty(n_rows, dtype=np.int64)
-    count = library.qcasim_group_keys(n_rows, n_cols, keys.ctypes.data,
-                                      group.ctypes.data, first.ctypes.data)
+    and results of ``group_keys_loop``."""
+    library = _compiled()
+    n_rows, n_cols, keys_at = _key_args(keys)
+    group, group_at = _output("group", (n_rows,), np.int64)
+    first, first_at = _output("first", (n_rows,), np.int64)
+    count = library.qcasim_group_keys(n_rows, n_cols, keys_at, group_at, first_at)
     if count < 0:
         raise MemoryError("the grouping could not allocate its hash table")
     return group, first[:count].copy()
@@ -835,6 +825,12 @@ def _key_rows(keys):
     if np.ndim(keys) != 2 or np.shape(keys)[1] < 1:
         raise ValueError("keys must be a 2-D array (rows, columns) with a column")
     return keys
+
+
+def _key_args(keys) -> tuple[int, int, int]:
+    """n_rows, n_cols and the address of an int64 key array with a column."""
+    n_rows, n_cols = np.shape(_key_rows(keys))
+    return n_rows, n_cols, _pointer("keys", keys, np.int64, (n_rows, n_cols))
 
 
 # The header line of a .qcl document, after which qcasim_parse_cells reads.
@@ -852,22 +848,20 @@ def parse_cells_c(data: bytes, start: int, lineno: int):
     the offset and number of the first line it does not certify, past the
     end where it certifies them all. See ``qcasim_parse_cells`` for what it
     certifies."""
-    library = _library()
-    if library is None:
-        raise RuntimeError("the compiled kernels are not available")
+    library = _compiled()
     if not (isinstance(data, bytes) and 0 <= start <= len(data)):
         raise ValueError("data must be bytes and start an offset in it")
     # a cell per line at most, and an id of at most the bytes left
     capacity = data.count(b"\n", start) + 1
-    reals = np.empty((5, capacity))
-    ints = np.empty((5, capacity), dtype=np.int64)
-    id_data = np.empty(len(data) - start, dtype=np.uint8)
+    _, text_at = _vector("data", np.frombuffer(data, np.uint8), np.uint8)
+    reals, reals_at = _output("reals", (5, capacity))
+    ints, ints_at = _output("ints", (5, capacity), np.int64)
+    id_data, id_data_at = _output("id_data", (len(data) - start,), np.uint8)
     id_offsets = np.zeros(capacity + 1, dtype=np.int64)
-    stop = np.empty(2, dtype=np.int64)
+    stop, stop_at = _output("stop", (2,), np.int64)
     count = library.qcasim_parse_cells(
-        len(data), data, start, lineno, capacity, reals.ctypes.data,
-        ints.ctypes.data, id_data.ctypes.data, id_offsets[1:].ctypes.data,
-        stop.ctypes.data)
+        len(data), text_at, start, lineno, capacity, reals_at, ints_at, id_data_at,
+        _pointer("id_ends", id_offsets[1:], np.int64, (capacity,), True), stop_at)
     id_offsets = id_offsets[:count + 1]
     return (reals[:, :count], ints[:, :count], (id_data[:id_offsets[-1]], id_offsets),
             int(stop[0]), int(stop[1]))
@@ -891,9 +885,8 @@ def parse_cells(text: str):
 
 
 def kernel_path() -> str:
-    """The kernels ``coherence_euler``, ``bistable_sweep``, ``format_sci``,
-    ``write_rows``, ``near_pairs``, ``group_keys`` and ``parse_cells`` run:
-    "c" whenever the compiled library loads, else "loop"."""
+    """The kernels that every dispatcher runs: "c" whenever the compiled
+    library loads, else "loop"."""
     return "c" if _library() is not None else "loop"
 
 
@@ -911,11 +904,13 @@ def bistable_sweep(*args):
     return kernel(*args)
 
 
-def write_rows(*args):
+def write_rows(table, indices) -> str:
     """The row writer: the kernel ``kernel_path`` names, called with the
     arguments of ``write_rows_loop``."""
-    kernel = write_rows_c if _library() is not None else write_rows_loop
-    return kernel(*args)
+    if _library() is not None:
+        return write_rows_c(table, indices)
+    _row_args(table, indices)
+    return write_rows_loop(table, indices)
 
 
 def near_pairs(x, y, reach: float) -> tuple[np.ndarray, np.ndarray]:
@@ -928,8 +923,10 @@ def near_pairs(x, y, reach: float) -> tuple[np.ndarray, np.ndarray]:
     ``kernel_path`` names: ``near_pairs_c`` or ``near_pairs_loop``, which
     bin the centers on a grid to pair only neighboring bins; the bins do
     not show in the result."""
-    kernel = near_pairs_c if _library() is not None else near_pairs_loop
-    return kernel(x, y, reach)
+    if _library() is not None:
+        return near_pairs_c(x, y, reach)
+    _pair_args(x, y)
+    return near_pairs_loop(x, y, reach)
 
 
 def group_keys(keys) -> tuple[np.ndarray, np.ndarray]:
@@ -940,5 +937,7 @@ def group_keys(keys) -> tuple[np.ndarray, np.ndarray]:
     patterns of `v + 0.0`, which puts -0.0 and 0.0 in one group, as `==`
     does. The kernel ``kernel_path`` names: ``group_keys_c`` or
     ``group_keys_loop``."""
-    kernel = group_keys_c if _library() is not None else group_keys_loop
-    return kernel(keys)
+    if _library() is not None:
+        return group_keys_c(keys)
+    _key_args(keys)
+    return group_keys_loop(keys)

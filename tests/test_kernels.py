@@ -4,6 +4,7 @@ import json
 import math
 import os
 import random
+import re
 import shlex
 import shutil
 import subprocess
@@ -315,10 +316,9 @@ class TestBatchedParity:
         assert batched[1].tolist() == [True, False]
         assert batched[2][1] == 0
 
-    # The C kernel reuses a cell's steady state while its clock term and
-    # local field repeat bit for bit; the loop kernel recomputes it at
-    # every step. These batches hold the clock clamped for many steps, each
-    # with a T = 0 point.
+    # The C kernel skips the steps that would repeat the last one bit for
+    # bit; the loop kernel computes every step. These batches hold the
+    # clock clamped for many steps, each with a T = 0 point.
     def test_clock_held_low_and_high(self):
         # an amplitude factor above ~2.08 reaches clock_high
         params = CoherenceParams(clock_amplitude_factor=3.0)
@@ -929,6 +929,89 @@ class TestKernelChoice:
             args[index] = spoil(args[index])
             with pytest.raises(ValueError, match=message):
                 kernels.bistable_sweep_c(*args)
+
+    @needs_cc
+    def test_pair_and_key_arrays_checked_before_pointers_pass(self):
+        x, y = np.array([0.0, 1.0, 5.0]), np.zeros(3)
+        keys = np.array([[1, 2], [3, 4], [1, 2]])
+        assert kernels.near_pairs_c(x, y, 2.0)[1].tolist() == [1]
+        assert kernels.group_keys_c(keys)[0].tolist() == [0, 1, 0]
+        centers = "{} must be a C-contiguous float64 array of shape (3,)"
+        rows = "keys must be a C-contiguous int64 array of shape (3, 2)"
+        bad = [
+            (kernels.near_pairs_c, (x.astype(np.float32), y), centers.format("x")),
+            (kernels.near_pairs_c, (x, y.astype(np.int64)), centers.format("y")),
+            (kernels.near_pairs_c, (np.repeat(x, 2)[::2], y), centers.format("x")),
+            (kernels.near_pairs_c, (x, np.repeat(y, 2)[::2]), centers.format("y")),
+            (kernels.near_pairs_c, (x[None], y), centers.format("x")),  # 2-D
+            (kernels.near_pairs_c, (x, y[:2]), centers.format("y")),    # shorter
+            (kernels.near_pairs_c, (x.tolist(), y), centers.format("x")),
+            (kernels.group_keys_c, (keys.astype(np.int32),), rows),
+            (kernels.group_keys_c, (keys.astype(np.float64),), rows),
+            (kernels.group_keys_c, (np.asfortranarray(keys),), rows),
+            (kernels.group_keys_c, (np.repeat(keys, 2, axis=1)[:, ::2],), rows),
+            (kernels.group_keys_c, (keys.tolist(),), rows),
+            (kernels.group_keys_c, (keys[:, :0],), "with a column"),
+            (kernels.group_keys_c, (keys[0],), "2-D"),
+        ]
+        for kernel, args, message in bad:
+            if kernel is kernels.near_pairs_c:
+                args += (2.0,)
+            with pytest.raises(ValueError, match=re.escape(message)):
+                kernel(*args)
+
+    def test_both_paths_reject_the_same_inputs(self, monkeypatch):
+        """Inputs that the C kernels refuse: each dispatcher gives the same
+        ValueError on the compiled path and on the loop path."""
+        keys = np.array([[1, 2], [3, 4], [1, 2]])
+        inputs = [
+            (kernels.near_pairs, ([0.0, 1.0], [0.0, 0.0], 2.0)),
+            (kernels.group_keys, (keys.astype(np.int32),)),
+            (kernels.group_keys, (np.asfortranarray(keys),)),
+            (kernels.format_sci, (np.array([1.5, -2.0], dtype=np.float32),)),
+            (kernels.write_rows, (kernels.text_table(["a", "b"]), [[0, 1]])),
+        ]
+        expected = [
+            "x must be a C-contiguous float64 array of shape (2,)",
+            "keys must be a C-contiguous int64 array of shape (3, 2)",
+            "keys must be a C-contiguous int64 array of shape (3, 2)",
+            "values must be a C-contiguous float64 array of shape (2,)",
+            "indices must be a C-contiguous int64 array of shape (1, 2)",
+        ]
+
+        def errors():
+            texts = []
+            for dispatcher, args in inputs:
+                with pytest.raises(ValueError) as info:
+                    dispatcher(*args)
+                texts.append(str(info.value))
+            return texts
+        if HAS_CC:
+            assert kernels.kernel_path() == "c"
+            assert errors() == expected
+        monkeypatch.setattr(kernels, "_library", lambda: None)
+        assert kernels.kernel_path() == "loop"
+        assert errors() == expected
+
+    def test_signature_table_matches_the_c_prototypes(self):
+        """Each entry point of the shipped _kernels.c has a row in
+        ``kernels._SIGNATURES`` with its arguments' kinds in order (i an
+        int64_t, d a double, p a pointer), and each row an entry point: a
+        wrong argument type passes garbage to C without an error."""
+        def kind(parameter):
+            words = parameter.replace("*", " * ").split()
+            if "*" in words:
+                return "p"
+            assert words[0] in ("int64_t", "double"), parameter
+            return words[0][0]
+        source = kernels.SOURCE.read_text()
+        prototypes = {
+            name: "".join(map(kind, parameters.split(",")))
+            for name, parameters in re.findall(r"^int64_t (qcasim_\w+)\(([^)]*)\)",
+                                               source, re.MULTILINE)}
+        assert len(prototypes) == 7
+        assert prototypes == {name: letters.replace(" ", "")
+                              for name, letters in kernels._SIGNATURES.items()}
 
     def test_no_compiler_process_gives_the_same_bytes(self, tmp_path):
         """A process whose CC does not exist runs the loop kernels and `%`,
