@@ -450,9 +450,6 @@ def _compiled():
     return library
 
 
-_NO_BYTES = ctypes.c_char * 0  # over a buffer, its address is the buffer's
-
-
 def _pointer(name: str, array, dtype, shape: tuple, output: bool = False) -> int:
     """The address of `array` for C, once it is checked: an ndarray of
     `dtype` and `shape`, C-contiguous, and writable where C writes to it
@@ -462,9 +459,7 @@ def _pointer(name: str, array, dtype, shape: tuple, output: bool = False) -> int
             and (array.flags.writeable or not output)):
         raise ValueError(f"{name} must be a C-contiguous {np.dtype(dtype)} "
                          f"array of shape {shape}")
-    # numpy's ctypes view costs twice as much, but only it takes a read-only array
-    return (ctypes.addressof(_NO_BYTES.from_buffer(array)) if array.flags.writeable
-            else array.ctypes.data)
+    return array.ctypes.data
 
 
 def _vector(name: str, array, dtype=np.float64) -> tuple[int, int]:
@@ -474,7 +469,8 @@ def _vector(name: str, array, dtype=np.float64) -> tuple[int, int]:
 
 
 def _output(name: str, shape: tuple, dtype=np.float64) -> tuple[np.ndarray, int]:
-    """A fresh array for C to fill, and its address."""
+    """A fresh array for C to fill, and its address. Its check cannot
+    fail; it runs so that every address C gets comes from `_pointer`."""
     array = np.empty(shape, dtype)
     return array, _pointer(name, array, dtype, shape, output=True)
 
