@@ -6,8 +6,9 @@ Times these stages on layouts of growing size:
 * parse: `parse_layout` of the layout's `serialize_layout` text, what
   the CLI does with a `.qcl` file;
 * kink: `kink_matrix` at the default 80 nm radius of effect;
-* kink_loop: the same with its pair search and grouping run by the numpy
-  reference kernels, the ones that run without a C compiler;
+* kink_loop: the same with its pairs and geometry groups found by the
+  numpy reference `kernels.kink_pairs_loop`, the one that runs without a
+  C compiler;
 * emit: `write_csv` of the matrix's pairs into memory, its ids indexed
   by the pair arrays, what the `kink` command does after `kink_matrix`;
 * bistable: `bistable_relax` on the sweep kernel that
@@ -21,7 +22,7 @@ grids of 18 nm cells at a 20 nm pitch with side 10, 32, 70 and 100 (100 to
 default parameters. Reports the best wall time of the repeats for each
 stage, so the rows form a scaling curve. The script only times;
 tests/test_kernels.py and tests/test_coupling.py check that the C sweep,
-pair search and grouping kernels give their references' bits.
+pair search and kink pair pass give their references' bits.
 
 Usage:
     python benchmarks/bench_coupling.py [--max-cells 10000] [--repeats 1]
@@ -98,14 +99,14 @@ def relax_with(kernel, layout, kink, params):
 
 
 def kink_with_references(layout, radius, constants):
-    """`kink_matrix` with its pair search and grouping run by the numpy
-    reference kernels."""
-    defaults = kernels.near_pairs, kernels.group_keys
-    kernels.near_pairs, kernels.group_keys = kernels.near_pairs_loop, kernels.group_keys_loop
+    """`kink_matrix` with its pairs and geometry groups found by the numpy
+    reference."""
+    default = kernels.kink_pairs
+    kernels.kink_pairs = kernels.kink_pairs_loop
     try:
         return kink_matrix(layout, radius, constants)
     finally:
-        kernels.near_pairs, kernels.group_keys = defaults
+        kernels.kink_pairs = default
 
 
 def main():

@@ -23,12 +23,17 @@
  * a two-pass stable counting sort, first by j, then by i, so no two pairs
  * are ever compared (see its comment).
  *
- * qcasim_group_keys, the groups of equal rows of an int64 key array,
- * found with a hash table, with the result of
- * qcasim.kernels.group_keys_loop: groups numbered in the order of their
- * first rows. Keys compare as integers, so a float goes in as the bit
- * pattern of v + 0.0, which is that of +0.0 for -0.0 as for 0.0: the two
- * fall in one group, as float == holds them equal.
+ * qcasim_kink_pairs, one pass from the cells to the pairs of the kink
+ * matrix and their geometry groups, certified or handed back: the pair
+ * search of qcasim_near_pairs with the radius of effect decided by
+ * squares where a margin proves them right, and the kept pairs numbered
+ * by geometry with a hash table, groups in the order of their first
+ * pairs. The pairs the squares cannot decide go back to Python, a group
+ * at a time, and qcasim.kernels.kink_pairs decides them with math.hypot,
+ * as the numpy reference qcasim.kernels.kink_pairs_loop does. Keys
+ * compare as integers, so a float goes in as the bit pattern of v + 0.0,
+ * which is that of +0.0 for -0.0 as for 0.0: the two fall in one group,
+ * as float == holds them equal.
  *
  * qcasim_parse_cells, the cell lines of a .qcl document read into the
  * layout columns, certified or handed back: it reads from the line after
@@ -662,68 +667,176 @@ static uint64_t row_hash(const int64_t *row, int64_t n_cols)
     return mix(h);
 }
 
-/* The slot of table (size a power of two, -1 marking a free slot) that
- * holds the group whose first row equals row, or else the free slot where
- * it would go. */
-static int64_t probe(const int64_t *table, int64_t size, const int64_t *keys,
-                     int64_t n_cols, const int64_t *first, const int64_t *row)
+/* The groups of equal keys of n_cols int64 each, numbered in the order of
+ * their first keys: an open-addressing table of group numbers (size a
+ * power of two, -1 marking a free slot), at most half full, that doubles
+ * as groups arrive, and the key of each group, room for size / 2. It
+ * stays as small as the number of groups, not of keys. */
+struct groups {
+    int64_t n_cols, count, size;
+    int64_t *table, *keys;
+};
+
+/* The slot of the table that holds the group of key, or else the free
+ * slot where it would go. */
+static int64_t probe(const struct groups *g, const int64_t *key)
 {
-    for (uint64_t slot = row_hash(row, n_cols) & (uint64_t)(size - 1);;
-         slot = (slot + 1) & (uint64_t)(size - 1)) {
-        int64_t g = table[slot];
-        if (g < 0)
+    uint64_t mask = (uint64_t)(g->size - 1);
+    for (uint64_t slot = row_hash(key, g->n_cols) & mask;; slot = (slot + 1) & mask) {
+        int64_t k = g->table[slot];
+        if (k < 0)
             return (int64_t)slot;
-        const int64_t *other = keys + first[g] * n_cols;
+        const int64_t *other = g->keys + k * g->n_cols;
         int64_t c = 0;
-        while (c < n_cols && other[c] == row[c])
+        while (c < g->n_cols && other[c] == key[c])
             c++;
-        if (c == n_cols)
+        if (c == g->n_cols)
             return (int64_t)slot;
     }
 }
 
-/* Group the rows of keys (n_rows x n_cols, row-major) that are equal in
- * every column: group[r] is row r's group, groups numbered in the order
- * of their first rows, and first[g] the first row of group g (ascending).
- * Returns the number of groups, or -1 where the hash table cannot be
- * allocated. Keys are compared as integers: a caller passes a float as
- * the bit pattern of v + 0.0, which is +0.0 for -0.0 and 0.0 alike, so
- * that the groups are those that float `==` tells apart (NaN aside,
- * which the callers never pass). An open-addressing table of group
- * numbers, at most half full, doubles as groups arrive; it stays as small
- * as the number of groups, not of rows. */
-int64_t qcasim_group_keys(int64_t n_rows, int64_t n_cols, const int64_t *keys,
-                          int64_t *group, int64_t *first)
+/* An empty struct groups of size slots; 0, or -1 where it cannot be
+ * allocated. */
+static int groups_init(struct groups *g, int64_t n_cols, int64_t size)
 {
-    int64_t size = 16, groups = 0;
-    int64_t *table = malloc((size_t)size * sizeof *table);
-    if (table == NULL)
+    g->n_cols = n_cols;
+    g->count = 0;
+    g->size = size;
+    g->table = malloc((size_t)size * sizeof *g->table);
+    g->keys = malloc((size_t)(size / 2 * n_cols) * sizeof *g->keys);
+    if (g->table == NULL || g->keys == NULL)
         return -1;
-    memset(table, -1, (size_t)size * sizeof *table);
-    for (int64_t r = 0; r < n_rows; r++) {
-        const int64_t *row = keys + r * n_cols;
-        int64_t slot = probe(table, size, keys, n_cols, first, row);
-        if (table[slot] >= 0) {
-            group[r] = table[slot];
-            continue;
+    memset(g->table, -1, (size_t)size * sizeof *g->table);
+    return 0;
+}
+
+static void groups_free(struct groups *g)
+{
+    free(g->table);
+    free(g->keys);
+}
+
+/* The group of key, a new one where no earlier key equals it; -1 where
+ * the grown table cannot be allocated. Keys are compared as integers: a
+ * float goes in as the bit pattern of v + 0.0, which is +0.0 for -0.0 and
+ * 0.0 alike, so that the groups are those that float == tells apart (NaN
+ * aside, which the callers never pass). */
+static int64_t group_of(struct groups *g, const int64_t *key)
+{
+    int64_t slot = probe(g, key);
+    if (g->table[slot] >= 0)
+        return g->table[slot];
+    if (2 * (g->count + 1) > g->size) {
+        struct groups grown;
+        if (groups_init(&grown, g->n_cols, 2 * g->size) < 0) {
+            groups_free(&grown);
+            return -1;
         }
-        table[slot] = groups;
-        first[groups] = r;
-        group[r] = groups++;
-        if (2 * groups > size) {
-            free(table);
-            size *= 2;
-            table = malloc((size_t)size * sizeof *table);
-            if (table == NULL)
-                return -1;
-            memset(table, -1, (size_t)size * sizeof *table);
-            for (int64_t g = 0; g < groups; g++)
-                table[probe(table, size, keys, n_cols, first,
-                            keys + first[g] * n_cols)] = g;
-        }
+        memcpy(grown.keys, g->keys, (size_t)(g->count * g->n_cols) * sizeof *g->keys);
+        for (grown.count = 0; grown.count < g->count; grown.count++)
+            grown.table[probe(&grown, grown.keys + grown.count * g->n_cols)] = grown.count;
+        groups_free(g);
+        *g = grown;
+        slot = probe(g, key);
     }
-    free(table);
-    return groups;
+    memcpy(g->keys + g->count * g->n_cols, key, (size_t)g->n_cols * sizeof *key);
+    g->table[slot] = g->count;
+    return g->count++;
+}
+
+/* Where the squares decide the radius, that is for r2 = radius^2 in
+ * [2^-900, 2^900]: 1 where centers that differ by (dx, dy) are surely
+ * within it, -1 where they are surely beyond it, and 0 where
+ * |d2 - r2| <= 2^-40 r2, d2 = dx^2 + dy^2, leaves the pair to math.hypot.
+ * That margin dwarfs the rounding error of d2 and r2 (a few ulp, plus at
+ * most 2^-1074 lost to underflow), and a d2 that overflows is surely
+ * beyond. The same operations, in the same order, as the numpy reference
+ * qcasim.kernels._within. */
+static int by_squares(double dx, double dy, double r2)
+{
+    double d2 = dx * dx + dy * dy;
+    if (fabs(d2 - r2) <= r2 * 0x1p-40)
+        return 0;
+    return d2 <= r2 ? 1 : -1;
+}
+
+/* The pairs of the kink matrix and their geometry groups, for
+ * qcasim.kernels.kink_pairs: the box pairs (i, j) of qcasim_near_pairs
+ * with reach = radius, cut to the radius by squares where they decide
+ * (by_squares), and numbered by geometry; the groups that the squares
+ * cannot decide are handed back. Returns -2 and -1 as qcasim_near_pairs
+ * does. Where the box pairs number more than capacity, returns their
+ * number and writes nothing else. Otherwise returns the number K of
+ * pairs kept and writes:
+ * - first[0..K) and second[0..K), in (i, j) order, the pairs that the
+ *   squares put within the radius or cannot decide;
+ * - group[0..K), each pair's geometry: the groups of equal keys (kind[j],
+ *   kind[i], bits of dy + 0.0, bits of dx + 0.0), dx = x[j] - x[i] and
+ *   dy = y[j] - y[i], numbered in the order of their first pairs, a
+ *   cell's kind being its group of equal (rotation, bits of dot_offset +
+ *   0.0, bits of size + 0.0);
+ * - representative[0..counts[0]), the first pair of each group;
+ * - unsure[0..counts[1]), ascending, the groups whose pairs the squares
+ *   cannot decide: every group where r2 = radius^2 lies outside
+ *   [2^-900, 2^900], else those at the margin.
+ * The pairs of a group share the bits of dx + 0.0 and dy + 0.0, and so
+ * d2, so that a group is decided whole: the pairs that math.hypot puts
+ * beyond the radius are those of whole unsure groups. Less those, these
+ * are the pairs, groups and numbering of the numpy reference
+ * qcasim.kernels.kink_pairs_loop.
+ *
+ * The box pairs fill first and second, which the kept ones then
+ * overwrite in place, each one at or before its own place. The kinds and
+ * the geometries are numbered with hash tables that grow with the number
+ * of groups (struct groups). */
+int64_t qcasim_kink_pairs(int64_t n, const double *x, const double *y,
+                          double radius, const int64_t *rotation,
+                          const double *dot_offset, const double *size,
+                          int64_t capacity, int64_t *first, int64_t *second,
+                          int64_t *group, int64_t *representative,
+                          int64_t *unsure, int64_t *counts)
+{
+    counts[0] = counts[1] = 0;
+    int64_t pairs = qcasim_near_pairs(n, x, y, radius, capacity, first, second);
+    if (pairs <= 0 || pairs > capacity)
+        return pairs;
+    double r2 = radius * radius;
+    int decide = 0x1p-900 <= r2 && r2 <= 0x1p900;
+    struct groups kinds, geometries;
+    int64_t *kind = malloc((size_t)n * sizeof *kind);
+    int failed = kind == NULL;
+    failed |= groups_init(&kinds, 3, 16) < 0;
+    failed |= groups_init(&geometries, 4, 16) < 0;
+    for (int64_t k = 0; k < n && !failed; k++) {
+        int64_t key[3] = {rotation[k], (int64_t)bits_of(dot_offset[k] + 0.0),
+                          (int64_t)bits_of(size[k] + 0.0)};
+        kind[k] = group_of(&kinds, key);
+        failed = kind[k] < 0;
+    }
+    int64_t kept = 0;
+    for (int64_t q = 0; q < pairs && !failed; q++) {
+        int64_t i = first[q], j = second[q];
+        double dx = x[j] - x[i], dy = y[j] - y[i];
+        int sure = decide ? by_squares(dx, dy, r2) : 0;
+        if (sure < 0)
+            continue;
+        int64_t key[4] = {kind[j], kind[i], (int64_t)bits_of(dy + 0.0),
+                          (int64_t)bits_of(dx + 0.0)};
+        int64_t g = group_of(&geometries, key);
+        failed = g < 0;
+        if (g == counts[0]) {
+            representative[counts[0]++] = kept;
+            if (sure == 0)
+                unsure[counts[1]++] = g;
+        }
+        first[kept] = i;
+        second[kept] = j;
+        group[kept++] = g;
+    }
+    free(kind);
+    groups_free(&kinds);
+    groups_free(&geometries);
+    return failed ? -1 : kept;
 }
 
 /* The keys of a cell line, bit k of a line's key set standing for

@@ -68,6 +68,11 @@ def _dot_charges(cell: Cell, polarization_sign: float, model: str,
     raise ElectrostaticsError(f"unknown charge model {model!r}")
 
 
+def _check_apart(cell_a: Cell, cell_b: Cell) -> None:
+    if cells_overlap(cell_a, cell_b):
+        raise ElectrostaticsError(f"cells {cell_a.id!r} and {cell_b.id!r} overlap")
+
+
 def config_energy(cell_a: Cell, pol_a: float, cell_b: Cell, pol_b: float,
                   constants: PhysicalConstants,
                   charge_model: str = DEFAULT_CHARGE_MODEL) -> float:
@@ -80,29 +85,48 @@ def config_energy(cell_a: Cell, pol_a: float, cell_b: Cell, pol_b: float,
     through their difference: pairs with the same relative geometry get
     the same bits wherever they sit.
     """
-    if cells_overlap(cell_a, cell_b):
-        raise ElectrostaticsError(f"cells {cell_a.id!r} and {cell_b.id!r} overlap")
+    _check_apart(cell_a, cell_b)
     if cell_b.id < cell_a.id:
         cell_a, pol_a, cell_b, pol_b = cell_b, pol_b, cell_a, pol_a
+    (energy,) = _config_energies(cell_a, pol_a, cell_b, (pol_b,), constants,
+                                 charge_model)
+    return energy
+
+
+def _config_energies(cell_a: Cell, pol_a: float, cell_b: Cell,
+                     pols_b: Sequence[float], constants: PhysicalConstants,
+                     charge_model: str) -> list[float]:
+    """config_energy(cell_a, pol_a, cell_b, pol_b) for each pol_b in
+    `pols_b`, of two cells that do not overlap, cell_a the one with the
+    lower id (or the same id): the distance of each dot of cell_b to each
+    charged dot of cell_a is computed once for them all. A distance of 0.0
+    raises only where both dots carry charge. Each term is coulomb_pair's,
+    the same operations in the same order, with k * q_a taken once per dot
+    of cell_a."""
+    k, eps = constants.coulomb_k, constants.relative_permittivity
     dx = cell_b.center_x - cell_a.center_x
     dy = cell_b.center_y - cell_a.center_y
-    dots_a = dot_offsets(cell_a)
     dots_b = [(dx + x, dy + y) for x, y in dot_offsets(cell_b)]
-    charges_a = _dot_charges(cell_a, pol_a, charge_model, constants)
-    charges_b = _dot_charges(cell_b, pol_b, charge_model, constants)
-    total = 0.0
-    for (xa, ya), qa in zip(dots_a, charges_a):
-        if qa == 0.0:
-            continue
-        for (xb, yb), qb in zip(dots_b, charges_b):
-            if qb == 0.0:
-                continue
-            r = math.hypot(xa - xb, ya - yb) * NM_TO_M
-            if r == 0.0:
-                raise ElectrostaticsError(
-                    f"coincident dots between cells {cell_a.id!r} and {cell_b.id!r}")
-            total += coulomb_pair(qa, qb, r, constants)
-    return total
+    # (k * charge, distances to the dots of cell_b in m) per charged dot of
+    # cell_a
+    rows = [(k * qa, [math.hypot(xa - xb, ya - yb) * NM_TO_M for xb, yb in dots_b])
+            for (xa, ya), qa in zip(dot_offsets(cell_a),
+                                    _dot_charges(cell_a, pol_a, charge_model, constants))
+            if qa != 0.0]
+    energies = []
+    for pol_b in pols_b:
+        charges_b = _dot_charges(cell_b, pol_b, charge_model, constants)
+        total = 0.0
+        for k_qa, distances in rows:
+            for qb, r in zip(charges_b, distances):
+                if qb == 0.0:
+                    continue
+                if r == 0.0:
+                    raise ElectrostaticsError(
+                        f"coincident dots between cells {cell_a.id!r} and {cell_b.id!r}")
+                total += k_qa * qb / (eps * r)
+        energies.append(total)
+    return energies
 
 
 def kink_energy_pair(cell_a: Cell, cell_b: Cell, constants: PhysicalConstants,
@@ -114,8 +138,9 @@ def kink_energy_pair(cell_a: Cell, cell_b: Cell, constants: PhysicalConstants,
     """
     if cell_b.id < cell_a.id:
         cell_a, cell_b = cell_b, cell_a
-    opposite = config_energy(cell_a, +1.0, cell_b, -1.0, constants, charge_model)
-    same = config_energy(cell_a, +1.0, cell_b, +1.0, constants, charge_model)
+    _check_apart(cell_a, cell_b)
+    opposite, same = _config_energies(cell_a, +1.0, cell_b, (-1.0, +1.0),
+                                      constants, charge_model)
     return opposite - same
 
 
@@ -169,85 +194,42 @@ class KinkMatrix:
         return len(self.energies)
 
 
-def _within(dx: np.ndarray, dy: np.ndarray, radius: float) -> np.ndarray:
-    """math.dist(a.center, b.center) <= radius for each pair (a, b) whose
-    centers differ by (dx, dy): math.dist takes the absolute differences,
-    so it reads math.hypot(dx, dy).
-
-    The squares decide where r**2 lies between 2**-900 and 2**900 and a
-    pair's squared distance differs from it by more than 2**-40 of it: that
-    margin dwarfs their rounding error (a few ulp, plus at most 2**-1074
-    lost to underflow), and a square that overflows is far outside. The
-    other pairs, all of them when r**2 leaves that range, are decided by
-    math.hypot, once per distinct (|dx|, |dy|).
-    """
-    d2 = dx * dx + dy * dy
-    r2 = radius * radius
-    within = d2 <= r2
-    if 2.0 ** -900 <= r2 <= 2.0 ** 900:
-        unsure = np.abs(d2 - r2) <= r2 * 2.0 ** -40
-    else:
-        unsure = np.ones(len(d2), dtype=bool)
-    if unsure.any():
-        # (|dx|, |dy|) as one complex number (set part by part: 1j * inf
-        # has a nan real part)
-        absolute = np.empty(np.count_nonzero(unsure), dtype=complex)
-        absolute.real, absolute.imag = np.abs(dx[unsure]), np.abs(dy[unsure])
-        distinct, inverse = np.unique(absolute, return_inverse=True)
-        decided = [math.hypot(z.real, z.imag) <= radius for z in distinct.tolist()]
-        within[unsure] = np.array(decided)[inverse]
-    return within
-
-
-def _bits(values: np.ndarray) -> np.ndarray:
-    """The bit patterns of `values + 0.0`, as int64: equal where the values
-    are equal, -0.0 and 0.0 included (the values are never NaN)."""
-    return (values + 0.0).view(np.int64)
-
-
 def kink_matrix(layout: Layout, radius_of_effect: float,
                 constants: PhysicalConstants,
                 charge_model: str = DEFAULT_CHARGE_MODEL) -> KinkMatrix:
     """Kink energies for every unordered pair within the radius of effect.
 
     The radius cutoff applies to center-to-center distance in nm, as
-    `math.dist` computes it. The candidates, the pairs within the radius
-    along both axes, come from `kernels.near_pairs` over the cells in id
-    order, so the result is deterministic. `kink_energy_pair` runs once
-    per distinct relative geometry (center difference, then size, dot
-    offset and rotation of the lower-id and of the higher-id cell, grouped
-    by `kernels.group_keys`), in the order of each geometry's first pair;
-    it depends on nothing else, so a shared energy is the one a direct
-    call returns.
+    `math.dist` computes it. The pairs and their relative geometries come
+    from `kernels.kink_pairs` over the cells in id order, so the result is
+    deterministic: in C, one pass from the cells to the pairs within the
+    radius and their geometry groups, handing back to `math.hypot` the
+    pairs that squares cannot decide; in numpy where no compiler works.
+    `kink_energy_pair` runs once per distinct relative geometry (center
+    difference, then size, dot offset and rotation of the lower-id and of
+    the higher-id cell), in the order of each geometry's first pair; it
+    depends on nothing else, so a shared energy is the one a direct call
+    returns.
     """
     if not (math.isfinite(radius_of_effect) and radius_of_effect > 0):
         raise ElectrostaticsError("radius_of_effect must be finite and strictly positive")
     ids, by_id = layout.ids, layout.id_order
-    x, y = layout.x[by_id], layout.y[by_id]
-    first, second = kernels.near_pairs(x, y, radius_of_effect)
-    with np.errstate(over="ignore"):  # as Python floats, overflow gives inf
-        dx, dy = x[second] - x[first], y[second] - y[first]
-        within = _within(dx, dy, radius_of_effect)
-    first, second, dx, dy = first[within], second[within], dx[within], dy[within]
-    # a kind of cell: one size, dot offset and rotation
-    kind, _ = kernels.group_keys(np.stack(
-        (layout.rotation[by_id], _bits(layout.dot_offset[by_id]),
-         _bits(layout.size[by_id])), axis=1))
-    geometry, representative = kernels.group_keys(np.stack(
-        (kind[second], kind[first], _bits(dy), _bits(dx)), axis=1))
-    energy = np.empty(len(representative))
-    for g, k in enumerate(representative.tolist()):
-        energy[g] = kink_energy_pair(_site(layout, by_id[first[k]]),
-                                     _site(layout, by_id[second[k]]),
-                                     constants, charge_model)
+    first, second, geometry, representative = kernels.kink_pairs(
+        layout.x[by_id], layout.y[by_id], radius_of_effect,
+        layout.rotation[by_id], layout.dot_offset[by_id], layout.size[by_id])
+    # the lower-id and the higher-id cell of each geometry's first pair
+    lower, higher = (_sites(layout, by_id[pair[representative]]) for pair in (first, second))
+    energy = np.array([kink_energy_pair(a, b, constants, charge_model)
+                       for a, b in zip(lower, higher)], dtype=np.float64)
     return KinkMatrix.from_arrays([ids[k] for k in by_id.tolist()], first, second,
                                   energy[geometry], radius_of_effect)
 
 
-def _site(layout: Layout, k: int) -> SimpleNamespace:
-    """Cell k of `layout` with the attributes `kink_energy_pair` reads,
-    taken from the columns, so that no `Cell` is built."""
-    return SimpleNamespace(id=layout.ids[k], center_x=layout.x[k].item(),
-                           center_y=layout.y[k].item(), size=layout.size[k].item(),
-                           dot_offset=layout.dot_offset[k].item(),
-                           rotation=layout.rotation[k].item())
+def _sites(layout: Layout, rows: np.ndarray) -> list[SimpleNamespace]:
+    """Cells `rows` of `layout` with the attributes `kink_energy_pair`
+    reads, taken from the columns, so that no `Cell` is built."""
+    columns = (layout.x, layout.y, layout.size, layout.dot_offset, layout.rotation)
+    return [SimpleNamespace(id=layout.ids[k], center_x=x, center_y=y, size=size,
+                            dot_offset=dot_offset, rotation=rotation)
+            for k, x, y, size, dot_offset, rotation
+            in zip(rows.tolist(), *(column[rows].tolist() for column in columns))]

@@ -1,7 +1,8 @@
 """Hot numeric kernels: the coherence-vector integrator and the bistable
 Gauss-Seidel sweep of the two engines, the CSV number formatter, the CSV
-row writer, the pair search and grouping of the kink matrix, and the
-certified pass over the cell lines of a .qcl document.
+row writer, the pair search, the pass from cells to the pairs and
+geometry groups of the kink matrix, and the certified pass over the cell
+lines of a .qcl document.
 
 The integrator entry point ``coherence_euler`` is batched: B points that
 share the cell order, clock zones, driven cells, time grid and clock
@@ -27,11 +28,14 @@ per block of rows.
 
 The pair search entry point ``near_pairs`` returns exactly the index
 pairs (i, j), i < j, of cells within a reach of each other along both
-axes, in (i, j) order; the layout overlap check and ``kink_matrix`` run
-it. The grouping entry point ``group_keys`` numbers the distinct rows of
-an int64 key array in the order of their first rows (floats passed as the
-bit patterns of ``v + 0.0``); ``kink_matrix`` groups cell kinds and pair
-geometries with it, so that each geometry's energy is computed once.
+axes, in (i, j) order; the layout overlap check runs it. The kink pair
+entry point ``kink_pairs`` returns the pairs of ``kink_matrix``, those
+within the radius of effect as ``math.dist`` measures it, in (i, j)
+order, each numbered by its geometry (the kinds of both cells and the
+center difference), groups in the order of their first pairs, so that
+each geometry's energy is computed once. Its C pass decides the radius
+by squares where a margin proves them right and hands the other pairs
+back, a geometry group at a time, to ``math.hypot``.
 
 The parse entry point ``parse_cells`` reads the cell lines of a .qcl
 document after a first line ``qcl 1`` into the layout columns, up to the
@@ -60,8 +64,10 @@ output never depends on which one ran:
   load the cached library without running the compiler.
 * ``loop``: ``coherence_euler_loop`` and ``bistable_sweep_loop``, the
   engine kernels over Python lists, ``format_sci_loop``, Python's `%`,
-  ``write_rows_loop``, ``",".join`` over the table's texts, and
-  ``near_pairs_loop`` and ``group_keys_loop``, in numpy, and
+  ``write_rows_loop``, ``",".join`` over the table's texts,
+  ``near_pairs_loop`` and ``kink_pairs_loop``, in numpy (the latter cuts
+  the pairs of ``near_pairs_loop`` to the radius with ``_within`` and
+  groups them with ``group_keys_loop``), and
   ``geometry.parse_cells_loop``, which reads every line of a document
   where the C pass certifies none: the references the C kernels are
   tested against, and the kernels that run where no compiler works
@@ -75,7 +81,7 @@ The C boundary is declared once: ``_bind`` types each entry point from
 its row of one table, ``_SIGNATURES``, and every pointer passed to C is an
 address from one check, ``_pointer`` (dtype, shape, C order and, where C
 writes, writability; one ValueError text). ``format_sci``, ``write_rows``,
-``near_pairs`` and ``group_keys`` run those checks on the loop path too,
+``near_pairs`` and ``kink_pairs`` run those checks on the loop path too,
 so both paths reject the same inputs with the same ValueError.
 
 In the engine kernels every ``+``, ``*``, ``/`` and ``sqrt`` is the same
@@ -92,9 +98,10 @@ and why it is exact, how the C integrator splits a batch over threads
 the GIL and runs its batch serially), why the C formatter's texts are
 those of `%` (it writes a value only where it can prove the rounding,
 and ``format_sci`` fills in the others with `%`), how the C pair search
-orders its pairs without comparing them, how the C grouping numbers its
-groups, and what the C parse certifies and why its numbers are those of
-Python's `float`. ``tests/test_kernels.py``, ``tests/test_sweeps.py``,
+orders its pairs without comparing them, which pairs the C kink pass
+decides and how it numbers their groups, and what the C parse certifies
+and why its numbers are those of Python's `float`.
+``tests/test_kernels.py``, ``tests/test_sweeps.py``,
 ``tests/test_coupling.py`` and ``tests/test_geometry.py`` compare each C
 kernel with its loop kernel, bit for bit; ``benchmarks/`` times both.
 """
@@ -370,7 +377,7 @@ _SIGNATURES = {
     "qcasim_format_sci": "i pppp",
     "qcasim_write_rows": "ii pppp",
     "qcasim_near_pairs": "i pp di pp",
-    "qcasim_group_keys": "ii ppp",
+    "qcasim_kink_pairs": "i pp d ppp i pppppp",
     "qcasim_parse_cells": "i p iii ppppp",
 }
 
@@ -781,12 +788,48 @@ def near_pairs_c(x, y, reach: float) -> tuple[np.ndarray, np.ndarray]:
         capacity = count
 
 
+def _within(dx, dy, radius: float) -> np.ndarray:
+    """math.dist(a.center, b.center) <= radius for each pair (a, b) whose
+    centers differ by (dx, dy): math.dist takes the absolute differences,
+    so it reads math.hypot(dx, dy).
+
+    The squares decide where r**2 lies between 2**-900 and 2**900 and a
+    pair's squared distance differs from it by more than 2**-40 of it: that
+    margin dwarfs their rounding error (a few ulp, plus at most 2**-1074
+    lost to underflow), and a square that overflows is far outside. The
+    other pairs, all of them when r**2 leaves that range, are decided by
+    math.hypot, once per distinct (|dx|, |dy|).
+    """
+    d2 = dx * dx + dy * dy
+    r2 = radius * radius
+    within = d2 <= r2
+    if 2.0 ** -900 <= r2 <= 2.0 ** 900:
+        unsure = np.abs(d2 - r2) <= r2 * 2.0 ** -40
+    else:
+        unsure = np.ones(len(d2), dtype=bool)
+    if unsure.any():
+        # (|dx|, |dy|) as one complex number (set part by part: 1j * inf
+        # has a nan real part)
+        absolute = np.empty(np.count_nonzero(unsure), dtype=complex)
+        absolute.real, absolute.imag = np.abs(dx[unsure]), np.abs(dy[unsure])
+        distinct, inverse = np.unique(absolute, return_inverse=True)
+        decided = [math.hypot(z.real, z.imag) <= radius for z in distinct.tolist()]
+        within[unsure] = np.array(decided)[inverse]
+    return within
+
+
+def _bits(values) -> np.ndarray:
+    """The bit patterns of `values + 0.0`, as int64: equal where the values
+    are equal, -0.0 and 0.0 included (the values are never NaN)."""
+    return (values + 0.0).view(np.int64)
+
+
 def group_keys_loop(keys) -> tuple[np.ndarray, np.ndarray]:
-    """The groups of ``group_keys`` in numpy, the reference the C grouping
-    is tested against: a stable lexsort of the rows, a group starting
-    wherever a column changes, and the groups renumbered in the order of
-    their first rows."""
-    keys = _key_rows(keys)
+    """The groups of equal rows of `keys`, an int64 array (rows, columns):
+    each row's group, the groups numbered in the order of their first
+    rows, and the first row of each group (ascending). A stable lexsort
+    of the rows, a group starting wherever a column changes, and the
+    groups renumbered in the order of their first rows."""
     order = np.lexsort(keys.T)
     fresh = np.zeros(len(order), dtype=bool)
     fresh[:1] = True
@@ -803,30 +846,63 @@ def group_keys_loop(keys) -> tuple[np.ndarray, np.ndarray]:
     return group, first[rank]
 
 
-def group_keys_c(keys) -> tuple[np.ndarray, np.ndarray]:
-    """The grouping in C, a hash table of the groups, with the arguments
-    and results of ``group_keys_loop``."""
+def kink_pairs_loop(x, y, radius: float, rotation, dot_offset, size):
+    """The pairs and geometry groups of ``kink_pairs`` in numpy, the
+    reference the C pass is tested against: ``near_pairs_loop`` at reach
+    `radius`, cut to the radius by ``_within``, and grouped twice by
+    ``group_keys_loop``, the cells by kind and the pairs by geometry."""
+    first, second = near_pairs_loop(x, y, radius)
+    with np.errstate(over="ignore"):  # as Python floats, overflow gives inf
+        dx, dy = x[second] - x[first], y[second] - y[first]
+        within = _within(dx, dy, radius)
+    first, second, dx, dy = first[within], second[within], dx[within], dy[within]
+    # a kind of cell: one size, dot offset and rotation
+    kind, _ = group_keys_loop(np.stack(
+        (rotation, _bits(dot_offset), _bits(size)), axis=1))
+    group, representative = group_keys_loop(np.stack(
+        (kind[second], kind[first], _bits(dy), _bits(dx)), axis=1))
+    return first, second, group, representative
+
+
+def _kink_args(x, y, rotation, dot_offset, size) -> tuple[int, ...]:
+    """n and the addresses of the columns of n cells: centers x and y,
+    dot offsets and sizes float64 (n,), rotations int64 (n,)."""
+    n, x_at, y_at = _pair_args(x, y)
+    return (n, x_at, y_at, _pointer("rotation", rotation, np.int64, (n,)),
+            _pointer("dot_offset", dot_offset, np.float64, (n,)),
+            _pointer("size", size, np.float64, (n,)))
+
+
+def kink_pairs_c(x, y, radius: float, rotation, dot_offset, size):
+    """The C pass of ``kink_pairs``, with its arguments: returns (first,
+    second, group, representative, unsure), the pairs that the squares put
+    within the radius or cannot decide, numbered by geometry as
+    ``kink_pairs_loop`` numbers its pairs, the first pair of each group,
+    and `unsure`, ascending, the groups whose pairs the squares cannot
+    decide (see ``qcasim_kink_pairs``). The number of box pairs, those
+    within the radius along both axes, is known only after the search: the
+    first call offers room for 64 of them per cell, and a search that finds
+    more runs once more with room for them all."""
     library = _compiled()
-    n_rows, n_cols, keys_at = _key_args(keys)
-    group, group_at = _output("group", (n_rows,), np.int64)
-    first, first_at = _output("first", (n_rows,), np.int64)
-    count = library.qcasim_group_keys(n_rows, n_cols, keys_at, group_at, first_at)
-    if count < 0:
-        raise MemoryError("the grouping could not allocate its hash table")
-    return group, first[:count].copy()
-
-
-def _key_rows(keys):
-    """`keys` if it is a 2-D array of at least one column."""
-    if np.ndim(keys) != 2 or np.shape(keys)[1] < 1:
-        raise ValueError("keys must be a 2-D array (rows, columns) with a column")
-    return keys
-
-
-def _key_args(keys) -> tuple[int, int, int]:
-    """n_rows, n_cols and the address of an int64 key array with a column."""
-    n_rows, n_cols = np.shape(_key_rows(keys))
-    return n_rows, n_cols, _pointer("keys", keys, np.int64, (n_rows, n_cols))
+    n, x_at, y_at, *columns = _kink_args(x, y, rotation, dot_offset, size)
+    capacity = min(n * (n - 1) // 2, 64 * n)
+    counts, counts_at = _output("counts", (2,), np.int64)
+    while True:
+        arrays, addresses = zip(*(
+            _output(name, (capacity,), np.int64)
+            for name in ("first", "second", "group", "representative", "unsure")))
+        count = library.qcasim_kink_pairs(n, x_at, y_at, float(radius), *columns,
+                                          capacity, *addresses, counts_at)
+        if count == -2:
+            raise ValueError(_NEAR_PAIRS_DOMAIN)
+        if count < 0:
+            raise MemoryError("the kink pair pass could not allocate its scratch")
+        if count <= capacity:
+            first, second, group, representative, unsure = arrays
+            groups, n_unsure = counts.tolist()
+            return (first[:count], second[:count], group[:count],
+                    representative[:groups], unsure[:n_unsure])
+        capacity = count
 
 
 # The header line of a .qcl document, after which qcasim_parse_cells reads.
@@ -925,15 +1001,40 @@ def near_pairs(x, y, reach: float) -> tuple[np.ndarray, np.ndarray]:
     return near_pairs_loop(x, y, reach)
 
 
-def group_keys(keys) -> tuple[np.ndarray, np.ndarray]:
-    """Group the rows of `keys`, an int64 array (rows, columns) with at
-    least one column, that are equal in every column: returns each row's
-    group, the groups numbered in the order of their first rows, and the
-    first row of each group (ascending). Pass a float column as the bit
-    patterns of `v + 0.0`, which puts -0.0 and 0.0 in one group, as `==`
-    does. The kernel ``kernel_path`` names: ``group_keys_c`` or
-    ``group_keys_loop``."""
-    if _library() is not None:
-        return group_keys_c(keys)
-    _key_args(keys)
-    return group_keys_loop(keys)
+def kink_pairs(x, y, radius: float, rotation, dot_offset, size):
+    """The pairs of ``kink_matrix``: of the cells with centers (x, y),
+    rotations, dot offsets and sizes (columns (n,), int64 rotations, the
+    rest float64), the index pairs (i, j), i < j, whose center distance
+    as math.dist computes it is at most `radius`, finite and > 0. Returns
+    (first, second, group, representative): the pairs as two int64 arrays
+    in (i, j) order; each pair's geometry, the groups of equal (kind of j,
+    kind of i, dy, dx) with (dx, dy) = center j - center i, -0.0 and 0.0
+    alike, and a cell's kind its (rotation, dot offset, size), numbered in
+    the order of their first pairs; and the first pair of each group. The
+    kernel ``kernel_path`` names: ``kink_pairs_c``, whose unsure groups
+    are decided here, each once, with math.hypot as ``_within`` decides a
+    pair, or ``kink_pairs_loop``."""
+    if _library() is None:
+        _kink_args(x, y, rotation, dot_offset, size)
+        return kink_pairs_loop(x, y, radius, rotation, dot_offset, size)
+    first, second, group, representative, unsure = kink_pairs_c(
+        x, y, radius, rotation, dot_offset, size)
+    if not unsure.size:
+        return first, second, group, representative
+    # the pairs of a group share the bits of dx + 0.0 and dy + 0.0, so
+    # its first pair decides it
+    k = representative[unsure]
+    dx, dy = x[second[k]] - x[first[k]], y[second[k]] - y[first[k]]
+    beyond = np.array([not math.hypot(a, b) <= radius
+                       for a, b in zip(np.abs(dx).tolist(), np.abs(dy).tolist())],
+                      dtype=bool)
+    if not beyond.any():
+        return first, second, group, representative
+    # drop those groups whole; the others keep their order
+    keep = np.ones(len(representative), dtype=bool)
+    keep[unsure[beyond]] = False
+    kept = keep[group]
+    group_number = np.cumsum(keep) - 1  # of each group among those kept
+    place = np.cumsum(kept) - 1  # of each pair among those kept
+    return (first[kept], second[kept], group_number[group[kept]],
+            place[representative[keep]])

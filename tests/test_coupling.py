@@ -3,15 +3,17 @@ energies cached by relative geometry, and the neighbor list the engines
 read.
 
 Property tests compare each against an all-pairs reference; the C pair
-search and grouping are compared bit for bit with their numpy
+search and the C kink pair pass are compared bit for bit with their numpy
 references, and the bistable engine, on each sweep kernel, with the
 pair-dict reference in oracle.py.
 """
 
+import importlib
 import itertools
 import math
 import random
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -26,7 +28,7 @@ from qcasim.electrostatics import kink_energy_pair, kink_matrix
 from qcasim.engines import (BistableParams, ConvergenceError, bistable_relax,
                             coupling, local_field)
 from qcasim.geometry import (Cell, Layout, LayoutError, builtin_layout,
-                             cells_overlap)
+                             cells_overlap, parse_layout)
 
 PAPER = PhysicalConstants.paper()
 PROPERTY = settings(max_examples=150, deadline=None)
@@ -195,8 +197,8 @@ def assert_same_arrays(got, expected):
 
 @needs_cc
 class TestPairKernelsAgree:
-    """The C pair search and grouping against their numpy references, bit
-    for bit, on drawn and edge inputs."""
+    """The C pair search against its numpy reference, bit for bit, on drawn
+    and edge inputs."""
 
     @PROPERTY
     @given(pair_problems())
@@ -223,42 +225,26 @@ class TestPairKernelsAgree:
         assert len(got[0]) == 150 * 149 // 2
         assert_same_arrays(got, kernels.near_pairs_loop(x, y, 2.0))
 
+
+class TestGroupKeysReference:
     @PROPERTY
     @given(st.integers(1, 4), st.data())
-    def test_group_keys(self, n_cols, data):
+    def test_groups_of_equal_rows_in_first_row_order(self, n_cols, data):
+        """The numpy grouping that ``kernels.kink_pairs_loop`` runs: the
+        rows that == holds equal (a dict key does too) share a group, and
+        the groups are numbered in the order of their first rows."""
         value = st.sampled_from((0.0, -0.0, 1.0, -1.0, 1e150, 1e-160, 5e-324,
                                  -5e-324, 20.0))
         rows = data.draw(st.lists(st.tuples(*[value] * n_cols), max_size=60))
         floats = np.array(rows, dtype=np.float64).reshape(len(rows), n_cols)
-        # the raw bits keep -0.0 and 0.0 apart; those of v + 0.0 join them
-        for keys in (floats.view(np.int64), (floats + 0.0).view(np.int64)):
-            assert_same_arrays(kernels.group_keys_c(keys),
-                               kernels.group_keys_loop(keys))
-        # groups of the rows that == holds equal (a dict key does too),
-        # numbered in the order of their first rows
         numbers, firsts = {}, []
         for r, row in enumerate(rows):
             if row not in numbers:
                 numbers[row] = len(firsts)
                 firsts.append(r)
-        group, first = kernels.group_keys_c((floats + 0.0).view(np.int64))
+        group, first = kernels.group_keys_loop((floats + 0.0).view(np.int64))
         assert group.tolist() == [numbers[row] for row in rows]
         assert first.tolist() == firsts
-
-    @pytest.mark.parametrize("n_rows", [0, 1, 2])
-    def test_group_keys_of_few_rows(self, n_rows):
-        for keys in (np.zeros((n_rows, 1), dtype=np.int64),
-                     np.arange(3 * n_rows, dtype=np.int64).reshape(n_rows, 3)):
-            assert_same_arrays(kernels.group_keys_c(keys),
-                               kernels.group_keys_loop(keys))
-
-    def test_group_keys_with_many_groups(self):
-        # enough groups to grow the hash table many times over
-        rnd = np.random.default_rng(9)
-        keys = rnd.integers(0, 3000, (20_000, 2))
-        group, first = kernels.group_keys_c(keys)
-        assert_same_arrays((group, first), kernels.group_keys_loop(keys))
-        assert len(first) == len(np.unique(keys, axis=0))
 
 
 class TestOverlapCheck:
@@ -381,6 +367,175 @@ class TestKinkMatrixBinned:
         for radius in (math.nan, math.inf, -1.0):
             with pytest.raises(ValueError, match="finite and strictly positive"):
                 kink_matrix(builtin_layout("inv2"), radius, PAPER)
+
+
+def kink_columns(layout):
+    """The columns of `layout` that ``kernels.kink_pairs`` reads, in id
+    order, as ``kink_matrix`` passes them."""
+    by_id = layout.id_order
+    return (layout.x[by_id], layout.y[by_id], layout.rotation[by_id],
+            layout.dot_offset[by_id], layout.size[by_id])
+
+
+def kink_pairs_of(kernel, columns, radius):
+    x, y, *kinds = columns
+    return kernel(x, y, radius, *kinds)
+
+
+def assert_same_kink(layout, radius):
+    """``kernels.kink_pairs`` on the C path against its numpy reference,
+    bit for bit: the pairs, their geometry groups and the first pair of
+    each group, and the pairs and energies of the kink matrix that each
+    path builds. Returns the C pass's own result, hand-back included."""
+    columns = kink_columns(layout)
+    got = kink_pairs_of(kernels.kink_pairs, columns, radius)
+    assert_same_arrays(got, kink_pairs_of(kernels.kink_pairs_loop, columns, radius))
+    matrix = kink_matrix(layout, radius, PAPER)
+    default = kernels.kink_pairs
+    kernels.kink_pairs = kernels.kink_pairs_loop
+    try:
+        reference = kink_matrix(layout, radius, PAPER)
+    finally:
+        kernels.kink_pairs = default
+    assert_same_arrays((matrix.first, matrix.second), (reference.first, reference.second))
+    assert matrix.energies.tobytes() == reference.energies.tobytes()
+    return kink_pairs_of(kernels.kink_pairs_c, columns, radius)
+
+
+def handed_back(fused):
+    """The numbers of pairs and of groups that the C pass hands back."""
+    _, _, group, _, unsure = fused
+    return int(np.isin(group, unsure).sum()), len(unsure)
+
+
+def grid_layout(rows, cols, pitch, size):
+    return Layout(name="grid", cells=tuple(
+        fixed_cell(f"r{r}c{c}", c * pitch, r * pitch, size=size)
+        for r in range(rows) for c in range(cols)))
+
+
+@needs_cc
+class TestKinkPairsAgree:
+    """The C pass from cells to the pairs and geometry groups of the kink
+    matrix, with the groups it hands back decided by math.hypot, against
+    the numpy reference (``near_pairs_loop``, ``_within`` and
+    ``group_keys_loop``), bit for bit."""
+
+    @PROPERTY
+    @given(layouts_and_radius())
+    def test_drawn_layouts(self, problem):
+        assert_same_kink(*problem)
+
+    @PROPERTY
+    @given(scaled_layouts_and_radius())
+    def test_every_group_handed_back_where_squares_cannot_decide(self, problem):
+        layout, radius = problem
+        assert not 2.0 ** -900 <= radius * radius <= 2.0 ** 900
+        fused = assert_same_kink(layout, radius)
+        assert handed_back(fused) == (len(fused[0]), len(fused[3]))
+
+    @PROPERTY
+    @given(pair_problems(), st.data())
+    def test_edge_centers_and_kinds(self, problem, data):
+        # centers at edge values, differences that overflow, coincident
+        # cells, and kinds whose offsets differ only in the sign of zero
+        x, y, reach = problem
+        kinds = data.draw(st.lists(st.sampled_from(
+            ((0, 4.5, 18.0), (45, 4.5, 18.0), (0, 0.0, 18.0), (0, -0.0, 18.0),
+             (45, -0.0, 10.0), (0, 2.5, 1e-160))), min_size=len(x), max_size=len(x)))
+        columns = (x, y, np.array([k[0] for k in kinds], dtype=np.int64),
+                   np.array([k[1] for k in kinds], dtype=np.float64),
+                   np.array([k[2] for k in kinds], dtype=np.float64))
+        assert_same_arrays(kink_pairs_of(kernels.kink_pairs, columns, reach),
+                           kink_pairs_of(kernels.kink_pairs_loop, columns, reach))
+
+    @pytest.mark.parametrize("pitch, size", [(20.0, 18.0), (18.5, 18.0), (0.1, 0.09)])
+    @pytest.mark.parametrize("multiple", [1, 2, 3, 4, 5])
+    def test_radius_at_multiples_of_the_pitch(self, pitch, size, multiple):
+        # pairs k pitches apart along an axis, and (3, 4) pitches apart,
+        # lie on the circle, where the squares hand them back
+        fused = assert_same_kink(grid_layout(8, 9, pitch, size), multiple * pitch)
+        assert handed_back(fused)[0] > 0
+
+    def test_center_differences_that_overflow(self):
+        cells = (fixed_cell("a", -1e308, 0.0, size=1e307),
+                 fixed_cell("b", 1e308, 0.0, size=1e307),
+                 fixed_cell("c", 1e308, 1.5e307, size=1e307))
+        layout = Layout(name="huge", cells=cells)
+        for radius in (1.5e307, 1e308, 1.7e308):
+            assert len(assert_same_kink(layout, radius)[0]) == 1
+
+    def test_negative_zero_offsets_share_a_group(self):
+        # a-b differ by -0.0 along one axis and b-c by 0.0
+        for cells in ((fixed_cell("a", 0.0, 0.0), fixed_cell("b", -0.0, 20.0),
+                       fixed_cell("c", 0.0, 40.0)),
+                      (fixed_cell("a", 0.0, 0.0), fixed_cell("b", 20.0, -0.0),
+                       fixed_cell("c", 40.0, 0.0))):
+            fused = assert_same_kink(Layout(name="line", cells=cells), 30.0)
+            assert fused[2].tolist() == [0, 0]
+        # cells whose dot offsets are 0.0 and -0.0 are of one kind (no
+        # layout holds either, but the columns may)
+        columns = (np.arange(4) * 20.0, np.zeros(4), np.zeros(4, dtype=np.int64),
+                   np.array([0.0, -0.0, 0.0, -0.0]), np.full(4, 18.0))
+        got = kink_pairs_of(kernels.kink_pairs, columns, 30.0)
+        assert_same_arrays(got, kink_pairs_of(kernels.kink_pairs_loop, columns, 30.0))
+        assert got[2].tolist() == [0, 0, 0]
+
+    def test_a_group_decided_out(self):
+        # one ulp below 100 nm the squares cannot decide the pairs (60, 80)
+        # and (80, 60) nm apart, and math.hypot puts them beyond the
+        # radius: their four groups go, whole, and the later groups move up
+        layout = grid_layout(5, 6, 20.0, 18.0)
+        radius = math.nextafter(100.0, 0.0)
+        fused = assert_same_kink(layout, radius)
+        got = kink_pairs_of(kernels.kink_pairs, kink_columns(layout), radius)
+        assert handed_back(fused) == (14, 4)
+        assert len(fused[0]) - len(got[0]) == 14
+        assert len(fused[3]) - len(got[3]) == 4
+        assert fused[4][0] < len(got[3])  # a group after it moved up
+        # at 100 nm they are in, with the pairs 100 nm apart along a row
+        assert handed_back(assert_same_kink(layout, 100.0)) == (19, 5)
+        assert len(kink_matrix(layout, 100.0, PAPER)) == len(got[0]) + 19
+
+    @pytest.mark.parametrize("n", [0, 1, 2])
+    @pytest.mark.parametrize("radius", [5e-324, 1.0, 20.0, 1e150])
+    def test_few_cells(self, n, radius):
+        assert_same_kink(grid_layout(1, n, 20.0, 18.0), radius)
+
+    def test_many_geometries_and_kinds(self):
+        # thousands of geometries and hundreds of kinds: both hash tables
+        # grow many times over
+        rnd = np.random.default_rng(9)
+        n = 600
+        x, y = rnd.uniform(-300.0, 300.0, (2, n))
+        size = rnd.integers(1, 400, n).astype(np.float64)
+        columns = (x, y, rnd.choice([0, 45], n), size / 4.0, size)
+        got = kink_pairs_of(kernels.kink_pairs, columns, 60.0)
+        assert_same_arrays(got, kink_pairs_of(kernels.kink_pairs_loop, columns, 60.0))
+        assert len(got[3]) > 5000
+
+    def test_beyond_the_first_offer(self):
+        # all 11,175 pairs of 150 close cells: more than 64 per cell
+        rnd = np.random.default_rng(5)
+        x, y = rnd.uniform(-1.0, 1.0, (2, 150))
+        columns = (x, y, np.zeros(150, dtype=np.int64), np.full(150, 0.1), np.full(150, 0.4))
+        got = kink_pairs_of(kernels.kink_pairs, columns, 3.0)
+        assert len(got[0]) == 150 * 149 // 2
+        assert_same_arrays(got, kink_pairs_of(kernels.kink_pairs_loop, columns, 3.0))
+
+    @pytest.mark.parametrize("seed, pairs, handed", [(1, 25_569, (2_083, 2)),
+                                                     (7, 25_484, (2_077, 2))])
+    def test_benchmark_block(self, seed, pairs, handed, tmp_path, monkeypatch):
+        """The 1,240-cell block of the kink-large benchmark, read as the CLI
+        reads it: the pairs exactly 80 nm apart along an axis, in two
+        groups, are the only ones handed back."""
+        monkeypatch.syspath_prepend(str(Path(__file__).parents[1] / "perfbench"))
+        workloads = importlib.import_module("workloads")
+        inputs = workloads._kink_large(seed, tmp_path)
+        layout = parse_layout(inputs.files[0].read_text(encoding="utf-8"), name="large")
+        fused = assert_same_kink(layout, 80.0)
+        assert len(fused[0]) == pairs
+        assert handed_back(fused) == handed
 
 
 @st.composite

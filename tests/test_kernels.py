@@ -780,8 +780,9 @@ class TestKernelChoice:
         for got, want in zip(kernels.near_pairs(x, y, 20.0),
                              kernels.near_pairs_loop(x, y, 20.0)):
             assert_same_bits(got, want)
-        keys = np.array([[1, 2], [3, 4], [1, 2]])
-        for got, want in zip(kernels.group_keys(keys), kernels.group_keys_loop(keys)):
+        kinds = np.zeros(3, dtype=np.int64), np.full(3, 4.5), np.full(3, 18.0)
+        for got, want in zip(kernels.kink_pairs(x, y, 20.0, *kinds),
+                             kernels.kink_pairs_loop(x, y, 20.0, *kinds)):
             assert_same_bits(got, want)
         assert not (own_cache / "cache").exists()
         # nor does it touch a cache that holds other builds
@@ -933,26 +934,33 @@ class TestKernelChoice:
     @needs_cc
     def test_pair_and_key_arrays_checked_before_pointers_pass(self):
         x, y = np.array([0.0, 1.0, 5.0]), np.zeros(3)
-        keys = np.array([[1, 2], [3, 4], [1, 2]])
+        rotation, dot_offset, size = np.zeros(3, dtype=np.int64), np.full(3, 0.2), np.ones(3)
         assert kernels.near_pairs_c(x, y, 2.0)[1].tolist() == [1]
-        assert kernels.group_keys_c(keys)[0].tolist() == [0, 1, 0]
-        centers = "{} must be a C-contiguous float64 array of shape (3,)"
-        rows = "keys must be a C-contiguous int64 array of shape (3, 2)"
+        assert kernels.kink_pairs_c(x, y, 2.0, rotation, dot_offset, size)[1].tolist() == [1]
+        column = "{} must be a C-contiguous {} array of shape (3,)"
+
+        def kink(k, value):
+            args = [x, y, rotation, dot_offset, size]
+            args[k] = value
+            return (*args[:2], 2.0, *args[2:])
         bad = [
-            (kernels.near_pairs_c, (x.astype(np.float32), y), centers.format("x")),
-            (kernels.near_pairs_c, (x, y.astype(np.int64)), centers.format("y")),
-            (kernels.near_pairs_c, (np.repeat(x, 2)[::2], y), centers.format("x")),
-            (kernels.near_pairs_c, (x, np.repeat(y, 2)[::2]), centers.format("y")),
-            (kernels.near_pairs_c, (x[None], y), centers.format("x")),  # 2-D
-            (kernels.near_pairs_c, (x, y[:2]), centers.format("y")),    # shorter
-            (kernels.near_pairs_c, (x.tolist(), y), centers.format("x")),
-            (kernels.group_keys_c, (keys.astype(np.int32),), rows),
-            (kernels.group_keys_c, (keys.astype(np.float64),), rows),
-            (kernels.group_keys_c, (np.asfortranarray(keys),), rows),
-            (kernels.group_keys_c, (np.repeat(keys, 2, axis=1)[:, ::2],), rows),
-            (kernels.group_keys_c, (keys.tolist(),), rows),
-            (kernels.group_keys_c, (keys[:, :0],), "with a column"),
-            (kernels.group_keys_c, (keys[0],), "2-D"),
+            (kernels.near_pairs_c, (x.astype(np.float32), y), column.format("x", "float64")),
+            (kernels.near_pairs_c, (x, y.astype(np.int64)), column.format("y", "float64")),
+            (kernels.near_pairs_c, (np.repeat(x, 2)[::2], y), column.format("x", "float64")),
+            (kernels.near_pairs_c, (x, np.repeat(y, 2)[::2]), column.format("y", "float64")),
+            (kernels.near_pairs_c, (x[None], y), column.format("x", "float64")),  # 2-D
+            (kernels.near_pairs_c, (x, y[:2]), column.format("y", "float64")),    # shorter
+            (kernels.near_pairs_c, (x.tolist(), y), column.format("x", "float64")),
+            (kernels.kink_pairs_c, kink(0, x.astype(np.float32)), column.format("x", "float64")),
+            (kernels.kink_pairs_c, kink(1, y[:2]), column.format("y", "float64")),
+            (kernels.kink_pairs_c, kink(2, rotation.astype(np.int32)),
+             column.format("rotation", "int64")),
+            (kernels.kink_pairs_c, kink(2, rotation.tolist()), column.format("rotation", "int64")),
+            (kernels.kink_pairs_c, kink(3, np.repeat(dot_offset, 2)[::2]),
+             column.format("dot_offset", "float64")),
+            (kernels.kink_pairs_c, kink(3, dot_offset[None]), column.format("dot_offset", "float64")),
+            (kernels.kink_pairs_c, kink(4, size.astype(np.int64)), column.format("size", "float64")),
+            (kernels.kink_pairs_c, kink(4, size[:2]), column.format("size", "float64")),
         ]
         for kernel, args, message in bad:
             if kernel is kernels.near_pairs_c:
@@ -963,18 +971,19 @@ class TestKernelChoice:
     def test_both_paths_reject_the_same_inputs(self, monkeypatch):
         """Inputs that the C kernels refuse: each dispatcher gives the same
         ValueError on the compiled path and on the loop path."""
-        keys = np.array([[1, 2], [3, 4], [1, 2]])
+        x, y, ones = np.array([0.0, 1.0, 5.0]), np.zeros(3), np.ones(3)
         inputs = [
             (kernels.near_pairs, ([0.0, 1.0], [0.0, 0.0], 2.0)),
-            (kernels.group_keys, (keys.astype(np.int32),)),
-            (kernels.group_keys, (np.asfortranarray(keys),)),
+            (kernels.kink_pairs, (x, y, 2.0, np.zeros(3, dtype=np.int32), ones, ones)),
+            (kernels.kink_pairs, (x, y, 2.0, np.zeros(3, dtype=np.int64), ones,
+                                  np.repeat(ones, 2)[::2])),
             (kernels.format_sci, (np.array([1.5, -2.0], dtype=np.float32),)),
             (kernels.write_rows, (kernels.text_table(["a", "b"]), [[0, 1]])),
         ]
         expected = [
             "x must be a C-contiguous float64 array of shape (2,)",
-            "keys must be a C-contiguous int64 array of shape (3, 2)",
-            "keys must be a C-contiguous int64 array of shape (3, 2)",
+            "rotation must be a C-contiguous int64 array of shape (3,)",
+            "size must be a C-contiguous float64 array of shape (3,)",
             "values must be a C-contiguous float64 array of shape (2,)",
             "indices must be a C-contiguous int64 array of shape (1, 2)",
         ]
