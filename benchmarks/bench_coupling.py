@@ -6,9 +6,9 @@ Times these stages on layouts of growing size:
 * parse: `parse_layout` of the layout's `serialize_layout` text, what
   the CLI does with a `.qcl` file;
 * kink: `kink_matrix` at the default 80 nm radius of effect;
-* kink_loop: the same with its pairs and geometry groups found by the
-  numpy reference `kernels.kink_pairs_loop`, the one that runs without a
-  C compiler;
+* kink_loop: the same on the loop kernels, as where no C compiler works:
+  its pairs and geometry groups found by `kernels.kink_pairs_loop`, the
+  numpy transcription of the C kink pair pass;
 * emit: `write_csv` of the matrix's pairs into memory, its ids indexed
   by the pair arrays, what the `kink` command does after `kink_matrix`;
 * bistable: `bistable_relax` on the sweep kernel that
@@ -21,8 +21,9 @@ grids of 18 nm cells at a 20 nm pitch with side 10, 32, 70 and 100 (100 to
 10,000 cells), driven by a fixed left column at P = +1, all relaxed at the
 default parameters. Reports the best wall time of the repeats for each
 stage, so the rows form a scaling curve. The script only times;
-tests/test_kernels.py and tests/test_coupling.py check that the C sweep,
-pair search and kink pair pass give their references' bits.
+tests/test_kernels.py and tests/test_coupling.py check that the C sweep
+and pair search give their references' bits, and the C kink pair pass
+those of its numpy transcription.
 
 Usage:
     python benchmarks/bench_coupling.py [--max-cells 10000] [--repeats 1]
@@ -31,6 +32,7 @@ Usage:
 import argparse
 import io
 import time
+from unittest import mock
 
 from qcasim import kernels
 from qcasim.constants import PhysicalConstants
@@ -98,15 +100,10 @@ def relax_with(kernel, layout, kink, params):
         kernels.bistable_sweep = default
 
 
-def kink_with_references(layout, radius, constants):
-    """`kink_matrix` with its pairs and geometry groups found by the numpy
-    reference."""
-    default = kernels.kink_pairs
-    kernels.kink_pairs = kernels.kink_pairs_loop
-    try:
+def kink_on_loop_kernels(layout, radius, constants):
+    """`kink_matrix` on the loop kernels, as where no compiler works."""
+    with mock.patch.object(kernels, "_library", lambda: None):
         return kink_matrix(layout, radius, constants)
-    finally:
-        kernels.kink_pairs = default
 
 
 def main():
@@ -130,7 +127,7 @@ def main():
             lambda: kink_matrix(layout, params.radius_of_effect, constants),
             args.repeats)
         kink_loop_s, _ = best_time(
-            lambda: kink_with_references(layout, params.radius_of_effect, constants),
+            lambda: kink_on_loop_kernels(layout, params.radius_of_effect, constants),
             args.repeats)
         emit_s, _ = best_time(lambda: emit(kink), args.repeats)
         bistable_s, _ = best_time(

@@ -29,8 +29,9 @@
  * squares where a margin proves them right, and the kept pairs numbered
  * by geometry with a hash table, groups in the order of their first
  * pairs. The pairs the squares cannot decide go back to Python, a group
- * at a time, and qcasim.kernels.kink_pairs decides them with math.hypot,
- * as the numpy reference qcasim.kernels.kink_pairs_loop does. Keys
+ * at a time, and qcasim.kernels.kink_pairs decides them with math.hypot;
+ * its numpy transcription, qcasim.kernels.kink_pairs_loop, hands back the
+ * same groups, so both kernel paths share that decision. Keys
  * compare as integers, so a float goes in as the bit pattern of v + 0.0,
  * which is that of +0.0 for -0.0 as for 0.0: the two fall in one group,
  * as float == holds them equal.
@@ -350,26 +351,29 @@ int64_t qcasim_bistable_sweep(
     return 0;
 }
 
+/* The powers of ten that are exact doubles, 1e0 ... 1e22, for the
+ * formatter and the parse. */
+static const double powers_of_ten[23] = {
+    1e0, 1e1, 1e2, 1e3, 1e4, 1e5, 1e6, 1e7, 1e8, 1e9, 1e10, 1e11, 1e12,
+    1e13, 1e14, 1e15, 1e16, 1e17, 1e18, 1e19, 1e20, 1e21, 1e22};
+
 /* a * 10^k for 0 <= |k| <= 44, in at most two correctly rounded
- * multiplications or divisions by the exact doubles 1e0 ... 1e22. */
+ * multiplications or divisions by the exact doubles in powers_of_ten. */
 static double scale_by_power_of_ten(double a, int64_t k)
 {
-    static const double powers[23] = {
-        1e0, 1e1, 1e2, 1e3, 1e4, 1e5, 1e6, 1e7, 1e8, 1e9, 1e10, 1e11, 1e12,
-        1e13, 1e14, 1e15, 1e16, 1e17, 1e18, 1e19, 1e20, 1e21, 1e22};
     if (k >= 0) {
         if (k > 22) {
             a *= 1e22;
             k -= 22;
         }
-        return a * powers[k];
+        return a * powers_of_ten[k];
     }
     k = -k;
     if (k > 22) {
         a /= 1e22;
         k -= 22;
     }
-    return a / powers[k];
+    return a / powers_of_ten[k];
 }
 
 /* Write the "%.5e" text of values[0..n) into text, back to back, and
@@ -750,8 +754,8 @@ static int64_t group_of(struct groups *g, const int64_t *key)
  * |d2 - r2| <= 2^-40 r2, d2 = dx^2 + dy^2, leaves the pair to math.hypot.
  * That margin dwarfs the rounding error of d2 and r2 (a few ulp, plus at
  * most 2^-1074 lost to underflow), and a d2 that overflows is surely
- * beyond. The same operations, in the same order, as the numpy reference
- * qcasim.kernels._within. */
+ * beyond. Its numpy transcription, qcasim.kernels._by_squares, runs the
+ * same operations in the same order. */
 static int by_squares(double dx, double dy, double r2)
 {
     double d2 = dx * dx + dy * dy;
@@ -781,9 +785,8 @@ static int by_squares(double dx, double dy, double r2)
  *   [2^-900, 2^900], else those at the margin.
  * The pairs of a group share the bits of dx + 0.0 and dy + 0.0, and so
  * d2, so that a group is decided whole: the pairs that math.hypot puts
- * beyond the radius are those of whole unsure groups. Less those, these
- * are the pairs, groups and numbering of the numpy reference
- * qcasim.kernels.kink_pairs_loop.
+ * beyond the radius are those of whole unsure groups. Its numpy
+ * transcription, qcasim.kernels.kink_pairs_loop, returns the same arrays.
  *
  * The box pairs fill first and second, which the kept ones then
  * overwrite in place, each one at or before its own place. The kinds and
@@ -861,9 +864,6 @@ static int lookup(const char *p, int64_t n, const char *const *names, int count)
  * sets *out and returns 1, else returns 0. See qcasim_parse_cells. */
 static int certify_real(const char *p, int64_t n, double *out)
 {
-    static const double powers[23] = {
-        1e0, 1e1, 1e2, 1e3, 1e4, 1e5, 1e6, 1e7, 1e8, 1e9, 1e10, 1e11, 1e12,
-        1e13, 1e14, 1e15, 1e16, 1e17, 1e18, 1e19, 1e20, 1e21, 1e22};
     int64_t k = 0, digits = 0, fraction = 0, exponent = 0;
     uint64_t mantissa = 0;
     int negative = k < n && p[k] == '-';
@@ -902,7 +902,8 @@ static int certify_real(const char *p, int64_t n, double *out)
     if (e10 < -22 || e10 > 22)
         return 0;
     double value = (double)mantissa;
-    value = e10 >= 0 ? value * powers[e10] : value / powers[-e10];
+    value = e10 >= 0 ? value * powers_of_ten[e10]
+                     : value / powers_of_ten[-e10];
     *out = negative ? -value : value;
     return 1;
 }

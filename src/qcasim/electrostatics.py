@@ -202,9 +202,9 @@ def kink_matrix(layout: Layout, radius_of_effect: float,
     The radius cutoff applies to center-to-center distance in nm, as
     `math.dist` computes it. The pairs and their relative geometries come
     from `kernels.kink_pairs` over the cells in id order, so the result is
-    deterministic: in C, one pass from the cells to the pairs within the
-    radius and their geometry groups, handing back to `math.hypot` the
-    pairs that squares cannot decide; in numpy where no compiler works.
+    deterministic: one pass from the cells to the pairs within the radius
+    and their geometry groups, in C or, where no compiler works, in numpy,
+    handing back to `math.hypot` the groups that squares cannot decide.
     `kink_energy_pair` runs once per distinct relative geometry (center
     difference, then size, dot offset and rotation of the lower-id and of
     the higher-id cell), in the order of each geometry's first pair; it

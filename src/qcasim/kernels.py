@@ -33,9 +33,10 @@ entry point ``kink_pairs`` returns the pairs of ``kink_matrix``, those
 within the radius of effect as ``math.dist`` measures it, in (i, j)
 order, each numbered by its geometry (the kinds of both cells and the
 center difference), groups in the order of their first pairs, so that
-each geometry's energy is computed once. Its C pass decides the radius
-by squares where a margin proves them right and hands the other pairs
-back, a geometry group at a time, to ``math.hypot``.
+each geometry's energy is computed once. Both its kernels decide the
+radius by squares where a margin proves them right and hand the other
+pairs back, a geometry group at a time, to ``kink_pairs``, which decides
+them with ``math.hypot``.
 
 The parse entry point ``parse_cells`` reads the cell lines of a .qcl
 document after a first line ``qcl 1`` into the layout columns, up to the
@@ -65,9 +66,9 @@ output never depends on which one ran:
 * ``loop``: ``coherence_euler_loop`` and ``bistable_sweep_loop``, the
   engine kernels over Python lists, ``format_sci_loop``, Python's `%`,
   ``write_rows_loop``, ``",".join`` over the table's texts,
-  ``near_pairs_loop`` and ``kink_pairs_loop``, in numpy (the latter cuts
-  the pairs of ``near_pairs_loop`` to the radius with ``_within`` and
-  groups them with ``group_keys_loop``), and
+  ``near_pairs_loop`` and ``kink_pairs_loop``, in numpy (the latter
+  drops the pairs of ``near_pairs_loop`` that ``_by_squares`` puts surely
+  beyond the radius and groups the rest with ``group_keys_loop``), and
   ``geometry.parse_cells_loop``, which reads every line of a document
   where the C pass certifies none: the references the C kernels are
   tested against, and the kernels that run where no compiler works
@@ -788,34 +789,17 @@ def near_pairs_c(x, y, reach: float) -> tuple[np.ndarray, np.ndarray]:
         capacity = count
 
 
-def _within(dx, dy, radius: float) -> np.ndarray:
-    """math.dist(a.center, b.center) <= radius for each pair (a, b) whose
-    centers differ by (dx, dy): math.dist takes the absolute differences,
-    so it reads math.hypot(dx, dy).
-
-    The squares decide where r**2 lies between 2**-900 and 2**900 and a
-    pair's squared distance differs from it by more than 2**-40 of it: that
-    margin dwarfs their rounding error (a few ulp, plus at most 2**-1074
-    lost to underflow), and a square that overflows is far outside. The
-    other pairs, all of them when r**2 leaves that range, are decided by
-    math.hypot, once per distinct (|dx|, |dy|).
-    """
+def _by_squares(dx, dy, r2: float) -> np.ndarray:
+    """``by_squares`` of ``_kernels.c`` for each pair whose centers differ
+    by (dx, dy), for r2 = radius**2 in [2**-900, 2**900]: 1 where the pair
+    is surely within the radius, -1 where it is surely beyond it, and 0
+    where |d2 - r2| <= 2**-40 r2, d2 = dx**2 + dy**2, leaves it to
+    math.hypot; the same operations in the same order (see there why the
+    margin is safe)."""
     d2 = dx * dx + dy * dy
-    r2 = radius * radius
-    within = d2 <= r2
-    if 2.0 ** -900 <= r2 <= 2.0 ** 900:
-        unsure = np.abs(d2 - r2) <= r2 * 2.0 ** -40
-    else:
-        unsure = np.ones(len(d2), dtype=bool)
-    if unsure.any():
-        # (|dx|, |dy|) as one complex number (set part by part: 1j * inf
-        # has a nan real part)
-        absolute = np.empty(np.count_nonzero(unsure), dtype=complex)
-        absolute.real, absolute.imag = np.abs(dx[unsure]), np.abs(dy[unsure])
-        distinct, inverse = np.unique(absolute, return_inverse=True)
-        decided = [math.hypot(z.real, z.imag) <= radius for z in distinct.tolist()]
-        within[unsure] = np.array(decided)[inverse]
-    return within
+    sure = (d2 <= r2).astype(np.int8) * 2 - 1
+    sure[np.abs(d2 - r2) <= r2 * 2.0 ** -40] = 0
+    return sure
 
 
 def _bits(values) -> np.ndarray:
@@ -847,21 +831,30 @@ def group_keys_loop(keys) -> tuple[np.ndarray, np.ndarray]:
 
 
 def kink_pairs_loop(x, y, radius: float, rotation, dot_offset, size):
-    """The pairs and geometry groups of ``kink_pairs`` in numpy, the
-    reference the C pass is tested against: ``near_pairs_loop`` at reach
-    `radius`, cut to the radius by ``_within``, and grouped twice by
-    ``group_keys_loop``, the cells by kind and the pairs by geometry."""
+    """The C pass of ``kink_pairs`` in numpy, a transcription of
+    ``qcasim_kink_pairs`` with the arguments and results of
+    ``kink_pairs_c``, and the reference it is tested against: the pairs of
+    ``near_pairs_loop`` at reach `radius` less those that ``_by_squares``
+    puts surely beyond the radius (none where r2 leaves [2**-900, 2**900]:
+    the squares decide nothing there), grouped twice by
+    ``group_keys_loop``, the cells by kind and the pairs by geometry; a
+    group is unsure where its first pair is."""
     first, second = near_pairs_loop(x, y, radius)
     with np.errstate(over="ignore"):  # as Python floats, overflow gives inf
+        r2 = radius * radius
         dx, dy = x[second] - x[first], y[second] - y[first]
-        within = _within(dx, dy, radius)
-    first, second, dx, dy = first[within], second[within], dx[within], dy[within]
+        if 2.0 ** -900 <= r2 <= 2.0 ** 900:
+            sure = _by_squares(dx, dy, r2)
+        else:
+            sure = np.zeros(len(first), dtype=np.int8)
+    kept = sure >= 0
+    first, second, dx, dy, sure = (a[kept] for a in (first, second, dx, dy, sure))
     # a kind of cell: one size, dot offset and rotation
     kind, _ = group_keys_loop(np.stack(
         (rotation, _bits(dot_offset), _bits(size)), axis=1))
     group, representative = group_keys_loop(np.stack(
         (kind[second], kind[first], _bits(dy), _bits(dx)), axis=1))
-    return first, second, group, representative
+    return first, second, group, representative, np.flatnonzero(sure[representative] == 0)
 
 
 def _kink_args(x, y, rotation, dot_offset, size) -> tuple[int, ...]:
@@ -876,10 +869,10 @@ def _kink_args(x, y, rotation, dot_offset, size) -> tuple[int, ...]:
 def kink_pairs_c(x, y, radius: float, rotation, dot_offset, size):
     """The C pass of ``kink_pairs``, with its arguments: returns (first,
     second, group, representative, unsure), the pairs that the squares put
-    within the radius or cannot decide, numbered by geometry as
-    ``kink_pairs_loop`` numbers its pairs, the first pair of each group,
-    and `unsure`, ascending, the groups whose pairs the squares cannot
-    decide (see ``qcasim_kink_pairs``). The number of box pairs, those
+    within the radius or cannot decide, in (i, j) order, each numbered by
+    geometry as ``kink_pairs`` numbers its pairs, the first pair of each
+    group, and `unsure`, ascending, the groups whose pairs the squares
+    cannot decide (see ``qcasim_kink_pairs``). The number of box pairs, those
     within the radius along both axes, is known only after the search: the
     first call offers room for 64 of them per cell, and a search that finds
     more runs once more with room for them all."""
@@ -1011,13 +1004,15 @@ def kink_pairs(x, y, radius: float, rotation, dot_offset, size):
     kind of i, dy, dx) with (dx, dy) = center j - center i, -0.0 and 0.0
     alike, and a cell's kind its (rotation, dot offset, size), numbered in
     the order of their first pairs; and the first pair of each group. The
-    kernel ``kernel_path`` names: ``kink_pairs_c``, whose unsure groups
-    are decided here, each once, with math.hypot as ``_within`` decides a
-    pair, or ``kink_pairs_loop``."""
+    kernel ``kernel_path`` names, ``kink_pairs_c`` or ``kink_pairs_loop``,
+    whose unsure groups are decided here, each once, by math.hypot: the one
+    place where math.hypot decides the radius."""
     if _library() is None:
         _kink_args(x, y, rotation, dot_offset, size)
-        return kink_pairs_loop(x, y, radius, rotation, dot_offset, size)
-    first, second, group, representative, unsure = kink_pairs_c(
+        kernel = kink_pairs_loop
+    else:
+        kernel = kink_pairs_c
+    first, second, group, representative, unsure = kernel(
         x, y, radius, rotation, dot_offset, size)
     if not unsure.size:
         return first, second, group, representative

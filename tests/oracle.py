@@ -5,6 +5,11 @@ dot enumeration, double loop over dot pairs) without touching any of the
 package's electrostatics code paths. Used to cross-check kink_matrix
 (`assert_brute_force_energies`).
 
+`reference_kink_pairs` finds the pairs and geometry groups of
+`kernels.kink_pairs` by brute force: every pair tested with `math.dist`,
+each geometry numbered through a dict. Both kernel paths must return its
+arrays bit for bit.
+
 `reference_bistable_relax` is the bistable engine written against the
 kink matrix's pair dict alone: every field sums over all other cells in
 sorted id order, reading each energy with `kink_energy`. The engine's
@@ -26,8 +31,10 @@ the same layout bit for bit, or raise the same exception type and text.
 fields where it returns None.
 """
 
+import itertools
 import math
 import re
+import struct
 from typing import Optional
 
 import numpy as np
@@ -101,6 +108,36 @@ def assert_brute_force_energies(matrix, layout, radius, constants):
         term = constants.coulomb_k * constants.electron_charge ** 2 / (
             math.dist(by_id[a].center, by_id[b].center) * 1e-9)
         assert abs(matrix.pairs[(a, b)] - value) <= 1e-12 * term
+
+
+def _bits(value):
+    """The bit pattern of value + 0.0, the same for -0.0 and 0.0."""
+    return struct.pack("<d", value + 0.0)
+
+
+def reference_kink_pairs(x, y, radius, rotation, dot_offset, size):
+    """(first, second, group, representative) of `kernels.kink_pairs` on
+    the same columns: every pair i < j of cells whose centers `math.dist`
+    puts at most `radius` apart, in (i, j) order; each pair's group, keyed
+    by the kinds (rotation, dot offset, size) of j and of i and by dy and
+    dx, (dx, dy) = center j - center i, floats by the bits of v + 0.0, and
+    numbered in the order of its first pair; and the first pair of each
+    group."""
+    x, y, rotation, dot_offset, size = (
+        column.tolist() for column in (x, y, rotation, dot_offset, size))
+    kinds = [(r, _bits(o), _bits(s)) for r, o, s in zip(rotation, dot_offset, size)]
+    first, second, group, representative, groups = [], [], [], [], {}
+    for i, j in itertools.combinations(range(len(x)), 2):
+        if math.dist((x[i], y[i]), (x[j], y[j])) <= radius:
+            key = (kinds[j], kinds[i], _bits(y[j] - y[i]), _bits(x[j] - x[i]))
+            if key not in groups:
+                groups[key] = len(groups)
+                representative.append(len(first))
+            first.append(i)
+            second.append(j)
+            group.append(groups[key])
+    return tuple(np.array(column, dtype=np.int64)
+                 for column in (first, second, group, representative))
 
 
 def reference_local_field(cell_id, polarizations, kink):

@@ -3,9 +3,10 @@ energies cached by relative geometry, and the neighbor list the engines
 read.
 
 Property tests compare each against an all-pairs reference; the C pair
-search and the C kink pair pass are compared bit for bit with their numpy
-references, and the bistable engine, on each sweep kernel, with the
-pair-dict reference in oracle.py.
+search is compared bit for bit with its numpy reference, the C kink pair
+pass with its numpy transcription, the final kink pairs of both kernel
+paths with the brute-force pairs of oracle.py, and the bistable engine, on
+each sweep kernel, with the pair-dict reference there.
 """
 
 import importlib
@@ -14,13 +15,15 @@ import math
 import random
 from dataclasses import replace
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from oracle import (assert_brute_force_energies, kink_energy,
-                    kink_matrix_from_pairs, reference_bistable_relax)
+                    kink_matrix_from_pairs, reference_bistable_relax,
+                    reference_kink_pairs)
 
 from qcasim import kernels
 from qcasim.constants import PhysicalConstants
@@ -189,8 +192,7 @@ def pair_problems(draw):
 
 
 def assert_same_arrays(got, expected):
-    assert len(got) == len(expected)
-    for a, b in zip(got, expected):
+    for a, b in zip(got, expected, strict=True):
         assert a.dtype == b.dtype == np.int64
         assert a.tobytes() == b.tobytes()
 
@@ -382,24 +384,37 @@ def kink_pairs_of(kernel, columns, radius):
     return kernel(x, y, radius, *kinds)
 
 
+def loop_path():
+    """The dispatchers on the loop kernels, as where no compiler works."""
+    return mock.patch.object(kernels, "_library", lambda: None)
+
+
+def assert_same_pairs(columns, radius):
+    """The kink pair pass on both kernel paths: ``kink_pairs_c`` against its
+    numpy transcription ``kink_pairs_loop``, all five arrays bit for bit,
+    and the final pairs, groups and first pairs of ``kink_pairs`` on each
+    path against ``reference_kink_pairs``. Returns the C pass's own result,
+    hand-back included."""
+    fused = kink_pairs_of(kernels.kink_pairs_c, columns, radius)
+    assert_same_arrays(fused, kink_pairs_of(kernels.kink_pairs_loop, columns, radius))
+    expected = kink_pairs_of(reference_kink_pairs, columns, radius)
+    assert_same_arrays(kink_pairs_of(kernels.kink_pairs, columns, radius), expected)
+    with loop_path():
+        assert_same_arrays(kink_pairs_of(kernels.kink_pairs, columns, radius), expected)
+    return fused
+
+
 def assert_same_kink(layout, radius):
-    """``kernels.kink_pairs`` on the C path against its numpy reference,
-    bit for bit: the pairs, their geometry groups and the first pair of
-    each group, and the pairs and energies of the kink matrix that each
-    path builds. Returns the C pass's own result, hand-back included."""
-    columns = kink_columns(layout)
-    got = kink_pairs_of(kernels.kink_pairs, columns, radius)
-    assert_same_arrays(got, kink_pairs_of(kernels.kink_pairs_loop, columns, radius))
+    """``assert_same_pairs`` on the columns of `layout`, and the pairs and
+    energies of the kink matrix that each kernel path builds, bit for bit.
+    Returns the C pass's own result."""
+    fused = assert_same_pairs(kink_columns(layout), radius)
     matrix = kink_matrix(layout, radius, PAPER)
-    default = kernels.kink_pairs
-    kernels.kink_pairs = kernels.kink_pairs_loop
-    try:
+    with loop_path():
         reference = kink_matrix(layout, radius, PAPER)
-    finally:
-        kernels.kink_pairs = default
     assert_same_arrays((matrix.first, matrix.second), (reference.first, reference.second))
     assert matrix.energies.tobytes() == reference.energies.tobytes()
-    return kink_pairs_of(kernels.kink_pairs_c, columns, radius)
+    return fused
 
 
 def handed_back(fused):
@@ -416,10 +431,11 @@ def grid_layout(rows, cols, pitch, size):
 
 @needs_cc
 class TestKinkPairsAgree:
-    """The C pass from cells to the pairs and geometry groups of the kink
-    matrix, with the groups it hands back decided by math.hypot, against
-    the numpy reference (``near_pairs_loop``, ``_within`` and
-    ``group_keys_loop``), bit for bit."""
+    """The pass from cells to the pairs and geometry groups of the kink
+    matrix on both kernel paths (``assert_same_pairs``): the C pass against
+    its numpy transcription, and ``kink_pairs``, the groups they hand back
+    decided by math.hypot, against the brute-force ``reference_kink_pairs``;
+    and, for a layout, the kink matrix of each path (``assert_same_kink``)."""
 
     @PROPERTY
     @given(layouts_and_radius())
@@ -446,8 +462,7 @@ class TestKinkPairsAgree:
         columns = (x, y, np.array([k[0] for k in kinds], dtype=np.int64),
                    np.array([k[1] for k in kinds], dtype=np.float64),
                    np.array([k[2] for k in kinds], dtype=np.float64))
-        assert_same_arrays(kink_pairs_of(kernels.kink_pairs, columns, reach),
-                           kink_pairs_of(kernels.kink_pairs_loop, columns, reach))
+        assert_same_pairs(columns, reach)
 
     @pytest.mark.parametrize("pitch, size", [(20.0, 18.0), (18.5, 18.0), (0.1, 0.09)])
     @pytest.mark.parametrize("multiple", [1, 2, 3, 4, 5])
@@ -477,9 +492,7 @@ class TestKinkPairsAgree:
         # layout holds either, but the columns may)
         columns = (np.arange(4) * 20.0, np.zeros(4), np.zeros(4, dtype=np.int64),
                    np.array([0.0, -0.0, 0.0, -0.0]), np.full(4, 18.0))
-        got = kink_pairs_of(kernels.kink_pairs, columns, 30.0)
-        assert_same_arrays(got, kink_pairs_of(kernels.kink_pairs_loop, columns, 30.0))
-        assert got[2].tolist() == [0, 0, 0]
+        assert assert_same_pairs(columns, 30.0)[2].tolist() == [0, 0, 0]
 
     def test_a_group_decided_out(self):
         # one ulp below 100 nm the squares cannot decide the pairs (60, 80)
@@ -497,6 +510,20 @@ class TestKinkPairsAgree:
         assert handed_back(assert_same_kink(layout, 100.0)) == (19, 5)
         assert len(kink_matrix(layout, 100.0, PAPER)) == len(got[0]) + 19
 
+    def test_pairs_at_the_margin_of_the_squares(self):
+        # cells (60, 80) (1 + e) nm from the first, on both sides of the
+        # margin 2**-40 r**2 (|d2 - r2| is about 2 |e| r2): both kernels
+        # hand back the four nearest the circle and decide the others by
+        # squares, and math.hypot puts the two outside it beyond the radius
+        steps = [sign * 2.0 ** -k for k in (25, 35, 39, 41, 45) for sign in (1, -1)]
+        n = len(steps) + 1
+        scale = np.array([0.0] + [1.0 + e for e in steps])
+        columns = (60.0 * scale, 80.0 * scale, np.zeros(n, dtype=np.int64),
+                   np.full(n, 4.5), np.full(n, 18.0))
+        fused = assert_same_pairs(columns, 100.0)
+        assert handed_back(fused) == (4, 4)
+        assert len(kink_pairs_of(kernels.kink_pairs, columns, 100.0)[0]) == len(fused[0]) - 2
+
     @pytest.mark.parametrize("n", [0, 1, 2])
     @pytest.mark.parametrize("radius", [5e-324, 1.0, 20.0, 1e150])
     def test_few_cells(self, n, radius):
@@ -510,18 +537,14 @@ class TestKinkPairsAgree:
         x, y = rnd.uniform(-300.0, 300.0, (2, n))
         size = rnd.integers(1, 400, n).astype(np.float64)
         columns = (x, y, rnd.choice([0, 45], n), size / 4.0, size)
-        got = kink_pairs_of(kernels.kink_pairs, columns, 60.0)
-        assert_same_arrays(got, kink_pairs_of(kernels.kink_pairs_loop, columns, 60.0))
-        assert len(got[3]) > 5000
+        assert len(assert_same_pairs(columns, 60.0)[3]) > 5000
 
     def test_beyond_the_first_offer(self):
         # all 11,175 pairs of 150 close cells: more than 64 per cell
         rnd = np.random.default_rng(5)
         x, y = rnd.uniform(-1.0, 1.0, (2, 150))
         columns = (x, y, np.zeros(150, dtype=np.int64), np.full(150, 0.1), np.full(150, 0.4))
-        got = kink_pairs_of(kernels.kink_pairs, columns, 3.0)
-        assert len(got[0]) == 150 * 149 // 2
-        assert_same_arrays(got, kink_pairs_of(kernels.kink_pairs_loop, columns, 3.0))
+        assert len(assert_same_pairs(columns, 3.0)[0]) == 150 * 149 // 2
 
     @pytest.mark.parametrize("seed, pairs, handed", [(1, 25_569, (2_083, 2)),
                                                      (7, 25_484, (2_077, 2))])

@@ -29,7 +29,7 @@ from qcasim.engines import (BistableParams, CoherenceParams, IntegrationError,
 from qcasim.geometry import Layout, builtin_layout, serialize_layout
 from qcasim.sweeps import TABLE1_TEMPERATURES, sci
 
-from oracle import SCI_EDGES
+from oracle import SCI_EDGES, reference_kink_pairs
 from test_cli import run as cli
 
 PAPER = PhysicalConstants.paper()
@@ -105,7 +105,7 @@ def assert_batches_identical(args):
     kernel's results."""
     loop = run(LOOP, args)
     for kernel in chunked(len(loop[0])):
-        for x, y in zip(run(kernel, args), loop):
+        for x, y in zip(run(kernel, args), loop, strict=True):
             assert_same_bits(x, y)
     return loop
 
@@ -179,7 +179,7 @@ class TestKernelParity:
         loop = run(LOOP, args)
         assert loop[1].all()
         for kernel in (kernels.coherence_euler, *compiled()):
-            for x, y in zip(run(kernel, args), loop):
+            for x, y in zip(run(kernel, args), loop, strict=True):
                 assert_same_bits(np.asarray(x), np.asarray(y))
 
     def test_recorded_clocks_are_clock_value(self):
@@ -412,13 +412,15 @@ class TestChunkCount:
         monkeypatch.setattr(threading, "Thread", refuse)
         args = batch_problem(builtin_layout("inv3"), TABLE1_TEMPERATURES,
                              n_steps=200)
-        for x, y in zip(run(kernels.coherence_euler, args), run(LOOP, args)):
+        for x, y in zip(run(kernels.coherence_euler, args), run(LOOP, args),
+                        strict=True):
             assert_same_bits(x, y)
 
     def test_chunks_capped_at_the_batch(self, monkeypatch, threads):
         self.cores(monkeypatch, 4)
         args = batch_problem(builtin_layout("inv3"), [0.0, 1.0], n_steps=200)
-        for x, y in zip(run(kernels.coherence_euler, args), run(LOOP, args)):
+        for x, y in zip(run(kernels.coherence_euler, args), run(LOOP, args),
+                        strict=True):
             assert_same_bits(x, y)
         assert len(threads) == 1
 
@@ -427,7 +429,8 @@ class TestChunkCount:
         monkeypatch.setattr(os, "cpu_count", lambda: 3)
         args = batch_problem(builtin_layout("inv3"), TABLE1_TEMPERATURES,
                              n_steps=200)
-        for x, y in zip(run(kernels.coherence_euler, args), run(LOOP, args)):
+        for x, y in zip(run(kernels.coherence_euler, args), run(LOOP, args),
+                        strict=True):
             assert_same_bits(x, y)
         assert len(threads) == 2
 
@@ -767,7 +770,8 @@ class TestKernelChoice:
         assert kernels._library() is None
         assert kernels.kernel_path() == "loop"
         args = batch_problem(builtin_layout("inv3"), [0.0, 1.0], n_steps=50)
-        for x, y in zip(run(kernels.coherence_euler, args), run(LOOP, args)):
+        for x, y in zip(run(kernels.coherence_euler, args), run(LOOP, args),
+                        strict=True):
             assert_same_bits(x, y)
         args = sweep_problem(builtin_layout("inv3"))
         assert_same_bits(sweep(kernels.bistable_sweep, args)[3],
@@ -778,11 +782,11 @@ class TestKernelChoice:
         assert kernels.write_rows(table, indices) == kernels.write_rows_loop(table, indices)
         x, y = np.array([0.0, 20.0, 40.0]), np.zeros(3)
         for got, want in zip(kernels.near_pairs(x, y, 20.0),
-                             kernels.near_pairs_loop(x, y, 20.0)):
+                             kernels.near_pairs_loop(x, y, 20.0), strict=True):
             assert_same_bits(got, want)
         kinds = np.zeros(3, dtype=np.int64), np.full(3, 4.5), np.full(3, 18.0)
         for got, want in zip(kernels.kink_pairs(x, y, 20.0, *kinds),
-                             kernels.kink_pairs_loop(x, y, 20.0, *kinds)):
+                             reference_kink_pairs(x, y, 20.0, *kinds), strict=True):
             assert_same_bits(got, want)
         assert not (own_cache / "cache").exists()
         # nor does it touch a cache that holds other builds
