@@ -78,14 +78,13 @@
  * (field sums, steady states and Euler updates), and its points only fill
  * their recording rows from the unchanged polarizations; quiet stays set.
  * The match is on bit patterns, never ==, so -0.0 and 0.0 (and NaNs) stay
- * apart. To keep a skipped step cheap, the call evaluates the clock only
- * for the zones that hold a free cell, plus all four zones at the
- * recording steps of the call that records the clocks; the recorded
- * clocks are those of the loop kernel. At the default clock, zone 0 is
- * held at clock_low for 51% of each period, and the state settles there
- * bit for bit: the temperature sweep's 15 points at 10,000 steps skip 45%
- * of their steps. The loop kernel never skips: it is the reference that
- * the tests compare the skipping kernel with.
+ * apart. To keep a skipped step cheap, a step evaluates the clock only
+ * for the zones that hold a free cell, as the loop kernel's steps do. At
+ * the default clock, zone 0 is held at clock_low for 51% of each period,
+ * and the state settles there bit for bit: the temperature sweep's 15
+ * points at 10,000 steps skip 45% of their steps. The loop kernel never
+ * skips: it is the reference that the tests compare the skipping kernel
+ * with.
  *
  * Threads. A call reads the batch's arrays (energies, drive_values,
  * temperature) at the global point b and fills the caller's rec_pols,
@@ -99,10 +98,10 @@
  * shared line would bounce between the cores). The shared arrays are
  * written only at recording steps (rec_pols, whose rows of different
  * points lie n_rec rows apart), at a failure (bad_step) and once at the
- * end (final). Only one call records the shared times and clocks: the
- * others pass NULL rec_times and rec_clocks. A call returns 0, or -1
- * when it cannot allocate its scratch, before it writes anything. There
- * is no static or global state.
+ * end (final). Only one call records the shared times and clocks, once
+ * after its last step: the others pass NULL rec_times and rec_clocks. A
+ * call returns 0, or -1 when it cannot allocate its scratch, before it
+ * writes anything. There is no static or global state.
  *
  * A point whose coherence vector leaves the unit ball (or becomes NaN)
  * stops at that cell, mid-sweep: bad_step[b] = the step (-1 while it
@@ -110,8 +109,10 @@
  * recorded. A point where |Gamma|^2 overflows to inf fails the same way,
  * at that cell and before its update. A call ends once every one of its
  * points has failed. The call that records the times and clock values
- * records every row, those after its last point failed included: a
- * row's time and clocks depend on its step alone.
+ * writes every row after stepping, as the loop kernel does, those after
+ * its last point failed included: a row's time and clocks depend on its
+ * step alone, at t = (double)(rec * stride) * dt, the t of step
+ * rec * stride.
  */
 
 #include <math.h>
@@ -154,7 +155,7 @@ int64_t qcasim_coherence_euler(
     int64_t n_rec, double *rec_times, double *rec_clocks, double *rec_pols,
     double *final, int64_t *bad_step)
 {
-    double gammas[4], gx_zone[4];
+    double gx_zone[4];
     uint64_t gx_bits_zone[4] = {0, 0, 0, 0};
     int used[4] = {0, 0, 0, 0}; /* the zones that hold a free cell */
     int64_t nnz = offsets[n];
@@ -191,24 +192,15 @@ int64_t qcasim_coherence_euler(
     for (int64_t step = 0; step <= n_steps && alive > 0; step++) {
         double t = (double)step * dt;
         int record = step % stride == 0 && rec < n_rec;
-        int all_zones = record && rec_times != NULL;
         int same_clock = 1;
         for (int z = 0; z < 4; z++) {
-            if (!used[z] && !all_zones)
-                continue;
-            gammas[z] = clock_value(t, z, periods, total_time, clock_shift,
-                                    clock_amplitude, clock_low, clock_high);
             if (!used[z])
                 continue;
-            gx_zone[z] = -2.0 * gammas[z] / hbar;
+            gx_zone[z] = -2.0 * clock_value(t, z, periods, total_time,
+                clock_shift, clock_amplitude, clock_low, clock_high) / hbar;
             uint64_t gx_bits = bits_of(gx_zone[z]);
             same_clock &= gx_bits == gx_bits_zone[z];
             gx_bits_zone[z] = gx_bits;
-        }
-        if (all_zones) {
-            rec_times[rec] = t;
-            for (int z = 0; z < 4; z++)
-                rec_clocks[rec * 4 + z] = gammas[z];
         }
         /* a quiet step with the clock bits of the last one would repeat
            it: its points only record */
@@ -286,8 +278,9 @@ int64_t qcasim_coherence_euler(
             rec++;
     }
 
-    /* the rows of the recording steps left after every point has failed */
-    for (; rec_times != NULL && rec < n_rec && rec <= n_steps / stride; rec++) {
+    /* the time and clocks of every recording row, at the t of its step */
+    for (rec = 0; rec_times != NULL && rec < n_rec && rec <= n_steps / stride;
+         rec++) {
         double t = (double)(rec * stride) * dt;
         rec_times[rec] = t;
         for (int z = 0; z < 4; z++)

@@ -355,8 +355,6 @@ def _format_real(value: float) -> str:
 
 def serialize_layout(layout: Layout) -> str:
     lines = ["qcl 1"]
-    if layout.constants_mode is not None:
-        lines.append(f"constants {layout.constants_mode}")
     for c in layout.cells:
         parts = [
             f"cell id={c.id}",
@@ -371,6 +369,10 @@ def serialize_layout(layout: Layout) -> str:
         if c.fixed_polarization is not None:
             parts.append(f"pol={_format_real(c.fixed_polarization)}")
         lines.append(" ".join(parts))
+    # after the cells, which the C pass of parse_layout then reads: it stops
+    # at the first line that is not a cell's
+    if layout.constants_mode is not None:
+        lines.append(f"constants {layout.constants_mode}")
     return "\n".join(lines) + "\n"
 
 

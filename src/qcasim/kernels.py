@@ -81,9 +81,11 @@ the library loads, else "loop". Every ``Layout`` built runs
 The C boundary is declared once: ``_bind`` types each entry point from
 its row of one table, ``_SIGNATURES``, and every pointer passed to C is an
 address from one check, ``_pointer`` (dtype, shape, C order and, where C
-writes, writability; one ValueError text). ``format_sci``, ``write_rows``,
-``near_pairs`` and ``kink_pairs`` run those checks on the loop path too,
-so both paths reject the same inputs with the same ValueError.
+writes, writability; one ValueError text). Each C wrapper checks its
+arguments in one function (``_euler_args``, ``_sweep_args``,
+``_row_args``, ``_pair_args``, ``_kink_args``; ``_vector`` for
+``format_sci``), and the dispatcher runs it on the loop path too, so both
+paths reject the same inputs with the same ValueError.
 
 In the engine kernels every ``+``, ``*``, ``/`` and ``sqrt`` is the same
 IEEE operation in the same order in both, and ``cos`` and ``tanh`` are
@@ -170,12 +172,12 @@ def coherence_euler_loop(energies, zones, driven, drive_values, n_steps, dt,
     they are and it is no longer recorded. A point where |Gamma|**2
     overflows to inf fails the same way, at that cell and before its
     update, since lambda_ss would silently read 0 there. The batch ends
-    once every point has failed. The recordings are filled every `stride`
-    steps (step 0 included); each point's rows stop when it fails, while
-    the times and clocks are recorded at every such step up to n_steps,
-    those after every point has failed included. The clock is evaluated
-    only for the zones that hold a free cell, and for all four at the
-    recording steps.
+    once every point has failed. The polarizations are recorded every
+    `stride` steps (step 0 included), each point's rows stopping when it
+    fails. A step evaluates the clock only for the zones that hold a free
+    cell; the time and the four clocks of every recording step up to
+    n_steps, those after every point has failed included, are written
+    once, after the last step.
     """
     batch, n = drive_values.shape
     offsets = offsets.tolist()
@@ -205,22 +207,17 @@ def coherence_euler_loop(energies, zones, driven, drive_values, n_steps, dt,
     n_rec = rec_times.shape[0]
     rec = 0
     for step in range(n_steps + 1):
-        t = step * dt
-        record = step % stride == 0 and rec < n_rec
-        # the clock of the zones that hold a free cell, and of all four where
-        # the step records
-        gammas = [clock_value(t, z, periods, total_time, clock_shift,
-                              clock_amplitude, clock_low, clock_high)
-                  if record or used[z] else 0.0 for z in range(4)]
-        if record:
-            rec_times[rec] = t
-            rec_clocks[rec] = gammas
+        if step % stride == 0 and rec < n_rec:
             for b, pol, _, _, _ in points:
                 rec_pols[b, rec] = pol
             rec += 1
         if step == n_steps:
             break
-        gx_zone = [-2.0 * g / hbar for g in gammas]
+        t = step * dt
+        # the clock of the zones that hold a free cell
+        gx_zone = [-2.0 * clock_value(t, z, periods, total_time, clock_shift,
+                                      clock_amplitude, clock_low, clock_high) / hbar
+                   if used[z] else 0.0 for z in range(4)]
         failed = False
         for b, pol, lam, cells, thermal in points:
             # local fields from the previous step's polarizations
@@ -263,8 +260,8 @@ def coherence_euler_loop(energies, zones, driven, drive_values, n_steps, dt,
             points = [point for point in points if bad_step[point[0]] < 0]
             if not points:
                 break
-    # the rows of the recording steps left after every point has failed
-    for rec in range(rec, min(n_rec, n_steps // stride + 1)):
+    # the time and clocks of every recording row, at the t of its step
+    for rec in range(min(n_rec, n_steps // stride + 1)):
         t = rec * stride * dt
         rec_times[rec] = t
         rec_clocks[rec] = [clock_value(t, z, periods, total_time, clock_shift,
@@ -505,27 +502,14 @@ def _usable_cores() -> int:
         return os.cpu_count() or 1
 
 
-def coherence_euler_c(energies, zones, driven, drive_values, n_steps, dt,
-                      total_time, periods, clock_shift, clock_amplitude,
-                      clock_low, clock_high, tau, temperature, boltzmann_k,
-                      hbar, stride, rec_times, rec_clocks, rec_pols,
-                      offsets, cols):
-    """The batched integrator in C, with the arguments, results and
-    failure semantics of ``coherence_euler_loop``; the neighbor list and
-    the clock zones are checked for range too.
-
-    The B points run as k = min(B, usable cores) interleaved chunks,
-    points j, j + k, j + 2k, ... in chunk j: chunk 0 on the calling
-    thread, each other on a thread of its own (ctypes releases the GIL for
-    the call). Raises MemoryError if a chunk cannot allocate its scratch.
-
-    A chunk skips the point work of each step after one that changed no
-    bit of any of its vectors and failed no point, while the clock of
-    every zone that holds a free cell keeps its bits: such a step would
-    repeat the last one. Its points still fill their recording rows. The
-    clock is evaluated only for the zones that hold a free cell, and for
-    all four at the recording steps of chunk 0."""
-    library = _compiled()
+def _euler_args(energies, zones, driven, drive_values, n_steps, dt,
+                total_time, periods, clock_shift, clock_amplitude, clock_low,
+                clock_high, tau, temperature, boltzmann_k, hbar, stride,
+                rec_times, rec_clocks, rec_pols, offsets, cols):
+    """Check the arguments of an integrator call, as ``qcasim_coherence_euler``
+    reads them, the neighbor list and the clock zones for range too. Returns
+    B, the C arguments that every chunk shares (n to n_rec), the addresses
+    of rec_times and rec_clocks, and that of rec_pols."""
     batch, n = np.shape(drive_values)
     nnz, offsets_at, cols_at = _neighbors(offsets, cols, n)
     n_rec = np.shape(rec_times)[0] if np.ndim(rec_times) == 1 else -1
@@ -544,17 +528,37 @@ def coherence_euler_c(energies, zones, driven, drive_values, n_steps, dt,
     # a stride beyond n_steps records step 0 only, as n_steps + 1 does; the
     # smaller value fits the C int64
     stride = min(int(stride), int(n_steps) + 1)
-    chunks = max(1, min(batch, _usable_cores()))
-    final, final_at = _output("final", (batch, n))
-    bad_step, bad_step_at = _output("bad_step", (batch,), np.int64)
     shared = (
         n, offsets_at, cols_at, energies_at, zones_at, driven_at, drive_at,
         int(n_steps), dt, total_time, periods, clock_shift, clock_amplitude,
         clock_low, clock_high, tau, temperature_at, boltzmann_k, hbar,
         UNIT_BALL_LIMIT_SQ, stride, n_rec)
+    return batch, shared, (times_at, clocks_at), pols_at
+
+
+def coherence_euler_c(*args):
+    """The batched integrator in C, with the arguments, results and
+    failure semantics of ``coherence_euler_loop``, checked by
+    ``_euler_args``.
+
+    The B points run as k = min(B, usable cores) interleaved chunks,
+    points j, j + k, j + 2k, ... in chunk j: chunk 0 on the calling
+    thread, each other on a thread of its own (ctypes releases the GIL for
+    the call). Raises MemoryError if a chunk cannot allocate its scratch.
+
+    A chunk evaluates the clock only for the zones that hold a free cell,
+    and skips the point work of each step after one that changed no bit
+    of any of its vectors and failed no point, while each of those clocks
+    keeps its bits: such a step would repeat the last one. Its points
+    still fill their recording rows. Chunk 0 writes the time and clocks of
+    every recording row once, after its last step."""
+    library = _compiled()
+    batch, shared, recording, pols_at = _euler_args(*args)
+    chunks = max(1, min(batch, _usable_cores()))
+    final, final_at = _output("final", (batch, shared[0]))
+    bad_step, bad_step_at = _output("bad_step", (batch,), np.int64)
     # only chunk 0 records the times and clocks
-    calls = [(batch, j, chunks, *shared,
-              *((times_at, clocks_at) if j == 0 else (None, None)),
+    calls = [(batch, j, chunks, *shared, *(recording if j == 0 else (None, None)),
               pols_at, final_at, bad_step_at)
              for j in range(chunks)]
     status = [0] * chunks
@@ -576,12 +580,11 @@ def coherence_euler_c(energies, zones, driven, drive_values, n_steps, dt,
     return final, bad_step
 
 
-def bistable_sweep_c(energies, offsets, cols, pols, free, two_gamma,
-                     tolerance, max_iterations):
-    """The bistable sweep in C, with the arguments and results of
-    ``bistable_sweep_loop``; the neighbor list and the free positions are
-    checked for range too."""
-    library = _compiled()
+def _sweep_args(energies, offsets, cols, pols, free, two_gamma, tolerance,
+                max_iterations) -> tuple:
+    """Check the arguments of a bistable sweep, as ``qcasim_bistable_sweep``
+    reads them, the neighbor list and the free positions for range too.
+    Returns its C arguments up to max_iterations."""
     n = np.size(pols)
     nnz, offsets_at, cols_at = _neighbors(offsets, cols, n)
     energies_at = _pointer("energies", energies, np.float64, (nnz,))
@@ -592,12 +595,18 @@ def bistable_sweep_c(energies, offsets, cols, pols, free, two_gamma,
     if max_iterations < 1:
         raise ValueError("max_iterations must be >= 1")
     # no run reaches 2**63 - 1 sweeps; the smaller value fits the C int64
-    max_iterations = min(int(max_iterations), 2**63 - 1)
+    return (n_free, free_at, offsets_at, cols_at, energies_at, pols_at, two_gamma,
+            tolerance, min(int(max_iterations), 2**63 - 1))
+
+
+def bistable_sweep_c(*args):
+    """The bistable sweep in C, with the arguments and results of
+    ``bistable_sweep_loop``, checked by ``_sweep_args``."""
+    library = _compiled()
+    sweep_args = _sweep_args(*args)
     sweeps, sweeps_at = _output("sweeps", (1,), np.int64)
     worst, worst_at = _output("worst", (1,), np.int64)
-    converged = library.qcasim_bistable_sweep(
-        n_free, free_at, offsets_at, cols_at, energies_at, pols_at, two_gamma,
-        tolerance, max_iterations, sweeps_at, worst_at)
+    converged = library.qcasim_bistable_sweep(*sweep_args, sweeps_at, worst_at)
     return bool(converged), int(sweeps[0]), int(worst[0])
 
 
@@ -767,26 +776,39 @@ def _pair_args(x, y) -> tuple[int, int, int]:
     return n, x_at, _pointer("y", y, np.float64, (n,))
 
 
-def near_pairs_c(x, y, reach: float) -> tuple[np.ndarray, np.ndarray]:
-    """The pair search in C, with the arguments and results of
-    ``near_pairs_loop``. The pair count is known only after the search:
-    the first call offers room for 64 pairs per cell, and a search that
-    finds more runs once more with room for them all."""
-    library = _compiled()
-    n, x_at, y_at = _pair_args(x, y)
+def _offer(n: int, names: Sequence[str], search, message: str):
+    """Run a pair search of n cells whose pair count is known only after
+    the search: ``search(capacity, *addresses)`` fills int64 arrays of
+    `capacity` entries, one per name, and returns the count. The first
+    call offers room for min(n(n-1)/2, 64n) pairs, and a search that finds
+    more runs once more with room for them all. Returns the count and the
+    arrays; a count of -2 raises ValueError, another below 0
+    MemoryError(message)."""
     capacity = min(n * (n - 1) // 2, 64 * n)
     while True:
-        first, first_at = _output("first", (capacity,), np.int64)
-        second, second_at = _output("second", (capacity,), np.int64)
-        count = library.qcasim_near_pairs(n, x_at, y_at, float(reach), capacity,
-                                          first_at, second_at)
+        arrays, addresses = zip(*(_output(name, (capacity,), np.int64)
+                                  for name in names))
+        count = search(capacity, *addresses)
         if count == -2:
             raise ValueError(_NEAR_PAIRS_DOMAIN)
         if count < 0:
-            raise MemoryError("the pair search could not allocate its scratch")
+            raise MemoryError(message)
         if count <= capacity:
-            return first[:count], second[:count]
+            return count, arrays
         capacity = count
+
+
+def near_pairs_c(x, y, reach: float) -> tuple[np.ndarray, np.ndarray]:
+    """The pair search in C, with the arguments and results of
+    ``near_pairs_loop``, offered room for its pairs by ``_offer``."""
+    library = _compiled()
+    n, x_at, y_at = _pair_args(x, y)
+    count, (first, second) = _offer(
+        n, ("first", "second"),
+        lambda capacity, *out: library.qcasim_near_pairs(
+            n, x_at, y_at, float(reach), capacity, *out),
+        "the pair search could not allocate its scratch")
+    return first[:count], second[:count]
 
 
 def _by_squares(dx, dy, r2: float) -> np.ndarray:
@@ -872,30 +894,19 @@ def kink_pairs_c(x, y, radius: float, rotation, dot_offset, size):
     within the radius or cannot decide, in (i, j) order, each numbered by
     geometry as ``kink_pairs`` numbers its pairs, the first pair of each
     group, and `unsure`, ascending, the groups whose pairs the squares
-    cannot decide (see ``qcasim_kink_pairs``). The number of box pairs, those
-    within the radius along both axes, is known only after the search: the
-    first call offers room for 64 of them per cell, and a search that finds
-    more runs once more with room for them all."""
+    cannot decide (see ``qcasim_kink_pairs``). ``_offer`` gives it room for
+    the box pairs, those within the radius along both axes."""
     library = _compiled()
     n, x_at, y_at, *columns = _kink_args(x, y, rotation, dot_offset, size)
-    capacity = min(n * (n - 1) // 2, 64 * n)
     counts, counts_at = _output("counts", (2,), np.int64)
-    while True:
-        arrays, addresses = zip(*(
-            _output(name, (capacity,), np.int64)
-            for name in ("first", "second", "group", "representative", "unsure")))
-        count = library.qcasim_kink_pairs(n, x_at, y_at, float(radius), *columns,
-                                          capacity, *addresses, counts_at)
-        if count == -2:
-            raise ValueError(_NEAR_PAIRS_DOMAIN)
-        if count < 0:
-            raise MemoryError("the kink pair pass could not allocate its scratch")
-        if count <= capacity:
-            first, second, group, representative, unsure = arrays
-            groups, n_unsure = counts.tolist()
-            return (first[:count], second[:count], group[:count],
-                    representative[:groups], unsure[:n_unsure])
-        capacity = count
+    count, (first, second, group, representative, unsure) = _offer(
+        n, ("first", "second", "group", "representative", "unsure"),
+        lambda capacity, *out: library.qcasim_kink_pairs(
+            n, x_at, y_at, float(radius), *columns, capacity, *out, counts_at),
+        "the kink pair pass could not allocate its scratch")
+    groups, n_unsure = counts.tolist()
+    return (first[:count], second[:count], group[:count],
+            representative[:groups], unsure[:n_unsure])
 
 
 # The header line of a .qcl document, after which qcasim_parse_cells reads.
@@ -958,15 +969,19 @@ def kernel_path() -> str:
 def coherence_euler(*args):
     """The batched integrator: the kernel ``kernel_path`` names, called
     with the arguments of ``coherence_euler_loop``."""
-    kernel = coherence_euler_c if _library() is not None else coherence_euler_loop
-    return kernel(*args)
+    if _library() is not None:
+        return coherence_euler_c(*args)
+    _euler_args(*args)
+    return coherence_euler_loop(*args)
 
 
 def bistable_sweep(*args):
     """The bistable sweep: the kernel ``kernel_path`` names, called with
     the arguments of ``bistable_sweep_loop``."""
-    kernel = bistable_sweep_c if _library() is not None else bistable_sweep_loop
-    return kernel(*args)
+    if _library() is not None:
+        return bistable_sweep_c(*args)
+    _sweep_args(*args)
+    return bistable_sweep_loop(*args)
 
 
 def write_rows(table, indices) -> str:

@@ -46,6 +46,26 @@ class TestKinkCommand:
         assert code == 0
         assert "# constants=codata" in out.splitlines()
 
+    def test_line_ends_and_a_first_comment_print_the_same(self, tmp_path):
+        """One wire under one stem, with LF and with CRLF line ends (which
+        the CLI reads as LF), and after a comment line, which leaves every
+        line to Python: the C pass reads the cell lines of the first two,
+        Python those of the third, and all print the same."""
+        wire = ("qcl 1\ncell id=in x=0 y=0 role=fixed pol=-1\n"
+                "cell id=a x=20 y=0 role=normal\n"
+                "cell id=b x=.4e2 y=0 rot=0 role=normal\n"
+                "cell id=out x=60 y=0 role=output clock=0\n")
+        printed = []
+        for name, text in (("lf", wire), ("crlf", wire.replace("\n", "\r\n")),
+                           ("loop", "# a first line\n" + wire)):
+            path = tmp_path / name / "wire.qcl"
+            path.parent.mkdir()
+            path.write_bytes(text.encode())
+            printed.append(run(["kink", "--layout", str(path)]))
+        code, out, err = printed[0]
+        assert (code, err, out.count("\n")) == (0, "", 10)
+        assert printed == printed[:1] * 3
+
 
 class TestSimulateCommand:
     def test_bistable_lists_every_cell(self):

@@ -670,6 +670,21 @@ class TestCertifiedPass:
         assert len(ids) == 18
         self.check(text)
 
+    @pytest.mark.parametrize("mode", ["paper", "codata"])
+    def test_certifies_every_cell_of_a_serialized_layout(self, mode):
+        """serialize_layout writes the constants line after the cells, so
+        the C pass reads every cell line and the loop only that line."""
+        cells = builtin_layout("majority").cells
+        layout = Layout(name="majority", cells=cells, constants_mode=mode)
+        text = serialize_layout(layout)
+        assert text.endswith(f"\nconstants {mode}\n")
+        assert parse_layout(text, name=layout.name) == layout
+        if HAS_CC:
+            reals, ints, ids, start, lineno = kernels.parse_cells(text)
+            assert ids == list(layout.ids)
+            assert (text[start:], lineno) == (f"constants {mode}\n", len(cells) + 2)
+        self.check(text)
+
 
 class TestBuiltinLayouts:
     def test_wire_pitch(self):

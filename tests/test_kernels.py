@@ -976,7 +976,23 @@ class TestKernelChoice:
         """Inputs that the C kernels refuse: each dispatcher gives the same
         ValueError on the compiled path and on the loop path."""
         x, y, ones = np.array([0.0, 1.0, 5.0]), np.zeros(3), np.ones(3)
+        # inv2: the fixed cell at position 0, the free one at 1; two pairs
+        euler = batch_problem(builtin_layout("inv2"), [1.0], n_steps=10, stride=1)
+        relax = sweep_problem(builtin_layout("inv2"))
+
+        def spoiled(problem, index, value):
+            args = list(problem())
+            args[index] = value
+            return tuple(args)
         inputs = [
+            (kernels.coherence_euler, spoiled(euler, 1, np.array([0, -1], dtype=np.int64))),
+            (kernels.coherence_euler, spoiled(euler, 1, np.array([0, 4], dtype=np.int64))),
+            (kernels.coherence_euler, spoiled(euler, 16, 0)),  # stride
+            (kernels.coherence_euler,
+             spoiled(euler, 0, np.repeat(euler()[0], 2, axis=1)[:, ::2])),
+            (kernels.bistable_sweep, spoiled(relax, 4, np.array([-1], dtype=np.int64))),
+            (kernels.bistable_sweep, spoiled(relax, 7, 0)),  # max_iterations
+            (kernels.bistable_sweep, spoiled(relax, 0, np.repeat(relax()[0], 2)[::2])),
             (kernels.near_pairs, ([0.0, 1.0], [0.0, 0.0], 2.0)),
             (kernels.kink_pairs, (x, y, 2.0, np.zeros(3, dtype=np.int32), ones, ones)),
             (kernels.kink_pairs, (x, y, 2.0, np.zeros(3, dtype=np.int64), ones,
@@ -985,6 +1001,13 @@ class TestKernelChoice:
             (kernels.write_rows, (kernels.text_table(["a", "b"]), [[0, 1]])),
         ]
         expected = [
+            "clock zones must be 0..3",
+            "clock zones must be 0..3",
+            "n_steps must be >= 0 and stride >= 1",
+            "energies must be a C-contiguous float64 array of shape (1, 2)",
+            "free must be cell positions 0..1",
+            "max_iterations must be >= 1",
+            "energies must be a C-contiguous float64 array of shape (2,)",
             "x must be a C-contiguous float64 array of shape (2,)",
             "rotation must be a C-contiguous int64 array of shape (3,)",
             "size must be a C-contiguous float64 array of shape (3,)",
@@ -1031,11 +1054,23 @@ class TestKernelChoice:
         and prints the stdout, stderr and exit code of this process: on
         every criterion-7 argv and, where this process runs the compiled
         kernels, on coherence runs that record every step or carry
-        different kink energies per point, and on `kink` and bistable
+        different kink energies per point, on `kink` and bistable
         `simulate` of a 40-cell wire, built in and read from a file, and
-        of a file whose cell ids are not ASCII."""
+        of a file whose cell ids are not ASCII, and on `kink` of the wire
+        at a 40 nm radius, whose pairs 40 nm apart lie exactly on the
+        circle (the C pass hands them back to math.hypot), and of the
+        majority gate. On both paths, `kink` of three cells where cells a
+        and b, (60, 80) nm apart, form a group that the squares cannot
+        place one ulp below 100 nm and math.hypot puts beyond the radius;
+        at 100 nm they are in."""
         from test_acceptance import CRITERION_7_ARGV
-        argvs = list(CRITERION_7_ARGV)
+        three = tmp_path / "three.qcl"
+        three.write_text("qcl 1\ncell id=a x=0 y=0 role=fixed pol=1\n"
+                         "cell id=b x=60 y=80 role=normal\n"
+                         "cell id=c x=20 y=0 role=output\n")
+        radii = ("99.99999999999999", "100")
+        argvs = [*CRITERION_7_ARGV,
+                 *(["kink", "--layout", str(three), "--radius", r] for r in radii)]
         if kernels.kernel_path() == "c":
             qcl = tmp_path / "wire40.qcl"
             qcl.write_text(serialize_layout(builtin_layout("wire(40)")))
@@ -1051,7 +1086,9 @@ class TestKernelChoice:
                       ["sweep-gap", *coherence],
                       *([command, "--layout", layout]
                         for layout in ("builtin:wire(40)", str(qcl), str(unicode))
-                        for command in ("kink", "simulate"))]
+                        for command in ("kink", "simulate")),
+                      ["kink", "--layout", "builtin:wire(40)", "--radius", "40"],
+                      ["kink", "--layout", "builtin:majority"]]
         script = (
             "import io, json, sys\n"
             "from qcasim import kernels\n"
@@ -1071,6 +1108,10 @@ class TestKernelChoice:
         assert result["path"] == "loop"
         for argv, printed in zip(argvs, result["printed"], strict=True):
             assert tuple(printed) == cli(argv), argv
+        # the pair a-b: out one ulp below 100 nm, in at 100 nm
+        k = len(CRITERION_7_ARGV)
+        assert [printed[1].count("\na,b,")
+                for printed in result["printed"][k:k + len(radii)]] == [0, 1]
 
 
 class TestFormatSci:
